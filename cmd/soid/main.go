@@ -25,8 +25,8 @@
 // near-instant and resident memory tracks the touched worlds. Corrupt blocks
 // are quarantined rather than fatal — queries keep answering over the
 // surviving worlds with HTTP 206 and a widened error bound until the file is
-// repaired with soifsck. -mmap requires a v03 index file (rebuild older
-// files with: sphere -graph g.tsv -index old.idx -build-index new.idx).
+// repaired with soifsck. Eager and mapped loads read the same SOIIDX03 file
+// and report the same index fingerprint.
 //
 // Exit codes: 0 clean shutdown, 1 startup or serving errors.
 package main

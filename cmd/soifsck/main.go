@@ -1,12 +1,13 @@
 // Command soifsck verifies and repairs soi on-disk artifacts: cascade index
-// files (SOIIDX01–03, from sphere -build-index) and sphere stores
-// (SOISPH01/02, from sphere -all -store). The format is detected from the
-// file's magic.
+// files (SOIIDX03, from sphere -build-index) and sphere stores (SOISPH02,
+// from sphere -all -store). The format is detected from the file's magic;
+// a file in any other format, retired versions included, is rejected with
+// the command that rebuilds it.
 //
-// Verification is exhaustive: for a v03 index every world block is checked
+// Verification is exhaustive: every world block of an index is checked
 // independently (directory geometry, per-block CRC32-C, structural decode,
 // whole-file footer), so one pass lists every bad block rather than stopping
-// at the first. Repair keeps what verifies and rewrites a clean v03 file:
+// at the first. Repair keeps what verifies and rewrites a clean index file:
 //
 //	soifsck idx.bin                  # verify, summarize
 //	soifsck -v idx.bin               # ... with one line per world block
@@ -14,11 +15,9 @@
 //
 // A repaired index has fewer worlds than the original (the corrupt blocks
 // are dropped); estimates over it carry correspondingly wider error bounds.
-// Legacy v01/v02 indexes have no block directory, so only the parseable
-// prefix of records is recoverable; repair also upgrades them to v03. For
-// sphere stores, repair recovers payloads whose single trailing checksum is
-// bad (flipped footer, trailing garbage, v01 upgrade); payload corruption
-// requires a rebuild.
+// For sphere stores, repair recovers payloads whose single trailing checksum
+// is bad (flipped footer, trailing garbage); payload corruption requires a
+// rebuild.
 //
 // Exit codes: 0 every file verified clean, 1 corruption was found (repair
 // may still have succeeded), 2 a file could not be checked or repaired at

@@ -148,25 +148,15 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 			return err
 		}
 		fmt.Printf("index with %d worlds saved to %s\n", x.NumWorlds(), buildIndexPath)
-		if sketchOut != "" {
-			// Reopen the file we just wrote: a freshly built in-memory index
-			// and its on-disk form carry different fingerprints, and soid
-			// validates the sketch against the index file it loads — so the
-			// sketch must be keyed to the saved artifact, not the builder.
-			saved, err := index.LoadFile(buildIndexPath, g)
-			if err != nil {
-				return fmt.Errorf("reopening %s to key the sketch: %w", buildIndexPath, err)
-			}
-			saved.SetTelemetry(tel)
-			return saveSketch(saved, sketchOut, sketchK, seed, tel)
-		}
-		return nil
 	}
 	if sketchOut != "" {
-		if indexPath == "" {
+		if indexPath == "" && buildIndexPath == "" {
 			return fmt.Errorf("-sketch-out requires -index or -build-index: the sketch is fingerprint-keyed to an index file")
 		}
 		return saveSketch(x, sketchOut, sketchK, seed, tel)
+	}
+	if buildIndexPath != "" {
+		return nil
 	}
 
 	// The report is buffered and flushed at the end: with -out it is then
@@ -268,8 +258,8 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 }
 
 // saveSketch builds the combined bottom-k sketch over x's worlds and writes
-// it as a SOISKC01 file, fingerprint-keyed to x (which must be file-backed so
-// soid -sketch accepts it alongside soid -index of the same file).
+// it as a SOISKC01 file, fingerprint-keyed to x — the fingerprint of x's
+// index file, so soid -sketch accepts it alongside soid -index of that file.
 func saveSketch(x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
 	sk, err := sketch.Build(x, sketch.Options{K: k, Seed: seed, Telemetry: tel})
 	if err != nil {

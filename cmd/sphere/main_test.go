@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,9 @@ import (
 	"soi/internal/cliutil"
 	"soi/internal/gen"
 	"soi/internal/graph"
+	"soi/internal/index"
 	"soi/internal/probs"
+	"soi/internal/router"
 	"soi/internal/telemetry"
 )
 
@@ -186,5 +189,37 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), gp, -1, false, 10, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted neither -node nor -all")
+	}
+}
+
+// TestRunShardsManifestFingerprints: the -shards manifest records, for each
+// shard, the fingerprint of the index file soid will serve — the same value
+// soid computes when it loads that file.
+func TestRunShardsManifestFingerprints(t *testing.T) {
+	dir := t.TempDir()
+	gp := writeTestGraph(t, dir)
+	prefix := filepath.Join(dir, "net")
+	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 2, prefix, "", 0, noTel()); err != nil {
+		t.Fatal(err)
+	}
+	topo, err := router.LoadTopology(prefix + "-topology.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(topo.Shards) != 2 {
+		t.Fatalf("manifest has %d shards, want 2", len(topo.Shards))
+	}
+	for _, sh := range topo.Shards {
+		g, _, err := graph.LoadFile(filepath.Join(dir, sh.GraphFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := index.LoadFile(filepath.Join(dir, sh.IndexFile), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%016x", x.Fingerprint()); got != sh.IndexFingerprint {
+			t.Fatalf("shard %d: manifest index_fingerprint %s, loaded file fingerprints to %s", sh.ID, sh.IndexFingerprint, got)
+		}
 	}
 }

@@ -11,10 +11,10 @@
 //
 // Safety invariants:
 //
-//   - Every access to the mapping goes through Window.Range / ReadVerified,
+//   - Every access to the mapping goes through Window.Range / Copy,
 //     which bounds-check against the size captured at open. The raw mapping
 //     is never handed out.
-//   - ReadVerified copies the block out of the mapping under
+//   - Copy copies the block out of the mapping under
 //     debug.SetPanicOnFault, so a file shrunk behind our back (the one case
 //     bounds checks cannot see) surfaces as an ErrTruncated error instead of
 //     a SIGBUS-killed process.
@@ -45,7 +45,7 @@ var (
 )
 
 // castagnoli is the CRC32-C polynomial table shared by every blockfile
-// format (and, historically, the v02 whole-file footers).
+// format.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32-C of data.
@@ -139,7 +139,7 @@ func (w *Window) Mapped() bool { return w.mapped }
 // Range returns the subslice [off, off+n) of the window, bounds-checked
 // against the size captured at open — an out-of-range request is an
 // ErrTruncated error, never a fault. The returned slice aliases the mapping;
-// callers that keep bytes must copy (or use ReadVerified, which does).
+// callers that keep bytes must copy (or use Copy, which does).
 func (w *Window) Range(off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n < off || off+n > int64(len(w.data)) {
 		return nil, fmt.Errorf("%w: range [%d,+%d) outside window of %d bytes", ErrTruncated, off, n, len(w.data))
@@ -147,12 +147,13 @@ func (w *Window) Range(off, n int64) ([]byte, error) {
 	return w.data[off : off+n : off+n], nil
 }
 
-// ReadVerified copies the block [off, off+n) out of the window and verifies
-// it against crc. The copy runs under debug.SetPanicOnFault, so even a file
-// shrunk after mapping (bounds checks hold, pages gone) comes back as an
-// ErrTruncated error rather than a SIGBUS. The returned slice is heap-owned:
-// it stays valid after Close and holds no reference into the mapping.
-func (w *Window) ReadVerified(off int64, n, crc uint32) (out []byte, err error) {
+// Copy copies the block [off, off+n) out of the window. The copy runs under
+// debug.SetPanicOnFault, so even a file shrunk after mapping (bounds checks
+// hold, pages gone) comes back as an ErrTruncated error rather than a
+// SIGBUS. The returned slice is heap-owned: it stays valid after Close and
+// holds no reference into the mapping. Callers verify it against its
+// directory checksum before use.
+func (w *Window) Copy(off int64, n uint32) (out []byte, err error) {
 	src, err := w.Range(off, int64(n))
 	if err != nil {
 		return nil, err
@@ -167,14 +168,11 @@ func (w *Window) ReadVerified(off int64, n, crc uint32) (out []byte, err error) 
 	defer debug.SetPanicOnFault(prev)
 	out = make([]byte, n)
 	copy(out, src)
-	if got := Checksum(out); got != crc {
-		return nil, fmt.Errorf("%w: block [%d,+%d) hashes to %08x, directory says %08x", ErrCorrupt, off, n, got, crc)
-	}
 	return out, nil
 }
 
 // Close releases the mapping (or buffer). Blocks previously returned by
-// ReadVerified remain valid; slices from Range do not.
+// Copy remain valid; slices from Range do not.
 func (w *Window) Close() error {
 	if w.closer == nil {
 		return nil

@@ -38,22 +38,25 @@ func TestWindowRangeBounds(t *testing.T) {
 	}
 }
 
-func TestWindowReadVerified(t *testing.T) {
+func TestWindowCopy(t *testing.T) {
 	payload := []byte("some block payload")
 	w, err := OpenWindow(writeTemp(t, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	got, err := w.ReadVerified(0, uint32(len(payload)), Checksum(payload))
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("ReadVerified = %q, %v", got, err)
+	got, err := w.Copy(5, uint32(len(payload)-5))
+	if err != nil || string(got) != string(payload[5:]) {
+		t.Fatalf("Copy = %q, %v", got, err)
 	}
-	if _, err := w.ReadVerified(0, uint32(len(payload)), Checksum(payload)+1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad CRC: err = %v, want ErrCorrupt", err)
-	}
-	if _, err := w.ReadVerified(5, uint32(len(payload)), Checksum(payload)); !errors.Is(err, ErrTruncated) {
+	if _, err := w.Copy(5, uint32(len(payload))); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("out of range: err = %v, want ErrTruncated", err)
+	}
+	// The copy is heap-owned: it outlives the window.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(payload[5:]) {
+		t.Fatalf("copy changed after Close: %q", got)
 	}
 }
 
@@ -78,12 +81,12 @@ func TestWindowShrunkFileFaults(t *testing.T) {
 	if err := os.Truncate(p, 4096); err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.ReadVerified(60*1024, 1024, 0)
+	_, err = w.Copy(60*1024, 1024)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("read past truncation: err = %v, want ErrTruncated", err)
 	}
 	// The in-bounds prefix must still read fine.
-	if _, err := w.ReadVerified(0, 1024, Checksum(data[:1024])); err != nil {
+	if got, err := w.Copy(0, 1024); err != nil || Checksum(got) != Checksum(data[:1024]) {
 		t.Fatalf("read of surviving prefix: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -35,25 +34,22 @@ import (
 //	  expectedCost float64
 //	crc     uint32            CRC32-C (Castagnoli) of every preceding byte
 //
-// Version history: v01 ("SOISPH01") is the same layout without the CRC
-// footer; LoadSpheres still accepts it, SaveSpheres always produces v02.
+// SOISPH02 is the only sphere-store format; a file with any other magic is
+// rejected and must be rebuilt.
 
-var (
-	sphereMagicV1 = [8]byte{'S', 'O', 'I', 'S', 'P', 'H', '0', '1'}
-	sphereMagicV2 = [8]byte{'S', 'O', 'I', 'S', 'P', 'H', '0', '2'}
-)
+var sphereMagic = [8]byte{'S', 'O', 'I', 'S', 'P', 'H', '0', '2'}
 
 // sphereCastagnoli is the CRC32-C table for the sphere store.
 var sphereCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SaveSpheres writes the results of ComputeAll in the v02 (checksummed)
-// format. Results must be indexed by node id (results[v].Seeds == [v]), as
+// SaveSpheres writes the results of ComputeAll as a SOISPH02 store.
+// Results must be indexed by node id (results[v].Seeds == [v]), as
 // ComputeAll produces.
 func SaveSpheres(w io.Writer, results []Result) error {
 	bw := bufio.NewWriter(w)
 	h := crc32.New(sphereCastagnoli)
 	body := io.MultiWriter(bw, h)
-	if err := binary.Write(body, binary.LittleEndian, sphereMagicV2); err != nil {
+	if err := binary.Write(body, binary.LittleEndian, sphereMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(body, binary.LittleEndian, uint32(len(results))); err != nil {
@@ -86,44 +82,45 @@ func SaveSpheres(w io.Writer, results []Result) error {
 	return bw.Flush()
 }
 
-// LoadSpheres reads a sphere store (v02 with checksum verification, or the
-// legacy v01 format without). Results are indexed by node id; timing fields
-// are zero (they describe the original computation, not the load).
+// LoadSpheres reads a sphere store, verifying its checksum footer. Results
+// are indexed by node id; timing fields are zero (they describe the
+// original computation, not the load).
 func LoadSpheres(r io.Reader) ([]Result, error) {
 	br := bufio.NewReader(r)
-	var m [8]byte
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("core: read sphere magic: %w", err)
-	}
-	var h hash.Hash32
-	var body io.Reader = br
-	switch m {
-	case sphereMagicV1:
-		// Legacy format: no checksum to verify.
-	case sphereMagicV2:
-		h = crc32.New(sphereCastagnoli)
-		h.Write(m[:]) // the writer hashed the magic too
-		body = io.TeeReader(br, h)
-	default:
-		return nil, fmt.Errorf("core: bad sphere-store magic %q", m[:])
+	h := crc32.New(sphereCastagnoli)
+	body := io.TeeReader(br, h)
+	if err := readSphereMagic(body); err != nil {
+		return nil, err
 	}
 	out, err := loadSphereBody(body)
 	if err != nil {
 		return nil, err
 	}
-	if h != nil {
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("core: read sphere checksum footer: %w", err)
-		}
-		if sum := h.Sum32(); sum != stored {
-			return nil, fmt.Errorf("core: sphere-store checksum mismatch: file carries %08x, payload hashes to %08x (corrupted store)", stored, sum)
-		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("core: trailing data after sphere-store checksum footer")
-		}
+	sum := h.Sum32()
+	var stored uint32
+	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
+		return nil, fmt.Errorf("core: read sphere checksum footer: %w", err)
+	}
+	if sum != stored {
+		return nil, fmt.Errorf("core: sphere-store checksum mismatch: file carries %08x, payload hashes to %08x (corrupted store)", stored, sum)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("core: trailing data after sphere-store checksum footer")
 	}
 	return out, nil
+}
+
+// readSphereMagic consumes and checks the store's magic: any magic other
+// than SOISPH02 is rejected with one error naming it.
+func readSphereMagic(r io.Reader) error {
+	var m [8]byte
+	if _, err := io.ReadFull(r, m[:]); err != nil {
+		return fmt.Errorf("core: read sphere magic: %w", err)
+	}
+	if m != sphereMagic {
+		return fmt.Errorf("core: not a SOISPH02 sphere store (found magic %q); rebuild it with `sphere -graph g.tsv -all -store new.spheres`", m[:])
+	}
+	return nil
 }
 
 // loadSphereBody parses the version-independent payload.
@@ -216,11 +213,11 @@ func LoadSpheresFile(path string) ([]Result, error) {
 }
 
 // RepairSpheresFile rewrites a sphere store whose payload still parses into
-// a clean v02 file at dst, returning the sphere count. This recovers the
+// a clean file at dst, returning the sphere count. This recovers the
 // corruption classes a single trailing checksum makes fatal — a flipped or
-// truncated footer, trailing garbage, or a legacy v01 file — without
-// recomputing anything. Payload corruption is unrecoverable (the records are
-// not independently checksummed): rebuild with sphere -all -store instead.
+// truncated footer, or trailing garbage — without recomputing anything.
+// Payload corruption is unrecoverable (the records are not independently
+// checksummed): rebuild with sphere -all -store instead.
 func RepairSpheresFile(src, dst string) (int, error) {
 	f, err := os.Open(src)
 	if err != nil {
@@ -228,12 +225,8 @@ func RepairSpheresFile(src, dst string) (int, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	var m [8]byte
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return 0, fmt.Errorf("core: read sphere magic: %w", err)
-	}
-	if m != sphereMagicV1 && m != sphereMagicV2 {
-		return 0, fmt.Errorf("core: bad sphere-store magic %q", m[:])
+	if err := readSphereMagic(br); err != nil {
+		return 0, err
 	}
 	out, err := loadSphereBody(br)
 	if err != nil {

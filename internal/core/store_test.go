@@ -64,7 +64,7 @@ func TestSaveSpheresRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestLoadSpheresDetectsEveryBitFlip flips every single bit of a v02 sphere
+// TestLoadSpheresDetectsEveryBitFlip flips every single bit of a sphere
 // store and requires LoadSpheres to reject each corrupted copy — the CRC32-C
 // footer catches the flips (a cost mantissa bit, say) that pass every
 // structural check.
@@ -89,48 +89,6 @@ func TestLoadSpheresDetectsEveryBitFlip(t *testing.T) {
 	// Trailing data after the footer is corruption too.
 	if _, err := LoadSpheres(bytes.NewReader(append(clean, 0x00))); err == nil {
 		t.Fatal("accepted trailing data after the checksum footer")
-	}
-}
-
-// TestLoadSpheresAcceptsV01 checks back-compat with the pre-checksum format:
-// a v01 store (v02 bytes minus the footer, magic patched) must load with
-// identical contents and re-serialize as the original v02 bytes.
-func TestLoadSpheresAcceptsV01(t *testing.T) {
-	g := paperGraph(t)
-	x := buildIndex(t, g, 40, 38)
-	results := ComputeAll(x, Options{CostSamples: 60, CostSeed: 39})
-	var buf bytes.Buffer
-	if err := SaveSpheres(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.Bytes()
-	v1 := append([]byte(nil), v2[:len(v2)-4]...)
-	copy(v1, sphereMagicV1[:])
-
-	loaded, err := LoadSpheres(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v01 stream rejected: %v", err)
-	}
-	if len(loaded) != len(results) {
-		t.Fatalf("v01 load has %d spheres, want %d", len(loaded), len(results))
-	}
-	for v := range results {
-		if !equal(loaded[v].Set, results[v].Set) {
-			t.Fatalf("node %d: v01 set differs", v)
-		}
-		if loaded[v].SampleCost != results[v].SampleCost ||
-			loaded[v].ExpectedCost != results[v].ExpectedCost {
-			t.Fatalf("node %d: v01 costs differ", v)
-		}
-	}
-
-	// v01 -> v02 round trip: re-serializing upgrades the format.
-	var up bytes.Buffer
-	if err := SaveSpheres(&up, loaded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(up.Bytes(), v2) {
-		t.Fatal("v01 -> v02 round trip did not reproduce the original v02 bytes")
 	}
 }
 

@@ -2,38 +2,10 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
-	"soi/internal/graph"
 	"soi/internal/rng"
 )
-
-// writeLegacy serializes x in the retired v01/v02 formats (header, world
-// records, optional whole-file CRC footer) for back-compat tests; WriteTo
-// itself only emits the current v03 format.
-func writeLegacy(t testing.TB, x *Index, magic [8]byte, footer bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, v := range []any{magic, uint32(x.g.NumNodes()), uint32(len(x.entries))} {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range x.entries {
-		if err := writeEntry(&buf, &x.entries[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if footer {
-		sum := crc32.Checksum(buf.Bytes(), castagnoli)
-		if err := binary.Write(&buf, binary.LittleEndian, sum); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
 
 // TestReadSurvivesRandomCorruption flips random bits/bytes in a serialized
 // index and requires Read to either fail cleanly or return a structurally
@@ -79,8 +51,8 @@ func TestReadSurvivesRandomCorruption(t *testing.T) {
 	}
 }
 
-// TestReadDetectsEveryBitFlip flips every single bit of v02 and v03 index
-// files in turn and requires Read to reject each corrupted copy. This is
+// TestReadDetectsEveryBitFlip flips every single bit of an index file in
+// turn and requires Read to reject each corrupted copy. This is
 // the property the CRC32-C checksums buy: the structural validators alone
 // cannot catch a flip that leaves every count and id in range (a successor
 // id changed to another valid id, say), but the checksums catch all of
@@ -96,25 +68,21 @@ func TestReadDetectsEveryBitFlip(t *testing.T) {
 	if _, err := x.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for name, clean := range map[string][]byte{
-		"v02": writeLegacy(t, x, magicV2, true),
-		"v03": buf.Bytes(),
-	} {
-		for pos := range clean {
-			for bit := 0; bit < 8; bit++ {
-				data := append([]byte(nil), clean...)
-				data[pos] ^= 1 << bit
-				if _, err := Read(bytes.NewReader(data), g); err == nil {
-					t.Fatalf("%s: bit flip at byte %d bit %d was accepted", name, pos, bit)
-				}
+	clean := buf.Bytes()
+	for pos := range clean {
+		for bit := 0; bit < 8; bit++ {
+			data := append([]byte(nil), clean...)
+			data[pos] ^= 1 << bit
+			if _, err := Read(bytes.NewReader(data), g); err == nil {
+				t.Fatalf("bit flip at byte %d bit %d was accepted", pos, bit)
 			}
 		}
 	}
 }
 
 // TestReadRejectsTrailingData checks that a stream with extra bytes after
-// the parsed payload fails to load in every format — including v01, whose
-// lack of a checksum footer used to let trailing garbage slide.
+// the checksum footer fails to load: a longer-than-parsed file means the
+// artifact and the reader disagree about its structure.
 func TestReadRejectsTrailingData(t *testing.T) {
 	g := randomGraph(t, 116, 12, 40)
 	x, err := Build(g, Options{Samples: 2, Seed: 117})
@@ -125,62 +93,13 @@ func TestReadRejectsTrailingData(t *testing.T) {
 	if _, err := x.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for name, clean := range map[string][]byte{
-		"v01": writeLegacy(t, x, magicV1, false),
-		"v02": writeLegacy(t, x, magicV2, true),
-		"v03": buf.Bytes(),
-	} {
-		if _, err := Read(bytes.NewReader(clean), g); err != nil {
-			t.Fatalf("%s: clean stream rejected: %v", name, err)
-		}
-		data := append(append([]byte(nil), clean...), 0x00)
-		if _, err := Read(bytes.NewReader(data), g); err == nil {
-			t.Fatalf("%s: accepted trailing data after the payload", name)
-		}
+	clean := buf.Bytes()
+	if _, err := Read(bytes.NewReader(clean), g); err != nil {
+		t.Fatalf("clean stream rejected: %v", err)
 	}
-}
-
-// TestReadAcceptsV01 checks back-compat with the pre-checksum format: a v01
-// file must load, answer the same queries as the index it serializes, and
-// re-serialize as a current-format (v03) file bit-identical to a direct
-// serialization.
-func TestReadAcceptsV01(t *testing.T) {
-	g := randomGraph(t, 118, 20, 60)
-	x, err := Build(g, Options{Samples: 3, Seed: 119, TransitiveReduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := writeLegacy(t, x, magicV1, false)
-
-	loaded, err := Read(bytes.NewReader(v1), g)
-	if err != nil {
-		t.Fatalf("v01 stream rejected: %v", err)
-	}
-	if loaded.NumWorlds() != x.NumWorlds() {
-		t.Fatalf("v01 load has %d worlds, want %d", loaded.NumWorlds(), x.NumWorlds())
-	}
-	sa, sb := x.NewScratch(), loaded.NewScratch()
-	for w := 0; w < x.NumWorlds(); w++ {
-		for v := 0; v < g.NumNodes(); v++ {
-			a := x.Cascade(graph.NodeID(v), w, sa, nil)
-			b := loaded.Cascade(graph.NodeID(v), w, sb, nil)
-			if !equal(a, b) {
-				t.Fatalf("world %d node %d: v01 cascade differs", w, v)
-			}
-		}
-	}
-
-	// v01 -> v03 round trip: re-serializing upgrades the format, and the
-	// upgrade is deterministic.
-	var want, up bytes.Buffer
-	if _, err := x.WriteTo(&want); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loaded.WriteTo(&up); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(up.Bytes(), want.Bytes()) {
-		t.Fatal("v01 -> v03 round trip did not reproduce the direct v03 serialization")
+	data := append(append([]byte(nil), clean...), 0x00)
+	if _, err := Read(bytes.NewReader(data), g); err == nil {
+		t.Fatal("accepted trailing data after the payload")
 	}
 }
 

@@ -6,7 +6,6 @@ package index
 // have to ship the (much larger) graph the index was built from.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -17,16 +16,10 @@ import (
 	"soi/internal/blockfile"
 )
 
-// fsckMaxNodes bounds the header node count before any allocation trusts it;
-// graph-free parsing has no graph to cross-check against.
-const fsckMaxNodes = 1 << 28
-
 // FsckBlock is one world's verification outcome.
 type FsckBlock struct {
 	World int
-	// Off / Len locate the world's bytes in the file. For v01/v02 files the
-	// records are not independently addressable; Off is then the record's
-	// position in the payload stream and Len is 0 for records never reached.
+	// Off / Len locate the world's block in the file.
 	Off int64
 	Len int64
 	// Err is nil when the world verified clean (CRC and structural decode).
@@ -36,16 +29,13 @@ type FsckBlock struct {
 // FsckReport summarizes the verification of one index file.
 type FsckReport struct {
 	Path     string
-	Format   string // the magic string, e.g. "SOIIDX03"
+	Format   string // "SOIIDX03" once the header verifies, empty before
 	FileSize int64
 	Nodes    int
 	Worlds   int // header world count
-	// Blocks has one entry per world. For v03 every block is verified
-	// independently; for v01/v02 verification stops at the first bad record
-	// (later records have no known offset to resynchronize at).
+	// Blocks has one entry per world, each verified independently.
 	Blocks []FsckBlock
-	// FooterOK reports the whole-file checksum (v02/v03); v01 has none and
-	// reports true.
+	// FooterOK reports the whole-file checksum.
 	FooterOK bool
 	// Fatal is a whole-file problem that prevented per-block verification:
 	// unrecognized magic, implausible header, torn or corrupt directory.
@@ -78,17 +68,16 @@ func Fsck(path string) (*FsckReport, error) {
 }
 
 // RepairFile reads src, keeps every world that verifies (block CRC and
-// structural decode), and writes them to dst as a clean v03 file. Legacy
-// v01/v02 inputs are upgraded; for them only the parseable prefix of records
-// is recoverable. Returns the report for src and the number of worlds kept.
-// Repairing a file with zero recoverable worlds is an error: an empty index
-// answers nothing, so the artifact should be rebuilt instead.
+// structural decode), and writes them to dst as a clean v03 file. Returns
+// the report for src and the number of worlds kept. Repairing a file with
+// zero recoverable worlds is an error: an empty index answers nothing, so
+// the artifact should be rebuilt instead.
 func RepairFile(src, dst string) (*FsckReport, int, error) {
 	rep, entries, err := fsckParse(src, true)
 	if err != nil {
 		return rep, 0, err
 	}
-	if rep.Fatal != nil && entries == nil {
+	if rep.Fatal != nil {
 		return rep, 0, fmt.Errorf("index: %s is unrepairable: %w", src, rep.Fatal)
 	}
 	kept := make([]*worldEntry, 0, len(entries))
@@ -101,7 +90,7 @@ func RepairFile(src, dst string) (*FsckReport, int, error) {
 		return rep, 0, fmt.Errorf("index: no world of %s survived verification; rebuild with sphere -build-index", src)
 	}
 	err = atomicfile.WriteFile(dst, func(w io.Writer) error {
-		_, werr := writeV3(w, uint32(rep.Nodes), kept)
+		_, werr := writeV3(w, uint32(rep.Nodes), kept, v3Directory(kept))
 		return werr
 	})
 	return rep, len(kept), err
@@ -115,72 +104,24 @@ func fsckParse(path string, keep bool) (*FsckReport, []*worldEntry, error) {
 		return nil, nil, err
 	}
 	rep := &FsckReport{Path: path, FileSize: int64(len(data)), FooterOK: true}
-	if len(data) < 16 {
-		rep.Fatal = fmt.Errorf("%w: %d bytes is too short for an index header", blockfile.ErrTruncated, len(data))
-		return rep, nil, nil
-	}
-	var m [8]byte
-	copy(m[:], data)
-	rep.Format = string(m[:])
-	rep.Nodes = int(binary.LittleEndian.Uint32(data[8:12]))
-	rep.Worlds = int(binary.LittleEndian.Uint32(data[12:16]))
-	switch m {
-	case magicV3:
-	case magicV1, magicV2:
-		entries := fsckLegacy(rep, data, m, keep)
-		return rep, entries, nil
-	default:
-		rep.Format = ""
-		rep.Fatal = fmt.Errorf("%w: unrecognized magic %q", blockfile.ErrCorrupt, m[:])
-		return rep, nil, nil
-	}
-
-	if rep.Nodes == 0 || rep.Nodes > fsckMaxNodes {
-		rep.Fatal = fmt.Errorf("%w: implausible node count %d", blockfile.ErrCorrupt, rep.Nodes)
-		return rep, nil, nil
-	}
-	if rep.Worlds == 0 || rep.Worlds > maxWorlds {
-		rep.Fatal = fmt.Errorf("%w: implausible world count %d", blockfile.ErrCorrupt, rep.Worlds)
-		return rep, nil, nil
-	}
-	dirEnd := v3HeaderLen + int64(rep.Worlds)*blockfile.EntrySize
-	if int64(len(data)) < dirEnd+4 {
-		rep.Fatal = fmt.Errorf("%w: file ends inside the %d-world directory", blockfile.ErrTruncated, rep.Worlds)
-		return rep, nil, nil
-	}
-	if sum, stored := blockfile.Checksum(data[:dirEnd]), binary.LittleEndian.Uint32(data[dirEnd:]); sum != stored {
-		rep.Fatal = fmt.Errorf("%w: directory checksum mismatch: file carries %08x, directory hashes to %08x", blockfile.ErrCorrupt, stored, sum)
-		return rep, nil, nil
-	}
-	dir, err := blockfile.ParseDirectory(data[v3HeaderLen:dirEnd], rep.Worlds)
+	hdr, err := readV3Header(bytes.NewReader(data), -1, int64(len(data)))
+	rep.Nodes, rep.Worlds = int(hdr.nodes), int(hdr.worlds)
 	if err != nil {
-		rep.Fatal = fmt.Errorf("index: %w", err)
-		return rep, nil, nil
-	}
-	if err := validateV3Dir(dir, uint32(rep.Nodes), int64(len(data))); err != nil {
 		rep.Fatal = err
 		return rep, nil, nil
 	}
+	rep.Format = string(magicV3[:])
 
 	var entries []*worldEntry
 	if keep {
-		entries = make([]*worldEntry, len(dir))
+		entries = make([]*worldEntry, len(hdr.dir))
 	}
-	rep.Blocks = make([]FsckBlock, len(dir))
-	for i, b := range dir {
-		blk := data[b.Off : b.Off+int64(b.Len)]
+	rep.Blocks = make([]FsckBlock, len(hdr.dir))
+	for i, b := range hdr.dir {
 		rep.Blocks[i] = FsckBlock{World: i, Off: b.Off, Len: int64(b.Len)}
-		if sum := blockfile.Checksum(blk); sum != b.CRC {
-			rep.Blocks[i].Err = fmt.Errorf("%w: block hashes to %08x, directory says %08x", blockfile.ErrCorrupt, sum, b.CRC)
-			continue
-		}
-		e, err := decodeBlock(blk, uint32(rep.Nodes), i)
+		e, err := verifyBlock(data[b.Off:b.Off+int64(b.Len)], b, hdr.nodes, i)
 		if err != nil {
-			rep.Blocks[i].Err = fmt.Errorf("%w: %v", blockfile.ErrCorrupt, err)
-			continue
-		}
-		if uint32(len(e.dag)) != b.Aux {
-			rep.Blocks[i].Err = fmt.Errorf("%w: decodes to %d components, directory says %d", blockfile.ErrCorrupt, len(e.dag), b.Aux)
+			rep.Blocks[i].Err = err
 			continue
 		}
 		if keep {
@@ -191,70 +132,4 @@ func fsckParse(path string, keep bool) (*FsckReport, []*worldEntry, error) {
 		rep.FooterOK = false
 	}
 	return rep, entries, nil
-}
-
-// fsckLegacy verifies a v01/v02 stream: whole-file checksum (v02), then a
-// sequential graph-free parse of the world records. The first bad record
-// ends verification — without a directory there is no offset to resume at —
-// so repair can salvage at most the clean prefix.
-func fsckLegacy(rep *FsckReport, data []byte, m [8]byte, keep bool) []*worldEntry {
-	if rep.Nodes == 0 || rep.Nodes > fsckMaxNodes {
-		rep.Fatal = fmt.Errorf("%w: implausible node count %d", blockfile.ErrCorrupt, rep.Nodes)
-		return nil
-	}
-	if rep.Worlds == 0 || rep.Worlds > maxWorlds {
-		rep.Fatal = fmt.Errorf("%w: implausible world count %d", blockfile.ErrCorrupt, rep.Worlds)
-		return nil
-	}
-	payload := data
-	if m == magicV2 {
-		if len(data) < 16+4 {
-			rep.Fatal = fmt.Errorf("%w: no room for the checksum footer", blockfile.ErrTruncated)
-			return nil
-		}
-		payload = data[:len(data)-4]
-		if sum, stored := blockfile.Checksum(payload), binary.LittleEndian.Uint32(data[len(data)-4:]); sum != stored {
-			rep.FooterOK = false
-		}
-	}
-	var entries []*worldEntry
-	if keep {
-		entries = make([]*worldEntry, rep.Worlds)
-	}
-	rep.Blocks = make([]FsckBlock, rep.Worlds)
-	br := bufio.NewReader(bytes.NewReader(payload[16:]))
-	off := int64(16)
-	cr := &countingReader{r: br}
-	for i := 0; i < rep.Worlds; i++ {
-		rep.Blocks[i] = FsckBlock{World: i, Off: off + cr.n}
-		e, err := readEntry(cr, uint32(rep.Nodes), i)
-		if err != nil {
-			rep.Blocks[i].Err = fmt.Errorf("%w: %v", blockfile.ErrCorrupt, err)
-			for j := i + 1; j < rep.Worlds; j++ {
-				rep.Blocks[j] = FsckBlock{World: j, Err: fmt.Errorf("%w: unreachable past bad record %d", blockfile.ErrCorrupt, i)}
-			}
-			return entries
-		}
-		rep.Blocks[i].Len = off + cr.n - rep.Blocks[i].Off
-		if keep {
-			entries[i] = &e
-		}
-	}
-	if rem := int64(len(payload)) - 16 - cr.n; rem != 0 {
-		rep.Fatal = fmt.Errorf("%w: %d trailing bytes after the last record", blockfile.ErrCorrupt, rem)
-	}
-	return entries
-}
-
-// countingReader tracks consumed bytes so fsckLegacy can report record
-// offsets.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

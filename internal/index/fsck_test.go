@@ -126,75 +126,6 @@ func TestRepairFileRefusesTotalLoss(t *testing.T) {
 	}
 }
 
-func TestFsckLegacyFormats(t *testing.T) {
-	g := randomGraph(t, 171, 25, 90)
-	x, err := Build(g, Options{Samples: 6, Seed: 172})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirname := t.TempDir()
-	for _, tc := range []struct {
-		name   string
-		magic  [8]byte
-		footer bool
-	}{{"v01", magicV1, false}, {"v02", magicV2, true}} {
-		data := writeLegacy(t, x, tc.magic, tc.footer)
-		p := filepath.Join(dirname, tc.name+".idx")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Fsck(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Clean() || rep.BadWorlds() != 0 {
-			t.Fatalf("%s: clean legacy file reported dirty: %+v", tc.name, rep)
-		}
-
-		// Corrupt a record in the middle: the bad world and everything after
-		// it (unreachable without a directory) must be flagged.
-		d := append([]byte(nil), data...)
-		d[rep.Blocks[3].Off+6] ^= 0xFF
-		pc := filepath.Join(dirname, tc.name+"-bad.idx")
-		if err := os.WriteFile(pc, d, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rep, err = Fsck(pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Clean() || rep.Blocks[3].Err == nil || rep.Blocks[5].Err == nil {
-			t.Fatalf("%s: corrupt record not flagged: %+v", tc.name, rep)
-		}
-
-		// Repair salvages the clean prefix and upgrades to v03.
-		out := filepath.Join(dirname, tc.name+"-fixed.idx")
-		_, kept, err := RepairFile(pc, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kept != 3 {
-			t.Fatalf("%s: kept %d worlds, want the 3-record clean prefix", tc.name, kept)
-		}
-		fixed, err := LoadFile(out, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fixed.NumWorlds() != 3 {
-			t.Fatalf("%s: repaired index has %d worlds", tc.name, fixed.NumWorlds())
-		}
-		// The salvaged worlds answer identically to the originals.
-		s, s2 := x.NewScratch(), fixed.NewScratch()
-		for i := 0; i < 3; i++ {
-			a := x.Cascade(0, i, s, nil)
-			b := fixed.Cascade(0, i, s2, nil)
-			if len(a) != len(b) {
-				t.Fatalf("%s: world %d cascade diverged after repair", tc.name, i)
-			}
-		}
-	}
-}
-
 // TestFsckFatalShapes: structural damage that prevents block-level
 // verification entirely is reported as Fatal, never as a parse error.
 func TestFsckFatalShapes(t *testing.T) {

@@ -153,27 +153,6 @@ func BuildFingerprint(g *graph.Graph, opts Options) uint64 {
 		Sum()
 }
 
-// Fingerprint returns a content hash of the index — the graph plus every
-// world's component assignment and condensation — cached after the first
-// call. Downstream checkpointed sweeps (the all-nodes typical-cascade pass)
-// key their checkpoints on it, so resuming against a different or partially
-// different index is rejected as stale rather than silently mixing samples.
-func (x *Index) Fingerprint() uint64 {
-	x.fpOnce.Do(func() {
-		h := checkpoint.NewHasher().String("index.Contents").Graph(x.g).Int(len(x.entries))
-		for i := range x.entries {
-			e := &x.entries[i]
-			h.Int32s(e.comp)
-			h.Int(len(e.dag))
-			for _, succs := range e.dag {
-				h.Int32s(succs)
-			}
-		}
-		x.fp = h.Sum()
-	})
-	return x.fp
-}
-
 // decodeBuildPayload restores completed worlds from a checkpoint payload.
 // The CRC32-C footer already vouches for the bytes; these checks catch
 // logic-level mismatches and report them as corruption.

@@ -2,14 +2,15 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
 
 	"soi/internal/atomicfile"
+	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/scc"
@@ -17,39 +18,21 @@ import (
 
 // Binary serialization of the cascade index. The paper's deployment story
 // is "precompute the spheres of influence and store them in an index"; the
-// format below lets the index be built once and memory-mapped-style reloaded
-// by query tools.
+// SOIIDX03 file format (see v3.go) lets the index be built once and
+// reloaded — eagerly by Read, or page-on-demand by OpenMmap — by query
+// tools.
 //
-// Layout (little endian):
+// This file holds the per-world record every SOIIDX03 block carries
+// (little endian):
 //
-//	magic   [8]byte  "SOIIDX02"
-//	nodes   uint32
-//	worlds  uint32
-//	per world:
-//	  comps   uint32
-//	  comp    [nodes]int32        node -> component
-//	  per component: deg uint32, then deg int32 successor ids
-//	crc     uint32   CRC32-C (Castagnoli) of every preceding byte,
-//	                 magic included
+//	comps   uint32
+//	comp    [nodes]int32        node -> component
+//	per component: deg uint32, then deg int32 successor ids
 //
 // The members CSR is rebuilt from comp at load time (cheaper than storing).
-//
-// The per-world record (writeEntry/readEntry) is shared with the
-// checkpoint payload of BuildResumable, so a partially built index
-// checkpoints its completed worlds in exactly the on-disk format.
-//
-// Version history: v01 ("SOIIDX01") is the same layout without the CRC
-// footer; v02 adds the whole-file CRC32-C footer. The checksum catches the
-// corruption class the structural validators cannot: bit flips that leave
-// every count and id in range but silently change query results. The
-// current write format is v03 (see v3.go), which splits the worlds into a
-// directory of independently checksummed blocks so the file can be
-// memory-mapped and served page-on-demand; Read accepts all three.
-
-var (
-	magicV1 = [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '1'}
-	magicV2 = [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '2'}
-)
+// The record (writeEntry/readEntry) is shared with the checkpoint payload of
+// BuildResumable, so a partially built index checkpoints its completed
+// worlds in exactly the on-disk format.
 
 // castagnoli is the CRC32-C table shared by the index and sphere stores.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -132,108 +115,64 @@ func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
 	return rebuildEntry(comp, int(comps), dag), nil
 }
 
-// WriteTo serializes the index in the current (v03, block-directory)
-// format. A lazily opened index must have every world readable: rewriting
-// an artifact with quarantined worlds would silently drop data, so that is
-// soifsck's job, not WriteTo's.
+// WriteTo serializes the index in the SOIIDX03 block-directory format and
+// installs the fingerprint of the directory it wrote, so a built index and
+// every later load of its file share one identity. A lazily opened index
+// must have every world readable: rewriting an artifact with quarantined
+// worlds would silently drop data, so that is soifsck's job, not WriteTo's.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	ents := make([]*worldEntry, x.NumWorlds())
 	for i := range ents {
-		e := x.world(i)
-		if e == nil {
+		if ents[i] = x.world(i); ents[i] == nil {
 			return 0, fmt.Errorf("index: world %d is quarantined or unreadable; repair the source file with soifsck before rewriting it", i)
 		}
-		ents[i] = e
 	}
-	return writeV3(w, uint32(x.g.NumNodes()), ents)
+	dir := v3Directory(ents)
+	x.setFingerprint(dir)
+	return writeV3(w, uint32(x.g.NumNodes()), ents, dir)
 }
 
-// Read deserializes an index previously written with WriteTo: the current
-// v03 block-directory format (directory, per-block, and whole-file CRCs all
-// verified — eager reads are strict, quarantine is OpenMmap's behavior),
-// the v02 format (whole-file CRC32-C footer), and the legacy v01 format (no
-// checksum). The graph g must be the same graph the index was built from
-// (node count is checked; deeper mismatches surface as wrong query results,
-// so callers should keep graph and index files paired).
+// Read deserializes an index previously written with WriteTo. Eager reads
+// are strict: the header and directory, every block and the whole-file
+// footer are verified, and any corruption rejects the file (quarantine is
+// OpenMmap's behavior). The file is streamed, never held whole. The graph g
+// must be the same graph the index was built from (node count is checked;
+// deeper mismatches surface as wrong query results, so callers should keep
+// graph and index files paired).
 func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	br := bufio.NewReader(r)
-	var m [8]byte
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("index: read magic: %w", err)
-	}
-	var h hash.Hash32
-	var body io.Reader = br
-	switch m {
-	case magicV1:
-		// Legacy format: no checksum to verify.
-	case magicV2:
-		h = crc32.New(castagnoli)
-		h.Write(m[:]) // the writer hashed the magic too
-		body = io.TeeReader(br, h)
-	case magicV3:
-		return readV3(br, m, g)
-	default:
-		return nil, fmt.Errorf("index: bad magic %q", m[:])
-	}
-
-	x, err := readBody(body, g)
+	h := crc32.New(castagnoli)
+	tee := io.TeeReader(br, h)
+	hdr, err := readV3Header(tee, g.NumNodes(), -1)
 	if err != nil {
 		return nil, err
 	}
-	if h != nil {
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("index: read checksum footer: %w", err)
+	x := &Index{g: g, entries: make([]worldEntry, 0, len(hdr.dir))}
+	var blk bytes.Buffer
+	for i, b := range hdr.dir {
+		blk.Reset()
+		if _, err := io.CopyN(&blk, tee, int64(b.Len)); err != nil {
+			return nil, fmt.Errorf("%w: world %d block: %v", blockfile.ErrTruncated, i, err)
 		}
-		if sum := h.Sum32(); sum != stored {
-			return nil, fmt.Errorf("index: checksum mismatch: file carries %08x, payload hashes to %08x (corrupted index file)", stored, sum)
-		}
-	}
-	// Trailing bytes are rejected for every version, not just the
-	// checksummed ones: a longer-than-parsed file means the artifact and
-	// the reader disagree about its structure, which is corruption even
-	// when the parsed prefix happens to be self-consistent.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("index: trailing data after %d-world payload", x.NumWorlds())
-	}
-	return x, nil
-}
-
-// readBody parses the version-independent payload (everything between magic
-// and footer).
-func readBody(br io.Reader, g *graph.Graph) (*Index, error) {
-	var nodes, nWorlds uint32
-	if err := binary.Read(br, binary.LittleEndian, &nodes); err != nil {
-		return nil, err
-	}
-	if int(nodes) != g.NumNodes() {
-		return nil, fmt.Errorf("index: built for %d nodes, graph has %d", nodes, g.NumNodes())
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nWorlds); err != nil {
-		return nil, err
-	}
-	if nWorlds == 0 || nWorlds > maxWorlds {
-		return nil, fmt.Errorf("index: implausible world count %d", nWorlds)
-	}
-	// Grow incrementally rather than trusting the header: a corrupted world
-	// count then fails on the first missing record instead of allocating
-	// gigabytes up front.
-	x := &Index{g: g, entries: make([]worldEntry, 0, min32u(nWorlds, 4096))}
-	for i := uint32(0); i < nWorlds; i++ {
-		e, err := readEntry(br, nodes, int(i))
+		e, err := verifyBlock(blk.Bytes(), b, hdr.nodes, i)
 		if err != nil {
 			return nil, err
 		}
 		x.entries = append(x.entries, e)
 	}
-	return x, nil
-}
-
-func min32u(a, b uint32) uint32 {
-	if a < b {
-		return a
+	fileSum := h.Sum32() // the footer's coverage: everything read so far
+	var footer uint32
+	if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
+		return nil, fmt.Errorf("%w: index footer: %v", blockfile.ErrTruncated, err)
 	}
-	return b
+	if footer != fileSum {
+		return nil, fmt.Errorf("%w: checksum mismatch: file carries %08x, payload hashes to %08x", blockfile.ErrCorrupt, footer, fileSum)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after checksum footer", blockfile.ErrCorrupt)
+	}
+	x.setFingerprint(hdr.dir)
+	return x, nil
 }
 
 func rebuildEntry(comp []int32, numComps int, dag scc.SliceGraph) worldEntry {

@@ -19,7 +19,7 @@ import (
 	"soi/internal/telemetry"
 )
 
-// SOIIDX03: the block-structured index format (little endian).
+// SOIIDX03: the index file format (little endian).
 //
 //	magic    [8]byte  "SOIIDX03"
 //	nodes    uint32
@@ -28,7 +28,7 @@ import (
 //	dirCRC   uint32   CRC32-C of every byte above (magic included)
 //	blocks   worlds contiguous world blocks, block i at dir[i].off,
 //	         each the writeEntry serialization of one world
-//	footer   uint32   CRC32-C of every preceding byte (v02-style whole-file sum)
+//	footer   uint32   CRC32-C of every preceding byte
 //
 // The directory-first layout is what lets OpenMmap serve queries without
 // deserializing the file: after verifying only header+directory (a few KB),
@@ -38,20 +38,30 @@ import (
 // other ℓ-1 keep answering. The comps field mirrors the block's component
 // count so scratch sizing and NumComponents never touch the blocks.
 //
-// The eager Read path is strict (any corruption rejects the file, like v02);
-// quarantine-and-degrade is the OpenMmap serving behavior. The whole-file
-// footer exists for eager Read and soifsck; OpenMmap deliberately does not
-// verify it, since that would fault every page in and defeat lazy loading.
+// All three readers — eager Read, lazy OpenMmap and offline Fsck — verify
+// the file the same way: readV3Header checks everything before the first
+// block, and verifyBlock checks each block. The eager Read path is strict
+// (any corruption rejects the file); quarantine-and-degrade is the OpenMmap
+// serving behavior. The whole-file footer exists for eager Read and
+// soifsck; OpenMmap deliberately does not verify it, since that would fault
+// every page in and defeat lazy loading.
+//
+// SOIIDX03 is the only index format; a file with any other magic is
+// rejected with ErrVersion and must be rebuilt.
 
 var magicV3 = [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '3'}
 
 const (
 	v3HeaderLen = 8 + 4 + 4 // magic + nodes + worlds
 	v3FooterLen = 4
-	// maxWorlds bounds the header world count before any allocation trusts
-	// it (shared with the v01/v02 reader).
+	// maxNodes and maxWorlds bound the header counts before any allocation
+	// trusts them.
+	maxNodes  = 1 << 28
 	maxWorlds = 1 << 24
 )
+
+// ErrVersion is returned for a file that does not carry the SOIIDX03 magic.
+var ErrVersion = errors.New("index: not a SOIIDX03 file")
 
 // v3BlocksStart is the offset of the first world block: header, directory,
 // directory CRC.
@@ -59,8 +69,7 @@ func v3BlocksStart(worlds int) int64 {
 	return v3HeaderLen + int64(worlds)*blockfile.EntrySize + 4
 }
 
-// measureWriter sizes and checksums a serialization without storing it:
-// pass 1 of the two-pass v03 writer.
+// measureWriter sizes and checksums a serialization without storing it.
 type measureWriter struct {
 	h hash.Hash32
 	n int64
@@ -72,23 +81,26 @@ func (m *measureWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// writeV3 streams the v03 serialization of the given worlds. It takes bare
-// entries rather than an *Index so soifsck can rewrite a repaired file
-// without the original graph. Two passes over the entries: the first
-// measures and checksums each block (writeEntry is deterministic), the
-// second streams the file — no block is ever buffered whole.
-func writeV3(w io.Writer, nodes uint32, entries []*worldEntry) (int64, error) {
+// v3Directory measures and checksums each world's block without storing
+// it (writeEntry is deterministic): pass 1 of the two-pass writer, and the
+// input of the index fingerprint.
+func v3Directory(entries []*worldEntry) []blockfile.BlockInfo {
 	dir := make([]blockfile.BlockInfo, len(entries))
 	off := v3BlocksStart(len(entries))
 	for i, e := range entries {
 		mw := &measureWriter{h: crc32.New(castagnoli)}
-		if err := writeEntry(mw, e); err != nil {
-			return 0, err
-		}
+		_ = writeEntry(mw, e) // a measureWriter never fails
 		dir[i] = blockfile.BlockInfo{Off: off, Len: uint32(mw.n), CRC: mw.h.Sum32(), Aux: uint32(len(e.dag))}
 		off += mw.n
 	}
+	return dir
+}
 
+// writeV3 streams the v03 serialization of the given worlds under the
+// directory v3Directory computed for them, so no block is ever buffered
+// whole. It takes bare entries rather than an *Index so soifsck can rewrite
+// a repaired file without the original graph.
+func writeV3(w io.Writer, nodes uint32, entries []*worldEntry, dir []blockfile.BlockInfo) (int64, error) {
 	bw := bufio.NewWriter(w)
 	h := crc32.New(castagnoli)
 	cw := &countingWriter{w: io.MultiWriter(bw, h)}
@@ -124,140 +136,132 @@ func writeV3(w io.Writer, nodes uint32, entries []*worldEntry) (int64, error) {
 	return cw.n + v3FooterLen, bw.Flush()
 }
 
-// decodeBlock decodes one world block, requiring the record to consume the
-// block exactly.
-func decodeBlock(data []byte, nodes uint32, world int) (worldEntry, error) {
+// v3Header is the verified part of an index file before its first block.
+type v3Header struct {
+	nodes, worlds uint32
+	dir           []blockfile.BlockInfo
+}
+
+// readV3Header reads and verifies everything before the first world block
+// from r: the magic, the node and world counts, the directory checksum, and
+// the directory's geometry and per-entry sanity. It is the one header check
+// behind Read, OpenMmap and Fsck. wantNodes < 0 accepts any plausible node
+// count (soifsck has no graph); fileSize < 0 skips the end-of-file geometry
+// check (a stream does not know its length). On error the header holds the
+// counts parsed so far, for soifsck's report.
+func readV3Header(r io.Reader, wantNodes int, fileSize int64) (v3Header, error) {
+	var hdr v3Header
+	// The header is read through a growing buffer rather than a trusted
+	// up-front allocation, so a forged world count fails at EOF instead of
+	// allocating hundreds of MB.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(len(magicV3))); err != nil {
+		return hdr, fmt.Errorf("%w: index magic: %v", blockfile.ErrTruncated, err)
+	}
+	if m := buf.Bytes(); !bytes.Equal(m, magicV3[:]) {
+		return hdr, fmt.Errorf("%w: found magic %q; rebuild it with `sphere -graph g.tsv -build-index new.idx`", ErrVersion, m)
+	}
+	if _, err := io.CopyN(&buf, r, v3HeaderLen-int64(len(magicV3))); err != nil {
+		return hdr, fmt.Errorf("%w: index header: %v", blockfile.ErrTruncated, err)
+	}
+	hdr.nodes = binary.LittleEndian.Uint32(buf.Bytes()[8:])
+	hdr.worlds = binary.LittleEndian.Uint32(buf.Bytes()[12:])
+	if wantNodes >= 0 && int(hdr.nodes) != wantNodes {
+		return hdr, fmt.Errorf("index: built for %d nodes, graph has %d", hdr.nodes, wantNodes)
+	}
+	if hdr.nodes == 0 || hdr.nodes > maxNodes {
+		return hdr, fmt.Errorf("%w: implausible node count %d", blockfile.ErrCorrupt, hdr.nodes)
+	}
+	if hdr.worlds == 0 || hdr.worlds > maxWorlds {
+		return hdr, fmt.Errorf("%w: implausible world count %d", blockfile.ErrCorrupt, hdr.worlds)
+	}
+
+	dirEnd := v3HeaderLen + int64(hdr.worlds)*blockfile.EntrySize
+	if _, err := io.CopyN(&buf, r, dirEnd+4-v3HeaderLen); err != nil {
+		return hdr, fmt.Errorf("%w: index directory: %v", blockfile.ErrTruncated, err)
+	}
+	b := buf.Bytes()
+	if stored, sum := binary.LittleEndian.Uint32(b[dirEnd:]), blockfile.Checksum(b[:dirEnd]); stored != sum {
+		return hdr, fmt.Errorf("%w: directory checksum mismatch: file carries %08x, directory hashes to %08x", blockfile.ErrCorrupt, stored, sum)
+	}
+	dir, err := blockfile.ParseDirectory(b[v3HeaderLen:dirEnd], int(hdr.worlds))
+	if err != nil {
+		return hdr, fmt.Errorf("index: %w", err)
+	}
+	if err := blockfile.ValidateLayout(dir, v3BlocksStart(len(dir)), v3FooterLen, fileSize); err != nil {
+		return hdr, fmt.Errorf("index: %w", err)
+	}
+	for i, e := range dir {
+		if e.Aux == 0 || e.Aux > hdr.nodes {
+			return hdr, fmt.Errorf("%w: world %d has implausible component count %d", blockfile.ErrCorrupt, i, e.Aux)
+		}
+		// A world block is at least: comps word, comp array, one degree word
+		// per component.
+		if min := 4 + 4*int64(hdr.nodes) + 4*int64(e.Aux); int64(e.Len) < min {
+			return hdr, fmt.Errorf("%w: world %d block is %d bytes, minimum for %d components is %d", blockfile.ErrCorrupt, i, e.Len, e.Aux, min)
+		}
+	}
+	hdr.dir = dir
+	return hdr, nil
+}
+
+// verifyBlock is the one per-block check behind Read, OpenMmap and Fsck:
+// the block's CRC against its directory entry, then the structural decode
+// (which must consume the block exactly), then the decoded component count
+// against the directory's.
+func verifyBlock(data []byte, b blockfile.BlockInfo, nodes uint32, world int) (worldEntry, error) {
+	if sum := blockfile.Checksum(data); sum != b.CRC {
+		return worldEntry{}, fmt.Errorf("%w: world %d block hashes to %08x, directory says %08x", blockfile.ErrCorrupt, world, sum, b.CRC)
+	}
 	br := bytes.NewReader(data)
 	e, err := readEntry(br, nodes, world)
 	if err != nil {
-		return worldEntry{}, err
+		return worldEntry{}, fmt.Errorf("%w: %v", blockfile.ErrCorrupt, err)
 	}
 	if br.Len() != 0 {
-		return worldEntry{}, fmt.Errorf("index: world %d: %d trailing bytes in block", world, br.Len())
+		return worldEntry{}, fmt.Errorf("%w: world %d: %d trailing bytes in block", blockfile.ErrCorrupt, world, br.Len())
+	}
+	if uint32(len(e.dag)) != b.Aux {
+		return worldEntry{}, fmt.Errorf("%w: world %d decodes to %d components, directory says %d", blockfile.ErrCorrupt, world, len(e.dag), b.Aux)
 	}
 	return e, nil
 }
 
-// readV3 is the strict streaming reader behind Read: directory CRC, every
-// block CRC, structural decode, whole-file footer, and no trailing bytes.
-// The magic has already been consumed (and is re-fed to the hash here).
-func readV3(br *bufio.Reader, m [8]byte, g *graph.Graph) (*Index, error) {
-	h := crc32.New(castagnoli)
-	h.Write(m[:])
-	tee := io.TeeReader(br, h)
-
-	var nodes, nWorlds uint32
-	if err := binary.Read(tee, binary.LittleEndian, &nodes); err != nil {
-		return nil, fmt.Errorf("%w: index header: %v", blockfile.ErrTruncated, err)
-	}
-	if int(nodes) != g.NumNodes() {
-		return nil, fmt.Errorf("index: built for %d nodes, graph has %d", nodes, g.NumNodes())
-	}
-	if err := binary.Read(tee, binary.LittleEndian, &nWorlds); err != nil {
-		return nil, fmt.Errorf("%w: index header: %v", blockfile.ErrTruncated, err)
-	}
-	if nWorlds == 0 || nWorlds > maxWorlds {
-		return nil, fmt.Errorf("%w: implausible world count %d", blockfile.ErrCorrupt, nWorlds)
-	}
-
-	// The directory is read through a growing buffer rather than a trusted
-	// up-front allocation, so a forged world count fails at EOF instead of
-	// allocating hundreds of MB.
-	var dirBuf bytes.Buffer
-	if _, err := io.CopyN(&dirBuf, tee, int64(nWorlds)*blockfile.EntrySize); err != nil {
-		return nil, fmt.Errorf("%w: index directory: %v", blockfile.ErrTruncated, err)
-	}
-	dirSum := h.Sum32() // hash state covers exactly magic..directory here
-	var dirCRC uint32
-	if err := binary.Read(tee, binary.LittleEndian, &dirCRC); err != nil {
-		return nil, fmt.Errorf("%w: index directory checksum: %v", blockfile.ErrTruncated, err)
-	}
-	if dirCRC != dirSum {
-		return nil, fmt.Errorf("%w: directory checksum mismatch: file carries %08x, directory hashes to %08x", blockfile.ErrCorrupt, dirCRC, dirSum)
-	}
-	dir, err := blockfile.ParseDirectory(dirBuf.Bytes(), int(nWorlds))
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	if err := validateV3Dir(dir, nodes, -1); err != nil {
-		return nil, err
-	}
-
-	x := &Index{g: g, entries: make([]worldEntry, 0, min32u(nWorlds, 4096))}
-	var blk bytes.Buffer
-	for i, b := range dir {
-		blk.Reset()
-		if _, err := io.CopyN(&blk, tee, int64(b.Len)); err != nil {
-			return nil, fmt.Errorf("%w: world %d block: %v", blockfile.ErrTruncated, i, err)
-		}
-		if sum := blockfile.Checksum(blk.Bytes()); sum != b.CRC {
-			return nil, fmt.Errorf("%w: world %d block hashes to %08x, directory says %08x", blockfile.ErrCorrupt, i, sum, b.CRC)
-		}
-		e, err := decodeBlock(blk.Bytes(), nodes, i)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", blockfile.ErrCorrupt, err)
-		}
-		if uint32(len(e.dag)) != b.Aux {
-			return nil, fmt.Errorf("%w: world %d decodes to %d components, directory says %d", blockfile.ErrCorrupt, i, len(e.dag), b.Aux)
-		}
-		x.entries = append(x.entries, e)
-	}
-
-	fileSum := h.Sum32() // footer's coverage: everything read so far
-	var footer uint32
-	if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
-		return nil, fmt.Errorf("%w: index footer: %v", blockfile.ErrTruncated, err)
-	}
-	if footer != fileSum {
-		return nil, fmt.Errorf("%w: checksum mismatch: file carries %08x, payload hashes to %08x", blockfile.ErrCorrupt, footer, fileSum)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after checksum footer", blockfile.ErrCorrupt)
-	}
-	x.setDirFingerprint(dir)
-	return x, nil
-}
-
-// validateV3Dir applies the geometry and per-entry sanity checks shared by
-// the eager and mmap readers. fileSize < 0 skips the end-of-file check.
-func validateV3Dir(dir []blockfile.BlockInfo, nodes uint32, fileSize int64) error {
-	if err := blockfile.ValidateLayout(dir, v3BlocksStart(len(dir)), v3FooterLen, fileSize); err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	for i, b := range dir {
-		if b.Aux == 0 || b.Aux > nodes {
-			return fmt.Errorf("%w: world %d has implausible component count %d", blockfile.ErrCorrupt, i, b.Aux)
-		}
-		// A world block is at least: comps word, comp array, one degree word
-		// per component.
-		if min := 4 + 4*int64(nodes) + 4*int64(b.Aux); int64(b.Len) < min {
-			return fmt.Errorf("%w: world %d block is %d bytes, minimum for %d components is %d", blockfile.ErrCorrupt, i, b.Len, b.Aux, min)
-		}
-	}
-	return nil
-}
-
-// setDirFingerprint installs the directory-derived content fingerprint. For
-// v03 files the fingerprint hashes the graph plus the block directory
-// (offset, length, CRC, comps per world) instead of the decoded entries, so
-// eager and mmap loads of the same file agree — and an mmap open never has
-// to fault every block in just to fingerprint itself. The per-block CRCs
-// make this exactly as content-sensitive as hashing the worlds.
-func (x *Index) setDirFingerprint(dir []blockfile.BlockInfo) {
+// Fingerprint returns the index's identity: a hash of the graph plus the
+// SOIIDX03 block directory (offset, length, CRC, comps per world) of its
+// worlds. The per-block CRCs make this exactly as content-sensitive as
+// hashing the worlds, and a built index, its eager load and its mmap open
+// all agree — an mmap open never has to fault every block in just to
+// fingerprint itself. Downstream checkpointed sweeps (the all-nodes
+// typical-cascade pass), the sketch file and the topology manifest key on
+// it. Loaded indexes and WriteTo install it from the directory they read or
+// wrote; a built index measures its directory on first call.
+func (x *Index) Fingerprint() uint64 {
 	x.fpOnce.Do(func() {
-		h := checkpoint.NewHasher().String("index.DirV3").Graph(x.g).Int(len(dir))
-		for _, b := range dir {
-			h.Uint64(uint64(b.Off)).
-				Uint64(uint64(b.Len)<<32 | uint64(b.CRC)).
-				Uint64(uint64(b.Aux))
+		ents := make([]*worldEntry, len(x.entries))
+		for i := range x.entries {
+			ents[i] = &x.entries[i]
 		}
-		x.fp = h.Sum()
+		x.fp = dirFingerprint(x.g, v3Directory(ents))
 	})
+	return x.fp
 }
 
-// ErrVersion is returned by OpenMmap for a readable index in a pre-v03
-// format, which has no block directory to serve from.
-var ErrVersion = errors.New("index: not a SOIIDX03 file")
+// setFingerprint installs the fingerprint of dir, unless one is already
+// cached.
+func (x *Index) setFingerprint(dir []blockfile.BlockInfo) {
+	x.fpOnce.Do(func() { x.fp = dirFingerprint(x.g, dir) })
+}
+
+func dirFingerprint(g *graph.Graph, dir []blockfile.BlockInfo) uint64 {
+	h := checkpoint.NewHasher().String("index.DirV3").Graph(g).Int(len(dir))
+	for _, b := range dir {
+		h.Uint64(uint64(b.Off)).
+			Uint64(uint64(b.Len)<<32 | uint64(b.CRC)).
+			Uint64(uint64(b.Aux))
+	}
+	return h.Sum()
+}
 
 // MmapOptions configures OpenMmap.
 type MmapOptions struct {
@@ -296,91 +300,42 @@ type lazyWorlds struct {
 	resident    []int // FIFO of faulted-in world ids (maxResident > 0 only)
 }
 
-// OpenMmap opens a v03 index file for page-on-demand serving: only the
-// header and block directory are read and verified now; world blocks are
-// faulted in, CRC-checked, and decoded on first query touch. A block that
-// fails its checksum or decode is quarantined — counted, reported through
+// OpenMmap opens an index file for page-on-demand serving: only the header
+// and block directory are read and verified now; world blocks are faulted
+// in, CRC-checked, and decoded on first query touch. A block that fails its
+// checksum or decode is quarantined — counted, reported through
 // OnQuarantine, and never retried — and queries degrade to the surviving
 // worlds instead of failing. Truncated or torn files are rejected here,
 // from the directory, before any block is trusted.
-//
-// v01/v02 files are rejected with ErrVersion (they have no directory to
-// serve from); rewrite them with `sphere -index old -build-index new`.
 func OpenMmap(path string, g *graph.Graph, opts MmapOptions) (*Index, error) {
+	if err := fault.Hit(fault.IndexDirLoad); err != nil {
+		return nil, fmt.Errorf("index: directory load: %w", err)
+	}
 	win, err := blockfile.OpenWindow(path)
 	if err != nil {
 		return nil, err
 	}
-	x, err := openWindow(win, g, opts)
+	// The reader stops at the end of the directory, so only the header
+	// pages are touched.
+	all, _ := win.Range(0, win.Size())
+	hdr, err := readV3Header(bytes.NewReader(all), g.NumNodes(), win.Size())
 	if err != nil {
 		win.Close()
 		return nil, err
 	}
-	return x, nil
-}
-
-func openWindow(win *blockfile.Window, g *graph.Graph, opts MmapOptions) (*Index, error) {
-	if err := fault.Hit(fault.IndexDirLoad); err != nil {
-		return nil, fmt.Errorf("index: directory load: %w", err)
-	}
-	magic, err := win.Range(0, 8)
-	if err != nil {
-		return nil, fmt.Errorf("%w: index header: %v", blockfile.ErrTruncated, err)
-	}
-	switch {
-	case bytes.Equal(magic, magicV3[:]):
-	case bytes.Equal(magic, magicV1[:]), bytes.Equal(magic, magicV2[:]):
-		return nil, fmt.Errorf("%w (file is %s; rewrite it with `sphere -graph g.tsv -index old.idx -build-index new.idx`)", ErrVersion, magic)
-	default:
-		return nil, fmt.Errorf("index: bad magic %q", magic)
-	}
-	hdr, err := win.Range(8, 8)
-	if err != nil {
-		return nil, fmt.Errorf("%w: index header: %v", blockfile.ErrTruncated, err)
-	}
-	nodes := binary.LittleEndian.Uint32(hdr)
-	nWorlds := binary.LittleEndian.Uint32(hdr[4:])
-	if int(nodes) != g.NumNodes() {
-		return nil, fmt.Errorf("index: built for %d nodes, graph has %d", nodes, g.NumNodes())
-	}
-	if nWorlds == 0 || nWorlds > maxWorlds {
-		return nil, fmt.Errorf("%w: implausible world count %d", blockfile.ErrCorrupt, nWorlds)
-	}
-
-	dirLen := int64(nWorlds) * blockfile.EntrySize
-	dirBytes, err := win.Range(v3HeaderLen, dirLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: index directory: %v", blockfile.ErrTruncated, err)
-	}
-	crcBytes, err := win.Range(v3HeaderLen+dirLen, 4)
-	if err != nil {
-		return nil, fmt.Errorf("%w: index directory checksum: %v", blockfile.ErrTruncated, err)
-	}
-	covered, _ := win.Range(0, v3HeaderLen+dirLen)
-	if dirCRC, sum := binary.LittleEndian.Uint32(crcBytes), blockfile.Checksum(covered); dirCRC != sum {
-		return nil, fmt.Errorf("%w: directory checksum mismatch: file carries %08x, directory hashes to %08x", blockfile.ErrCorrupt, dirCRC, sum)
-	}
-	dir, err := blockfile.ParseDirectory(dirBytes, int(nWorlds))
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	if err := validateV3Dir(dir, nodes, win.Size()); err != nil {
-		return nil, err
-	}
-
 	lz := &lazyWorlds{
 		win:         win,
-		nodes:       nodes,
-		dir:         dir,
-		loaded:      make([]atomic.Pointer[worldEntry], nWorlds),
-		quar:        make([]atomic.Bool, nWorlds),
+		nodes:       hdr.nodes,
+		dir:         hdr.dir,
+		loaded:      make([]atomic.Pointer[worldEntry], hdr.worlds),
+		quar:        make([]atomic.Bool, hdr.worlds),
 		onQuar:      opts.OnQuarantine,
 		faults:      opts.Telemetry.Counter("index.block_faults"),
 		quarCtr:     opts.Telemetry.Counter("index.worlds_quarantined"),
 		maxResident: opts.MaxResident,
 	}
 	x := &Index{g: g, lazy: lz, tel: opts.Telemetry}
-	x.setDirFingerprint(dir)
+	x.setFingerprint(hdr.dir)
 	return x, nil
 }
 
@@ -397,16 +352,13 @@ func (lz *lazyWorlds) world(i int) *worldEntry {
 		return lz.quarantine(i, fmt.Errorf("index: world %d fault-in: %w", i, err))
 	}
 	b := lz.dir[i]
-	data, err := lz.win.ReadVerified(b.Off, b.Len, b.CRC)
+	data, err := lz.win.Copy(b.Off, b.Len)
 	if err != nil {
 		return lz.quarantine(i, fmt.Errorf("index: world %d: %w", i, err))
 	}
-	e, err := decodeBlock(data, lz.nodes, i)
-	if err == nil && uint32(len(e.dag)) != b.Aux {
-		err = fmt.Errorf("world %d decodes to %d components, directory says %d", i, len(e.dag), b.Aux)
-	}
+	e, err := verifyBlock(data, b, lz.nodes, i)
 	if err != nil {
-		return lz.quarantine(i, fmt.Errorf("index: %w: %v", blockfile.ErrCorrupt, err))
+		return lz.quarantine(i, fmt.Errorf("index: %w", err))
 	}
 	lz.faults.Inc()
 	ep := &e

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"soi/internal/blockfile"
@@ -109,6 +110,73 @@ func TestOpenMmapMatchesEagerRead(t *testing.T) {
 	}
 	if eager.Fingerprint() != lz.Fingerprint() {
 		t.Fatal("eager and mmap fingerprints of the same v03 file differ")
+	}
+}
+
+// TestOneFingerprintPerIndex: an index has one identity however it is held.
+// A built index reports the fingerprint of the file it saves — whether
+// asked before the save or after it — and the eager load and the mmap open
+// of that file report it too. A file rewritten by RepairFile likewise gets
+// one fingerprint through both loaders.
+func TestOneFingerprintPerIndex(t *testing.T) {
+	g := randomGraph(t, 281, 25, 90)
+	opts := Options{Samples: 5, Seed: 282, TransitiveReduction: true}
+	x, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := x.Fingerprint() // measured from the worlds, before any save
+	dir := t.TempDir()
+	p := filepath.Join(dir, "idx")
+	if err := x.SaveFile(p); err != nil {
+		t.Fatal(err)
+	}
+	y, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := y.SaveFile(filepath.Join(dir, "idx2")); err != nil {
+		t.Fatal(err)
+	}
+	loadBoth := func(path string) (eager, mmap uint64) {
+		t.Helper()
+		e, err := LoadFile(path, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lz, err := OpenMmap(path, g, MmapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lz.Close()
+		return e.Fingerprint(), lz.Fingerprint()
+	}
+	eager, mmap := loadBoth(p)
+	if built != eager || built != mmap || y.Fingerprint() != built {
+		t.Fatalf("fingerprints differ: built %016x, saved-then-asked %016x, LoadFile %016x, OpenMmap %016x",
+			built, y.Fingerprint(), eager, mmap)
+	}
+
+	// Corrupt one block and repair: the rewritten file has fewer worlds, so
+	// a new identity, but one identity.
+	raw, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[v3BlocksStart(x.NumWorlds())+3] ^= 0xFF
+	if err := os.WriteFile(p, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fixed := filepath.Join(dir, "fixed")
+	if _, kept, err := RepairFile(p, fixed); err != nil || kept != x.NumWorlds()-1 {
+		t.Fatalf("RepairFile kept %d worlds, err %v", kept, err)
+	}
+	eager, mmap = loadBoth(fixed)
+	if eager != mmap {
+		t.Fatalf("repaired file: LoadFile %016x != OpenMmap %016x", eager, mmap)
+	}
+	if eager == built {
+		t.Fatal("repaired file with a dropped world kept the original fingerprint")
 	}
 }
 
@@ -286,20 +354,30 @@ func TestV3TruncationEveryBoundary(t *testing.T) {
 	}
 }
 
-func TestOpenMmapRejectsLegacyVersions(t *testing.T) {
-	g := randomGraph(t, 251, 12, 40)
-	x, err := Build(g, Options{Samples: 2, Seed: 252})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRejectsUnknownMagic: SOIIDX03 is the only index format. Every reader
+// rejects any other magic — a retired index version or another artifact —
+// with ErrVersion, naming the magic found and the rebuild command.
+func TestRejectsUnknownMagic(t *testing.T) {
+	g, _, _, raw := v3Fixture(t, 251, 2)
 	p := filepath.Join(t.TempDir(), "old.idx")
-	for _, magic := range [][8]byte{magicV1, magicV2} {
-		if err := os.WriteFile(p, writeLegacy(t, x, magic, magic == magicV2), 0o644); err != nil {
+	for _, magic := range []string{"SOIIDX02", "SOISPH02"} {
+		data := append([]byte(magic), raw[len(magic):]...)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenMmap(p, g, MmapOptions{})
-		if !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: err = %v, want ErrVersion", magic[:], err)
+		_, errRead := Read(bytes.NewReader(data), g)
+		_, errMmap := OpenMmap(p, g, MmapOptions{})
+		rep, err := Fsck(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, err := range map[string]error{"Read": errRead, "OpenMmap": errMmap, "Fsck": rep.Fatal} {
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s of %s: err = %v, want ErrVersion", name, magic, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, magic) || !strings.Contains(msg, "sphere -graph g.tsv -build-index") {
+				t.Fatalf("%s of %s: error %q does not name the magic and the rebuild command", name, magic, msg)
+			}
 		}
 	}
 }

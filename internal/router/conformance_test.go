@@ -17,6 +17,7 @@ import (
 	"soi/internal/oracle"
 	"soi/internal/scc"
 	"soi/internal/server"
+	"soi/internal/sketch"
 	"soi/internal/statcheck"
 	"soi/internal/telemetry"
 )
@@ -52,6 +53,7 @@ type routerFixture struct {
 	members [][]graph.NodeID // global ids per shard, in shard dense order
 	idx     []*index.Index
 	sph     [][]core.Result
+	sk      []*sketch.Sketch
 	topo    *Topology
 }
 
@@ -95,6 +97,10 @@ func buildRouterFixture() error {
 			return err
 		}
 		sph := core.ComputeAll(x, core.Options{CostSamples: 200, CostSeed: 91})
+		sk, err := sketch.Build(x, sketch.Options{Seed: 93 + uint64(s)})
+		if err != nil {
+			return err
+		}
 		nodes := make([]int64, len(members))
 		for i, v := range members {
 			nodes[i] = int64(v)
@@ -106,6 +112,7 @@ func buildRouterFixture() error {
 		fx.members = append(fx.members, members)
 		fx.idx = append(fx.idx, x)
 		fx.sph = append(fx.sph, sph)
+		fx.sk = append(fx.sk, sk)
 	}
 	if err := topo.Validate(); err != nil {
 		return err
@@ -128,6 +135,7 @@ func newShardServer(t testing.TB, fx *routerFixture, s int) *server.Server {
 		OrigIDs:     origIDs,
 		Index:       fx.idx[s],
 		Spheres:     fx.sph[s],
+		Sketch:      fx.sk[s],
 		Telemetry:   telemetry.New(),
 		CostSamples: rcEll,
 		Trials:      rcEll,
@@ -436,6 +444,71 @@ func TestConformanceRouterShardPartial206(t *testing.T) {
 	}
 	if rt.mDegraded.Value() != 1 {
 		t.Errorf("degraded counter = %d, want 1", rt.mDegraded.Value())
+	}
+}
+
+// TestConformanceRouterSketchHealthy200: a sketch answer's Cohen bound is
+// the estimator's own accuracy, not degradation. With both shards healthy
+// and no cut edges, estimator=sketch spread and seeds answer 200 with
+// error_bound the sum of the shard bounds; a leg that answers 206 itself
+// still makes the merged answer 206.
+func TestConformanceRouterSketchHealthy200(t *testing.T) {
+	rt := startGateway(t, nil)
+	fx := routerFix(t)
+	// shardDo queries shard s directly, as the gateway's leg would.
+	shardDo := func(s int, url string) shardReply {
+		rec := httptest.NewRecorder()
+		newShardServer(t, fx, s).Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		return shardReply{Shard: s, Status: rec.Code, Body: rec.Body.Bytes()}
+	}
+	bound := func(leg shardReply) float64 {
+		var p shardPartial
+		if err := json.Unmarshal(leg.Body, &p); err != nil || leg.Status != http.StatusOK || p.ErrorBound <= 0 {
+			t.Fatalf("shard %d: status %d, body %s: want a 200 sketch answer with a bound", leg.Shard, leg.Status, leg.Body)
+		}
+		return p.ErrorBound
+	}
+
+	spreadLegs := []shardReply{
+		shardDo(0, "/v1/spread?seeds=4&estimator=sketch"),
+		shardDo(1, "/v1/spread?seeds=9&estimator=sketch"),
+	}
+	seedsLegs := []shardReply{
+		shardDo(0, "/v1/seeds?k=3&estimator=sketch"),
+		shardDo(1, "/v1/seeds?k=3&estimator=sketch"),
+	}
+	for _, tc := range []struct {
+		url  string
+		legs []shardReply
+	}{
+		{"/v1/spread?seeds=4,9&estimator=sketch", spreadLegs},
+		{"/v1/seeds?k=3&estimator=sketch", seedsLegs},
+	} {
+		code, body := gwDo(t, rt, tc.url)
+		if code != http.StatusOK || body["partial"] != nil {
+			t.Fatalf("%s: status %d, body %v: want 200 from two healthy shards", tc.url, code, body)
+		}
+		want := bound(tc.legs[0]) + bound(tc.legs[1])
+		if got := bodyFloat(t, body, "error_bound"); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: error_bound %v, want the shard bounds' sum %v", tc.url, got, want)
+		}
+	}
+
+	// The same legs with shard 1 answering 206 itself merge to a partial
+	// answer.
+	var partial map[string]any
+	if err := json.Unmarshal(spreadLegs[1].Body, &partial); err != nil {
+		t.Fatal(err)
+	}
+	partial["partial"] = true
+	spreadLegs[1].Status = http.StatusPartialContent
+	spreadLegs[1].Body, _ = json.Marshal(partial)
+	resp, err := rt.mergeSpread(spreadLegs, map[int][]int64{0: {4}, 1: {9}}, []int64{4, 9}, "index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statusOf(resp.Partial) != http.StatusPartialContent || resp.ShardsOK != 2 {
+		t.Errorf("one leg answered 206: merged status %d, shards_ok %d; want 206 with both shards ok", statusOf(resp.Partial), resp.ShardsOK)
 	}
 }
 

@@ -32,7 +32,9 @@ import (
 //     sets are served exactly by the owning shard.
 type degradeInfo struct {
 	// Partial is true when the answer is degraded: a shard failed, a shard
-	// answered 206, or cut edges widen the bound.
+	// answered 206, cut edges widen the bound, or nodes are missing. A
+	// healthy shard's own estimator bound (the Cohen bound of a sketch
+	// answer) is carried in ErrorBound but degrades nothing.
 	Partial bool `json:"partial,omitempty"`
 	// ErrorBound bounds the answer's deviation (units of the estimate it
 	// annotates: nodes for spread/seeds, probability/Jaccard for
@@ -48,10 +50,21 @@ type degradeInfo struct {
 	MissingNodes int `json:"missing_nodes,omitempty"`
 	// CutEdges is the number of partition cut edges accounted in ErrorBound.
 	CutEdges int `json:"cut_edges,omitempty"`
+
+	// legPartial records that a live shard answered partial itself.
+	legPartial bool
 }
 
-func (d *degradeInfo) degraded() bool {
-	return len(d.FailedShards) > 0 || d.ErrorBound > 0 || d.MissingNodes > 0
+// answered counts a live leg and carries over its own partial flag.
+func (d *degradeInfo) answered(p shardPartial) {
+	d.ShardsOK++
+	d.legPartial = d.legPartial || p.Partial
+}
+
+// degraded reports whether the answer is partial; cut is the widening the
+// partition's cut edges added to ErrorBound.
+func (d *degradeInfo) degraded(cut float64) bool {
+	return len(d.FailedShards) > 0 || d.legPartial || cut > 0 || d.MissingNodes > 0
 }
 
 // Decode targets for shard responses (the subset of fields merging needs).
@@ -75,7 +88,7 @@ type shardSeeds struct {
 	Objective       float64   `json:"objective"`
 	LazyEvaluations int       `json:"lazy_evaluations"`
 	Estimator       string    `json:"estimator"`
-	ErrorBound      float64   `json:"error_bound"`
+	shardPartial
 }
 
 type shardReliability struct {
@@ -175,14 +188,14 @@ func (r *Router) mergeSpread(legs []shardReply, seedsByShard map[int][]int64, al
 		resp.Spread += sr.Spread
 		resp.ErrorBound += sr.ErrorBound
 		resp.Estimator = sr.Estimator
-		resp.ShardsOK++
+		resp.answered(sr.shardPartial)
 	}
 	if decodeErr != nil {
 		return resp, decodeErr
 	}
 	resp.ErrorBound += r.topo.CutBound
 	resp.CutEdges = r.topo.CutEdges
-	resp.Partial = resp.degraded()
+	resp.Partial = resp.degraded(r.topo.CutBound)
 	sort.Slice(resp.FailedShards, func(a, b int) bool { return resp.FailedShards[a] < resp.FailedShards[b] })
 	return resp, nil
 }
@@ -211,7 +224,7 @@ func (r *Router) mergeSeeds(legs []shardReply, k int) (gwSeedsResponse, error) {
 			resp.FailedShards = append(resp.FailedShards, leg.Shard)
 			continue
 		}
-		resp.ShardsOK++
+		resp.answered(sr.shardPartial)
 		resp.LazyEvaluations += sr.LazyEvaluations
 		resp.ErrorBound += sr.ErrorBound
 		resp.Estimator = sr.Estimator
@@ -245,7 +258,7 @@ func (r *Router) mergeSeeds(legs []shardReply, k int) (gwSeedsResponse, error) {
 	resp.Coverage = resp.Objective / float64(r.topo.NumNodes)
 	resp.ErrorBound += r.topo.CutBound
 	resp.CutEdges = r.topo.CutEdges
-	resp.Partial = resp.degraded() || len(resp.Seeds) < k
+	resp.Partial = resp.degraded(r.topo.CutBound) || len(resp.Seeds) < k
 	sort.Slice(resp.FailedShards, func(a, b int) bool { return resp.FailedShards[a] < resp.FailedShards[b] })
 	return resp, nil
 }
@@ -269,7 +282,7 @@ func (r *Router) mergeReliability(legs []shardReply, sources []int64, threshold 
 			resp.FailedShards = append(resp.FailedShards, leg.Shard)
 			continue
 		}
-		resp.ShardsOK++
+		resp.answered(sr.shardPartial)
 		resp.Nodes = append(resp.Nodes, sr.Nodes...)
 		if sr.ErrorBound > resp.ErrorBound {
 			resp.ErrorBound = sr.ErrorBound
@@ -288,7 +301,7 @@ func (r *Router) mergeReliability(legs []shardReply, sources []int64, threshold 
 	resp.Count = len(resp.Nodes)
 	resp.ErrorBound += r.topo.CutProb
 	resp.CutEdges = r.topo.CutEdges
-	resp.Partial = resp.degraded()
+	resp.Partial = resp.degraded(r.topo.CutProb)
 	sort.Slice(resp.FailedShards, func(a, b int) bool { return resp.FailedShards[a] < resp.FailedShards[b] })
 	return resp, nil
 }
@@ -315,7 +328,7 @@ func (r *Router) mergeStability(legs []shardReply, seedsByShard map[int][]int64,
 			resp.FailedShards = append(resp.FailedShards, leg.Shard)
 			continue
 		}
-		resp.ShardsOK++
+		resp.answered(sr.shardPartial)
 		resp.Set = append(resp.Set, sr.Set...)
 		w := float64(len(sr.Set))
 		totalW += w
@@ -349,7 +362,7 @@ func (r *Router) mergeStability(legs []shardReply, seedsByShard map[int][]int64,
 	if resp.ErrorBound > 1 {
 		resp.ErrorBound = 1
 	}
-	resp.Partial = resp.degraded()
+	resp.Partial = resp.degraded(r.topo.CutProb)
 	sort.Slice(resp.FailedShards, func(a, b int) bool { return resp.FailedShards[a] < resp.FailedShards[b] })
 	return resp, nil
 }
