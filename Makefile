@@ -37,9 +37,9 @@ bench-json:
 
 # Short fuzz runs over every binary-format decoder (graph TSV, index
 # SOIIDX03 through the eager reader alone and through both the eager and
-# the mmap reader, sphere store SOISPH02, checkpoint SOICKP01, sketch
-# SOISKC01). Each gets its own `go test` invocation because -fuzz accepts
-# a single target per run.
+# the mmap reader, sphere store SOISPH02, checkpoint SOICKP01 and the
+# all-nodes sweep's checkpoint payload, sketch SOISKC01). Each gets its own
+# `go test` invocation because -fuzz accepts a single target per run.
 # FUZZTIME is per decoder.
 FUZZTIME ?= 10s
 
@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run=^$$ -fuzz='^FuzzReadV03$$' -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run=^$$ -fuzz=FuzzLoadSpheres -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzSweepPayload -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=^$$ -fuzz=FuzzReadSketch -fuzztime=$(FUZZTIME) ./internal/sketch
 

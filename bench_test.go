@@ -7,9 +7,11 @@ package soi
 // times the pipelines and reports the reproduced quantities.
 
 import (
+	"context"
 	"testing"
 
 	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/experiments"
 	"soi/internal/index"
@@ -160,7 +162,7 @@ func BenchmarkAblationTransitiveReduction(b *testing.B) {
 		b.Run(tr.name, func(b *testing.B) {
 			var footprint, edges int64
 			for i := 0; i < b.N; i++ {
-				x, err := index.Build(g, index.Options{Samples: 100, Seed: 2, TransitiveReduction: tr.on})
+				x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 2, TransitiveReduction: tr.on}, checkpoint.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -179,7 +181,7 @@ func BenchmarkAblationTransitiveReduction(b *testing.B) {
 func BenchmarkAblationSCCIndexVsDirectBFS(b *testing.B) {
 	g := benchGraph(b)
 	const ell = 100
-	x, err := index.Build(g, index.Options{Samples: ell, Seed: 3, TransitiveReduction: true})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: 3, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func BenchmarkAblationSCCIndexVsDirectBFS(b *testing.B) {
 
 func BenchmarkAblationMedianAlgorithms(b *testing.B) {
 	g := benchGraph(b)
-	x, err := index.Build(g, index.Options{Samples: 200, Seed: 4})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 200, Seed: 4}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func BenchmarkAblationMedianAlgorithms(b *testing.B) {
 
 func BenchmarkAblationCELF(b *testing.B) {
 	g := benchGraph(b)
-	x, err := index.Build(g, index.Options{Samples: 100, Seed: 5})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 5}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,7 +284,7 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 		b.Run(benchName(ell), func(b *testing.B) {
 			var cost float64
 			for i := 0; i < b.N; i++ {
-				x, err := index.Build(g, index.Options{Samples: ell, Seed: 6})
+				x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: 6}, checkpoint.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -316,7 +318,7 @@ func BenchmarkAblationStdSharedVsMC(b *testing.B) {
 	b.Run("shared-worlds", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			x, err := index.Build(g, index.Options{Samples: 100, Seed: 8})
+			x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 8}, checkpoint.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -324,18 +326,18 @@ func BenchmarkAblationStdSharedVsMC(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			spread = cascade.ExpectedSpread(g, sel.Seeds, 5000, 9, 0)
+			spread = mcSpread(b, g, sel.Seeds, 5000, 9)
 		}
 		b.ReportMetric(spread, "heldout-spread")
 	})
 	b.Run("fresh-mc", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			sel, err := infmax.StdMC(g, k, infmax.MCOptions{Trials: 100, Seed: 10})
+			sel, err := infmax.StdMC(context.Background(), g, k, infmax.MCOptions{Trials: 100, Seed: 10})
 			if err != nil {
 				b.Fatal(err)
 			}
-			spread = cascade.ExpectedSpread(g, sel.Seeds, 5000, 9, 0)
+			spread = mcSpread(b, g, sel.Seeds, 5000, 9)
 		}
 		b.ReportMetric(spread, "heldout-spread")
 	})
@@ -344,7 +346,7 @@ func BenchmarkAblationStdSharedVsMC(b *testing.B) {
 func BenchmarkIndexBuild(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := index.Build(g, index.Options{Samples: 200, Seed: 11, TransitiveReduction: true}); err != nil {
+		if _, err := index.Build(context.Background(), g, index.Options{Samples: 200, Seed: 11, TransitiveReduction: true}, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -352,26 +354,28 @@ func BenchmarkIndexBuild(b *testing.B) {
 
 func BenchmarkAllTypicalCascades(b *testing.B) {
 	g := benchGraph(b)
-	x, err := index.Build(g, index.Options{Samples: 100, Seed: 12})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 12}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.ComputeAll(x, core.Options{})
+		if _, err := core.ComputeAll(context.Background(), x, core.Options{}, checkpoint.Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkExpectedSpreadEstimators(b *testing.B) {
 	g := benchGraph(b)
-	x, err := index.Build(g, index.Options{Samples: 200, Seed: 13})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 200, Seed: 13}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	seeds := []NodeID{0, 1, 2, 3, 4}
 	b.Run("monte-carlo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = cascade.ExpectedSpread(g, seeds, 200, uint64(i), 0)
+			_ = mcSpread(b, g, seeds, 200, uint64(i))
 		}
 	})
 	b.Run("index", func(b *testing.B) {
@@ -402,18 +406,18 @@ func BenchmarkAblationRRSketch(b *testing.B) {
 	b.Run("rr", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			sel, err := infmax.RR(g, k, infmax.RROptions{Sets: 5000, Seed: 15})
+			sel, err := infmax.RR(context.Background(), g, k, infmax.RROptions{Sets: 5000, Seed: 15}, checkpoint.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			spread = cascade.ExpectedSpread(g, sel.Seeds, 5000, 16, 0)
+			spread = mcSpread(b, g, sel.Seeds, 5000, 16)
 		}
 		b.ReportMetric(spread, "heldout-spread")
 	})
 	b.Run("greedy", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			x, err := index.Build(g, index.Options{Samples: 100, Seed: 15})
+			x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 15}, checkpoint.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -421,7 +425,7 @@ func BenchmarkAblationRRSketch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			spread = cascade.ExpectedSpread(g, sel.Seeds, 5000, 16, 0)
+			spread = mcSpread(b, g, sel.Seeds, 5000, 16)
 		}
 		b.ReportMetric(spread, "heldout-spread")
 	})
@@ -430,7 +434,7 @@ func BenchmarkAblationRRSketch(b *testing.B) {
 func BenchmarkAblationMedianRefinement(b *testing.B) {
 	// Prefix vs prefix+local-search: the refinement's cost reduction.
 	g := benchGraph(b)
-	x, err := index.Build(g, index.Options{Samples: 150, Seed: 17})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 150, Seed: 17}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +465,7 @@ func BenchmarkAblationMedianRefinement(b *testing.B) {
 
 func BenchmarkAblationCELFvsCELFpp(b *testing.B) {
 	g := benchGraph(b)
-	x, err := index.Build(g, index.Options{Samples: 100, Seed: 18})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 18}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -499,8 +503,18 @@ func BenchmarkLTIndexBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.Build(d.Graph, index.Options{Samples: 200, Seed: 19, Model: index.LT}); err != nil {
+		if _, err := index.Build(context.Background(), d.Graph, index.Options{Samples: 200, Seed: 19, Model: index.LT}, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mcSpread is the held-out Monte-Carlo spread the ablations score with.
+func mcSpread(tb testing.TB, g *Graph, seeds []NodeID, trials int, seed uint64) float64 {
+	tb.Helper()
+	est, err := cascade.ExpectedSpread(context.Background(), g, seeds, trials, seed, 0, checkpoint.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return est
 }

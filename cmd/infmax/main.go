@@ -91,7 +91,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 	}
 	idxCfg := resume(".idx")
 	x, err := cliutil.RetryStale("infmax", idxCfg.Path, func() (*index.Index, error) {
-		return index.BuildResumable(ctx, g, index.Options{Samples: samples, Seed: seed, TransitiveReduction: true, Telemetry: tel}, idxCfg)
+		return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed, TransitiveReduction: true, Telemetry: tel}, idxCfg)
 	})
 	if !cliutil.Partial("infmax", err) && err != nil {
 		return err
@@ -112,7 +112,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 			cfg := resume(".spheres")
 			var err error
 			results, err = cliutil.RetryStale("infmax", cfg.Path, func() ([]core.Result, error) {
-				return core.ComputeAllResumable(ctx, x, core.Options{}, cfg)
+				return core.ComputeAll(ctx, x, core.Options{}, cfg)
 			})
 			if !cliutil.Partial("infmax", err) && err != nil {
 				return nil, err
@@ -141,7 +141,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 		case "rr":
 			cfg := resume(".rr")
 			sel, err := cliutil.RetryStale("infmax", cfg.Path, func() (infmax.Selection, error) {
-				return infmax.RRResumable(ctx, g, k, infmax.RROptions{Sets: 20 * samples, Seed: seed, Telemetry: tel}, cfg)
+				return infmax.RR(ctx, g, k, infmax.RROptions{Sets: 20 * samples, Seed: seed, Telemetry: tel}, cfg)
 			})
 			if cliutil.Partial("infmax", err) {
 				err = nil
@@ -172,7 +172,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 		}
 		mcCfg := resume(".mc")
 		spread, err := cliutil.RetryStale("infmax", mcCfg.Path, func() (float64, error) {
-			return cascade.ExpectedSpreadResumable(ctx, g, sel.Seeds, evalSamples, seed^0xE7A1, 0, mcCfg)
+			return cascade.ExpectedSpread(ctx, g, sel.Seeds, evalSamples, seed^0xE7A1, 0, mcCfg)
 		})
 		if !cliutil.Partial("infmax", err) && err != nil {
 			return err
@@ -187,7 +187,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 
 	evalCfg := resume(".eval")
 	eval, err := cliutil.RetryStale("infmax", evalCfg.Path, func() (*index.Index, error) {
-		return index.BuildResumable(ctx, g, index.Options{Samples: evalSamples, Seed: seed ^ 0xE7A1, Telemetry: tel}, evalCfg)
+		return index.Build(ctx, g, index.Options{Samples: evalSamples, Seed: seed ^ 0xE7A1, Telemetry: tel}, evalCfg)
 	})
 	if !cliutil.Partial("infmax", err) && err != nil {
 		return err

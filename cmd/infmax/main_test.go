@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/gen"
@@ -63,12 +64,16 @@ func TestRunCompare(t *testing.T) {
 func TestRunWithSphereStore(t *testing.T) {
 	dir := t.TempDir()
 	gp, g := writeTestGraph(t, dir)
-	x, err := index.Build(g, index.Options{Samples: 30, Seed: 3})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: 3}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := filepath.Join(dir, "spheres.bin")
-	if err := core.SaveSpheresFile(store, core.ComputeAll(x, core.Options{})); err != nil {
+	spheres, err := core.ComputeAll(context.Background(), x, core.Options{}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.SaveSpheresFile(store, spheres); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), gp, 3, "tc", false, 30, 30, 1, store, "", 0, noTel()); err != nil {

@@ -45,6 +45,7 @@ import (
 
 	"soi"
 	"soi/internal/atomicfile"
+	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/graph"
@@ -169,10 +170,10 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 		x.SetTelemetry(tel)
 	} else {
 		log.Printf("no -index given; building %d worlds in memory", samples)
-		x, err = index.Build(g, index.Options{
+		x, err = index.Build(context.Background(), g, index.Options{
 			Samples: samples, Seed: seed, TransitiveReduction: true,
 			Model: model, Telemetry: tel,
-		})
+		}, checkpoint.Config{})
 		if err != nil {
 			return err
 		}

@@ -96,6 +96,21 @@ func TestRunServesAndDrains(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
+	// soid binds and writes the address file before it loads, so until
+	// /readyz answers 200 a query meets 503 "loading".
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for /readyz")
+		}
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 
 	resp, err := http.Get("http://" + addr + "/v1/sphere/0")
 	if err != nil {

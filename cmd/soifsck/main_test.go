@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -24,7 +26,7 @@ func fsckGraph(t *testing.T) *graph.Graph {
 
 func writeIndexFile(t *testing.T) string {
 	t.Helper()
-	x, err := index.Build(fsckGraph(t), index.Options{Samples: 8, Seed: 5})
+	x, err := index.Build(context.Background(), fsckGraph(t), index.Options{Samples: 8, Seed: 5}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,14 @@ func TestCheckFileIndexRepairTotalLoss(t *testing.T) {
 
 func TestCheckFileSpheres(t *testing.T) {
 	g := fsckGraph(t)
-	x, err := index.Build(g, index.Options{Samples: 8, Seed: 5})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 8, Seed: 5}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spheres := core.ComputeAll(x, core.Options{CostSamples: 20, CostSeed: 6})
+	spheres, err := core.ComputeAll(context.Background(), x, core.Options{CostSamples: 20, CostSeed: 6}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := filepath.Join(t.TempDir(), "g.spheres")
 	if err := core.SaveSpheresFile(p, spheres); err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		}
 		cfg := rt.ResumeConfig(suffix(ckptPath, ".idx"), deadline)
 		x, err = cliutil.RetryStale("sphere", cfg.Path, func() (*index.Index, error) {
-			return index.BuildResumable(ctx, g, index.Options{
+			return index.Build(ctx, g, index.Options{
 				Samples:             samples,
 				Seed:                seed,
 				TransitiveReduction: transRed,
@@ -191,7 +191,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	case all:
 		cfg := rt.ResumeConfig(suffix(ckptPath, ".all"), deadline)
 		results, err := cliutil.RetryStale("sphere", cfg.Path, func() ([]core.Result, error) {
-			return core.ComputeAllResumable(ctx, x, opts, cfg)
+			return core.ComputeAll(ctx, x, opts, cfg)
 		})
 		partial := cliutil.Partial("sphere", err)
 		if err != nil && !partial {

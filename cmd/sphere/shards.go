@@ -9,6 +9,7 @@ import (
 
 	"soi"
 	"soi/internal/atomicfile"
+	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/graph"
@@ -84,13 +85,13 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 			return err
 		}
 
-		x, err := index.Build(gs, index.Options{
+		x, err := index.Build(ctx, gs, index.Options{
 			Samples:             samples,
 			Seed:                seed + uint64(s), // deterministic, decorrelated across shards
 			TransitiveReduction: true,
 			Model:               model,
 			Telemetry:           rt.Registry,
-		})
+		}, checkpoint.Config{})
 		if err != nil {
 			return fmt.Errorf("shard %d index: %w", s, err)
 		}
@@ -99,12 +100,15 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 			return err
 		}
 
-		spheres := core.ComputeAll(x, core.Options{
+		spheres, err := core.ComputeAll(ctx, x, core.Options{
 			CostSamples: costSamples,
 			CostSeed:    seed ^ 0xC057,
 			Model:       model,
 			Telemetry:   rt.Registry,
-		})
+		}, checkpoint.Config{})
+		if err != nil {
+			return fmt.Errorf("shard %d spheres: %w", s, err)
+		}
 		spherePath := fmt.Sprintf("%s-shard%d.spheres", prefix, s)
 		if err := core.SaveSpheresFile(spherePath, spheres); err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -14,14 +15,14 @@ func TestExpectedSpreadCtxPreCanceled(t *testing.T) {
 	g := paperGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExpectedSpreadCtx(ctx, g, []graph.NodeID{0}, 100, 1, 0); !errors.Is(err, context.Canceled) {
+	if _, err := ExpectedSpread(ctx, g, []graph.NodeID{0}, 100, 1, 0, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestExpectedSpreadCtxCancellationPrompt starts an estimate whose trial
 // budget would take far longer than the test, cancels it mid-flight, and
-// requires ExpectedSpreadCtx to return promptly with no leaked workers.
+// requires ExpectedSpread to return promptly with no leaked workers.
 func TestExpectedSpreadCtxCancellationPrompt(t *testing.T) {
 	g := lineGraph(t, 2000, 1) // each trial walks the whole 2000-node chain
 	before := runtime.NumGoroutine()
@@ -31,12 +32,12 @@ func TestExpectedSpreadCtxCancellationPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := ExpectedSpreadCtx(ctx, g, []graph.NodeID{0}, 1<<20, 2, 0)
+	_, err := ExpectedSpread(ctx, g, []graph.NodeID{0}, 1<<20, 2, 0, checkpoint.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("ExpectedSpreadCtx returned %v after cancellation", d)
+		t.Fatalf("ExpectedSpread returned %v after cancellation", d)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {

@@ -14,12 +14,15 @@ package cascade
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/pool"
 	"soi/internal/rng"
-	"soi/internal/telemetry"
 )
 
 // Activation records one node activation during a simulation.
@@ -62,30 +65,58 @@ func Simulate(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool
 // ExpectedSpread estimates σ(seeds) by Monte Carlo over trials independent
 // IC simulations, parallelized across workers (zero or negative =
 // GOMAXPROCS). The result is deterministic for a fixed seed regardless of
-// worker count. It is ExpectedSpreadCtx under context.Background(); a worker
-// panic (the only possible error there) is re-raised.
-func ExpectedSpread(g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int) float64 {
-	est, err := ExpectedSpreadCtx(context.Background(), g, seeds, trials, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return est
-}
-
-// ExpectedSpreadCtx is ExpectedSpread with cooperative cancellation: workers
-// check ctx between simulations, so a canceled context returns ctx.Err()
-// promptly. Worker panics are recovered into a *pool.PanicError.
-func ExpectedSpreadCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int) (float64, error) {
-	return ExpectedSpreadTel(ctx, g, seeds, trials, seed, workers, nil)
-}
-
-// ExpectedSpreadTel is ExpectedSpreadCtx with telemetry: tel (nil allowed)
-// receives per-trial cascade sizes (cascade.size), a trial counter
-// (cascade.trials), pool utilization, and a "cascade.expected_spread" span.
-func ExpectedSpreadTel(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int, tel *telemetry.Registry) (float64, error) {
+// worker count. Workers check ctx between simulations, so a canceled
+// context returns ctx.Err() promptly; worker panics are recovered into a
+// *pool.PanicError. cfg.Telemetry (nil allowed) receives per-trial cascade
+// sizes (cascade.size), a trial counter (cascade.trials), pool utilization,
+// and a "cascade.expected_spread" span.
+//
+// cfg puts the estimate under the crash-safe execution layer; its zero
+// value is the plain run. With cfg.Path set, the per-trial cascade sizes are
+// summed into a checkpoint (an order-independent integer total plus the
+// completed-trial bitmap), so a crash or cancellation loses at most one
+// flush interval of simulations and a rerun with the same inputs returns a
+// value bit-identical to an uninterrupted run.
+//
+// With cfg.Budget.Deadline set, the estimator stops simulating when the
+// deadline nears and returns the mean over the completed trials together
+// with a *checkpoint.PartialError; the bound it carries is normalized to
+// [0,1] — multiply by n for spread units.
+func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int, cfg checkpoint.Config) (float64, error) {
 	if trials <= 0 {
 		return 0, ctx.Err()
 	}
+	// sizes[i] is trial i's cascade size, written once before MarkDone(i)
+	// and immutable afterwards; the flusher reads only marked trials. A
+	// resumed trial's size is part of resumedTotal and stays 0 here.
+	sizes := make([]int64, trials)
+	var resumedTotal int64
+	var resumed *checkpoint.Bitmap // nil: nothing resumed
+	sum := func(done *checkpoint.Bitmap) int64 {
+		total := resumedTotal
+		for i := range sizes {
+			if done.Get(i) {
+				total += sizes[i]
+			}
+		}
+		return total
+	}
+	r, st, err := checkpoint.Start(cfg, func() uint64 { return spreadKey(g, seeds, trials, seed) }, trials,
+		func(done *checkpoint.Bitmap) ([]byte, error) {
+			return binary.LittleEndian.AppendUint64(nil, uint64(sum(done))), nil
+		})
+	if err != nil {
+		return 0, err
+	}
+	if st != nil {
+		if len(st.Payload) != 8 {
+			r.Abort()
+			return 0, fmt.Errorf("%w: spread payload is %d bytes, want 8", checkpoint.ErrCorrupt, len(st.Payload))
+		}
+		resumedTotal = int64(binary.LittleEndian.Uint64(st.Payload))
+		resumed = st.Done
+	}
+
 	master := rng.New(seed)
 	// Pre-split generators so trial i is reproducible regardless of the
 	// worker that runs it.
@@ -94,33 +125,55 @@ func ExpectedSpreadTel(ctx context.Context, g *graph.Graph, seeds []graph.NodeID
 		gens[i] = master.Split(uint64(i))
 	}
 	w := pool.Workers(workers, trials)
-	totals := make([]int64, w)
 	visiteds := make([][]bool, w)
+	tel := cfg.Telemetry
 	mTrials := tel.Counter("cascade.trials")
 	mSize := tel.Histogram("cascade.size")
 	sp := tel.StartSpan("cascade.expected_spread")
-	defer sp.End()
-	err := pool.Run(ctx, trials, pool.Options{Workers: w, Telemetry: tel}, func(worker, i int) error {
+	runErr := pool.Run(ctx, trials, pool.Options{Workers: w, Telemetry: tel}, func(worker, i int) error {
+		if resumed.Get(i) {
+			return nil
+		}
+		if err := r.Gate(); err != nil {
+			return err
+		}
 		visited := visiteds[worker]
 		if visited == nil {
 			visited = make([]bool, g.NumNodes())
 			visiteds[worker] = visited
 		}
-		size := simulateSize(g, seeds, gens[i], visited)
-		totals[worker] += int64(size)
+		size := int64(simulateSize(g, seeds, gens[i], visited))
+		sizes[i] = size
 		mTrials.Inc()
-		mSize.Observe(int64(size))
+		mSize.Observe(size)
 		sp.AddUnits(1)
+		r.MarkDone(i)
 		return nil
 	})
-	if err != nil {
-		return 0, err
+	sp.End()
+	if err := r.Settle(runErr); err != nil {
+		if !errors.Is(err, checkpoint.ErrPartial) {
+			return 0, err
+		}
+		done := r.Snapshot()
+		return float64(sum(done)) / float64(done.Count()), err
 	}
-	var total int64
-	for _, s := range totals {
-		total += s
+	total := resumedTotal
+	for _, size := range sizes {
+		total += size
 	}
 	return float64(total) / float64(trials), nil
+}
+
+// spreadKey keys ExpectedSpread checkpoints.
+func spreadKey(g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64) uint64 {
+	return checkpoint.NewHasher().
+		String("cascade.ExpectedSpread").
+		Graph(g).
+		Nodes(seeds).
+		Int(trials).
+		Uint64(seed).
+		Sum()
 }
 
 // simulateSize is Simulate without recording steps; returns the cascade size.

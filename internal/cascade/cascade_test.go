@@ -1,10 +1,12 @@
 package cascade
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/rng"
@@ -94,7 +96,7 @@ func TestExpectedSpreadLine(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		want += math.Pow(p, float64(i))
 	}
-	got := ExpectedSpread(g, []graph.NodeID{0}, 200000, 5, 0)
+	got := spread(t, g, []graph.NodeID{0}, 200000, 5, 0)
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("σ = %v, want ~%v", got, want)
 	}
@@ -107,7 +109,7 @@ func TestExpectedSpreadStar(t *testing.T) {
 		b.AddEdge(0, graph.NodeID(i), 0.3)
 	}
 	g := b.MustBuild()
-	got := ExpectedSpread(g, []graph.NodeID{0}, 200000, 6, 0)
+	got := spread(t, g, []graph.NodeID{0}, 200000, 6, 0)
 	if want := 1 + 10*0.3; math.Abs(got-want) > 0.05 {
 		t.Fatalf("σ = %v, want ~%v", got, want)
 	}
@@ -115,8 +117,8 @@ func TestExpectedSpreadStar(t *testing.T) {
 
 func TestExpectedSpreadDeterministicAcrossWorkers(t *testing.T) {
 	g := paperGraph(t)
-	a := ExpectedSpread(g, []graph.NodeID{4}, 5000, 7, 1)
-	b := ExpectedSpread(g, []graph.NodeID{4}, 5000, 7, 4)
+	a := spread(t, g, []graph.NodeID{4}, 5000, 7, 1)
+	b := spread(t, g, []graph.NodeID{4}, 5000, 7, 4)
 	if a != b {
 		t.Fatalf("worker count changed estimate: %v vs %v", a, b)
 	}
@@ -124,20 +126,20 @@ func TestExpectedSpreadDeterministicAcrossWorkers(t *testing.T) {
 
 func TestExpectedSpreadZeroTrials(t *testing.T) {
 	g := paperGraph(t)
-	if got := ExpectedSpread(g, []graph.NodeID{4}, 0, 1, 0); got != 0 {
+	if got := spread(t, g, []graph.NodeID{4}, 0, 1, 0); got != 0 {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestSpreadFromIndexMatchesMC(t *testing.T) {
 	g := paperGraph(t)
-	x, err := index.Build(g, index.Options{Samples: 4000, Seed: 9})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 4000, Seed: 9}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := x.NewScratch()
 	viaIndex := SpreadFromIndex(x, []graph.NodeID{4}, s)
-	viaMC := ExpectedSpread(g, []graph.NodeID{4}, 200000, 10, 0)
+	viaMC := spread(t, g, []graph.NodeID{4}, 200000, 10, 0)
 	if math.Abs(viaIndex-viaMC) > 0.05 {
 		t.Fatalf("index estimate %v vs MC %v", viaIndex, viaMC)
 	}
@@ -162,7 +164,7 @@ func TestSpreadMonotoneSubmodular(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x, err := index.Build(g, index.Options{Samples: 30, Seed: seed})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: seed}, checkpoint.Config{})
 		if err != nil {
 			return false
 		}
@@ -214,6 +216,16 @@ func BenchmarkExpectedSpread(b *testing.B) {
 	g := bb.MustBuild()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ExpectedSpread(g, []graph.NodeID{0, 1, 2}, 1000, uint64(i), 0)
+		_ = spread(b, g, []graph.NodeID{0, 1, 2}, 1000, uint64(i), 0)
 	}
+}
+
+// spread is the plain ExpectedSpread run.
+func spread(tb testing.TB, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int) float64 {
+	tb.Helper()
+	est, err := ExpectedSpread(context.Background(), g, seeds, trials, seed, workers, checkpoint.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return est
 }

@@ -1,8 +1,10 @@
 package cascade
 
 import (
+	"context"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/oracle"
@@ -37,7 +39,7 @@ func TestConformanceExpectedSpread(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := ExpectedSpread(g, seeds, trials, 80+uint64(i), 0)
+		got := spread(t, g, seeds, trials, 80+uint64(i), 0)
 		statcheck.Close(t, "ExpectedSpread vs oracle", got, exact, b)
 	}
 }
@@ -49,7 +51,7 @@ func TestConformanceSpreadFromIndex(t *testing.T) {
 	g := conformanceGraph(t)
 	n := float64(g.NumNodes())
 	const ell = 20000
-	x, err := index.Build(g, index.Options{Samples: ell, Seed: 81})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: 81}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

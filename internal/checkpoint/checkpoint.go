@@ -79,8 +79,8 @@ func NewBitmap(n int) *Bitmap {
 // Len returns the number of units.
 func (b *Bitmap) Len() int { return b.n }
 
-// Get reports whether unit i is marked.
-func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
+// Get reports whether unit i is marked. A nil Bitmap is empty.
+func (b *Bitmap) Get(i int) bool { return b != nil && b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set marks unit i. Not synchronized; the Runner serializes access.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }

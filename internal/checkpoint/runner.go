@@ -85,9 +85,11 @@ func ErrorBound(ell int) float64 {
 	return math.Min(1, math.Sqrt(math.Log(2/0.05)/(2*float64(ell))))
 }
 
-// Config configures a checkpointed, deadline-bounded run. The zero value
-// disables both checkpointing and the deadline, making a …Resumable path
-// behave exactly like its …Ctx counterpart.
+// Config configures a checkpointed, deadline-bounded run. Every sampling
+// algorithm takes one as its last parameter. The zero value disables both
+// checkpointing and the deadline: the call is the plain run, and it costs
+// nothing extra — no run key is computed, no completed unit is tracked, and
+// no flusher goroutine starts.
 type Config struct {
 	// Path is the checkpoint file; "" disables checkpointing (the Budget
 	// still applies).
@@ -106,8 +108,8 @@ type Config struct {
 	OnResume func(done, total int)
 	// Telemetry, if non-nil, receives flush metrics (checkpoint.flushes,
 	// flush_errors, flushed_bytes, flush_ns) and is forwarded to the compute
-	// path the Config drives — every …Resumable API adopts it when its own
-	// options carry no registry.
+	// path the Config drives — every algorithm adopts it when its own options
+	// carry no registry.
 	Telemetry *telemetry.Registry
 }
 
@@ -135,6 +137,7 @@ func (c Config) flushEvery(units int) int {
 // Runner coordinates one checkpointed run: it owns the completed-unit
 // bitmap, a background flusher goroutine (flushes happen off the worker hot
 // path, triggered by time or completed-unit count), and the budget gate.
+// A Runner for the zero Config is inert: Gate and MarkDone return at once.
 //
 // The locking contract that makes flushes consistent without stalling
 // workers: a worker publishes a unit's results to caller-owned storage
@@ -143,13 +146,13 @@ func (c Config) flushEvery(units int) int {
 // it — safe because units marked done are immutable from then on.
 type Runner struct {
 	cfg    Config
-	fp     uint64
+	key    uint64
 	units  int
 	encode func(done *Bitmap) ([]byte, error)
 
 	mu        sync.Mutex
-	done      *Bitmap
-	sinceLast int // units completed since the last flush
+	done      *Bitmap // nil for the zero Config: nothing to track
+	sinceLast int     // units completed since the last flush
 
 	start    time.Time
 	kick     chan struct{}
@@ -162,56 +165,58 @@ type Runner struct {
 }
 
 // Start loads any prior checkpoint and begins the background flusher.
-// encode serializes the partial accumulators of the units marked in the
-// given bitmap; it is called from the flusher goroutine with a private
-// snapshot. The returned State is nil when no checkpoint existed; ErrStale /
-// ErrCorrupt / IO failures abort the run before any compute happens.
-func Start(cfg Config, fingerprint uint64, units int, encode func(done *Bitmap) ([]byte, error)) (*Runner, *State, error) {
-	r := &Runner{
-		cfg:    cfg,
-		fp:     fingerprint,
-		units:  units,
-		encode: encode,
-		done:   NewBitmap(units),
-		start:  time.Now(),
-		kick:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
+// key returns the run key (see Hasher); it is called once, and only when
+// cfg.Path is set, because hashing a graph costs milliseconds a plain run
+// must not pay. encode serializes the partial accumulators of the units
+// marked in the given bitmap; it is called from the flusher goroutine with a
+// private snapshot. The returned State is nil when no checkpoint existed;
+// ErrStale / ErrCorrupt / IO failures abort the run before any compute
+// happens.
+func Start(cfg Config, key func() uint64, units int, encode func(done *Bitmap) ([]byte, error)) (*Runner, *State, error) {
+	r := &Runner{cfg: cfg, units: units, encode: encode}
+	if cfg.Path == "" && !cfg.Budget.bounded() {
+		return r, nil, nil
 	}
-	var st *State
-	if cfg.Path != "" {
-		var err error
-		st, err = Load(cfg.Path, fingerprint, units)
-		if err != nil {
-			return nil, nil, err
-		}
-		if st != nil {
-			r.done = st.Done.Clone()
-			if cfg.OnResume != nil {
-				cfg.OnResume(st.Done.Count(), units)
-			}
-		}
-		r.flusher.Add(1)
-		go r.flushLoop()
+	r.done = NewBitmap(units)
+	r.start = time.Now()
+	if cfg.Path == "" {
+		return r, nil, nil
 	}
+	r.key = key()
+	st, err := Load(cfg.Path, r.key, units)
+	if err != nil {
+		return nil, nil, err
+	}
+	if st != nil {
+		r.done = st.Done.Clone()
+		if cfg.OnResume != nil {
+			cfg.OnResume(st.Done.Count(), units)
+		}
+	}
+	r.kick = make(chan struct{}, 1)
+	r.quit = make(chan struct{})
+	r.flusher.Add(1)
+	go r.flushLoop()
 	return r, st, nil
 }
 
 // Snapshot returns a copy of the current completed-unit bitmap (including
-// units restored from a resumed checkpoint).
+// units restored from a resumed checkpoint); nil for the zero Config.
 func (r *Runner) Snapshot() *Bitmap {
+	if r.done == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.done.Clone()
 }
 
-// MarkDone records unit i as complete. update, if non-nil, runs under the
-// runner lock — use it for accumulator updates that must be atomic with the
-// bitmap for flush consistency. MarkDone never blocks on IO.
-func (r *Runner) MarkDone(i int, update func()) {
-	r.mu.Lock()
-	if update != nil {
-		update()
+// MarkDone records unit i as complete. It never blocks on IO.
+func (r *Runner) MarkDone(i int) {
+	if r.done == nil {
+		return
 	}
+	r.mu.Lock()
 	if !r.done.Get(i) {
 		r.done.Set(i)
 		r.sinceLast++
@@ -226,8 +231,12 @@ func (r *Runner) MarkDone(i int, update func()) {
 	}
 }
 
-// DoneCount returns how many units are complete.
+// DoneCount returns how many units are complete; it is 0 for the zero
+// Config, which tracks nothing.
 func (r *Runner) DoneCount() int {
+	if r.done == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.done.Count()
@@ -239,11 +248,13 @@ func (r *Runner) DoneCount() int {
 // fatal flush error (a simulated kill) so an injected crash stops the run
 // the way a real one would.
 func (r *Runner) Gate() error {
-	r.errMu.Lock()
-	ferr := r.flushErr
-	r.errMu.Unlock()
-	if ferr != nil && fault.IsKilled(ferr) {
-		return ferr
+	if r.cfg.Path != "" {
+		r.errMu.Lock()
+		ferr := r.flushErr
+		r.errMu.Unlock()
+		if ferr != nil && fault.IsKilled(ferr) {
+			return ferr
+		}
 	}
 	if !r.cfg.Budget.bounded() {
 		return nil
@@ -278,6 +289,32 @@ func (r *Runner) Partial(requested int) error {
 			achieved, requested, r.cfg.Budget.minUnits(), ErrDeadline)
 	}
 	return &PartialError{Achieved: achieved, Requested: requested, Bound: ErrorBound(achieved)}
+}
+
+// Settle ends a run whose work loop returned runErr, and settles the
+// checkpoint file to match. It returns nil when every unit completed; a
+// *PartialError when the deadline stopped the run with the budget minimum
+// met (the caller returns its partial result together with it); and any
+// other error when the run failed, in which case the caller returns no
+// result. Callers tell the last two apart with errors.Is(err, ErrPartial).
+func (r *Runner) Settle(runErr error) error {
+	switch {
+	case runErr == nil:
+		return r.Finish(true)
+	case errors.Is(runErr, ErrDeadline):
+		if err := r.Finish(false); err != nil && fault.IsKilled(err) {
+			return err
+		}
+		return r.Partial(r.units)
+	case fault.IsKilled(runErr):
+		// A really killed process writes nothing more: no final flush.
+		r.Abort()
+		return runErr
+	default:
+		// Cancellation or a worker failure: flush so a later run resumes.
+		r.Finish(false)
+		return runErr
+	}
 }
 
 // flushLoop is the background flusher: it writes the checkpoint when the
@@ -321,7 +358,7 @@ func (r *Runner) flushOnce() {
 	start := time.Now()
 	payload, err := r.encode(snap)
 	if err == nil {
-		err = Save(r.cfg.Path, r.fp, snap, payload)
+		err = Save(r.cfg.Path, r.key, snap, payload)
 	}
 	if err == nil {
 		r.cfg.Telemetry.Counter("checkpoint.flushes").Inc()

@@ -20,10 +20,45 @@ func encodeDone(done *Bitmap) ([]byte, error) {
 	return out, nil
 }
 
+// keyOf returns a constant run key.
+func keyOf(v uint64) func() uint64 { return func() uint64 { return v } }
+
+// TestStartKeyIsLazy pins the run key's cost to checkpointed runs: hashing
+// the inputs (a whole graph, for most algorithms) must not happen on a plain
+// or budget-only run, and happens exactly once when a checkpoint path is set.
+func TestStartKeyIsLazy(t *testing.T) {
+	calls := 0
+	key := func() uint64 { calls++; return 7 }
+	for _, cfg := range []Config{{}, {Budget: Budget{Deadline: time.Now().Add(time.Hour)}}} {
+		r, st, err := Start(cfg, key, 10, encodeDone)
+		if err != nil || st != nil {
+			t.Fatalf("Start(%+v) = %v, %v", cfg, st, err)
+		}
+		r.MarkDone(0)
+		if err := r.Settle(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("key computed %d times without a checkpoint path, want 0", calls)
+	}
+	r, _, err := Start(Config{Path: filepath.Join(t.TempDir(), "run.ckpt")}, key, 10, encodeDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MarkDone(0)
+	if err := r.Settle(nil); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("key computed %d times with a checkpoint path, want 1", calls)
+	}
+}
+
 func TestRunnerFlushOnCountTrigger(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := Config{Path: path, FlushEvery: 2, FlushInterval: time.Hour}
-	r, st, err := Start(cfg, 1, 10, encodeDone)
+	r, st, err := Start(cfg, keyOf(1), 10, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +66,7 @@ func TestRunnerFlushOnCountTrigger(t *testing.T) {
 		t.Fatal("fresh run reported a resumed state")
 	}
 	for i := 0; i < 4; i++ {
-		r.MarkDone(i, nil)
+		r.MarkDone(i)
 	}
 	// The flusher runs in the background; wait for the file to appear.
 	deadline := time.Now().Add(5 * time.Second)
@@ -61,12 +96,12 @@ func TestRunnerFlushOnCountTrigger(t *testing.T) {
 
 func TestRunnerFinishCompleteDeletes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	r, _, err := Start(Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}, 1, 2, encodeDone)
+	r, _, err := Start(Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}, keyOf(1), 2, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.MarkDone(0, nil)
-	r.MarkDone(1, nil)
+	r.MarkDone(0)
+	r.MarkDone(1)
 	if err := r.Finish(true); err != nil {
 		t.Fatal(err)
 	}
@@ -78,19 +113,19 @@ func TestRunnerFinishCompleteDeletes(t *testing.T) {
 func TestRunnerResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}
-	r, _, err := Start(cfg, 1, 5, encodeDone)
+	r, _, err := Start(cfg, keyOf(1), 5, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.MarkDone(2, nil)
-	r.MarkDone(4, nil)
+	r.MarkDone(2)
+	r.MarkDone(4)
 	if err := r.Finish(false); err != nil {
 		t.Fatal(err)
 	}
 
 	var resumedDone, resumedTotal int
 	cfg.OnResume = func(done, total int) { resumedDone, resumedTotal = done, total }
-	r2, st, err := Start(cfg, 1, 5, encodeDone)
+	r2, st, err := Start(cfg, keyOf(1), 5, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +139,14 @@ func TestRunnerResume(t *testing.T) {
 		t.Fatalf("Snapshot count = %d, want 2 (preloaded)", snap.Count())
 	}
 	// A stale checkpoint (different fingerprint) aborts before compute.
-	if _, _, err := Start(Config{Path: path}, 99, 5, encodeDone); !errors.Is(err, ErrStale) {
+	if _, _, err := Start(Config{Path: path}, keyOf(99), 5, encodeDone); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale resume: %v, want ErrStale", err)
 	}
 	r2.Abort()
 }
 
 func TestGateDeadline(t *testing.T) {
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second)}}, 1, 10, nil)
+	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second)}}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +156,12 @@ func TestGateDeadline(t *testing.T) {
 		t.Fatalf("Gate before first unit = %v, want nil", err)
 	}
 	// … and closes as soon as one unit completed.
-	r.MarkDone(0, nil)
+	r.MarkDone(0)
 	if err := r.Gate(); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("Gate past deadline = %v, want ErrDeadline", err)
 	}
 	// Unbounded budget never gates.
-	r2, _, err := Start(Config{}, 1, 10, nil)
+	r2, _, err := Start(Config{}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +173,7 @@ func TestGateDeadline(t *testing.T) {
 func TestGateThroughputMargin(t *testing.T) {
 	// With one unit done and almost no time left, the throughput check must
 	// stop the run even though the deadline has not strictly passed.
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(2 * time.Millisecond)}}, 1, 10, nil)
+	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(2 * time.Millisecond)}}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,24 +181,24 @@ func TestGateThroughputMargin(t *testing.T) {
 		t.Fatalf("first unit gated: %v", err) // done == 0: always attempt one
 	}
 	time.Sleep(5 * time.Millisecond)
-	r.MarkDone(0, nil)
+	r.MarkDone(0)
 	if err := r.Gate(); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("Gate = %v, want ErrDeadline", err)
 	}
 }
 
 func TestPartialOutcome(t *testing.T) {
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 3}}, 1, 10, nil)
+	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 3}}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.MarkDone(0, nil)
+	r.MarkDone(0)
 	// 1 achieved < MinWorlds 3: hard error, not a partial result.
 	if err := r.Partial(10); errors.Is(err, ErrPartial) || !errors.Is(err, ErrDeadline) {
 		t.Fatalf("below minimum: %v, want hard ErrDeadline", err)
 	}
-	r.MarkDone(1, nil)
-	r.MarkDone(2, nil)
+	r.MarkDone(1)
+	r.MarkDone(2)
 	err = r.Partial(10)
 	var pe *PartialError
 	if !errors.As(err, &pe) || !errors.Is(err, ErrPartial) {

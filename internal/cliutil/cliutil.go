@@ -42,7 +42,8 @@ func Fail(tool string, err error) {
 	os.Exit(ExitError)
 }
 
-// Partial inspects a …Resumable result: for a deadline-degraded result it
+// Partial inspects the result of a run under a checkpoint.Config (every
+// sampling algorithm takes one): for a deadline-degraded result it
 // prints the notice on stderr and reports handled=true (the caller keeps the
 // partial result and continues); for nil it reports false; anything else is
 // a real error the caller passes to Fail.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 )
@@ -33,13 +34,13 @@ func TestComputeAllCtxPreCanceled(t *testing.T) {
 	x := buildIndex(t, g, 20, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComputeAllCtx(ctx, x, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := ComputeAll(ctx, x, Options{}, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestComputeAllCtxCancellationPrompt cancels a long typical-cascade batch
-// mid-flight and requires ComputeAllCtx to stop promptly without leaking
+// mid-flight and requires ComputeAll to stop promptly without leaking
 // worker goroutines. CostSamples inflates per-node work so the batch would
 // otherwise run for a long time.
 func TestComputeAllCtxCancellationPrompt(t *testing.T) {
@@ -52,12 +53,12 @@ func TestComputeAllCtxCancellationPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := ComputeAllCtx(ctx, x, Options{CostSamples: 20000, CostSeed: 43})
+	_, err := ComputeAll(ctx, x, Options{CostSamples: 20000, CostSeed: 43}, checkpoint.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("ComputeAllCtx returned %v after cancellation", d)
+		t.Fatalf("ComputeAll returned %v after cancellation", d)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {

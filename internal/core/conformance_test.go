@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"testing"
+	"time"
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
@@ -24,7 +25,7 @@ func TestConformanceEstimateStability(t *testing.T) {
 	const ell = 20000
 	b := statcheck.Hoeffding(ell)
 	for _, cand := range [][]graph.NodeID{{4}, {0, 4}, {0, 1, 4}, {0, 1, 2, 3, 4}} {
-		est := EstimateCost(g, []graph.NodeID{4}, cand, ell, 77)
+		est := estimateCost(t, g, []graph.NodeID{4}, cand, ell, 77)
 		statcheck.Close(t, "EstimateCost vs oracle rho", est, dist.Rho(cand), b)
 	}
 }
@@ -40,12 +41,12 @@ func TestConformanceEstimateStabilitySeedSet(t *testing.T) {
 	}
 	const ell = 20000
 	cand := []graph.NodeID{0, 1, 3}
-	est := EstimateCost(g, seeds, cand, ell, 78)
+	est := estimateCost(t, g, seeds, cand, ell, 78)
 	statcheck.Close(t, "seed-set EstimateCost vs oracle rho", est, dist.Rho(cand), statcheck.Hoeffding(ell))
 }
 
-// TestConformanceEstimateCostBudget: with a zero budget the budgeted
-// estimator must reproduce the plain estimator bit for bit (same sample
+// TestConformanceEstimateCostBudget: with a budget whose deadline never
+// binds the estimator must reproduce the plain run bit for bit (same sample
 // stream), achieve every requested sample, and still agree with the oracle.
 func TestConformanceEstimateCostBudget(t *testing.T) {
 	g := paperGraph(t)
@@ -55,9 +56,9 @@ func TestConformanceEstimateCostBudget(t *testing.T) {
 	}
 	const ell = 20000
 	cand := []graph.NodeID{0, 4}
-	plain := EstimateCost(g, []graph.NodeID{4}, cand, ell, 79)
-	got, achieved, err := EstimateCostBudget(context.Background(), g,
-		[]graph.NodeID{4}, cand, ell, 79, index.IC, checkpoint.Budget{})
+	plain := estimateCost(t, g, []graph.NodeID{4}, cand, ell, 79)
+	got, achieved, err := EstimateCost(context.Background(), g,
+		[]graph.NodeID{4}, cand, ell, 79, index.IC, checkpoint.Budget{Deadline: time.Now().Add(time.Hour)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestConformanceEstimateCostBudget(t *testing.T) {
 	if got != plain {
 		t.Fatalf("budgeted estimate %v != plain estimate %v (same seed, same stream)", got, plain)
 	}
-	statcheck.Close(t, "EstimateCostBudget vs oracle rho", got, dist.Rho(cand), statcheck.Hoeffding(ell))
+	statcheck.Close(t, "budgeted EstimateCost vs oracle rho", got, dist.Rho(cand), statcheck.Hoeffding(ell))
 }
 
 // TestConformanceComputeFromSet: the typical cascade of a seed set, computed
@@ -110,8 +111,8 @@ func TestConformanceRhoRelabelInvariance(t *testing.T) {
 		pcand[i] = perm[v]
 	}
 	sort.Slice(pcand, func(i, j int) bool { return pcand[i] < pcand[j] })
-	est := EstimateCost(g, []graph.NodeID{4}, cand, ell, 80)
-	pest := EstimateCost(pg, []graph.NodeID{perm[4]}, pcand, ell, 81)
+	est := estimateCost(t, g, []graph.NodeID{4}, cand, ell, 80)
+	pest := estimateCost(t, pg, []graph.NodeID{perm[4]}, pcand, ell, 81)
 	// Each estimate is within eps of the same exact value, so they are
 	// within 2*eps of each other.
 	statcheck.Close(t, "rho invariance under relabeling", est, pest,

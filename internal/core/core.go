@@ -22,9 +22,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/jaccard"
@@ -189,19 +191,33 @@ func (r *Result) Size() int { return len(r.Set) }
 // Compute returns the typical cascade of node v using the cascades stored
 // in the index.
 func Compute(x *index.Index, v graph.NodeID, opts Options) Result {
-	s := x.NewScratch()
-	return computeWithScratch(x, []graph.NodeID{v}, opts, s, newMetricsSet(telemetryFor(x, opts)))
+	return ComputeWithScratch(x, v, opts, x.NewScratch())
+}
+
+// ComputeWithScratch is Compute reusing a caller-owned scratch, the hot path
+// for query serving: a server keeps a pool of scratches and avoids the
+// per-query allocation of index.NewScratch.
+func ComputeWithScratch(x *index.Index, v graph.NodeID, opts Options, s *index.Scratch) Result {
+	return computeUncanceled(x, []graph.NodeID{v}, opts, s)
 }
 
 // ComputeFromSet returns the typical cascade of a seed set (the paper's §5
 // extension: the stability of a seed set is the expected cost of its typical
 // cascade).
 func ComputeFromSet(x *index.Index, seeds []graph.NodeID, opts Options) Result {
-	s := x.NewScratch()
-	return computeWithScratch(x, seeds, opts, s, newMetricsSet(telemetryFor(x, opts)))
+	return computeUncanceled(x, seeds, opts, x.NewScratch())
 }
 
-func computeWithScratch(x *index.Index, seeds []graph.NodeID, opts Options, s *index.Scratch, m *metricsSet) Result {
+// computeUncanceled is computeWithScratch for the context-free entry points:
+// under context.Background() it cannot fail.
+func computeUncanceled(x *index.Index, seeds []graph.NodeID, opts Options, s *index.Scratch) Result {
+	res, _ := computeWithScratch(context.Background(), x, seeds, opts, s, newMetricsSet(telemetryFor(x, opts)))
+	return res
+}
+
+// computeWithScratch computes one typical cascade. Its only error is ctx's,
+// observed between the held-out cost cascades.
+func computeWithScratch(ctx context.Context, x *index.Index, seeds []graph.NodeID, opts Options, s *index.Scratch, m *metricsSet) (Result, error) {
 	start := time.Now()
 	samples := x.CascadesFromSet(seeds, s)
 	if len(samples) == 0 {
@@ -213,7 +229,7 @@ func computeWithScratch(x *index.Index, seeds []graph.NodeID, opts Options, s *i
 			SampleCost:   1,
 			ExpectedCost: -1,
 			MedianTime:   time.Since(start),
-		}
+		}, nil
 	}
 	med := computeMedian(samples, opts.Algorithm)
 	res := Result{
@@ -226,11 +242,16 @@ func computeWithScratch(x *index.Index, seeds []graph.NodeID, opts Options, s *i
 	}
 	if opts.CostSamples > 0 {
 		cs := time.Now()
-		res.ExpectedCost = estimateCostMetered(x.Graph(), seeds, med.Set, opts.CostSamples, opts.CostSeed, opts.Model, m.worldMetrics())
+		cost, _, err := EstimateCost(ctx, x.Graph(), seeds, med.Set, opts.CostSamples, opts.CostSeed,
+			opts.Model, checkpoint.Budget{}, m.worldMetrics())
+		if err != nil {
+			return Result{}, err
+		}
+		res.ExpectedCost = cost
 		res.CostTime = time.Since(cs)
 	}
 	m.observe(&res, med)
-	return res
+	return res, nil
 }
 
 func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median {
@@ -247,68 +268,116 @@ func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median
 }
 
 // EstimateCost estimates ρ_{G,seeds}(set): the expected Jaccard distance
-// between set and a fresh random cascade from seeds. It draws `samples`
-// cascades lazily (without materializing worlds) with generators split from
-// seed, so estimates are reproducible and independent of the index.
-func EstimateCost(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samples int, seed uint64) float64 {
-	return EstimateCostModel(g, seeds, set, samples, seed, index.IC)
-}
-
-// EstimateCostModel is EstimateCost under an explicit propagation model.
-// IC cascades are drawn lazily; LT cascades materialize one live-edge world
-// per sample (LT's one-in-edge coupling cannot be sampled edge-by-edge
-// during a forward traversal).
-func EstimateCostModel(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samples int, seed uint64, model index.Model) float64 {
-	return estimateCostMetered(g, seeds, set, samples, seed, model, nil)
-}
-
-func estimateCostMetered(g *graph.Graph, seeds []graph.NodeID, set []graph.NodeID, samples int, seed uint64, model index.Model, wm *worlds.Metrics) float64 {
+// between set and a fresh random cascade from seeds under the given
+// propagation model. It draws `samples` cascades with generators split from
+// seed, so estimates are reproducible and independent of the index. IC
+// cascades are drawn lazily (without materializing worlds); LT cascades
+// materialize one live-edge world per sample (LT's one-in-edge coupling
+// cannot be sampled edge-by-edge during a forward traversal). wm (nil
+// allowed) meters the sampled cascades.
+//
+// Sampling stops when ctx is canceled — checked between cascades — or when
+// the budget's deadline is too near to fit another cascade. It returns the
+// mean Jaccard distance over the achieved samples and how many completed.
+// When the deadline truncates sampling but the budget's minimum is met, the
+// result is usable and err is a *checkpoint.PartialError carrying the
+// achieved count and the Theorem-2-style error bound; below the minimum the
+// error is hard. A zero budget is the plain run. samples <= 0 returns -1.
+func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64,
+	model index.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
 	if samples <= 0 {
-		return -1
+		return -1, 0, nil
+	}
+	// A Runner without a checkpoint path is just the budget gate.
+	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, nil, samples, nil)
+	if err != nil {
+		return 0, 0, err
 	}
 	master := rng.New(seed)
 	visited := make([]bool, g.NumNodes())
 	var buf []graph.NodeID
 	total := 0.0
-	for i := 0; i < samples; i++ {
-		r := master.Split(uint64(i))
+	achieved := 0
+	var runErr error
+	for ; achieved < samples; achieved++ {
+		if runErr = ctx.Err(); runErr != nil {
+			break
+		}
+		if runErr = r.Gate(); runErr != nil {
+			break
+		}
+		rs := master.Split(uint64(achieved))
 		if model == index.LT {
-			w := worlds.SampleLTMetered(g, r, wm)
+			w := worlds.SampleLTMetered(g, rs, wm)
 			buf = w.ReachableFromSet(seeds, visited, buf[:0])
 		} else {
-			buf = worlds.SampleCascadeFromSetMetered(g, seeds, r, visited, buf[:0], wm)
+			buf = worlds.SampleCascadeFromSetMetered(g, seeds, rs, visited, buf[:0], wm)
 		}
 		total += jaccard.Distance(set, buf)
+		r.MarkDone(achieved)
 	}
-	return total / float64(samples)
+	if err := r.Settle(runErr); err != nil {
+		if !errors.Is(err, checkpoint.ErrPartial) {
+			return 0, achieved, err
+		}
+		return total / float64(achieved), achieved, err
+	}
+	return total / float64(samples), samples, nil
 }
 
 // ComputeAll computes the typical cascade of every node (Algorithm 2),
 // parallelized across Options.Workers. Results are indexed by node id.
-// It is ComputeAllCtx under context.Background(); a worker panic (the only
-// possible error there) is re-raised.
-func ComputeAll(x *index.Index, opts Options) []Result {
-	out, err := ComputeAllCtx(context.Background(), x, opts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ComputeAllCtx is ComputeAll with cooperative cancellation: workers check
-// ctx between nodes and a canceled context returns ctx.Err() promptly with
-// a nil result. Worker panics are recovered into a *pool.PanicError.
-func ComputeAllCtx(ctx context.Context, x *index.Index, opts Options) ([]Result, error) {
+// Workers check ctx between nodes and between the held-out cost cascades,
+// so a canceled context returns ctx.Err() promptly with a nil result.
+// Worker panics are recovered into a *pool.PanicError.
+//
+// cfg puts the sweep under the crash-safe execution layer; its zero value is
+// the plain sweep. With cfg.Path set, each node's computed sphere is
+// periodically checkpointed, so a crash, OOM-kill, cancellation, or deadline
+// loses at most one flush interval of the sweep. The checkpoint is keyed on
+// the index fingerprint (plus the options), so resuming against a different
+// index is rejected as stale. A rerun with the same index and options
+// produces spheres bit-identical to an uninterrupted sweep — each node's
+// computation depends only on the index and its own derived cost seed.
+//
+// With cfg.Budget.Deadline set, the sweep stops when the deadline nears and
+// returns the partial result with a *checkpoint.PartialError: results are
+// still indexed by node id, and nodes that were not reached have a nil Seeds
+// field (callers report or skip them); the checkpoint is kept so a later run
+// finishes the rest.
+func ComputeAll(ctx context.Context, x *index.Index, opts Options, cfg checkpoint.Config) ([]Result, error) {
 	n := x.Graph().NumNodes()
 	out := make([]Result, n)
+	r, st, err := checkpoint.Start(cfg, func() uint64 { return sweepFingerprint(x, opts) }, n,
+		func(done *checkpoint.Bitmap) ([]byte, error) { return encodeSweepPayload(out, done) })
+	if err != nil {
+		return nil, err
+	}
+	var resumed *checkpoint.Bitmap // nil: nothing resumed
+	if st != nil {
+		if err := decodeSweepPayload(st, n, out); err != nil {
+			r.Abort()
+			return nil, err
+		}
+		resumed = st.Done
+	}
+
 	workers := pool.Workers(opts.Workers, n)
 	scratches := make([]*index.Scratch, workers)
+	if opts.Telemetry == nil {
+		opts.Telemetry = cfg.Telemetry
+	}
 	tel := telemetryFor(x, opts)
 	m := newMetricsSet(tel)
 	sp := tel.StartSpan("core.compute_all")
-	defer sp.End()
-	err := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
+	runErr := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
 		func(worker, task int) error {
+			if resumed.Get(task) {
+				return nil
+			}
+			if err := r.Gate(); err != nil {
+				return err
+			}
 			s := scratches[worker]
 			if s == nil {
 				s = x.NewScratch()
@@ -321,12 +390,21 @@ func ComputeAllCtx(ctx context.Context, x *index.Index, opts Options) ([]Result,
 				// held-out estimates are independent across nodes.
 				o.CostSeed = rng.Mix64(opts.CostSeed ^ uint64(v))
 			}
-			out[v] = computeWithScratch(x, []graph.NodeID{v}, o, s, m)
+			res, err := computeWithScratch(ctx, x, []graph.NodeID{v}, o, s, m)
+			if err != nil {
+				return err
+			}
+			out[v] = res
 			sp.AddUnits(1)
+			r.MarkDone(task)
 			return nil
 		})
-	if err != nil {
-		return nil, err
+	sp.End()
+	if err := r.Settle(runErr); err != nil {
+		if !errors.Is(err, checkpoint.ErrPartial) {
+			return nil, err
+		}
+		return out, err
 	}
 	return out, nil
 }

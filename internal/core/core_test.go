@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/jaccard"
@@ -26,7 +28,7 @@ func paperGraph(t testing.TB) *graph.Graph {
 
 func buildIndex(t testing.TB, g *graph.Graph, samples int, seed uint64) *index.Index {
 	t.Helper()
-	x, err := index.Build(g, index.Options{Samples: samples, Seed: seed})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: samples, Seed: seed}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestComputeFromSetSupersetEffect(t *testing.T) {
 func TestComputeAllMatchesSingle(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 150, 16)
-	all := ComputeAll(x, Options{Workers: 3})
+	all := computeAll(t, x, Options{Workers: 3})
 	if len(all) != g.NumNodes() {
 		t.Fatalf("got %d results", len(all))
 	}
@@ -191,8 +193,8 @@ func TestComputeAllMatchesSingle(t *testing.T) {
 func TestComputeAllWorkerCountInvariant(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 100, 17)
-	a := ComputeAll(x, Options{Workers: 1, CostSamples: 50, CostSeed: 3})
-	b := ComputeAll(x, Options{Workers: 4, CostSamples: 50, CostSeed: 3})
+	a := computeAll(t, x, Options{Workers: 1, CostSamples: 50, CostSeed: 3})
+	b := computeAll(t, x, Options{Workers: 4, CostSamples: 50, CostSeed: 3})
 	for v := range a {
 		if !equal(a[v].Set, b[v].Set) || a[v].ExpectedCost != b[v].ExpectedCost {
 			t.Fatalf("node %d: parallel results differ", v)
@@ -206,7 +208,7 @@ func TestEstimateCostUnreachableSet(t *testing.T) {
 	b.AddEdge(0, 1, 0.5)
 	b.AddEdge(2, 3, 0.5)
 	g := b.MustBuild()
-	got := EstimateCost(g, []graph.NodeID{0}, []graph.NodeID{2, 3}, 500, 18)
+	got := estimateCost(t, g, []graph.NodeID{0}, []graph.NodeID{2, 3}, 500, 18)
 	if got != 1 {
 		t.Fatalf("cost = %v, want 1", got)
 	}
@@ -219,11 +221,11 @@ func TestEstimateCostLineExact(t *testing.T) {
 	b.AddEdge(0, 1, 0.3)
 	g := b.MustBuild()
 	const trials = 200000
-	got0 := EstimateCost(g, []graph.NodeID{0}, []graph.NodeID{0}, trials, 19)
+	got0 := estimateCost(t, g, []graph.NodeID{0}, []graph.NodeID{0}, trials, 19)
 	if want := 0.3 / 2; math.Abs(got0-want) > 0.005 {
 		t.Fatalf("ρ({0}) = %v, want ~%v", got0, want)
 	}
-	got01 := EstimateCost(g, []graph.NodeID{0}, []graph.NodeID{0, 1}, trials, 20)
+	got01 := estimateCost(t, g, []graph.NodeID{0}, []graph.NodeID{0, 1}, trials, 20)
 	if want := 0.7 / 2; math.Abs(got01-want) > 0.005 {
 		t.Fatalf("ρ({0,1}) = %v, want ~%v", got01, want)
 	}
@@ -264,7 +266,7 @@ func TestQuickMedianCostAtMostOne(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x, err := index.Build(g, index.Options{Samples: 20, Seed: seed})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 20, Seed: seed}, checkpoint.Config{})
 		if err != nil {
 			return false
 		}
@@ -310,7 +312,7 @@ func BenchmarkComputeTypicalCascade(b *testing.B) {
 		}
 	}
 	g := bb.MustBuild()
-	x, err := index.Build(g, index.Options{Samples: 200, Seed: 1})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 200, Seed: 1}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,4 +335,24 @@ func TestPrefixRefinedNeverWorseThanPrefix(t *testing.T) {
 	if MedianPrefixRefined.String() != "prefix+refine" {
 		t.Fatal("label wrong")
 	}
+}
+
+// computeAll is the plain all-nodes sweep.
+func computeAll(tb testing.TB, x *index.Index, opts Options) []Result {
+	tb.Helper()
+	out, err := ComputeAll(context.Background(), x, opts, checkpoint.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// estimateCost is the plain IC held-out cost estimate.
+func estimateCost(tb testing.TB, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64) float64 {
+	tb.Helper()
+	cost, _, err := EstimateCost(context.Background(), g, seeds, set, samples, seed, index.IC, checkpoint.Budget{}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cost
 }

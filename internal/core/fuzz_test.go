@@ -11,7 +11,7 @@ import (
 // exactly, so nothing the checksum vouched for was dropped or reinterpreted.
 func FuzzLoadSpheres(f *testing.F) {
 	g := paperGraph(f)
-	results := ComputeAll(buildIndex(f, g, 30, 41), Options{CostSamples: 40, CostSeed: 42})
+	results := computeAll(f, buildIndex(f, g, 30, 41), Options{CostSamples: 40, CostSeed: 42})
 	var buf bytes.Buffer
 	if err := SaveSpheres(&buf, results); err != nil {
 		f.Fatal(err)

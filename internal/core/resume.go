@@ -2,126 +2,16 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"soi/internal/checkpoint"
-	"soi/internal/fault"
-	"soi/internal/graph"
 	"soi/internal/index"
-	"soi/internal/pool"
-	"soi/internal/rng"
 )
 
-// ComputeAllResumable is ComputeAllCtx under the crash-safe execution layer:
-// each node's computed sphere is periodically checkpointed, so a crash,
-// OOM-kill, cancellation, or deadline loses at most one flush interval of
-// the sweep. The checkpoint is keyed on the index *contents* (plus the
-// options), so resuming against a different index is rejected as stale. A
-// rerun with the same index and options produces spheres bit-identical to an
-// uninterrupted sweep — each node's computation depends only on the index
-// and its own derived cost seed.
-//
-// With cfg.Budget.Deadline set, the sweep stops when the deadline nears and
-// returns the partial result with a *checkpoint.PartialError: results are
-// still indexed by node id, and nodes that were not reached have a nil Seeds
-// field (callers report or skip them); the checkpoint is kept so a later run
-// finishes the rest.
-func ComputeAllResumable(ctx context.Context, x *index.Index, opts Options, cfg checkpoint.Config) ([]Result, error) {
-	n := x.Graph().NumNodes()
-	out := make([]Result, n)
-
-	encode := func(done *checkpoint.Bitmap) ([]byte, error) {
-		var buf bytes.Buffer
-		for v := 0; v < n; v++ {
-			if !done.Get(v) {
-				continue
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(v)); err != nil {
-				return nil, err
-			}
-			if err := writeResult(&buf, &out[v]); err != nil {
-				return nil, err
-			}
-		}
-		return buf.Bytes(), nil
-	}
-
-	r, st, err := checkpoint.Start(cfg, sweepFingerprint(x, opts), n, encode)
-	if err != nil {
-		return nil, err
-	}
-	resumed := checkpoint.NewBitmap(n)
-	if st != nil {
-		if err := decodeSweepPayload(st, n, out); err != nil {
-			r.Abort()
-			return nil, err
-		}
-		resumed = st.Done
-	}
-
-	workers := pool.Workers(opts.Workers, n)
-	scratches := make([]*index.Scratch, workers)
-	if opts.Telemetry == nil {
-		opts.Telemetry = cfg.Telemetry
-	}
-	tel := telemetryFor(x, opts)
-	m := newMetricsSet(tel)
-	sp := tel.StartSpan("core.compute_all")
-	runErr := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
-		func(worker, task int) error {
-			if resumed.Get(task) {
-				return nil
-			}
-			if err := r.Gate(); err != nil {
-				return err
-			}
-			s := scratches[worker]
-			if s == nil {
-				s = x.NewScratch()
-				scratches[worker] = s
-			}
-			v := graph.NodeID(task)
-			o := opts
-			if o.CostSamples > 0 {
-				o.CostSeed = rng.Mix64(opts.CostSeed ^ uint64(v))
-			}
-			out[v] = computeWithScratch(x, []graph.NodeID{v}, o, s, m)
-			sp.AddUnits(1)
-			r.MarkDone(task, nil)
-			return nil
-		})
-	sp.End()
-
-	switch {
-	case runErr == nil:
-		if ferr := r.Finish(true); ferr != nil {
-			return nil, ferr
-		}
-		return out, nil
-	case errors.Is(runErr, checkpoint.ErrDeadline):
-		if ferr := r.Finish(false); ferr != nil && fault.IsKilled(ferr) {
-			return nil, ferr
-		}
-		outcome := r.Partial(n)
-		if !errors.Is(outcome, checkpoint.ErrPartial) {
-			return nil, outcome
-		}
-		return out, outcome
-	case fault.IsKilled(runErr):
-		r.Abort()
-		return nil, runErr
-	default:
-		r.Finish(false)
-		return nil, runErr
-	}
-}
-
-// sweepFingerprint keys ComputeAllResumable checkpoints on the index
+// sweepFingerprint keys ComputeAll checkpoints on the index
 // contents and every option that affects the computed spheres.
 func sweepFingerprint(x *index.Index, opts Options) uint64 {
 	return checkpoint.NewHasher().
@@ -134,27 +24,34 @@ func sweepFingerprint(x *index.Index, opts Options) uint64 {
 		Sum()
 }
 
-// writeResult serializes one node's sphere for the checkpoint payload: the
-// sorted set, both cost estimates, and the timing fields (so a resumed sweep
-// reports the original computation's timings, not zeros).
-func writeResult(w io.Writer, res *Result) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(res.Set))); err != nil {
-		return err
-	}
-	if len(res.Set) > 0 {
-		if err := binary.Write(w, binary.LittleEndian, res.Set); err != nil {
-			return err
+// encodeSweepPayload is ComputeAll's checkpoint payload: for every node
+// marked in done, its id, its sphere record (the store's writeSphereRecord),
+// and the two timing fields — so a resumed sweep reports the original
+// computation's timings, not zeros.
+func encodeSweepPayload(out []Result, done *checkpoint.Bitmap) ([]byte, error) {
+	var buf bytes.Buffer
+	for v := range out {
+		if !done.Get(v) {
+			continue
+		}
+		if err := binary.Write(&buf, binary.LittleEndian, uint32(v)); err != nil {
+			return nil, err
+		}
+		if err := writeSphereRecord(&buf, &out[v]); err != nil {
+			return nil, err
+		}
+		timings := []int64{int64(out[v].MedianTime), int64(out[v].CostTime)}
+		if err := binary.Write(&buf, binary.LittleEndian, timings); err != nil {
+			return nil, err
 		}
 	}
-	for _, v := range []any{res.SampleCost, res.ExpectedCost, int64(res.MedianTime), int64(res.CostTime)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return buf.Bytes(), nil
 }
 
 // decodeSweepPayload restores completed spheres from a checkpoint payload.
+// Each record passes the sphere store's validation (readSphereRecord), so a
+// resumed sweep returns only spheres the store would accept; any failure is
+// checkpoint.ErrCorrupt.
 func decodeSweepPayload(st *checkpoint.State, n int, out []Result) error {
 	br := bytes.NewReader(st.Payload)
 	seen := 0
@@ -168,34 +65,19 @@ func decodeSweepPayload(st *checkpoint.State, n int, out []Result) error {
 		if int(id) >= n || !st.Done.Get(int(id)) {
 			return fmt.Errorf("%w: sweep payload names node %d outside the done bitmap", checkpoint.ErrCorrupt, id)
 		}
-		var setLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &setLen); err != nil {
-			return fmt.Errorf("%w: sweep payload node %d: %v", checkpoint.ErrCorrupt, id, err)
+		res, err := readSphereRecord(br, id, uint32(n))
+		if err != nil {
+			return fmt.Errorf("%w: sweep payload: %v", checkpoint.ErrCorrupt, err)
 		}
-		if int(setLen) > n {
-			return fmt.Errorf("%w: sweep payload node %d sphere size %d exceeds node count", checkpoint.ErrCorrupt, id, setLen)
+		timings := make([]int64, 2)
+		if err := binary.Read(br, binary.LittleEndian, timings); err != nil {
+			return fmt.Errorf("%w: sweep payload node %d timings: %v", checkpoint.ErrCorrupt, id, err)
 		}
-		set := make([]graph.NodeID, setLen)
-		if setLen > 0 {
-			if err := binary.Read(br, binary.LittleEndian, set); err != nil {
-				return fmt.Errorf("%w: sweep payload node %d set: %v", checkpoint.ErrCorrupt, id, err)
-			}
+		if timings[0] < 0 || timings[1] < 0 {
+			return fmt.Errorf("%w: sweep payload node %d has negative timings", checkpoint.ErrCorrupt, id)
 		}
-		var sampleCost, expectedCost float64
-		var medianNS, costNS int64
-		for _, p := range []any{&sampleCost, &expectedCost, &medianNS, &costNS} {
-			if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-				return fmt.Errorf("%w: sweep payload node %d costs: %v", checkpoint.ErrCorrupt, id, err)
-			}
-		}
-		out[id] = Result{
-			Seeds:        []graph.NodeID{graph.NodeID(id)},
-			Set:          set,
-			SampleCost:   sampleCost,
-			ExpectedCost: expectedCost,
-			MedianTime:   time.Duration(medianNS),
-			CostTime:     time.Duration(costNS),
-		}
+		res.MedianTime, res.CostTime = time.Duration(timings[0]), time.Duration(timings[1])
+		out[id] = res
 		seen++
 	}
 	if seen != st.Done.Count() {

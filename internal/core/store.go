@@ -60,18 +60,7 @@ func SaveSpheres(w io.Writer, results []Result) error {
 		if len(r.Seeds) != 1 || r.Seeds[0] != graph.NodeID(v) {
 			return fmt.Errorf("core: result %d is not the single-source sphere of node %d", v, v)
 		}
-		if err := binary.Write(body, binary.LittleEndian, uint32(len(r.Set))); err != nil {
-			return err
-		}
-		if len(r.Set) > 0 {
-			if err := binary.Write(body, binary.LittleEndian, r.Set); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(body, binary.LittleEndian, r.SampleCost); err != nil {
-			return err
-		}
-		if err := binary.Write(body, binary.LittleEndian, r.ExpectedCost); err != nil {
+		if err := writeSphereRecord(body, r); err != nil {
 			return err
 		}
 	}
@@ -137,50 +126,78 @@ func loadSphereBody(br io.Reader) ([]Result, error) {
 	// corrupted count fails on the first missing record instead of OOMing.
 	out := make([]Result, 0, min32(n, 1<<16))
 	for v := uint32(0); v < n; v++ {
-		var setLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &setLen); err != nil {
+		res, err := readSphereRecord(br, v, n)
+		if err != nil {
 			return nil, err
 		}
-		if setLen > n {
-			return nil, fmt.Errorf("core: node %d sphere size %d exceeds node count", v, setLen)
-		}
-		set := make([]graph.NodeID, 0, min32(setLen, 1<<14))
-		prev := graph.NodeID(-1)
-		for j := uint32(0); j < setLen; j++ {
-			var e graph.NodeID
-			if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-				return nil, err
-			}
-			if e < 0 || uint32(e) >= n {
-				return nil, fmt.Errorf("core: node %d sphere contains out-of-range member %d", v, e)
-			}
-			if e <= prev {
-				return nil, fmt.Errorf("core: node %d sphere not strictly sorted", v)
-			}
-			prev = e
-			set = append(set, e)
-		}
-		var sampleCost, expectedCost float64
-		if err := binary.Read(br, binary.LittleEndian, &sampleCost); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &expectedCost); err != nil {
-			return nil, err
-		}
-		if math.IsNaN(sampleCost) || sampleCost < 0 || sampleCost > 1 {
-			return nil, fmt.Errorf("core: node %d has invalid sample cost %v", v, sampleCost)
-		}
-		if math.IsNaN(expectedCost) || expectedCost < -1 || expectedCost > 1 {
-			return nil, fmt.Errorf("core: node %d has invalid expected cost %v", v, expectedCost)
-		}
-		out = append(out, Result{
-			Seeds:        []graph.NodeID{graph.NodeID(v)},
-			Set:          set,
-			SampleCost:   sampleCost,
-			ExpectedCost: expectedCost,
-		})
+		out = append(out, res)
 	}
 	return out, nil
+}
+
+// writeSphereRecord writes node v's sphere record — the layout's per-node
+// part: the set's length, its members, and both cost estimates. The store
+// and ComputeAll's checkpoint payload share it.
+func writeSphereRecord(w io.Writer, r *Result) error {
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(r.Set))); err != nil {
+		return err
+	}
+	if len(r.Set) > 0 {
+		if err := binary.Write(w, binary.LittleEndian, r.Set); err != nil {
+			return err
+		}
+	}
+	return binary.Write(w, binary.LittleEndian, []float64{r.SampleCost, r.ExpectedCost})
+}
+
+// readSphereRecord reads and validates node v's sphere record in an n-node
+// graph: members must be in range and strictly ascending, the sample cost in
+// [0, 1], and the expected cost in [-1, 1]. The store and ComputeAll's
+// checkpoint payload share it, so a resumed sweep can only return spheres
+// the store accepts.
+func readSphereRecord(br io.Reader, v, n uint32) (Result, error) {
+	var setLen uint32
+	if err := binary.Read(br, binary.LittleEndian, &setLen); err != nil {
+		return Result{}, err
+	}
+	if setLen > n {
+		return Result{}, fmt.Errorf("core: node %d sphere size %d exceeds node count", v, setLen)
+	}
+	// Never trust the header for large allocations: grow incrementally so a
+	// corrupted length fails on the first missing member instead of OOMing.
+	set := make([]graph.NodeID, 0, min32(setLen, 1<<14))
+	prev := graph.NodeID(-1)
+	for j := uint32(0); j < setLen; j++ {
+		var e graph.NodeID
+		if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
+			return Result{}, err
+		}
+		if e < 0 || uint32(e) >= n {
+			return Result{}, fmt.Errorf("core: node %d sphere contains out-of-range member %d", v, e)
+		}
+		if e <= prev {
+			return Result{}, fmt.Errorf("core: node %d sphere not strictly sorted", v)
+		}
+		prev = e
+		set = append(set, e)
+	}
+	costs := make([]float64, 2)
+	if err := binary.Read(br, binary.LittleEndian, costs); err != nil {
+		return Result{}, err
+	}
+	sampleCost, expectedCost := costs[0], costs[1]
+	if math.IsNaN(sampleCost) || sampleCost < 0 || sampleCost > 1 {
+		return Result{}, fmt.Errorf("core: node %d has invalid sample cost %v", v, sampleCost)
+	}
+	if math.IsNaN(expectedCost) || expectedCost < -1 || expectedCost > 1 {
+		return Result{}, fmt.Errorf("core: node %d has invalid expected cost %v", v, expectedCost)
+	}
+	return Result{
+		Seeds:        []graph.NodeID{graph.NodeID(v)},
+		Set:          set,
+		SampleCost:   sampleCost,
+		ExpectedCost: expectedCost,
+	}, nil
 }
 
 func min32(a, b uint32) uint32 {

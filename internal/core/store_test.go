@@ -12,7 +12,7 @@ import (
 func TestSphereStoreRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 200, 31)
-	results := ComputeAll(x, Options{CostSamples: 100, CostSeed: 32})
+	results := computeAll(t, x, Options{CostSamples: 100, CostSeed: 32})
 
 	var buf bytes.Buffer
 	if err := SaveSpheres(&buf, results); err != nil {
@@ -42,7 +42,7 @@ func TestSphereStoreRoundTrip(t *testing.T) {
 func TestSphereStoreFile(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 50, 33)
-	results := ComputeAll(x, Options{})
+	results := computeAll(t, x, Options{})
 	path := t.TempDir() + "/spheres.bin"
 	if err := SaveSpheresFile(path, results); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestSaveSpheresRejectsNonCanonical(t *testing.T) {
 func TestLoadSpheresDetectsEveryBitFlip(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 30, 36)
-	results := ComputeAll(x, Options{CostSamples: 50, CostSeed: 37})
+	results := computeAll(t, x, Options{CostSamples: 50, CostSeed: 37})
 	var buf bytes.Buffer
 	if err := SaveSpheres(&buf, results); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestLoadSpheresDetectsEveryBitFlip(t *testing.T) {
 func TestLoadSpheresRejectsCorruption(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 30, 34)
-	results := ComputeAll(x, Options{})
+	results := computeAll(t, x, Options{})
 	var buf bytes.Buffer
 	if err := SaveSpheres(&buf, results); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestLoadSpheresRejectsCorruption(t *testing.T) {
 func TestRepairSpheresFile(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 50, 35)
-	results := ComputeAll(x, Options{})
+	results := computeAll(t, x, Options{})
 	dir := t.TempDir()
 	src := dir + "/spheres.bin"
 	if err := SaveSpheresFile(src, results); err != nil {

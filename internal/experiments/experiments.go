@@ -145,7 +145,7 @@ func (c *Config) errw() io.Writer {
 }
 
 // buildResumable is the checkpoint/budget-aware index build behind every
-// experiment. With no CheckpointDir and a zero Budget it is exactly BuildCtx.
+// experiment. With no CheckpointDir and a zero Budget it is the plain build.
 // Checkpoint files are keyed by the build fingerprint, so the many distinct
 // (dataset, world-tag, ℓ) builds of one experiment run never collide and a
 // changed configuration starts fresh instead of resuming stale state.
@@ -158,7 +158,7 @@ func (c *Config) buildResumable(g *graph.Graph, opts index.Options) (*index.Inde
 			fmt.Fprintf(c.errw(), "experiments: resumed index build from %s: %d/%d worlds already sampled\n", cfg.Path, done, total)
 		}
 	}
-	x, err := index.BuildResumable(c.ctx(), g, opts, cfg)
+	x, err := index.Build(c.ctx(), g, opts, cfg)
 	var pe *checkpoint.PartialError
 	if errors.As(err, &pe) {
 		fmt.Fprintf(c.errw(), "experiments: partial index: deadline reached after %d/%d worlds (±%.4f error bound); continuing degraded\n",
@@ -182,7 +182,7 @@ func (c *Config) mcOptions() infmax.MCOptions {
 
 // stdMC runs the paper's InfMax_std (Monte-Carlo CELF greedy).
 func (c *Config) stdMC(g *graph.Graph) (infmax.Selection, error) {
-	return infmax.StdMC(g, c.K, c.mcOptions())
+	return infmax.StdMC(c.ctx(), g, c.K, c.mcOptions())
 }
 
 // Runner dispatches an experiment by its paper identifier.
@@ -241,11 +241,14 @@ func Extensions() []string {
 
 // spheresAndResults computes all typical cascades for a dataset and adapts
 // them for the max-cover method.
-func spheresAndResults(x *index.Index, costSamples int, seed uint64) ([]core.Result, infmax.Spheres) {
-	results := core.ComputeAll(x, core.Options{CostSamples: costSamples, CostSeed: seed})
+func (c *Config) spheresAndResults(x *index.Index, costSamples int, seed uint64) ([]core.Result, infmax.Spheres, error) {
+	results, err := core.ComputeAll(c.ctx(), x, core.Options{CostSamples: costSamples, CostSeed: seed}, checkpoint.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
 	spheres := make(infmax.Spheres, len(results))
 	for v := range results {
 		spheres[v] = results[v].Set
 	}
-	return results, spheres
+	return results, spheres, nil
 }

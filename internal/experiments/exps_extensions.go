@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -48,19 +49,22 @@ func ExtLT(cfg Config) ([]ExtLTRow, error) {
 		}
 		row := ExtLTRow{Dataset: d.Name}
 		for _, model := range []index.Model{index.IC, index.LT} {
-			x, err := index.Build(d.Graph, index.Options{
+			x, err := index.Build(cfg.ctx(), d.Graph, index.Options{
 				Samples: cfg.Samples,
 				Seed:    cfg.Seed ^ methodWorldTag,
 				Model:   model,
-			})
+			}, checkpoint.Config{})
 			if err != nil {
 				return nil, err
 			}
-			results := core.ComputeAll(x, core.Options{
+			results, err := core.ComputeAll(cfg.ctx(), x, core.Options{
 				CostSamples: cfg.EvalSamples,
 				CostSeed:    cfg.Seed,
 				Model:       model,
-			})
+			}, checkpoint.Config{})
+			if err != nil {
+				return nil, err
+			}
 			var sizeSum, costSum float64
 			for i := range results {
 				sizeSum += float64(results[i].Size())
@@ -111,7 +115,10 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres, err := cfg.spheresAndResults(x, 0, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		run := func(m string) (infmax.Selection, error) {
 			switch m {
 			case "tc":
@@ -121,7 +128,7 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 			case "std-celf++":
 				return infmax.StdCELFpp(x, cfg.K)
 			case "rr":
-				return infmax.RR(d.Graph, cfg.K, infmax.RROptions{Sets: 20 * cfg.Samples, Seed: cfg.Seed})
+				return infmax.RR(cfg.ctx(), d.Graph, cfg.K, infmax.RROptions{Sets: 20 * cfg.Samples, Seed: cfg.Seed}, checkpoint.Config{})
 			case "degree":
 				return infmax.Degree(d.Graph, cfg.K)
 			default:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -73,7 +74,10 @@ func fig6One(cfg Config, name string, g *graph.Graph) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, spheres := spheresAndResults(x, 0, cfg.Seed)
+	_, spheres, err := cfg.spheresAndResults(x, 0, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	tcSel, err := infmax.TC(context.Background(), g, spheres, cfg.K, infmax.TCOptions{})
 	if err != nil {
 		return nil, err
@@ -169,7 +173,10 @@ func Fig7(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres, err := cfg.spheresAndResults(x, 0, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		ptsTC, _, err := infmax.SaturationTC(d.Graph, spheres, cfg.K, rank)
 		if err != nil {
 			return nil, err
@@ -239,7 +246,10 @@ func Fig8(cfg Config) ([]Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres, err := cfg.spheresAndResults(x, 0, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		tcSel, err := infmax.TC(context.Background(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 		if err != nil {
 			return nil, err
@@ -250,11 +260,15 @@ func Fig8(cfg Config) ([]Fig8Result, error) {
 		}
 		res := Fig8Result{Dataset: d.Name}
 		for _, k := range fig8Checkpoints(min(len(stdSel.Seeds), len(tcSel.Seeds))) {
-			res.Points = append(res.Points, Fig8Point{
-				K:       k,
-				CostStd: seedSetStability(eval, d.Graph, stdSel.Seeds[:k], cfg),
-				CostTC:  seedSetStability(eval, d.Graph, tcSel.Seeds[:k], cfg),
-			})
+			costStd, err := seedSetStability(eval, d.Graph, stdSel.Seeds[:k], cfg)
+			if err != nil {
+				return nil, err
+			}
+			costTC, err := seedSetStability(eval, d.Graph, tcSel.Seeds[:k], cfg)
+			if err != nil {
+				return nil, err
+			}
+			res.Points = append(res.Points, Fig8Point{K: k, CostStd: costStd, CostTC: costTC})
 		}
 		out = append(out, res)
 		tbl := stats.NewTable("k", "cost InfMax_std", "cost InfMax_TC")
@@ -268,9 +282,11 @@ func Fig8(cfg Config) ([]Fig8Result, error) {
 
 // seedSetStability computes the typical cascade of the seed set on the
 // evaluation index and estimates its expected cost on fresh cascades.
-func seedSetStability(eval *index.Index, g *graph.Graph, seeds []graph.NodeID, cfg Config) float64 {
+func seedSetStability(eval *index.Index, g *graph.Graph, seeds []graph.NodeID, cfg Config) (float64, error) {
 	res := core.ComputeFromSet(eval, seeds, core.Options{})
-	return core.EstimateCost(g, seeds, res.Set, cfg.EvalSamples, cfg.Seed^0xF168)
+	cost, _, err := core.EstimateCost(cfg.ctx(), g, seeds, res.Set, cfg.EvalSamples, cfg.Seed^0xF168,
+		index.IC, checkpoint.Budget{}, nil)
+	return cost, err
 }
 
 func min(a, b int) int {
@@ -309,7 +325,10 @@ func Fig7Shared(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, spheres := spheresAndResults(x, 0, cfg.Seed)
+		_, spheres, err := cfg.spheresAndResults(x, 0, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		ptsTC, _, err := infmax.SaturationTC(d.Graph, spheres, cfg.K, rank)
 		if err != nil {
 			return nil, err

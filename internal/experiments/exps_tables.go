@@ -118,7 +118,10 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, _ := spheresAndResults(x, 0, cfg.Seed)
+		results, _, err := cfg.spheresAndResults(x, 0, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		sizes := make([]float64, len(results))
 		for i := range results {
 			sizes[i] = float64(results[i].Size())

@@ -38,7 +38,10 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 			return nil, err
 		}
 		var total float64
-		results, _ := spheresAndResults(x, cfg.EvalSamples, cfg.Seed)
+		results, _, err := cfg.spheresAndResults(x, cfg.EvalSamples, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		medTimes := make([]float64, len(results))
 		costTimes := make([]float64, len(results))
 		for i := range results {
@@ -97,7 +100,10 @@ func Fig5(cfg Config) ([]Fig5Bucket, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, _ := spheresAndResults(x, cfg.EvalSamples, cfg.Seed)
+		results, _, err := cfg.spheresAndResults(x, cfg.EvalSamples, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		sizes := make([]float64, len(results))
 		costs := make([]float64, len(results))
 		for i := range results {

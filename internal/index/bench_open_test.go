@@ -1,10 +1,12 @@
 package index
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -13,7 +15,7 @@ import (
 func benchIndexFile(b *testing.B) (string, *graph.Graph) {
 	b.Helper()
 	g := randomGraph(b, 3, 2000, 10000)
-	x, err := Build(g, Options{Samples: 256, Seed: 4})
+	x, err := Build(context.Background(), g, Options{Samples: 256, Seed: 4}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"soi/internal/checkpoint"
 )
 
 // awaitGoroutineBaseline asserts the goroutine count settles back to the
@@ -25,13 +27,13 @@ func TestBuildCtxPreCanceled(t *testing.T) {
 	g := randomGraph(t, 120, 30, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildCtx(ctx, g, Options{Samples: 8, Seed: 121}); !errors.Is(err, context.Canceled) {
+	if _, err := Build(ctx, g, Options{Samples: 8, Seed: 121}, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestBuildCtxCancellationPrompt starts a build that would run for a very
-// long time, cancels it mid-flight, and requires BuildCtx to return promptly
+// long time, cancels it mid-flight, and requires Build to return promptly
 // with context.Canceled and without leaking worker goroutines.
 func TestBuildCtxCancellationPrompt(t *testing.T) {
 	g := randomGraph(t, 122, 500, 5000)
@@ -42,12 +44,12 @@ func TestBuildCtxCancellationPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := BuildCtx(ctx, g, Options{Samples: 1 << 16, Seed: 123})
+	_, err := Build(ctx, g, Options{Samples: 1 << 16, Seed: 123}, checkpoint.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("BuildCtx returned %v after cancellation", d)
+		t.Fatalf("Build returned %v after cancellation", d)
 	}
 	awaitGoroutineBaseline(t, before)
 }

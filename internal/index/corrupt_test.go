@@ -2,8 +2,10 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/rng"
 )
 
@@ -13,7 +15,7 @@ import (
 // checks is out of scope: keep graph and index files paired.)
 func TestReadSurvivesRandomCorruption(t *testing.T) {
 	g := randomGraph(t, 111, 40, 160)
-	x, err := Build(g, Options{Samples: 4, Seed: 112, TransitiveReduction: true})
+	x, err := Build(context.Background(), g, Options{Samples: 4, Seed: 112, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestReadSurvivesRandomCorruption(t *testing.T) {
 // OpenMmap behavior, tested separately.
 func TestReadDetectsEveryBitFlip(t *testing.T) {
 	g := randomGraph(t, 116, 12, 40)
-	x, err := Build(g, Options{Samples: 2, Seed: 117})
+	x, err := Build(context.Background(), g, Options{Samples: 2, Seed: 117}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestReadDetectsEveryBitFlip(t *testing.T) {
 // artifact and the reader disagree about its structure.
 func TestReadRejectsTrailingData(t *testing.T) {
 	g := randomGraph(t, 116, 12, 40)
-	x, err := Build(g, Options{Samples: 2, Seed: 117})
+	x, err := Build(context.Background(), g, Options{Samples: 2, Seed: 117}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestReadRejectsTrailingData(t *testing.T) {
 // TestReadSurvivesTruncation checks every truncation point fails cleanly.
 func TestReadSurvivesTruncation(t *testing.T) {
 	g := randomGraph(t, 114, 20, 60)
-	x, err := Build(g, Options{Samples: 2, Seed: 115})
+	x, err := Build(context.Background(), g, Options{Samples: 2, Seed: 115}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,17 @@
 package index
 
 import (
+	"context"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 )
 
 func TestCoverageMatchesCascadeSizes(t *testing.T) {
 	g := randomGraph(t, 21, 60, 240)
-	x, err := Build(g, Options{Samples: 10, Seed: 5, TransitiveReduction: true})
+	x, err := Build(context.Background(), g, Options{Samples: 10, Seed: 5, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestCoverageMatchesCascadeSizes(t *testing.T) {
 
 func TestCoverageGainZeroWhenCovered(t *testing.T) {
 	g := randomGraph(t, 22, 30, 120)
-	x, err := Build(g, Options{Samples: 5, Seed: 6})
+	x, err := Build(context.Background(), g, Options{Samples: 5, Seed: 6}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestCoverageGainZeroWhenCovered(t *testing.T) {
 
 func TestCoverageReset(t *testing.T) {
 	g := randomGraph(t, 23, 30, 120)
-	x, err := Build(g, Options{Samples: 5, Seed: 7})
+	x, err := Build(context.Background(), g, Options{Samples: 5, Seed: 7}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -15,7 +17,7 @@ import (
 func fsckFixture(t *testing.T) (string, []byte, []blockfile.BlockInfo, *graph.Graph) {
 	t.Helper()
 	g := randomGraph(t, 161, 25, 90)
-	x, err := Build(g, Options{Samples: 6, Seed: 162})
+	x, err := Build(context.Background(), g, Options{Samples: 6, Seed: 162}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -15,7 +17,7 @@ import (
 // must answer queries, write back out, and read back to the same cascades.
 func FuzzRead(f *testing.F) {
 	g := randomGraph(f, 141, 12, 40)
-	x, err := Build(g, Options{Samples: 2, Seed: 142})
+	x, err := Build(context.Background(), g, Options{Samples: 2, Seed: 142}, checkpoint.Config{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func FuzzRead(f *testing.F) {
 // world either served or quarantined.
 func FuzzReadV03(f *testing.F) {
 	g := randomGraph(f, 151, 12, 40)
-	x, err := Build(g, Options{Samples: 3, Seed: 152})
+	x, err := Build(context.Background(), g, Options{Samples: 3, Seed: 152}, checkpoint.Config{})
 	if err != nil {
 		f.Fatal(err)
 	}

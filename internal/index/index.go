@@ -14,12 +14,14 @@ package index
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/pool"
 	"soi/internal/rng"
@@ -118,18 +120,25 @@ func (x *Index) SetTelemetry(reg *telemetry.Registry) { x.tel = reg }
 // nil means unmetered.
 func (x *Index) Telemetry() *telemetry.Registry { return x.tel }
 
-// Build samples opts.Samples possible worlds of g and indexes them. It is
-// BuildCtx under context.Background().
-func Build(g *graph.Graph, opts Options) (*Index, error) {
-	return BuildCtx(context.Background(), g, opts)
-}
-
-// BuildCtx is Build with cooperative cancellation: worker goroutines check
-// ctx between worlds, so a canceled or expired context makes BuildCtx return
-// ctx.Err() promptly instead of finishing all ℓ worlds. A panic in a worker
-// is recovered and returned as a *pool.PanicError rather than crashing the
-// process.
-func BuildCtx(ctx context.Context, g *graph.Graph, opts Options) (*Index, error) {
+// Build samples opts.Samples possible worlds of g and indexes them. Worker
+// goroutines check ctx between worlds, so a canceled or expired context
+// makes Build return ctx.Err() promptly instead of finishing all ℓ worlds;
+// a panic in a worker is recovered and returned as a *pool.PanicError
+// rather than crashing the process.
+//
+// cfg puts the build under the crash-safe execution layer; its zero value
+// is the plain build. With cfg.Path set, completed worlds are periodically
+// checkpointed (atomically, off the worker hot path), so a crash, OOM-kill,
+// cancellation, or deadline loses at most one flush interval of work. A
+// rerun with the same graph, options, and checkpoint path resumes from the
+// bitmap of completed worlds and — because world i depends only on its own
+// split generator — produces an index bit-identical to an uninterrupted
+// build. The checkpoint is deleted only when every world completes.
+//
+// With cfg.Budget.Deadline set, the build stops sampling when the deadline
+// nears and returns a partial index over the completed worlds together with
+// a *checkpoint.PartialError (errors.Is(err, checkpoint.ErrPartial)).
+func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Config) (*Index, error) {
 	if opts.Samples < 1 {
 		return nil, fmt.Errorf("index: Samples must be >= 1, got %d", opts.Samples)
 	}
@@ -141,8 +150,27 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts Options) (*Index, error)
 		// without synchronization.
 		g.Reverse()
 	}
+	// The registry can arrive on either options struct; the checkpoint Config
+	// is how cliutil threads it in.
+	if opts.Telemetry == nil {
+		opts.Telemetry = cfg.Telemetry
+	}
 
 	idx := &Index{g: g, entries: make([]worldEntry, opts.Samples), tel: opts.Telemetry}
+	r, st, err := checkpoint.Start(cfg, func() uint64 { return BuildFingerprint(g, opts) },
+		opts.Samples, idx.encodeWorlds)
+	if err != nil {
+		return nil, err
+	}
+	var resumed *checkpoint.Bitmap // nil: nothing resumed
+	if st != nil {
+		if err := decodeBuildPayload(st, uint32(g.NumNodes()), idx.entries); err != nil {
+			r.Abort()
+			return nil, err
+		}
+		resumed = st.Done
+	}
+
 	master := rng.New(opts.Seed)
 	// Pre-split generators so world i is reproducible regardless of the
 	// worker that processes it.
@@ -150,19 +178,28 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts Options) (*Index, error)
 	for i := range gens {
 		gens[i] = master.Split(uint64(i))
 	}
-
 	bm := newBuildMetrics(opts.Telemetry)
 	sp := opts.Telemetry.StartSpan("index.build")
-	defer sp.End()
-	err := pool.Run(ctx, opts.Samples,
+	runErr := pool.Run(ctx, opts.Samples,
 		pool.Options{Workers: opts.Workers, Progress: opts.Progress, Telemetry: opts.Telemetry},
 		func(_, i int) error {
+			if resumed.Get(i) {
+				return nil
+			}
+			if err := r.Gate(); err != nil {
+				return err
+			}
 			idx.entries[i] = buildEntry(g, gens[i], opts, bm)
 			sp.AddUnits(1)
+			r.MarkDone(i)
 			return nil
 		})
-	if err != nil {
-		return nil, err
+	sp.End()
+	if err := r.Settle(runErr); err != nil {
+		if !errors.Is(err, checkpoint.ErrPartial) {
+			return nil, err
+		}
+		return idx.compact(r.Snapshot()), err
 	}
 	return idx, nil
 }

@@ -2,9 +2,11 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/worlds"
@@ -38,18 +40,18 @@ func randomGraph(t testing.TB, seed uint64, n, m int) *graph.Graph {
 
 func TestBuildRejectsBadOptions(t *testing.T) {
 	g := paperGraph(t)
-	if _, err := Build(g, Options{Samples: 0}); err == nil {
+	if _, err := Build(context.Background(), g, Options{Samples: 0}, checkpoint.Config{}); err == nil {
 		t.Fatal("accepted Samples=0")
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
 	g := randomGraph(t, 1, 80, 300)
-	a, err := Build(g, Options{Samples: 8, Seed: 42, Workers: 4})
+	a, err := Build(context.Background(), g, Options{Samples: 8, Seed: 42, Workers: 4}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(g, Options{Samples: 8, Seed: 42, Workers: 1})
+	b, err := Build(context.Background(), g, Options{Samples: 8, Seed: 42, Workers: 1}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestCascadeMatchesDirectWorldReachability(t *testing.T) {
 	for _, tr := range []bool{false, true} {
 		g := randomGraph(t, 2, 60, 240)
 		const ell = 12
-		x, err := Build(g, Options{Samples: ell, Seed: 7, TransitiveReduction: tr})
+		x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 7, TransitiveReduction: tr}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +99,7 @@ func TestCascadeMatchesDirectWorldReachability(t *testing.T) {
 func TestCascadeFromSetMatchesDirect(t *testing.T) {
 	g := randomGraph(t, 3, 50, 200)
 	const ell = 8
-	x, err := Build(g, Options{Samples: ell, Seed: 11, TransitiveReduction: true})
+	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 11, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestCascadeFromSetMatchesDirect(t *testing.T) {
 
 func TestVisitCascadeCompsCoversCascade(t *testing.T) {
 	g := randomGraph(t, 4, 40, 160)
-	x, err := Build(g, Options{Samples: 6, Seed: 3})
+	x, err := Build(context.Background(), g, Options{Samples: 6, Seed: 3}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestVisitCascadeCompsCoversCascade(t *testing.T) {
 
 func TestCascadesCollection(t *testing.T) {
 	g := paperGraph(t)
-	x, err := Build(g, Options{Samples: 20, Seed: 1})
+	x, err := Build(context.Background(), g, Options{Samples: 20, Seed: 1}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +172,11 @@ func TestTransitiveReductionShrinksDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Build(gHigh, Options{Samples: 10, Seed: 9})
+	plain, err := Build(context.Background(), gHigh, Options{Samples: 10, Seed: 9}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := Build(gHigh, Options{Samples: 10, Seed: 9, TransitiveReduction: true})
+	reduced, err := Build(context.Background(), gHigh, Options{Samples: 10, Seed: 9, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestTransitiveReductionShrinksDAG(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	g := randomGraph(t, 12, 70, 280)
-	x, err := Build(g, Options{Samples: 9, Seed: 13, TransitiveReduction: true})
+	x, err := Build(context.Background(), g, Options{Samples: 9, Seed: 13, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 func TestSerializationRejectsCorruption(t *testing.T) {
 	g := randomGraph(t, 14, 30, 90)
-	x, err := Build(g, Options{Samples: 3, Seed: 1})
+	x, err := Build(context.Background(), g, Options{Samples: 3, Seed: 1}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestSerializationRejectsCorruption(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	g := randomGraph(t, 16, 25, 80)
-	x, err := Build(g, Options{Samples: 4, Seed: 2})
+	x, err := Build(context.Background(), g, Options{Samples: 4, Seed: 2}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +274,7 @@ func TestQuickIndexMatchesWorlds(t *testing.T) {
 		n := r.Intn(25) + 3
 		g := randomGraph(t, seed^0xABCD, n, 4*n)
 		const ell = 5
-		x, err := Build(g, Options{Samples: ell, Seed: seed, TransitiveReduction: seed%2 == 0})
+		x, err := Build(context.Background(), g, Options{Samples: ell, Seed: seed, TransitiveReduction: seed%2 == 0}, checkpoint.Config{})
 		if err != nil {
 			return false
 		}
@@ -317,7 +319,7 @@ func BenchmarkBuild1000Worlds(b *testing.B) {
 	g := randomGraph(b, 1, 2000, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, Options{Samples: 1000, Seed: 1}); err != nil {
+		if _, err := Build(context.Background(), g, Options{Samples: 1000, Seed: 1}, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +327,7 @@ func BenchmarkBuild1000Worlds(b *testing.B) {
 
 func BenchmarkCascadeExtraction(b *testing.B) {
 	g := randomGraph(b, 2, 2000, 10000)
-	x, err := Build(g, Options{Samples: 64, Seed: 1})
+	x, err := Build(context.Background(), g, Options{Samples: 64, Seed: 1}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/worlds"
@@ -35,7 +37,7 @@ func wcGraph(t testing.TB, seed uint64, n, m int) *graph.Graph {
 func TestLTIndexMatchesLTWorlds(t *testing.T) {
 	g := wcGraph(t, 61, 50, 200)
 	const ell = 10
-	x, err := Build(g, Options{Samples: ell, Seed: 62, Model: LT, TransitiveReduction: true})
+	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 62, Model: LT, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +65,11 @@ func TestLTIndexRejectsOverweight(t *testing.T) {
 	b.AddEdge(0, 2, 0.8)
 	b.AddEdge(1, 2, 0.8)
 	g := b.MustBuild()
-	if _, err := Build(g, Options{Samples: 5, Seed: 1, Model: LT}); err == nil {
+	if _, err := Build(context.Background(), g, Options{Samples: 5, Seed: 1, Model: LT}, checkpoint.Config{}); err == nil {
 		t.Fatal("accepted overweight LT graph")
 	}
 	// The same graph is fine under IC.
-	if _, err := Build(g, Options{Samples: 5, Seed: 1}); err != nil {
+	if _, err := Build(context.Background(), g, Options{Samples: 5, Seed: 1}, checkpoint.Config{}); err != nil {
 		t.Fatalf("IC rejected valid graph: %v", err)
 	}
 }
@@ -76,7 +78,7 @@ func TestLTIndexRejectsOverweight(t *testing.T) {
 // agree with direct threshold simulation.
 func TestLTSpreadMatchesDirectSimulation(t *testing.T) {
 	g := wcGraph(t, 63, 40, 160)
-	x, err := Build(g, Options{Samples: 4000, Seed: 64, Model: LT})
+	x, err := Build(context.Background(), g, Options{Samples: 4000, Seed: 64, Model: LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ import (
 //
 // The members CSR is rebuilt from comp at load time (cheaper than storing).
 // The record (writeEntry/readEntry) is shared with the checkpoint payload of
-// BuildResumable, so a partially built index checkpoints its completed
+// Build, so a partially built index checkpoints its completed
 // worlds in exactly the on-disk format.
 
 // castagnoli is the CRC32-C table shared by the index and sphere stores.

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"soi/internal/blockfile"
+	"soi/internal/checkpoint"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/telemetry"
@@ -19,7 +21,7 @@ import (
 func v3Fixture(t testing.TB, seed uint64, samples int) (*graph.Graph, *Index, string, []byte) {
 	t.Helper()
 	g := randomGraph(t, seed, 25, 90)
-	x, err := Build(g, Options{Samples: samples, Seed: seed + 1, TransitiveReduction: true})
+	x, err := Build(context.Background(), g, Options{Samples: samples, Seed: seed + 1, TransitiveReduction: true}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestOpenMmapMatchesEagerRead(t *testing.T) {
 func TestOneFingerprintPerIndex(t *testing.T) {
 	g := randomGraph(t, 281, 25, 90)
 	opts := Options{Samples: 5, Seed: 282, TransitiveReduction: true}
-	x, err := Build(g, opts)
+	x, err := Build(context.Background(), g, opts, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestOneFingerprintPerIndex(t *testing.T) {
 	if err := x.SaveFile(p); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Build(g, opts)
+	y, err := Build(context.Background(), g, opts, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -18,27 +19,27 @@ func preCanceled() context.Context {
 
 func TestStdMCCtxPreCanceled(t *testing.T) {
 	g := starChain(t)
-	if _, err := StdMCCtx(preCanceled(), g, 2, MCOptions{Trials: 50, Seed: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := StdMC(preCanceled(), g, 2, MCOptions{Trials: 50, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRRCtxPreCanceled(t *testing.T) {
 	g := starChain(t)
-	if _, err := RRCtx(preCanceled(), g, 2, RROptions{Sets: 500, Seed: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := RR(preCanceled(), g, 2, RROptions{Sets: 500, Seed: 2}, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRRAutoCtxPreCanceled(t *testing.T) {
 	g := starChain(t)
-	if _, _, err := RRAutoCtx(preCanceled(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 3}); !errors.Is(err, context.Canceled) {
+	if _, _, err := RRAuto(preCanceled(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestStdMCCtxCancellationPrompt cancels a Monte-Carlo greedy whose trial
-// budget would run for minutes and requires StdMCCtx to return promptly:
+// budget would run for minutes and requires StdMC to return promptly:
 // cancellation must be observed inside a single marginal-gain evaluation
 // (between simulation trials), not just between CELF rounds.
 func TestStdMCCtxCancellationPrompt(t *testing.T) {
@@ -54,12 +55,12 @@ func TestStdMCCtxCancellationPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := StdMCCtx(ctx, g, 2, MCOptions{Trials: 1 << 17, Seed: 4})
+	_, err := StdMC(ctx, g, 2, MCOptions{Trials: 1 << 17, Seed: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("StdMCCtx returned %v after cancellation", d)
+		t.Fatalf("StdMC returned %v after cancellation", d)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {

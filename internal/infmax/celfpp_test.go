@@ -1,9 +1,11 @@
 package infmax
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
+	"soi/internal/checkpoint"
 	"soi/internal/index"
 	"soi/internal/rng"
 )
@@ -84,7 +86,7 @@ func TestQuickCELFppEqualsCELF(t *testing.T) {
 		r := rng.New(seed)
 		n := r.Intn(25) + 5
 		g := randomGraph(t, seed^0xCAFE, n, 4*n, 0.1+0.3*r.Float64())
-		x, err := index.Build(g, index.Options{Samples: 10, Seed: seed})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 10, Seed: seed}, checkpoint.Config{})
 		if err != nil {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
@@ -94,7 +95,7 @@ func TestConformanceStdMCSeedQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := StdMC(g, k, MCOptions{Trials: trials, Seed: 62})
+	sel, err := StdMC(context.Background(), g, k, MCOptions{Trials: trials, Seed: 62})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestConformanceRRSeedQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := RR(g, k, RROptions{Sets: sets, Seed: 63})
+		sel, err := RR(context.Background(), g, k, RROptions{Sets: sets, Seed: 63}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

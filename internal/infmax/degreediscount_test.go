@@ -3,7 +3,6 @@ package infmax
 import (
 	"testing"
 
-	"soi/internal/cascade"
 	"soi/internal/graph"
 )
 
@@ -72,8 +71,8 @@ func TestDegreeDiscountQualityReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sDD := cascade.ExpectedSpread(g, dd.Seeds, 20000, 123, 0)
-	sRnd := cascade.ExpectedSpread(g, rnd.Seeds, 20000, 123, 0)
+	sDD := mcSpread(t, g, dd.Seeds, 20000, 123)
+	sRnd := mcSpread(t, g, rnd.Seeds, 20000, 123)
 	if sDD <= sRnd {
 		t.Fatalf("DegreeDiscount %v did not beat random %v", sDD, sRnd)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -27,7 +28,7 @@ func randomGraph(t testing.TB, seed uint64, n, m int, p float64) *graph.Graph {
 
 func buildIndex(t testing.TB, g *graph.Graph, ell int, seed uint64) *index.Index {
 	t.Helper()
-	x, err := index.Build(g, index.Options{Samples: ell, Seed: seed})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: seed}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func buildIndex(t testing.TB, g *graph.Graph, ell int, seed uint64) *index.Index
 
 func spheresOf(t testing.TB, x *index.Index) Spheres {
 	t.Helper()
-	results := core.ComputeAll(x, core.Options{})
+	results := computeAll(t, x, core.Options{})
 	s := make(Spheres, len(results))
 	for v := range results {
 		s[v] = results[v].Set
@@ -365,7 +366,7 @@ func TestQuickCELFEqualsNaiveObjective(t *testing.T) {
 		r := rng.New(seed)
 		n := r.Intn(25) + 5
 		g := randomGraph(t, seed^0xBEEF, n, 4*n, 0.1+0.3*r.Float64())
-		x, err := index.Build(g, index.Options{Samples: 10, Seed: seed})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 10, Seed: seed}, checkpoint.Config{})
 		if err != nil {
 			return false
 		}
@@ -411,4 +412,24 @@ func BenchmarkTCCELF(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mcSpread is the plain Monte-Carlo spread the quality tests score with.
+func mcSpread(tb testing.TB, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64) float64 {
+	tb.Helper()
+	est, err := cascade.ExpectedSpread(context.Background(), g, seeds, trials, seed, 0, checkpoint.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return est
+}
+
+// computeAll is the plain all-nodes sphere sweep.
+func computeAll(tb testing.TB, x *index.Index, opts core.Options) []core.Result {
+	tb.Helper()
+	out, err := core.ComputeAll(context.Background(), x, opts, checkpoint.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

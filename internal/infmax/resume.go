@@ -2,222 +2,69 @@ package infmax
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"soi/internal/checkpoint"
-	"soi/internal/fault"
 	"soi/internal/graph"
-	"soi/internal/rng"
-	"soi/internal/telemetry"
 )
 
-// RRResumable is RRCtx under the crash-safe execution layer: sampled
-// reverse-reachable sets are periodically checkpointed, so a crash or
-// cancellation mid-sampling loses at most one flush interval of RR sets and
-// a rerun with the same graph, Sets, and Seed selects seeds bit-identical to
-// an uninterrupted run (RR set i depends only on its own split generator).
-//
-// The checkpoint fingerprint deliberately excludes k: the stored RR sets are
-// valid for any seed-set size, and the greedy max-cover over them is cheap
-// relative to sampling, so the same checkpoint can finish runs with
-// different k.
-//
-// With cfg.Budget.Deadline set, sampling stops when the deadline nears and
-// the greedy runs over the RR sets sampled so far — the sketch's native
-// anytime behaviour (Borgs et al.: sample count is a budget, and the
-// estimate degrades gracefully as it shrinks). The result carries a
-// *checkpoint.PartialError; gains are scaled by n/achieved, keeping them in
-// expected-spread units.
-func RRResumable(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoint.Config) (Selection, error) {
-	if err := validateK(k, g.NumNodes()); err != nil {
-		return Selection{}, err
-	}
-	if opts.Sets < 1 {
-		return Selection{}, fmt.Errorf("infmax: RR Sets must be >= 1, got %d", opts.Sets)
-	}
-	n := g.NumNodes()
-	rev := g.Reverse()
-	master := rng.New(opts.Seed)
-	visited := make([]bool, n)
-
-	sets := make([][]graph.NodeID, opts.Sets)
-	encode := func(done *checkpoint.Bitmap) ([]byte, error) {
-		var buf bytes.Buffer
-		for i := 0; i < opts.Sets; i++ {
-			if !done.Get(i) {
-				continue
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(i)); err != nil {
-				return nil, err
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(len(sets[i]))); err != nil {
-				return nil, err
-			}
-			if err := binary.Write(&buf, binary.LittleEndian, sets[i]); err != nil {
-				return nil, err
-			}
-		}
-		return buf.Bytes(), nil
-	}
-
-	fp := checkpoint.NewHasher().
+// rrKey keys RR checkpoints; it excludes k (see RR).
+func rrKey(g *graph.Graph, opts RROptions) uint64 {
+	return checkpoint.NewHasher().
 		String("infmax.RR").
 		Graph(g).
 		Int(opts.Sets).
 		Uint64(opts.Seed).
 		Sum()
-	r, st, err := checkpoint.Start(cfg, fp, opts.Sets, encode)
-	if err != nil {
-		return Selection{}, err
-	}
-	resumed := checkpoint.NewBitmap(opts.Sets)
-	if st != nil {
-		if err := decodeRRPayload(st, n, sets); err != nil {
-			r.Abort()
-			return Selection{}, err
-		}
-		resumed = st.Done
-	}
+}
 
-	tel := opts.Telemetry
-	if tel == nil {
-		tel = cfg.Telemetry
+// rrArena holds the sampled RR sets in CSR form, in completion order:
+// set j of the arena is nodes[off[j]:off[j+1]]. The greedy's outcome does
+// not depend on that order, so resumed and freshly sampled sets share it.
+type rrArena struct {
+	nodes []graph.NodeID
+	off   []int32
+	// byID, kept only by checkpointed runs, maps a set id to its window of
+	// nodes for the flusher. A window is written before MarkDone and is
+	// immutable afterwards: the arena only grows past it, and a
+	// reallocation leaves the window on the old array.
+	byID [][]graph.NodeID
+}
+
+// close ends set id, whose nodes start at nodes[start].
+func (a *rrArena) close(id, start int) {
+	end := len(a.nodes)
+	a.off = append(a.off, int32(end))
+	if a.byID != nil {
+		a.byID[id] = a.nodes[start:end:end]
 	}
-	mSets := tel.Counter("infmax.rr_sets")
-	mSetSize := tel.Histogram("infmax.rr_set_size")
-	spSample := tel.StartSpan("infmax.rr.sample")
-	var runErr error
-	var buf []graph.NodeID
-	for i := 0; i < opts.Sets; i++ {
-		if resumed.Get(i) {
+}
+
+// encode is RR's checkpoint payload: for every set marked in done, its id,
+// its size, and its nodes. It runs on the flusher while sampling continues,
+// so it reads a byID slot only after done shows the set complete.
+func (a *rrArena) encode(done *checkpoint.Bitmap) ([]byte, error) {
+	var buf bytes.Buffer
+	for i := range a.byID {
+		if !done.Get(i) {
 			continue
 		}
-		if runErr = ctx.Err(); runErr != nil {
-			break
+		set := a.byID[i]
+		if err := binary.Write(&buf, binary.LittleEndian, []uint32{uint32(i), uint32(len(set))}); err != nil {
+			return nil, err
 		}
-		if runErr = r.Gate(); runErr != nil {
-			break
+		if err := binary.Write(&buf, binary.LittleEndian, set); err != nil {
+			return nil, err
 		}
-		rnd := master.Split(uint64(i))
-		target := graph.NodeID(rnd.Intn(n))
-		buf = lazyReach(rev, target, rnd, visited, buf[:0])
-		sets[i] = append([]graph.NodeID(nil), buf...)
-		mSets.Inc()
-		mSetSize.Observe(int64(len(buf)))
-		spSample.AddUnits(1)
-		r.MarkDone(i, nil)
 	}
-	spSample.End()
-
-	greedyOver := func(done *checkpoint.Bitmap) (Selection, error) {
-		achieved := done.Count()
-		setOff := make([]int32, 1, achieved+1)
-		var setNodes []graph.NodeID
-		for i := 0; i < opts.Sets; i++ {
-			if !done.Get(i) {
-				continue
-			}
-			setNodes = append(setNodes, sets[i]...)
-			setOff = append(setOff, int32(len(setNodes)))
-		}
-		return rrGreedy(ctx, g, k, achieved, setOff, setNodes, tel)
-	}
-
-	switch {
-	case runErr == nil:
-		if ferr := r.Finish(true); ferr != nil {
-			return Selection{}, ferr
-		}
-		return greedyOver(fullRRBitmap(opts.Sets))
-	case errors.Is(runErr, checkpoint.ErrDeadline):
-		if ferr := r.Finish(false); ferr != nil && fault.IsKilled(ferr) {
-			return Selection{}, ferr
-		}
-		outcome := r.Partial(opts.Sets)
-		if !errors.Is(outcome, checkpoint.ErrPartial) {
-			return Selection{}, outcome
-		}
-		sel, gerr := greedyOver(r.Snapshot())
-		if gerr != nil {
-			return Selection{}, gerr
-		}
-		return sel, outcome
-	case fault.IsKilled(runErr):
-		r.Abort()
-		return Selection{}, runErr
-	default:
-		r.Finish(false)
-		return Selection{}, runErr
-	}
+	return buf.Bytes(), nil
 }
 
-// rrGreedy is the max-cover phase of the RR method over an explicit CSR of
-// numSets sampled sets. Gains are scaled by n/numSets (expected-spread
-// units).
-func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int32, setNodes []graph.NodeID, tel *telemetry.Registry) (Selection, error) {
-	n := g.NumNodes()
-	counts := make([]int32, n)
-	for _, v := range setNodes {
-		counts[v]++
-	}
-	covered := make([]bool, numSets)
-	chosen := make([]bool, n)
-	scale := float64(n) / float64(numSets)
-	sel := Selection{Seeds: make([]graph.NodeID, 0, k), Gains: make([]float64, 0, k)}
-	containing := invertSets(n, setOff, setNodes)
-	if k > n {
-		k = n
-	}
-	gm := newGreedyMetrics(tel)
-	sp := tel.StartSpan("infmax.rr.greedy")
-	defer sp.End()
-	for round := 0; round < k; round++ {
-		if err := ctx.Err(); err != nil {
-			return Selection{}, err
-		}
-		best := graph.NodeID(-1)
-		var bestCount int32 = -1
-		evals := 0
-		for v := 0; v < n; v++ {
-			if chosen[v] {
-				continue
-			}
-			sel.LazyEvaluations++
-			evals++
-			if counts[v] > bestCount {
-				bestCount = counts[v]
-				best = graph.NodeID(v)
-			}
-		}
-		gm.evals.Add(int64(evals))
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		sel.Seeds = append(sel.Seeds, best)
-		sel.Gains = append(sel.Gains, float64(bestCount)*scale)
-		gm.commit(float64(bestCount) * scale)
-		sp.AddUnits(1)
-		lo, hi := containing.off[best], containing.off[best+1]
-		for _, si := range containing.sets[lo:hi] {
-			if covered[si] {
-				continue
-			}
-			covered[si] = true
-			for _, v := range setNodes[setOff[si]:setOff[si+1]] {
-				counts[v]--
-			}
-		}
-	}
-	return sel, nil
-}
-
-// decodeRRPayload restores sampled RR sets from a checkpoint payload.
-func decodeRRPayload(st *checkpoint.State, n int, sets [][]graph.NodeID) error {
+// decode restores sampled RR sets from a checkpoint payload into the
+// arena.
+func (a *rrArena) decode(st *checkpoint.State, n int) error {
 	br := bytes.NewReader(st.Payload)
 	seen := 0
 	for {
@@ -227,7 +74,7 @@ func decodeRRPayload(st *checkpoint.State, n int, sets [][]graph.NodeID) error {
 		} else if err != nil {
 			return fmt.Errorf("%w: rr payload: %v", checkpoint.ErrCorrupt, err)
 		}
-		if int(id) >= len(sets) || !st.Done.Get(int(id)) {
+		if int(id) >= len(a.byID) || !st.Done.Get(int(id)) {
 			return fmt.Errorf("%w: rr payload names set %d outside the done bitmap", checkpoint.ErrCorrupt, id)
 		}
 		var size uint32
@@ -237,7 +84,9 @@ func decodeRRPayload(st *checkpoint.State, n int, sets [][]graph.NodeID) error {
 		if int(size) > n || size == 0 {
 			return fmt.Errorf("%w: rr payload set %d has implausible size %d", checkpoint.ErrCorrupt, id, size)
 		}
-		set := make([]graph.NodeID, size)
+		start := len(a.nodes)
+		a.nodes = append(a.nodes, make([]graph.NodeID, size)...)
+		set := a.nodes[start:]
 		if err := binary.Read(br, binary.LittleEndian, set); err != nil {
 			return fmt.Errorf("%w: rr payload set %d nodes: %v", checkpoint.ErrCorrupt, id, err)
 		}
@@ -246,19 +95,11 @@ func decodeRRPayload(st *checkpoint.State, n int, sets [][]graph.NodeID) error {
 				return fmt.Errorf("%w: rr payload set %d contains out-of-range node %d", checkpoint.ErrCorrupt, id, v)
 			}
 		}
-		sets[id] = set
+		a.close(int(id), start)
 		seen++
 	}
 	if seen != st.Done.Count() {
 		return fmt.Errorf("%w: rr payload covers %d sets, bitmap records %d", checkpoint.ErrCorrupt, seen, st.Done.Count())
 	}
 	return nil
-}
-
-func fullRRBitmap(n int) *checkpoint.Bitmap {
-	b := checkpoint.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		b.Set(i)
-	}
-	return b
 }

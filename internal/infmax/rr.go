@@ -2,8 +2,10 @@ package infmax
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
@@ -35,16 +37,28 @@ type RROptions struct {
 
 // RR selects k seeds by greedy max-cover over opts.Sets sampled
 // reverse-reachable sets. Gains are in expected-spread units
-// (n · covered/Sets). It is RRCtx under context.Background().
-func RR(g *graph.Graph, k int, opts RROptions) (Selection, error) {
-	return RRCtx(context.Background(), g, k, opts)
-}
-
-// RRCtx is RR with cooperative cancellation: ctx is checked between RR-set
-// samples and between greedy rounds, so a canceled context returns ctx.Err()
-// promptly — exactly the "stoppable sampler" discipline RR-sketch methods
-// presume.
-func RRCtx(ctx context.Context, g *graph.Graph, k int, opts RROptions) (Selection, error) {
+// (n · covered/Sets). ctx is checked between RR-set samples and between
+// greedy rounds, so a canceled context returns ctx.Err() promptly — exactly
+// the "stoppable sampler" discipline RR-sketch methods presume.
+//
+// cfg puts the sampling under the crash-safe execution layer; its zero
+// value is the plain run. With cfg.Path set, sampled RR sets are
+// periodically checkpointed, so a crash or cancellation mid-sampling loses
+// at most one flush interval of RR sets, and a rerun with the same graph,
+// Sets, and Seed selects seeds bit-identical to an uninterrupted run (RR set
+// i depends only on its own split generator, and the greedy's outcome does
+// not depend on the order of the sets). The checkpoint key deliberately
+// excludes k: the stored RR sets are valid for any seed-set size, and the
+// greedy max-cover over them is cheap relative to sampling, so the same
+// checkpoint can finish runs with different k.
+//
+// With cfg.Budget.Deadline set, sampling stops when the deadline nears and
+// the greedy runs over the RR sets sampled so far — the sketch's native
+// anytime behaviour (Borgs et al.: sample count is a budget, and the
+// estimate degrades gracefully as it shrinks). The result carries a
+// *checkpoint.PartialError; gains are scaled by n/achieved, keeping them in
+// expected-spread units.
+func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoint.Config) (Selection, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, err
 	}
@@ -52,55 +66,90 @@ func RRCtx(ctx context.Context, g *graph.Graph, k int, opts RROptions) (Selectio
 		return Selection{}, fmt.Errorf("infmax: RR Sets must be >= 1, got %d", opts.Sets)
 	}
 	n := g.NumNodes()
+	a := rrArena{off: make([]int32, 1, opts.Sets+1)}
+	if cfg.Path != "" {
+		a.byID = make([][]graph.NodeID, opts.Sets)
+	}
+	r, st, err := checkpoint.Start(cfg, func() uint64 { return rrKey(g, opts) }, opts.Sets, a.encode)
+	if err != nil {
+		return Selection{}, err
+	}
+	var resumed *checkpoint.Bitmap // nil: nothing resumed
+	if st != nil {
+		if err := a.decode(st, n); err != nil {
+			r.Abort()
+			return Selection{}, err
+		}
+		resumed = st.Done
+	}
+
 	rev := g.Reverse()
 	master := rng.New(opts.Seed)
 	visited := make([]bool, n)
-
-	// Sample RR sets and build the inverted index node -> containing sets.
-	// rrSets is stored CSR-style; containing is the inverse mapping.
-	setOff := make([]int32, opts.Sets+1)
-	var setNodes []graph.NodeID
-	var buf []graph.NodeID
 	tel := opts.Telemetry
+	if tel == nil {
+		tel = cfg.Telemetry
+	}
 	mSets := tel.Counter("infmax.rr_sets")
 	mSetSize := tel.Histogram("infmax.rr_set_size")
 	spSample := tel.StartSpan("infmax.rr.sample")
+	var runErr error
 	for i := 0; i < opts.Sets; i++ {
-		if err := ctx.Err(); err != nil {
-			spSample.End()
-			return Selection{}, err
+		if resumed.Get(i) {
+			continue
 		}
-		r := master.Split(uint64(i))
-		target := graph.NodeID(r.Intn(n))
+		if runErr = ctx.Err(); runErr != nil {
+			break
+		}
+		if runErr = r.Gate(); runErr != nil {
+			break
+		}
+		rnd := master.Split(uint64(i))
+		target := graph.NodeID(rnd.Intn(n))
 		// Reverse live-edge BFS: nodes that can reach target forward are
 		// nodes reachable from target in the transpose; lazy edge flips
 		// give the correct distribution exactly as forward sampling does.
-		buf = lazyReach(rev, target, r, visited, buf[:0])
-		setNodes = append(setNodes, buf...)
-		setOff[i+1] = int32(len(setNodes))
+		start := len(a.nodes)
+		a.nodes = lazyReach(rev, target, rnd, visited, a.nodes)
+		a.close(i, start)
 		mSets.Inc()
-		mSetSize.Observe(int64(len(buf)))
+		mSetSize.Observe(int64(len(a.nodes) - start))
 		spSample.AddUnits(1)
+		r.MarkDone(i)
 	}
 	spSample.End()
-	counts := make([]int32, n) // uncovered RR sets containing each node
+	outcome := r.Settle(runErr)
+	if outcome != nil && !errors.Is(outcome, checkpoint.ErrPartial) {
+		return Selection{}, outcome
+	}
+	// The arena holds exactly the completed sets, resumed and sampled.
+	sel, err := rrGreedy(ctx, g, k, len(a.off)-1, a.off, a.nodes, tel)
+	if err != nil {
+		return Selection{}, err
+	}
+	return sel, outcome
+}
+
+// rrGreedy is the max-cover phase of the RR method over an explicit CSR of
+// numSets sampled sets. Gains are scaled by n/numSets (expected-spread
+// units).
+func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int32, setNodes []graph.NodeID, tel *telemetry.Registry) (Selection, error) {
+	n := g.NumNodes()
+	counts := make([]int32, n)
 	for _, v := range setNodes {
 		counts[v]++
 	}
-
-	covered := make([]bool, opts.Sets)
+	covered := make([]bool, numSets)
 	chosen := make([]bool, n)
-	scale := float64(n) / float64(opts.Sets)
+	scale := float64(n) / float64(numSets)
 	sel := Selection{Seeds: make([]graph.NodeID, 0, k), Gains: make([]float64, 0, k)}
-	// Build member lists per node lazily is wasteful; invert once.
 	containing := invertSets(n, setOff, setNodes)
-
 	if k > n {
 		k = n
 	}
 	gm := newGreedyMetrics(tel)
-	spGreedy := tel.StartSpan("infmax.rr.greedy")
-	defer spGreedy.End()
+	sp := tel.StartSpan("infmax.rr.greedy")
+	defer sp.End()
 	for round := 0; round < k; round++ {
 		if err := ctx.Err(); err != nil {
 			return Selection{}, err
@@ -127,9 +176,7 @@ func RRCtx(ctx context.Context, g *graph.Graph, k int, opts RROptions) (Selectio
 		sel.Seeds = append(sel.Seeds, best)
 		sel.Gains = append(sel.Gains, float64(bestCount)*scale)
 		gm.commit(float64(bestCount) * scale)
-		spGreedy.AddUnits(1)
-		// Mark every RR set containing best as covered and decrement the
-		// counts of their members — keeps counts exact for later rounds.
+		sp.AddUnits(1)
 		lo, hi := containing.off[best], containing.off[best+1]
 		for _, si := range containing.sets[lo:hi] {
 			if covered[si] {

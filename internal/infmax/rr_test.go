@@ -1,16 +1,17 @@
 package infmax
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
 func TestRRPicksDominantSeed(t *testing.T) {
 	g := starChain(t)
-	sel, err := RR(g, 1, RROptions{Sets: 5000, Seed: 1})
+	sel, err := RR(context.Background(), g, 1, RROptions{Sets: 5000, Seed: 1}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,11 @@ func TestRRSpreadEstimateUnbiased(t *testing.T) {
 	// Single-seed RR gain should match the MC spread estimate on a random
 	// graph for the chosen seed.
 	g := randomGraph(t, 41, 80, 320, 0.15)
-	sel, err := RR(g, 1, RROptions{Sets: 20000, Seed: 2})
+	sel, err := RR(context.Background(), g, 1, RROptions{Sets: 20000, Seed: 2}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := cascade.ExpectedSpread(g, sel.Seeds[:1], 50000, 3, 0)
+	mc := mcSpread(t, g, sel.Seeds[:1], 50000, 3)
 	if math.Abs(sel.Gains[0]-mc) > 0.15*mc+0.5 {
 		t.Fatalf("RR gain %v vs MC spread %v", sel.Gains[0], mc)
 	}
@@ -44,12 +45,12 @@ func TestRRSeedQualityMatchesGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RR(g, 5, RROptions{Sets: 20000, Seed: 45})
+	rr, err := RR(context.Background(), g, 5, RROptions{Sets: 20000, Seed: 45}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sStd := cascade.ExpectedSpread(g, std.Seeds, 20000, 46, 0)
-	sRR := cascade.ExpectedSpread(g, rr.Seeds, 20000, 46, 0)
+	sStd := mcSpread(t, g, std.Seeds, 20000, 46)
+	sRR := mcSpread(t, g, rr.Seeds, 20000, 46)
 	if sRR < 0.9*sStd {
 		t.Fatalf("RR spread %v far below greedy %v", sRR, sStd)
 	}
@@ -57,11 +58,11 @@ func TestRRSeedQualityMatchesGreedy(t *testing.T) {
 
 func TestRRDistinctSeedsAndDeterminism(t *testing.T) {
 	g := randomGraph(t, 47, 50, 200, 0.2)
-	a, err := RR(g, 8, RROptions{Sets: 2000, Seed: 9})
+	a, err := RR(context.Background(), g, 8, RROptions{Sets: 2000, Seed: 9}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RR(g, 8, RROptions{Sets: 2000, Seed: 9})
+	b, err := RR(context.Background(), g, 8, RROptions{Sets: 2000, Seed: 9}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +80,17 @@ func TestRRDistinctSeedsAndDeterminism(t *testing.T) {
 
 func TestRRValidation(t *testing.T) {
 	g := starChain(t)
-	if _, err := RR(g, 0, RROptions{Sets: 10}); err == nil {
+	if _, err := RR(context.Background(), g, 0, RROptions{Sets: 10}, checkpoint.Config{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := RR(g, 1, RROptions{Sets: 0}); err == nil {
+	if _, err := RR(context.Background(), g, 1, RROptions{Sets: 0}, checkpoint.Config{}); err == nil {
 		t.Error("accepted Sets=0")
 	}
 }
 
 func TestRRGainsNonIncreasing(t *testing.T) {
 	g := randomGraph(t, 49, 60, 240, 0.2)
-	sel, err := RR(g, 10, RROptions{Sets: 5000, Seed: 50})
+	sel, err := RR(context.Background(), g, 10, RROptions{Sets: 5000, Seed: 50}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func BenchmarkRRSketch(b *testing.B) {
 	g := randomGraph(b, 51, 1000, 5000, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RR(g, 20, RROptions{Sets: 10000, Seed: uint64(i)}); err != nil {
+		if _, err := RR(context.Background(), g, 20, RROptions{Sets: 10000, Seed: uint64(i)}, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

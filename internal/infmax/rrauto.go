@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
@@ -37,16 +38,10 @@ type RRAutoOptions struct {
 
 // RRAuto selects k seeds with the RR sketch, choosing the number of RR sets
 // automatically from the graph via TIM's KPT estimation. It returns the
-// selection and the θ it settled on. It is RRAutoCtx under
-// context.Background().
-func RRAuto(g *graph.Graph, k int, opts RRAutoOptions) (Selection, int, error) {
-	return RRAutoCtx(context.Background(), g, k, opts)
-}
-
-// RRAutoCtx is RRAuto with cooperative cancellation: ctx is checked during
-// both TIM phases (KPT estimation and the θ-sized RR sampling), so a
-// canceled context returns ctx.Err() promptly.
-func RRAutoCtx(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Selection, int, error) {
+// selection and the θ it settled on. ctx is checked during both TIM phases
+// (KPT estimation and the θ-sized RR sampling), so a canceled context
+// returns ctx.Err() promptly.
+func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Selection, int, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, 0, err
 	}
@@ -61,7 +56,7 @@ func RRAutoCtx(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (
 	m := g.NumEdges()
 	if m == 0 {
 		// Edgeless graph: any k nodes, one RR set per node suffices.
-		sel, err := RRCtx(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed, Telemetry: opts.Telemetry})
+		sel, err := RR(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed, Telemetry: opts.Telemetry}, checkpoint.Config{})
 		return sel, n, err
 	}
 
@@ -79,7 +74,7 @@ func RRAutoCtx(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (
 	if theta > maxSets {
 		theta = maxSets
 	}
-	sel, err := RRCtx(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133, Telemetry: opts.Telemetry})
+	sel, err := RR(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133, Telemetry: opts.Telemetry}, checkpoint.Config{})
 	return sel, theta, err
 }
 

@@ -1,28 +1,28 @@
 package infmax
 
 import (
+	"context"
 	"testing"
 
-	"soi/internal/cascade"
 	"soi/internal/graph"
 )
 
 func TestRRAutoValidation(t *testing.T) {
 	g := starChain(t)
-	if _, _, err := RRAuto(g, 0, RRAutoOptions{Epsilon: 0.3}); err == nil {
+	if _, _, err := RRAuto(context.Background(), g, 0, RRAutoOptions{Epsilon: 0.3}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := RRAuto(g, 1, RRAutoOptions{Epsilon: 0}); err == nil {
+	if _, _, err := RRAuto(context.Background(), g, 1, RRAutoOptions{Epsilon: 0}); err == nil {
 		t.Error("accepted eps=0")
 	}
-	if _, _, err := RRAuto(g, 1, RRAutoOptions{Epsilon: 1}); err == nil {
+	if _, _, err := RRAuto(context.Background(), g, 1, RRAutoOptions{Epsilon: 1}); err == nil {
 		t.Error("accepted eps=1")
 	}
 }
 
 func TestRRAutoEdgelessGraph(t *testing.T) {
 	g := graph.NewBuilder(5).MustBuild()
-	sel, theta, err := RRAuto(g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 1})
+	sel, theta, err := RRAuto(context.Background(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRRAutoEdgelessGraph(t *testing.T) {
 
 func TestRRAutoQuality(t *testing.T) {
 	g := randomGraph(t, 131, 120, 480, 0.15)
-	sel, theta, err := RRAuto(g, 5, RRAutoOptions{Epsilon: 0.3, Seed: 2, MaxSets: 100000})
+	sel, theta, err := RRAuto(context.Background(), g, 5, RRAutoOptions{Epsilon: 0.3, Seed: 2, MaxSets: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func TestRRAutoQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sAuto := cascade.ExpectedSpread(g, sel.Seeds, 20000, 4, 0)
-	sGreedy := cascade.ExpectedSpread(g, greedy.Seeds, 20000, 4, 0)
+	sAuto := mcSpread(t, g, sel.Seeds, 20000, 4)
+	sGreedy := mcSpread(t, g, greedy.Seeds, 20000, 4)
 	if sAuto < 0.85*sGreedy {
 		t.Fatalf("RRAuto spread %v far below greedy %v (theta=%d)", sAuto, sGreedy, theta)
 	}
@@ -54,7 +54,7 @@ func TestRRAutoQuality(t *testing.T) {
 
 func TestRRAutoCapsTheta(t *testing.T) {
 	g := randomGraph(t, 133, 80, 320, 0.05)
-	_, theta, err := RRAuto(g, 3, RRAutoOptions{Epsilon: 0.1, Seed: 5, MaxSets: 500})
+	_, theta, err := RRAuto(context.Background(), g, 3, RRAutoOptions{Epsilon: 0.1, Seed: 5, MaxSets: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
@@ -48,15 +49,15 @@ type mcState struct {
 
 func (m *mcState) gainErr(v graph.NodeID) (float64, error) {
 	m.evalCtr++
-	est, err := cascade.ExpectedSpreadTel(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, m.opts.Telemetry)
+	est, err := cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
+		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{Telemetry: m.opts.Telemetry})
 	return est - m.sigmaS, err
 }
 
 func (m *mcState) commitErr(v graph.NodeID) (float64, error) {
 	m.evalCtr++
-	est, err := cascade.ExpectedSpreadTel(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, m.opts.Telemetry)
+	est, err := cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
+		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{Telemetry: m.opts.Telemetry})
 	if err != nil {
 		return 0, err
 	}
@@ -91,15 +92,10 @@ func (m *mcState) commit(v graph.NodeID) float64 {
 // a fixed world sample exactly), StdMC re-samples at every evaluation; when
 // true marginal gains shrink below the Monte-Carlo standard error the
 // greedy's choices become effectively random among the top candidates — the
-// saturation the paper's Figure 7 measures.
-func StdMC(g *graph.Graph, k int, opts MCOptions) (Selection, error) {
-	return StdMCCtx(context.Background(), g, k, opts)
-}
-
-// StdMCCtx is StdMC with cooperative cancellation: ctx is checked before
-// every marginal-gain evaluation and inside the Monte-Carlo simulation
-// workers, so a canceled context aborts the greedy promptly with ctx.Err().
-func StdMCCtx(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selection, error) {
+// saturation the paper's Figure 7 measures. ctx is checked before every
+// marginal-gain evaluation and inside the Monte-Carlo simulation workers,
+// so a canceled context aborts the greedy promptly with ctx.Err().
+func StdMC(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selection, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, err
 	}

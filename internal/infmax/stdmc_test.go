@@ -1,9 +1,9 @@
 package infmax
 
 import (
+	"context"
 	"testing"
 
-	"soi/internal/cascade"
 	"soi/internal/graph"
 )
 
@@ -23,7 +23,7 @@ func starChain(t testing.TB) *graph.Graph {
 
 func TestStdMCPicksDominantSeed(t *testing.T) {
 	g := starChain(t)
-	sel, err := StdMC(g, 1, MCOptions{Trials: 300, Seed: 1})
+	sel, err := StdMC(context.Background(), g, 1, MCOptions{Trials: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestStdMCPicksDominantSeed(t *testing.T) {
 
 func TestStdMCRespectsK(t *testing.T) {
 	g := starChain(t)
-	sel, err := StdMC(g, 5, MCOptions{Trials: 50, Seed: 2})
+	sel, err := StdMC(context.Background(), g, 5, MCOptions{Trials: 50, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestStdMCRespectsK(t *testing.T) {
 
 func TestStdMCValidation(t *testing.T) {
 	g := starChain(t)
-	if _, err := StdMC(g, 0, MCOptions{Trials: 10}); err == nil {
+	if _, err := StdMC(context.Background(), g, 0, MCOptions{Trials: 10}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := StdMC(g, 1, MCOptions{Trials: 0}); err == nil {
+	if _, err := StdMC(context.Background(), g, 1, MCOptions{Trials: 0}); err == nil {
 		t.Error("accepted Trials=0")
 	}
 }
@@ -89,13 +89,13 @@ func TestStdMCCloseToShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := StdMC(g, 5, MCOptions{Trials: 400, Seed: 35})
+	mc, err := StdMC(context.Background(), g, 5, MCOptions{Trials: 400, Seed: 35})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Compare independent spread estimates of the two seed sets.
-	sSh := cascade.ExpectedSpread(g, shared.Seeds, 20000, 36, 0)
-	sMC := cascade.ExpectedSpread(g, mc.Seeds, 20000, 36, 0)
+	sSh := mcSpread(t, g, shared.Seeds, 20000, 36)
+	sMC := mcSpread(t, g, mc.Seeds, 20000, 36)
 	if sMC < 0.9*sSh {
 		t.Fatalf("MC greedy spread %v far below shared-worlds %v", sMC, sSh)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 )
 
@@ -21,7 +22,7 @@ func TestFromSourceCtxPreCanceled(t *testing.T) {
 	g := cancelTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FromSourceCtx(ctx, g, []graph.NodeID{0}, 100, 1); !errors.Is(err, context.Canceled) {
+	if _, _, err := FromSource(ctx, g, []graph.NodeID{0}, 100, 1, checkpoint.Budget{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -30,7 +31,7 @@ func TestSearchCtxPreCanceled(t *testing.T) {
 	g := cancelTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SearchCtx(ctx, g, []graph.NodeID{0}, 0.5, 100, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := Search(ctx, g, []graph.NodeID{0}, 0.5, 100, 2, checkpoint.Budget{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

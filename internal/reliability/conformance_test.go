@@ -3,6 +3,7 @@ package reliability
 import (
 	"context"
 	"testing"
+	"time"
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
@@ -35,7 +36,7 @@ func TestConformanceFromSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	got, err := FromSource(g, sources, ell, 71)
+	got, _, err := FromSource(context.Background(), g, sources, ell, 71, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestConformanceST(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	got, err := ST(g, 4, 1, ell, 72)
+	got, err := ST(context.Background(), g, 4, 1, ell, 72)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestConformanceSearch(t *testing.T) {
 	const ell = 20000
 	b := statcheck.Hoeffding(ell).Union(g.NumNodes())
 	for _, threshold := range []float64{0.05, 0.3, 0.5, 0.9} {
-		got, err := Search(g, sources, threshold, ell, 73)
+		got, _, err := Search(context.Background(), g, sources, threshold, ell, 73, checkpoint.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +105,9 @@ func TestConformanceSearch(t *testing.T) {
 	}
 }
 
-// TestConformanceFromSourceBudget: a zero budget must reproduce the plain
-// estimator bit for bit (identical split sample streams), achieve every
-// sample, and agree with the oracle.
+// TestConformanceFromSourceBudget: a budget whose deadline never binds must
+// reproduce the plain run bit for bit (identical split sample streams),
+// achieve every sample, and agree with the oracle.
 func TestConformanceFromSourceBudget(t *testing.T) {
 	g := paperGraph(t)
 	sources := []graph.NodeID{4}
@@ -115,11 +116,11 @@ func TestConformanceFromSourceBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	plain, err := FromSource(g, sources, ell, 74)
+	plain, _, err := FromSource(context.Background(), g, sources, ell, 74, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, achieved, err := FromSourceBudget(context.Background(), g, sources, ell, 74, checkpoint.Budget{})
+	got, achieved, err := FromSource(context.Background(), g, sources, ell, 74, farBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,21 +132,22 @@ func TestConformanceFromSourceBudget(t *testing.T) {
 		if got[v] != plain[v] {
 			t.Fatalf("node %d: budgeted %v != plain %v (same seed, same stream)", v, got[v], plain[v])
 		}
-		statcheck.Close(t, "FromSourceBudget vs oracle", got[v], exact[v], b)
+		statcheck.Close(t, "budgeted FromSource vs oracle", got[v], exact[v], b)
 	}
 }
 
-// TestConformanceSearchBudget: same zero-budget identity for the search.
+// TestConformanceSearchBudget: same non-binding-budget identity for the
+// search.
 func TestConformanceSearchBudget(t *testing.T) {
 	g := paperGraph(t)
 	sources := []graph.NodeID{4}
 	const ell = 20000
 	const threshold = 0.3
-	plain, err := Search(g, sources, threshold, ell, 75)
+	plain, _, err := Search(context.Background(), g, sources, threshold, ell, 75, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, achieved, err := SearchBudget(context.Background(), g, sources, threshold, ell, 75, checkpoint.Budget{})
+	got, achieved, err := Search(context.Background(), g, sources, threshold, ell, 75, farBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,3 +197,7 @@ func TestConformanceTheorem1Reduction(t *testing.T) {
 	rel := RelFromCosts(n, dist.Rho(h1), dist.Rho(h2))
 	statcheck.Numeric(t, "Theorem-1 reduction rel", rel, exact, 1<<12)
 }
+
+// farBudget is a deadline budget that never binds: the run is gated and
+// counted, but completes every sample.
+func farBudget() checkpoint.Budget { return checkpoint.Budget{Deadline: time.Now().Add(time.Hour)} }

@@ -11,17 +11,22 @@ package reliability
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/worlds"
 )
 
 // ST estimates rel(g, s, t): the probability that t is reachable from s.
-// It samples `samples` lazy cascades from s.
-func ST(g *graph.Graph, s, t graph.NodeID, samples int, seed uint64) (float64, error) {
-	probs, err := FromSource(g, []graph.NodeID{s}, samples, seed)
+// It samples `samples` lazy cascades from s; ctx is checked between them.
+func ST(ctx context.Context, g *graph.Graph, s, t graph.NodeID, samples int, seed uint64) (float64, error) {
+	if t < 0 || int(t) >= g.NumNodes() {
+		return 0, outOfRange(t)
+	}
+	probs, _, err := FromSource(ctx, g, []graph.NodeID{s}, samples, seed, checkpoint.Budget{})
 	if err != nil {
 		return 0, err
 	}
@@ -29,54 +34,68 @@ func ST(g *graph.Graph, s, t graph.NodeID, samples int, seed uint64) (float64, e
 }
 
 // FromSource estimates, for every node v, the probability that v is
-// reachable from the source set. The result is indexed by node id. It is
-// FromSourceCtx under context.Background().
-func FromSource(g *graph.Graph, sources []graph.NodeID, samples int, seed uint64) ([]float64, error) {
-	return FromSourceCtx(context.Background(), g, sources, samples, seed)
-}
-
-// FromSourceCtx is FromSource with cooperative cancellation: ctx is checked
-// between cascade samples, so a canceled context returns ctx.Err() promptly.
-func FromSourceCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, samples int, seed uint64) ([]float64, error) {
+// reachable from the source set, and returns how many cascade samples the
+// estimate rests on. The result is indexed by node id. ctx is checked
+// between cascade samples, so a canceled context returns ctx.Err()
+// promptly.
+//
+// budget bounds the run by wall-clock deadline; its zero value is the plain
+// run. Sampling stops when the deadline is too near to fit another cascade,
+// and the probabilities are normalized by the achieved sample count. When
+// the deadline truncates sampling but the budget's minimum is met, the
+// probabilities are usable and err is a *checkpoint.PartialError (matching
+// checkpoint.ErrPartial); below the minimum the error is hard.
+func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, samples int, seed uint64, budget checkpoint.Budget) ([]float64, int, error) {
 	if err := validateFromSource(g, sources, samples); err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	// A Runner without a checkpoint path is just the budget gate.
+	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, nil, samples, nil)
+	if err != nil {
+		return nil, 0, err
 	}
 	counts := make([]int, g.NumNodes())
 	visited := make([]bool, g.NumNodes())
 	master := rng.New(seed)
 	var buf []graph.NodeID
-	for i := 0; i < samples; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	achieved := 0
+	var runErr error
+	for ; achieved < samples; achieved++ {
+		if runErr = ctx.Err(); runErr != nil {
+			break
 		}
-		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(i)), visited, buf[:0])
+		if runErr = r.Gate(); runErr != nil {
+			break
+		}
+		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(achieved)), visited, buf[:0])
 		for _, v := range buf {
 			counts[v]++
 		}
+		r.MarkDone(achieved)
+	}
+	outcome := r.Settle(runErr)
+	if outcome != nil && !errors.Is(outcome, checkpoint.ErrPartial) {
+		return nil, achieved, outcome
 	}
 	probs := make([]float64, g.NumNodes())
 	for v := range probs {
-		probs[v] = float64(counts[v]) / float64(samples)
+		probs[v] = float64(counts[v]) / float64(achieved)
 	}
-	return probs, nil
+	return probs, achieved, outcome
 }
 
 // Search returns the nodes reachable from the source set with estimated
-// probability >= threshold, sorted by id (the reliability-search query).
-// It is SearchCtx under context.Background().
-func Search(g *graph.Graph, sources []graph.NodeID, threshold float64, samples int, seed uint64) ([]graph.NodeID, error) {
-	return SearchCtx(context.Background(), g, sources, threshold, samples, seed)
-}
-
-// SearchCtx is Search with cooperative cancellation: ctx is checked between
-// the underlying cascade samples.
-func SearchCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, threshold float64, samples int, seed uint64) ([]graph.NodeID, error) {
+// probability >= threshold, sorted by id (the reliability-search query),
+// and the achieved sample count. ctx and budget act as in FromSource; the
+// node set is computed from the achieved samples even when err matches
+// checkpoint.ErrPartial.
+func Search(ctx context.Context, g *graph.Graph, sources []graph.NodeID, threshold float64, samples int, seed uint64, budget checkpoint.Budget) ([]graph.NodeID, int, error) {
 	if err := validateThreshold(threshold); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	probs, err := FromSourceCtx(ctx, g, sources, samples, seed)
-	if err != nil {
-		return nil, err
+	probs, achieved, err := FromSource(ctx, g, sources, samples, seed, budget)
+	if probs == nil {
+		return nil, achieved, err
 	}
 	var out []graph.NodeID
 	for v, p := range probs {
@@ -84,7 +103,7 @@ func SearchCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, thre
 			out = append(out, graph.NodeID(v))
 		}
 	}
-	return out, nil
+	return out, achieved, err
 }
 
 func validateFromSource(g *graph.Graph, sources []graph.NodeID, samples int) error {

@@ -1,12 +1,15 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
+	"soi/internal/index"
 	"soi/internal/rng"
 	"soi/internal/worlds"
 )
@@ -19,7 +22,7 @@ func TestSTSeriesParallel(t *testing.T) {
 	b.AddEdge(0, 2, 0.8)
 	b.AddEdge(2, 1, 0.5)
 	g := b.MustBuild()
-	got, err := ST(g, 0, 1, 200000, 1)
+	got, err := ST(context.Background(), g, 0, 1, 200000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestSTUnreachable(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1, 0.9)
 	g := b.MustBuild()
-	got, err := ST(g, 0, 2, 1000, 2)
+	got, err := ST(context.Background(), g, 0, 2, 1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestSTSelf(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 0.1)
 	g := b.MustBuild()
-	got, err := ST(g, 0, 0, 100, 3)
+	got, err := ST(context.Background(), g, 0, 0, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +61,13 @@ func TestFromSourceValidation(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 0.5)
 	g := b.MustBuild()
-	if _, err := FromSource(g, nil, 10, 1); err == nil {
+	if _, _, err := FromSource(context.Background(), g, nil, 10, 1, checkpoint.Budget{}); err == nil {
 		t.Error("accepted empty sources")
 	}
-	if _, err := FromSource(g, []graph.NodeID{5}, 10, 1); err == nil {
+	if _, _, err := FromSource(context.Background(), g, []graph.NodeID{5}, 10, 1, checkpoint.Budget{}); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, err := FromSource(g, []graph.NodeID{0}, 0, 1); err == nil {
+	if _, _, err := FromSource(context.Background(), g, []graph.NodeID{0}, 0, 1, checkpoint.Budget{}); err == nil {
 		t.Error("accepted zero samples")
 	}
 }
@@ -76,7 +79,7 @@ func TestSearchThreshold(t *testing.T) {
 	b.AddEdge(1, 2, 0.9)
 	b.AddEdge(2, 3, 0.05)
 	g := b.MustBuild()
-	got, err := Search(g, []graph.NodeID{0}, 0.5, 100000, 4)
+	got, _, err := Search(context.Background(), g, []graph.NodeID{0}, 0.5, 100000, 4, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestSearchThreshold(t *testing.T) {
 			t.Fatalf("Search = %v, want %v", got, want)
 		}
 	}
-	if _, err := Search(g, []graph.NodeID{0}, 0, 10, 1); err == nil {
+	if _, _, err := Search(context.Background(), g, []graph.NodeID{0}, 0, 10, 1, checkpoint.Budget{}); err == nil {
 		t.Error("accepted threshold 0")
 	}
 }
@@ -108,7 +111,7 @@ func TestTheorem1Reduction(t *testing.T) {
 	g := b.MustBuild()
 	s, tt := graph.NodeID(0), graph.NodeID(2)
 
-	direct, err := ST(g, s, tt, 400000, 5)
+	direct, err := ST(context.Background(), g, s, tt, 400000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +132,8 @@ func TestTheorem1Reduction(t *testing.T) {
 		}
 	}
 	const costSamples = 400000
-	rhoH1 := core.EstimateCost(aug, []graph.NodeID{s}, h1, costSamples, 6)
-	rhoH2 := core.EstimateCost(aug, []graph.NodeID{s}, h2, costSamples, 7)
+	rhoH1 := estimateCost(t, aug, []graph.NodeID{s}, h1, costSamples, 6)
+	rhoH2 := estimateCost(t, aug, []graph.NodeID{s}, h2, costSamples, 7)
 	viaReduction := RelFromCosts(n, rhoH1, rhoH2)
 
 	if math.Abs(direct-viaReduction) > 0.01 {
@@ -182,4 +185,14 @@ func TestQuickReliabilityMonotoneInSources(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// estimateCost is the plain IC held-out cost estimate.
+func estimateCost(tb testing.TB, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64) float64 {
+	tb.Helper()
+	cost, _, err := core.EstimateCost(context.Background(), g, seeds, set, samples, seed, index.IC, checkpoint.Budget{}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cost
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
 	"soi/internal/graph"
@@ -92,11 +94,14 @@ func buildRouterFixture() error {
 		if len(members) != 5 {
 			return fmt.Errorf("shard %d has %d nodes, want 5", s, len(members))
 		}
-		x, err := index.Build(sub, index.Options{Samples: rcEll, Seed: 90 + uint64(s)})
+		x, err := index.Build(context.Background(), sub, index.Options{Samples: rcEll, Seed: 90 + uint64(s)}, checkpoint.Config{})
 		if err != nil {
 			return err
 		}
-		sph := core.ComputeAll(x, core.Options{CostSamples: 200, CostSeed: 91})
+		sph, err := core.ComputeAll(context.Background(), x, core.Options{CostSamples: 200, CostSeed: 91}, checkpoint.Config{})
+		if err != nil {
+			return err
+		}
 		sk, err := sketch.Build(x, sketch.Options{Seed: 93 + uint64(s)})
 		if err != nil {
 			return err

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"os"
 	"sync"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -51,7 +53,7 @@ func conformanceServer(t testing.TB) (*Server, *graph.Graph, []core.Result) {
 	t.Helper()
 	confOnce.Do(func() {
 		g := confGraph(t)
-		x, err := index.Build(g, index.Options{Samples: confEll, Seed: 90})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: confEll, Seed: 90}, checkpoint.Config{})
 		if err != nil {
 			confErr = err
 			return
@@ -78,7 +80,11 @@ func conformanceServer(t testing.TB) (*Server, *graph.Graph, []core.Result) {
 			}
 			x = mx
 		}
-		spheres := core.ComputeAll(x, core.Options{CostSamples: 200, CostSeed: 91})
+		spheres, err := core.ComputeAll(context.Background(), x, core.Options{CostSamples: 200, CostSeed: 91}, checkpoint.Config{})
+		if err != nil {
+			confErr = err
+			return
+		}
 		// The sketch is built from the same index instance the server loads
 		// (after any mmap swap), so its stored fingerprint matches the one
 		// Config validation checks — exactly the sphere -sketch-out contract.

@@ -193,9 +193,9 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 	if samples > 0 {
 		ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 			trace.Int("samples", int64(samples)))
-		stab, achieved, err := core.EstimateCostBudget(ectx, s.g,
+		stab, achieved, err := core.EstimateCost(ectx, s.g,
 			[]graph.NodeID{v}, r.Set, samples, s.querySeed(v), s.cfg.Model,
-			samplingBudget(ectx))
+			samplingBudget(ectx), nil)
 		esp.SetAttrs(trace.Int("achieved", int64(achieved)))
 		esp.End()
 		pe, err := splitPartial(err)
@@ -236,9 +236,9 @@ func (s *Server) handleStability(req *http.Request) (result, error) {
 	}
 	ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 		trace.Int("samples", int64(samples)))
-	stab, achieved, err := core.EstimateCostBudget(ectx, s.g,
+	stab, achieved, err := core.EstimateCost(ectx, s.g,
 		seeds, r.Set, samples, s.querySeed(seeds...), s.cfg.Model,
-		samplingBudget(ectx))
+		samplingBudget(ectx), nil)
 	esp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	esp.End()
 	pe, err := splitPartial(err)
@@ -372,7 +372,7 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 		// requests; a single query must not monopolize the process.
 		mctx, msp := trace.StartChild(req.Context(), "spread.mc",
 			trace.Int("trials", int64(trials)))
-		spread, err := cascade.ExpectedSpreadResumable(mctx, s.g, seeds,
+		spread, err := cascade.ExpectedSpread(mctx, s.g, seeds,
 			trials, s.querySeed(seeds...), 1,
 			checkpoint.Config{Budget: samplingBudget(mctx), Telemetry: s.cfg.Telemetry})
 		msp.End()
@@ -419,7 +419,7 @@ func (s *Server) handleReliability(req *http.Request) (result, error) {
 
 	rctx, rsp := trace.StartChild(req.Context(), "reliability.search",
 		trace.Int("samples", int64(samples)))
-	nodes, achieved, err := reliability.SearchBudget(rctx, s.g, sources,
+	nodes, achieved, err := reliability.Search(rctx, s.g, sources,
 		threshold, samples, s.querySeed(sources...), samplingBudget(rctx))
 	rsp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	rsp.End()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"soi/internal/blockfile"
 	"soi/internal/cascade"
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/telemetry"
@@ -44,7 +46,7 @@ func writeCorrupted(t *testing.T, data []byte, worlds []int) string {
 func quarantineFixture(t *testing.T, corrupt []int) (*Server, *index.Index) {
 	t.Helper()
 	g := testGraph(t)
-	clean, err := index.Build(g, index.Options{Samples: 60, Seed: 7})
+	clean, err := index.Build(context.Background(), g, index.Options{Samples: 60, Seed: 7}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

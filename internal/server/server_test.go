@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
 	"soi/internal/graph"
@@ -54,11 +55,14 @@ func sharedFixture(t testing.TB) fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		g := testGraph(t)
-		x, err := index.Build(g, index.Options{Samples: 120, Seed: 5})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 120, Seed: 5}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spheres := core.ComputeAll(x, core.Options{CostSamples: 30, CostSeed: 9})
+		spheres, err := core.ComputeAll(context.Background(), x, core.Options{CostSamples: 30, CostSeed: 9}, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		fix = fixture{g: g, x: x, spheres: spheres}
 	})
 	return fix
@@ -653,7 +657,7 @@ func TestNewRejectsMismatchedArtifacts(t *testing.T) {
 	other := graph.NewBuilder(3)
 	other.AddEdge(0, 1, 0.5)
 	og := other.MustBuild()
-	ox, berr := index.Build(og, index.Options{Samples: 10, Seed: 1})
+	ox, berr := index.Build(context.Background(), og, index.Options{Samples: 10, Seed: 1}, checkpoint.Config{})
 	if berr != nil {
 		t.Fatal(berr)
 	}

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/oracle"
@@ -154,7 +156,7 @@ func TestSketchServerRequiresSketch(t *testing.T) {
 // dataset's spreads.
 func TestNewRejectsForeignSketch(t *testing.T) {
 	f := sharedFixture(t)
-	other, err := index.Build(f.g, index.Options{Samples: 60, Seed: 99})
+	other, err := index.Build(context.Background(), f.g, index.Options{Samples: 60, Seed: 99}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package sketch
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/rng"
@@ -48,7 +50,7 @@ func benchFixture(b *testing.B) (*graph.Graph, *index.Index, *Sketch) {
 		if err != nil {
 			panic(err)
 		}
-		x, err := index.Build(g, index.Options{Samples: benchWorlds, Seed: 78})
+		x, err := index.Build(context.Background(), g, index.Options{Samples: benchWorlds, Seed: 78}, checkpoint.Config{})
 		if err != nil {
 			panic(err)
 		}

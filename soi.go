@@ -83,7 +83,9 @@ func ServeTelemetry(addr string, r *Telemetry) (*telemetry.DebugServer, error) {
 // ResumeConfig configures the crash-safe execution layer under the
 // …Resumable APIs: a checkpoint file (periodically, atomically flushed off
 // the worker hot path, fingerprint-keyed so stale checkpoints are rejected)
-// and/or a deadline budget for best-effort partial results.
+// and/or a deadline budget for best-effort partial results. The zero value
+// is the plain run: each …Resumable function then equals its plain
+// counterpart and costs nothing more.
 type ResumeConfig = checkpoint.Config
 
 // Budget bounds a resumable run by wall-clock deadline while demanding a
@@ -168,7 +170,7 @@ const (
 // returns ctx.Err() promptly. Worker panics are recovered and returned as
 // errors carrying the stack instead of crashing the process.
 func BuildIndex(ctx context.Context, g *Graph, opts IndexOptions) (*Index, error) {
-	return index.BuildCtx(ctx, g, opts)
+	return index.Build(ctx, g, opts, ResumeConfig{})
 }
 
 // BuildIndexCtx is the pre-context-first name of BuildIndex.
@@ -178,15 +180,15 @@ func BuildIndexCtx(ctx context.Context, g *Graph, opts IndexOptions) (*Index, er
 	return BuildIndex(ctx, g, opts)
 }
 
-// BuildIndexResumable is BuildIndexCtx under the crash-safe execution
+// BuildIndexResumable is BuildIndex under the crash-safe execution
 // layer: completed worlds are periodically checkpointed so a crash or
 // cancellation loses at most one flush interval of work, and a rerun with
 // the same graph, options, and checkpoint path produces an index
 // bit-identical to an uninterrupted build. With a deadline Budget it returns
 // a partial index over the completed worlds plus an error matching
-// ErrPartial.
+// ErrPartial. A zero ResumeConfig makes it BuildIndex.
 func BuildIndexResumable(ctx context.Context, g *Graph, opts IndexOptions, cfg ResumeConfig) (*Index, error) {
-	return index.BuildResumable(ctx, g, opts, cfg)
+	return index.Build(ctx, g, opts, cfg)
 }
 
 // LoadIndex reads a serialized index for graph g.
@@ -218,11 +220,12 @@ func SeedSetTypicalCascade(x *Index, seeds []NodeID, opts TypicalOptions) Sphere
 }
 
 // AllTypicalCascades computes the sphere of influence of every node
-// (Algorithm 2), in parallel. Workers check ctx between nodes and a canceled
-// context returns ctx.Err() promptly with a nil result. Worker panics are
+// (Algorithm 2), in parallel. Workers check ctx between nodes and between
+// held-out cost cascades, and a canceled context returns ctx.Err() promptly
+// with a nil result. Worker panics are
 // recovered into errors.
 func AllTypicalCascades(ctx context.Context, x *Index, opts TypicalOptions) ([]Sphere, error) {
-	return core.ComputeAllCtx(ctx, x, opts)
+	return core.ComputeAll(ctx, x, opts, ResumeConfig{})
 }
 
 // AllTypicalCascadesCtx is the pre-context-first name of AllTypicalCascades.
@@ -233,13 +236,14 @@ func AllTypicalCascadesCtx(ctx context.Context, x *Index, opts TypicalOptions) (
 	return AllTypicalCascades(ctx, x, opts)
 }
 
-// AllTypicalCascadesResumable is AllTypicalCascadesCtx under the crash-safe
+// AllTypicalCascadesResumable is AllTypicalCascades under the crash-safe
 // execution layer: each node's sphere is periodically checkpointed (keyed on
 // the index contents, so resuming against a different index is rejected as
 // stale). With a deadline Budget it returns the spheres computed so far —
-// unreached nodes have nil Seeds — plus an error matching ErrPartial.
+// unreached nodes have nil Seeds — plus an error matching ErrPartial. A
+// zero ResumeConfig makes it AllTypicalCascades.
 func AllTypicalCascadesResumable(ctx context.Context, x *Index, opts TypicalOptions, cfg ResumeConfig) ([]Sphere, error) {
-	return core.ComputeAllResumable(ctx, x, opts, cfg)
+	return core.ComputeAll(ctx, x, opts, cfg)
 }
 
 // SaveSpheres / LoadSpheres persist the results of AllTypicalCascades, the
@@ -284,7 +288,7 @@ func TakeoffProbability(modes []Mode) float64 { return core.TakeoffProbability(m
 // distance between set and a fresh random cascade from seeds. Lower is more
 // stable. ctx is checked between cascade samples.
 func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64) (float64, error) {
-	cost, _, err := core.EstimateCostBudget(ctx, g, seeds, set, samples, seed, ModelIC, Budget{})
+	cost, _, err := core.EstimateCost(ctx, g, seeds, set, samples, seed, ModelIC, Budget{}, nil)
 	return cost, err
 }
 
@@ -294,7 +298,7 @@ func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, sampl
 // when the deadline truncated sampling past the budget minimum — an error
 // matching ErrPartial whose *PartialError carries the error bound.
 func EstimateStabilityBudget(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64, budget Budget) (float64, int, error) {
-	return core.EstimateCostBudget(ctx, g, seeds, set, samples, seed, ModelIC, budget)
+	return core.EstimateCost(ctx, g, seeds, set, samples, seed, ModelIC, budget, nil)
 }
 
 // JaccardDistance returns d_J(a, b) for sorted node sets.
@@ -303,7 +307,7 @@ func JaccardDistance(a, b []NodeID) float64 { return jaccard.Distance(a, b) }
 // ExpectedSpread estimates σ(seeds) under the IC model by Monte Carlo. The
 // simulation workers check ctx between trials.
 func ExpectedSpread(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64) (float64, error) {
-	return cascade.ExpectedSpreadCtx(ctx, g, seeds, trials, seed, 0)
+	return cascade.ExpectedSpread(ctx, g, seeds, trials, seed, 0, ResumeConfig{})
 }
 
 // ExpectedSpreadCtx is the pre-context-first name of ExpectedSpread.
@@ -314,14 +318,14 @@ func ExpectedSpreadCtx(ctx context.Context, g *Graph, seeds []NodeID, trials int
 	return ExpectedSpread(ctx, g, seeds, trials, seed)
 }
 
-// ExpectedSpreadResumable is ExpectedSpreadCtx under the crash-safe
+// ExpectedSpreadResumable is ExpectedSpread under the crash-safe
 // execution layer: the per-trial cascade sizes are summed into a checkpoint
 // so a rerun returns a value bit-identical to an uninterrupted run. With a
 // deadline Budget it returns the mean over the completed trials plus an
 // error matching ErrPartial (the bound is normalized to [0,1]; multiply by
-// NumNodes for spread units).
+// NumNodes for spread units). A zero ResumeConfig makes it ExpectedSpread.
 func ExpectedSpreadResumable(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64, cfg ResumeConfig) (float64, error) {
-	return cascade.ExpectedSpreadResumable(ctx, g, seeds, trials, seed, 0, cfg)
+	return cascade.ExpectedSpread(ctx, g, seeds, trials, seed, 0, cfg)
 }
 
 // SpreadFromIndex estimates σ(seeds) over the worlds of a prebuilt index,
@@ -365,7 +369,7 @@ type MCOptions = infmax.MCOptions
 // marginal-gain evaluation and between Monte-Carlo trials, so a canceled
 // context aborts the greedy promptly with ctx.Err().
 func SelectSeedsStdMC(ctx context.Context, g *Graph, k int, opts MCOptions) (Selection, error) {
-	return infmax.StdMCCtx(ctx, g, k, opts)
+	return infmax.StdMC(ctx, g, k, opts)
 }
 
 // SelectSeedsStdMCCtx is the pre-context-first name of SelectSeedsStdMC.
@@ -395,7 +399,7 @@ type RROptions = infmax.RROptions
 // et al. / TIM style): greedy max-cover over sampled RR sets. ctx is checked
 // between RR-set samples and greedy rounds.
 func SelectSeedsRR(ctx context.Context, g *Graph, k int, opts RROptions) (Selection, error) {
-	return infmax.RRCtx(ctx, g, k, opts)
+	return infmax.RR(ctx, g, k, opts, ResumeConfig{})
 }
 
 // SelectSeedsRRCtx is the pre-context-first name of SelectSeedsRR.
@@ -405,14 +409,15 @@ func SelectSeedsRRCtx(ctx context.Context, g *Graph, k int, opts RROptions) (Sel
 	return SelectSeedsRR(ctx, g, k, opts)
 }
 
-// SelectSeedsRRResumable is SelectSeedsRRCtx under the crash-safe execution
+// SelectSeedsRRResumable is SelectSeedsRR under the crash-safe execution
 // layer: sampled RR sets are periodically checkpointed and a rerun selects
 // seeds bit-identical to an uninterrupted run. The fingerprint excludes k,
 // so one checkpoint serves runs with different seed-set sizes. With a
 // deadline Budget the greedy runs over the RR sets sampled so far and the
-// result carries an error matching ErrPartial.
+// result carries an error matching ErrPartial. A zero ResumeConfig makes it
+// SelectSeedsRR.
 func SelectSeedsRRResumable(ctx context.Context, g *Graph, k int, opts RROptions, cfg ResumeConfig) (Selection, error) {
-	return infmax.RRResumable(ctx, g, k, opts, cfg)
+	return infmax.RR(ctx, g, k, opts, cfg)
 }
 
 // RRAutoOptions configures the self-budgeting RR method.
@@ -424,7 +429,7 @@ type RRAutoOptions = infmax.RRAutoOptions
 // and the θ chosen. ctx is checked during both TIM phases (KPT estimation
 // and RR sampling).
 func SelectSeedsRRAuto(ctx context.Context, g *Graph, k int, opts RRAutoOptions) (Selection, int, error) {
-	return infmax.RRAutoCtx(ctx, g, k, opts)
+	return infmax.RRAuto(ctx, g, k, opts)
 }
 
 // SelectSeedsRRAutoCtx is the pre-context-first name of SelectSeedsRRAuto.
@@ -514,14 +519,15 @@ func NewStreamingLearner(topology *Graph, cfg StreamingLearnerConfig) (*Streamin
 // Reliability estimates the probability that t is reachable from s. ctx is
 // checked between the underlying cascade samples.
 func Reliability(ctx context.Context, g *Graph, s, t NodeID, samples int, seed uint64) (float64, error) {
-	return reliability.STCtx(ctx, g, s, t, samples, seed)
+	return reliability.ST(ctx, g, s, t, samples, seed)
 }
 
 // ReliabilitySearch returns the nodes reachable from the sources with
 // probability at least threshold. ctx is checked between the underlying
 // cascade samples.
 func ReliabilitySearch(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64) ([]NodeID, error) {
-	return reliability.SearchCtx(ctx, g, sources, threshold, samples, seed)
+	nodes, _, err := reliability.Search(ctx, g, sources, threshold, samples, seed, Budget{})
+	return nodes, err
 }
 
 // ReliabilitySearchCtx is the pre-context-first name of ReliabilitySearch.
