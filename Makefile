@@ -19,12 +19,15 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Machine-readable benchmark baseline: run the root and server benchmark
-# suites and convert the combined output to JSON (schema soi.bench/v1) keyed
-# by benchmark name. BENCHTIME=1x gives a smoke run; the committed
-# BENCH_*.json baselines use the default benchtime.
+# Machine-readable benchmark record: run the root, server, index, trace,
+# sketch, infmax and checkpoint benchmark suites and convert the combined
+# output to JSON (schema soi.bench/v1) keyed by benchmark name. The defaults
+# are a one-iteration smoke run written to the untracked bench.json; to
+# record a baseline, pass a real BENCHTIME (for example 1s) and a new
+# BENCH_OUT, so a bare `make bench-json` never overwrites a committed
+# BENCH_*.json.
 BENCHTIME ?= 1x
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= bench.json
 
 bench-json:
 	{ $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) . ; \
@@ -32,13 +35,15 @@ bench-json:
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/index ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/trace ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/sketch ; \
-	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/infmax ; } \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/infmax ; \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/checkpoint ; } \
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Short fuzz runs over every binary-format decoder (graph TSV, index
 # SOIIDX03 through the eager reader alone and through both the eager and
-# the mmap reader, sphere store SOISPH02, checkpoint SOICKP01 and the
-# all-nodes sweep's checkpoint payload, sketch SOISKC01). Each gets its own
+# the mmap reader, the index build's checkpoint payload, sphere store
+# SOISPH02, checkpoint SOICKP01 and the all-nodes sweep's checkpoint
+# payload, sketch SOISKC01). Each gets its own
 # `go test` invocation because -fuzz accepts a single target per run.
 # FUZZTIME is per decoder.
 FUZZTIME ?= 10s
@@ -47,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadTSV -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=^$$ -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run=^$$ -fuzz='^FuzzReadV03$$' -fuzztime=$(FUZZTIME) ./internal/index
+	$(GO) test -run=^$$ -fuzz=FuzzBuildPayload -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run=^$$ -fuzz=FuzzLoadSpheres -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzSweepPayload -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/checkpoint

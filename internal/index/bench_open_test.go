@@ -35,6 +35,7 @@ func BenchmarkIndexEagerRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(fi.Size())
+	b.ReportAllocs()
 	var last *Index
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,8 +3,11 @@ package index
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
+	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/rng"
 )
@@ -128,5 +131,77 @@ func TestReadSurvivesTruncation(t *testing.T) {
 				t.Fatalf("cut %d: truncated stream accepted", cut)
 			}
 		}()
+	}
+}
+
+// allocDuring returns the bytes f allocated on the heap.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeTrustsNoCount pins "never trust the header" for the world
+// decoder every reader shares: a block whose component or degree words
+// claim far more than the block holds is rejected after allocating on the
+// order of the bytes present, not of the counts claimed. The blocks carry a
+// matching CRC, as a forged file would, so the decode itself is tested.
+func TestDecodeTrustsNoCount(t *testing.T) {
+	const big = 1 << 18
+	le := binary.LittleEndian
+	forge := func(nodes, comps uint32, withDegrees bool) []byte {
+		b := le.AppendUint32(nil, comps)
+		for v := uint32(0); v < nodes; v++ {
+			b = le.AppendUint32(b, v%comps)
+		}
+		if withDegrees {
+			b = le.AppendUint32(b, comps) // component 0 claims every other as successor
+			for c := uint32(1); c < comps; c++ {
+				b = le.AppendUint32(b, 0)
+			}
+		}
+		return b
+	}
+	cases := []struct {
+		name  string
+		nodes uint32
+		block []byte
+	}{
+		// 1<<27 nodes and 1<<26 components over 64 bytes.
+		{"comps", 1 << 27, append(le.AppendUint32(nil, 1<<26), make([]byte, 60)...)},
+		// A full comp array, but no degree words after it.
+		{"degree words", big, forge(big, big, false)},
+		// Every degree word present, but the first claims successors the
+		// block does not hold.
+		{"degree", big, forge(big, big, true)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := blockfile.BlockInfo{Len: uint32(len(tc.block)), CRC: blockfile.Checksum(tc.block), Aux: le.Uint32(tc.block)}
+			var err error
+			alloc := allocDuring(func() { _, err = verifyBlock(tc.block, b, tc.nodes, 0) })
+			if err == nil {
+				t.Fatal("accepted a block that cannot hold what it claims")
+			}
+			if limit := 2*uint64(len(tc.block)) + 1<<20; alloc > limit {
+				t.Fatalf("rejecting a %d-byte block allocated %d bytes (limit %d)", len(tc.block), alloc, limit)
+			}
+			// The checkpoint payload has no directory or CRC in front of
+			// the decoder at all.
+			payload := append(le.AppendUint32(nil, 0), tc.block...)
+			done := checkpoint.NewBitmap(1)
+			done.Set(0)
+			alloc = allocDuring(func() {
+				err = decodeBuildPayload(&checkpoint.State{Done: done, Payload: payload}, tc.nodes, make([]worldEntry, 1))
+			})
+			if err == nil {
+				t.Fatal("checkpoint payload: accepted a record that cannot hold what it claims")
+			}
+			if limit := 2*uint64(len(payload)) + 1<<20; alloc > limit {
+				t.Fatalf("checkpoint payload: rejecting %d bytes allocated %d bytes (limit %d)", len(payload), alloc, limit)
+			}
+		})
 	}
 }

@@ -73,7 +73,7 @@ func (c *Coverage) gainInWorld(v graph.NodeID, i int, s *Scratch) int {
 	for head := 0; head < len(s.comps); head++ {
 		cc := s.comps[head]
 		gain += int(e.memberOff[cc+1] - e.memberOff[cc])
-		for _, d := range e.dag[cc] {
+		for _, d := range e.succs(cc) {
 			if !s.mark[d] && !cov[d] {
 				s.mark[d] = true
 				s.comps = append(s.comps, d)
@@ -106,7 +106,7 @@ func (c *Coverage) MarginalGain2(v, w graph.NodeID, s, s2 *Scratch) (gainV, gain
 			s2.comps = append(s2.comps, wRoot)
 			s2.mark[wRoot] = true
 			for head := 0; head < len(s2.comps); head++ {
-				for _, d := range e.dag[s2.comps[head]] {
+				for _, d := range e.succs(s2.comps[head]) {
 					if !s2.mark[d] && !cov[d] {
 						s2.mark[d] = true
 						s2.comps = append(s2.comps, d)
@@ -128,7 +128,7 @@ func (c *Coverage) MarginalGain2(v, w graph.NodeID, s, s2 *Scratch) (gainV, gain
 				if !s2.mark[cc] {
 					gainVAfterW += size
 				}
-				for _, d := range e.dag[cc] {
+				for _, d := range e.succs(cc) {
 					if !s.mark[d] && !cov[d] {
 						s.mark[d] = true
 						s.comps = append(s.comps, d)
@@ -166,7 +166,7 @@ func (c *Coverage) Add(v graph.NodeID, s *Scratch) int64 {
 		for head := 0; head < len(s.comps); head++ {
 			cc := s.comps[head]
 			gain += int64(e.memberOff[cc+1] - e.memberOff[cc])
-			for _, d := range e.dag[cc] {
+			for _, d := range e.succs(cc) {
 				if !cov[d] {
 					cov[d] = true
 					s.comps = append(s.comps, d)

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,6 +121,75 @@ func FuzzReadV03(f *testing.F) {
 		}
 		if live, quar := idx.LiveWorlds(), idx.QuarantinedWorlds(); live+quar != idx.NumWorlds() {
 			t.Fatalf("live %d + quarantined %d != worlds %d", live, quar, idx.NumWorlds())
+		}
+	})
+}
+
+// FuzzBuildPayload fuzzes the decoder of Build's checkpoint payload, which
+// has no block directory or per-block CRC in front of it to vouch for the
+// counts. decodeBuildPayload must never panic or allocate unboundedly, and
+// any payload it accepts must re-encode to exactly the same bytes.
+func FuzzBuildPayload(f *testing.F) {
+	g := randomGraph(f, 161, 12, 40)
+	nodes := g.NumNodes()
+	x, err := Build(context.Background(), g, Options{Samples: 4, Seed: 162}, checkpoint.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	done := checkpoint.NewBitmap(4)
+	done.Set(0)
+	done.Set(2)
+	clean, err := x.encodeWorlds(done)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// World 0's record starts after its 4-byte id; its first degree word
+	// follows the comps word and the comp array.
+	e0 := &x.entries[0]
+	firstDeg := 4 + 4 + 4*nodes
+	c := 0
+	for c < e0.numComps() && e0.succOff[c+1] == e0.succOff[c] {
+		c++
+	}
+	if c == e0.numComps() {
+		f.Fatal("fixture world 0 has no condensation edge to corrupt")
+	}
+	succPos := firstDeg + 4*(c+int(e0.succOff[c])) + 4 // component c's first successor
+	with := func(pos int, v uint32) []byte {
+		d := append([]byte(nil), clean...)
+		binary.LittleEndian.PutUint32(d[pos:], v)
+		return d
+	}
+	decode := func(data []byte) ([]worldEntry, error) {
+		entries := make([]worldEntry, 4)
+		return entries, decodeBuildPayload(&checkpoint.State{Done: done, Payload: data}, uint32(nodes), entries)
+	}
+	// Each corrupt seed must be rejected for the reason it names.
+	bad := func(why string, data []byte) {
+		if _, err := decode(data); err == nil {
+			f.Fatalf("%s: accepted", why)
+		}
+		f.Add(data)
+	}
+	comps := uint32(e0.numComps())
+	f.Add(clean)
+	bad("truncated id", append(append([]byte(nil), clean...), 1, 0))
+	bad("id outside the done bitmap", with(0, 1))
+	bad("truncated entry", clean[:firstDeg+2])
+	bad("degree > comps", with(firstDeg, comps+1))
+	bad("successor out of range", with(succPos, comps))
+	bad("empty payload for two done worlds", []byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := decode(data)
+		if err != nil {
+			return
+		}
+		back, err := (&Index{g: g, entries: entries}).encodeWorlds(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted payload of %d bytes re-encodes to %d different bytes", len(data), len(back))
 		}
 	})
 }

@@ -76,13 +76,23 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// worldEntry is the per-world part of the index.
+// worldEntry is the per-world part of the index: the node -> component map
+// and the (reduced) condensation, both held as flat CSR arrays so a world is
+// five allocations whatever its component count. Component ids are
+// reverse-topological (every successor id is below its source's).
 type worldEntry struct {
-	comp      []int32 // node -> component id (reverse-topological numbering)
-	memberOff []int32 // CSR offsets: members of comp c
+	comp      []int32 // node -> component id
+	memberOff []int32 // members of component c: members[memberOff[c]:memberOff[c+1]]
 	members   []int32
-	dag       scc.SliceGraph // (reduced) condensation
+	succOff   []int32 // successors of component c: succ[succOff[c]:succOff[c+1]]
+	succ      []int32
 }
+
+// numComps returns the world's component count.
+func (e *worldEntry) numComps() int { return len(e.succOff) - 1 }
+
+// succs returns the condensation successors of component c.
+func (e *worldEntry) succs(c int32) []int32 { return e.succ[e.succOff[c]:e.succOff[c+1]] }
 
 // Index is the cascade index. It is immutable after Build and safe for
 // concurrent queries, provided each goroutine uses its own Scratch.
@@ -236,28 +246,20 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 	if opts.TransitiveReduction {
 		dag = scc.Reduce(dag, opts.MaxExactReduction)
 	}
-	// Rebuild the members CSR locally so the entry owns flat storage.
-	n := g.NumNodes()
-	off := make([]int32, dec.NumComps+1)
-	for _, c := range dec.Comp {
-		off[c+1]++
+	memberOff, members := membersCSR(dec.Comp, dec.NumComps)
+	succOff := make([]int32, dec.NumComps+1)
+	for c, succs := range dag {
+		succOff[c+1] = succOff[c] + int32(len(succs))
 	}
-	for c := 1; c <= dec.NumComps; c++ {
-		off[c] += off[c-1]
-	}
-	members := make([]int32, n)
-	cursor := make([]int32, dec.NumComps)
-	copy(cursor, off[:dec.NumComps])
-	for v := int32(0); int(v) < n; v++ {
-		c := dec.Comp[v]
-		members[cursor[c]] = v
-		cursor[c]++
+	succ := make([]int32, 0, succOff[dec.NumComps])
+	for _, succs := range dag {
+		succ = append(succ, succs...)
 	}
 	bm.comps.Observe(int64(dec.NumComps))
 	if bm.nanos != nil {
 		bm.nanos.Observe(time.Since(start).Nanoseconds())
 	}
-	return worldEntry{comp: dec.Comp, memberOff: off, members: members, dag: dag}
+	return worldEntry{comp: dec.Comp, memberOff: memberOff, members: members, succOff: succOff, succ: succ}
 }
 
 // NumWorlds returns ℓ, quarantined worlds included (see LiveWorlds).
@@ -277,7 +279,7 @@ func (x *Index) NumComponents(i int) int {
 	if x.lazy != nil {
 		return int(x.lazy.dir[i].Aux)
 	}
-	return len(x.entries[i].dag)
+	return x.entries[i].numComps()
 }
 
 // CondensationEdges returns the number of condensation edges stored for
@@ -287,7 +289,7 @@ func (x *Index) CondensationEdges(i int) int {
 	if e == nil {
 		return 0
 	}
-	return scc.NumEdges(e.dag)
+	return len(e.succ)
 }
 
 // Component returns the component identifier of node v in world i (the
@@ -340,7 +342,7 @@ func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []gr
 		}
 	}
 	for head := 0; head < len(s.comps); head++ {
-		for _, d := range e.dag[s.comps[head]] {
+		for _, d := range e.succs(s.comps[head]) {
 			if !s.mark[d] {
 				s.mark[d] = true
 				s.comps = append(s.comps, d)
@@ -380,7 +382,7 @@ func (x *Index) CascadeSizeFromSet(seeds []graph.NodeID, i int, s *Scratch) int 
 	for head := 0; head < len(s.comps); head++ {
 		c := s.comps[head]
 		total += int(e.memberOff[c+1] - e.memberOff[c])
-		for _, d := range e.dag[c] {
+		for _, d := range e.succs(c) {
 			if !s.mark[d] {
 				s.mark[d] = true
 				s.comps = append(s.comps, d)
@@ -412,7 +414,7 @@ func (x *Index) VisitCascadeComps(seeds []graph.NodeID, i int, s *Scratch, f fun
 	}
 	for head := 0; head < len(s.comps); head++ {
 		c := s.comps[head]
-		for _, d := range e.dag[c] {
+		for _, d := range e.succs(c) {
 			if !s.mark[d] {
 				s.mark[d] = true
 				s.comps = append(s.comps, d)
@@ -452,11 +454,7 @@ func (x *Index) CascadesFromSet(seeds []graph.NodeID, s *Scratch) [][]graph.Node
 func (x *Index) MemoryFootprint() int64 {
 	var total int64
 	footprint := func(e *worldEntry) {
-		total += int64(len(e.comp))*4 + int64(len(e.memberOff))*4 + int64(len(e.members))*4
-		total += int64(len(e.dag)) * 24 // slice headers
-		for _, s := range e.dag {
-			total += int64(len(s)) * 4
-		}
+		total += 4 * int64(len(e.comp)+len(e.memberOff)+len(e.members)+len(e.succOff)+len(e.succ))
 	}
 	if x.lazy != nil {
 		for i := range x.lazy.loaded {

@@ -41,7 +41,7 @@ func (x *Index) WorldReachRanks(i, k int, rank func(v int32) uint64, scratch *Ra
 	if e == nil {
 		return nil, false
 	}
-	nc := len(e.dag)
+	nc := e.numComps()
 	if cap(scratch.offs) < nc+1 {
 		scratch.offs = make([]int32, nc+1)
 	}
@@ -54,7 +54,7 @@ func (x *Index) WorldReachRanks(i, k int, rank func(v int32) uint64, scratch *Ra
 		for _, v := range e.members[e.memberOff[c]:e.memberOff[c+1]] {
 			merged = append(merged, rank(v))
 		}
-		for _, d := range e.dag[c] {
+		for _, d := range e.succs(int32(c)) {
 			merged = append(merged, data[offs[d]:offs[d+1]]...)
 		}
 		slices.Sort(merged)

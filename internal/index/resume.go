@@ -1,10 +1,8 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
@@ -13,19 +11,15 @@ import (
 // encodeWorlds is Build's checkpoint payload: every world marked in done,
 // as its id followed by its serialized entry.
 func (x *Index) encodeWorlds(done *checkpoint.Bitmap) ([]byte, error) {
-	var buf bytes.Buffer
+	var buf []byte
 	for i := range x.entries {
 		if !done.Get(i) {
 			continue
 		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(i)); err != nil {
-			return nil, err
-		}
-		if err := writeEntry(&buf, &x.entries[i]); err != nil {
-			return nil, err
-		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+		buf = appendEntry(buf, &x.entries[i])
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // compact returns an index over only the worlds marked done, in ascending
@@ -59,23 +53,26 @@ func BuildFingerprint(g *graph.Graph, opts Options) uint64 {
 // The CRC32-C footer already vouches for the bytes; these checks catch
 // logic-level mismatches and report them as corruption.
 func decodeBuildPayload(st *checkpoint.State, nodes uint32, entries []worldEntry) error {
-	br := bytes.NewReader(st.Payload)
-	seen := 0
-	for {
-		var id uint32
-		if err := binary.Read(br, binary.LittleEndian, &id); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("%w: index payload: %v", checkpoint.ErrCorrupt, err)
+	data := st.Payload
+	seen, next := 0, uint32(0) // encodeWorlds writes ids in ascending order
+	for len(data) > 0 {
+		if len(data) < 4 {
+			return fmt.Errorf("%w: index payload: %d stray bytes where a world id should be", checkpoint.ErrCorrupt, len(data))
 		}
-		if int(id) >= len(entries) || !st.Done.Get(int(id)) {
+		id := binary.LittleEndian.Uint32(data)
+		if int64(id) >= int64(len(entries)) || !st.Done.Get(int(id)) {
 			return fmt.Errorf("%w: index payload names world %d outside the done bitmap", checkpoint.ErrCorrupt, id)
 		}
-		e, err := readEntry(br, nodes, int(id))
+		if id < next {
+			return fmt.Errorf("%w: index payload names world %d out of order", checkpoint.ErrCorrupt, id)
+		}
+		e, n, err := decodeEntry(data[4:], nodes, int(id))
 		if err != nil {
 			return fmt.Errorf("%w: index payload world %d: %v", checkpoint.ErrCorrupt, id, err)
 		}
 		entries[id] = e
+		data = data[4+n:]
+		next = id + 1
 		seen++
 	}
 	if seen != st.Done.Count() {

@@ -7,13 +7,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"soi/internal/atomicfile"
 	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
-	"soi/internal/scc"
 )
 
 // Binary serialization of the cascade index. The paper's deployment story
@@ -29,10 +30,14 @@ import (
 //	comp    [nodes]int32        node -> component
 //	per component: deg uint32, then deg int32 successor ids
 //
-// The members CSR is rebuilt from comp at load time (cheaper than storing).
-// The record (writeEntry/readEntry) is shared with the checkpoint payload of
-// Build, so a partially built index checkpoints its completed
-// worlds in exactly the on-disk format.
+// In memory a world keeps both the members and the successors of its
+// components as CSR arrays (see worldEntry); decodeEntry builds the members
+// CSR from comp and the successor CSR from the degree-prefixed lists, so the
+// block format is unchanged. The record (appendEntry/decodeEntry) is shared
+// with the checkpoint payload of Build, so a partially built index
+// checkpoints its completed worlds in exactly the on-disk format, and every
+// reader — eager Read, OpenMmap fault-in, Fsck and the checkpoint resume —
+// goes through the one decoder.
 
 // castagnoli is the CRC32-C table shared by the index and sphere stores.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -49,70 +54,91 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeEntry serializes one world record: comps, comp[], then per-component
-// successor lists.
-func writeEntry(w io.Writer, e *worldEntry) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(e.dag))); err != nil {
-		return err
+// appendEntry appends the serialization of one world record to dst: comps,
+// comp[], then per component its degree and successor ids.
+func appendEntry(dst []byte, e *worldEntry) []byte {
+	dst = slices.Grow(dst, 4*(1+len(e.comp)+e.numComps()+len(e.succ)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.numComps()))
+	for _, c := range e.comp {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
 	}
-	if err := binary.Write(w, binary.LittleEndian, e.comp); err != nil {
-		return err
-	}
-	for _, succs := range e.dag {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(succs))); err != nil {
-			return err
-		}
-		if len(succs) > 0 {
-			if err := binary.Write(w, binary.LittleEndian, succs); err != nil {
-				return err
-			}
+	for c := int32(0); int(c) < e.numComps(); c++ {
+		succs := e.succs(c)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(succs)))
+		for _, d := range succs {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 		}
 	}
-	return nil
+	return dst
 }
 
-// readEntry parses and validates one world record for a graph with the given
-// node count, rebuilding the members CSR. world is only for error messages.
-func readEntry(br io.Reader, nodes uint32, world int) (worldEntry, error) {
-	var comps uint32
-	if err := binary.Read(br, binary.LittleEndian, &comps); err != nil {
-		return worldEntry{}, err
+// decodeEntry parses and validates one world record at the start of data
+// for a graph with the given node count, and returns it with the number of
+// bytes it occupies (data may continue past it). Nothing is allocated before
+// the bytes it would hold are known to be present, so a forged count fails
+// on the length check instead of allocating. world is only for error
+// messages.
+func decodeEntry(data []byte, nodes uint32, world int) (worldEntry, int, error) {
+	le := binary.LittleEndian
+	if len(data) < 4 {
+		return worldEntry{}, 0, fmt.Errorf("index: world %d: record truncated at its component count", world)
 	}
+	comps := le.Uint32(data)
 	if comps == 0 || comps > nodes {
-		return worldEntry{}, fmt.Errorf("index: world %d has implausible component count %d", world, comps)
+		return worldEntry{}, 0, fmt.Errorf("index: world %d has implausible component count %d", world, comps)
+	}
+	// comp array plus one degree word per component.
+	if int64(len(data)) < 4+4*int64(nodes)+4*int64(comps) {
+		return worldEntry{}, 0, fmt.Errorf("index: world %d: record truncated: %d bytes cannot hold %d nodes and %d components", world, len(data), nodes, comps)
 	}
 	comp := make([]int32, nodes)
-	if err := binary.Read(br, binary.LittleEndian, comp); err != nil {
-		return worldEntry{}, err
-	}
-	for v, c := range comp {
-		if c < 0 || uint32(c) >= comps {
-			return worldEntry{}, fmt.Errorf("index: world %d: node %d has component %d out of range", world, v, c)
+	p := 4
+	for v := range comp {
+		c := le.Uint32(data[p:])
+		if c >= comps {
+			return worldEntry{}, 0, fmt.Errorf("index: world %d: node %d has component %d out of range", world, v, int32(c))
 		}
+		comp[v] = int32(c)
+		p += 4
 	}
-	dag := make(scc.SliceGraph, comps)
-	for c := range dag {
-		var deg uint32
-		if err := binary.Read(br, binary.LittleEndian, &deg); err != nil {
-			return worldEntry{}, err
+	// Pass 1 walks the degree words only: it validates them, checks that
+	// every list is present, and lays out the successor offsets, so pass 2
+	// can fill one exactly sized array.
+	succOff := make([]int32, comps+1)
+	start, q := p, p
+	for c := uint32(0); c < comps; c++ {
+		if len(data)-q < 4 {
+			return worldEntry{}, 0, fmt.Errorf("index: world %d: record truncated at component %d", world, c)
 		}
+		deg := le.Uint32(data[q:])
 		if deg > comps {
-			return worldEntry{}, fmt.Errorf("index: world %d: component %d degree %d out of range", world, c, deg)
+			return worldEntry{}, 0, fmt.Errorf("index: world %d: component %d degree %d out of range", world, c, deg)
 		}
-		if deg > 0 {
-			succs := make([]int32, deg)
-			if err := binary.Read(br, binary.LittleEndian, succs); err != nil {
-				return worldEntry{}, err
+		q += 4
+		if uint64(len(data)-q) < 4*uint64(deg) {
+			return worldEntry{}, 0, fmt.Errorf("index: world %d: record truncated in component %d's %d successors", world, c, deg)
+		}
+		q += 4 * int(deg)
+		if int64(succOff[c])+int64(deg) > math.MaxInt32 {
+			return worldEntry{}, 0, fmt.Errorf("index: world %d: successor count overflows", world)
+		}
+		succOff[c+1] = succOff[c] + int32(deg)
+	}
+	succ := make([]int32, succOff[comps])
+	q = start
+	for c := uint32(0); c < comps; c++ {
+		q += 4 // degree word, checked in pass 1
+		for j := succOff[c]; j < succOff[c+1]; j++ {
+			s := le.Uint32(data[q:])
+			if s >= comps {
+				return worldEntry{}, 0, fmt.Errorf("index: world %d: successor %d out of range", world, int32(s))
 			}
-			for _, s := range succs {
-				if s < 0 || uint32(s) >= comps {
-					return worldEntry{}, fmt.Errorf("index: world %d: successor %d out of range", world, s)
-				}
-			}
-			dag[c] = succs
+			succ[j] = int32(s)
+			q += 4
 		}
 	}
-	return rebuildEntry(comp, int(comps), dag), nil
+	memberOff, members := membersCSR(comp, int(comps))
+	return worldEntry{comp: comp, memberOff: memberOff, members: members, succOff: succOff, succ: succ}, q, nil
 }
 
 // WriteTo serializes the index in the SOIIDX03 block-directory format and
@@ -161,11 +187,11 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 		x.entries = append(x.entries, e)
 	}
 	fileSum := h.Sum32() // the footer's coverage: everything read so far
-	var footer uint32
-	if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
+	var fb [v3FooterLen]byte
+	if _, err := io.ReadFull(br, fb[:]); err != nil {
 		return nil, fmt.Errorf("%w: index footer: %v", blockfile.ErrTruncated, err)
 	}
-	if footer != fileSum {
+	if footer := binary.LittleEndian.Uint32(fb[:]); footer != fileSum {
 		return nil, fmt.Errorf("%w: checksum mismatch: file carries %08x, payload hashes to %08x", blockfile.ErrCorrupt, footer, fileSum)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
@@ -175,23 +201,26 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	return x, nil
 }
 
-func rebuildEntry(comp []int32, numComps int, dag scc.SliceGraph) worldEntry {
-	off := make([]int32, numComps+1)
+// membersCSR groups the nodes by component: the members of component c are
+// members[off[c]:off[c+1]], in ascending node order.
+func membersCSR(comp []int32, numComps int) (off, members []int32) {
+	off = make([]int32, numComps+1)
 	for _, c := range comp {
 		off[c+1]++
 	}
 	for c := 1; c <= numComps; c++ {
 		off[c] += off[c-1]
 	}
-	members := make([]int32, len(comp))
-	cursor := make([]int32, numComps)
-	copy(cursor, off[:numComps])
-	for v := int32(0); int(v) < len(comp); v++ {
-		c := comp[v]
-		members[cursor[c]] = v
-		cursor[c]++
+	// Scatter with off[c] as component c's cursor; afterwards each cursor
+	// sits at the next component's start, so shifting by one restores off.
+	members = make([]int32, len(comp))
+	for v, c := range comp {
+		members[off[c]] = int32(v)
+		off[c]++
 	}
-	return worldEntry{comp: comp, memberOff: off, members: members, dag: dag}
+	copy(off[1:], off[:numComps])
+	off[0] = 0
+	return off, members
 }
 
 // SaveFile writes the index to path atomically (temp file + rename +

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"sync"
@@ -27,7 +26,7 @@ import (
 //	dir      worlds × {off u64, len u32, crc u32, comps u32}   (blockfile entries)
 //	dirCRC   uint32   CRC32-C of every byte above (magic included)
 //	blocks   worlds contiguous world blocks, block i at dir[i].off,
-//	         each the writeEntry serialization of one world
+//	         each the appendEntry serialization of one world
 //	footer   uint32   CRC32-C of every preceding byte
 //
 // The directory-first layout is what lets OpenMmap serve queries without
@@ -38,13 +37,14 @@ import (
 // other ℓ-1 keep answering. The comps field mirrors the block's component
 // count so scratch sizing and NumComponents never touch the blocks.
 //
-// All three readers — eager Read, lazy OpenMmap and offline Fsck — verify
-// the file the same way: readV3Header checks everything before the first
-// block, and verifyBlock checks each block. The eager Read path is strict
-// (any corruption rejects the file); quarantine-and-degrade is the OpenMmap
-// serving behavior. The whole-file footer exists for eager Read and
-// soifsck; OpenMmap deliberately does not verify it, since that would fault
-// every page in and defeat lazy loading.
+// All three file readers — eager Read, lazy OpenMmap and offline Fsck —
+// verify the file the same way: readV3Header checks everything before the
+// first block, and verifyBlock checks each block through decodeEntry, the
+// one world decoder that Build's checkpoint resume uses too. The eager Read
+// path is strict (any corruption rejects the file); quarantine-and-degrade
+// is the OpenMmap serving behavior. The whole-file footer exists for eager
+// Read and soifsck; OpenMmap deliberately does not verify it, since that
+// would fault every page in and defeat lazy loading.
 //
 // SOIIDX03 is the only index format; a file with any other magic is
 // rejected with ErrVersion and must be rebuilt.
@@ -69,68 +69,49 @@ func v3BlocksStart(worlds int) int64 {
 	return v3HeaderLen + int64(worlds)*blockfile.EntrySize + 4
 }
 
-// measureWriter sizes and checksums a serialization without storing it.
-type measureWriter struct {
-	h hash.Hash32
-	n int64
-}
-
-func (m *measureWriter) Write(p []byte) (int, error) {
-	m.h.Write(p)
-	m.n += int64(len(p))
-	return len(p), nil
-}
-
-// v3Directory measures and checksums each world's block without storing
-// it (writeEntry is deterministic): pass 1 of the two-pass writer, and the
+// v3Directory encodes and checksums each world's block without keeping it
+// (appendEntry is deterministic): pass 1 of the two-pass writer, and the
 // input of the index fingerprint.
 func v3Directory(entries []*worldEntry) []blockfile.BlockInfo {
 	dir := make([]blockfile.BlockInfo, len(entries))
 	off := v3BlocksStart(len(entries))
+	var blk []byte
 	for i, e := range entries {
-		mw := &measureWriter{h: crc32.New(castagnoli)}
-		_ = writeEntry(mw, e) // a measureWriter never fails
-		dir[i] = blockfile.BlockInfo{Off: off, Len: uint32(mw.n), CRC: mw.h.Sum32(), Aux: uint32(len(e.dag))}
-		off += mw.n
+		blk = appendEntry(blk[:0], e)
+		dir[i] = blockfile.BlockInfo{Off: off, Len: uint32(len(blk)), CRC: blockfile.Checksum(blk), Aux: uint32(e.numComps())}
+		off += int64(len(blk))
 	}
 	return dir
 }
 
 // writeV3 streams the v03 serialization of the given worlds under the
-// directory v3Directory computed for them, so no block is ever buffered
-// whole. It takes bare entries rather than an *Index so soifsck can rewrite
-// a repaired file without the original graph.
+// directory v3Directory computed for them, encoding one block at a time
+// into a reused buffer, so the file is never buffered whole. It takes bare
+// entries rather than an *Index so soifsck can rewrite a repaired file
+// without the original graph.
 func writeV3(w io.Writer, nodes uint32, entries []*worldEntry, dir []blockfile.BlockInfo) (int64, error) {
 	bw := bufio.NewWriter(w)
 	h := crc32.New(castagnoli)
 	cw := &countingWriter{w: io.MultiWriter(bw, h)}
-	if err := binary.Write(cw, binary.LittleEndian, magicV3); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, nodes); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return cw.n, err
-	}
-	dirBuf := make([]byte, 0, len(dir)*blockfile.EntrySize)
+	buf := make([]byte, 0, v3BlocksStart(len(dir)))
+	buf = append(buf, magicV3[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, nodes)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	for _, b := range dir {
-		dirBuf = blockfile.AppendEntry(dirBuf, b)
+		buf = blockfile.AppendEntry(buf, b)
 	}
-	if _, err := cw.Write(dirBuf); err != nil {
-		return cw.n, err
-	}
-	// h has hashed exactly the directory CRC's coverage at this point.
-	if err := binary.Write(cw, binary.LittleEndian, h.Sum32()); err != nil {
+	buf = binary.LittleEndian.AppendUint32(buf, blockfile.Checksum(buf))
+	if _, err := cw.Write(buf); err != nil {
 		return cw.n, err
 	}
 	for _, e := range entries {
-		if err := writeEntry(cw, e); err != nil {
+		buf = appendEntry(buf[:0], e)
+		if _, err := cw.Write(buf); err != nil {
 			return cw.n, err
 		}
 	}
 	// Whole-file footer: everything above, itself excluded.
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(buf[:0], h.Sum32())); err != nil {
 		return cw.n, err
 	}
 	return cw.n + v3FooterLen, bw.Flush()
@@ -213,16 +194,15 @@ func verifyBlock(data []byte, b blockfile.BlockInfo, nodes uint32, world int) (w
 	if sum := blockfile.Checksum(data); sum != b.CRC {
 		return worldEntry{}, fmt.Errorf("%w: world %d block hashes to %08x, directory says %08x", blockfile.ErrCorrupt, world, sum, b.CRC)
 	}
-	br := bytes.NewReader(data)
-	e, err := readEntry(br, nodes, world)
+	e, n, err := decodeEntry(data, nodes, world)
 	if err != nil {
 		return worldEntry{}, fmt.Errorf("%w: %v", blockfile.ErrCorrupt, err)
 	}
-	if br.Len() != 0 {
-		return worldEntry{}, fmt.Errorf("%w: world %d: %d trailing bytes in block", blockfile.ErrCorrupt, world, br.Len())
+	if n != len(data) {
+		return worldEntry{}, fmt.Errorf("%w: world %d: %d trailing bytes in block", blockfile.ErrCorrupt, world, len(data)-n)
 	}
-	if uint32(len(e.dag)) != b.Aux {
-		return worldEntry{}, fmt.Errorf("%w: world %d decodes to %d components, directory says %d", blockfile.ErrCorrupt, world, len(e.dag), b.Aux)
+	if uint32(e.numComps()) != b.Aux {
+		return worldEntry{}, fmt.Errorf("%w: world %d decodes to %d components, directory says %d", blockfile.ErrCorrupt, world, e.numComps(), b.Aux)
 	}
 	return e, nil
 }

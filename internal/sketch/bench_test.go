@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -184,4 +185,52 @@ func benchSeeds() []graph.NodeID {
 		seeds[i] = graph.NodeID(i * 9973)
 	}
 	return seeds
+}
+
+// readFixture is a serialized sketch at the scale of one served shard
+// (8,000 nodes, 96 worlds, the default k) for BenchmarkSketchRead; it is
+// much smaller than benchFixture, so the load path is measured without
+// paying for the 100k-node build.
+var readFixture = sync.OnceValue(func() []byte {
+	const n, deg = 8000, 10
+	r := rand.New(rand.NewSource(81))
+	bl := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for d := 0; d < deg; d++ {
+			if v := graph.NodeID(r.Intn(n)); v != graph.NodeID(u) {
+				bl.AddEdge(graph.NodeID(u), v, 0.1)
+			}
+		}
+	}
+	g, err := bl.Build()
+	if err != nil {
+		panic(err)
+	}
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 96, Seed: 82}, checkpoint.Config{})
+	if err != nil {
+		panic(err)
+	}
+	sk, err := Build(x, Options{Seed: 83})
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sk.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// BenchmarkSketchRead is the sketch half of a daemon's start-up: decode and
+// validate a whole SOISKC01 file from memory.
+func BenchmarkSketchRead(b *testing.B) {
+	data := readFixture()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,8 +2,10 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"soi/internal/fault"
@@ -139,5 +141,45 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestReadTrustsNoCount pins "never trust the header": a sketch whose
+// counts claim far more than its body holds is rejected after allocating on
+// the order of the bytes present, not of the counts claimed.
+func TestReadTrustsNoCount(t *testing.T) {
+	le := binary.LittleEndian
+	header := func(nodes, k uint32) []byte {
+		b := append([]byte(nil), sketchMagic[:]...)
+		for _, u := range []uint32{nodes, 1, 1, k} {
+			b = le.AppendUint32(b, u)
+		}
+		return le.AppendUint64(le.AppendUint64(b, 1), 2) // seed, indexFP
+	}
+	// 100 nodes whose offsets each claim 1<<20 ranks, and no ranks.
+	ranks := header(100, 1<<20)
+	for v := uint32(0); v <= 100; v++ {
+		ranks = le.AppendUint32(ranks, v<<20)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"nodes", append(header(1<<27, 2), make([]byte, 64-sketchHeaderLen)...)},
+		{"ranks", ranks},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Read(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("accepted a sketch whose body cannot hold what its counts claim")
+			}
+			t.Log(err)
+			if alloc, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(tc.data))+1<<20; alloc > limit {
+				t.Fatalf("rejecting %d bytes allocated %d bytes (limit %d)", len(tc.data), alloc, limit)
+			}
+		})
 	}
 }
