@@ -122,7 +122,7 @@ func validateFromSource(g *graph.Graph, sources []graph.NodeID, samples int) err
 }
 
 func validateThreshold(threshold float64) error {
-	if threshold <= 0 || threshold > 1 {
+	if !(threshold > 0 && threshold <= 1) { // also rejects NaN
 		return fmt.Errorf("reliability: threshold %v outside (0,1]", threshold)
 	}
 	return nil

@@ -92,8 +92,10 @@ func TestSearchThreshold(t *testing.T) {
 			t.Fatalf("Search = %v, want %v", got, want)
 		}
 	}
-	if _, _, err := Search(context.Background(), g, []graph.NodeID{0}, 0, 10, 1, checkpoint.Budget{}); err == nil {
-		t.Error("accepted threshold 0")
+	for _, bad := range []float64{0, -1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, _, err := Search(context.Background(), g, []graph.NodeID{0}, bad, 10, 1, checkpoint.Budget{}); err == nil {
+			t.Errorf("accepted threshold %v", bad)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -14,33 +15,10 @@ import (
 	"strings"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/fault"
-	"soi/internal/server"
 	"soi/internal/trace"
 )
-
-// CodeShardUnavailable is the gateway's error code for a single-shard query
-// whose owning shard has no usable replica: unlike scatter queries there is
-// nothing to degrade to, so the client gets a retryable error instead.
-const CodeShardUnavailable = "shard_unavailable"
-
-// gwError is a gateway-raised request error.
-type gwError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *gwError) Error() string { return e.msg }
-
-func gwBadRequest(format string, args ...any) *gwError {
-	return &gwError{status: http.StatusBadRequest, code: server.CodeBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func gwNotFound(format string, args ...any) *gwError {
-	return &gwError{status: http.StatusNotFound, code: server.CodeNotFound, msg: fmt.Sprintf(format, args...)}
-}
 
 // Handler returns the gateway mux.
 func (r *Router) Handler() http.Handler { return r.mux }
@@ -108,7 +86,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 }
 
 func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	resp := server.ReadyResponse{Ready: true}
+	resp := api.Ready{Ready: true}
 	var unready []string
 	for s, group := range r.shards {
 		n := 0
@@ -132,17 +110,8 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	api.WriteJSON(w, status, resp)
 }
-
-// degradeCarrier extracts degradeInfo from any merged gateway response (the
-// gw*Response types promote it through their embedded degradeInfo), so the
-// endpoint wrapper can log fan-out health without knowing the response shape.
-type degradeCarrier interface{ degradeFields() degradeInfo }
-
-func (d degradeInfo) degradeFields() degradeInfo { return d }
 
 // endpoint wraps a gateway handler with tracing, drain check, budget context,
 // error mapping, degradation metrics, and the request log.
@@ -164,7 +133,8 @@ func (r *Router) endpoint(name string, fn func(*http.Request) (int, any, error))
 
 		status := http.StatusOK
 		errCode := ""
-		var deg degradeInfo
+		var ann api.Partial
+		var sc api.Scatter
 		defer func() {
 			dur := time.Since(start)
 			span.SetHTTPStatus(status)
@@ -182,65 +152,60 @@ func (r *Router) endpoint(name string, fn func(*http.Request) (int, any, error))
 					DurationMS:   float64(dur) / float64(time.Millisecond),
 					ErrorCode:    errCode,
 					Partial:      status == http.StatusPartialContent,
-					ErrorBound:   deg.ErrorBound,
-					ShardsOK:     deg.ShardsOK,
-					ShardsTotal:  deg.ShardsTotal,
-					FailedShards: deg.FailedShards,
+					ErrorBound:   ann.ErrorBound,
+					ShardsOK:     sc.ShardsOK,
+					ShardsTotal:  sc.ShardsTotal,
+					FailedShards: sc.FailedShards,
 				})
 			}
 		}()
 
+		// fail writes err's envelope; an error the gateway did not raise as
+		// an *api.Error (a shard body it could not decode) is a 502.
+		fail := func(err error) {
+			var ae *api.Error
+			if !errors.As(err, &ae) {
+				ae = &api.Error{Status: http.StatusBadGateway, Code: api.CodeInternal, Msg: err.Error()}
+			}
+			status, errCode = ae.Status, ae.Code
+			api.WriteError(w, ae)
+		}
 		if r.draining.Load() {
-			status, errCode = http.StatusServiceUnavailable, server.CodeDraining
-			server.WriteError(w, status, errCode, "gateway is draining", time.Second)
+			fail(&api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeDraining,
+				Msg: "gateway is draining", RetryAfter: time.Second})
 			return
 		}
-		budget, err := r.requestBudget(req)
+		budget, err := api.Budget(req.URL.Query(), r.cfg.defaultBudget(), r.cfg.maxBudget())
 		if err != nil {
-			status, errCode = http.StatusBadRequest, server.CodeBadRequest
-			server.WriteError(w, status, errCode, err.Error(), 0)
+			fail(err)
 			return
 		}
 		ctx, cancel := context.WithDeadline(req.Context(), r.now().Add(budget))
 		defer cancel()
 		st, v, err := fn(req.WithContext(withBudget(ctx, budget)))
 		if err != nil {
-			var ge *gwError
-			switch {
-			case asGwError(err, &ge):
-				status, errCode = ge.status, ge.code
-				server.WriteError(w, ge.status, ge.code, ge.msg, ge.retryAfter)
-			default:
-				status, errCode = http.StatusBadGateway, server.CodeInternal
-				server.WriteError(w, status, errCode, err.Error(), 0)
-			}
+			fail(err)
+			return
+		}
+		if err := api.WriteJSON(w, st, v); err != nil {
+			status, errCode = http.StatusInternalServerError, api.CodeInternal
 			return
 		}
 		status = st
-		if dc, ok := v.(degradeCarrier); ok {
-			deg = dc.degradeFields()
+		ann = api.AnnotationOf(v)
+		if ann.Scatter != nil {
+			sc = *ann.Scatter
 		}
 		if status == http.StatusPartialContent {
 			r.mDegraded.Inc()
 			// The merge widened the answer: record how far and why on the root
 			// span, so a 206's trace explains itself.
 			span.Event("degraded",
-				trace.Int("shards_ok", int64(deg.ShardsOK)),
-				trace.Int("shards_total", int64(deg.ShardsTotal)),
-				trace.Float("error_bound", deg.ErrorBound))
+				trace.Int("shards_ok", int64(sc.ShardsOK)),
+				trace.Int("shards_total", int64(sc.ShardsTotal)),
+				trace.Float("error_bound", ann.ErrorBound))
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(v)
 	})
-}
-
-func asGwError(err error, out **gwError) bool {
-	ge, ok := err.(*gwError)
-	if ok {
-		*out = ge
-	}
-	return ok
 }
 
 type gwBudgetKey struct{}
@@ -252,24 +217,6 @@ func withBudget(ctx context.Context, b time.Duration) context.Context {
 func budgetOf(ctx context.Context) time.Duration {
 	b, _ := ctx.Value(gwBudgetKey{}).(time.Duration)
 	return b
-}
-
-func (r *Router) requestBudget(req *http.Request) (time.Duration, error) {
-	v := req.URL.Query().Get("budget")
-	if v == "" {
-		return r.cfg.defaultBudget(), nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad budget %q: %v", v, err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("budget must be positive, got %q", v)
-	}
-	if max := r.cfg.maxBudget(); d > max {
-		d = max
-	}
-	return d, nil
 }
 
 // subQuery rewrites the client query for one shard leg: per-shard node
@@ -295,23 +242,17 @@ func (r *Router) subQuery(req *http.Request, overrides map[string]string) string
 // groupParam parses a comma-separated original-id list and groups it by
 // owning shard.
 func (r *Router) groupParam(req *http.Request, param string) (map[int][]int64, []int64, error) {
-	raw := req.URL.Query().Get(param)
-	if raw == "" {
-		return nil, nil, gwBadRequest("missing %s parameter (comma-separated node ids)", param)
+	all, err := api.IDs(req.URL.Query(), param)
+	if err != nil {
+		return nil, nil, err
 	}
 	byShard := make(map[int][]int64)
-	var all []int64
-	for _, p := range strings.Split(raw, ",") {
-		id, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, nil, gwBadRequest("bad %s entry %q", param, p)
-		}
+	for _, id := range all {
 		shard, ok := r.owner[id]
 		if !ok {
-			return nil, nil, gwNotFound("unknown node %d", id)
+			return nil, nil, api.NotFound("unknown node %d", id)
 		}
 		byShard[shard] = append(byShard[shard], id)
-		all = append(all, id)
 	}
 	return byShard, all, nil
 }
@@ -333,36 +274,40 @@ func sortedShards(byShard map[int][]int64) []int {
 	return out
 }
 
-func statusOf(partial bool) int {
-	if partial {
-		return http.StatusPartialContent
-	}
-	return http.StatusOK
-}
-
 // --- single-shard pass-through endpoints ----------------------------------
 
-// passThrough routes a query to the shard owning the path {node} and relays
-// the shard's answer (status and body) unchanged.
-func (r *Router) passThrough(req *http.Request, path string) (int, any, error) {
-	raw := req.PathValue("node")
-	id, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, nil, gwBadRequest("bad node %q", raw)
-	}
-	shard, okOwner := r.owner[id]
-	if !okOwner {
-		return 0, nil, gwNotFound("unknown node %d", id)
-	}
-	leg := r.fetchShard(req.Context(), shard, path+r.subQuery(req, nil))
+// relay answers a query from the one shard that owns it: a success body is
+// passed on unchanged, the shard's error envelope is re-raised (so this
+// gateway's log and span carry its code), and a shard with no usable replica
+// is a retryable shard_unavailable, since there is nothing to degrade to.
+func (r *Router) relay(ctx context.Context, shard int, pathQ string) (int, any, error) {
+	leg := r.fetchShard(ctx, shard, pathQ)
 	if leg.Err != nil {
-		return 0, nil, &gwError{
-			status: http.StatusServiceUnavailable, code: CodeShardUnavailable,
-			msg:        fmt.Sprintf("shard %d unavailable: %v", shard, leg.Err),
-			retryAfter: time.Second,
+		return 0, nil, &api.Error{
+			Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
+			Msg:        fmt.Sprintf("shard %d unavailable: %v", shard, leg.Err),
+			RetryAfter: time.Second,
+		}
+	}
+	if !leg.ok() {
+		if e := api.ParseError(leg.Status, leg.Body); e != nil {
+			return 0, nil, e
 		}
 	}
 	return leg.Status, json.RawMessage(leg.Body), nil
+}
+
+// passThrough routes a query to the shard owning the path {node}.
+func (r *Router) passThrough(req *http.Request, path string) (int, any, error) {
+	id, err := api.Node(req.PathValue("node"))
+	if err != nil {
+		return 0, nil, err
+	}
+	shard, ok := r.owner[id]
+	if !ok {
+		return 0, nil, api.NotFound("unknown node %d", id)
+	}
+	return r.relay(req.Context(), shard, path+r.subQuery(req, nil))
 }
 
 func (r *Router) handleSphere(req *http.Request) (int, any, error) {
@@ -392,17 +337,17 @@ func (r *Router) handleSpread(req *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return statusOf(resp.Partial), resp, nil
+	return api.StatusOf(resp.Degraded), resp, nil
 }
 
 func (r *Router) handleSeeds(req *http.Request) (int, any, error) {
 	raw := req.URL.Query().Get("k")
 	if raw == "" {
-		return 0, nil, gwBadRequest("missing k parameter")
+		return 0, nil, api.BadRequest("missing k parameter")
 	}
 	k, err := strconv.Atoi(raw)
 	if err != nil || k < 1 || k > r.topo.NumNodes {
-		return 0, nil, gwBadRequest("k must be in [1, %d], got %q", r.topo.NumNodes, raw)
+		return 0, nil, api.BadRequest("k must be in [1, %d], got %q", r.topo.NumNodes, raw)
 	}
 	shards := make([]int, len(r.shards))
 	for i := range shards {
@@ -419,7 +364,7 @@ func (r *Router) handleSeeds(req *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return statusOf(resp.Partial), resp, nil
+	return api.StatusOf(resp.Degraded), resp, nil
 }
 
 func (r *Router) handleReliability(req *http.Request) (int, any, error) {
@@ -427,12 +372,9 @@ func (r *Router) handleReliability(req *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	threshold := 0.5
-	if raw := req.URL.Query().Get("threshold"); raw != "" {
-		threshold, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return 0, nil, gwBadRequest("bad threshold %q", raw)
-		}
+	threshold, err := api.Threshold(req.URL.Query())
+	if err != nil {
+		return 0, nil, err
 	}
 	shards := sortedShards(byShard)
 	legs := r.scatter(req.Context(), shards, func(s int) string {
@@ -442,7 +384,7 @@ func (r *Router) handleReliability(req *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return statusOf(resp.Partial), resp, nil
+	return api.StatusOf(resp.Degraded), resp, nil
 }
 
 func (r *Router) handleStability(req *http.Request) (int, any, error) {
@@ -454,15 +396,7 @@ func (r *Router) handleStability(req *http.Request) (int, any, error) {
 	if len(shards) == 1 {
 		// Single-owner seed sets are exact: relay the owning shard's answer.
 		s := shards[0]
-		leg := r.fetchShard(req.Context(), s, "/v1/stability"+r.subQuery(req, map[string]string{"seeds": idList(byShard[s])}))
-		if leg.Err != nil {
-			return 0, nil, &gwError{
-				status: http.StatusServiceUnavailable, code: CodeShardUnavailable,
-				msg:        fmt.Sprintf("shard %d unavailable: %v", s, leg.Err),
-				retryAfter: time.Second,
-			}
-		}
-		return leg.Status, json.RawMessage(leg.Body), nil
+		return r.relay(req.Context(), s, "/v1/stability"+r.subQuery(req, map[string]string{"seeds": idList(byShard[s])}))
 	}
 	legs := r.scatter(req.Context(), shards, func(s int) string {
 		return "/v1/stability" + r.subQuery(req, map[string]string{"seeds": idList(byShard[s])})
@@ -471,26 +405,13 @@ func (r *Router) handleStability(req *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return statusOf(resp.Partial), resp, nil
+	return api.StatusOf(resp.Degraded), resp, nil
 }
 
 // --- info & topology ------------------------------------------------------
 
-// gwInfoResponse answers GET /v1/info on the gateway.
-type gwInfoResponse struct {
-	Shards           int     `json:"shards"`
-	Nodes            int     `json:"nodes"`
-	GraphFingerprint string  `json:"graph_fingerprint"`
-	CutEdges         int     `json:"cut_edges"`
-	CutBound         float64 `json:"cut_bound"`
-	CutProb          float64 `json:"cut_prob"`
-	HealthyReplicas  int     `json:"healthy_replicas"`
-	TotalReplicas    int     `json:"total_replicas"`
-	UptimeSeconds    int64   `json:"uptime_seconds"`
-}
-
 func (r *Router) handleInfo(*http.Request) (int, any, error) {
-	resp := gwInfoResponse{
+	resp := api.GatewayInfo{
 		Shards:           len(r.shards),
 		Nodes:            r.topo.NumNodes,
 		GraphFingerprint: r.topo.GraphFingerprint,
@@ -541,6 +462,5 @@ func (r *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.Shards = append(out.Shards, st)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	api.WriteJSON(w, http.StatusOK, out)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
@@ -467,7 +468,7 @@ func TestConformanceRouterSketchHealthy200(t *testing.T) {
 		return shardReply{Shard: s, Status: rec.Code, Body: rec.Body.Bytes()}
 	}
 	bound := func(leg shardReply) float64 {
-		var p shardPartial
+		var p api.Partial
 		if err := json.Unmarshal(leg.Body, &p); err != nil || leg.Status != http.StatusOK || p.ErrorBound <= 0 {
 			t.Fatalf("shard %d: status %d, body %s: want a 200 sketch answer with a bound", leg.Shard, leg.Status, leg.Body)
 		}
@@ -512,8 +513,8 @@ func TestConformanceRouterSketchHealthy200(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if statusOf(resp.Partial) != http.StatusPartialContent || resp.ShardsOK != 2 {
-		t.Errorf("one leg answered 206: merged status %d, shards_ok %d; want 206 with both shards ok", statusOf(resp.Partial), resp.ShardsOK)
+	if !resp.Degraded || resp.ShardsOK != 2 {
+		t.Errorf("one leg answered 206: merged partial %v, shards_ok %d; want partial with both shards ok", resp.Degraded, resp.ShardsOK)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/oracle"
@@ -146,8 +147,8 @@ func TestChaosGauntletKillRestartRecover(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("sphere on dead shard: status %d, want 503: %v", code, body)
 	}
-	if e, ok := body["error"].(map[string]any); !ok || e["code"] != CodeShardUnavailable {
-		t.Fatalf("sphere on dead shard: envelope %v, want code %q", body, CodeShardUnavailable)
+	if e, ok := body["error"].(map[string]any); !ok || e["code"] != api.CodeShardUnavailable {
+		t.Fatalf("sphere on dead shard: envelope %v, want code %q", body, api.CodeShardUnavailable)
 	}
 
 	// Recovery: restart the shard on the same address, wait out the breaker

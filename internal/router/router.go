@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"soi/internal/server"
+	"soi/internal/api"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
@@ -302,6 +301,20 @@ func (sr *shardReply) ok() bool {
 	return sr.Err == nil && sr.Status >= 200 && sr.Status < 300
 }
 
+// clientError returns the leg's error envelope when the shard refused the
+// request itself (a 4xx with a permanent code such as bad_request): every
+// shard would refuse it the same way, so the gateway relays the refusal
+// rather than counting a healthy shard as failed. Nil otherwise.
+func (sr *shardReply) clientError() *api.Error {
+	if sr.Err != nil || sr.Status < 400 || sr.Status >= 500 {
+		return nil
+	}
+	if e := api.ParseError(sr.Status, sr.Body); e != nil && !api.RetryableCode(e.Code) {
+		return e
+	}
+	return nil
+}
+
 // errBreakerOpen marks an attempt refused locally without touching the
 // network (breaker open / no admissible replica).
 var errBreakerOpen = errors.New("router: all replicas refused by circuit breaker")
@@ -324,9 +337,8 @@ func (a *attemptOut) retryable() bool {
 	if a.status >= 200 && a.status < 300 {
 		return false
 	}
-	var env server.ErrorEnvelope
-	if err := json.Unmarshal(a.body, &env); err == nil && env.Error.Code != "" {
-		return server.RetryableCode(env.Error.Code)
+	if e := api.ParseError(a.status, a.body); e != nil {
+		return api.RetryableCode(e.Code)
 	}
 	return a.status >= 500 // 5xx with no envelope: assume transient
 }
@@ -526,9 +538,8 @@ func (r *Router) doGET(ctx context.Context, url string) attemptOut {
 		// retry_after_ms and the standard Retry-After header (which is all a
 		// proxy or non-soi backend in front of a shard can set). Honor
 		// whichever asks for the longer wait.
-		var env server.ErrorEnvelope
-		if json.Unmarshal(body, &env) == nil && env.Error.RetryAfterMS > 0 {
-			out.retryAfter = time.Duration(env.Error.RetryAfterMS) * time.Millisecond
+		if e := api.ParseError(resp.StatusCode, body); e != nil && e.RetryAfter > 0 {
+			out.retryAfter = e.RetryAfter
 		}
 		if h := parseRetryAfter(resp.Header.Get("Retry-After"), r.now()); h > out.retryAfter {
 			out.retryAfter = h

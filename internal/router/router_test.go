@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"soi/internal/server"
+	"soi/internal/api"
 	"soi/internal/telemetry"
 )
 
@@ -44,7 +44,7 @@ func TestFetchShardRetriesRetryableEnvelope(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		if calls.Add(1) <= 2 {
-			server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded, "queue full", time.Millisecond)
+			api.WriteError(w, &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeOverloaded, Msg: "queue full", RetryAfter: time.Millisecond})
 			return
 		}
 		fmt.Fprint(w, `{"spread":1.5}`)
@@ -68,7 +68,7 @@ func TestFetchShardDoesNotRetryPermanentErrors(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		calls.Add(1)
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "bad seeds", 0)
+		api.WriteError(w, &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadRequest, Msg: "bad seeds"})
 	}))
 	defer ts.Close()
 	r := newTestRouter(t, nil, []string{ts.URL}, []string{ts.URL})
@@ -222,14 +222,19 @@ func TestGatewayRequestValidation(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"/v1/spread?seeds=99", http.StatusNotFound, server.CodeNotFound},   // unknown node
-		{"/v1/spread?seeds=", http.StatusBadRequest, server.CodeBadRequest}, // missing seeds
-		{"/v1/spread?seeds=0&budget=bogus", http.StatusBadRequest, server.CodeBadRequest},
-		{"/v1/seeds", http.StatusBadRequest, server.CodeBadRequest},      // missing k
-		{"/v1/seeds?k=0", http.StatusBadRequest, server.CodeBadRequest},  // k out of range
-		{"/v1/seeds?k=99", http.StatusBadRequest, server.CodeBadRequest}, // k > NumNodes
-		{"/v1/sphere/abc", http.StatusBadRequest, server.CodeBadRequest},
-		{"/v1/sphere/55", http.StatusNotFound, server.CodeNotFound},
+		{"/v1/spread?seeds=99", http.StatusNotFound, api.CodeNotFound},   // unknown node
+		{"/v1/spread?seeds=", http.StatusBadRequest, api.CodeBadRequest}, // missing seeds
+		{"/v1/spread?seeds=0&budget=bogus", http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/seeds", http.StatusBadRequest, api.CodeBadRequest},      // missing k
+		{"/v1/seeds?k=0", http.StatusBadRequest, api.CodeBadRequest},  // k out of range
+		{"/v1/seeds?k=99", http.StatusBadRequest, api.CodeBadRequest}, // k > NumNodes
+		{"/v1/sphere/abc", http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/sphere/55", http.StatusNotFound, api.CodeNotFound},
+		{"/v1/reliability?sources=0&threshold=2", http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/reliability?sources=0&threshold=0", http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/reliability?sources=0&threshold=-1", http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/reliability?sources=0&threshold=NaN", http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/reliability?sources=0&threshold=Inf", http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -238,10 +243,47 @@ func TestGatewayRequestValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.url, rec.Code, tc.wantStatus, rec.Body.String())
 			continue
 		}
-		var env server.ErrorEnvelope
+		var env api.ErrorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != tc.wantCode {
 			t.Errorf("%s: envelope %s, want code %q", tc.url, rec.Body.String(), tc.wantCode)
 		}
+	}
+}
+
+// TestGatewayRelaysShardClientErrors: a request every shard refuses as
+// malformed is the client's error, not a shard outage. The gateway relays
+// the shards' 400 envelope instead of merging a 206 in which every shard
+// "failed", and no breaker counts the refusal against its replica.
+func TestGatewayRelaysShardClientErrors(t *testing.T) {
+	rt := startGateway(t, nil)
+	for _, url := range []string{
+		"/v1/spread?seeds=4,9&method=bogus",
+		"/v1/spread?seeds=4,9&estimator=bogus",
+		"/v1/seeds?k=3&estimator=bogus",
+		"/v1/reliability?sources=4,9&samples=0",
+		"/v1/stability?seeds=4,9&samples=0",
+		"/v1/reliability?sources=4,9&threshold=2",
+	} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		var env api.ErrorEnvelope
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+			env.Error.Code != api.CodeBadRequest || env.Error.Message == "" {
+			t.Errorf("%s: status %d body %s, want a 400 bad_request envelope", url, rec.Code, rec.Body.String())
+		}
+	}
+	for s, group := range rt.shards {
+		for _, rep := range group {
+			rep.breaker.mu.Lock()
+			state, fails := rep.breaker.state, rep.breaker.fails
+			rep.breaker.mu.Unlock()
+			if state != BreakerClosed || fails != 0 {
+				t.Errorf("shard %d breaker %v with %d failures, want closed with none", s, state, fails)
+			}
+		}
+	}
+	if n := rt.mShardErrs.Value(); n != 0 || rt.mDegraded.Value() != 0 {
+		t.Errorf("shard errors %d, degraded %d; want 0 and 0", n, rt.mDegraded.Value())
 	}
 }
 
@@ -256,8 +298,8 @@ func TestGatewayDrainingRefusesNewRequests(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 while draining", rec.Code)
 	}
-	var env server.ErrorEnvelope
-	if json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != server.CodeDraining {
+	var env api.ErrorEnvelope
+	if json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != api.CodeDraining {
 		t.Fatalf("envelope %s, want code draining", rec.Body.String())
 	}
 
@@ -283,7 +325,7 @@ func TestMergeSpreadDeadShardWidensBound(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
 	seedsByShard := map[int][]int64{0: {0}, 1: {10, 11}}
 	legs := []shardReply{
-		okLeg(0, shardSpread{Spread: 2.5}),
+		okLeg(0, api.Spread{Spread: 2.5}),
 		deadLeg(1),
 	}
 	resp, err := r.mergeSpread(legs, seedsByShard, []int64{0, 10, 11}, "index")
@@ -298,17 +340,17 @@ func TestMergeSpreadDeadShardWidensBound(t *testing.T) {
 	if want := 1 + 0.75; resp.ErrorBound != want {
 		t.Errorf("error bound = %v, want %v", resp.ErrorBound, want)
 	}
-	if !resp.Partial || resp.ShardsOK != 1 || resp.ShardsTotal != 2 ||
+	if !resp.Degraded || resp.ShardsOK != 1 || resp.ShardsTotal != 2 ||
 		len(resp.FailedShards) != 1 || resp.FailedShards[0] != 1 {
-		t.Errorf("degrade info wrong: %+v", resp.degradeInfo)
+		t.Errorf("degrade info wrong: %+v", resp.Partial)
 	}
 }
 
 func TestMergeSeedsKWayMergeIsGainOrdered(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
 	legs := []shardReply{
-		okLeg(0, shardSeeds{Seeds: []int64{2, 0}, Gains: []float64{3, 1}, Objective: 4, LazyEvaluations: 5}),
-		okLeg(1, shardSeeds{Seeds: []int64{11, 12}, Gains: []float64{2.5, 2}, Objective: 4.5, LazyEvaluations: 7}),
+		okLeg(0, api.Seeds{Seeds: []int64{2, 0}, Gains: []float64{3, 1}, Objective: 4, LazyEvaluations: 5}),
+		okLeg(1, api.Seeds{Seeds: []int64{11, 12}, Gains: []float64{2.5, 2}, Objective: 4.5, LazyEvaluations: 7}),
 	}
 	resp, err := r.mergeSeeds(legs, 3)
 	if err != nil {
@@ -329,14 +371,14 @@ func TestMergeSeedsKWayMergeIsGainOrdered(t *testing.T) {
 func TestMergeSeedsDeadShardAndShortfall(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
 	legs := []shardReply{
-		okLeg(0, shardSeeds{Seeds: []int64{2}, Gains: []float64{3}, Objective: 3}),
+		okLeg(0, api.Seeds{Seeds: []int64{2}, Gains: []float64{3}, Objective: 3}),
 		deadLeg(1),
 	}
 	resp, err := r.mergeSeeds(legs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Seeds) != 1 || !resp.Partial {
+	if len(resp.Seeds) != 1 || !resp.Degraded {
 		t.Errorf("want partial single-seed answer, got %+v", resp)
 	}
 	// Dead shard could have covered all 3 of its nodes; cut adds 0.75.
@@ -348,10 +390,10 @@ func TestMergeSeedsDeadShardAndShortfall(t *testing.T) {
 func TestMergeReliabilityUnionAndBounds(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
 	legs := []shardReply{
-		okLeg(0, shardReliability{Nodes: []int64{2, 0}, Samples: 900,
-			shardPartial: shardPartial{ErrorBound: 0.02}}),
-		okLeg(1, shardReliability{Nodes: []int64{11}, Samples: 1000,
-			shardPartial: shardPartial{ErrorBound: 0.05, Partial: true}}),
+		okLeg(0, api.Reliability{Nodes: []int64{2, 0}, Samples: 900,
+			Partial: api.Partial{ErrorBound: 0.02}}),
+		okLeg(1, api.Reliability{Nodes: []int64{11}, Samples: 1000,
+			Partial: api.Partial{ErrorBound: 0.05, Degraded: true}}),
 	}
 	resp, err := r.mergeReliability(legs, []int64{0, 10}, 0.5)
 	if err != nil {
@@ -367,7 +409,7 @@ func TestMergeReliabilityUnionAndBounds(t *testing.T) {
 	if want := 0.05 + 0.25; resp.ErrorBound != want {
 		t.Errorf("error bound = %v, want %v", resp.ErrorBound, want)
 	}
-	if !resp.Partial {
+	if !resp.Degraded {
 		t.Error("bound-widened answer not flagged partial")
 	}
 }
@@ -376,8 +418,8 @@ func TestMergeStabilityWeightsAndDeadSeeds(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
 	seedsByShard := map[int][]int64{0: {0}, 1: {10}}
 	legs := []shardReply{
-		okLeg(0, shardStability{Set: []int64{0, 1, 2}, SampleCost: 0.3, Stability: 0.7, Samples: 200}),
-		okLeg(1, shardStability{Set: []int64{10}, SampleCost: 0.1, Stability: 0.9, Samples: 300}),
+		okLeg(0, api.Stability{Set: []int64{0, 1, 2}, SampleCost: 0.3, Stability: 0.7, Samples: 200}),
+		okLeg(1, api.Stability{Set: []int64{10}, SampleCost: 0.1, Stability: 0.9, Samples: 300}),
 	}
 	resp, err := r.mergeStability(legs, seedsByShard, []int64{0, 10})
 	if err != nil {
@@ -403,8 +445,8 @@ func TestMergeStabilityWeightsAndDeadSeeds(t *testing.T) {
 	if want := 0.25 + 0.5; resp.ErrorBound != want { // CutProb + deadSeeds/totalSeeds
 		t.Errorf("error bound = %v, want %v", resp.ErrorBound, want)
 	}
-	if resp.MissingNodes != 3 || !resp.Partial {
-		t.Errorf("degrade info wrong: %+v", resp.degradeInfo)
+	if resp.MissingNodes != 3 || !resp.Degraded {
+		t.Errorf("degrade info wrong: %+v", resp.Partial)
 	}
 }
 
@@ -412,7 +454,7 @@ func TestMergeMalformedOKLegIsAHardError(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
 	legs := []shardReply{
 		{Shard: 0, Status: http.StatusOK, Body: []byte("not json")},
-		okLeg(1, shardSpread{Spread: 1}),
+		okLeg(1, api.Spread{Spread: 1}),
 	}
 	if _, err := r.mergeSpread(legs, map[int][]int64{}, nil, "index"); err == nil {
 		t.Fatal("malformed 200 body merged silently; want a hard error")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/server"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
@@ -79,7 +80,7 @@ func TestGatewayTraceLinksShardLegs(t *testing.T) {
 	var calls0 atomic.Int64
 	ts0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if calls0.Add(1) == 1 {
-			server.WriteError(w, http.StatusServiceUnavailable, server.CodeOverloaded, "induced overload", time.Millisecond)
+			api.WriteError(w, &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeOverloaded, Msg: "induced overload", RetryAfter: time.Millisecond})
 			return
 		}
 		shard0.Handler().ServeHTTP(w, req)

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"soi/internal/api"
 	"soi/internal/telemetry"
 )
 
@@ -15,7 +16,7 @@ type cached struct {
 	key     string
 	status  int
 	body    []byte
-	partial partialInfo
+	partial api.Partial
 }
 
 // lruCache is a size-bounded (entry-count) LRU of marshaled responses.

@@ -2,12 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"soi/internal/api"
 )
 
 // Gate is the daemon's front door during startup: it binds the listen
@@ -31,13 +32,11 @@ func NewGate() *Gate {
 		fmt.Fprintln(w, "ok")
 	})
 	stub.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(ReadyResponse{Ready: false, Reason: "loading"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Ready{Ready: false, Reason: "loading"})
 	})
 	stub.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		WriteError(w, http.StatusServiceUnavailable, CodeLoading,
-			"daemon is still loading its artifacts", time.Second)
+		api.WriteError(w, &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeLoading,
+			Msg: "daemon is still loading its artifacts", RetryAfter: time.Second})
 	})
 	g.handler.Store(http.Handler(stub))
 	return g

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/cascade"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
@@ -30,11 +31,31 @@ func splitPartial(err error) (*checkpoint.PartialError, error) {
 	return nil, err
 }
 
-func statusFor(pe *checkpoint.PartialError) int {
-	if pe != nil {
-		return http.StatusPartialContent
+// partialOf annotates a budget-truncated answer: how much sampling completed
+// before the deadline and the error bound at that count, scaled to the
+// estimate's units. A nil pe (sampling finished) annotates nothing.
+func partialOf(pe *checkpoint.PartialError, scale float64) api.Partial {
+	if pe == nil {
+		return api.Partial{}
 	}
-	return http.StatusOK
+	return api.Partial{
+		Degraded:   true,
+		Achieved:   pe.Achieved,
+		Requested:  pe.Requested,
+		ErrorBound: pe.Bound * scale,
+	}
+}
+
+// mergePartial combines a budget-truncation annotation with a
+// quarantine-degradation annotation: either alone makes the response
+// partial, and their additive error bounds sum.
+func mergePartial(budget, quarantine api.Partial) api.Partial {
+	out := budget
+	out.Degraded = budget.Degraded || quarantine.Degraded
+	out.ErrorBound = budget.ErrorBound + quarantine.ErrorBound
+	out.WorldsUsed = quarantine.WorldsUsed
+	out.WorldsQuarantined = quarantine.WorldsQuarantined
+	return out
 }
 
 // quarantinePartial annotates answers computed over a degraded index. The
@@ -51,24 +72,24 @@ func statusFor(pe *checkpoint.PartialError) int {
 // Note the cache interaction: 206 responses are never cached, so degraded
 // answers always recompute; entries cached before a block went bad replay
 // answers computed over strictly healthier data, which stays correct.
-func (s *Server) quarantinePartial(scale float64) (partialInfo, error) {
+func (s *Server) quarantinePartial(scale float64) (api.Partial, error) {
 	quar := s.x.QuarantinedWorlds()
 	if quar == 0 {
-		return partialInfo{}, nil
+		return api.Partial{}, nil
 	}
 	live := s.x.LiveWorlds()
 	if live == 0 {
-		return partialInfo{}, &apiError{
-			status: http.StatusServiceUnavailable,
-			code:   CodeDegraded,
-			msg:    "index degraded: every world block is quarantined; repair the file with soifsck",
+		return api.Partial{}, &api.Error{
+			Status: http.StatusServiceUnavailable,
+			Code:   api.CodeDegraded,
+			Msg:    "index degraded: every world block is quarantined; repair the file with soifsck",
 			// Retryable 503s carry Retry-After so the gateway's backoff
 			// honoring applies before it fails over to a replica.
-			retryAfter: time.Second,
+			RetryAfter: time.Second,
 		}
 	}
-	return partialInfo{
-		Partial:           true,
+	return api.Partial{
+		Degraded:          true,
 		WorldsUsed:        live,
 		WorldsQuarantined: quar,
 		ErrorBound:        checkpoint.ErrorBound(live) * scale,
@@ -86,11 +107,11 @@ func (s *Server) queryEstimator(req *http.Request) (string, error) {
 		return "", nil
 	case "sketch":
 		if s.sketch == nil {
-			return "", conflict("no sketch loaded; estimator=sketch requires soid -sketch")
+			return "", api.Conflict("no sketch loaded; estimator=sketch requires soid -sketch")
 		}
 		return "sketch", nil
 	default:
-		return "", badRequest("bad estimator %q: want dense or sketch", est)
+		return "", api.BadRequest("bad estimator %q: want dense or sketch", est)
 	}
 }
 
@@ -108,21 +129,21 @@ func (s *Server) querySeed(vs ...graph.NodeID) uint64 {
 // precomputed sphere from the loaded store; source=compute derives it from
 // the index under the request budget; source=auto (default) prefers the
 // store.
-func (s *Server) handleSphere(req *http.Request) (result, error) {
+func (s *Server) handleSphere(req *http.Request) (any, error) {
 	v, err := s.pathNode(req)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	est, err := s.queryEstimator(req)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	if est == "sketch" {
 		ssp := trace.Child(req.Context(), "sphere.sketch")
 		size := s.sketch.EstimateSphereSize(v)
 		ssp.End()
 		s.mSketch.Inc()
-		resp := sphereResponse{
+		resp := api.Sphere{
 			Node:          s.orig(v),
 			Sphere:        []int64{}, // the sketch estimates magnitude, not membership
 			Source:        "sketch",
@@ -130,7 +151,7 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 			EstimatedSize: size,
 		}
 		resp.ErrorBound = s.sketch.ErrorBound(size)
-		return ok(resp), nil
+		return resp, nil
 	}
 	source := req.URL.Query().Get("source")
 	switch source {
@@ -142,16 +163,16 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 		}
 	case "store":
 		if s.spheres == nil {
-			return result{}, conflict("no sphere store loaded; start soid with -spheres or use source=compute")
+			return nil, api.Conflict("no sphere store loaded; start soid with -spheres or use source=compute")
 		}
 	case "compute":
 	default:
-		return result{}, badRequest("bad source %q: want auto, store, or compute", source)
+		return nil, api.BadRequest("bad source %q: want auto, store, or compute", source)
 	}
 
 	if source == "store" {
 		r := &s.spheres[v]
-		resp := sphereResponse{
+		resp := api.Sphere{
 			Node:       s.orig(v),
 			Sphere:     s.origSlice(r.Set),
 			Size:       r.Size(),
@@ -162,15 +183,15 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 			stab := r.ExpectedCost
 			resp.Stability = &stab
 		}
-		return ok(resp), nil
+		return resp, nil
 	}
 
 	samples, err := queryInt(req, "samples", s.cfg.costSamples())
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	if samples < 0 {
-		return result{}, badRequest("samples must be >= 0, got %d", samples)
+		return nil, api.BadRequest("samples must be >= 0, got %d", samples)
 	}
 
 	csp := trace.Child(req.Context(), "sphere.compute")
@@ -180,10 +201,10 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 	csp.End()
 	qp, err := s.quarantinePartial(1) // sample cost is a [0,1] Jaccard average
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 
-	resp := sphereResponse{
+	resp := api.Sphere{
 		Node:       s.orig(v),
 		Sphere:     s.origSlice(r.Set),
 		Size:       r.Size(),
@@ -200,31 +221,31 @@ func (s *Server) handleSphere(req *http.Request) (result, error) {
 		esp.End()
 		pe, err := splitPartial(err)
 		if err != nil {
-			return result{}, err
+			return nil, err
 		}
 		resp.Stability = &stab
 		resp.StabilitySamples = achieved
-		resp.partialInfo = mergePartial(partialOf(pe, 1), qp) // Jaccard distance: bound already in [0,1]
-		return result{status: partialStatus(resp.partialInfo), v: resp}, nil
+		resp.Partial = mergePartial(partialOf(pe, 1), qp) // Jaccard distance: bound already in [0,1]
+		return resp, nil
 	}
-	resp.partialInfo = qp
-	return result{status: partialStatus(qp), v: resp}, nil
+	resp.Partial = qp
+	return resp, nil
 }
 
 // handleStability serves GET /v1/stability?seeds=...: the typical cascade of
 // a seed set together with its held-out stability ρ under the request
 // budget.
-func (s *Server) handleStability(req *http.Request) (result, error) {
+func (s *Server) handleStability(req *http.Request) (any, error) {
 	seeds, err := s.queryNodes(req, "seeds")
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	samples, err := queryInt(req, "samples", s.cfg.costSamples())
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	if samples < 1 {
-		return result{}, badRequest("samples must be >= 1, got %d", samples)
+		return nil, api.BadRequest("samples must be >= 1, got %d", samples)
 	}
 
 	csp := trace.Child(req.Context(), "sphere.compute")
@@ -232,7 +253,7 @@ func (s *Server) handleStability(req *http.Request) (result, error) {
 	csp.End()
 	qp, err := s.quarantinePartial(1)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 		trace.Int("samples", int64(samples)))
@@ -243,45 +264,44 @@ func (s *Server) handleStability(req *http.Request) (result, error) {
 	esp.End()
 	pe, err := splitPartial(err)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
-	pi := mergePartial(partialOf(pe, 1), qp)
-	return result{status: partialStatus(pi), v: stabilityResponse{
-		Seeds:       s.origSlice(seeds),
-		Set:         s.origSlice(r.Set),
-		Size:        r.Size(),
-		SampleCost:  r.SampleCost,
-		Stability:   stab,
-		Samples:     achieved,
-		partialInfo: pi,
-	}}, nil
+	return api.Stability{
+		Seeds:      s.origSlice(seeds),
+		Set:        s.origSlice(r.Set),
+		Size:       r.Size(),
+		SampleCost: r.SampleCost,
+		Stability:  stab,
+		Samples:    achieved,
+		Partial:    mergePartial(partialOf(pe, 1), qp),
+	}, nil
 }
 
 // handleSeeds serves GET /v1/seeds?k=...: InfMax_TC greedy max-cover over
 // the loaded sphere store. This endpoint has no sampling to degrade, so the
 // budget (plus grace) acts as a hard timeout instead.
-func (s *Server) handleSeeds(req *http.Request) (result, error) {
+func (s *Server) handleSeeds(req *http.Request) (any, error) {
 	est, err := s.queryEstimator(req)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	k, err := queryInt(req, "k", 0)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	if k < 1 || k > s.g.NumNodes() {
-		return result{}, badRequest("k must be in [1, %d], got %d", s.g.NumNodes(), k)
+		return nil, api.BadRequest("k must be in [1, %d], got %d", s.g.NumNodes(), k)
 	}
 	if est == "sketch" {
 		gsp := trace.Child(req.Context(), "seeds.sketch_greedy", trace.Int("k", int64(k)))
 		sel, err := infmax.SelectSeedsSketch(s.sketch, k)
 		gsp.End()
 		if err != nil {
-			return result{}, err
+			return nil, err
 		}
 		s.mSketch.Inc()
 		obj := sel.Objective()
-		return ok(seedsResponse{
+		return api.Seeds{
 			K:               k,
 			Seeds:           s.origSlice(sel.Seeds),
 			Gains:           sel.Gains,
@@ -289,58 +309,58 @@ func (s *Server) handleSeeds(req *http.Request) (result, error) {
 			Coverage:        obj / float64(s.g.NumNodes()),
 			LazyEvaluations: sel.LazyEvaluations,
 			Estimator:       "sketch",
-			ErrorBound:      s.sketch.ErrorBound(obj),
-		}), nil
+			Partial:         api.Partial{ErrorBound: s.sketch.ErrorBound(obj)},
+		}, nil
 	}
 	if s.tcSets == nil {
-		return result{}, conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
+		return nil, api.Conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
 	}
 	gctx, gsp := trace.StartChild(req.Context(), "seeds.greedy", trace.Int("k", int64(k)))
 	sel, err := infmax.TC(gctx, s.g, s.tcSets, k,
 		infmax.TCOptions{Telemetry: s.cfg.Telemetry})
 	gsp.End()
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
-	return ok(seedsResponse{
+	return api.Seeds{
 		K:               k,
 		Seeds:           s.origSlice(sel.Seeds),
 		Gains:           sel.Gains,
 		Objective:       sel.Objective(),
 		Coverage:        sel.Objective() / float64(s.g.NumNodes()),
 		LazyEvaluations: sel.LazyEvaluations,
-	}), nil
+	}, nil
 }
 
 // handleSpread serves GET /v1/spread?seeds=...: expected spread either over
 // the loaded index's worlds (method=index, deterministic and fast) or by
 // fresh Monte-Carlo simulation under the request budget (method=mc).
-func (s *Server) handleSpread(req *http.Request) (result, error) {
+func (s *Server) handleSpread(req *http.Request) (any, error) {
 	seeds, err := s.queryNodes(req, "seeds")
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	est, err := s.queryEstimator(req)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	method := req.URL.Query().Get("method")
 	if est == "sketch" {
 		if method != "" && method != "index" {
-			return result{}, badRequest("estimator=sketch answers over the index's worlds; method %q is not compatible", method)
+			return nil, api.BadRequest("estimator=sketch answers over the index's worlds; method %q is not compatible", method)
 		}
 		ssp := trace.Child(req.Context(), "spread.sketch")
 		spread := s.sketch.EstimateSpread(seeds)
 		ssp.End()
 		s.mSketch.Inc()
-		resp := spreadResponse{
+		resp := api.Spread{
 			Seeds:     s.origSlice(seeds),
 			Spread:    spread,
 			Method:    "index",
 			Estimator: "sketch",
 		}
 		resp.ErrorBound = s.sketch.ErrorBound(spread)
-		return ok(resp), nil
+		return resp, nil
 	}
 	switch method {
 	case "", "index":
@@ -352,21 +372,21 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 		// Spread is in node units, so the [0,1] Hoeffding bound scales by n.
 		qp, err := s.quarantinePartial(float64(s.g.NumNodes()))
 		if err != nil {
-			return result{}, err
+			return nil, err
 		}
-		return result{status: partialStatus(qp), v: spreadResponse{
-			Seeds:       s.origSlice(seeds),
-			Spread:      spread,
-			Method:      "index",
-			partialInfo: qp,
-		}}, nil
+		return api.Spread{
+			Seeds:   s.origSlice(seeds),
+			Spread:  spread,
+			Method:  "index",
+			Partial: qp,
+		}, nil
 	case "mc":
 		trials, err := queryInt(req, "trials", s.cfg.trials())
 		if err != nil {
-			return result{}, err
+			return nil, err
 		}
 		if trials < 1 {
-			return result{}, badRequest("trials must be >= 1, got %d", trials)
+			return nil, api.BadRequest("trials must be >= 1, got %d", trials)
 		}
 		// One worker per request: admission control arbitrates cores across
 		// requests; a single query must not monopolize the process.
@@ -378,43 +398,40 @@ func (s *Server) handleSpread(req *http.Request) (result, error) {
 		msp.End()
 		pe, err := splitPartial(err)
 		if err != nil {
-			return result{}, err
+			return nil, err
 		}
-		return result{status: statusFor(pe), v: spreadResponse{
+		return api.Spread{
 			Seeds:  s.origSlice(seeds),
 			Spread: spread,
 			Method: "mc",
 			Trials: trials,
 			// The estimator's bound is normalized to [0,1]; spread is in
 			// node units, so scale by n.
-			partialInfo: partialOf(pe, float64(s.g.NumNodes())),
-		}}, nil
+			Partial: partialOf(pe, float64(s.g.NumNodes())),
+		}, nil
 	default:
-		return result{}, badRequest("bad method %q: want index or mc", method)
+		return nil, api.BadRequest("bad method %q: want index or mc", method)
 	}
 }
 
 // handleReliability serves GET /v1/reliability?sources=...&threshold=...:
 // the nodes reachable from the sources with probability at least threshold,
 // estimated by sampling under the request budget.
-func (s *Server) handleReliability(req *http.Request) (result, error) {
+func (s *Server) handleReliability(req *http.Request) (any, error) {
 	sources, err := s.queryNodes(req, "sources")
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
-	threshold := 0.5
-	if raw := req.URL.Query().Get("threshold"); raw != "" {
-		threshold, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return result{}, badRequest("bad threshold %q", raw)
-		}
+	threshold, err := api.Threshold(req.URL.Query())
+	if err != nil {
+		return nil, err
 	}
 	samples, err := queryInt(req, "samples", s.cfg.trials())
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	if samples < 1 {
-		return result{}, badRequest("samples must be >= 1, got %d", samples)
+		return nil, api.BadRequest("samples must be >= 1, got %d", samples)
 	}
 
 	rctx, rsp := trace.StartChild(req.Context(), "reliability.search",
@@ -425,62 +442,62 @@ func (s *Server) handleReliability(req *http.Request) (result, error) {
 	rsp.End()
 	pe, err := splitPartial(err)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
-	return result{status: statusFor(pe), v: reliabilityResponse{
-		Sources:     s.origSlice(sources),
-		Threshold:   threshold,
-		Nodes:       s.origSlice(nodes),
-		Count:       len(nodes),
-		Samples:     achieved,
-		partialInfo: partialOf(pe, 1),
-	}}, nil
+	return api.Reliability{
+		Sources:   s.origSlice(sources),
+		Threshold: threshold,
+		Nodes:     s.origSlice(nodes),
+		Count:     len(nodes),
+		Samples:   achieved,
+		Partial:   partialOf(pe, 1),
+	}, nil
 }
 
 // handleModes serves GET /v1/modes/{node}?k=...: the k-mode cascade
 // decomposition of a node with its takeoff probability.
-func (s *Server) handleModes(req *http.Request) (result, error) {
+func (s *Server) handleModes(req *http.Request) (any, error) {
 	v, err := s.pathNode(req)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	k, err := queryInt(req, "k", 2)
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
 	if k < 1 {
-		return result{}, badRequest("k must be >= 1, got %d", k)
+		return nil, api.BadRequest("k must be >= 1, got %d", k)
 	}
 	msp := trace.Child(req.Context(), "modes.analyze", trace.Int("k", int64(k)))
 	modes := core.AnalyzeModes(s.x, v, k)
 	msp.End()
 	qp, err := s.quarantinePartial(1) // mode probabilities are [0,1] world fractions
 	if err != nil {
-		return result{}, err
+		return nil, err
 	}
-	out := make([]modeJSON, len(modes))
+	out := make([]api.Mode, len(modes))
 	for i, m := range modes {
-		out[i] = modeJSON{
+		out[i] = api.Mode{
 			Median:      s.origSlice(m.Median),
 			Size:        len(m.Median),
 			Probability: m.Probability,
 			Cost:        m.Cost,
 		}
 	}
-	return result{status: partialStatus(qp), v: modesResponse{
+	return api.Modes{
 		Node:               s.orig(v),
 		K:                  k,
 		Modes:              out,
 		TakeoffProbability: core.TakeoffProbability(modes),
-		partialInfo:        qp,
-	}}, nil
+		Partial:            qp,
+	}, nil
 }
 
 // handleInfo serves GET /v1/info: the loaded artifacts and their
 // fingerprints, so clients can validate they are talking to the dataset they
 // expect.
-func (s *Server) handleInfo(*http.Request) (result, error) {
-	return ok(infoResponse{
+func (s *Server) handleInfo(*http.Request) (any, error) {
+	return api.Info{
 		Nodes:             s.g.NumNodes(),
 		Edges:             s.g.NumEdges(),
 		Worlds:            s.x.NumWorlds(),
@@ -492,5 +509,5 @@ func (s *Server) handleInfo(*http.Request) (result, error) {
 		SketchLoaded:      s.sketch != nil,
 		CacheEntries:      s.cache.len(),
 		UptimeSeconds:     int64(time.Since(s.started).Seconds()),
-	}), nil
+	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"soi/internal/api"
 	"soi/internal/blockfile"
 	"soi/internal/cascade"
 	"soi/internal/checkpoint"
@@ -146,10 +147,10 @@ func TestQuarantineAllWorlds503(t *testing.T) {
 		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body.String())
 	}
 	errObj, _ := body["error"].(map[string]any)
-	if errObj["code"] != CodeDegraded {
-		t.Fatalf("code %v, want %q", errObj["code"], CodeDegraded)
+	if errObj["code"] != api.CodeDegraded {
+		t.Fatalf("code %v, want %q", errObj["code"], api.CodeDegraded)
 	}
-	if !RetryableCode(CodeDegraded) {
+	if !api.RetryableCode(api.CodeDegraded) {
 		t.Fatal("degraded must be retryable so the gateway fails over")
 	}
 	// Every retryable 503 must carry a backoff hint in both forms, so the

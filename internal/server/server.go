@@ -1,3 +1,25 @@
+// Package server implements the soid query-serving daemon: a long-running
+// HTTP/JSON server that loads a graph, a prebuilt cascade index, and an
+// optional sphere store once, then answers concurrent sphere / stability /
+// seed-selection / spread / reliability / mode queries from memory.
+//
+// The serving pipeline per request is:
+//
+//	mux → drain check → cache lookup → singleflight → admission → compute
+//
+// with an LRU result cache keyed on (endpoint, canonicalized params, index
+// fingerprint), deduplication of identical in-flight queries, a bounded
+// admission queue that sheds load with 429 + Retry-After, and per-request
+// wall-clock budgets mapped onto the checkpoint Budget machinery — a budget
+// that truncates sampling yields HTTP 206 with the achieved sample count and
+// a Theorem-2-style error bound instead of an error.
+//
+// Degraded indexes get the same treatment: when a memory-mapped index has
+// quarantined corrupt world blocks, estimates cover only the surviving
+// worlds, so index-backed endpoints answer 206 with worlds_used /
+// worlds_quarantined and a Hoeffding bound re-derived at the live world
+// count. An index that has lost every world answers 503 with a retryable
+// code so the gateway fails over to a healthy replica.
 package server
 
 import (
@@ -17,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
@@ -288,7 +311,7 @@ func (s *Server) buildMux() {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		resp := ReadyResponse{
+		resp := api.Ready{
 			Ready:            true,
 			GraphFingerprint: fmt.Sprintf("%016x", s.graphFP),
 			IndexFingerprint: s.fpHex,
@@ -301,9 +324,7 @@ func (s *Server) buildMux() {
 			resp.Reason = "draining"
 			status = http.StatusServiceUnavailable
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(resp)
+		api.WriteJSON(w, status, resp)
 	})
 	mux.Handle("GET /v1/info", s.endpoint("info", false, s.handleInfo))
 	mux.Handle("GET /v1/sphere/{node}", s.endpoint("sphere", true, s.handleSphere))
@@ -364,40 +385,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// result is a handler's outcome before marshaling: an HTTP status (200 or
-// 206) and the response value.
-type result struct {
-	status int
-	v      any
-}
-
-func ok(v any) result { return result{status: http.StatusOK, v: v} }
-
-// apiError is a handler-raised client error with a definite status and
-// machine-readable code. retryAfter, when non-zero, becomes the response's
-// Retry-After header and retry_after_ms hint — every retryable 503 must
-// carry one so the gateway's Retry-After honoring applies.
-type apiError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func notFound(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusNotFound, code: CodeNotFound, msg: fmt.Sprintf(format, args...)}
-}
-
-func conflict(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusConflict, code: CodeConflict, msg: fmt.Sprintf(format, args...)}
-}
-
 // budgetGrace is added to the request budget to form the hard context
 // deadline: the Budget machinery degrades sampling gracefully at the budget
 // instant, while the context kills runaway non-sampling work (greedy rounds,
@@ -407,7 +394,7 @@ const budgetGrace = 5 * time.Second
 
 // endpoint wraps a handler with the serving pipeline: tracing, metrics,
 // drain check, cache, budget, singleflight, admission, and error mapping.
-func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (result, error)) http.Handler {
+func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (any, error)) http.Handler {
 	spanName := "soid." + name
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
@@ -428,7 +415,7 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 		status := http.StatusOK
 		errCode := ""
 		cacheState := ""
-		var pi partialInfo
+		var pi api.Partial
 		defer func() {
 			dur := time.Since(start)
 			s.mLatency[name].ObserveExemplar(dur.Nanoseconds(), span.RequestID())
@@ -447,7 +434,7 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 					DurationMS: float64(dur) / float64(time.Millisecond),
 					Cache:      cacheState,
 					ErrorCode:  errCode,
-					Partial:    pi.Partial,
+					Partial:    pi.Degraded,
 					Achieved:   pi.Achieved,
 					Requested:  pi.Requested,
 					ErrorBound: pi.ErrorBound,
@@ -456,8 +443,8 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 		}()
 
 		if s.draining.Load() {
-			status, errCode = http.StatusServiceUnavailable, CodeDraining
-			s.writeError(w, status, errCode, "server is draining", time.Second)
+			status, errCode = s.writeError(w, &api.Error{Status: http.StatusServiceUnavailable,
+				Code: api.CodeDraining, Msg: "server is draining", RetryAfter: time.Second})
 			return
 		}
 
@@ -477,10 +464,9 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 			cacheState = "miss"
 		}
 
-		budget, err := s.requestBudget(req)
+		budget, err := api.Budget(req.URL.Query(), s.cfg.defaultBudget(), s.cfg.maxBudget())
 		if err != nil {
-			status, errCode = http.StatusBadRequest, CodeBadRequest
-			s.writeError(w, status, errCode, err.Error(), 0)
+			status, errCode = s.writeMappedError(w, err)
 			return
 		}
 		deadline := start.Add(budget)
@@ -500,23 +486,21 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 				return nil, err
 			}
 			cctx, cspan := trace.StartChild(req.Context(), "compute")
-			res, err := fn(req.WithContext(cctx))
+			v, err := fn(req.WithContext(cctx))
 			if err != nil {
 				cspan.SetError(err.Error())
 				cspan.End()
 				return nil, err
 			}
-			cspan.SetHTTPStatus(res.status)
+			pi := api.AnnotationOf(v)
+			status := api.StatusOf(pi.Degraded)
+			cspan.SetHTTPStatus(status)
 			cspan.End()
-			body, err := json.Marshal(res.v)
+			body, err := json.Marshal(v)
 			if err != nil {
 				return nil, err
 			}
-			ent := &cached{key: key, status: res.status, body: append(body, '\n')}
-			if pc, ok := res.v.(partialCarrier); ok {
-				ent.partial = pc.partialFields()
-			}
-			return ent, nil
+			return &cached{key: key, status: status, body: append(body, '\n'), partial: pi}, nil
 		}
 
 		var ent *cached
@@ -559,62 +543,42 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (r
 }
 
 func writeCached(w http.ResponseWriter, ent *cached, hit bool) {
-	w.Header().Set("Content-Type", "application/json")
 	if hit {
 		w.Header().Set("X-Cache", "hit")
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	w.WriteHeader(ent.status)
-	w.Write(ent.body)
+	api.WriteBody(w, ent.status, ent.body)
 }
 
 // writeMappedError maps err onto the /v1 error envelope and returns the
 // (status, code) it wrote, for the request's span and log line.
 func (s *Server) writeMappedError(w http.ResponseWriter, err error) (int, string) {
-	var ae *apiError
+	var ae *api.Error
 	switch {
 	case errors.As(err, &ae):
-		s.writeError(w, ae.status, ae.code, ae.msg, ae.retryAfter)
-		return ae.status, ae.code
+		// Raised by a handler or a request parser: written as is.
 	case errors.Is(err, errOverload):
 		s.mRejected.Inc()
-		s.writeError(w, http.StatusTooManyRequests, CodeOverloaded, err.Error(), time.Second)
-		return http.StatusTooManyRequests, CodeOverloaded
+		ae = &api.Error{Status: http.StatusTooManyRequests, Code: api.CodeOverloaded, Msg: err.Error(), RetryAfter: time.Second}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, checkpoint.ErrDeadline):
-		s.writeError(w, http.StatusServiceUnavailable, CodeBudget,
-			"request budget too small to produce a result; retry with a larger budget", time.Second)
-		return http.StatusServiceUnavailable, CodeBudget
+		ae = &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeBudget,
+			Msg: "request budget too small to produce a result; retry with a larger budget", RetryAfter: time.Second}
 	case errors.Is(err, context.Canceled):
 		// Client went away; status code is a formality.
-		s.writeError(w, http.StatusServiceUnavailable, CodeCanceled, "request canceled", 0)
-		return http.StatusServiceUnavailable, CodeCanceled
+		ae = &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeCanceled, Msg: "request canceled"}
 	default:
-		s.writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
-		return http.StatusInternalServerError, CodeInternal
+		ae = &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Msg: err.Error()}
 	}
+	return s.writeError(w, ae)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if status >= 400 && status != http.StatusTooManyRequests {
+func (s *Server) writeError(w http.ResponseWriter, e *api.Error) (int, string) {
+	if e.Status != http.StatusTooManyRequests {
 		s.mErrors.Inc()
 	}
-	WriteError(w, status, code, msg, retryAfter)
-}
-
-// WriteError writes the standard /v1 error envelope. Exported so the soigw
-// gateway (and the loading Gate) emit byte-compatible errors.
-func WriteError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorInfo{
-		Code:         code,
-		Message:      msg,
-		RetryAfterMS: retryAfter.Milliseconds(),
-	}})
+	api.WriteError(w, e)
+	return e.Status, e.Code
 }
 
 // cacheKey canonicalizes the request into a cache key: endpoint, path (which
@@ -650,26 +614,6 @@ func (s *Server) cacheKey(name string, req *http.Request) string {
 	b.WriteByte('#')
 	b.WriteString(s.fpHex)
 	return b.String()
-}
-
-// requestBudget parses the budget parameter (a Go duration), applying the
-// configured default and cap.
-func (s *Server) requestBudget(req *http.Request) (time.Duration, error) {
-	v := req.URL.Query().Get("budget")
-	if v == "" {
-		return s.cfg.defaultBudget(), nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad budget %q: %v", v, err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("budget must be positive, got %q", v)
-	}
-	if max := s.cfg.maxBudget(); d > max {
-		d = max
-	}
-	return d, nil
 }
 
 // budgetKey carries the sampling deadline (as opposed to the hard context
@@ -718,36 +662,31 @@ func (s *Server) dense(id int64) (graph.NodeID, bool) {
 }
 
 func (s *Server) pathNode(req *http.Request) (graph.NodeID, error) {
-	raw := req.PathValue("node")
-	id, err := strconv.ParseInt(raw, 10, 64)
+	id, err := api.Node(req.PathValue("node"))
 	if err != nil {
-		return 0, badRequest("bad node %q", raw)
+		return 0, err
 	}
 	v, ok := s.dense(id)
 	if !ok {
-		return 0, notFound("unknown node %d", id)
+		return 0, api.NotFound("unknown node %d", id)
 	}
 	return v, nil
 }
 
-// queryNodes parses a comma-separated list of original node ids.
+// queryNodes parses a comma-separated list of original node ids into dense
+// ids.
 func (s *Server) queryNodes(req *http.Request, param string) ([]graph.NodeID, error) {
-	raw := req.URL.Query().Get(param)
-	if raw == "" {
-		return nil, badRequest("missing %s parameter (comma-separated node ids)", param)
+	ids, err := api.IDs(req.URL.Query(), param)
+	if err != nil {
+		return nil, err
 	}
-	parts := strings.Split(raw, ",")
-	out := make([]graph.NodeID, 0, len(parts))
-	for _, p := range parts {
-		id, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, badRequest("bad %s entry %q", param, p)
-		}
+	out := make([]graph.NodeID, len(ids))
+	for i, id := range ids {
 		v, ok := s.dense(id)
 		if !ok {
-			return nil, notFound("unknown node %d", id)
+			return nil, api.NotFound("unknown node %d", id)
 		}
-		out = append(out, v)
+		out[i] = v
 	}
 	return out, nil
 }
@@ -759,7 +698,7 @@ func queryInt(req *http.Request, param string, def int) (int, error) {
 	}
 	n, err := strconv.Atoi(raw)
 	if err != nil {
-		return 0, badRequest("bad %s %q", param, raw)
+		return 0, api.BadRequest("bad %s %q", param, raw)
 	}
 	return n, nil
 }

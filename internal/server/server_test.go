@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
@@ -180,6 +181,12 @@ func TestNodeErrors(t *testing.T) {
 		{"/v1/seeds?k=0", 400},
 		{"/v1/spread?seeds=1&method=bogus", 400},
 		{"/v1/reliability?sources=1&threshold=abc", 400},
+		// A threshold must be a finite probability in (0, 1].
+		{"/v1/reliability?sources=1&threshold=2", 400},
+		{"/v1/reliability?sources=1&threshold=0", 400},
+		{"/v1/reliability?sources=1&threshold=-1", 400},
+		{"/v1/reliability?sources=1&threshold=NaN", 400},
+		{"/v1/reliability?sources=1&threshold=Inf", 400},
 		{"/v1/modes/99999", 404},
 	} {
 		rec, body := do(t, s, tc.url)
@@ -190,9 +197,9 @@ func TestNodeErrors(t *testing.T) {
 		if msg == "" {
 			t.Errorf("GET %s: no error message", tc.url)
 		}
-		want := CodeBadRequest
+		want := api.CodeBadRequest
 		if tc.code == 404 {
-			want = CodeNotFound
+			want = api.CodeNotFound
 		}
 		if code != want {
 			t.Errorf("GET %s: error code %q, want %q", tc.url, code, want)
@@ -416,13 +423,13 @@ func TestOverload429(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	code, msg := envelope(t, body)
-	if code != CodeOverloaded {
-		t.Fatalf("error code %q, want %q", code, CodeOverloaded)
+	if code != api.CodeOverloaded {
+		t.Fatalf("error code %q, want %q", code, api.CodeOverloaded)
 	}
 	if !strings.Contains(msg, "overload") {
 		t.Fatalf("error %v, want overload mention", msg)
 	}
-	if !RetryableCode(code) {
+	if !api.RetryableCode(code) {
 		t.Fatal("overloaded must be a retryable code")
 	}
 	if code := <-slow; code != 200 {
@@ -551,8 +558,8 @@ func TestGracefulDrain(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("drained handler status %d, want 503", rec.Code)
 	}
-	if code, _ := envelope(t, body); code != CodeDraining {
-		t.Fatalf("drained handler code %q, want %q", code, CodeDraining)
+	if code, _ := envelope(t, body); code != api.CodeDraining {
+		t.Fatalf("drained handler code %q, want %q", code, api.CodeDraining)
 	}
 	// Liveness stays green while draining — restarting a draining process
 	// would abort the drain; readiness is what flips.
@@ -602,7 +609,7 @@ func TestGateLoadingToReady(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("loading readyz status %d, want 503", rec.Code)
 	}
-	var ready ReadyResponse
+	var ready api.Ready
 	if err := json.Unmarshal(rec.Body.Bytes(), &ready); err != nil || ready.Ready || ready.Reason != "loading" {
 		t.Fatalf("loading readyz body %s (err %v), want ready=false reason=loading", rec.Body.String(), err)
 	}
@@ -611,11 +618,11 @@ func TestGateLoadingToReady(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("loading query status %d, want 503", rec.Code)
 	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != CodeLoading {
-		t.Fatalf("loading query body %s (err %v), want code %q", rec.Body.String(), err, CodeLoading)
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != api.CodeLoading {
+		t.Fatalf("loading query body %s (err %v), want code %q", rec.Body.String(), err, api.CodeLoading)
 	}
-	if !RetryableCode(env.Error.Code) {
+	if !api.RetryableCode(env.Error.Code) {
 		t.Fatal("loading must be a retryable code")
 	}
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/api"
 	"soi/internal/trace"
 )
 
@@ -199,7 +200,7 @@ func TestTraceErrorRetained(t *testing.T) {
 	if tj.Retained != "error" {
 		t.Fatalf("retained = %q, want error", tj.Retained)
 	}
-	if tj.Spans[0].Error != CodeNotFound || tj.Spans[0].HTTPStatus != 404 {
+	if tj.Spans[0].Error != api.CodeNotFound || tj.Spans[0].HTTPStatus != 404 {
 		t.Fatalf("root = %+v", tj.Spans[0])
 	}
 }
@@ -256,7 +257,7 @@ func TestRetryAfterOnDrain503(t *testing.T) {
 		t.Fatal("drain 503 missing Retry-After header")
 	}
 	errObj := body["error"].(map[string]any)
-	if errObj["code"] != CodeDraining || errObj["retry_after_ms"].(float64) <= 0 {
+	if errObj["code"] != api.CodeDraining || errObj["retry_after_ms"].(float64) <= 0 {
 		t.Fatalf("drain envelope = %v", errObj)
 	}
 }
