@@ -19,13 +19,13 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Machine-readable benchmark record: run the root, server, index, trace,
-# sketch, infmax and checkpoint benchmark suites and convert the combined
-# output to JSON (schema soi.bench/v1) keyed by benchmark name. The defaults
-# are a one-iteration smoke run written to the untracked bench.json; to
-# record a baseline, pass a real BENCHTIME (for example 1s) and a new
-# BENCH_OUT, so a bare `make bench-json` never overwrites a committed
-# BENCH_*.json.
+# Machine-readable benchmark record: run the root, server, index, graph,
+# jaccard, trace, sketch, infmax and checkpoint benchmark suites and convert
+# the combined output to JSON (schema soi.bench/v1) keyed by benchmark name.
+# The defaults are a one-iteration smoke run written to the untracked
+# bench.json; to record a baseline, pass a real BENCHTIME (for example 1s)
+# and a new BENCH_OUT, so a bare `make bench-json` never overwrites a
+# committed BENCH_*.json.
 BENCHTIME ?= 1x
 BENCH_OUT ?= bench.json
 
@@ -33,6 +33,8 @@ bench-json:
 	{ $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) . ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/server ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/index ; \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/graph ; \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/jaccard ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/trace ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/sketch ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/infmax ; \
@@ -43,7 +45,8 @@ bench-json:
 # SOIIDX03 through the eager reader alone and through both the eager and
 # the mmap reader, the index build's checkpoint payload, sphere store
 # SOISPH02, checkpoint SOICKP01 and the all-nodes sweep's checkpoint
-# payload, sketch SOISKC01). Each gets its own
+# payload, sketch SOISKC01), plus the typical-cascade prefix kernel checked
+# against its reference implementation. Each gets its own
 # `go test` invocation because -fuzz accepts a single target per run.
 # FUZZTIME is per decoder.
 FUZZTIME ?= 10s
@@ -57,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSweepPayload -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=^$$ -fuzz=FuzzReadSketch -fuzztime=$(FUZZTIME) ./internal/sketch
+	$(GO) test -run=^$$ -fuzz='^FuzzPrefix$$' -fuzztime=$(FUZZTIME) ./internal/jaccard
 
 # End-to-end serving smoke: build soid, start it on an ephemeral port
 # against a tiny dataset, run a scripted client session (incl. a forced 206

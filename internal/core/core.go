@@ -219,8 +219,8 @@ func computeUncanceled(x *index.Index, seeds []graph.NodeID, opts Options, s *in
 // observed between the held-out cost cascades.
 func computeWithScratch(ctx context.Context, x *index.Index, seeds []graph.NodeID, opts Options, s *index.Scratch, m *metricsSet) (Result, error) {
 	start := time.Now()
-	samples := x.CascadesFromSet(seeds, s)
-	if len(samples) == 0 {
+	med, worlds := sampleMedian(x, seeds, opts.Algorithm, s)
+	if worlds == 0 {
 		// Every world quarantined: there is no sample to take a median of.
 		// Callers (the daemon) treat Worlds == 0 as "unserveable", distinct
 		// from a sphere that happens to be empty.
@@ -231,14 +231,13 @@ func computeWithScratch(ctx context.Context, x *index.Index, seeds []graph.NodeI
 			MedianTime:   time.Since(start),
 		}, nil
 	}
-	med := computeMedian(samples, opts.Algorithm)
 	res := Result{
 		Seeds:        append([]graph.NodeID(nil), seeds...),
 		Set:          med.Set,
 		SampleCost:   med.Cost,
 		ExpectedCost: -1,
 		MedianTime:   time.Since(start),
-		Worlds:       len(samples),
+		Worlds:       worlds,
 	}
 	if opts.CostSamples > 0 {
 		cs := time.Now()
@@ -252,6 +251,19 @@ func computeWithScratch(ctx context.Context, x *index.Index, seeds []graph.NodeI
 	}
 	m.observe(&res, med)
 	return res, nil
+}
+
+// sampleMedian returns the median of seeds' cascades in the index's live
+// worlds and how many worlds it was taken over; with no live world the
+// median is meaningless. The default prefix median runs on the flat
+// cascades in s's buffers; the other algorithms take one set per world.
+func sampleMedian(x *index.Index, seeds []graph.NodeID, alg MedianAlgorithm, s *index.Scratch) (jaccard.Median, int) {
+	if alg != MedianPrefix {
+		samples := x.CascadesFromSet(seeds, s)
+		return computeMedian(samples, alg), len(samples)
+	}
+	flat, off := x.CascadesFlat(seeds, s)
+	return s.Prefix().PrefixFlat(flat, off, x.Graph().NumNodes()), len(off) - 1
 }
 
 func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median {

@@ -7,14 +7,16 @@ import (
 )
 
 // FuzzReadTSV feeds arbitrary bytes to the edge-list parser: it must never
-// panic, and anything it accepts must be a valid graph that round-trips.
+// panic, it must match the reference loader (same error text, or the same
+// graph bits and original ids), and anything it accepts must be a valid
+// graph that round-trips.
 func FuzzReadTSV(f *testing.F) {
 	f.Add("1 2 0.5\n2 3 0.25\n")
 	f.Add("# comment\n\n10\t20\t1\n")
 	f.Add("a b c\n")
 	f.Add("1 1 0.5\n")
 	f.Add("9999999999999999999 2 0.5\n")
-	f.Add("1 2 NaN\n")
+	f.Add("1 2 NaN\n") // rejected: NaN is not in (0,1]
 	f.Add("1 2 1e-300\n")
 	f.Add("1 2 -0.5\n")              // negative probability
 	f.Add("1 2 1.5\n")               // probability above 1
@@ -26,7 +28,10 @@ func FuzzReadTSV(f *testing.F) {
 	f.Add("1 2 0.5 extra\n")         // trailing field
 	f.Add("-1 2 0.5\n")              // negative node id
 	f.Add("1\t2\t\n0.5\n")           // field split across lines
+	f.Add("1\u00a02\u00850.5\n")     // Unicode whitespace
+	f.Add("1 2 0.1\n1 2 0.3\n1 2 0.7\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		checkReadTSV(t, input, false)
 		g, orig, err := ReadTSV(strings.NewReader(input))
 		if err != nil {
 			return

@@ -23,6 +23,7 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/jaccard"
 	"soi/internal/pool"
 	"soi/internal/rng"
 	"soi/internal/scc"
@@ -306,7 +307,15 @@ func (x *Index) Component(v graph.NodeID, i int) int32 {
 type Scratch struct {
 	mark  []bool
 	comps []int32
+
+	flat   []graph.NodeID // CascadesFlat's cascades, back to back
+	off    []int32        // CascadesFlat's per-world offsets into flat
+	prefix jaccard.PrefixScratch
 }
+
+// Prefix returns the scratch's buffers for jaccard.PrefixFlat, so the
+// typical-cascade median over CascadesFlat reuses them from query to query.
+func (s *Scratch) Prefix() *jaccard.PrefixScratch { return &s.prefix }
 
 // NewScratch returns a Scratch sized for this index. Sizing uses
 // NumComponents, so for a lazy index no blocks are faulted in.
@@ -333,6 +342,15 @@ func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []gr
 	if e == nil {
 		return out
 	}
+	start := len(out)
+	out = e.appendCascade(seeds, s, out)
+	sortIDs(out[start:])
+	return out
+}
+
+// appendCascade appends the cascade of seeds in this world to out, in
+// traversal order.
+func (e *worldEntry) appendCascade(seeds []graph.NodeID, s *Scratch, out []graph.NodeID) []graph.NodeID {
 	s.comps = s.comps[:0]
 	for _, v := range seeds {
 		c := e.comp[v]
@@ -349,12 +367,10 @@ func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []gr
 			}
 		}
 	}
-	start := len(out)
 	for _, c := range s.comps {
 		s.mark[c] = false
 		out = append(out, e.members[e.memberOff[c]:e.memberOff[c+1]]...)
 	}
-	sortIDs(out[start:])
 	return out
 }
 
@@ -446,6 +462,22 @@ func (x *Index) CascadesFromSet(seeds []graph.NodeID, s *Scratch) [][]graph.Node
 		out = append(out, x.CascadeFromSet(seeds, i, s, nil))
 	}
 	return out
+}
+
+// CascadesFlat returns the cascades of a seed set in every live world in
+// one buffer, unsorted: live world j's cascade is flat[off[j]:off[j+1]], so
+// len(off)-1 is LiveWorlds, as for CascadesFromSet. Both slices belong to s
+// and are valid until its next use.
+func (x *Index) CascadesFlat(seeds []graph.NodeID, s *Scratch) (flat []graph.NodeID, off []int32) {
+	flat, off = s.flat[:0], append(s.off[:0], 0)
+	for i := 0; i < x.NumWorlds(); i++ {
+		if e := x.world(i); e != nil {
+			flat = e.appendCascade(seeds, s, flat)
+			off = append(off, int32(len(flat)))
+		}
+	}
+	s.flat, s.off = flat, off
+	return flat, off
 }
 
 // MemoryFootprint returns an estimate of the index's resident bytes, used

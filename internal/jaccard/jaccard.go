@@ -19,7 +19,10 @@
 //     seed set's typical cascade contains the members' typical cascades.
 package jaccard
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Set is a strictly increasing slice of element ids.
 type Set = []int32
@@ -123,7 +126,8 @@ type Median struct {
 	// Cost is its average Jaccard distance to the input sets.
 	Cost float64
 	// Evals counts the candidate medians whose cost the algorithm evaluated
-	// (prefixes for Prefix, subsets for Exact, toggles for Refine). Callers
+	// (for Prefix the empty prefix plus the prefixes scanned before its
+	// early exit, subsets for Exact, toggles for Refine). Callers
 	// aggregate it into telemetry; the algorithms themselves stay
 	// dependency-free.
 	Evals int
@@ -138,64 +142,160 @@ type Median struct {
 // determinism); the candidate medians are the m+1 prefixes of that order,
 // whose costs are evaluated incrementally in O(k) per prefix. Total time
 // O(Σ|S_i| + m·k + m log m) where m is the number of distinct elements and
-// k = len(sets).
+// k = len(sets). Prefix runs PrefixFlat, first relabeling the elements to
+// dense ranks when their ids are negative or sparse; a relabeling that keeps
+// the ids' order leaves the result unchanged.
 func Prefix(sets []Set) Median {
-	k := len(sets)
-	if k == 0 {
-		return Median{Set: nil, Cost: 0}
-	}
-
-	// Occurrence counts and the inverted index element -> containing sets.
-	counts := make(map[int32]int32)
+	var flat []int32
+	off := make([]int32, 1, len(sets)+1)
+	lo, hi := int32(0), int32(-1)
 	for _, s := range sets {
 		for _, e := range s {
-			counts[e]++
+			lo, hi = min(lo, e), max(hi, e)
 		}
+		flat = append(flat, s...)
+		off = append(off, int32(len(flat)))
 	}
-	m := len(counts)
+	var ps PrefixScratch
+	if lo >= 0 && int(hi) < 4*len(flat)+1024 {
+		return ps.PrefixFlat(flat, off, int(hi)+1)
+	}
+	ids := slices.Clone(flat)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for i, e := range flat {
+		r, _ := slices.BinarySearch(ids, e)
+		flat[i] = int32(r)
+	}
+	med := ps.PrefixFlat(flat, off, len(ids))
+	for i, r := range med.Set {
+		med.Set[i] = ids[r]
+	}
+	return med
+}
+
+// PrefixScratch holds the buffers PrefixFlat reuses between calls. The zero
+// value is ready to use; a PrefixScratch must not be used concurrently.
+type PrefixScratch struct {
+	count  []int32 // per element id: its count, then its rank; zero between calls
+	ids    []int32 // the distinct elements, ascending
+	ranked []int32 // the distinct elements by rank: count descending, id ascending
+	bucket []int32 // per count: the next free rank of that count
+	occOff []int32 // sets containing the rank-r element: occ[occOff[r]:occOff[r+1]]
+	occ    []int32
+	inter  []int32 // |C ∩ S_i| for the current prefix C
+	sizes  []int32 // |S_i|
+	sorted []int32 // the sizes, ascending
+}
+
+// PrefixFlat computes Prefix over k = len(off)-1 sets held in one buffer:
+// set i is flat[off[i]:off[i+1]], its elements distinct ids in
+// [0, universe) in any order. It returns exactly what Prefix returns for
+// those sets, sorted, except that Evals counts only the prefixes scanned.
+//
+// Counts live in a dense scratch reset through the list of distinct ids.
+// The rank order comes from sorting the m distinct ids and then a counting
+// sort on count ∈ [1, k], and the occurrence lists form one CSR. Each
+// prefix's cost is summed in the same order as a full scan, so the costs
+// are bit-identical to it.
+//
+// The scan stops early once no longer prefix can win. A set S_i shares at
+// most min(L, |S_i|) elements with a prefix C of length L, so its distance
+// to C is at least floor_i(L) = max(0, 1 − |S_i|/L), and floor(L), the
+// mean of floor_i(L), does not decrease with L. Every prefix of length
+// L′ ≥ L therefore costs at least floor(L), and once floor(L) exceeds the
+// best cost so far (plus 1e-9 of rounding slack) no later prefix is
+// strictly better.
+func (ps *PrefixScratch) PrefixFlat(flat, off []int32, universe int) Median {
+	k := len(off) - 1
+	if k <= 0 {
+		return Median{Set: nil, Cost: 0}
+	}
+	if len(ps.count) < universe {
+		ps.count = make([]int32, universe)
+	}
+	count := ps.count
+	ids := ps.ids[:0]
+	maxCount := int32(0)
+	for _, e := range flat {
+		if count[e] == 0 {
+			ids = append(ids, e)
+		}
+		count[e]++
+		maxCount = max(maxCount, count[e])
+	}
+	ps.ids = ids
+	m := len(ids)
 	if m == 0 {
 		// All sets empty: the empty median is exact.
 		return Median{Set: Set{}, Cost: 0, Evals: 1}
 	}
-	elems := make([]int32, 0, m)
-	for e := range counts {
-		elems = append(elems, e)
-	}
-	sort.Slice(elems, func(i, j int) bool {
-		if counts[elems[i]] != counts[elems[j]] {
-			return counts[elems[i]] > counts[elems[j]]
-		}
-		return elems[i] < elems[j]
-	})
-	rank := make(map[int32]int32, m)
-	for i, e := range elems {
-		rank[e] = int32(i)
-	}
-	// occ[r] lists (by set index) the sets containing the rank-r element.
-	occ := make([][]int32, m)
-	for si, s := range sets {
-		for _, e := range s {
-			r := rank[e]
-			occ[r] = append(occ[r], int32(si))
-		}
-	}
+	slices.Sort(ids)
 
-	inter := make([]int32, k) // |C ∩ S_i| for the current prefix C
-	sizes := make([]int32, k)
+	// Counting sort by count, descending; ids stay ascending within a count.
+	bucket := resize(&ps.bucket, int(maxCount)+1)
+	clear(bucket)
+	for _, e := range ids {
+		bucket[count[e]]++
+	}
+	next := int32(0)
+	for c := maxCount; c >= 1; c-- {
+		next, bucket[c] = next+bucket[c], next
+	}
+	ranked := resize(&ps.ranked, m)
+	occOff := resize(&ps.occOff, m+1)
+	occOff[0] = 0
+	for _, e := range ids {
+		c := count[e]
+		r := bucket[c]
+		bucket[c]++
+		ranked[r] = e
+		occOff[r+1] = c
+		count[e] = r
+	}
+	// occOff[r+1] becomes the start of rank r's list; filling the list
+	// advances it to the list's end, which is where rank r+1 starts.
+	next = 0
+	for r := 1; r <= m; r++ {
+		next, occOff[r] = next+occOff[r], next
+	}
+	occ := resize(&ps.occ, len(flat))
+	sizes := resize(&ps.sizes, k)
 	nonEmpty := 0
-	for i, s := range sets {
-		sizes[i] = int32(len(s))
-		if len(s) > 0 {
+	for i := 0; i < k; i++ {
+		for _, e := range flat[off[i]:off[i+1]] {
+			r := count[e] + 1
+			occ[occOff[r]] = int32(i)
+			occOff[r]++
+		}
+		sizes[i] = off[i+1] - off[i]
+		if sizes[i] > 0 {
 			nonEmpty++
 		}
 	}
+	for _, e := range ids {
+		count[e] = 0
+	}
+	sorted := resize(&ps.sorted, k)
+	copy(sorted, sizes)
+	slices.Sort(sorted)
+	inter := resize(&ps.inter, k)
+	clear(inter)
 
 	// Cost of the empty prefix: distance 1 to each non-empty set.
 	bestLen := 0
 	bestCost := float64(nonEmpty) / float64(k)
-
+	evals := 1
+	below, belowSum := 0, int64(0) // sets smaller than the prefix, and their total size
 	for pfx := 1; pfx <= m; pfx++ {
-		for _, si := range occ[pfx-1] {
+		for below < k && int(sorted[below]) < pfx {
+			belowSum += int64(sorted[below])
+			below++
+		}
+		if floor := (float64(below) - float64(belowSum)/float64(pfx)) / float64(k); floor > bestCost+1e-9 {
+			break
+		}
+		for _, si := range occ[occOff[pfx-1]:occOff[pfx]] {
 			inter[si]++
 		}
 		total := 0.0
@@ -205,6 +305,7 @@ func Prefix(sets []Set) Median {
 			// union >= cLen >= 1 here.
 			total += 1 - float64(inter[i])/float64(union)
 		}
+		evals++
 		cost := total / float64(k)
 		if cost < bestCost {
 			bestCost = cost
@@ -213,9 +314,19 @@ func Prefix(sets []Set) Median {
 	}
 
 	med := make(Set, bestLen)
-	copy(med, elems[:bestLen])
-	sortInt32(med)
-	return Median{Set: med, Cost: bestCost, Evals: m + 1}
+	copy(med, ranked[:bestLen])
+	slices.Sort(med)
+	return Median{Set: med, Cost: bestCost, Evals: evals}
+}
+
+// resize returns *buf resliced to length n, reallocating it when its
+// capacity is short. The contents are unspecified.
+func resize(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Majority returns the elements present in at least a fraction theta of the
