@@ -101,13 +101,9 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) has probability %v outside (0,1]", e.From, e.To, e.Prob)
 		}
 	}
-	if g, ok := b.layoutDistinct(); ok {
-		return g, nil
-	}
-
-	// Some (From, To) pair repeats. Noisy-or is not associative in floating
-	// point, so the order duplicates are folded in is part of the result:
-	// it is the order this comparison sort leaves them in.
+	// Noisy-or is not associative in floating point, so the order duplicate
+	// (From, To) pairs are folded in is part of the result: it is the order
+	// this comparison sort (the pdqsort behind sort.Slice) leaves them in.
 	slices.SortFunc(b.edges, func(x, y Edge) int {
 		if x.From != y.From {
 			return cmp.Compare(x.From, y.From)
@@ -143,77 +139,6 @@ func (b *Builder) Build() (*Graph, error) {
 		g.offsets[u] += g.offsets[u-1]
 	}
 	return g, nil
-}
-
-// layoutDistinct lays the validated edges out in CSR form without a
-// comparison sort: a counting pass places each edge in its source's row,
-// then each row is sorted by target. It reports false, leaving b.edges as
-// they were, if some (From, To) pair repeats.
-func (b *Builder) layoutDistinct() (*Graph, bool) {
-	g := &Graph{
-		n:       b.n,
-		offsets: make([]int32, b.n+1),
-		adj:     make([]NodeID, len(b.edges)),
-		probs:   make([]float64, len(b.edges)),
-	}
-	off := g.offsets
-	for _, e := range b.edges {
-		off[e.From+1]++
-	}
-	// Shift the counts to row starts held one slot up: off[u+1] is the
-	// start of row u, and placing an edge advances it to the row's end.
-	start := int32(0)
-	for u := 1; u <= b.n; u++ {
-		start, off[u] = start+off[u], start
-	}
-	for _, e := range b.edges {
-		i := off[e.From+1]
-		off[e.From+1]++
-		g.adj[i] = e.To
-		g.probs[i] = e.Prob
-	}
-	var tmp []Edge
-	for u := 0; u < b.n; u++ {
-		lo, hi := off[u], off[u+1]
-		if !sortRow(g.adj[lo:hi], g.probs[lo:hi], &tmp) {
-			return nil, false
-		}
-	}
-	return g, true
-}
-
-// sortRow sorts one CSR row by target, carrying the probabilities along, and
-// reports false if a target repeats. Short or already-sorted rows take an
-// insertion sort; a long unsorted row, whose insertion sort could take
-// quadratic time, is sorted through the reusable buffer *tmp.
-func sortRow(adj []NodeID, probs []float64, tmp *[]Edge) bool {
-	if len(adj) > 64 && !slices.IsSorted(adj) {
-		t := (*tmp)[:0]
-		for i, v := range adj {
-			t = append(t, Edge{To: v, Prob: probs[i]})
-		}
-		*tmp = t
-		slices.SortFunc(t, func(x, y Edge) int { return cmp.Compare(x.To, y.To) })
-		for i, e := range t {
-			if i > 0 && t[i-1].To == e.To {
-				return false
-			}
-			adj[i], probs[i] = e.To, e.Prob
-		}
-		return true
-	}
-	for i := 1; i < len(adj); i++ {
-		v, p := adj[i], probs[i]
-		j := i
-		for ; j > 0 && adj[j-1] > v; j-- {
-			adj[j], probs[j] = adj[j-1], probs[j-1]
-		}
-		if j > 0 && adj[j-1] == v {
-			return false
-		}
-		adj[j], probs[j] = v, p
-	}
-	return true
 }
 
 // validProb reports whether p is a usable edge probability, in (0, 1].

@@ -283,7 +283,7 @@ func randomEdgeList(r *rng.PCG32) string {
 	nodes := 2 + r.Intn(12)
 	lines := r.Intn(200)
 	if r.Intn(8) == 0 {
-		nodes, lines = 300, 2000 // rows longer than the insertion-sort cutoff
+		nodes, lines = 300, 2000 // long rows, which pdqsort partitions
 	}
 	for i := 0; i < lines; i++ {
 		switch r.Intn(20) {
@@ -317,9 +317,9 @@ func TestReadTSVMatchesReferenceRandom(t *testing.T) {
 }
 
 // TestBuildMatchesReference drives Build directly with heavily duplicated
-// edges in random order, where the duplicate path must fold each pair's
-// probabilities in exactly the order sort.Slice left them, and with long
-// shuffled rows of distinct targets, which bypass the insertion sort.
+// edges in random order, where Build must fold each pair's probabilities
+// in exactly the order sort.Slice left them, and with long shuffled rows
+// of distinct targets.
 func TestBuildMatchesReference(t *testing.T) {
 	r := rng.New(99)
 	prob := func() float64 { return r.Float64()*0.999 + 0.001 }

@@ -309,7 +309,7 @@ type Scratch struct {
 	comps []int32
 
 	flat   []graph.NodeID // CascadesFlat's cascades, back to back
-	off    []int32        // CascadesFlat's per-world offsets into flat
+	off    []int          // CascadesFlat's per-world offsets into flat
 	prefix jaccard.PrefixScratch
 }
 
@@ -466,14 +466,15 @@ func (x *Index) CascadesFromSet(seeds []graph.NodeID, s *Scratch) [][]graph.Node
 
 // CascadesFlat returns the cascades of a seed set in every live world in
 // one buffer, unsorted: live world j's cascade is flat[off[j]:off[j+1]], so
-// len(off)-1 is LiveWorlds, as for CascadesFromSet. Both slices belong to s
-// and are valid until its next use.
-func (x *Index) CascadesFlat(seeds []graph.NodeID, s *Scratch) (flat []graph.NodeID, off []int32) {
+// len(off)-1 is LiveWorlds, as for CascadesFromSet. The offsets are ints,
+// so the total size across worlds is bounded only by memory. Both slices
+// belong to s and are valid until its next use.
+func (x *Index) CascadesFlat(seeds []graph.NodeID, s *Scratch) (flat []graph.NodeID, off []int) {
 	flat, off = s.flat[:0], append(s.off[:0], 0)
 	for i := 0; i < x.NumWorlds(); i++ {
 		if e := x.world(i); e != nil {
 			flat = e.appendCascade(seeds, s, flat)
-			off = append(off, int32(len(flat)))
+			off = append(off, len(flat))
 		}
 	}
 	s.flat, s.off = flat, off

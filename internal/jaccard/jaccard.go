@@ -127,8 +127,9 @@ type Median struct {
 	Cost float64
 	// Evals counts the candidate medians whose cost the algorithm evaluated
 	// (for Prefix the empty prefix plus the prefixes scanned before its
-	// early exit, subsets for Exact, toggles for Refine). Callers
-	// aggregate it into telemetry; the algorithms themselves stay
+	// early exit, subsets for Exact, toggles for Refine). PrefixRefined
+	// adds Prefix's count to Refine's, so it too reflects the early exit.
+	// Callers aggregate it into telemetry; the algorithms themselves stay
 	// dependency-free.
 	Evals int
 	// Delta is the cost improvement local refinement achieved over its
@@ -147,14 +148,14 @@ type Median struct {
 // the ids' order leaves the result unchanged.
 func Prefix(sets []Set) Median {
 	var flat []int32
-	off := make([]int32, 1, len(sets)+1)
+	off := make([]int, 1, len(sets)+1)
 	lo, hi := int32(0), int32(-1)
 	for _, s := range sets {
 		for _, e := range s {
 			lo, hi = min(lo, e), max(hi, e)
 		}
 		flat = append(flat, s...)
-		off = append(off, int32(len(flat)))
+		off = append(off, len(flat))
 	}
 	var ps PrefixScratch
 	if lo >= 0 && int(hi) < 4*len(flat)+1024 {
@@ -181,7 +182,7 @@ type PrefixScratch struct {
 	ids    []int32 // the distinct elements, ascending
 	ranked []int32 // the distinct elements by rank: count descending, id ascending
 	bucket []int32 // per count: the next free rank of that count
-	occOff []int32 // sets containing the rank-r element: occ[occOff[r]:occOff[r+1]]
+	occOff []int   // sets containing the rank-r element: occ[occOff[r]:occOff[r+1]]
 	occ    []int32
 	inter  []int32 // |C ∩ S_i| for the current prefix C
 	sizes  []int32 // |S_i|
@@ -206,7 +207,7 @@ type PrefixScratch struct {
 // L′ ≥ L therefore costs at least floor(L), and once floor(L) exceeds the
 // best cost so far (plus 1e-9 of rounding slack) no later prefix is
 // strictly better.
-func (ps *PrefixScratch) PrefixFlat(flat, off []int32, universe int) Median {
+func (ps *PrefixScratch) PrefixFlat(flat []int32, off []int, universe int) Median {
 	k := len(off) - 1
 	if k <= 0 {
 		return Median{Set: nil, Cost: 0}
@@ -250,14 +251,14 @@ func (ps *PrefixScratch) PrefixFlat(flat, off []int32, universe int) Median {
 		r := bucket[c]
 		bucket[c]++
 		ranked[r] = e
-		occOff[r+1] = c
+		occOff[r+1] = int(c)
 		count[e] = r
 	}
 	// occOff[r+1] becomes the start of rank r's list; filling the list
 	// advances it to the list's end, which is where rank r+1 starts.
-	next = 0
+	start := 0
 	for r := 1; r <= m; r++ {
-		next, occOff[r] = next+occOff[r], next
+		start, occOff[r] = start+occOff[r], start
 	}
 	occ := resize(&ps.occ, len(flat))
 	sizes := resize(&ps.sizes, k)
@@ -268,7 +269,7 @@ func (ps *PrefixScratch) PrefixFlat(flat, off []int32, universe int) Median {
 			occ[occOff[r]] = int32(i)
 			occOff[r]++
 		}
-		sizes[i] = off[i+1] - off[i]
+		sizes[i] = int32(off[i+1] - off[i])
 		if sizes[i] > 0 {
 			nonEmpty++
 		}
@@ -321,9 +322,9 @@ func (ps *PrefixScratch) PrefixFlat(flat, off []int32, universe int) Median {
 
 // resize returns *buf resliced to length n, reallocating it when its
 // capacity is short. The contents are unspecified.
-func resize(buf *[]int32, n int) []int32 {
+func resize[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -120,7 +120,7 @@ func checkPrefix(t *testing.T, sets []Set, ps *PrefixScratch, r *rng.PCG32) {
 			universe = max(universe, e+1)
 		}
 	}
-	flat, off := []int32{}, []int32{0}
+	flat, off := []int32{}, []int{0}
 	for _, s := range sets {
 		start := len(flat)
 		flat = append(flat, s...)
@@ -128,7 +128,7 @@ func checkPrefix(t *testing.T, sets []Set, ps *PrefixScratch, r *rng.PCG32) {
 			j := start + r.Intn(i-start+1)
 			flat[i], flat[j] = flat[j], flat[i]
 		}
-		off = append(off, int32(len(flat)))
+		off = append(off, len(flat))
 	}
 	check("PrefixFlat", ps.PrefixFlat(flat, off, int(universe)))
 }
