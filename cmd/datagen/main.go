@@ -31,6 +31,7 @@ import (
 	"soi/internal/cliutil"
 	"soi/internal/datasets"
 	"soi/internal/graph"
+	"soi/internal/trace"
 )
 
 func main() {
@@ -65,7 +66,7 @@ func main() {
 	// and the atomic writers never leave a truncated file behind.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rt, err := cliutil.StartTelemetry("datagen", *debugAddr, *statsJSON)
+	ctx, rt, err := cliutil.StartTelemetry(ctx, "datagen", *debugAddr, *statsJSON)
 	if err != nil {
 		cliutil.Fail("datagen", err)
 	}
@@ -99,7 +100,7 @@ func run(ctx context.Context, names []string, scale float64, seed uint64, outDir
 	mDatasets := tel.Counter("datagen.datasets_generated")
 	mNodes := tel.Counter("datagen.nodes_written")
 	mEdges := tel.Counter("datagen.edges_written")
-	sp := tel.StartSpan("datagen.generate")
+	sp := trace.Child(ctx, "datagen.generate")
 	defer sp.End()
 	fp := fingerprint(names, scale, seed)
 	done := checkpoint.NewBitmap(len(names))
@@ -165,7 +166,6 @@ func run(ctx context.Context, names []string, scale float64, seed uint64, outDir
 		mDatasets.Inc()
 		mNodes.Add(int64(d.Graph.NumNodes()))
 		mEdges.Add(int64(d.Graph.NumEdges()))
-		sp.AddUnits(1)
 		if ckptPath != "" {
 			if err := checkpoint.Save(ckptPath, fp, done, nil); err != nil {
 				return err

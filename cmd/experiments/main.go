@@ -55,7 +55,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	rt, err := cliutil.StartTelemetry("experiments", *debugAddr, *statsJSON)
+	ctx, rt, err := cliutil.StartTelemetry(ctx, "experiments", *debugAddr, *statsJSON)
 	if err != nil {
 		cliutil.Fail("experiments", err)
 	}

@@ -31,6 +31,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
+	"soi/internal/trace"
 )
 
 func main() {
@@ -53,7 +54,7 @@ func main() {
 	// with -checkpoint their progress is flushed before exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rt, err := cliutil.StartTelemetry("infmax", *debugAddr, *statsJSON)
+	ctx, rt, err := cliutil.StartTelemetry(ctx, "infmax", *debugAddr, *statsJSON)
 	if err != nil {
 		cliutil.Fail("infmax", err)
 	}
@@ -137,6 +138,8 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 			}
 			return infmax.TC(ctx, g, sp, k, infmax.TCOptions{Telemetry: tel})
 		case "std":
+			sp := trace.Child(ctx, "infmax.std.greedy")
+			defer sp.End()
 			return infmax.Std(x, k)
 		case "rr":
 			cfg := resume(".rr")

@@ -90,12 +90,12 @@ func TestRunWithSphereStore(t *testing.T) {
 func TestRunTelemetryCounters(t *testing.T) {
 	dir := t.TempDir()
 	gp, _ := writeTestGraph(t, dir)
-	rt, err := cliutil.StartTelemetry("infmax", "", filepath.Join(dir, "stats.json"))
+	ctx, rt, err := cliutil.StartTelemetry(context.Background(), "infmax", "", filepath.Join(dir, "stats.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Flush()
-	if err := run(context.Background(), gp, 3, "tc", false, 30, 30, 1, "", "", 0, rt); err != nil {
+	if err := run(ctx, gp, 3, "tc", false, 30, 30, 1, "", "", 0, rt); err != nil {
 		t.Fatal(err)
 	}
 	rep := rt.Registry.Report()

@@ -37,6 +37,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/sketch"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 	// files — written atomically — are never left truncated.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rt, err := cliutil.StartTelemetry("sphere", *debugAddr, *statsJSON)
+	ctx, rt, err := cliutil.StartTelemetry(ctx, "sphere", *debugAddr, *statsJSON)
 	if err != nil {
 		cliutil.Fail("sphere", err)
 	}
@@ -153,7 +154,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		if indexPath == "" && buildIndexPath == "" {
 			return fmt.Errorf("-sketch-out requires -index or -build-index: the sketch is fingerprint-keyed to an index file")
 		}
-		return saveSketch(x, sketchOut, sketchK, seed, tel)
+		return saveSketch(ctx, x, sketchOut, sketchK, seed, tel)
 	}
 	if buildIndexPath != "" {
 		return nil
@@ -260,8 +261,10 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 // saveSketch builds the combined bottom-k sketch over x's worlds and writes
 // it as a SOISKC01 file, fingerprint-keyed to x — the fingerprint of x's
 // index file, so soid -sketch accepts it alongside soid -index of that file.
-func saveSketch(x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
+func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
+	sp := trace.Child(ctx, "sketch.build")
 	sk, err := sketch.Build(x, sketch.Options{K: k, Seed: seed, Telemetry: tel})
+	sp.End()
 	if err != nil {
 		return err
 	}

@@ -134,44 +134,78 @@ func TestRunCheckpointDeadline(t *testing.T) {
 	}
 }
 
-// TestRunStatsJSON runs a full sweep under an enabled telemetry lifecycle
-// and checks the flushed report: schema, run info, and the core counters the
-// sweep must have produced.
+// TestRunStatsJSON runs sphere under an enabled telemetry lifecycle and
+// checks the flushed report: schema, run info, the counters a sweep must
+// have produced, and the top-level phase spans whose seconds e2ebench sums
+// per build pass (index.build, core.compute_all, sketch.build).
 func TestRunStatsJSON(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir)
-	out := filepath.Join(dir, "out.txt")
-	stats := filepath.Join(dir, "stats.json")
-	rt, err := cliutil.StartTelemetry("sphere", "", stats)
-	if err != nil {
+	idx := filepath.Join(dir, "g.idx")
+	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), gp, -1, true, 30, 0, 1, "prefix", "", "", "", 0, true, false, out, "", 0, 0, "", "", 0, rt); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		run   func(ctx context.Context, rt *cliutil.RunTelemetry) error
+		spans []string // must each be top-level with seconds > 0
+	}{
+		{"sweep", func(ctx context.Context, rt *cliutil.RunTelemetry) error {
+			return run(ctx, gp, -1, true, 30, 0, 1, "prefix", "", "", "", 0, true, false, filepath.Join(dir, "out.txt"), "", 0, 0, "", "", 0, rt)
+		}, []string{"index.build", "core.compute_all"}},
+		{"shards", func(ctx context.Context, rt *cliutil.RunTelemetry) error {
+			return run(ctx, gp, -1, false, 30, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 2, filepath.Join(dir, "net"), "", 0, rt)
+		}, []string{"index.build", "core.compute_all"}},
+		{"sketch", func(ctx context.Context, rt *cliutil.RunTelemetry) error {
+			return run(ctx, gp, -1, false, 30, 0, 1, "prefix", idx, "", filepath.Join(dir, "g.skc"), 0, true, false, "", "", 0, 0, "", "", 0, rt)
+		}, []string{"sketch.build"}},
 	}
-	rt.Flush()
-	b, err := os.ReadFile(stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep telemetry.Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("stats file is not valid JSON: %v", err)
-	}
-	if rep.Schema != telemetry.ReportSchema {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if rep.RunInfo.Tool != "sphere" || rep.RunInfo.GraphHash == "" || rep.RunInfo.SamplesAchieved != 30 {
-		t.Fatalf("run info incomplete: %+v", rep.RunInfo)
-	}
-	if rep.Counters["worlds.sampled"] != 30 {
-		t.Fatalf("worlds.sampled = %d", rep.Counters["worlds.sampled"])
-	}
-	if rep.Counters["core.spheres_computed"] != 40 {
-		t.Fatalf("core.spheres_computed = %d", rep.Counters["core.spheres_computed"])
-	}
-	if len(rep.Spans) == 0 {
-		t.Fatal("no spans recorded")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stats := filepath.Join(dir, tc.name+"-stats.json")
+			ctx, rt, err := cliutil.StartTelemetry(context.Background(), "sphere", "", stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(ctx, rt); err != nil {
+				t.Fatal(err)
+			}
+			rt.Flush()
+			b, err := os.ReadFile(stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep telemetry.Report
+			if err := json.Unmarshal(b, &rep); err != nil {
+				t.Fatalf("stats file is not valid JSON: %v", err)
+			}
+			if rep.Schema != telemetry.ReportSchema {
+				t.Fatalf("schema = %q", rep.Schema)
+			}
+			if rep.RunInfo.Tool != "sphere" || rep.RunInfo.GraphHash == "" {
+				t.Fatalf("run info incomplete: %+v", rep.RunInfo)
+			}
+			if tc.name == "sweep" {
+				if rep.RunInfo.SamplesAchieved != 30 {
+					t.Fatalf("samples achieved = %d", rep.RunInfo.SamplesAchieved)
+				}
+				if rep.Counters["worlds.sampled"] != 30 {
+					t.Fatalf("worlds.sampled = %d", rep.Counters["worlds.sampled"])
+				}
+				if rep.Counters["core.spheres_computed"] != 40 {
+					t.Fatalf("core.spheres_computed = %d", rep.Counters["core.spheres_computed"])
+				}
+			}
+			seconds := map[string]float64{}
+			for _, sp := range rep.Spans {
+				seconds[sp.Name] += sp.Seconds
+			}
+			for _, name := range tc.spans {
+				if seconds[name] <= 0 {
+					t.Errorf("top-level span %q missing or zero: %+v", name, rep.Spans)
+				}
+			}
+		})
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/pool"
 	"soi/internal/rng"
+	"soi/internal/trace"
 )
 
 // Activation records one node activation during a simulation.
@@ -68,8 +69,9 @@ func Simulate(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool
 // worker count. Workers check ctx between simulations, so a canceled
 // context returns ctx.Err() promptly; worker panics are recovered into a
 // *pool.PanicError. cfg.Telemetry (nil allowed) receives per-trial cascade
-// sizes (cascade.size), a trial counter (cascade.trials), pool utilization,
-// and a "cascade.expected_spread" span.
+// sizes (cascade.size), a trial counter (cascade.trials) and pool
+// utilization; a "cascade.expected_spread" trace span, with the trial count
+// as its attribute, opens under the span ctx carries.
 //
 // cfg puts the estimate under the crash-safe execution layer; its zero
 // value is the plain run. With cfg.Path set, the per-trial cascade sizes are
@@ -129,7 +131,7 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 	tel := cfg.Telemetry
 	mTrials := tel.Counter("cascade.trials")
 	mSize := tel.Histogram("cascade.size")
-	sp := tel.StartSpan("cascade.expected_spread")
+	sp := trace.Child(ctx, "cascade.expected_spread", trace.Int("trials", int64(trials)))
 	runErr := pool.Run(ctx, trials, pool.Options{Workers: w, Telemetry: tel}, func(worker, i int) error {
 		if resumed.Get(i) {
 			return nil
@@ -146,7 +148,6 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 		sizes[i] = size
 		mTrials.Inc()
 		mSize.Observe(size)
-		sp.AddUnits(1)
 		r.MarkDone(i)
 		return nil
 	})

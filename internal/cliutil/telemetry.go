@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -11,13 +12,14 @@ import (
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // RunTelemetry is a command's telemetry lifecycle: an optional metrics
-// registry (nil when neither -debug-addr nor -stats-json was given — all
-// instrumentation downstream then no-ops), an optional debug HTTP server,
-// and an exactly-once final report flush that runs on every exit path,
-// including Fail's os.Exit shortcuts.
+// registry and root trace span (both nil when neither -debug-addr nor
+// -stats-json was given — all instrumentation downstream then no-ops), an
+// optional debug HTTP server, and an exactly-once final report flush that
+// runs on every exit path, including Fail's os.Exit shortcuts.
 type RunTelemetry struct {
 	// Tool is the command name, used in stderr notices.
 	Tool string
@@ -26,19 +28,22 @@ type RunTelemetry struct {
 	Registry *telemetry.Registry
 
 	statsPath string
+	root      *trace.Span // the run's phases are its children
 	server    *telemetry.DebugServer
 	flushOnce sync.Once
 }
 
 // StartTelemetry builds the telemetry lifecycle from the -debug-addr and
-// -stats-json flags. With both empty it returns a disabled lifecycle whose
-// Registry is nil, so the per-event overhead everywhere downstream is a
-// single nil check. The debug server (Prometheus /metrics, expvar, pprof)
-// starts immediately; its resolved address is announced on stderr.
-func StartTelemetry(tool, debugAddr, statsPath string) (*RunTelemetry, error) {
+// -stats-json flags and returns ctx carrying the run's root trace span, under
+// which the compute phases open theirs. With both flags empty it returns ctx
+// unchanged and a disabled lifecycle whose Registry is nil, so the per-event
+// overhead everywhere downstream is a single nil check. The debug server
+// (Prometheus /metrics, expvar, pprof) starts immediately; its resolved
+// address is announced on stderr.
+func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (context.Context, *RunTelemetry, error) {
 	t := &RunTelemetry{Tool: tool, statsPath: statsPath}
 	if debugAddr == "" && statsPath == "" {
-		return t, nil
+		return ctx, t, nil
 	}
 	t.Registry = telemetry.New()
 	t.Registry.SetTool(tool)
@@ -46,18 +51,22 @@ func StartTelemetry(tool, debugAddr, statsPath string) (*RunTelemetry, error) {
 	if debugAddr != "" {
 		srv, err := telemetry.Serve(debugAddr, t.Registry)
 		if err != nil {
-			return nil, fmt.Errorf("%s: debug server: %w", tool, err)
+			return ctx, nil, fmt.Errorf("%s: debug server: %w", tool, err)
 		}
 		t.server = srv
 		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", tool, srv.Addr)
 	}
-	return t, nil
+	// Flush reads the trace from its root, never from the tracer's ring of
+	// retained traces, so one ring slot is enough.
+	ctx, t.root = trace.New(trace.Options{Service: tool, RingSize: 1}).StartSpan(ctx, tool)
+	return ctx, t, nil
 }
 
-// Flush writes the final report exactly once: the JSON report to the
-// -stats-json path (atomically), the human-readable table to stderr, and
-// shuts down the debug server. Safe to call multiple times and on a
-// disabled (Registry == nil) lifecycle. Flush failures are reported on
+// Flush writes the final report exactly once: it ends the root span, takes
+// the report's span tree from the root's children, writes the JSON report
+// to the -stats-json path (atomically) and the human-readable table to
+// stderr, and shuts down the debug server. Safe to call multiple times and
+// on a disabled (Registry == nil) lifecycle. Flush failures are reported on
 // stderr but never change the command's exit code — telemetry must not turn
 // a successful run into a failed one.
 func (t *RunTelemetry) Flush() {
@@ -66,6 +75,8 @@ func (t *RunTelemetry) Flush() {
 			return
 		}
 		rep := t.Registry.Report()
+		t.root.End()
+		rep.Spans = spanSnapshots(t.root.Trace().Snapshot(t.Tool).Spans[0].Children)
 		if t.statsPath != "" {
 			err := atomicfile.WriteFile(t.statsPath, func(w io.Writer) error {
 				b, err := rep.JSON()
@@ -86,6 +97,22 @@ func (t *RunTelemetry) Flush() {
 			}
 		}
 	})
+}
+
+// spanSnapshots converts a trace subtree into the report's span tree.
+func spanSnapshots(spans []trace.SpanJSON) []telemetry.SpanSnapshot {
+	if len(spans) == 0 {
+		return nil
+	}
+	out := make([]telemetry.SpanSnapshot, len(spans))
+	for i, s := range spans {
+		out[i] = telemetry.SpanSnapshot{
+			Name:     s.Name,
+			Seconds:  s.DurationMS / 1e3,
+			Children: spanSnapshots(s.Children),
+		}
+	}
+	return out
 }
 
 // Finish flushes telemetry and then exits through Fail. Use it instead of

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,15 +9,19 @@ import (
 	"time"
 
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 func TestStartTelemetryDisabled(t *testing.T) {
-	rt, err := StartTelemetry("tool", "", "")
+	ctx, rt, err := StartTelemetry(context.Background(), "tool", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.Registry != nil {
 		t.Fatal("disabled lifecycle has a registry")
+	}
+	if trace.FromContext(ctx) != nil {
+		t.Fatal("disabled lifecycle put a span in the run's context")
 	}
 	rt.Flush() // must be a safe no-op
 	rt.GraphHash(nil)
@@ -27,7 +32,7 @@ func TestStartTelemetryDisabled(t *testing.T) {
 
 func TestFlushWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stats.json")
-	rt, err := StartTelemetry("tool", "", path)
+	_, rt, err := StartTelemetry(context.Background(), "tool", "", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +62,53 @@ func TestFlushWritesReport(t *testing.T) {
 	}
 }
 
+// TestFlushReportsSpanTree: the report's spans are the root span's subtree,
+// nested and in start order, and a phase still open at flush time reports
+// the time it has run so far.
+func TestFlushReportsSpanTree(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stats.json")
+	ctx, rt, err := StartTelemetry(context.Background(), "tool", "", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pctx, phase := trace.StartChild(ctx, "phase.one")
+	sub := trace.Child(pctx, "phase.sub")
+	time.Sleep(time.Millisecond)
+	sub.End()
+	phase.End()
+	phase.End() // idempotent
+	time.Sleep(time.Millisecond)
+	open := trace.Child(ctx, "phase.open") // deliberately left running
+	time.Sleep(time.Millisecond)
+	rt.Flush()
+	open.End()
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep telemetry.Report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Spans) != 2 {
+		t.Fatalf("top-level spans = %+v, want phase.one and phase.open", rep.Spans)
+	}
+	one, running := rep.Spans[0], rep.Spans[1]
+	if one.Name != "phase.one" || one.Seconds <= 0 || len(one.Children) != 1 {
+		t.Fatalf("phase span = %+v", one)
+	}
+	if c := one.Children[0]; c.Name != "phase.sub" || c.Seconds <= 0 || c.Seconds > one.Seconds {
+		t.Fatalf("nested span = %+v (parent %.6fs)", c, one.Seconds)
+	}
+	if running.Name != "phase.open" || running.Seconds <= 0 {
+		t.Fatalf("open span = %+v", running)
+	}
+}
+
 func TestResumeConfigCarriesRegistry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stats.json")
-	rt, err := StartTelemetry("tool", "", path)
+	_, rt, err := StartTelemetry(context.Background(), "tool", "", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +123,7 @@ func TestResumeConfigCarriesRegistry(t *testing.T) {
 }
 
 func TestStartTelemetryDebugServer(t *testing.T) {
-	rt, err := StartTelemetry("tool", "127.0.0.1:0", "")
+	_, rt, err := StartTelemetry(context.Background(), "tool", "127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}

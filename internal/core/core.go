@@ -33,6 +33,7 @@ import (
 	"soi/internal/pool"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 	"soi/internal/worlds"
 )
 
@@ -155,8 +156,9 @@ type Options struct {
 	Model index.Model
 	// Telemetry, if non-nil, receives sphere metrics (spheres computed,
 	// sphere sizes, median candidate evaluations, refinement deltas, median
-	// and cost-estimate timings) plus a "core.compute_all" span. When nil,
-	// the registry attached to the index (if any) is used instead.
+	// and cost-estimate timings). When nil, the registry attached to the
+	// index (if any) is used instead. ComputeAll's "core.compute_all" phase
+	// span is a trace span, opened under the span its ctx carries.
 	Telemetry *telemetry.Registry
 }
 
@@ -381,7 +383,7 @@ func ComputeAll(ctx context.Context, x *index.Index, opts Options, cfg checkpoin
 	}
 	tel := telemetryFor(x, opts)
 	m := newMetricsSet(tel)
-	sp := tel.StartSpan("core.compute_all")
+	sp := trace.Child(ctx, "core.compute_all")
 	runErr := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
 		func(worker, task int) error {
 			if resumed.Get(task) {
@@ -407,7 +409,6 @@ func ComputeAll(ctx context.Context, x *index.Index, opts Options, cfg checkpoin
 				return err
 			}
 			out[v] = res
-			sp.AddUnits(1)
 			r.MarkDone(task)
 			return nil
 		})

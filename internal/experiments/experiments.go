@@ -55,7 +55,8 @@ type Config struct {
 	Out io.Writer
 	// Ctx, if non-nil, cancels the heavy compute phases (index builds):
 	// cmd/experiments passes the signal-bound context so Ctrl-C aborts a run
-	// promptly between worlds instead of finishing the experiment.
+	// promptly between worlds instead of finishing the experiment. The
+	// phases open their trace spans under the span Ctx carries.
 	Ctx context.Context
 	// CheckpointDir, if non-empty, makes the heavy index builds crash-safe:
 	// each build periodically saves its progress to a fingerprint-keyed file
@@ -69,9 +70,9 @@ type Config struct {
 	// Err receives resume and partial-result notices (they never go to Out,
 	// which carries the tables); nil discards them.
 	Err io.Writer
-	// Telemetry, if non-nil, receives metrics and spans from every compute
-	// phase the experiments drive (world sampling, index builds, greedy
-	// selections, Monte-Carlo evaluation).
+	// Telemetry, if non-nil, receives metrics from every compute phase the
+	// experiments drive (world sampling, index builds, greedy selections,
+	// Monte-Carlo evaluation).
 	Telemetry *telemetry.Registry
 }
 

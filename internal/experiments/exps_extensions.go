@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"soi/internal/cascade"
@@ -11,6 +10,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
+	"soi/internal/trace"
 )
 
 // Extension experiments: beyond the paper's artifacts, the library supports
@@ -122,8 +122,10 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 		run := func(m string) (infmax.Selection, error) {
 			switch m {
 			case "tc":
-				return infmax.TC(context.Background(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
+				return infmax.TC(cfg.ctx(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 			case "std":
+				sp := trace.Child(cfg.ctx(), "infmax.std.greedy")
+				defer sp.End()
 				return infmax.Std(x, cfg.K)
 			case "std-celf++":
 				return infmax.StdCELFpp(x, cfg.K)

@@ -28,6 +28,7 @@ import (
 	"soi/internal/rng"
 	"soi/internal/scc"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 	"soi/internal/worlds"
 )
 
@@ -71,9 +72,10 @@ type Options struct {
 	// Model selects IC (default) or LT live-edge sampling.
 	Model Model
 	// Telemetry, if non-nil, receives build metrics (worlds sampled, SCC
-	// condensation sizes, per-world build timings, pool utilization) and an
-	// "index.build" phase span. The registry is retained on the built Index
-	// so query-time consumers (greedy selection) meter against it too.
+	// condensation sizes, per-world build timings, pool utilization). The
+	// registry is retained on the built Index so query-time consumers
+	// (greedy selection) meter against it too. The "index.build" phase span
+	// is a trace span, opened under the span Build's ctx carries.
 	Telemetry *telemetry.Registry
 }
 
@@ -190,7 +192,7 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 		gens[i] = master.Split(uint64(i))
 	}
 	bm := newBuildMetrics(opts.Telemetry)
-	sp := opts.Telemetry.StartSpan("index.build")
+	sp := trace.Child(ctx, "index.build")
 	runErr := pool.Run(ctx, opts.Samples,
 		pool.Options{Workers: opts.Workers, Progress: opts.Progress, Telemetry: opts.Telemetry},
 		func(_, i int) error {
@@ -201,7 +203,6 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 				return err
 			}
 			idx.entries[i] = buildEntry(g, gens[i], opts, bm)
-			sp.AddUnits(1)
 			r.MarkDone(i)
 			return nil
 		})

@@ -292,12 +292,7 @@ func Std(x *index.Index, k int) (Selection, error) {
 	s := x.NewScratch()
 	cov := x.NewCoverage()
 	gain, commit := sharedIndexGain(x, cov, s)
-	tel := x.Telemetry()
-	sp := tel.StartSpan("infmax.std.greedy")
-	defer sp.End()
-	sel := celfGreedyMetered(x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(tel))
-	sp.AddUnits(int64(len(sel.Seeds)))
-	return sel, nil
+	return celfGreedyMetered(x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(x.Telemetry())), nil
 }
 
 // StdNaive is Std without CELF (every candidate re-evaluated each round).

@@ -9,6 +9,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // Reverse-reachable (RR) sketch influence maximization, after Borgs,
@@ -30,8 +31,9 @@ type RROptions struct {
 	// Seed drives the sampling.
 	Seed uint64
 	// Telemetry, when non-nil, receives RR-sampling metrics (infmax.rr_sets,
-	// infmax.rr_set_size) and greedy metrics, under "infmax.rr.sample" and
-	// "infmax.rr.greedy" spans.
+	// infmax.rr_set_size) and greedy metrics. The sibling "infmax.rr.sample"
+	// and "infmax.rr.greedy" phases are trace spans under the span ctx
+	// carries.
 	Telemetry *telemetry.Registry
 }
 
@@ -92,7 +94,7 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 	}
 	mSets := tel.Counter("infmax.rr_sets")
 	mSetSize := tel.Histogram("infmax.rr_set_size")
-	spSample := tel.StartSpan("infmax.rr.sample")
+	spSample := trace.Child(ctx, "infmax.rr.sample")
 	var runErr error
 	for i := 0; i < opts.Sets; i++ {
 		if resumed.Get(i) {
@@ -114,7 +116,6 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 		a.close(i, start)
 		mSets.Inc()
 		mSetSize.Observe(int64(len(a.nodes) - start))
-		spSample.AddUnits(1)
 		r.MarkDone(i)
 	}
 	spSample.End()
@@ -148,7 +149,7 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int3
 		k = n
 	}
 	gm := newGreedyMetrics(tel)
-	sp := tel.StartSpan("infmax.rr.greedy")
+	sp := trace.Child(ctx, "infmax.rr.greedy")
 	defer sp.End()
 	for round := 0; round < k; round++ {
 		if err := ctx.Err(); err != nil {
@@ -176,7 +177,6 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int3
 		sel.Seeds = append(sel.Seeds, best)
 		sel.Gains = append(sel.Gains, float64(bestCount)*scale)
 		gm.commit(float64(bestCount) * scale)
-		sp.AddUnits(1)
 		lo, hi := containing.off[best], containing.off[best+1]
 		for _, si := range containing.sets[lo:hi] {
 			if covered[si] {

@@ -22,10 +22,6 @@ func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 	if err := validateK(k, n); err != nil {
 		return Selection{}, err
 	}
-	tel := sk.Telemetry()
-	sp := tel.StartSpan("infmax.sketch.greedy")
-	defer sp.End()
-
 	var union []uint64 // merged sketch of the committed seeds
 	current := 0.0     // its spread estimate
 	gain := func(v graph.NodeID) float64 {
@@ -38,7 +34,5 @@ func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 		current = next
 		return realized
 	}
-	sel := celfGreedyMetered(n, k, gain, commit, newGreedyMetrics(tel))
-	sp.AddUnits(int64(len(sel.Seeds)))
-	return sel, nil
+	return celfGreedyMetered(n, k, gain, commit, newGreedyMetrics(sk.Telemetry())), nil
 }

@@ -9,6 +9,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // MCOptions configures the Monte-Carlo greedy (the paper-faithful
@@ -25,8 +26,9 @@ type MCOptions struct {
 	// Workers bounds simulation parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// Telemetry, when non-nil, receives greedy and cascade metrics
-	// (infmax.gain_evals, cascade.trials, ...) plus an
-	// "infmax.stdmc.greedy" span.
+	// (infmax.gain_evals, cascade.trials, ...). The "infmax.stdmc.greedy"
+	// trace span, parent of every evaluation's "cascade.expected_spread",
+	// opens under the span ctx carries.
 	Telemetry *telemetry.Registry
 }
 
@@ -102,14 +104,13 @@ func StdMC(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selectio
 	if err := opts.validate(); err != nil {
 		return Selection{}, err
 	}
-	m := &mcState{ctx: ctx, g: g, opts: opts}
-	sp := opts.Telemetry.StartSpan("infmax.stdmc.greedy")
+	ctx, sp := trace.StartChild(ctx, "infmax.stdmc.greedy")
 	defer sp.End()
+	m := &mcState{ctx: ctx, g: g, opts: opts}
 	sel, err := celfGreedyTel(ctx, g.NumNodes(), k, m.gainErr, m.commitErr, newGreedyMetrics(opts.Telemetry))
 	if err != nil {
 		return Selection{}, err
 	}
-	sp.AddUnits(int64(len(sel.Seeds)))
 	return sel, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"soi/internal/graph"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // Spheres is the precomputed input to InfMax_TC: the typical cascade
@@ -45,8 +46,9 @@ func (c *nodeCoverage) commit(v graph.NodeID) float64 {
 // SelectSeeds* entry point takes an options struct instead of growing
 // …Tel/…Ctx twins.
 type TCOptions struct {
-	// Telemetry (nil disables) receives gain-evaluation and round counters,
-	// a realized-gain histogram, and an "infmax.tc.greedy" span.
+	// Telemetry (nil disables) receives gain-evaluation and round counters
+	// and a realized-gain histogram. The "infmax.tc.greedy" trace span, with
+	// k as its attribute, opens under the span ctx carries.
 	Telemetry *telemetry.Registry
 }
 
@@ -60,17 +62,15 @@ func TC(ctx context.Context, g *graph.Graph, spheres Spheres, k int, opts TCOpti
 		return Selection{}, err
 	}
 	cov := &nodeCoverage{covered: make([]bool, g.NumNodes()), spheres: spheres}
-	tel := opts.Telemetry
-	sp := tel.StartSpan("infmax.tc.greedy")
+	sp := trace.Child(ctx, "infmax.tc.greedy", trace.Int("k", int64(k)))
 	defer sp.End()
 	sel, err := celfGreedyTel(ctx, g.NumNodes(), k,
 		func(v graph.NodeID) (float64, error) { return cov.gain(v), nil },
 		func(v graph.NodeID) (float64, error) { return cov.commit(v), nil },
-		newGreedyMetrics(tel))
+		newGreedyMetrics(opts.Telemetry))
 	if err != nil {
 		return Selection{}, err
 	}
-	sp.AddUnits(int64(len(sel.Seeds)))
 	return sel, nil
 }
 

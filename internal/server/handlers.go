@@ -315,10 +315,8 @@ func (s *Server) handleSeeds(req *http.Request) (any, error) {
 	if s.tcSets == nil {
 		return nil, api.Conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
 	}
-	gctx, gsp := trace.StartChild(req.Context(), "seeds.greedy", trace.Int("k", int64(k)))
-	sel, err := infmax.TC(gctx, s.g, s.tcSets, k,
+	sel, err := infmax.TC(req.Context(), s.g, s.tcSets, k,
 		infmax.TCOptions{Telemetry: s.cfg.Telemetry})
-	gsp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -390,12 +388,9 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 		}
 		// One worker per request: admission control arbitrates cores across
 		// requests; a single query must not monopolize the process.
-		mctx, msp := trace.StartChild(req.Context(), "spread.mc",
-			trace.Int("trials", int64(trials)))
-		spread, err := cascade.ExpectedSpread(mctx, s.g, seeds,
+		spread, err := cascade.ExpectedSpread(req.Context(), s.g, seeds,
 			trials, s.querySeed(seeds...), 1,
-			checkpoint.Config{Budget: samplingBudget(mctx), Telemetry: s.cfg.Telemetry})
-		msp.End()
+			checkpoint.Config{Budget: samplingBudget(req.Context()), Telemetry: s.cfg.Telemetry})
 		pe, err := splitPartial(err)
 		if err != nil {
 			return nil, err

@@ -18,6 +18,7 @@ import (
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/index"
+	"soi/internal/sketch"
 	"soi/internal/telemetry"
 )
 
@@ -692,5 +693,48 @@ func TestBudgetCap(t *testing.T) {
 	rec, _ := do(t, s, "/v1/spread?seeds=0&method=mc&trials=1000000&budget=1h")
 	if rec.Code != http.StatusPartialContent {
 		t.Fatalf("status %d, want 206 under capped budget: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestTelemetryReportBounded: the process-lifetime registry must not grow
+// with the number of requests served. /debug/vars renders its whole report
+// on every scrape, so a per-request entry there (seed selection and
+// Monte-Carlo spread once left a span each) is a leak.
+func TestTelemetryReportBounded(t *testing.T) {
+	tel := telemetry.New()
+	sk, err := sketch.Build(sharedFixture(t).x, sketch.Options{K: 8, Seed: 1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, func(c *Config) {
+		c.Telemetry = tel
+		c.Sketch = sk
+		c.CacheSize = -1
+	})
+	served := 0
+	reportAfter := func(n int) (telemetry.Report, int) {
+		for ; served < n; served++ {
+			for _, url := range []string{"/v1/seeds?k=3", "/v1/seeds?k=3&estimator=sketch", "/v1/spread?seeds=0&method=mc&trials=20"} {
+				if rec, _ := do(t, s, url); rec.Code != 200 {
+					t.Fatalf("GET %s: status %d: %s", url, rec.Code, rec.Body.String())
+				}
+			}
+		}
+		rep := tel.Report()
+		b, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, len(b)
+	}
+	small, smallSize := reportAfter(100)
+	large, largeSize := reportAfter(1000)
+	if len(small.Spans) != len(large.Spans) {
+		t.Fatalf("report spans grew from %d to %d with 10x the requests", len(small.Spans), len(large.Spans))
+	}
+	// Counter and histogram values gain a digit or two between the two
+	// reads; a per-request entry would add tens of kilobytes.
+	if largeSize > smallSize+1024 {
+		t.Fatalf("report grew from %d to %d bytes with 10x the requests", smallSize, largeSize)
 	}
 }

@@ -98,6 +98,47 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 	}
 }
 
+// TestTraceLibrarySpans: an endpoint that wraps one library call carries
+// that call's own span exactly once, with the request parameter as its
+// attribute, and no handler span doubling it.
+func TestTraceLibrarySpans(t *testing.T) {
+	s, _ := tracedServer(t, nil)
+	for _, tc := range []struct {
+		url, span, attr string
+		want            float64
+	}{
+		{"/v1/seeds?k=3", "infmax.tc.greedy", "k", 3},
+		{"/v1/spread?seeds=0&method=mc&trials=40", "cascade.expected_spread", "trials", 40},
+	} {
+		rec, _ := do(t, s, tc.url)
+		if rec.Code != 200 {
+			t.Fatalf("GET %s: status %d: %s", tc.url, rec.Code, rec.Body.String())
+		}
+		var found []trace.SpanJSON
+		var walk func(sp trace.SpanJSON)
+		walk = func(sp trace.SpanJSON) {
+			switch sp.Name {
+			case tc.span:
+				found = append(found, sp)
+			case "seeds.greedy", "spread.mc":
+				t.Errorf("GET %s: handler span %q doubles the library span", tc.url, sp.Name)
+			}
+			for _, c := range sp.Children {
+				walk(c)
+			}
+		}
+		for _, root := range getTrace(t, s, rec.Header().Get(trace.RequestIDHeader)).Spans {
+			walk(root)
+		}
+		if len(found) != 1 {
+			t.Fatalf("GET %s: %d %s spans, want 1", tc.url, len(found), tc.span)
+		}
+		if got := found[0].Attrs[tc.attr]; got != tc.want {
+			t.Fatalf("GET %s: %s attr %s = %v, want %v", tc.url, tc.span, tc.attr, got, tc.want)
+		}
+	}
+}
+
 // TestTraceDegradedEvent forces a budget-truncated 206 and checks the trace
 // records the degradation event with its accounting, and that the trace is
 // retained as "partial" even at sample rate 0.

@@ -61,9 +61,10 @@ type Options struct {
 	// Progress, if non-nil, is called after each world's rank pass with
 	// (done, total). Calls are serialized.
 	Progress func(done, total int)
-	// Telemetry, if non-nil, receives a "sketch.build" span and build
-	// counters, and is retained on the Sketch so sketch-space greedy
-	// selection meters against it.
+	// Telemetry, if non-nil, receives build counters and is retained on the
+	// Sketch so sketch-space greedy selection meters against it. Build
+	// takes no ctx and opens no span; a caller that traces the build opens
+	// its "sketch.build" span around the call.
 	Telemetry *telemetry.Registry
 }
 
@@ -98,8 +99,6 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 	n := x.Graph().NumNodes()
 	worlds := x.NumWorlds()
 	tel := opts.Telemetry
-	sp := tel.StartSpan("sketch.build")
-	defer sp.End()
 
 	// Per-node bottom-k accumulators: heap[v*k : v*k+cnt[v]] is a max-heap
 	// of the k smallest ranks seen for v so far.
@@ -206,7 +205,6 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.AddUnits(int64(worlds))
 	tel.Counter("sketch.build.worlds").Add(int64(worlds))
 	tel.Counter("sketch.build.ranks").Add(int64(total))
 	return s, nil

@@ -32,7 +32,8 @@ type RunInfo struct {
 	GOMAXPROCS      int               `json:"gomaxprocs"`
 }
 
-// Report is the end-of-run snapshot: RunInfo plus every metric and span.
+// Report is the end-of-run snapshot: RunInfo plus every metric and, for the
+// batch CLIs, the run's phase span tree.
 type Report struct {
 	Schema     string                       `json:"schema"`
 	RunInfo    RunInfo                      `json:"run_info"`
@@ -42,12 +43,19 @@ type Report struct {
 	Spans      []SpanSnapshot               `json:"spans,omitempty"`
 }
 
+// SpanSnapshot is one timed phase of a run and its nested sub-phases. The
+// registry records no spans itself: Report leaves Spans empty, and the batch
+// CLIs fill it from their trace when the run ends.
+type SpanSnapshot struct {
+	Name     string         `json:"name"`
+	Seconds  float64        `json:"seconds"`
+	Children []SpanSnapshot `json:"children,omitempty"`
+}
+
 // Report snapshots the registry. Safe to call while workers are still
-// updating metrics (each value is read atomically); unended spans render
-// with Running=true. A nil registry reports only the schema and process
-// facts.
+// updating metrics (each value is read atomically). A nil registry reports
+// only the schema and process facts.
 func (r *Registry) Report() Report {
-	now := time.Now()
 	rep := Report{
 		Schema: ReportSchema,
 		RunInfo: RunInfo{
@@ -65,7 +73,7 @@ func (r *Registry) Report() Report {
 		return rep
 	}
 	rep.RunInfo.StartTime = r.start
-	rep.RunInfo.WallSeconds = now.Sub(r.start).Seconds()
+	rep.RunInfo.WallSeconds = time.Since(r.start).Seconds()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -101,9 +109,6 @@ func (r *Registry) Report() Report {
 		for name, h := range r.hists {
 			rep.Histograms[name] = h.Snapshot()
 		}
-	}
-	for _, s := range r.spans {
-		rep.Spans = append(rep.Spans, s.snapshot(now))
 	}
 	return rep
 }
@@ -173,14 +178,7 @@ func (rep Report) WriteTable(w io.Writer) {
 
 func writeSpanRow(w io.Writer, s SpanSnapshot, depth int) {
 	indent := strings.Repeat("  ", depth)
-	fmt.Fprintf(w, "%s%-*s %8.3fs", indent, 40-2*depth, s.Name, s.Seconds)
-	if s.Units > 0 {
-		fmt.Fprintf(w, "  %d units (%.0f/s)", s.Units, s.UnitsPerS)
-	}
-	if s.Running {
-		fmt.Fprintf(w, "  [running]")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%s%-*s %8.3fs\n", indent, 40-2*depth, s.Name, s.Seconds)
 	for _, c := range s.Children {
 		writeSpanRow(w, c, depth+1)
 	}

@@ -1,11 +1,12 @@
 // Package telemetry is the observability substrate for every long-running
 // pipeline in this repository: a race-safe metrics registry (counters,
-// gauges, log-scale histograms), lightweight phase spans, and an end-of-run
-// structured report. It depends only on the standard library.
+// gauges, log-scale histograms) and an end-of-run structured report. Phase
+// timing lives in internal/trace; the batch CLIs copy their trace into the
+// report's span tree (see cliutil). It depends only on the standard library.
 //
 // The design is built around one invariant: a disabled registry must cost
 // (almost) nothing on the hot path. Every handle type (*Counter, *Gauge,
-// *Histogram, *Span) is nil-safe — calling any method on a nil handle is a
+// *Histogram) is nil-safe — calling any method on a nil handle is a
 // no-op — and a nil *Registry hands out nil handles. Instrumented code
 // therefore resolves its handles once up front and never branches on
 // "telemetry enabled?" again; the disabled cost is a nil check per update.
@@ -245,7 +246,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry owns a run's metrics, spans, and run-info block. Create one per
+// Registry owns a run's metrics and run-info block. Create one per
 // process run with New; a nil *Registry is a valid "telemetry disabled"
 // registry whose handle constructors return nil handles.
 type Registry struct {
@@ -255,7 +256,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    []*Span
 	info     runInfo
 }
 

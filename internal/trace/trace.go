@@ -416,6 +416,15 @@ func (s *Span) TraceID() TraceID {
 	return s.trace.id
 }
 
+// Trace returns the trace the span belongs to (nil on a nil span), so a
+// batch run can snapshot its root span's subtree while the span is live.
+func (s *Span) Trace() *Trace {
+	if s == nil {
+		return nil
+	}
+	return s.trace
+}
+
 // ID returns the span id (zero on a nil span).
 func (s *Span) ID() SpanID {
 	if s == nil {

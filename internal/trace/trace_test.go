@@ -96,6 +96,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if got := span.Traceparent(); got != "" {
 		t.Fatalf("nil span Traceparent = %q", got)
 	}
+	if span.Trace() != nil {
+		t.Fatal("nil span Trace is non-nil")
+	}
 	if _, child := StartChild(ctx, "child"); child != nil {
 		t.Fatal("StartChild from spanless ctx returned non-nil span")
 	}
@@ -195,6 +198,31 @@ func TestEndIdempotentAndCommitOnce(t *testing.T) {
 	root.End()
 	if d2 := root.durNS.Load(); d2 != d1 {
 		t.Fatalf("second End changed duration: %d -> %d", d1, d2)
+	}
+
+	// Concurrent first Ends: one winner freezes the duration and commits
+	// the trace exactly once.
+	_, root2 := tel.StartSpan(context.Background(), "req2")
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			root2.End()
+		}()
+	}
+	wg.Wait()
+	d := root2.durNS.Load()
+	time.Sleep(2 * time.Millisecond)
+	root2.End()
+	if root2.durNS.Load() != d {
+		t.Fatal("duration moved after concurrent Ends")
+	}
+	tel.ring.mu.Lock()
+	commits := tel.ring.total
+	tel.ring.mu.Unlock()
+	if commits != 2 {
+		t.Fatalf("ring received %d commits for 2 traces", commits)
 	}
 }
 
@@ -392,19 +420,28 @@ func TestConcurrentSpanUse(t *testing.T) {
 			c.End()
 		}(i)
 	}
-	// Late events racing with snapshotting must be safe.
-	wg.Add(1)
+	// Late events, and Ends of the root, racing with child starts and
+	// snapshotting must be safe.
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			root.Event("late")
 		}
 	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			root.End()
+		}
+	}()
 	wg.Wait()
-	root.End()
 	snap := tr.Get(root.TraceID()).Snapshot("test")
 	if len(snap.Spans[0].Children) != 8 {
 		t.Fatalf("children = %d, want 8", len(snap.Spans[0].Children))
+	}
+	if snap.Spans[0].Running {
+		t.Fatal("ended root snapshots as running")
 	}
 }
 

@@ -52,20 +52,22 @@ import (
 )
 
 // Telemetry is a race-safe, zero-dependency metrics registry: counters,
-// gauges, log-scale histograms, and phase spans. Attach one via the
-// Telemetry field on IndexOptions, TypicalOptions, MCOptions, RROptions or
-// ResumeConfig and every compute phase reports into it; a nil registry
-// disables all instrumentation at the cost of one nil check per event.
-// Expose it with TelemetryHandler (Prometheus) or read a structured
-// TelemetryReport when the run ends.
+// gauges and log-scale histograms. Attach one via the Telemetry field on
+// IndexOptions, TypicalOptions, MCOptions, RROptions or ResumeConfig and
+// every compute phase reports into it; a nil registry disables all
+// instrumentation at the cost of one nil check per event. Expose it with
+// TelemetryHandler (Prometheus) or read a structured TelemetryReport when
+// the run ends. Phase timing is not kept here: the CLIs and soid time the
+// compute phases as trace spans.
 type Telemetry = telemetry.Registry
 
 // NewTelemetry creates an empty metrics registry.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // TelemetryReport is the machine-readable run report (schema
-// telemetry.ReportSchema): run info, counters, gauges, histogram snapshots
-// and the span tree.
+// telemetry.ReportSchema): run info, counters, gauges and histogram
+// snapshots. Its span tree is filled only by the batch CLIs, from their
+// run's trace; a registry's own Report leaves it empty.
 type TelemetryReport = telemetry.Report
 
 // TelemetryHandler serves r's metrics in Prometheus text exposition format;
@@ -381,8 +383,8 @@ func SelectSeedsStdMCCtx(ctx context.Context, g *Graph, k int, opts MCOptions) (
 }
 
 // TCOptions configures SelectSeedsTC; the zero value is ready to use. Its
-// Telemetry field (nil disables) receives greedy metrics and an
-// "infmax.tc.greedy" span, replacing the removed SelectSeedsTCTel.
+// Telemetry field (nil disables) receives greedy metrics, replacing the
+// removed SelectSeedsTCTel.
 type TCOptions = infmax.TCOptions
 
 // SelectSeedsTC runs the paper's InfMax_TC (Algorithm 3): greedy maximum
