@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json fmt fuzz-smoke server-smoke topology-smoke fsck-smoke trace-smoke sketch-smoke conformance cover all
+.PHONY: build test race vet examples bench bench-json fmt fuzz-smoke server-smoke topology-smoke fsck-smoke trace-smoke sketch-smoke conformance cover all
 
 all: build vet test
 
@@ -15,6 +15,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Build and run every examples/* program: they are the library facade's only
+# whole-program callers. Each takes between a few milliseconds and about
+# two seconds.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -247,7 +247,7 @@ func BenchmarkAblationCELF(b *testing.B) {
 	b.Run("celf", func(b *testing.B) {
 		var evals int
 		for i := 0; i < b.N; i++ {
-			sel, err := infmax.Std(x, k)
+			sel, err := infmax.Std(context.Background(), x, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func BenchmarkAblationCELF(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		var evals int
 		for i := 0; i < b.N; i++ {
-			sel, err := infmax.StdNaive(x, k, nil)
+			sel, err := infmax.StdNaive(context.Background(), x, k, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func BenchmarkAblationStdSharedVsMC(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sel, err := infmax.Std(x, k)
+			sel, err := infmax.Std(context.Background(), x, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -421,7 +421,7 @@ func BenchmarkAblationRRSketch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sel, err := infmax.Std(x, k)
+			sel, err := infmax.Std(context.Background(), x, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -473,7 +473,7 @@ func BenchmarkAblationCELFvsCELFpp(b *testing.B) {
 	b.Run("celf", func(b *testing.B) {
 		var evals int
 		for i := 0; i < b.N; i++ {
-			sel, err := infmax.Std(x, k)
+			sel, err := infmax.Std(context.Background(), x, k)
 			if err != nil {
 				b.Fatal(err)
 			}

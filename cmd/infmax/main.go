@@ -31,7 +31,6 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
-	"soi/internal/trace"
 )
 
 func main() {
@@ -138,9 +137,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 			}
 			return infmax.TC(ctx, g, sp, k, infmax.TCOptions{Telemetry: tel})
 		case "std":
-			sp := trace.Child(ctx, "infmax.std.greedy")
-			defer sp.End()
-			return infmax.Std(x, k)
+			return infmax.Std(ctx, x, k)
 		case "rr":
 			cfg := resume(".rr")
 			sel, err := cliutil.RetryStale("infmax", cfg.Path, func() (infmax.Selection, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/probs"
+	"soi/internal/telemetry"
 )
 
 // noTel is the disabled telemetry lifecycle main builds when neither
@@ -107,5 +110,42 @@ func TestRunTelemetryCounters(t *testing.T) {
 	}
 	if rep.Counters["core.spheres_computed"] == 0 {
 		t.Fatal("sphere sweep reported no spheres")
+	}
+}
+
+// TestRunStatsJSON checks that each greedy reports its own phase span at the
+// top level of the -stats-json report, opened by the library call itself.
+func TestRunStatsJSON(t *testing.T) {
+	dir := t.TempDir()
+	gp, _ := writeTestGraph(t, dir)
+	for method, span := range map[string]string{"std": "infmax.std.greedy", "tc": "infmax.tc.greedy"} {
+		t.Run(method, func(t *testing.T) {
+			stats := filepath.Join(dir, method+"-stats.json")
+			ctx, rt, err := cliutil.StartTelemetry(context.Background(), "infmax", "", stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(ctx, gp, 3, method, false, 30, 30, 1, "", "", 0, rt); err != nil {
+				t.Fatal(err)
+			}
+			rt.Flush()
+			b, err := os.ReadFile(stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep telemetry.Report
+			if err := json.Unmarshal(b, &rep); err != nil {
+				t.Fatalf("stats file is not valid JSON: %v", err)
+			}
+			seconds := 0.0
+			for _, sp := range rep.Spans {
+				if sp.Name == span {
+					seconds += sp.Seconds
+				}
+			}
+			if seconds <= 0 {
+				t.Fatalf("top-level span %q missing or zero: %+v", span, rep.Spans)
+			}
+		})
 	}
 }

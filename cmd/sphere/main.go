@@ -37,7 +37,6 @@ import (
 	"soi/internal/index"
 	"soi/internal/sketch"
 	"soi/internal/telemetry"
-	"soi/internal/trace"
 )
 
 func main() {
@@ -262,9 +261,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 // it as a SOISKC01 file, fingerprint-keyed to x — the fingerprint of x's
 // index file, so soid -sketch accepts it alongside soid -index of that file.
 func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
-	sp := trace.Child(ctx, "sketch.build")
-	sk, err := sketch.Build(x, sketch.Options{K: k, Seed: seed, Telemetry: tel})
-	sp.End()
+	sk, err := sketch.Build(ctx, x, sketch.Options{K: k, Seed: seed, Telemetry: tel})
 	if err != nil {
 		return err
 	}

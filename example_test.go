@@ -24,7 +24,7 @@ func figure1Graph() *soi.Graph {
 // query node v5.
 func ExampleTypicalCascade() {
 	g := figure1Graph()
-	idx, err := soi.BuildIndex(context.Background(), g, soi.IndexOptions{Samples: 2000, Seed: 7})
+	idx, err := soi.BuildIndex(context.Background(), g, soi.IndexOptions{Samples: 2000, Seed: 7}, soi.ResumeConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -38,11 +38,11 @@ func ExampleTypicalCascade() {
 // over precomputed spheres.
 func ExampleSelectSeedsTC() {
 	g := figure1Graph()
-	idx, err := soi.BuildIndex(context.Background(), g, soi.IndexOptions{Samples: 2000, Seed: 7})
+	idx, err := soi.BuildIndex(context.Background(), g, soi.IndexOptions{Samples: 2000, Seed: 7}, soi.ResumeConfig{})
 	if err != nil {
 		panic(err)
 	}
-	all, err := soi.AllTypicalCascades(context.Background(), idx, soi.TypicalOptions{})
+	all, err := soi.AllTypicalCascades(context.Background(), idx, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -86,7 +86,7 @@ func ExampleEstimateStability() {
 	b := soi.NewGraphBuilder(2)
 	b.AddEdge(0, 1, 0.3)
 	g := b.MustBuild()
-	cost, err := soi.EstimateStability(context.Background(), g, []soi.NodeID{0}, []soi.NodeID{0}, 400000, 2)
+	cost, _, err := soi.EstimateStability(context.Background(), g, []soi.NodeID{0}, []soi.NodeID{0}, 400000, 2, soi.Budget{})
 	if err != nil {
 		panic(err)
 	}
@@ -105,7 +105,7 @@ func ExampleAnalyzeModes() {
 		b.AddEdge(soi.NodeID(i), soi.NodeID(i+1), 1)
 	}
 	g := b.MustBuild()
-	idx, err := soi.BuildIndex(context.Background(), g, soi.IndexOptions{Samples: 2000, Seed: 3})
+	idx, err := soi.BuildIndex(context.Background(), g, soi.IndexOptions{Samples: 2000, Seed: 3}, soi.ResumeConfig{})
 	if err != nil {
 		panic(err)
 	}

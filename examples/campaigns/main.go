@@ -39,11 +39,11 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 200, Seed: 72, TransitiveReduction: true})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 200, Seed: 72, TransitiveReduction: true}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{})
+	results, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigma1, err := soi.ExpectedSpread(ctx, g, c1.Seeds, 2000, 73)
+	sigma1, err := soi.ExpectedSpread(ctx, g, c1.Seeds, 2000, 73, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 23})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 23}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func main() {
 
 	// Compare patient zero against the most dangerous possible case: the
 	// node with the largest typical cascade.
-	all, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{})
+	all, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

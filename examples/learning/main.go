@@ -69,11 +69,11 @@ func main() {
 
 	// How much does the learner choice change the answers? Compare the
 	// sphere of influence of the same node under both learnt graphs.
-	idxS, err := soi.BuildIndex(ctx, saito, soi.IndexOptions{Samples: 500, Seed: 47})
+	idxS, err := soi.BuildIndex(ctx, saito, soi.IndexOptions{Samples: 500, Seed: 47}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	idxG, err := soi.BuildIndex(ctx, goyal, soi.IndexOptions{Samples: 500, Seed: 47})
+	idxG, err := soi.BuildIndex(ctx, goyal, soi.IndexOptions{Samples: 500, Seed: 47}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

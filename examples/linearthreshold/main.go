@@ -33,21 +33,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	idxIC, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 500, Seed: 62})
+	idxIC, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 500, Seed: 62}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	idxLT, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 500, Seed: 62, Model: soi.ModelLT})
+	idxLT, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 500, Seed: 62, Model: soi.ModelLT}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Compare the sphere of the strongest node under both models.
-	allIC, err := soi.AllTypicalCascades(ctx, idxIC, soi.TypicalOptions{})
+	allIC, err := soi.AllTypicalCascades(ctx, idxIC, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	allLT, err := soi.AllTypicalCascades(ctx, idxLT, soi.TypicalOptions{Model: soi.ModelLT})
+	allLT, err := soi.AllTypicalCascades(ctx, idxLT, soi.TypicalOptions{Model: soi.ModelLT}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

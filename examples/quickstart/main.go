@@ -28,7 +28,7 @@ func main() {
 
 	// Index ℓ = 1000 sampled possible worlds (SCC condensations + the
 	// node-to-component matrix of the paper's Algorithm 1).
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 7, TransitiveReduction: true})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 7, TransitiveReduction: true}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("  stability  (held-out ρ):  %.4f  (lower = more predictable)\n", sphere.ExpectedCost)
 
 	// Spheres for every node, then influence maximization both ways.
-	all, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{})
+	all, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	std, err := soi.SelectSeedsStd(idx, 2)
+	std, err := soi.SelectSeedsStd(ctx, idx, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func main() {
 	fmt.Printf("InfMax_std seeds: %v (expected spread %.2f)\n", std.Seeds, std.Objective())
 
 	// Score both seed sets with an independent Monte-Carlo estimate.
-	sigmaTC, err := soi.ExpectedSpread(ctx, g, tc.Seeds, 20000, 13)
+	sigmaTC, err := soi.ExpectedSpread(ctx, g, tc.Seeds, 20000, 13, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigmaStd, err := soi.ExpectedSpread(ctx, g, std.Seeds, 20000, 13)
+	sigmaStd, err := soi.ExpectedSpread(ctx, g, std.Seeds, 20000, 13, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

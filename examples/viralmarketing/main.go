@@ -31,18 +31,18 @@ func main() {
 	fmt.Printf("network: %d nodes, %d edges, weighted-cascade probabilities\n",
 		g.NumNodes(), g.NumEdges())
 
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 400, Seed: 5, TransitiveReduction: true})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 400, Seed: 5, TransitiveReduction: true}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	all, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{})
+	all, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	spheres := soi.SpheresOf(all)
 
 	const k = 100
-	std, err := soi.SelectSeedsStd(idx, k)
+	std, err := soi.SelectSeedsStd(ctx, idx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func main() {
 	}
 
 	// Held-out evaluation: both methods scored on the same fresh worlds.
-	eval, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 400, Seed: 1005})
+	eval, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 400, Seed: 1005}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestArtifactGoldenBytes(t *testing.T) {
 			"45283e0af84e344024ef81b44e8d5ca34b7f6c1676e8cb99557f29f881b4da50",
 			"76b65ad357f23f0b003f231ec3b2d7f6df6daa2ee568ee797e0d16264b822c04"},
 	} {
-		x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 24, Seed: 17, TransitiveReduction: tc.reduce})
+		x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 24, Seed: 17, TransitiveReduction: tc.reduce}, ResumeConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestArtifactGoldenBytes(t *testing.T) {
 		if got := sum(idx.Bytes()); got != tc.indexSHA {
 			t.Errorf("reduce=%v: index sha256 %s, want %s", tc.reduce, got, tc.indexSHA)
 		}
-		sk, err := sketch.Build(x, sketch.Options{K: 16, Seed: 18})
+		sk, err := sketch.Build(context.Background(), x, sketch.Options{K: 16, Seed: 18})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -322,10 +322,10 @@ func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 		}
 		rs := master.Split(uint64(achieved))
 		if model == index.LT {
-			w := worlds.SampleLTMetered(g, rs, wm)
+			w := worlds.SampleLT(g, rs, wm)
 			buf = w.ReachableFromSet(seeds, visited, buf[:0])
 		} else {
-			buf = worlds.SampleCascadeFromSetMetered(g, seeds, rs, visited, buf[:0], wm)
+			buf = worlds.SampleCascadeFromSet(g, seeds, rs, visited, buf[:0], wm)
 		}
 		total += jaccard.Distance(set, buf)
 		r.MarkDone(achieved)

@@ -55,10 +55,10 @@ func EstimateCostWeighted(g *graph.Graph, seeds, set []graph.NodeID, weight []fl
 	for i := 0; i < samples; i++ {
 		r := master.Split(uint64(i))
 		if model == index.LT {
-			w := worlds.SampleLT(g, r)
+			w := worlds.SampleLT(g, r, nil)
 			buf = w.ReachableFromSet(seeds, visited, buf[:0])
 		} else {
-			buf = worlds.SampleCascadeFromSet(g, seeds, r, visited, buf[:0])
+			buf = worlds.SampleCascadeFromSet(g, seeds, r, visited, buf[:0], nil)
 		}
 		total += jaccard.WeightedDistance(set, buf, weight)
 	}

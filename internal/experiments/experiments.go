@@ -53,10 +53,11 @@ type Config struct {
 	Datasets []string
 	// Out receives the rendered tables; nil discards them.
 	Out io.Writer
-	// Ctx, if non-nil, cancels the heavy compute phases (index builds):
-	// cmd/experiments passes the signal-bound context so Ctrl-C aborts a run
-	// promptly between worlds instead of finishing the experiment. The
-	// phases open their trace spans under the span Ctx carries.
+	// Ctx, if non-nil, cancels the heavy compute phases (index builds,
+	// sphere sweeps and every seed selection, the Figure 7 saturation
+	// greedies included): cmd/experiments passes the signal-bound context
+	// so Ctrl-C aborts a run promptly instead of finishing the experiment.
+	// The phases open their trace spans under the span Ctx carries.
 	Ctx context.Context
 	// CheckpointDir, if non-empty, makes the heavy index builds crash-safe:
 	// each build periodically saves its progress to a fingerprint-keyed file
@@ -94,9 +95,6 @@ func (c *Config) defaults() {
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
-	}
-	if c.Ctx == nil {
-		c.Ctx = context.Background()
 	}
 	if c.Err == nil {
 		c.Err = io.Discard

@@ -10,7 +10,6 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
-	"soi/internal/trace"
 )
 
 // Extension experiments: beyond the paper's artifacts, the library supports
@@ -124,9 +123,7 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 			case "tc":
 				return infmax.TC(cfg.ctx(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 			case "std":
-				sp := trace.Child(cfg.ctx(), "infmax.std.greedy")
-				defer sp.End()
-				return infmax.Std(x, cfg.K)
+				return infmax.Std(cfg.ctx(), x, cfg.K)
 			case "std-celf++":
 				return infmax.StdCELFpp(x, cfg.K)
 			case "rr":

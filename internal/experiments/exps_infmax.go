@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"soi/internal/checkpoint"
@@ -78,7 +77,7 @@ func fig6One(cfg Config, name string, g *graph.Graph) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tcSel, err := infmax.TC(context.Background(), g, spheres, cfg.K, infmax.TCOptions{})
+	tcSel, err := infmax.TC(cfg.ctx(), g, spheres, cfg.K, infmax.TCOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +168,7 @@ func Fig7(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ptsStd, _, err := infmax.SaturationStdMC(d.Graph, cfg.K, rank, cfg.mcOptions())
+		ptsStd, _, err := infmax.SaturationStdMC(cfg.ctx(), d.Graph, cfg.K, rank, cfg.mcOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +176,7 @@ func Fig7(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ptsTC, _, err := infmax.SaturationTC(d.Graph, spheres, cfg.K, rank)
+		ptsTC, _, err := infmax.SaturationTC(cfg.ctx(), d.Graph, spheres, cfg.K, rank)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +249,7 @@ func Fig8(cfg Config) ([]Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tcSel, err := infmax.TC(context.Background(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
+		tcSel, err := infmax.TC(cfg.ctx(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +320,7 @@ func Fig7Shared(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ptsStd, _, err := infmax.SaturationStd(x, cfg.K, rank)
+		ptsStd, _, err := infmax.SaturationStd(cfg.ctx(), x, cfg.K, rank)
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +328,7 @@ func Fig7Shared(cfg Config) ([]Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ptsTC, _, err := infmax.SaturationTC(d.Graph, spheres, cfg.K, rank)
+		ptsTC, _, err := infmax.SaturationTC(cfg.ctx(), d.Graph, spheres, cfg.K, rank)
 		if err != nil {
 			return nil, err
 		}

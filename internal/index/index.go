@@ -239,9 +239,9 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 	}
 	var world *worlds.World
 	if opts.Model == LT {
-		world = worlds.SampleLTMetered(g, r, bm.wm)
+		world = worlds.SampleLT(g, r, bm.wm)
 	} else {
-		world = worlds.SampleMetered(g, r, bm.wm)
+		world = worlds.Sample(g, r, bm.wm)
 	}
 	dec := scc.Tarjan(world)
 	dag := scc.Condense(world, dec)

@@ -70,3 +70,43 @@ func TestStdMCCtxCancellationPrompt(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+func TestSaturationStdMCCtxPreCanceled(t *testing.T) {
+	g := starChain(t)
+	if _, _, err := SaturationStdMC(preCanceled(), g, 2, 2, MCOptions{Trials: 50, Seed: 5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSaturationStdMCCtxCancellationPrompt is TestStdMCCtxCancellationPrompt
+// for the naive Monte-Carlo greedy behind the Figure 7 saturation trace:
+// it evaluates every candidate every round, so it must observe cancellation
+// inside an evaluation too, not only between rounds.
+func TestSaturationStdMCCtxCancellationPrompt(t *testing.T) {
+	b := graph.NewBuilder(3000)
+	for i := 0; i < 2999; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
+	}
+	g := b.MustBuild()
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, _, err := SaturationStdMC(ctx, g, 2, 2, MCOptions{Trials: 1 << 17, Seed: 6})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("SaturationStdMC returned %v after cancellation", d)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

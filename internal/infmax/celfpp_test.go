@@ -17,7 +17,7 @@ func TestCELFppMatchesNaiveObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := StdNaive(x, 10, nil)
+	naive, err := StdNaive(context.Background(), x, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCELFppFewerEvaluationsThanNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := StdNaive(x, 12, nil)
+	naive, err := StdNaive(context.Background(), x, 12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestQuickCELFppEqualsCELF(t *testing.T) {
 			return false
 		}
 		k := r.Intn(n/2) + 1
-		a, err1 := Std(x, k)
+		a, err1 := Std(context.Background(), x, k)
 		b, err2 := StdCELFpp(x, k)
 		if err1 != nil || err2 != nil {
 			return false

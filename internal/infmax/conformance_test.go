@@ -67,7 +67,7 @@ func TestConformanceStdSeedQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Std(x, k)
+		sel, err := Std(context.Background(), x, k)
 		if err != nil {
 			t.Fatal(err)
 		}

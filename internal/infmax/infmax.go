@@ -20,6 +20,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/rng"
+	"soi/internal/trace"
 )
 
 // Selection is the outcome of a seed-selection run.
@@ -74,35 +75,18 @@ func (q *celfQueue) Pop() interface{} {
 	return it
 }
 
+// gainFunc evaluates (or, as a commit, applies) a candidate for the greedy
+// loops: it returns the candidate's marginal gain, and the first error
+// aborts the selection.
+type gainFunc func(graph.NodeID) (float64, error)
+
 // celfGreedy runs lazy greedy for k rounds over candidate nodes 0..n-1.
 // gain must return the current marginal gain of a node; commit must apply
-// the selection. For a submodular objective the result equals naive greedy.
-func celfGreedy(n, k int, gain func(graph.NodeID) float64, commit func(graph.NodeID) float64) Selection {
-	return celfGreedyMetered(n, k, gain, commit, greedyMetrics{})
-}
-
-// celfGreedyMetered is celfGreedy with greedy telemetry; the zero
-// greedyMetrics disables it.
-func celfGreedyMetered(n, k int, gain func(graph.NodeID) float64, commit func(graph.NodeID) float64, gm greedyMetrics) Selection {
-	sel, _ := celfGreedyTel(context.Background(), n, k,
-		func(v graph.NodeID) (float64, error) { return gain(v), nil },
-		func(v graph.NodeID) (float64, error) { return commit(v), nil }, gm)
-	return sel
-}
-
-// celfGreedyCtx is celfGreedy over fallible, cancelable objectives: ctx is
-// checked before every gain evaluation, and the first error (or ctx.Err())
-// aborts the selection. On error the partial selection built so far is
-// returned alongside it; callers normally discard it.
-func celfGreedyCtx(ctx context.Context, n, k int,
-	gain func(graph.NodeID) (float64, error), commit func(graph.NodeID) (float64, error)) (Selection, error) {
-	return celfGreedyTel(ctx, n, k, gain, commit, greedyMetrics{})
-}
-
-// celfGreedyTel is celfGreedyCtx with greedy telemetry.
-func celfGreedyTel(ctx context.Context, n, k int,
-	gain func(graph.NodeID) (float64, error), commit func(graph.NodeID) (float64, error),
-	gm greedyMetrics) (Selection, error) {
+// the selection and return the realized gain. For a submodular objective
+// the result equals naive greedy. ctx is checked before every gain
+// evaluation, and the first error (or ctx.Err()) aborts the selection. The
+// zero greedyMetrics disables telemetry.
+func celfGreedy(ctx context.Context, n, k int, gain, commit gainFunc, gm greedyMetrics) (Selection, error) {
 	if k > n {
 		k = n
 	}
@@ -110,11 +94,11 @@ func celfGreedyTel(ctx context.Context, n, k int,
 	q := make(celfQueue, 0, n)
 	for v := 0; v < n; v++ {
 		if err := ctx.Err(); err != nil {
-			return sel, err
+			return Selection{}, err
 		}
 		g, err := gain(graph.NodeID(v))
 		if err != nil {
-			return sel, err
+			return Selection{}, err
 		}
 		q = append(q, celfItem{node: graph.NodeID(v), gain: g, round: 0})
 		sel.LazyEvaluations++
@@ -123,13 +107,13 @@ func celfGreedyTel(ctx context.Context, n, k int,
 	heap.Init(&q)
 	for round := 1; round <= k && len(q) > 0; {
 		if err := ctx.Err(); err != nil {
-			return sel, err
+			return Selection{}, err
 		}
 		top := heap.Pop(&q).(celfItem)
 		if top.round == round {
 			realized, err := commit(top.node)
 			if err != nil {
-				return sel, err
+				return Selection{}, err
 			}
 			sel.Seeds = append(sel.Seeds, top.node)
 			sel.Gains = append(sel.Gains, realized)
@@ -139,7 +123,7 @@ func celfGreedyTel(ctx context.Context, n, k int,
 		}
 		g, err := gain(top.node)
 		if err != nil {
-			return sel, err
+			return Selection{}, err
 		}
 		top.gain = g
 		top.round = round
@@ -151,9 +135,11 @@ func celfGreedyTel(ctx context.Context, n, k int,
 }
 
 // naiveGreedy evaluates every candidate each round; used by the CELF
-// ablation and the saturation trace.
-func naiveGreedy(n, k int, gain func(graph.NodeID) float64, commit func(graph.NodeID) float64,
-	onRound func(round int, sorted []float64)) Selection {
+// ablation and the saturation trace. onRound, if non-nil, receives each
+// round's descending marginal gains. Cancellation and errors behave as in
+// celfGreedy.
+func naiveGreedy(ctx context.Context, n, k int, gain, commit gainFunc,
+	onRound func(round int, sorted []float64)) (Selection, error) {
 	if k > n {
 		k = n
 	}
@@ -168,7 +154,13 @@ func naiveGreedy(n, k int, gain func(graph.NodeID) float64, commit func(graph.No
 			if chosen[v] {
 				continue
 			}
-			g := gain(graph.NodeID(v))
+			if err := ctx.Err(); err != nil {
+				return Selection{}, err
+			}
+			g, err := gain(graph.NodeID(v))
+			if err != nil {
+				return Selection{}, err
+			}
 			sel.LazyEvaluations++
 			gains = append(gains, g)
 			if g > bestGain {
@@ -183,12 +175,15 @@ func naiveGreedy(n, k int, gain func(graph.NodeID) float64, commit func(graph.No
 			sortDescFloat(gains)
 			onRound(round, gains)
 		}
-		realized := commit(best)
+		realized, err := commit(best)
+		if err != nil {
+			return Selection{}, err
+		}
 		chosen[best] = true
 		sel.Seeds = append(sel.Seeds, best)
 		sel.Gains = append(sel.Gains, realized)
 	}
-	return sel
+	return sel, nil
 }
 
 func sortDescFloat(s []float64) {
@@ -269,41 +264,44 @@ func Random(g *graph.Graph, k int, seed uint64) (Selection, error) {
 
 // sharedIndexGain adapts an index.Coverage to the greedy callbacks,
 // converting node-slot units to expected-spread units.
-func sharedIndexGain(x *index.Index, cov *index.Coverage, s *index.Scratch) (gain, commit func(graph.NodeID) float64) {
+func sharedIndexGain(x *index.Index) (gain, commit gainFunc) {
+	s := x.NewScratch()
+	cov := x.NewCoverage()
 	// Quarantined worlds contribute no gain, so the live count is the
 	// denominator that keeps estimates unbiased over the surviving sample.
 	ell := float64(x.LiveWorlds())
-	gain = func(v graph.NodeID) float64 {
-		return float64(cov.MarginalGain(v, s)) / ell
+	gain = func(v graph.NodeID) (float64, error) {
+		return float64(cov.MarginalGain(v, s)) / ell, nil
 	}
-	commit = func(v graph.NodeID) float64 {
-		return float64(cov.Add(v, s)) / ell
+	commit = func(v graph.NodeID) (float64, error) {
+		return float64(cov.Add(v, s)) / ell, nil
 	}
 	return gain, commit
 }
 
 // Std runs the standard greedy influence maximization (InfMax_std): greedy
 // on the expected spread estimated over the ℓ worlds of the shared cascade
-// index, with CELF lazy evaluation. Gains are in expected-spread units.
-func Std(x *index.Index, k int) (Selection, error) {
+// index, with CELF lazy evaluation. Gains are in expected-spread units. The
+// "infmax.std.greedy" trace span opens under the span ctx carries; ctx is
+// checked before every gain evaluation, and a canceled context aborts the
+// selection with ctx.Err().
+func Std(ctx context.Context, x *index.Index, k int) (Selection, error) {
 	if err := validateK(k, x.Graph().NumNodes()); err != nil {
 		return Selection{}, err
 	}
-	s := x.NewScratch()
-	cov := x.NewCoverage()
-	gain, commit := sharedIndexGain(x, cov, s)
-	return celfGreedyMetered(x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(x.Telemetry())), nil
+	sp := trace.Child(ctx, "infmax.std.greedy", trace.Int("k", int64(k)))
+	defer sp.End()
+	gain, commit := sharedIndexGain(x)
+	return celfGreedy(ctx, x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(x.Telemetry()))
 }
 
 // StdNaive is Std without CELF (every candidate re-evaluated each round).
 // onRound, if non-nil, receives the descending marginal gains of each round
 // — the instrumentation behind the saturation analysis (Figure 7).
-func StdNaive(x *index.Index, k int, onRound func(round int, sortedGains []float64)) (Selection, error) {
+func StdNaive(ctx context.Context, x *index.Index, k int, onRound func(round int, sortedGains []float64)) (Selection, error) {
 	if err := validateK(k, x.Graph().NumNodes()); err != nil {
 		return Selection{}, err
 	}
-	s := x.NewScratch()
-	cov := x.NewCoverage()
-	gain, commit := sharedIndexGain(x, cov, s)
-	return naiveGreedy(x.Graph().NumNodes(), k, gain, commit, onRound), nil
+	gain, commit := sharedIndexGain(x)
+	return naiveGreedy(ctx, x.Graph().NumNodes(), k, gain, commit, onRound)
 }

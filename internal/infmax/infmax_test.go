@@ -48,11 +48,11 @@ func spheresOf(t testing.TB, x *index.Index) Spheres {
 func TestStdMatchesNaive(t *testing.T) {
 	g := randomGraph(t, 1, 60, 240, 0.15)
 	x := buildIndex(t, g, 30, 2)
-	lazy, err := Std(x, 8)
+	lazy, err := Std(context.Background(), x, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := StdNaive(x, 8, nil)
+	naive, err := StdNaive(context.Background(), x, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTCMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := TCNaive(g, sp, 8, nil)
+	naive, err := TCNaive(context.Background(), g, sp, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTCMatchesNaive(t *testing.T) {
 func TestStdFirstSeedIsBestSingleton(t *testing.T) {
 	g := randomGraph(t, 5, 50, 200, 0.2)
 	x := buildIndex(t, g, 40, 6)
-	sel, err := Std(x, 1)
+	sel, err := Std(context.Background(), x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStdFirstSeedIsBestSingleton(t *testing.T) {
 func TestStdGainsNonIncreasing(t *testing.T) {
 	g := randomGraph(t, 7, 80, 320, 0.15)
 	x := buildIndex(t, g, 25, 8)
-	sel, err := Std(x, 12)
+	sel, err := Std(context.Background(), x, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSeedsDistinct(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	s1, e1 := Std(x, 10)
+	s1, e1 := Std(context.Background(), x, 10)
 	check("Std", s1, e1)
 	s2, e2 := TC(context.Background(), g, sp, 10, TCOptions{})
 	check("TC", s2, e2)
@@ -183,7 +183,7 @@ func TestSeedsDistinct(t *testing.T) {
 func TestKLargerThanN(t *testing.T) {
 	g := randomGraph(t, 13, 10, 40, 0.2)
 	x := buildIndex(t, g, 10, 14)
-	sel, err := Std(x, 50)
+	sel, err := Std(context.Background(), x, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestKLargerThanN(t *testing.T) {
 func TestValidation(t *testing.T) {
 	g := randomGraph(t, 15, 10, 40, 0.2)
 	x := buildIndex(t, g, 5, 16)
-	if _, err := Std(x, 0); err == nil {
+	if _, err := Std(context.Background(), x, 0); err == nil {
 		t.Error("Std accepted k=0")
 	}
 	if _, err := TC(context.Background(), g, Spheres{}, 3, TCOptions{}); err == nil {
@@ -326,7 +326,7 @@ func TestBudgetedTCValidation(t *testing.T) {
 func TestSaturationRatiosInRange(t *testing.T) {
 	g := randomGraph(t, 25, 50, 200, 0.2)
 	x := buildIndex(t, g, 20, 26)
-	points, sel, err := SaturationStd(x, 10, 10)
+	points, sel, err := SaturationStd(context.Background(), x, 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestSaturationRatiosInRange(t *testing.T) {
 		}
 	}
 	sp := spheresOf(t, x)
-	points2, _, err := SaturationTC(g, sp, 10, 10)
+	points2, _, err := SaturationTC(context.Background(), g, sp, 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSaturationRatiosInRange(t *testing.T) {
 func TestSaturationRankValidation(t *testing.T) {
 	g := randomGraph(t, 27, 10, 30, 0.2)
 	x := buildIndex(t, g, 5, 28)
-	if _, _, err := SaturationStd(x, 3, 1); err == nil {
+	if _, _, err := SaturationStd(context.Background(), x, 3, 1); err == nil {
 		t.Error("accepted rank 1")
 	}
 }
@@ -371,8 +371,8 @@ func TestQuickCELFEqualsNaiveObjective(t *testing.T) {
 			return false
 		}
 		k := r.Intn(n/2) + 1
-		lazy, err1 := Std(x, k)
-		naive, err2 := StdNaive(x, k, nil)
+		lazy, err1 := Std(context.Background(), x, k)
+		naive, err2 := StdNaive(context.Background(), x, k, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -396,7 +396,7 @@ func BenchmarkStdCELF(b *testing.B) {
 	x := buildIndex(b, g, 100, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Std(x, 20); err != nil {
+		if _, err := Std(context.Background(), x, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

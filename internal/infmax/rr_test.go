@@ -41,7 +41,7 @@ func TestRRSpreadEstimateUnbiased(t *testing.T) {
 func TestRRSeedQualityMatchesGreedy(t *testing.T) {
 	g := randomGraph(t, 43, 100, 400, 0.15)
 	x := buildIndex(t, g, 200, 44)
-	std, err := Std(x, 5)
+	std, err := Std(context.Background(), x, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestRRAutoQuality(t *testing.T) {
 		t.Fatalf("theta %d below node count", theta)
 	}
 	x := buildIndex(t, g, 200, 3)
-	greedy, err := Std(x, 5)
+	greedy, err := Std(context.Background(), x, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

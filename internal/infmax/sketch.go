@@ -1,6 +1,8 @@
 package infmax
 
 import (
+	"context"
+
 	"soi/internal/graph"
 	"soi/internal/sketch"
 )
@@ -24,15 +26,15 @@ func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 	}
 	var union []uint64 // merged sketch of the committed seeds
 	current := 0.0     // its spread estimate
-	gain := func(v graph.NodeID) float64 {
-		return sk.SpreadFromRanks(sketch.Merge(sk.K(), union, sk.NodeRanks(v))) - current
+	gain := func(v graph.NodeID) (float64, error) {
+		return sk.SpreadFromRanks(sketch.Merge(sk.K(), union, sk.NodeRanks(v))) - current, nil
 	}
-	commit := func(v graph.NodeID) float64 {
+	commit := func(v graph.NodeID) (float64, error) {
 		union = sketch.Merge(sk.K(), union, sk.NodeRanks(v))
 		next := sk.SpreadFromRanks(union)
 		realized := next - current
 		current = next
-		return realized
+		return realized, nil
 	}
-	return celfGreedyMetered(n, k, gain, commit, newGreedyMetrics(sk.Telemetry())), nil
+	return celfGreedy(context.Background(), n, k, gain, commit, newGreedyMetrics(sk.Telemetry()))
 }

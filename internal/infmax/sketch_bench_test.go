@@ -1,6 +1,7 @@
 package infmax
 
 import (
+	"context"
 	"testing"
 
 	"soi/internal/index"
@@ -20,7 +21,7 @@ func benchSeedGraph(b *testing.B) *index.Index {
 
 func BenchmarkSketchSelectSeeds(b *testing.B) {
 	x := benchSeedGraph(b)
-	sk, err := sketch.Build(x, sketch.Options{K: 64, Seed: 23})
+	sk, err := sketch.Build(context.Background(), x, sketch.Options{K: 64, Seed: 23})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func BenchmarkDenseSelectSeeds(b *testing.B) {
 	var sel Selection
 	var err error
 	for i := 0; i < b.N; i++ {
-		sel, err = Std(x, 10)
+		sel, err = Std(context.Background(), x, 10)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package infmax
 
 import (
+	"context"
 	"testing"
 
 	"soi/internal/oracle"
@@ -28,7 +29,7 @@ func TestConformanceSketchSeedQuality(t *testing.T) {
 	const ell = 20000
 	const sketchK = 1 << 16
 	x := buildIndex(t, g, ell, 61)
-	sk, err := sketch.Build(x, sketch.Options{K: sketchK, Seed: 17})
+	sk, err := sketch.Build(context.Background(), x, sketch.Options{K: sketchK, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestConformanceSketchSeedQuality(t *testing.T) {
 func TestSelectSeedsSketchGains(t *testing.T) {
 	g := conformanceGraph(t)
 	x := buildIndex(t, g, 500, 5)
-	sk, err := sketch.Build(x, sketch.Options{K: 256, Seed: 3})
+	sk, err := sketch.Build(context.Background(), x, sketch.Options{K: 256, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

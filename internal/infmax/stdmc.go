@@ -49,17 +49,21 @@ type mcState struct {
 	evalCtr uint64
 }
 
-func (m *mcState) gainErr(v graph.NodeID) (float64, error) {
+// estimate draws a fresh σ̂(S ∪ {v}); every call advances the evaluation
+// counter, so no two evaluations share simulated worlds.
+func (m *mcState) estimate(v graph.NodeID) (float64, error) {
 	m.evalCtr++
-	est, err := cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
+	return cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
 		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{Telemetry: m.opts.Telemetry})
+}
+
+func (m *mcState) gain(v graph.NodeID) (float64, error) {
+	est, err := m.estimate(v)
 	return est - m.sigmaS, err
 }
 
-func (m *mcState) commitErr(v graph.NodeID) (float64, error) {
-	m.evalCtr++
-	est, err := cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{Telemetry: m.opts.Telemetry})
+func (m *mcState) commit(v graph.NodeID) (float64, error) {
+	est, err := m.estimate(v)
 	if err != nil {
 		return 0, err
 	}
@@ -67,25 +71,6 @@ func (m *mcState) commitErr(v graph.NodeID) (float64, error) {
 	m.sigmaS = est
 	m.seeds = append(m.seeds, v)
 	return gain, nil
-}
-
-// gain and commit adapt the fallible evaluators for the naive greedy, which
-// runs under context.Background() where the only possible error is a
-// recovered worker panic — re-raised to preserve the historical contract.
-func (m *mcState) gain(v graph.NodeID) float64 {
-	g, err := m.gainErr(v)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-func (m *mcState) commit(v graph.NodeID) float64 {
-	g, err := m.commitErr(v)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // StdMC is the paper's InfMax_std: greedy influence maximization where each
@@ -107,39 +92,27 @@ func StdMC(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selectio
 	ctx, sp := trace.StartChild(ctx, "infmax.stdmc.greedy")
 	defer sp.End()
 	m := &mcState{ctx: ctx, g: g, opts: opts}
-	sel, err := celfGreedyTel(ctx, g.NumNodes(), k, m.gainErr, m.commitErr, newGreedyMetrics(opts.Telemetry))
-	if err != nil {
-		return Selection{}, err
-	}
-	return sel, nil
+	return celfGreedy(ctx, g.NumNodes(), k, m.gain, m.commit, newGreedyMetrics(opts.Telemetry))
 }
 
 // StdMCNaive is StdMC without CELF: every candidate is re-evaluated each
 // round ("the standard greedy algorithm with no optimization at all" of the
 // paper's saturation analysis). onRound receives each round's descending
-// marginal gains.
-func StdMCNaive(g *graph.Graph, k int, opts MCOptions, onRound func(round int, sortedGains []float64)) (Selection, error) {
+// marginal gains. Cancellation behaves as in StdMC.
+func StdMCNaive(ctx context.Context, g *graph.Graph, k int, opts MCOptions, onRound func(round int, sortedGains []float64)) (Selection, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, err
 	}
 	if err := opts.validate(); err != nil {
 		return Selection{}, err
 	}
-	m := &mcState{ctx: context.Background(), g: g, opts: opts}
-	return naiveGreedy(g.NumNodes(), k, m.gain, m.commit, onRound), nil
+	m := &mcState{ctx: ctx, g: g, opts: opts}
+	return naiveGreedy(ctx, g.NumNodes(), k, m.gain, m.commit, onRound)
 }
 
 // SaturationStdMC records MG_rank/MG_1 per round for the Monte-Carlo greedy.
-func SaturationStdMC(g *graph.Graph, k, rank int, opts MCOptions) ([]SaturationPoint, Selection, error) {
-	if rank < 2 {
-		return nil, Selection{}, fmt.Errorf("infmax: rank must be >= 2, got %d", rank)
-	}
-	var points []SaturationPoint
-	sel, err := StdMCNaive(g, k, opts, func(round int, sorted []float64) {
-		points = append(points, SaturationPoint{Round: round, Ratio: ratioAt(sorted, rank)})
+func SaturationStdMC(ctx context.Context, g *graph.Graph, k, rank int, opts MCOptions) ([]SaturationPoint, Selection, error) {
+	return saturation(rank, func(onRound func(int, []float64)) (Selection, error) {
+		return StdMCNaive(ctx, g, k, opts, onRound)
 	})
-	if err != nil {
-		return nil, Selection{}, err
-	}
-	return points, sel, nil
 }

@@ -66,7 +66,7 @@ func TestStdMCValidation(t *testing.T) {
 
 func TestStdMCNaiveSaturation(t *testing.T) {
 	g := randomGraph(t, 31, 40, 160, 0.15)
-	pts, sel, err := SaturationStdMC(g, 6, 5, MCOptions{Trials: 60, Seed: 3})
+	pts, sel, err := SaturationStdMC(context.Background(), g, 6, 5, MCOptions{Trials: 60, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStdMCNaiveSaturation(t *testing.T) {
 func TestStdMCCloseToShared(t *testing.T) {
 	g := randomGraph(t, 33, 50, 200, 0.2)
 	x := buildIndex(t, g, 400, 34)
-	shared, err := Std(x, 5)
+	shared, err := Std(context.Background(), x, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,17 +20,17 @@ type nodeCoverage struct {
 	spheres Spheres
 }
 
-func (c *nodeCoverage) gain(v graph.NodeID) float64 {
+func (c *nodeCoverage) gain(v graph.NodeID) (float64, error) {
 	g := 0
 	for _, u := range c.spheres[v] {
 		if !c.covered[u] {
 			g++
 		}
 	}
-	return float64(g)
+	return float64(g), nil
 }
 
-func (c *nodeCoverage) commit(v graph.NodeID) float64 {
+func (c *nodeCoverage) commit(v graph.NodeID) (float64, error) {
 	g := 0
 	for _, u := range c.spheres[v] {
 		if !c.covered[u] {
@@ -38,7 +38,7 @@ func (c *nodeCoverage) commit(v graph.NodeID) float64 {
 			g++
 		}
 	}
-	return float64(g)
+	return float64(g), nil
 }
 
 // TCOptions configures InfMax_TC. The zero value is ready to use: no
@@ -64,24 +64,18 @@ func TC(ctx context.Context, g *graph.Graph, spheres Spheres, k int, opts TCOpti
 	cov := &nodeCoverage{covered: make([]bool, g.NumNodes()), spheres: spheres}
 	sp := trace.Child(ctx, "infmax.tc.greedy", trace.Int("k", int64(k)))
 	defer sp.End()
-	sel, err := celfGreedyTel(ctx, g.NumNodes(), k,
-		func(v graph.NodeID) (float64, error) { return cov.gain(v), nil },
-		func(v graph.NodeID) (float64, error) { return cov.commit(v), nil },
-		newGreedyMetrics(opts.Telemetry))
-	if err != nil {
-		return Selection{}, err
-	}
-	return sel, nil
+	return celfGreedy(ctx, g.NumNodes(), k, cov.gain, cov.commit, newGreedyMetrics(opts.Telemetry))
 }
 
 // TCNaive is TC without CELF; onRound receives each round's descending
-// marginal gains for the saturation analysis.
-func TCNaive(g *graph.Graph, spheres Spheres, k int, onRound func(round int, sortedGains []float64)) (Selection, error) {
+// marginal gains for the saturation analysis. ctx is checked before every
+// gain evaluation.
+func TCNaive(ctx context.Context, g *graph.Graph, spheres Spheres, k int, onRound func(round int, sortedGains []float64)) (Selection, error) {
 	if err := validateTC(g, spheres, k); err != nil {
 		return Selection{}, err
 	}
 	cov := &nodeCoverage{covered: make([]bool, g.NumNodes()), spheres: spheres}
-	return naiveGreedy(g.NumNodes(), k, cov.gain, cov.commit, onRound), nil
+	return naiveGreedy(ctx, g.NumNodes(), k, cov.gain, cov.commit, onRound)
 }
 
 func validateTC(g *graph.Graph, spheres Spheres, k int) error {
@@ -117,16 +111,16 @@ func WeightedTC(g *graph.Graph, spheres Spheres, value []float64, k int) (Select
 		}
 	}
 	covered := make([]bool, g.NumNodes())
-	gain := func(v graph.NodeID) float64 {
+	gain := func(v graph.NodeID) (float64, error) {
 		total := 0.0
 		for _, u := range spheres[v] {
 			if !covered[u] {
 				total += value[u]
 			}
 		}
-		return total
+		return total, nil
 	}
-	commit := func(v graph.NodeID) float64 {
+	commit := func(v graph.NodeID) (float64, error) {
 		total := 0.0
 		for _, u := range spheres[v] {
 			if !covered[u] {
@@ -134,9 +128,9 @@ func WeightedTC(g *graph.Graph, spheres Spheres, value []float64, k int) (Select
 				total += value[u]
 			}
 		}
-		return total
+		return total, nil
 	}
-	return celfGreedy(g.NumNodes(), k, gain, commit), nil
+	return celfGreedy(context.Background(), g.NumNodes(), k, gain, commit, greedyMetrics{})
 }
 
 // BudgetedTC is the node-cost variant from §8: each seed has a recruitment

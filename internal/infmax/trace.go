@@ -1,6 +1,7 @@
 package infmax
 
 import (
+	"context"
 	"fmt"
 
 	"soi/internal/graph"
@@ -29,16 +30,14 @@ func ratioAt(sorted []float64, rank int) float64 {
 	return sorted[rank-1] / sorted[0]
 }
 
-// SaturationStd runs the un-optimized standard greedy for k rounds and
-// records MG_rank/MG_1 at each round. This is deliberately the naive greedy
-// — the paper notes the analysis "cannot use the optimizations", which is
-// why it is run only on small instances.
-func SaturationStd(x *index.Index, k, rank int) ([]SaturationPoint, Selection, error) {
+// saturation runs a naive greedy through run and records MG_rank/MG_1 at
+// each of its rounds.
+func saturation(rank int, run func(onRound func(round int, sorted []float64)) (Selection, error)) ([]SaturationPoint, Selection, error) {
 	if rank < 2 {
 		return nil, Selection{}, fmt.Errorf("infmax: rank must be >= 2, got %d", rank)
 	}
 	var points []SaturationPoint
-	sel, err := StdNaive(x, k, func(round int, sorted []float64) {
+	sel, err := run(func(round int, sorted []float64) {
 		points = append(points, SaturationPoint{Round: round, Ratio: ratioAt(sorted, rank)})
 	})
 	if err != nil {
@@ -47,17 +46,19 @@ func SaturationStd(x *index.Index, k, rank int) ([]SaturationPoint, Selection, e
 	return points, sel, nil
 }
 
-// SaturationTC is the same analysis for the typical-cascade method.
-func SaturationTC(g *graph.Graph, spheres Spheres, k, rank int) ([]SaturationPoint, Selection, error) {
-	if rank < 2 {
-		return nil, Selection{}, fmt.Errorf("infmax: rank must be >= 2, got %d", rank)
-	}
-	var points []SaturationPoint
-	sel, err := TCNaive(g, spheres, k, func(round int, sorted []float64) {
-		points = append(points, SaturationPoint{Round: round, Ratio: ratioAt(sorted, rank)})
+// SaturationStd runs the un-optimized standard greedy for k rounds and
+// records MG_rank/MG_1 at each round. This is deliberately the naive greedy
+// — the paper notes the analysis "cannot use the optimizations", which is
+// why it is run only on small instances.
+func SaturationStd(ctx context.Context, x *index.Index, k, rank int) ([]SaturationPoint, Selection, error) {
+	return saturation(rank, func(onRound func(int, []float64)) (Selection, error) {
+		return StdNaive(ctx, x, k, onRound)
 	})
-	if err != nil {
-		return nil, Selection{}, err
-	}
-	return points, sel, nil
+}
+
+// SaturationTC is the same analysis for the typical-cascade method.
+func SaturationTC(ctx context.Context, g *graph.Graph, spheres Spheres, k, rank int) ([]SaturationPoint, Selection, error) {
+	return saturation(rank, func(onRound func(int, []float64)) (Selection, error) {
+		return TCNaive(ctx, g, spheres, k, onRound)
+	})
 }

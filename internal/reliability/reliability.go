@@ -67,7 +67,7 @@ func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, sam
 		if runErr = r.Gate(); runErr != nil {
 			break
 		}
-		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(achieved)), visited, buf[:0])
+		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(achieved)), visited, buf[:0], nil)
 		for _, v := range buf {
 			counts[v]++
 		}

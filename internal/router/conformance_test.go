@@ -103,7 +103,7 @@ func buildRouterFixture() error {
 		if err != nil {
 			return err
 		}
-		sk, err := sketch.Build(x, sketch.Options{Seed: 93 + uint64(s)})
+		sk, err := sketch.Build(context.Background(), x, sketch.Options{Seed: 93 + uint64(s)})
 		if err != nil {
 			return err
 		}

@@ -88,7 +88,7 @@ func conformanceServer(t testing.TB) (*Server, *graph.Graph, []core.Result) {
 		// The sketch is built from the same index instance the server loads
 		// (after any mmap swap), so its stored fingerprint matches the one
 		// Config validation checks — exactly the sphere -sketch-out contract.
-		sk, err := sketch.Build(x, sketch.Options{K: confSketchK, Seed: 93})
+		sk, err := sketch.Build(context.Background(), x, sketch.Options{K: confSketchK, Seed: 93})
 		if err != nil {
 			confErr = err
 			return

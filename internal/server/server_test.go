@@ -702,7 +702,7 @@ func TestBudgetCap(t *testing.T) {
 // Monte-Carlo spread once left a span each) is a leak.
 func TestTelemetryReportBounded(t *testing.T) {
 	tel := telemetry.New()
-	sk, err := sketch.Build(sharedFixture(t).x, sketch.Options{K: 8, Seed: 1, Telemetry: tel})
+	sk, err := sketch.Build(context.Background(), sharedFixture(t).x, sketch.Options{K: 8, Seed: 1, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func TestNewRejectsForeignSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := sketch.Build(other, sketch.Options{K: 8, Seed: 1})
+	foreign, err := sketch.Build(context.Background(), other, sketch.Options{K: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestNewRejectsForeignSketch(t *testing.T) {
 		t.Fatal("foreign sketch accepted")
 	}
 
-	matching, err := sketch.Build(f.x, sketch.Options{K: 8, Seed: 1})
+	matching, err := sketch.Build(context.Background(), f.x, sketch.Options{K: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func checkWireGolden(t *testing.T, cases []string) {
 // change here is a wire change and must be deliberate.
 func TestWireGolden(t *testing.T) {
 	f := sharedFixture(t)
-	sk, err := sketch.Build(f.x, sketch.Options{K: 8, Seed: 1})
+	sk, err := sketch.Build(context.Background(), f.x, sketch.Options{K: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func benchFixture(b *testing.B) (*graph.Graph, *index.Index, *Sketch) {
 		if err != nil {
 			panic(err)
 		}
-		sk, err := Build(x, Options{K: benchK, Seed: 79})
+		sk, err := Build(context.Background(), x, Options{K: benchK, Seed: 79})
 		if err != nil {
 			panic(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkSketchBuild(b *testing.B) {
 	var last *Sketch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Build(x, Options{K: benchK, Seed: 79})
+		s, err := Build(context.Background(), x, Options{K: benchK, Seed: 79})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +210,7 @@ var readFixture = sync.OnceValue(func() []byte {
 	if err != nil {
 		panic(err)
 	}
-	sk, err := Build(x, Options{Seed: 83})
+	sk, err := Build(context.Background(), x, Options{Seed: 83})
 	if err != nil {
 		panic(err)
 	}

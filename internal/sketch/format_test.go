@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"path/filepath"
 	"reflect"
@@ -15,7 +16,7 @@ import (
 func testSketch(t testing.TB) *Sketch {
 	g := randomGraph(t, 30, 0.12, 8)
 	x := buildIndex(t, g, 5, 17)
-	s, err := Build(x, Options{K: 4, Seed: 23})
+	s, err := Build(context.Background(), x, Options{K: 4, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"soi/internal/pool"
 	"soi/internal/rng"
 	"soi/internal/telemetry"
+	"soi/internal/trace"
 )
 
 // DefaultK is the sketch size used when Options.K is zero: large enough
@@ -62,9 +63,8 @@ type Options struct {
 	// (done, total). Calls are serialized.
 	Progress func(done, total int)
 	// Telemetry, if non-nil, receives build counters and is retained on the
-	// Sketch so sketch-space greedy selection meters against it. Build
-	// takes no ctx and opens no span; a caller that traces the build opens
-	// its "sketch.build" span around the call.
+	// Sketch so sketch-space greedy selection meters against it. The
+	// "sketch.build" trace span opens under the span Build's ctx carries.
 	Telemetry *telemetry.Registry
 }
 
@@ -88,7 +88,9 @@ type Sketch struct {
 
 // Build constructs combined sketches over every live world of x. The result
 // is deterministic given (index contents, K, Seed), independent of Workers.
-func Build(x *index.Index, opts Options) (*Sketch, error) {
+// The parallel phases check ctx between tasks, and a canceled context
+// returns ctx.Err().
+func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 	k := opts.K
 	if k == 0 {
 		k = DefaultK
@@ -96,6 +98,8 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("sketch: k must be >= 2, got %d", k)
 	}
+	ctx, sp := trace.StartChild(ctx, "sketch.build")
+	defer sp.End()
 	n := x.Graph().NumNodes()
 	worlds := x.NumWorlds()
 	tel := opts.Telemetry
@@ -127,7 +131,7 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 			m = worlds - base
 		}
 		// Phase 1: independent per-world rank passes, in parallel.
-		err := pool.Run(context.Background(), m, pool.Options{Workers: workers, Telemetry: tel},
+		err := pool.Run(ctx, m, pool.Options{Workers: workers, Telemetry: tel},
 			func(_, j int) error {
 				i := base + j
 				wseed := rng.Mix64(opts.Seed ^ uint64(i)<<20)
@@ -143,7 +147,7 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 		// Phase 2: merge the batch into the per-node accumulators, each
 		// worker owning a disjoint node range (no locks, and each node sees
 		// the worlds in a fixed order, so the result is worker-independent).
-		err = pool.Run(context.Background(), workers, pool.Options{Workers: workers},
+		err = pool.Run(ctx, workers, pool.Options{Workers: workers},
 			func(_, r int) error {
 				lo, hi := n*r/workers, n*(r+1)/workers
 				for j := 0; j < m; j++ {
@@ -193,7 +197,7 @@ func Build(x *index.Index, opts Options) (*Sketch, error) {
 	for v := 0; v < n; v++ {
 		s.off[v+1] = s.off[v] + cnt[v]
 	}
-	err := pool.Run(context.Background(), workers, pool.Options{Workers: workers},
+	err := pool.Run(ctx, workers, pool.Options{Workers: workers},
 		func(_, r int) error {
 			for v := n * r / workers; v < n*(r+1)/workers; v++ {
 				row := s.ranks[s.off[v]:s.off[v+1]]

@@ -39,7 +39,7 @@ func buildIndex(t testing.TB, g *graph.Graph, ell int, seed uint64) *index.Index
 
 func mustBuild(t *testing.T, x *index.Index, opts Options) *Sketch {
 	t.Helper()
-	s, err := Build(x, opts)
+	s, err := Build(context.Background(), x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 func TestBuildRejectsK1(t *testing.T) {
 	g := randomGraph(t, 5, 0.3, 3)
 	x := buildIndex(t, g, 2, 1)
-	if _, err := Build(x, Options{K: 1}); err == nil {
+	if _, err := Build(context.Background(), x, Options{K: 1}); err == nil {
 		t.Fatal("k=1 accepted; the estimator needs k >= 2")
 	}
 }

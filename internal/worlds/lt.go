@@ -37,14 +37,10 @@ func ValidateLTWeights(g *graph.Graph) error {
 // SampleLT draws a possible world under LT live-edge semantics: for every
 // node, at most one incoming edge survives, picked with probability equal to
 // its weight. The caller should have validated weights once with
-// ValidateLTWeights; overweight nodes keep their first winning edge.
-func SampleLT(g *graph.Graph, r *rng.PCG32) *World {
-	return SampleLTMetered(g, r, nil)
-}
-
-// SampleLTMetered is SampleLT with telemetry: m (nil allowed) records the
-// world and its per-node live-edge draws once after sampling.
-func SampleLTMetered(g *graph.Graph, r *rng.PCG32, m *Metrics) *World {
+// ValidateLTWeights; overweight nodes keep their first winning edge. m (nil
+// disables) records the world and its per-node live-edge draws once after
+// sampling.
+func SampleLT(g *graph.Graph, r *rng.PCG32, m *Metrics) *World {
 	w := &World{
 		g:    g,
 		live: make([]uint64, (g.NumEdges()+63)/64),
@@ -80,7 +76,7 @@ func SampleManyLT(g *graph.Graph, seed uint64, count int) []*World {
 	master := rng.New(seed)
 	out := make([]*World, count)
 	for i := range out {
-		out[i] = SampleLT(g, master.Split(uint64(i)))
+		out[i] = SampleLT(g, master.Split(uint64(i)), nil)
 	}
 	return out
 }

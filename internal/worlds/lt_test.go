@@ -48,7 +48,7 @@ func TestSampleLTAtMostOneInEdge(t *testing.T) {
 	g := ltGraph(t)
 	rev := g.Reverse()
 	for trial := 0; trial < 200; trial++ {
-		w := SampleLT(g, rng.New(uint64(trial)))
+		w := SampleLT(g, rng.New(uint64(trial)), nil)
 		inCount := make([]int, g.NumNodes())
 		for e := int32(0); e < int32(g.NumEdges()); e++ {
 			if w.EdgeLive(e) {
@@ -72,7 +72,7 @@ func TestSampleLTEdgeMarginals(t *testing.T) {
 	r := rng.New(7)
 	counts := make([]int, g.NumEdges())
 	for i := 0; i < trials; i++ {
-		w := SampleLT(g, r)
+		w := SampleLT(g, r, nil)
 		for e := int32(0); e < int32(g.NumEdges()); e++ {
 			if w.EdgeLive(e) {
 				counts[e]++
@@ -112,7 +112,7 @@ func TestLTLiveEdgeEquivalence(t *testing.T) {
 	sumLive := 0
 	countByNodeLive := make([]int, g.NumNodes())
 	for i := 0; i < trials; i++ {
-		w := SampleLT(g, r2)
+		w := SampleLT(g, r2, nil)
 		set := w.Reachable(0, visited, nil)
 		sumLive += len(set)
 		for _, v := range set {

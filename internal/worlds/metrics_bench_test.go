@@ -33,7 +33,7 @@ func BenchmarkSampleCascadeMetered(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			src := graph.NodeID(i % g.NumNodes())
-			out = SampleCascadeFromSetMetered(g, []graph.NodeID{src}, r, visited, out[:0], m)
+			out = SampleCascadeFromSet(g, []graph.NodeID{src}, r, visited, out[:0], m)
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil) })

@@ -28,14 +28,9 @@ type World struct {
 }
 
 // Sample draws a possible world: every edge of g is kept independently with
-// its probability, using the provided generator.
-func Sample(g *graph.Graph, r *rng.PCG32) *World {
-	return SampleMetered(g, r, nil)
-}
-
-// SampleMetered is Sample with telemetry: m (nil allowed) records the world
-// and its edge draws once after sampling, off the per-edge loop.
-func SampleMetered(g *graph.Graph, r *rng.PCG32, m *Metrics) *World {
+// its probability, using the provided generator. m (nil disables) records
+// the world and its edge draws once after sampling, off the per-edge loop.
+func Sample(g *graph.Graph, r *rng.PCG32, m *Metrics) *World {
 	w := &World{
 		g:    g,
 		live: make([]uint64, (g.NumEdges()+63)/64),
@@ -56,7 +51,7 @@ func SampleMany(g *graph.Graph, seed uint64, count int) []*World {
 	master := rng.New(seed)
 	out := make([]*World, count)
 	for i := range out {
-		out[i] = Sample(g, master.Split(uint64(i)))
+		out[i] = Sample(g, master.Split(uint64(i)), nil)
 	}
 	return out
 }
@@ -139,18 +134,13 @@ func (w *World) reachMulti(seeds []graph.NodeID, visited []bool, out []graph.Nod
 // caller scratch (length NumNodes, all false, reset on exit); the cascade is
 // appended to out and returned sorted.
 func SampleCascade(g *graph.Graph, src graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID) []graph.NodeID {
-	return SampleCascadeFromSet(g, []graph.NodeID{src}, r, visited, out)
+	return SampleCascadeFromSet(g, []graph.NodeID{src}, r, visited, out, nil)
 }
 
 // SampleCascadeFromSet is SampleCascade for a seed set: the cascade is the
-// union of nodes reached from any seed through live edges.
-func SampleCascadeFromSet(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID) []graph.NodeID {
-	return SampleCascadeFromSetMetered(g, seeds, r, visited, out, nil)
-}
-
-// SampleCascadeFromSetMetered is SampleCascadeFromSet with telemetry: m
-// (nil allowed) records the cascade size and edge draws once per cascade.
-func SampleCascadeFromSetMetered(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID, m *Metrics) []graph.NodeID {
+// union of nodes reached from any seed through live edges. m (nil disables)
+// records the cascade size and edge draws once per cascade.
+func SampleCascadeFromSet(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID, m *Metrics) []graph.NodeID {
 	start := len(out)
 	flips := 0
 	for _, s := range seeds {

@@ -46,7 +46,7 @@ func TestEdgeLiveRate(t *testing.T) {
 	r := rng.New(7)
 	live := 0
 	for i := 0; i < trials; i++ {
-		if Sample(g, r).EdgeLive(0) {
+		if Sample(g, r, nil).EdgeLive(0) {
 			live++
 		}
 	}
@@ -58,7 +58,7 @@ func TestEdgeLiveRate(t *testing.T) {
 
 func TestNumLiveEdges(t *testing.T) {
 	g := paperGraph(t)
-	w := Sample(g, rng.New(3))
+	w := Sample(g, rng.New(3), nil)
 	count := 0
 	for e := int32(0); e < int32(g.NumEdges()); e++ {
 		if w.EdgeLive(e) {
@@ -74,7 +74,7 @@ func TestWorldReachableMatchesVisit(t *testing.T) {
 	g := paperGraph(t)
 	visited := make([]bool, g.NumNodes())
 	for trial := 0; trial < 50; trial++ {
-		w := Sample(g, rng.New(uint64(trial)))
+		w := Sample(g, rng.New(uint64(trial)), nil)
 		for src := graph.NodeID(0); int(src) < g.NumNodes(); src++ {
 			got := w.Reachable(src, visited, nil)
 			want := bfsReference(w, src)
@@ -165,7 +165,7 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 	matCount := make([]int, g.NumNodes())
 	r2 := rng.New(6)
 	for i := 0; i < trials; i++ {
-		w := Sample(g, r2)
+		w := Sample(g, r2, nil)
 		for _, v := range w.Reachable(src, visited, nil) {
 			matCount[v]++
 		}
@@ -184,7 +184,7 @@ func TestSampleCascadeFromSetUnionProperty(t *testing.T) {
 	visited := make([]bool, g.NumNodes())
 	r := rng.New(8)
 	for i := 0; i < 200; i++ {
-		c := SampleCascadeFromSet(g, []graph.NodeID{2, 3}, r, visited, nil)
+		c := SampleCascadeFromSet(g, []graph.NodeID{2, 3}, r, visited, nil, nil)
 		// Seeds always present.
 		if !contains(c, 2) || !contains(c, 3) {
 			t.Fatalf("seed missing from cascade %v", c)
@@ -258,7 +258,7 @@ func TestQuickWorldCascadeSubsetOfDeterministicReach(t *testing.T) {
 			full[v] = true
 		}
 		visited := make([]bool, n)
-		w := Sample(g, r)
+		w := Sample(g, r, nil)
 		for _, v := range w.Reachable(src, visited, nil) {
 			if !full[v] {
 				return false
@@ -318,7 +318,7 @@ func BenchmarkSampleWorld(b *testing.B) {
 	g := bb.MustBuild()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Sample(g, r)
+		_ = Sample(g, r, nil)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestBuildIndexInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
 	opts := IndexOptions{Samples: 40, Seed: 11, TransitiveReduction: true}
 	interruptResume(t, filepath.Join(t.TempDir(), "idx.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
-		x, err := BuildIndexResumable(context.Background(), g, opts, cfg)
+		x, err := BuildIndex(context.Background(), g, opts, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -128,13 +128,13 @@ func TestBuildIndexInterruptResume(t *testing.T) {
 
 func TestAllTypicalCascadesInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
-	x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 30, Seed: 12})
+	x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 30, Seed: 12}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := TypicalOptions{CostSamples: 10, CostSeed: 13}
 	interruptResume(t, filepath.Join(t.TempDir(), "sweep.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
-		results, err := AllTypicalCascadesResumable(context.Background(), x, opts, cfg)
+		results, err := AllTypicalCascades(context.Background(), x, opts, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +175,7 @@ func TestExpectedSpreadInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
 	seeds := []NodeID{0, 3, 9}
 	interruptResume(t, filepath.Join(t.TempDir(), "mc.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
-		spread, err := ExpectedSpreadResumable(context.Background(), g, seeds, 200, 17, cfg)
+		spread, err := ExpectedSpread(context.Background(), g, seeds, 200, 17, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +188,7 @@ func TestExpectedSpreadInterruptResume(t *testing.T) {
 func TestSelectSeedsRRInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
 	interruptResume(t, filepath.Join(t.TempDir(), "rr.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
-		sel, err := SelectSeedsRRResumable(context.Background(), g, 4, RROptions{Sets: 300, Seed: 23}, cfg)
+		sel, err := SelectSeedsRR(context.Background(), g, 4, RROptions{Sets: 300, Seed: 23}, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +207,7 @@ func TestSelectSeedsRRInterruptResume(t *testing.T) {
 func TestDeadlineReturnsUsablePartial(t *testing.T) {
 	g := resumeGraph(t)
 	cfg := ResumeConfig{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 1}}
-	x, err := BuildIndexResumable(context.Background(), g, IndexOptions{Samples: 50, Seed: 31}, cfg)
+	x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 50, Seed: 31}, cfg)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PartialError", err)
@@ -222,12 +222,12 @@ func TestDeadlineReturnsUsablePartial(t *testing.T) {
 		t.Fatalf("partial index has %d worlds, want achieved %d", x.NumWorlds(), pe.Achieved)
 	}
 	// The partial index answers queries.
-	if res, err := AllTypicalCascades(context.Background(), x, TypicalOptions{}); err != nil || len(res) != g.NumNodes() {
+	if res, err := AllTypicalCascades(context.Background(), x, TypicalOptions{}, ResumeConfig{}); err != nil || len(res) != g.NumNodes() {
 		t.Fatalf("partial index unusable: got %d results, err %v", len(res), err)
 	}
 	// An impossible minimum is a hard error, not a partial result.
 	cfg.Budget.MinWorlds = 51
-	_, err = BuildIndexResumable(context.Background(), g, IndexOptions{Samples: 50, Seed: 31}, cfg)
+	_, err = BuildIndex(context.Background(), g, IndexOptions{Samples: 50, Seed: 31}, cfg)
 	if err == nil || errors.Is(err, ErrPartial) {
 		t.Fatalf("below-minimum run: err = %v, want hard error", err)
 	}
@@ -240,11 +240,11 @@ func TestStaleCheckpointRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.ckpt")
 	cfg := ResumeConfig{Path: path, FlushEvery: 1, FlushInterval: time.Hour}
 	cfg.Budget = pastDeadline()
-	_, err := BuildIndexResumable(context.Background(), g, IndexOptions{Samples: 40, Seed: 1}, cfg)
+	_, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 40, Seed: 1}, cfg)
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("setup run: %v", err)
 	}
-	_, err = BuildIndexResumable(context.Background(), g, IndexOptions{Samples: 40, Seed: 2}, ResumeConfig{Path: path})
+	_, err = BuildIndex(context.Background(), g, IndexOptions{Samples: 40, Seed: 2}, ResumeConfig{Path: path})
 	if !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("seed change: err = %v, want ErrCheckpointStale", err)
 	}

@@ -18,7 +18,7 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 20, Seed: 8})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 20, Seed: 8}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +32,21 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 		}
 	}
 
-	_, err = BuildIndex(ctx, g, IndexOptions{Samples: 20, Seed: 9})
+	_, err = BuildIndex(ctx, g, IndexOptions{Samples: 20, Seed: 9}, ResumeConfig{})
 	requireCanceled("BuildIndex", err)
-	_, err = AllTypicalCascades(ctx, idx, TypicalOptions{})
+	_, err = AllTypicalCascades(ctx, idx, TypicalOptions{}, ResumeConfig{})
 	requireCanceled("AllTypicalCascades", err)
-	_, err = ExpectedSpread(ctx, g, []NodeID{0}, 100, 10)
+	_, err = ExpectedSpread(ctx, g, []NodeID{0}, 100, 10, ResumeConfig{})
 	requireCanceled("ExpectedSpread", err)
-	_, err = EstimateStability(ctx, g, []NodeID{0}, []NodeID{0}, 100, 10)
+	_, _, err = EstimateStability(ctx, g, []NodeID{0}, []NodeID{0}, 100, 10, Budget{})
 	requireCanceled("EstimateStability", err)
+	_, err = SelectSeedsStd(ctx, idx, 2)
+	requireCanceled("SelectSeedsStd", err)
 	_, err = SelectSeedsStdMC(ctx, g, 2, MCOptions{Trials: 50, Seed: 11})
 	requireCanceled("SelectSeedsStdMC", err)
 	_, err = SelectSeedsTC(ctx, g, make(Spheres, g.NumNodes()), 2, TCOptions{})
 	requireCanceled("SelectSeedsTC", err)
-	_, err = SelectSeedsRR(ctx, g, 2, RROptions{Sets: 100, Seed: 12})
+	_, err = SelectSeedsRR(ctx, g, 2, RROptions{Sets: 100, Seed: 12}, ResumeConfig{})
 	requireCanceled("SelectSeedsRR", err)
 	_, _, err = SelectSeedsRRAuto(ctx, g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 13})
 	requireCanceled("SelectSeedsRRAuto", err)
@@ -53,51 +55,3 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	_, err = ReliabilitySearch(ctx, g, []NodeID{0}, 0.5, 100, 14)
 	requireCanceled("ReliabilitySearch", err)
 }
-
-// TestDeprecatedCtxAliases keeps the pre-context-first …Ctx names compiling
-// and behaving exactly like their canonical context-first forms.
-func TestDeprecatedCtxAliases(t *testing.T) {
-	topo, err := Generate(GenConfig{Model: "ba", N: 80, M: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := WeightedCascade(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	idx, err := BuildIndexCtx(ctx, g, IndexOptions{Samples: 20, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := AllTypicalCascades(ctx, idx, TypicalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AllTypicalCascadesCtx(ctx, idx, TypicalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if JaccardDistance(want[v].Set, got[v].Set) != 0 {
-			t.Fatalf("alias diverges from canonical at node %d", v)
-		}
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	for api, err := range map[string]error{
-		"ExpectedSpreadCtx":    second(ExpectedSpreadCtx(canceled, g, []NodeID{0}, 100, 10)),
-		"SelectSeedsStdMCCtx":  second(SelectSeedsStdMCCtx(canceled, g, 2, MCOptions{Trials: 50, Seed: 11})),
-		"SelectSeedsRRCtx":     second(SelectSeedsRRCtx(canceled, g, 2, RROptions{Sets: 100, Seed: 12})),
-		"ReliabilitySearchCtx": second(ReliabilitySearchCtx(canceled, g, []NodeID{0}, 0.5, 100, 14)),
-	} {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", api, err)
-		}
-	}
-	if _, _, err := SelectSeedsRRAutoCtx(canceled, g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 13}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SelectSeedsRRAutoCtx: err = %v, want context.Canceled", err)
-	}
-}
-
-func second[T any](_ T, err error) error { return err }

@@ -16,16 +16,18 @@
 // The typical workflow is:
 //
 //	g, _, err := soi.LoadGraph("network.tsv")     // or soi.Generate / builder
-//	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 1})
+//	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 1}, soi.ResumeConfig{})
 //	sphere := soi.TypicalCascade(idx, v, soi.TypicalOptions{CostSamples: 1000})
-//	spheres, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{})
+//	spheres, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{}, soi.ResumeConfig{})
 //	seeds, err := soi.SelectSeedsTC(ctx, g, soi.SpheresOf(spheres), 200, soi.TCOptions{})
 //
-// Canonical signatures are context-first: every long-running API takes a
-// context.Context as its first argument for cooperative cancellation and
-// deadlines. The pre-context names suffixed …Ctx remain as thin deprecated
-// aliases of the canonical forms and will be removed in a future major
-// version; new code should call the canonical names.
+// Every algorithm has one entry point, and it is context-first: each
+// long-running API takes a context.Context as its first argument for
+// cooperative cancellation and deadlines. The sampling phases that can be
+// checkpointed or degraded under a deadline (BuildIndex,
+// AllTypicalCascades, ExpectedSpread, SelectSeedsRR) take a ResumeConfig
+// last, and EstimateStability takes a Budget; the zero value of either is
+// the plain run.
 //
 // This package is a thin facade: the implementation lives in the internal/
 // packages documented in DESIGN.md.
@@ -82,12 +84,12 @@ func ServeTelemetry(addr string, r *Telemetry) (*telemetry.DebugServer, error) {
 	return telemetry.Serve(addr, r)
 }
 
-// ResumeConfig configures the crash-safe execution layer under the
-// …Resumable APIs: a checkpoint file (periodically, atomically flushed off
-// the worker hot path, fingerprint-keyed so stale checkpoints are rejected)
+// ResumeConfig configures the crash-safe execution layer that BuildIndex,
+// AllTypicalCascades, ExpectedSpread and SelectSeedsRR take as their last
+// argument: a checkpoint file (periodically, atomically flushed off the
+// worker hot path, fingerprint-keyed so stale checkpoints are rejected)
 // and/or a deadline budget for best-effort partial results. The zero value
-// is the plain run: each …Resumable function then equals its plain
-// counterpart and costs nothing more.
+// is the plain run and costs nothing more.
 type ResumeConfig = checkpoint.Config
 
 // Budget bounds a resumable run by wall-clock deadline while demanding a
@@ -171,25 +173,14 @@ const (
 // Build workers check ctx between worlds and a canceled or expired context
 // returns ctx.Err() promptly. Worker panics are recovered and returned as
 // errors carrying the stack instead of crashing the process.
-func BuildIndex(ctx context.Context, g *Graph, opts IndexOptions) (*Index, error) {
-	return index.Build(ctx, g, opts, ResumeConfig{})
-}
-
-// BuildIndexCtx is the pre-context-first name of BuildIndex.
 //
-// Deprecated: call BuildIndex, whose canonical signature is context-first.
-func BuildIndexCtx(ctx context.Context, g *Graph, opts IndexOptions) (*Index, error) {
-	return BuildIndex(ctx, g, opts)
-}
-
-// BuildIndexResumable is BuildIndex under the crash-safe execution
-// layer: completed worlds are periodically checkpointed so a crash or
-// cancellation loses at most one flush interval of work, and a rerun with
-// the same graph, options, and checkpoint path produces an index
-// bit-identical to an uninterrupted build. With a deadline Budget it returns
-// a partial index over the completed worlds plus an error matching
-// ErrPartial. A zero ResumeConfig makes it BuildIndex.
-func BuildIndexResumable(ctx context.Context, g *Graph, opts IndexOptions, cfg ResumeConfig) (*Index, error) {
+// cfg (zero for the plain run) adds the crash-safe execution layer:
+// completed worlds are periodically checkpointed so a crash or cancellation
+// loses at most one flush interval of work, and a rerun with the same graph,
+// options, and checkpoint path produces an index bit-identical to an
+// uninterrupted build. With a deadline Budget it returns a partial index
+// over the completed worlds plus an error matching ErrPartial.
+func BuildIndex(ctx context.Context, g *Graph, opts IndexOptions, cfg ResumeConfig) (*Index, error) {
 	return index.Build(ctx, g, opts, cfg)
 }
 
@@ -224,27 +215,14 @@ func SeedSetTypicalCascade(x *Index, seeds []NodeID, opts TypicalOptions) Sphere
 // AllTypicalCascades computes the sphere of influence of every node
 // (Algorithm 2), in parallel. Workers check ctx between nodes and between
 // held-out cost cascades, and a canceled context returns ctx.Err() promptly
-// with a nil result. Worker panics are
-// recovered into errors.
-func AllTypicalCascades(ctx context.Context, x *Index, opts TypicalOptions) ([]Sphere, error) {
-	return core.ComputeAll(ctx, x, opts, ResumeConfig{})
-}
-
-// AllTypicalCascadesCtx is the pre-context-first name of AllTypicalCascades.
+// with a nil result. Worker panics are recovered into errors.
 //
-// Deprecated: call AllTypicalCascades, whose canonical signature is
-// context-first.
-func AllTypicalCascadesCtx(ctx context.Context, x *Index, opts TypicalOptions) ([]Sphere, error) {
-	return AllTypicalCascades(ctx, x, opts)
-}
-
-// AllTypicalCascadesResumable is AllTypicalCascades under the crash-safe
-// execution layer: each node's sphere is periodically checkpointed (keyed on
-// the index contents, so resuming against a different index is rejected as
-// stale). With a deadline Budget it returns the spheres computed so far —
-// unreached nodes have nil Seeds — plus an error matching ErrPartial. A
-// zero ResumeConfig makes it AllTypicalCascades.
-func AllTypicalCascadesResumable(ctx context.Context, x *Index, opts TypicalOptions, cfg ResumeConfig) ([]Sphere, error) {
+// cfg (zero for the plain run) adds the crash-safe execution layer: each
+// node's sphere is periodically checkpointed (keyed on the index contents,
+// so resuming against a different index is rejected as stale). With a
+// deadline Budget it returns the spheres computed so far — unreached nodes
+// have nil Seeds — plus an error matching ErrPartial.
+func AllTypicalCascades(ctx context.Context, x *Index, opts TypicalOptions, cfg ResumeConfig) ([]Sphere, error) {
 	return core.ComputeAll(ctx, x, opts, cfg)
 }
 
@@ -288,18 +266,13 @@ func TakeoffProbability(modes []Mode) float64 { return core.TakeoffProbability(m
 
 // EstimateStability estimates ρ_{g,seeds}(set): the expected Jaccard
 // distance between set and a fresh random cascade from seeds. Lower is more
-// stable. ctx is checked between cascade samples.
-func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64) (float64, error) {
-	cost, _, err := core.EstimateCost(ctx, g, seeds, set, samples, seed, ModelIC, Budget{}, nil)
-	return cost, err
-}
-
-// EstimateStabilityBudget is EstimateStability under a wall-clock Budget, the
-// query-serving form: sampling stops when the deadline is too near to fit
-// another cascade. It returns the estimate, the achieved sample count, and —
-// when the deadline truncated sampling past the budget minimum — an error
-// matching ErrPartial whose *PartialError carries the error bound.
-func EstimateStabilityBudget(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64, budget Budget) (float64, int, error) {
+// stable. ctx is checked between cascade samples. It returns the estimate
+// and the achieved sample count. A zero budget draws all samples; under a
+// wall-clock budget (the query-serving form) sampling stops when the
+// deadline is too near to fit another cascade, and — when that truncated
+// sampling past the budget minimum — the error matches ErrPartial and its
+// *PartialError carries the error bound.
+func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64, budget Budget) (float64, int, error) {
 	return core.EstimateCost(ctx, g, seeds, set, samples, seed, ModelIC, budget, nil)
 }
 
@@ -308,25 +281,14 @@ func JaccardDistance(a, b []NodeID) float64 { return jaccard.Distance(a, b) }
 
 // ExpectedSpread estimates σ(seeds) under the IC model by Monte Carlo. The
 // simulation workers check ctx between trials.
-func ExpectedSpread(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64) (float64, error) {
-	return cascade.ExpectedSpread(ctx, g, seeds, trials, seed, 0, ResumeConfig{})
-}
-
-// ExpectedSpreadCtx is the pre-context-first name of ExpectedSpread.
 //
-// Deprecated: call ExpectedSpread, whose canonical signature is
-// context-first.
-func ExpectedSpreadCtx(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64) (float64, error) {
-	return ExpectedSpread(ctx, g, seeds, trials, seed)
-}
-
-// ExpectedSpreadResumable is ExpectedSpread under the crash-safe
-// execution layer: the per-trial cascade sizes are summed into a checkpoint
-// so a rerun returns a value bit-identical to an uninterrupted run. With a
-// deadline Budget it returns the mean over the completed trials plus an
-// error matching ErrPartial (the bound is normalized to [0,1]; multiply by
-// NumNodes for spread units). A zero ResumeConfig makes it ExpectedSpread.
-func ExpectedSpreadResumable(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64, cfg ResumeConfig) (float64, error) {
+// cfg (zero for the plain run) adds the crash-safe execution layer: the
+// per-trial cascade sizes are summed into a checkpoint so a rerun returns a
+// value bit-identical to an uninterrupted run. With a deadline Budget it
+// returns the mean over the completed trials plus an error matching
+// ErrPartial (the bound is normalized to [0,1]; multiply by NumNodes for
+// spread units).
+func ExpectedSpread(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64, cfg ResumeConfig) (float64, error) {
 	return cascade.ExpectedSpread(ctx, g, seeds, trials, seed, 0, cfg)
 }
 
@@ -354,8 +316,10 @@ func SpheresOf(results []Sphere) Spheres {
 
 // SelectSeedsStd runs standard greedy influence maximization with CELF on
 // the expected spread over the index's fixed sampled worlds (fast,
-// deterministic; recommended).
-func SelectSeedsStd(x *Index, k int) (Selection, error) { return infmax.Std(x, k) }
+// deterministic; recommended). ctx is checked before every gain evaluation.
+func SelectSeedsStd(ctx context.Context, x *Index, k int) (Selection, error) {
+	return infmax.Std(ctx, x, k)
+}
 
 // SelectSeedsStdCELFpp is SelectSeedsStd with the CELF++ optimization
 // (Goyal et al., WWW 2011): identical seeds, fewer gain evaluations.
@@ -372,14 +336,6 @@ type MCOptions = infmax.MCOptions
 // context aborts the greedy promptly with ctx.Err().
 func SelectSeedsStdMC(ctx context.Context, g *Graph, k int, opts MCOptions) (Selection, error) {
 	return infmax.StdMC(ctx, g, k, opts)
-}
-
-// SelectSeedsStdMCCtx is the pre-context-first name of SelectSeedsStdMC.
-//
-// Deprecated: call SelectSeedsStdMC, whose canonical signature is
-// context-first.
-func SelectSeedsStdMCCtx(ctx context.Context, g *Graph, k int, opts MCOptions) (Selection, error) {
-	return SelectSeedsStdMC(ctx, g, k, opts)
 }
 
 // TCOptions configures SelectSeedsTC; the zero value is ready to use. Its
@@ -400,25 +356,14 @@ type RROptions = infmax.RROptions
 // SelectSeedsRR runs reverse-reachable-sketch influence maximization (Borgs
 // et al. / TIM style): greedy max-cover over sampled RR sets. ctx is checked
 // between RR-set samples and greedy rounds.
-func SelectSeedsRR(ctx context.Context, g *Graph, k int, opts RROptions) (Selection, error) {
-	return infmax.RR(ctx, g, k, opts, ResumeConfig{})
-}
-
-// SelectSeedsRRCtx is the pre-context-first name of SelectSeedsRR.
 //
-// Deprecated: call SelectSeedsRR, whose canonical signature is context-first.
-func SelectSeedsRRCtx(ctx context.Context, g *Graph, k int, opts RROptions) (Selection, error) {
-	return SelectSeedsRR(ctx, g, k, opts)
-}
-
-// SelectSeedsRRResumable is SelectSeedsRR under the crash-safe execution
-// layer: sampled RR sets are periodically checkpointed and a rerun selects
-// seeds bit-identical to an uninterrupted run. The fingerprint excludes k,
-// so one checkpoint serves runs with different seed-set sizes. With a
-// deadline Budget the greedy runs over the RR sets sampled so far and the
-// result carries an error matching ErrPartial. A zero ResumeConfig makes it
-// SelectSeedsRR.
-func SelectSeedsRRResumable(ctx context.Context, g *Graph, k int, opts RROptions, cfg ResumeConfig) (Selection, error) {
+// cfg (zero for the plain run) adds the crash-safe execution layer: sampled
+// RR sets are periodically checkpointed and a rerun selects seeds
+// bit-identical to an uninterrupted run. The fingerprint excludes k, so one
+// checkpoint serves runs with different seed-set sizes. With a deadline
+// Budget the greedy runs over the RR sets sampled so far and the result
+// carries an error matching ErrPartial.
+func SelectSeedsRR(ctx context.Context, g *Graph, k int, opts RROptions, cfg ResumeConfig) (Selection, error) {
 	return infmax.RR(ctx, g, k, opts, cfg)
 }
 
@@ -432,14 +377,6 @@ type RRAutoOptions = infmax.RRAutoOptions
 // and RR sampling).
 func SelectSeedsRRAuto(ctx context.Context, g *Graph, k int, opts RRAutoOptions) (Selection, int, error) {
 	return infmax.RRAuto(ctx, g, k, opts)
-}
-
-// SelectSeedsRRAutoCtx is the pre-context-first name of SelectSeedsRRAuto.
-//
-// Deprecated: call SelectSeedsRRAuto, whose canonical signature is
-// context-first.
-func SelectSeedsRRAutoCtx(ctx context.Context, g *Graph, k int, opts RRAutoOptions) (Selection, int, error) {
-	return SelectSeedsRRAuto(ctx, g, k, opts)
 }
 
 // SelectSeedsDegree and SelectSeedsRandom are the classical baselines.
@@ -530,14 +467,6 @@ func Reliability(ctx context.Context, g *Graph, s, t NodeID, samples int, seed u
 func ReliabilitySearch(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64) ([]NodeID, error) {
 	nodes, _, err := reliability.Search(ctx, g, sources, threshold, samples, seed, Budget{})
 	return nodes, err
-}
-
-// ReliabilitySearchCtx is the pre-context-first name of ReliabilitySearch.
-//
-// Deprecated: call ReliabilitySearch, whose canonical signature is
-// context-first.
-func ReliabilitySearchCtx(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64) ([]NodeID, error) {
-	return ReliabilitySearch(ctx, g, sources, threshold, samples, seed)
 }
 
 // Dataset is one of the paper's 12 experimental configurations materialized

@@ -19,12 +19,12 @@ func TestEndToEndViralMarketing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 200, Seed: 2, TransitiveReduction: true})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 200, Seed: 2, TransitiveReduction: true}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	all, err := AllTypicalCascades(context.Background(), idx, TypicalOptions{})
+	all, err := AllTypicalCascades(context.Background(), idx, TypicalOptions{}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEndToEndViralMarketing(t *testing.T) {
 	}
 
 	const k = 20
-	std, err := SelectSeedsStd(idx, k)
+	std, err := SelectSeedsStd(context.Background(), idx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTypicalCascadeAndStability(t *testing.T) {
 	b.AddEdge(1, 2, 0.9)
 	b.AddEdge(2, 3, 0.05)
 	g := b.MustBuild()
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 500, Seed: 4})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 500, Seed: 4}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTypicalCascadeAndStability(t *testing.T) {
 		t.Fatalf("stability %v out of expected band", sphere.ExpectedCost)
 	}
 	// Direct stability estimate agrees.
-	direct, err := EstimateStability(context.Background(), g, []NodeID{0}, sphere.Set, 2000, 6)
+	direct, _, err := EstimateStability(context.Background(), g, []NodeID{0}, sphere.Set, 2000, 6, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestIndexPersistenceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 20, Seed: 12})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 20, Seed: 12}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +217,12 @@ func TestFacadeNewMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 60, Seed: 22})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 60, Seed: 22}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 8
-	std, err := SelectSeedsStd(idx, k)
+	std, err := SelectSeedsStd(context.Background(), idx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFacadeNewMethods(t *testing.T) {
 			t.Fatalf("CELF++ diverges at prefix %d", i+1)
 		}
 	}
-	rr, err := SelectSeedsRR(context.Background(), g, k, RROptions{Sets: 4000, Seed: 23})
+	rr, err := SelectSeedsRR(context.Background(), g, k, RROptions{Sets: 4000, Seed: 23}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFacadeLTModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 80, Seed: 26, Model: ModelLT})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 80, Seed: 26, Model: ModelLT}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestFacadeRefinedMedian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 100, Seed: 29})
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 100, Seed: 29}, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
