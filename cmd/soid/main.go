@@ -35,19 +35,16 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"soi"
-	"soi/internal/atomicfile"
 	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
 	"soi/internal/core"
+	"soi/internal/daemon"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/server"
@@ -108,18 +105,10 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	// Bind the address before loading anything: /healthz answers 200 and
 	// /readyz 503 "loading" from the first instant, so routers and scripts
 	// can tell "starting up" from "dead" while the artifacts load.
-	gate := server.NewGate()
-	resolved, err := gate.Start(addr)
+	life := daemon.Lifecycle{Tool: "soid", Addr: addr, AddrFile: addrFile, DrainTimeout: drain, StatsJSON: statsJSON}
+	resolved, err := life.Bind()
 	if err != nil {
 		return err
-	}
-	if addrFile != "" {
-		if err := atomicfile.WriteFile(addrFile, func(w io.Writer) error {
-			_, err := fmt.Fprintln(w, resolved)
-			return err
-		}); err != nil {
-			return err
-		}
 	}
 	log.Printf("listening on http://%s (loading artifacts)", resolved)
 
@@ -225,41 +214,7 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 		return err
 	}
 
-	gate.Ready(srv.Handler())
 	log.Printf("serving on http://%s  graph=%016x index=%016x nodes=%d worlds=%d spheres=%v sketch=%v mmap=%v",
 		resolved, graphFP, srv.IndexFingerprint(), g.NumNodes(), x.NumWorlds(), spheres != nil, sk != nil, x.Lazy())
-
-	// Block until SIGINT/SIGTERM, then drain: flip the server's drain flag
-	// (new requests get 503 + code "draining", /readyz goes not-ready), then
-	// wait for the admitted requests (bounded by -drain-timeout).
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	<-sigCtx.Done()
-	stop()
-	log.Printf("draining (timeout %s)", drain)
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	err = srv.Shutdown(ctx) // no listener of its own: flips the drain flag
-	if gerr := gate.Shutdown(ctx); err == nil {
-		err = gerr
-	}
-
-	if statsJSON != "" {
-		rep := tel.Report()
-		werr := atomicfile.WriteFile(statsJSON, func(w io.Writer) error {
-			b, jerr := rep.JSON()
-			if jerr != nil {
-				return jerr
-			}
-			_, werr := w.Write(b)
-			return werr
-		})
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "soid: writing stats to %s: %v\n", statsJSON, werr)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	log.Printf("drained cleanly")
-	return nil
+	return life.Serve(srv.Handler(), srv.Drain, tel)
 }

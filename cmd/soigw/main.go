@@ -25,19 +25,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"soi/internal/atomicfile"
 	"soi/internal/cliutil"
+	"soi/internal/daemon"
 	"soi/internal/router"
 	"soi/internal/telemetry"
 )
@@ -106,11 +101,16 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	if topoPath == "" {
 		return fmt.Errorf("-topology is required")
 	}
-	topo, err := router.LoadTopology(topoPath)
+	groups, err := parseReplicas(replicaSpec)
 	if err != nil {
 		return err
 	}
-	groups, err := parseReplicas(replicaSpec)
+	life := daemon.Lifecycle{Tool: "soigw", Addr: addr, AddrFile: addrFile, DrainTimeout: drain, StatsJSON: statsJSON}
+	resolved, err := life.Bind()
+	if err != nil {
+		return err
+	}
+	topo, err := router.LoadTopology(topoPath)
 	if err != nil {
 		return err
 	}
@@ -146,47 +146,8 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	if err != nil {
 		return err
 	}
-
-	resolved, err := rt.Start(addr)
-	if err != nil {
-		return err
-	}
-	if addrFile != "" {
-		if err := atomicfile.WriteFile(addrFile, func(w io.Writer) error {
-			_, err := fmt.Fprintln(w, resolved)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
+	rt.StartProbing()
 	log.Printf("serving on http://%s  shards=%d nodes=%d cut_edges=%d graph=%s",
 		resolved, len(topo.Shards), topo.NumNodes, topo.CutEdges, topo.GraphFingerprint)
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	<-sigCtx.Done()
-	stop()
-	log.Printf("draining (timeout %s)", drain)
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	err = rt.Shutdown(ctx)
-
-	if statsJSON != "" {
-		rep := tel.Report()
-		werr := atomicfile.WriteFile(statsJSON, func(w io.Writer) error {
-			b, jerr := rep.JSON()
-			if jerr != nil {
-				return jerr
-			}
-			_, werr := w.Write(b)
-			return werr
-		})
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "soigw: writing stats to %s: %v\n", statsJSON, werr)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	log.Printf("drained cleanly")
-	return nil
+	return life.Serve(rt.Handler(), rt.Drain, tel)
 }

@@ -3,13 +3,13 @@ package cliutil
 import (
 	"context"
 	"fmt"
-	"io"
+	"net/http"
 	"os"
 	"sync"
 	"time"
 
-	"soi/internal/atomicfile"
 	"soi/internal/checkpoint"
+	"soi/internal/daemon"
 	"soi/internal/graph"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
@@ -26,10 +26,13 @@ type RunTelemetry struct {
 	// Registry is the metrics registry handed to the compute layers; nil
 	// when telemetry is disabled.
 	Registry *telemetry.Registry
+	// DebugAddr is the debug listener's resolved address; empty without
+	// -debug-addr.
+	DebugAddr string
 
 	statsPath string
 	root      *trace.Span // the run's phases are its children
-	server    *telemetry.DebugServer
+	debug     *daemon.Gate
 	flushOnce sync.Once
 }
 
@@ -37,9 +40,9 @@ type RunTelemetry struct {
 // -stats-json flags and returns ctx carrying the run's root trace span, under
 // which the compute phases open theirs. With both flags empty it returns ctx
 // unchanged and a disabled lifecycle whose Registry is nil, so the per-event
-// overhead everywhere downstream is a single nil check. The debug server
-// (Prometheus /metrics, expvar, pprof) starts immediately; its resolved
-// address is announced on stderr.
+// overhead everywhere downstream is a single nil check. The debug listener
+// (the daemons' debug surface: /metrics, /debug/vars, /debug/traces, pprof)
+// starts immediately; its resolved address is announced on stderr.
 func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (context.Context, *RunTelemetry, error) {
 	t := &RunTelemetry{Tool: tool, statsPath: statsPath}
 	if debugAddr == "" && statsPath == "" {
@@ -48,17 +51,22 @@ func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (con
 	t.Registry = telemetry.New()
 	t.Registry.SetTool(tool)
 	telemetry.PublishExpvar("soi", t.Registry)
+	// Flush reads the trace from its root, never from the tracer's ring of
+	// retained traces, so one ring slot is enough.
+	tracer := trace.New(trace.Options{Service: tool, RingSize: 1})
 	if debugAddr != "" {
-		srv, err := telemetry.Serve(debugAddr, t.Registry)
+		mux := http.NewServeMux()
+		daemon.Debug(mux, t.Registry, tracer)
+		t.debug = daemon.NewGate()
+		t.debug.Ready(mux)
+		addr, err := t.debug.Start(debugAddr)
 		if err != nil {
 			return ctx, nil, fmt.Errorf("%s: debug server: %w", tool, err)
 		}
-		t.server = srv
-		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", tool, srv.Addr)
+		t.DebugAddr = addr
+		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics, /debug/vars, /debug/traces, /debug/pprof/)\n", tool, addr)
 	}
-	// Flush reads the trace from its root, never from the tracer's ring of
-	// retained traces, so one ring slot is enough.
-	ctx, t.root = trace.New(trace.Options{Service: tool, RingSize: 1}).StartSpan(ctx, tool)
+	ctx, t.root = tracer.StartSpan(ctx, tool)
 	return ctx, t, nil
 }
 
@@ -77,22 +85,13 @@ func (t *RunTelemetry) Flush() {
 		rep := t.Registry.Report()
 		t.root.End()
 		rep.Spans = spanSnapshots(t.root.Trace().Snapshot(t.Tool).Spans[0].Children)
-		if t.statsPath != "" {
-			err := atomicfile.WriteFile(t.statsPath, func(w io.Writer) error {
-				b, err := rep.JSON()
-				if err != nil {
-					return err
-				}
-				_, err = w.Write(b)
-				return err
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: writing stats to %s: %v\n", t.Tool, t.statsPath, err)
-			}
-		}
+		daemon.WriteReport(t.Tool, t.statsPath, rep)
 		rep.WriteTable(os.Stderr)
-		if t.server != nil {
-			if err := t.server.Close(); err != nil {
+		if t.debug != nil {
+			// Give an in-flight scrape a moment to finish, then let go.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			if err := t.debug.Shutdown(ctx); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: closing debug server: %v\n", t.Tool, err)
 			}
 		}

@@ -4,11 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"sort"
 	"strconv"
@@ -16,7 +13,7 @@ import (
 	"time"
 
 	"soi/internal/api"
-	"soi/internal/fault"
+	"soi/internal/daemon"
 	"soi/internal/trace"
 )
 
@@ -25,10 +22,7 @@ func (r *Router) Handler() http.Handler { return r.mux }
 
 func (r *Router) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("GET /healthz", daemon.Healthz)
 	mux.HandleFunc("GET /readyz", r.handleReadyz)
 	mux.Handle("GET /v1/info", r.endpoint("info", r.handleInfo))
 	mux.HandleFunc("GET /v1/topology", r.handleTopology)
@@ -38,51 +32,17 @@ func (r *Router) buildMux() {
 	mux.Handle("GET /v1/seeds", r.endpoint("seeds", r.handleSeeds))
 	mux.Handle("GET /v1/spread", r.endpoint("spread", r.handleSpread))
 	mux.Handle("GET /v1/reliability", r.endpoint("reliability", r.handleReliability))
-
-	if r.cfg.Telemetry != nil {
-		mux.Handle("GET /metrics", r.cfg.Telemetry.Handler())
-	}
-	mux.Handle("GET /debug/traces", r.cfg.Tracer.Handler("/debug/traces"))
-	mux.Handle("GET /debug/traces/", r.cfg.Tracer.Handler("/debug/traces"))
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if fault.HTTPEnabled() {
-		mux.Handle("/debug/failpoints", fault.Handler())
-	}
+	daemon.Debug(mux, r.cfg.Telemetry, r.cfg.Tracer)
 	r.mux = mux
 }
 
-// Start binds addr and serves until Shutdown; returns the resolved address.
-func (r *Router) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	r.StartProbing()
-	r.srv = &http.Server{Handler: r.mux, ReadHeaderTimeout: 10 * time.Second}
-	r.done = make(chan struct{})
-	go func() {
-		defer close(r.done)
-		_ = r.srv.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains the gateway: new requests get 503 code "draining",
-// in-flight scatters finish (bounded by ctx), probers stop.
-func (r *Router) Shutdown(ctx context.Context) error {
+// Drain flips the drain flag (new requests get 503 code "draining", /readyz
+// goes not-ready) and stops the probers; in-flight scatters finish. The
+// listener serving Handler drains its connections itself
+// (daemon.Gate.Shutdown).
+func (r *Router) Drain() {
 	r.draining.Store(true)
 	r.Close()
-	if r.srv == nil {
-		return nil
-	}
-	err := r.srv.Shutdown(ctx)
-	<-r.done
-	return err
 }
 
 func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -113,99 +73,46 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	api.WriteJSON(w, status, resp)
 }
 
-// endpoint wraps a gateway handler with tracing, drain check, budget context,
-// error mapping, degradation metrics, and the request log.
+// endpoint puts a gateway handler under the daemon envelope with soigw's
+// own half: the budget context, the answer, degradation metrics, and the
+// scatter counts of the request-log line.
 func (r *Router) endpoint(name string, fn func(*http.Request) (int, any, error)) http.Handler {
-	spanName := "soigw." + name
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		r.mRequests.Inc()
-
-		// Root-or-continued span (a client-supplied traceparent is honored);
-		// the trace id is echoed as X-SOI-Request-ID so clients can quote it
-		// back to /debug/traces/{id}.
-		rctx, span := r.cfg.Tracer.StartRequest(req, spanName,
-			trace.String("endpoint", name), trace.String("path", req.URL.Path))
-		if span != nil {
-			req = req.WithContext(rctx)
-			w.Header().Set(trace.RequestIDHeader, span.RequestID())
-		}
-
-		status := http.StatusOK
-		errCode := ""
-		var ann api.Partial
-		var sc api.Scatter
-		defer func() {
-			dur := time.Since(start)
-			span.SetHTTPStatus(status)
-			if errCode != "" {
-				span.SetError(errCode)
-			}
-			span.End()
-			if r.cfg.RequestLog != nil {
-				r.cfg.RequestLog.Log(trace.RequestRecord{
-					Service:      "soigw",
-					TraceID:      span.RequestID(),
-					Endpoint:     name,
-					Path:         req.URL.RequestURI(),
-					Status:       status,
-					DurationMS:   float64(dur) / float64(time.Millisecond),
-					ErrorCode:    errCode,
-					Partial:      status == http.StatusPartialContent,
-					ErrorBound:   ann.ErrorBound,
-					ShardsOK:     sc.ShardsOK,
-					ShardsTotal:  sc.ShardsTotal,
-					FailedShards: sc.FailedShards,
-				})
-			}
-		}()
-
-		// fail writes err's envelope; an error the gateway did not raise as
-		// an *api.Error (a shard body it could not decode) is a 502.
-		fail := func(err error) {
-			var ae *api.Error
-			if !errors.As(err, &ae) {
-				ae = &api.Error{Status: http.StatusBadGateway, Code: api.CodeInternal, Msg: err.Error()}
-			}
-			status, errCode = ae.Status, ae.Code
-			api.WriteError(w, ae)
-		}
-		if r.draining.Load() {
-			fail(&api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeDraining,
-				Msg: "gateway is draining", RetryAfter: time.Second})
-			return
-		}
-		budget, err := api.Budget(req.URL.Query(), r.cfg.defaultBudget(), r.cfg.maxBudget())
-		if err != nil {
-			fail(err)
-			return
-		}
-		ctx, cancel := context.WithDeadline(req.Context(), r.now().Add(budget))
+	return r.env.Wrap(name, func(w http.ResponseWriter, req *http.Request, c daemon.Call) (trace.RequestRecord, error) {
+		ctx, cancel := context.WithDeadline(req.Context(), r.now().Add(c.Budget))
 		defer cancel()
-		st, v, err := fn(req.WithContext(withBudget(ctx, budget)))
+		st, v, err := fn(req.WithContext(withBudget(ctx, c.Budget)))
 		if err != nil {
-			fail(err)
-			return
+			return trace.RequestRecord{}, err
 		}
 		if err := api.WriteJSON(w, st, v); err != nil {
-			status, errCode = http.StatusInternalServerError, api.CodeInternal
-			return
+			return trace.RequestRecord{Status: http.StatusInternalServerError, ErrorCode: api.CodeInternal}, nil
 		}
-		status = st
-		ann = api.AnnotationOf(v)
-		if ann.Scatter != nil {
-			sc = *ann.Scatter
+		ann := api.AnnotationOf(v)
+		rec := trace.RequestRecord{Status: st, Partial: st == http.StatusPartialContent, ErrorBound: ann.ErrorBound}
+		if sc := ann.Scatter; sc != nil {
+			rec.ShardsOK, rec.ShardsTotal, rec.FailedShards = sc.ShardsOK, sc.ShardsTotal, sc.FailedShards
 		}
-		if status == http.StatusPartialContent {
+		if rec.Partial {
 			r.mDegraded.Inc()
 			// The merge widened the answer: record how far and why on the root
 			// span, so a 206's trace explains itself.
-			span.Event("degraded",
-				trace.Int("shards_ok", int64(sc.ShardsOK)),
-				trace.Int("shards_total", int64(sc.ShardsTotal)),
+			c.Span.Event("degraded",
+				trace.Int("shards_ok", int64(rec.ShardsOK)),
+				trace.Int("shards_total", int64(rec.ShardsTotal)),
 				trace.Float("error_bound", ann.ErrorBound))
 		}
+		return rec, nil
 	})
+}
+
+// failEnvelope maps err onto the error envelope; an error the gateway did
+// not raise as an *api.Error (a shard body it could not decode) is a 502.
+func failEnvelope(err error) *api.Error {
+	var ae *api.Error
+	if !errors.As(err, &ae) {
+		ae = &api.Error{Status: http.StatusBadGateway, Code: api.CodeInternal, Msg: err.Error()}
+	}
+	return ae
 }
 
 type gwBudgetKey struct{}

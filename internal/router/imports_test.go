@@ -56,6 +56,27 @@ func TestGatewayImportBoundary(t *testing.T) {
 	}
 }
 
+// TestDaemonImportBoundary: the daemon skeleton (listener, debug surface,
+// request envelope) is shared by soid, soigw and the batch CLIs, so it must
+// reach neither daemon's own package nor any estimator.
+func TestDaemonImportBoundary(t *testing.T) {
+	deps := soiImports(t, "soi/internal/daemon")
+	for _, name := range []string{
+		"server", "router", "core", "index", "cascade", "sketch", "infmax", "reliability",
+		"jaccard", "scc", "worlds", "pool", "rng", "blockfile",
+	} {
+		pkg := "soi/internal/" + name
+		if _, ok := deps[pkg]; !ok {
+			continue
+		}
+		chain := pkg
+		for p := deps[pkg]; p != ""; p = deps[p] {
+			chain = p + " → " + chain
+		}
+		t.Errorf("internal/daemon links %s: %s", pkg, chain)
+	}
+}
+
 // TestAPIImportsOnlyStdlib: the wire contract is shared by both tiers, so
 // it must not pull any module or third-party package into either.
 func TestAPIImportsOnlyStdlib(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"soi/internal/api"
+	"soi/internal/daemon"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
@@ -119,7 +120,7 @@ func (c Config) maxBudget() time.Duration {
 }
 
 // Router fans /v1 queries out to shard replicas and merges the answers.
-// Create with New, then Start to begin health probing; Close stops it.
+// Create with New, then StartProbing to begin health probing; Close stops it.
 type Router struct {
 	cfg    Config
 	topo   *Topology
@@ -138,11 +139,9 @@ type Router struct {
 	started        time.Time
 
 	mux      *http.ServeMux
-	srv      *http.Server
-	done     chan struct{}
+	env      *daemon.Envelope
 	draining atomic.Bool
 
-	mRequests  *telemetry.Counter
 	mRetries   *telemetry.Counter
 	mHedges    *telemetry.Counter
 	mHedgeWins *telemetry.Counter
@@ -187,7 +186,6 @@ func New(cfg Config) (*Router, error) {
 		probeStop: make(chan struct{}),
 		started:   now(),
 
-		mRequests:  tel.Counter("router.requests"),
 		mRetries:   tel.Counter("router.retries"),
 		mHedges:    tel.Counter("router.hedges"),
 		mHedgeWins: tel.Counter("router.hedge_wins"),
@@ -215,12 +213,24 @@ func New(cfg Config) (*Router, error) {
 		r.mHealthy = append(r.mHealthy, tel.Gauge(fmt.Sprintf("router.healthy.shard%d", s)))
 		r.mHealthy[s].Set(int64(len(urls)))
 	}
+	r.env = &daemon.Envelope{
+		Service:       "soigw",
+		Metrics:       tel,
+		Prefix:        "router",
+		Tracer:        cfg.Tracer,
+		RequestLog:    cfg.RequestLog,
+		Draining:      &r.draining,
+		DrainMsg:      "gateway is draining",
+		DefaultBudget: cfg.defaultBudget(),
+		MaxBudget:     cfg.maxBudget(),
+		Fail:          failEnvelope,
+	}
 	r.buildMux()
 	return r, nil
 }
 
 // StartProbing launches the /readyz health probers (unless disabled by a
-// negative ProbeInterval). Idempotent; Start(addr) calls it automatically.
+// negative ProbeInterval). Idempotent.
 func (r *Router) StartProbing() {
 	r.probeOnceGuard.Do(r.startProbing)
 }

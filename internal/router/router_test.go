@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"soi/internal/api"
+	"soi/internal/daemon"
 	"soi/internal/telemetry"
 )
 
@@ -291,7 +294,7 @@ func TestGatewayDrainingRefusesNewRequests(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
 	r := newTestRouter(t, nil, []string{ts.URL}, []string{ts.URL})
-	r.draining.Store(true)
+	r.Drain()
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/spread?seeds=0", nil))
@@ -307,6 +310,78 @@ func TestGatewayDrainingRefusesNewRequests(t *testing.T) {
 	r.handleReadyz(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz status %d while draining, want 503", rec.Code)
+	}
+}
+
+// TestGatewayGracefulDrain drains the gateway behind the one daemon
+// listener while a scatter is in flight: the in-flight request still gets
+// its 200, the listener refuses new connections afterwards, and the handler
+// itself answers 503 "draining".
+func TestGatewayGracefulDrain(t *testing.T) {
+	arrived, release := make(chan struct{}, 1), make(chan struct{})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-release
+		fmt.Fprint(w, `{"node":1}`)
+	}))
+	defer shard.Close()
+	r := newTestRouter(t, nil, []string{shard.URL}, []string{shard.URL})
+	gate := daemon.NewGate()
+	gate.Ready(r.Handler())
+	addr, err := gate.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	slow := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/v1/sphere/1")
+		if err != nil {
+			slow <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		slow <- resp.StatusCode
+	}()
+	<-arrived // the request is now in flight at the shard
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		r.Drain()
+		done <- gate.Shutdown(ctx)
+	}()
+	// Release the shard only once the listener has stopped accepting.
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+
+	if code := <-slow; code != http.StatusOK {
+		t.Fatalf("in-flight request during drain got %d, want 200", code)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
+		t.Fatal("gateway still accepting connections after Shutdown")
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sphere/1", nil))
+	var env api.ErrorEnvelope
+	if rec.Code != http.StatusServiceUnavailable || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+		env.Error.Code != api.CodeDraining {
+		t.Fatalf("drained handler: status %d body %s, want 503 draining", rec.Code, rec.Body.String())
 	}
 }
 

@@ -26,11 +26,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -42,6 +40,7 @@ import (
 	"soi/internal/api"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
+	"soi/internal/daemon"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -189,12 +188,10 @@ type Server struct {
 	scratch sync.Pool // *index.Scratch
 
 	mux      *http.ServeMux
-	srv      *http.Server
-	done     chan struct{}
+	env      *daemon.Envelope
 	draining atomic.Bool
 	started  time.Time
 
-	mRequests *telemetry.Counter
 	mPartials *telemetry.Counter
 	mRejected *telemetry.Counter
 	mErrors   *telemetry.Counter
@@ -258,10 +255,8 @@ func New(cfg Config) (*Server, error) {
 		cache:   newLRUCache(cfg.cacheSize(), tel),
 		flights: newFlightGroup(tel),
 		adm:     newAdmission(cfg.maxInflight(), cfg.maxQueue(), tel),
-		done:    make(chan struct{}),
 		started: time.Now(),
 
-		mRequests: tel.Counter("server.requests"),
 		mPartials: tel.Counter("server.partials"),
 		mRejected: tel.Counter("server.rejected_overload"),
 		mErrors:   tel.Counter("server.errors"),
@@ -287,6 +282,18 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.scratch.New = func() any { return s.x.NewScratch() }
+	s.env = &daemon.Envelope{
+		Service:       "soid",
+		Metrics:       tel,
+		Prefix:        "server",
+		Tracer:        cfg.Tracer,
+		RequestLog:    cfg.RequestLog,
+		Draining:      &s.draining,
+		DrainMsg:      "server is draining",
+		DefaultBudget: cfg.defaultBudget(),
+		MaxBudget:     cfg.maxBudget(),
+		Fail:          s.mapError,
+	}
 	s.buildMux()
 	return s, nil
 }
@@ -297,19 +304,13 @@ func (s *Server) GraphFingerprint() uint64 { return s.graphFP }
 // IndexFingerprint returns the content fingerprint of the loaded index.
 func (s *Server) IndexFingerprint() uint64 { return s.indexFP }
 
-// Handler returns the serving mux: the /v1 API, /healthz, and the debug
-// endpoints (/metrics, /debug/vars, /debug/pprof/...) on the same mux.
+// Handler returns the serving mux: the /v1 API, /healthz, /readyz and the
+// debug surface (daemon.Debug) on the same mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
-	// Liveness: the process is up and able to answer. Stays 200 while
-	// draining — a draining daemon is alive, and restarting it would abort
-	// the drain. Readiness (should this replica receive traffic?) is /readyz.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("GET /healthz", daemon.Healthz)
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		resp := api.Ready{
 			Ready:            true,
@@ -333,57 +334,15 @@ func (s *Server) buildMux() {
 	mux.Handle("GET /v1/spread", s.endpoint("spread", true, s.handleSpread))
 	mux.Handle("GET /v1/reliability", s.endpoint("reliability", true, s.handleReliability))
 	mux.Handle("GET /v1/modes/{node}", s.endpoint("modes", true, s.handleModes))
-
-	// The -debug-addr surface of the CLIs, mounted on the serving mux: one
-	// listener serves queries and their own observability.
-	mux.Handle("GET /metrics", s.cfg.Telemetry.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	// Retained traces: the list view and the full soi.trace/v1 span tree.
-	// With a nil tracer these answer 404 "tracing disabled".
-	mux.Handle("GET /debug/traces", s.cfg.Tracer.Handler("/debug/traces"))
-	mux.Handle("GET /debug/traces/", s.cfg.Tracer.Handler("/debug/traces"))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Remote fault injection for cross-process chaos harnesses: only mounted
-	// behind the SOI_FAILPOINTS_HTTP env gate — a production daemon must
-	// never expose this by accident.
-	if fault.HTTPEnabled() {
-		mux.Handle("/debug/failpoints", fault.Handler())
-	}
+	daemon.Debug(mux, s.cfg.Telemetry, s.cfg.Tracer)
 	s.mux = mux
 }
 
-// Start binds addr (":0" for ephemeral) and serves until Shutdown. It
-// returns the resolved listen address once the listener is bound.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln) // ErrServerClosed on Shutdown is the normal path
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains gracefully: new requests are refused with 503 while
-// requests already admitted run to completion (bounded by ctx). Safe to call
-// without Start (tests driving Handler directly); then it only flips the
-// drain flag.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.srv == nil {
-		return nil
-	}
-	err := s.srv.Shutdown(ctx)
-	<-s.done
-	return err
-}
+// Drain flips the drain flag: new /v1 requests are refused with 503
+// "draining" and /readyz goes not-ready, while requests already admitted run
+// to completion. The listener serving Handler drains its connections itself
+// (daemon.Gate.Shutdown).
+func (s *Server) Drain() { s.draining.Store(true) }
 
 // budgetGrace is added to the request budget to form the hard context
 // deadline: the Budget machinery degrades sampling gracefully at the budget
@@ -392,84 +351,32 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // ctx.Err() before the first sample and turn every 206 into a 503.
 const budgetGrace = 5 * time.Second
 
-// endpoint wraps a handler with the serving pipeline: tracing, metrics,
-// drain check, cache, budget, singleflight, admission, and error mapping.
+// endpoint puts fn under the daemon envelope with soid's own half of the
+// pipeline: per-endpoint metrics, cache, singleflight, admission, and the
+// mapping of a budget-truncated answer onto 206.
 func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (any, error)) http.Handler {
-	spanName := "soid." + name
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		s.mRequests.Inc()
+	return s.env.Wrap(name, func(w http.ResponseWriter, req *http.Request, c daemon.Call) (rec trace.RequestRecord, err error) {
 		s.mByName[name].Inc()
-
-		// Root-or-continued span: a bare client request roots a fresh trace;
-		// a gateway leg carrying traceparent joins the gateway's trace. The
-		// trace id is echoed as X-SOI-Request-ID so the client can quote it
-		// at /debug/traces/{id}.
-		rctx, span := s.cfg.Tracer.StartRequest(req, spanName,
-			trace.String("endpoint", name), trace.String("path", req.URL.Path))
-		if span != nil {
-			req = req.WithContext(rctx)
-			w.Header().Set(trace.RequestIDHeader, span.RequestID())
-		}
-
-		status := http.StatusOK
-		errCode := ""
-		cacheState := ""
-		var pi api.Partial
 		defer func() {
-			dur := time.Since(start)
-			s.mLatency[name].ObserveExemplar(dur.Nanoseconds(), span.RequestID())
-			span.SetHTTPStatus(status)
-			if errCode != "" {
-				span.SetError(errCode)
-			}
-			span.End()
-			if s.cfg.RequestLog != nil {
-				s.cfg.RequestLog.Log(trace.RequestRecord{
-					Service:    "soid",
-					TraceID:    span.RequestID(),
-					Endpoint:   name,
-					Path:       req.URL.RequestURI(),
-					Status:     status,
-					DurationMS: float64(dur) / float64(time.Millisecond),
-					Cache:      cacheState,
-					ErrorCode:  errCode,
-					Partial:    pi.Degraded,
-					Achieved:   pi.Achieved,
-					Requested:  pi.Requested,
-					ErrorBound: pi.ErrorBound,
-				})
-			}
+			s.mLatency[name].ObserveExemplar(time.Since(c.Start).Nanoseconds(), c.Span.RequestID())
 		}()
-
-		if s.draining.Load() {
-			status, errCode = s.writeError(w, &api.Error{Status: http.StatusServiceUnavailable,
-				Code: api.CodeDraining, Msg: "server is draining", RetryAfter: time.Second})
-			return
-		}
 
 		key := ""
 		useCache := cacheable && s.cfg.cacheSize() > 0
 		if useCache {
-			key = s.cacheKey(name, req)
+			key = s.cacheKey(name, req.URL.Path, c.Query)
 			lspan := trace.Child(req.Context(), "cache.lookup")
 			ent, hit := s.cache.get(key)
 			lspan.SetAttrs(trace.Bool("hit", hit))
 			lspan.End()
 			if hit {
-				status, pi, cacheState = ent.status, ent.partial, "hit"
 				writeCached(w, ent, true)
-				return
+				return ent.record("hit"), nil
 			}
-			cacheState = "miss"
+			rec.Cache = "miss"
 		}
 
-		budget, err := api.Budget(req.URL.Query(), s.cfg.defaultBudget(), s.cfg.maxBudget())
-		if err != nil {
-			status, errCode = s.writeMappedError(w, err)
-			return
-		}
-		deadline := start.Add(budget)
+		deadline := c.Start.Add(c.Budget)
 		ctx, cancel := context.WithDeadline(req.Context(), deadline.Add(budgetGrace))
 		defer cancel()
 		req = req.WithContext(withBudgetDeadline(ctx, deadline))
@@ -504,28 +411,27 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (a
 		}
 
 		var ent *cached
-		var shared bool
 		if useCache {
+			var shared bool
 			fspan := trace.Child(req.Context(), "singleflight.do")
 			ent, shared, err = s.flights.do(ctx, key, compute)
 			fspan.SetAttrs(trace.Bool("shared", shared))
 			fspan.End()
 			if shared {
-				cacheState = "shared"
+				rec.Cache = "shared"
 			}
 		} else {
 			ent, err = compute()
 		}
 		if err != nil {
-			status, errCode = s.writeMappedError(w, err)
-			return
+			return rec, err
 		}
-		status, pi = ent.status, ent.partial
 		if ent.status == http.StatusPartialContent {
 			s.mPartials.Inc()
 			// The degradation event ties the 206 to its cause: how much
 			// sampling the budget bought and how many worlds quarantine took.
-			span.Event("degraded",
+			pi := ent.partial
+			c.Span.Event("degraded",
 				trace.Int("achieved", int64(pi.Achieved)),
 				trace.Int("requested", int64(pi.Requested)),
 				trace.Float("error_bound", pi.ErrorBound),
@@ -539,7 +445,15 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (a
 			s.cache.put(ent)
 		}
 		writeCached(w, ent, false)
+		return ent.record(rec.Cache), nil
 	})
+}
+
+// record is the request-log record of a request answered with ent.
+func (ent *cached) record(cache string) trace.RequestRecord {
+	pi := ent.partial
+	return trace.RequestRecord{Status: ent.status, Cache: cache,
+		Partial: pi.Degraded, Achieved: pi.Achieved, Requested: pi.Requested, ErrorBound: pi.ErrorBound}
 }
 
 func writeCached(w http.ResponseWriter, ent *cached, hit bool) {
@@ -551,13 +465,13 @@ func writeCached(w http.ResponseWriter, ent *cached, hit bool) {
 	api.WriteBody(w, ent.status, ent.body)
 }
 
-// writeMappedError maps err onto the /v1 error envelope and returns the
-// (status, code) it wrote, for the request's span and log line.
-func (s *Server) writeMappedError(w http.ResponseWriter, err error) (int, string) {
+// mapError maps err onto the /v1 error envelope the daemon envelope writes,
+// counting every error but a 429 in server.errors.
+func (s *Server) mapError(err error) *api.Error {
 	var ae *api.Error
 	switch {
 	case errors.As(err, &ae):
-		// Raised by a handler or a request parser: written as is.
+		// Raised by a handler, a request parser or the envelope: written as is.
 	case errors.Is(err, errOverload):
 		s.mRejected.Inc()
 		ae = &api.Error{Status: http.StatusTooManyRequests, Code: api.CodeOverloaded, Msg: err.Error(), RetryAfter: time.Second}
@@ -570,22 +484,16 @@ func (s *Server) writeMappedError(w http.ResponseWriter, err error) (int, string
 	default:
 		ae = &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Msg: err.Error()}
 	}
-	return s.writeError(w, ae)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, e *api.Error) (int, string) {
-	if e.Status != http.StatusTooManyRequests {
+	if ae.Status != http.StatusTooManyRequests {
 		s.mErrors.Inc()
 	}
-	api.WriteError(w, e)
-	return e.Status, e.Code
+	return ae
 }
 
 // cacheKey canonicalizes the request into a cache key: endpoint, path (which
 // carries {node}), sorted query parameters, and the index fingerprint, so a
 // daemon restarted over different artifacts never replays stale entries.
-func (s *Server) cacheKey(name string, req *http.Request) string {
-	q := req.URL.Query()
+func (s *Server) cacheKey(name, path string, q url.Values) string {
 	keys := make([]string, 0, len(q))
 	for k := range q {
 		keys = append(keys, k)
@@ -594,7 +502,7 @@ func (s *Server) cacheKey(name string, req *http.Request) string {
 	var b strings.Builder
 	b.WriteString(name)
 	b.WriteByte(' ')
-	b.WriteString(req.URL.Path)
+	b.WriteString(path)
 	b.WriteByte('?')
 	for i, k := range keys {
 		if i > 0 {

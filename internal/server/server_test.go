@@ -15,6 +15,7 @@ import (
 	"soi/internal/api"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
+	"soi/internal/daemon"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -509,9 +510,14 @@ func TestLoadSmoke64Clients(t *testing.T) {
 	}
 }
 
+// TestGracefulDrain drives the drain the way the daemons run it: the server
+// behind the one daemon listener, its drain flag flipped before the listener
+// shuts down.
 func TestGracefulDrain(t *testing.T) {
 	s := newTestServer(t, nil)
-	addr, err := s.Start("127.0.0.1:0")
+	gate := daemon.NewGate()
+	gate.Ready(s.Handler())
+	addr, err := gate.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +546,8 @@ func TestGracefulDrain(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		done <- s.Shutdown(ctx)
+		s.Drain()
+		done <- gate.Shutdown(ctx)
 	}()
 
 	if code := <-slow; code != 200 {
@@ -599,7 +606,7 @@ func TestReadyzSurfacesFingerprints(t *testing.T) {
 // liveness 200 / readiness 503 "loading" before artifacts load, then serves
 // the real handler after Ready.
 func TestGateLoadingToReady(t *testing.T) {
-	g := NewGate()
+	g := daemon.NewGate()
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != http.StatusOK {

@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"soi/internal/api"
 	"soi/internal/trace"
@@ -285,11 +283,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 // Retry-After header and the retry_after_ms hint.
 func TestRetryAfterOnDrain503(t *testing.T) {
 	s := newTestServer(t, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	s.Drain()
 	rec, body := do(t, s, "/v1/sphere/1")
 	if rec.Code != 503 {
 		t.Fatalf("status %d, want 503", rec.Code)

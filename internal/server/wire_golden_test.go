@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"soi/internal/daemon"
 	"soi/internal/fault"
 	"soi/internal/sketch"
 )
@@ -120,15 +121,13 @@ func TestWireGolden(t *testing.T) {
 	cases = append(cases, wireCase("error internal", bare, "/v1/spread?seeds=2"))
 	fault.SetActive(false)
 
-	gate := NewGate()
+	gate := daemon.NewGate()
 	cases = append(cases,
 		wireCase("readyz loading", gate, "/readyz"),
 		wireCase("error loading", gate, "/v1/sphere/1"))
 
 	drained := newTestServer(t, nil)
-	if err := drained.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drained.Drain()
 	cases = append(cases,
 		wireCase("readyz draining", drained.Handler(), "/readyz"),
 		wireCase("error draining", drained.Handler(), "/v1/sphere/3"))

@@ -4,12 +4,9 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync"
-	"time"
 )
 
 // promName maps a dotted metric name to a Prometheus-safe identifier:
@@ -119,58 +116,4 @@ func (f *expvarFunc) String() string {
 		return "{}"
 	}
 	return strings.TrimSuffix(string(b), "\n")
-}
-
-// DebugServer is a running debug HTTP endpoint; see Serve.
-type DebugServer struct {
-	Addr string // actual listen address (resolves ":0")
-	srv  *http.Server
-	done chan struct{}
-}
-
-// Serve starts an HTTP server on addr (e.g. "localhost:6060" or ":0")
-// exposing:
-//
-//	/metrics       Prometheus text exposition of this registry
-//	/debug/vars    expvar JSON (includes the registry if published)
-//	/debug/pprof/  the full net/http/pprof suite (profile, heap, trace, ...)
-//
-// The mux is private, so pprof is only reachable through this listener and
-// never leaks onto http.DefaultServeMux consumers. Serve returns once the
-// listener is bound; the caller owns Close.
-func Serve(addr string, r *Registry) (*DebugServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ds := &DebugServer{
-		Addr: ln.Addr().String(),
-		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second},
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(ds.done)
-		// ErrServerClosed is the normal Close path; anything else is lost
-		// (this is a best-effort debug endpoint).
-		_ = ds.srv.Serve(ln)
-	}()
-	return ds, nil
-}
-
-// Close shuts the debug server down and waits for its goroutine to exit.
-func (d *DebugServer) Close() error {
-	if d == nil {
-		return nil
-	}
-	err := d.srv.Close()
-	<-d.done
-	return err
 }

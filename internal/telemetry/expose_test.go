@@ -3,8 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 )
@@ -61,55 +59,6 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestServe boots the debug endpoint on an ephemeral port and checks that
-// /metrics, /debug/vars, and /debug/pprof respond — the same surface a user
-// reaches with curl during a -debug-addr run.
-func TestServe(t *testing.T) {
-	r := New()
-	r.Counter("worlds.sampled").Add(5)
-	PublishExpvar("soi-test-serve", r)
-	ds, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	get := func(path string) (int, string, string) {
-		resp, err := http.Get("http://" + ds.Addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
-	}
-
-	code, body, ctype := get("/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "soi_worlds_sampled_total 5") {
-		t.Errorf("/metrics: code=%d body=%q", code, body)
-	}
-	if !strings.HasPrefix(ctype, "text/plain; version=0.0.4") {
-		t.Errorf("/metrics content-type = %q", ctype)
-	}
-
-	code, body, _ = get("/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, "soi-test-serve") {
-		t.Errorf("/debug/vars: code=%d", code)
-	}
-
-	code, body, _ = get("/debug/pprof/cmdline")
-	if code != http.StatusOK || body == "" {
-		t.Errorf("/debug/pprof/cmdline: code=%d", code)
-	}
-
-	// /debug/pprof/profile with a tiny window proves CPU profiling is
-	// servable end to end.
-	code, body, _ = get("/debug/pprof/profile?seconds=1")
-	if code != http.StatusOK || len(body) == 0 {
-		t.Errorf("/debug/pprof/profile: code=%d len=%d", code, len(body))
 	}
 }
 

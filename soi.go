@@ -76,14 +76,6 @@ type TelemetryReport = telemetry.Report
 // mount it on any mux. A nil registry serves an empty (valid) page.
 func TelemetryHandler(r *Telemetry) http.Handler { return r.Handler() }
 
-// ServeTelemetry starts a debug HTTP server on addr exposing r as
-// Prometheus /metrics and expvar /debug/vars alongside net/http/pprof. Close
-// the returned server when done. addr supports ":0" for an ephemeral port
-// (see the server's Addr field for the resolved address).
-func ServeTelemetry(addr string, r *Telemetry) (*telemetry.DebugServer, error) {
-	return telemetry.Serve(addr, r)
-}
-
 // ResumeConfig configures the crash-safe execution layer that BuildIndex,
 // AllTypicalCascades, ExpectedSpread and SelectSeedsRR take as their last
 // argument: a checkpoint file (periodically, atomically flushed off the
