@@ -1,8 +1,10 @@
 package infmax
 
 import (
+	"slices"
 	"testing"
 
+	"soi/internal/datasets"
 	"soi/internal/graph"
 )
 
@@ -90,5 +92,33 @@ func TestDegreeDiscountDistinctSeeds(t *testing.T) {
 			t.Fatalf("duplicate seed %d", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestDegreeDiscountPinnedSeeds pins the k = 30 seed sequences on six
+// configurations at scale 0.25 (learnt and assigned probabilities, every
+// network but one), so a change to the selection loop that reorders picks
+// or near-ties shows up as a diff here.
+func TestDegreeDiscountPinnedSeeds(t *testing.T) {
+	pinned := map[string][]graph.NodeID{
+		"digg-S":     {202, 733, 90, 609, 548, 774, 802, 365, 669, 493, 225, 139, 772, 614, 453, 824, 144, 218, 400, 544, 639, 356, 545, 638, 799, 311, 196, 541, 368, 391},
+		"flixster-G": {295, 810, 961, 672, 1449, 159, 1252, 424, 681, 1152, 1376, 859, 987, 1383, 1455, 1430, 482, 7, 1208, 1312, 1464, 1689, 708, 799, 711, 1272, 111, 19, 23, 43},
+		"twitter-S":  {276, 217, 227, 290, 152, 165, 67, 39, 278, 23, 5, 114, 283, 255, 68, 14, 238, 207, 0, 29, 220, 81, 22, 191, 280, 2, 31, 295, 172, 291},
+		"nethept-F":  {104, 34, 178, 88, 36, 184, 13, 120, 15, 18, 25, 141, 74, 56, 55, 77, 73, 27, 22, 152, 65, 103, 23, 117, 37, 67, 81, 98, 106, 109},
+		"epinions-W": {904, 748, 684, 159, 674, 761, 191, 768, 802, 171, 812, 923, 938, 693, 754, 836, 813, 789, 495, 727, 850, 906, 706, 899, 919, 477, 549, 467, 832, 892},
+		"slashdot-F": {718, 801, 482, 780, 879, 210, 734, 908, 850, 649, 685, 623, 448, 842, 568, 957, 806, 867, 917, 937, 635, 522, 656, 748, 772, 925, 845, 853, 893, 930},
+	}
+	for name, want := range pinned {
+		d, err := datasets.Load(name, datasets.Config{Scale: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := DegreeDiscount(d.Graph, len(want), d.Graph.MeanProb())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sel.Seeds, want) {
+			t.Errorf("%s: seeds %v, want %v", name, sel.Seeds, want)
+		}
 	}
 }
