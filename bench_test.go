@@ -18,6 +18,7 @@ import (
 	"soi/internal/infmax"
 	"soi/internal/jaccard"
 	"soi/internal/rng"
+	"soi/internal/scc"
 	"soi/internal/worlds"
 )
 
@@ -153,26 +154,34 @@ func benchGraph(b *testing.B) *Graph {
 	return d.Graph
 }
 
-func BenchmarkAblationTransitiveReduction(b *testing.B) {
+// BenchmarkAblationReduce times what Algorithm 1's transitive reduction
+// adds to the per-world condensation step (Build always reduces), and
+// reports the condensation edges it removes.
+func BenchmarkAblationReduce(b *testing.B) {
 	g := benchGraph(b)
-	for _, tr := range []struct {
-		name string
-		on   bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(tr.name, func(b *testing.B) {
-			var footprint, edges int64
+	ws := worlds.SampleMany(g, 2, 100)
+	decs := make([]*scc.Decomposition, len(ws))
+	for i, w := range ws {
+		decs[i] = scc.Tarjan(w)
+	}
+	for _, leg := range []struct {
+		name   string
+		reduce bool
+	}{{"condense", false}, {"condense+reduce", true}} {
+		b.Run(leg.name, func(b *testing.B) {
+			var edges int64
 			for i := 0; i < b.N; i++ {
-				x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 2, TransitiveReduction: tr.on}, checkpoint.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				footprint = x.MemoryFootprint()
 				edges = 0
-				for w := 0; w < x.NumWorlds(); w++ {
-					edges += int64(x.CondensationEdges(w))
+				for j, w := range ws {
+					dag := scc.Condense(w, decs[j])
+					if leg.reduce {
+						dag = scc.Reduce(dag, scc.DefaultMaxExactReduction)
+					}
+					for _, succs := range dag {
+						edges += int64(len(succs))
+					}
 				}
 			}
-			b.ReportMetric(float64(footprint), "index-bytes")
 			b.ReportMetric(float64(edges), "condensation-edges")
 		})
 	}
@@ -181,7 +190,7 @@ func BenchmarkAblationTransitiveReduction(b *testing.B) {
 func BenchmarkAblationSCCIndexVsDirectBFS(b *testing.B) {
 	g := benchGraph(b)
 	const ell = 100
-	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: 3, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: 3}, checkpoint.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -346,7 +355,7 @@ func BenchmarkAblationStdSharedVsMC(b *testing.B) {
 func BenchmarkIndexBuild(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := index.Build(context.Background(), g, index.Options{Samples: 200, Seed: 11, TransitiveReduction: true}, checkpoint.Config{}); err != nil {
+		if _, err := index.Build(context.Background(), g, index.Options{Samples: 200, Seed: 11}, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -428,69 +437,6 @@ func BenchmarkAblationRRSketch(b *testing.B) {
 			spread = mcSpread(b, g, sel.Seeds, 5000, 16)
 		}
 		b.ReportMetric(spread, "heldout-spread")
-	})
-}
-
-func BenchmarkAblationMedianRefinement(b *testing.B) {
-	// Prefix vs prefix+local-search: the refinement's cost reduction.
-	g := benchGraph(b)
-	x, err := index.Build(context.Background(), g, index.Options{Samples: 150, Seed: 17}, checkpoint.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := x.NewScratch()
-	probe := NodeID(0)
-	best := 0
-	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-		if sz := x.CascadeSize(v, 0, s); sz > best {
-			best, probe = sz, v
-		}
-	}
-	samples := x.Cascades(probe, s)
-	b.Run("prefix", func(b *testing.B) {
-		var med jaccard.Median
-		for i := 0; i < b.N; i++ {
-			med = jaccard.Prefix(samples)
-		}
-		b.ReportMetric(med.Cost, "median-cost")
-	})
-	b.Run("prefix+refine", func(b *testing.B) {
-		var med jaccard.Median
-		for i := 0; i < b.N; i++ {
-			med = jaccard.PrefixRefined(samples)
-		}
-		b.ReportMetric(med.Cost, "median-cost")
-	})
-}
-
-func BenchmarkAblationCELFvsCELFpp(b *testing.B) {
-	g := benchGraph(b)
-	x, err := index.Build(context.Background(), g, index.Options{Samples: 100, Seed: 18}, checkpoint.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const k = 20
-	b.Run("celf", func(b *testing.B) {
-		var evals int
-		for i := 0; i < b.N; i++ {
-			sel, err := infmax.Std(context.Background(), x, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			evals = sel.LazyEvaluations
-		}
-		b.ReportMetric(float64(evals), "gain-evals")
-	})
-	b.Run("celf++", func(b *testing.B) {
-		var evals int
-		for i := 0; i < b.N; i++ {
-			sel, err := infmax.StdCELFpp(x, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			evals = sel.LazyEvaluations
-		}
-		b.ReportMetric(float64(evals), "gain-evals")
 	})
 }
 

@@ -91,7 +91,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 	}
 	idxCfg := resume(".idx")
 	x, err := cliutil.RetryStale("infmax", idxCfg.Path, func() (*index.Index, error) {
-		return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed, TransitiveReduction: true, Telemetry: tel}, idxCfg)
+		return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed, Telemetry: tel}, idxCfg)
 	})
 	if !cliutil.Partial("infmax", err) && err != nil {
 		return err

@@ -160,7 +160,7 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	} else {
 		log.Printf("no -index given; building %d worlds in memory", samples)
 		x, err = index.Build(context.Background(), g, index.Options{
-			Samples: samples, Seed: seed, TransitiveReduction: true,
+			Samples: samples, Seed: seed,
 			Model: model, Telemetry: tel,
 		}, checkpoint.Config{})
 		if err != nil {

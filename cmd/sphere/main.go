@@ -52,7 +52,6 @@ func main() {
 		buildIndex  = flag.String("build-index", "", "build the index, save it to this path, and exit")
 		sketchOut   = flag.String("sketch-out", "", "build a combined bottom-k reachability sketch over the index worlds, save it to this path, and exit (requires -index or -build-index; serve with soid -sketch)")
 		sketchK     = flag.Int("sketch-k", sketch.DefaultK, "bottom-k sketch size: larger k tightens the Cohen bound (ε ≈ sqrt(6·ln(2/δ)/(k-1))) at k×8 bytes per node")
-		noTransRed  = flag.Bool("no-transitive-reduction", false, "disable the condensation transitive reduction")
 		ltModel     = flag.Bool("lt", false, "use the Linear Threshold model (edge weights must satisfy Σ_in <= 1)")
 		outPath     = flag.String("out", "", "write results here instead of stdout")
 		storePath   = flag.String("store", "", "with -all: also persist the spheres to this file (see cmd/infmax -spheres)")
@@ -75,7 +74,7 @@ func main() {
 		cliutil.Fail("sphere", err)
 	}
 	if err := run(ctx, *graphPath, *node, *all, *samples, *costSamples, *seed,
-		*algorithm, *indexPath, *buildIndex, *sketchOut, *sketchK, !*noTransRed, *ltModel, *outPath, *storePath, *modes,
+		*algorithm, *indexPath, *buildIndex, *sketchOut, *sketchK, *ltModel, *outPath, *storePath, *modes,
 		*shards, *shardOut, *ckptPath, *deadline, rt); err != nil {
 		rt.Finish(err)
 	}
@@ -83,7 +82,7 @@ func main() {
 }
 
 func run(ctx context.Context, graphPath string, node int, all bool, samples, costSamples int, seed uint64,
-	algorithm, indexPath, buildIndexPath, sketchOut string, sketchK int, transRed, lt bool, outPath, storePath string, modes int,
+	algorithm, indexPath, buildIndexPath, sketchOut string, sketchK int, lt bool, outPath, storePath string, modes int,
 	shards int, shardOut string, ckptPath string, deadline time.Duration, rt *cliutil.RunTelemetry) error {
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
@@ -128,11 +127,10 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		cfg := rt.ResumeConfig(suffix(ckptPath, ".idx"), deadline)
 		x, err = cliutil.RetryStale("sphere", cfg.Path, func() (*index.Index, error) {
 			return index.Build(ctx, g, index.Options{
-				Samples:             samples,
-				Seed:                seed,
-				TransitiveReduction: transRed,
-				Model:               model,
-				Telemetry:           tel,
+				Samples:   samples,
+				Seed:      seed,
+				Model:     model,
+				Telemetry: tel,
 			}, cfg)
 		})
 		if cliutil.Partial("sphere", err) {

@@ -45,7 +45,7 @@ func TestRunSingleNode(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir)
 	out := filepath.Join(dir, "out.txt")
-	if err := run(context.Background(), gp, 5, false, 50, 50, 1, "prefix", "", "", "", 0, true, false, out, "", 2, 0, "", "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, 5, false, 50, 50, 1, "prefix", "", "", "", 0, false, out, "", 2, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -66,7 +66,7 @@ func TestRunAllWithStore(t *testing.T) {
 	gp := writeTestGraph(t, dir)
 	out := filepath.Join(dir, "out.txt")
 	store := filepath.Join(dir, "spheres.bin")
-	if err := run(context.Background(), gp, -1, true, 30, 0, 1, "prefix", "", "", "", 0, true, false, out, store, 0, 0, "", "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, -1, true, 30, 0, 1, "prefix", "", "", "", 0, false, out, store, 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(store); err != nil {
@@ -78,11 +78,11 @@ func TestRunIndexRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir)
 	idx := filepath.Join(dir, "idx.bin")
-	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.txt")
-	if err := run(context.Background(), gp, 3, false, 0, 0, 1, "prefix", idx, "", "", 0, true, false, out, "", 0, 0, "", "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, 3, false, 0, 0, 1, "prefix", idx, "", "", 0, false, out, "", 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(out)
@@ -95,7 +95,7 @@ func TestRunLTModel(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir) // WC weights: valid LT input
 	out := filepath.Join(dir, "out.txt")
-	if err := run(context.Background(), gp, 2, false, 30, 20, 1, "prefix", "", "", "", 0, true, true, out, "", 0, 0, "", "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, 2, false, 30, 20, 1, "prefix", "", "", "", 0, true, out, "", 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,13 +111,13 @@ func TestRunCheckpointDeadline(t *testing.T) {
 	ckpt := filepath.Join(dir, "run.ckpt")
 	// 1ns: the deadline has passed by the time sampling starts, so the run
 	// degrades immediately but still completes at least one unit per phase.
-	if err := run(context.Background(), gp, -1, true, 40, 0, 1, "prefix", "", "", "", 0, true, false, out, "", 0, 0, "", ckpt, 1, noTel()); err != nil {
+	if err := run(context.Background(), gp, -1, true, 40, 0, 1, "prefix", "", "", "", 0, false, out, "", 0, 0, "", ckpt, 1, noTel()); err != nil {
 		t.Fatalf("degraded run failed hard: %v", err)
 	}
 	if _, err := os.Stat(ckpt + ".all"); err != nil {
 		t.Fatalf("sweep checkpoint missing after degraded run: %v", err)
 	}
-	if err := run(context.Background(), gp, -1, true, 40, 0, 1, "prefix", "", "", "", 0, true, false, out, "", 0, 0, "", ckpt, 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, -1, true, 40, 0, 1, "prefix", "", "", "", 0, false, out, "", 0, 0, "", ckpt, 0, noTel()); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	for _, suffix := range []string{".idx", ".all"} {
@@ -142,7 +142,7 @@ func TestRunStatsJSON(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir)
 	idx := filepath.Join(dir, "g.idx")
-	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -151,13 +151,13 @@ func TestRunStatsJSON(t *testing.T) {
 		spans []string // must each be top-level with seconds > 0
 	}{
 		{"sweep", func(ctx context.Context, rt *cliutil.RunTelemetry) error {
-			return run(ctx, gp, -1, true, 30, 0, 1, "prefix", "", "", "", 0, true, false, filepath.Join(dir, "out.txt"), "", 0, 0, "", "", 0, rt)
+			return run(ctx, gp, -1, true, 30, 0, 1, "prefix", "", "", "", 0, false, filepath.Join(dir, "out.txt"), "", 0, 0, "", "", 0, rt)
 		}, []string{"index.build", "core.compute_all"}},
 		{"shards", func(ctx context.Context, rt *cliutil.RunTelemetry) error {
-			return run(ctx, gp, -1, false, 30, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 2, filepath.Join(dir, "net"), "", 0, rt)
+			return run(ctx, gp, -1, false, 30, 0, 1, "prefix", "", "", "", 0, false, "", "", 0, 2, filepath.Join(dir, "net"), "", 0, rt)
 		}, []string{"index.build", "core.compute_all"}},
 		{"sketch", func(ctx context.Context, rt *cliutil.RunTelemetry) error {
-			return run(ctx, gp, -1, false, 30, 0, 1, "prefix", idx, "", filepath.Join(dir, "g.skc"), 0, true, false, "", "", 0, 0, "", "", 0, rt)
+			return run(ctx, gp, -1, false, 30, 0, 1, "prefix", idx, "", filepath.Join(dir, "g.skc"), 0, false, "", "", 0, 0, "", "", 0, rt)
 		}, []string{"sketch.build"}},
 	}
 	for _, tc := range cases {
@@ -212,16 +212,16 @@ func TestRunStatsJSON(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir)
-	if err := run(context.Background(), "", 1, false, 10, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
+	if err := run(context.Background(), "", 1, false, 10, 0, 1, "prefix", "", "", "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted missing graph")
 	}
-	if err := run(context.Background(), gp, 1, false, 10, 0, 1, "nope", "", "", "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
+	if err := run(context.Background(), gp, 1, false, 10, 0, 1, "nope", "", "", "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted unknown algorithm")
 	}
-	if err := run(context.Background(), gp, 999, false, 10, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
+	if err := run(context.Background(), gp, 999, false, 10, 0, 1, "prefix", "", "", "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted out-of-range node")
 	}
-	if err := run(context.Background(), gp, -1, false, 10, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
+	if err := run(context.Background(), gp, -1, false, 10, 0, 1, "prefix", "", "", "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted neither -node nor -all")
 	}
 }
@@ -233,7 +233,7 @@ func TestRunShardsManifestFingerprints(t *testing.T) {
 	dir := t.TempDir()
 	gp := writeTestGraph(t, dir)
 	prefix := filepath.Join(dir, "net")
-	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", "", "", 0, true, false, "", "", 0, 2, prefix, "", 0, noTel()); err != nil {
+	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", "", "", 0, false, "", "", 0, 2, prefix, "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 	topo, err := router.LoadTopology(prefix + "-topology.json")

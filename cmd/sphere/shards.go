@@ -86,11 +86,10 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 		}
 
 		x, err := index.Build(ctx, gs, index.Options{
-			Samples:             samples,
-			Seed:                seed + uint64(s), // deterministic, decorrelated across shards
-			TransitiveReduction: true,
-			Model:               model,
-			Telemetry:           rt.Registry,
+			Samples:   samples,
+			Seed:      seed + uint64(s), // deterministic, decorrelated across shards
+			Model:     model,
+			Telemetry: rt.Registry,
 		}, checkpoint.Config{})
 		if err != nil {
 			return fmt.Errorf("shard %d index: %w", s, err)

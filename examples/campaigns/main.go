@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 200, Seed: 72, TransitiveReduction: true}, soi.ResumeConfig{})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 200, Seed: 72}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

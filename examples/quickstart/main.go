@@ -28,7 +28,7 @@ func main() {
 
 	// Index ℓ = 1000 sampled possible worlds (SCC condensations + the
 	// node-to-component matrix of the paper's Algorithm 1).
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 7, TransitiveReduction: true}, soi.ResumeConfig{})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 7}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

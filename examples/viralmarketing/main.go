@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("network: %d nodes, %d edges, weighted-cascade probabilities\n",
 		g.NumNodes(), g.NumEdges())
 
-	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 400, Seed: 5, TransitiveReduction: true}, soi.ResumeConfig{})
+	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 400, Seed: 5}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,6 @@ type metricsSet struct {
 	spheres     *telemetry.Counter   // core.spheres_computed
 	sphereSize  *telemetry.Histogram // core.sphere_size
 	medianEvals *telemetry.Counter   // jaccard.median_evals
-	refineDelta *telemetry.Histogram // jaccard.refine_delta_ppm
 	medianNS    *telemetry.Histogram // core.median_ns
 	costNS      *telemetry.Histogram // core.cost_ns
 	wm          *worlds.Metrics
@@ -67,7 +66,6 @@ func newMetricsSet(tel *telemetry.Registry) *metricsSet {
 		spheres:     tel.Counter("core.spheres_computed"),
 		sphereSize:  tel.Histogram("core.sphere_size"),
 		medianEvals: tel.Counter("jaccard.median_evals"),
-		refineDelta: tel.Histogram("jaccard.refine_delta_ppm"),
 		medianNS:    tel.Histogram("core.median_ns"),
 		costNS:      tel.Histogram("core.cost_ns"),
 		wm:          worlds.NewMetrics(tel),
@@ -82,11 +80,6 @@ func (m *metricsSet) observe(res *Result, med jaccard.Median) {
 	m.spheres.Inc()
 	m.sphereSize.Observe(int64(len(res.Set)))
 	m.medianEvals.Add(int64(med.Evals))
-	if med.Delta > 0 {
-		// Cost deltas are fractions in [0,1]; store parts-per-million so the
-		// log-scale buckets resolve them.
-		m.refineDelta.Observe(int64(med.Delta * 1e6))
-	}
 	m.medianNS.Observe(res.MedianTime.Nanoseconds())
 	if res.CostTime > 0 {
 		m.costNS.Observe(res.CostTime.Nanoseconds())
@@ -113,10 +106,6 @@ const (
 	MedianMajority
 	// MedianExact brute-forces all subsets; only for tiny universes.
 	MedianExact
-	// MedianPrefixRefined runs the prefix algorithm and polishes the result
-	// with 1-swap steepest-descent local search — never worse than
-	// MedianPrefix, at roughly 2-4x its cost.
-	MedianPrefixRefined
 )
 
 func (a MedianAlgorithm) String() string {
@@ -127,8 +116,6 @@ func (a MedianAlgorithm) String() string {
 		return "majority"
 	case MedianExact:
 		return "exact"
-	case MedianPrefixRefined:
-		return "prefix+refine"
 	default:
 		return fmt.Sprintf("MedianAlgorithm(%d)", int(a))
 	}
@@ -274,8 +261,6 @@ func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median
 		return jaccard.Majority(samples, 0.5)
 	case MedianExact:
 		return jaccard.Exact(samples)
-	case MedianPrefixRefined:
-		return jaccard.PrefixRefined(samples)
 	default:
 		return jaccard.Prefix(samples)
 	}

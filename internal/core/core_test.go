@@ -322,21 +322,6 @@ func BenchmarkComputeTypicalCascade(b *testing.B) {
 	}
 }
 
-func TestPrefixRefinedNeverWorseThanPrefix(t *testing.T) {
-	g := paperGraph(t)
-	x := buildIndex(t, g, 250, 22)
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		p := Compute(x, v, Options{Algorithm: MedianPrefix})
-		pr := Compute(x, v, Options{Algorithm: MedianPrefixRefined})
-		if pr.SampleCost > p.SampleCost+1e-12 {
-			t.Fatalf("node %d: refined %v worse than prefix %v", v, pr.SampleCost, p.SampleCost)
-		}
-	}
-	if MedianPrefixRefined.String() != "prefix+refine" {
-		t.Fatal("label wrong")
-	}
-}
-
 // computeAll is the plain all-nodes sweep.
 func computeAll(tb testing.TB, x *index.Index, opts Options) []Result {
 	tb.Helper()

@@ -15,7 +15,7 @@ func TestComputeWeightedReducesToUnweighted(t *testing.T) {
 	for i := range unit {
 		unit[i] = 1
 	}
-	plain := Compute(x, 4, Options{Algorithm: MedianPrefixRefined})
+	plain := Compute(x, 4, Options{Algorithm: MedianPrefix})
 	weighted := ComputeWeighted(x, []graph.NodeID{4}, unit, Options{})
 	if math.Abs(plain.SampleCost-weighted.SampleCost) > 1e-9 {
 		t.Fatalf("unit weights: %v vs %v", weighted.SampleCost, plain.SampleCost)

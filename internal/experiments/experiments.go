@@ -120,11 +120,7 @@ func (c *Config) ctx() context.Context {
 
 // buildIndex builds the method index for a dataset.
 func (c *Config) buildIndex(g *graph.Graph) (*index.Index, error) {
-	return c.buildResumable(g, index.Options{
-		Samples:             c.Samples,
-		Seed:                c.Seed ^ methodWorldTag,
-		TransitiveReduction: true,
-	})
+	return c.buildResumable(g, index.Options{Samples: c.Samples, Seed: c.Seed ^ methodWorldTag})
 }
 
 // buildEvalIndex builds the held-out evaluation index (independent worlds).

@@ -241,7 +241,7 @@ func TestExtMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
+	if len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	byMethod := map[string]float64{}

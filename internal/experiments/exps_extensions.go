@@ -93,7 +93,7 @@ type ExtMethodsRow struct {
 }
 
 // ExtMethods compares all seed-selection methods (TC, std shared-worlds,
-// std CELF++, RR sketch, degree, random) on held-out worlds at k = cfg.K.
+// RR sketch, degree, random) on held-out worlds at k = cfg.K.
 func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 	cfg.defaults()
 	names := cfg.Datasets
@@ -124,8 +124,6 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 				return infmax.TC(cfg.ctx(), d.Graph, spheres, cfg.K, infmax.TCOptions{})
 			case "std":
 				return infmax.Std(cfg.ctx(), x, cfg.K)
-			case "std-celf++":
-				return infmax.StdCELFpp(x, cfg.K)
 			case "rr":
 				return infmax.RR(cfg.ctx(), d.Graph, cfg.K, infmax.RROptions{Sets: 20 * cfg.Samples, Seed: cfg.Seed}, checkpoint.Config{})
 			case "degree":
@@ -136,7 +134,7 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 		}
 		tbl := stats.NewTable("method", "σ(S) held-out", "gain evals")
 		s := eval.NewScratch()
-		for _, m := range []string{"tc", "std", "std-celf++", "rr", "degree", "random"} {
+		for _, m := range []string{"tc", "std", "rr", "degree", "random"} {
 			sel, err := run(m)
 			if err != nil {
 				return nil, err

@@ -18,7 +18,7 @@ import (
 // checks is out of scope: keep graph and index files paired.)
 func TestReadSurvivesRandomCorruption(t *testing.T) {
 	g := randomGraph(t, 111, 40, 160)
-	x, err := Build(context.Background(), g, Options{Samples: 4, Seed: 112, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: 4, Seed: 112}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

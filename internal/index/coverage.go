@@ -86,66 +86,6 @@ func (c *Coverage) gainInWorld(v graph.NodeID, i int, s *Scratch) int {
 	return gain
 }
 
-// MarginalGain2 returns, in one pass over the worlds, both the marginal
-// gain of v w.r.t. the current coverage and the marginal gain of v w.r.t.
-// the coverage plus w's cascades (gain(v | S) and gain(v | S ∪ {w})) —
-// the double evaluation CELF++ amortizes. Neither coverage nor w's state is
-// mutated. s and s2 must be distinct scratches.
-func (c *Coverage) MarginalGain2(v, w graph.NodeID, s, s2 *Scratch) (gainV, gainVAfterW int64) {
-	for i := 0; i < c.x.NumWorlds(); i++ {
-		e := c.x.world(i)
-		if e == nil {
-			continue
-		}
-		cov := c.covered[i]
-		// Mark w's uncovered cascade components in s2 (closed under
-		// condensation reachability, so pruning at covered is sound).
-		s2.comps = s2.comps[:0]
-		wRoot := e.comp[w]
-		if !cov[wRoot] {
-			s2.comps = append(s2.comps, wRoot)
-			s2.mark[wRoot] = true
-			for head := 0; head < len(s2.comps); head++ {
-				for _, d := range e.succs(s2.comps[head]) {
-					if !s2.mark[d] && !cov[d] {
-						s2.mark[d] = true
-						s2.comps = append(s2.comps, d)
-					}
-				}
-			}
-		}
-		// Traverse v's uncovered cascade; comps also in s2.mark are covered
-		// in the S ∪ {w} scenario.
-		root := e.comp[v]
-		if !cov[root] {
-			s.comps = s.comps[:0]
-			s.comps = append(s.comps, root)
-			s.mark[root] = true
-			for head := 0; head < len(s.comps); head++ {
-				cc := s.comps[head]
-				size := int64(e.memberOff[cc+1] - e.memberOff[cc])
-				gainV += size
-				if !s2.mark[cc] {
-					gainVAfterW += size
-				}
-				for _, d := range e.succs(cc) {
-					if !s.mark[d] && !cov[d] {
-						s.mark[d] = true
-						s.comps = append(s.comps, d)
-					}
-				}
-			}
-			for _, cc := range s.comps {
-				s.mark[cc] = false
-			}
-		}
-		for _, cc := range s2.comps {
-			s2.mark[cc] = false
-		}
-	}
-	return gainV, gainVAfterW
-}
-
 // Add marks v's cascades as covered in every world and returns the realized
 // gain (identical to MarginalGain(v) immediately beforehand).
 func (c *Coverage) Add(v graph.NodeID, s *Scratch) int64 {

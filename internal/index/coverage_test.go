@@ -11,7 +11,7 @@ import (
 
 func TestCoverageMatchesCascadeSizes(t *testing.T) {
 	g := randomGraph(t, 21, 60, 240)
-	x, err := Build(context.Background(), g, Options{Samples: 10, Seed: 5, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: 10, Seed: 5}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

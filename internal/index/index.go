@@ -62,13 +62,6 @@ type Options struct {
 	// Progress, if non-nil, is called after each world is indexed with
 	// (done, total). Calls are serialized.
 	Progress func(done, total int)
-	// TransitiveReduction applies the Aho–Garey–Ullman reduction to each
-	// condensation (the paper's space optimization). Costs build time,
-	// saves index space and query edge traversals.
-	TransitiveReduction bool
-	// MaxExactReduction is the component threshold for the exact reduction
-	// (see scc.Reduce); 0 selects the default.
-	MaxExactReduction int
 	// Model selects IC (default) or LT live-edge sampling.
 	Model Model
 	// Telemetry, if non-nil, receives build metrics (worlds sampled, SCC
@@ -244,10 +237,9 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 		world = worlds.Sample(g, r, bm.wm)
 	}
 	dec := scc.Tarjan(world)
-	dag := scc.Condense(world, dec)
-	if opts.TransitiveReduction {
-		dag = scc.Reduce(dag, opts.MaxExactReduction)
-	}
+	// Every condensation is transitively reduced (Algorithm 1's space
+	// optimization); reachability, and so every cascade, is unchanged.
+	dag := scc.Reduce(scc.Condense(world, dec), scc.DefaultMaxExactReduction)
 	memberOff, members := membersCSR(dec.Comp, dec.NumComps)
 	succOff := make([]int32, dec.NumComps+1)
 	for c, succs := range dag {

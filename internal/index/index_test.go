@@ -71,26 +71,24 @@ func TestBuildDeterministic(t *testing.T) {
 // the indexed cascade of (v, i) must equal BFS reachability in the
 // identically-seeded sampled world.
 func TestCascadeMatchesDirectWorldReachability(t *testing.T) {
-	for _, tr := range []bool{false, true} {
-		g := randomGraph(t, 2, 60, 240)
-		const ell = 12
-		x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 7, TransitiveReduction: tr}, checkpoint.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := worlds.SampleMany(g, 7, ell)
-		s := x.NewScratch()
-		visited := make([]bool, g.NumNodes())
-		for i := 0; i < ell; i++ {
-			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-				got := x.Cascade(v, i, s, nil)
-				want := ws[i].Reachable(v, visited, nil)
-				if !equal(got, want) {
-					t.Fatalf("tr=%v world %d node %d: index %v, direct %v", tr, i, v, got, want)
-				}
-				if gotSize := x.CascadeSize(v, i, s); gotSize != len(want) {
-					t.Fatalf("tr=%v world %d node %d: CascadeSize %d, want %d", tr, i, v, gotSize, len(want))
-				}
+	g := randomGraph(t, 2, 60, 240)
+	const ell = 12
+	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 7}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := worlds.SampleMany(g, 7, ell)
+	s := x.NewScratch()
+	visited := make([]bool, g.NumNodes())
+	for i := 0; i < ell; i++ {
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			got := x.Cascade(v, i, s, nil)
+			want := ws[i].Reachable(v, visited, nil)
+			if !equal(got, want) {
+				t.Fatalf("world %d node %d: index %v, direct %v", i, v, got, want)
+			}
+			if gotSize := x.CascadeSize(v, i, s); gotSize != len(want) {
+				t.Fatalf("world %d node %d: CascadeSize %d, want %d", i, v, gotSize, len(want))
 			}
 		}
 	}
@@ -99,7 +97,7 @@ func TestCascadeMatchesDirectWorldReachability(t *testing.T) {
 func TestCascadeFromSetMatchesDirect(t *testing.T) {
 	g := randomGraph(t, 3, 50, 200)
 	const ell = 8
-	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 11, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 11}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,41 +162,9 @@ func TestCascadesCollection(t *testing.T) {
 	}
 }
 
-func TestTransitiveReductionShrinksDAG(t *testing.T) {
-	// Dense graph with high probabilities: condensations have many
-	// redundant edges, so reduction must help (or at least not hurt).
-	g := randomGraph(t, 8, 40, 600)
-	gHigh, err := g.WithProbs(func(u, v graph.NodeID, old float64) float64 { return 0.5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Build(context.Background(), gHigh, Options{Samples: 10, Seed: 9}, checkpoint.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reduced, err := Build(context.Background(), gHigh, Options{Samples: 10, Seed: 9, TransitiveReduction: true}, checkpoint.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, re := 0, 0
-	for i := 0; i < 10; i++ {
-		pe += plain.CondensationEdges(i)
-		re += reduced.CondensationEdges(i)
-	}
-	if re > pe {
-		t.Fatalf("reduction grew edges: %d > %d", re, pe)
-	}
-	if re == pe {
-		t.Logf("reduction removed nothing (%d edges); acceptable but unusual for this density", pe)
-	}
-	if reduced.MemoryFootprint() > plain.MemoryFootprint() {
-		t.Fatalf("reduction grew memory: %d > %d", reduced.MemoryFootprint(), plain.MemoryFootprint())
-	}
-}
-
 func TestSerializationRoundTrip(t *testing.T) {
 	g := randomGraph(t, 12, 70, 280)
-	x, err := Build(context.Background(), g, Options{Samples: 9, Seed: 13, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: 9, Seed: 13}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +240,7 @@ func TestQuickIndexMatchesWorlds(t *testing.T) {
 		n := r.Intn(25) + 3
 		g := randomGraph(t, seed^0xABCD, n, 4*n)
 		const ell = 5
-		x, err := Build(context.Background(), g, Options{Samples: ell, Seed: seed, TransitiveReduction: seed%2 == 0}, checkpoint.Config{})
+		x, err := Build(context.Background(), g, Options{Samples: ell, Seed: seed}, checkpoint.Config{})
 		if err != nil {
 			return false
 		}

@@ -37,7 +37,7 @@ func wcGraph(t testing.TB, seed uint64, n, m int) *graph.Graph {
 func TestLTIndexMatchesLTWorlds(t *testing.T) {
 	g := wcGraph(t, 61, 50, 200)
 	const ell = 10
-	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 62, Model: LT, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 62, Model: LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

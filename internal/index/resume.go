@@ -34,17 +34,15 @@ func (x *Index) compact(done *checkpoint.Bitmap) *Index {
 	return out
 }
 
-// BuildFingerprint keys Build checkpoints: any change to the graph,
-// the sample count, the seed, the model, or the reduction options yields a
-// different fingerprint and makes old checkpoints checkpoint.ErrStale.
+// BuildFingerprint keys Build checkpoints: any change to the graph, the
+// sample count, the seed or the model yields a different fingerprint and
+// makes old checkpoints checkpoint.ErrStale.
 func BuildFingerprint(g *graph.Graph, opts Options) uint64 {
 	return checkpoint.NewHasher().
 		String("index.Build").
 		Graph(g).
 		Int(opts.Samples).
 		Uint64(opts.Seed).
-		Bool(opts.TransitiveReduction).
-		Int(opts.MaxExactReduction).
 		Int(int(opts.Model)).
 		Sum()
 }

@@ -21,7 +21,7 @@ import (
 func v3Fixture(t testing.TB, seed uint64, samples int) (*graph.Graph, *Index, string, []byte) {
 	t.Helper()
 	g := randomGraph(t, seed, 25, 90)
-	x, err := Build(context.Background(), g, Options{Samples: samples, Seed: seed + 1, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: samples, Seed: seed + 1}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestOpenMmapMatchesEagerRead(t *testing.T) {
 // one fingerprint through both loaders.
 func TestOneFingerprintPerIndex(t *testing.T) {
 	g := randomGraph(t, 281, 25, 90)
-	opts := Options{Samples: 5, Seed: 282, TransitiveReduction: true}
+	opts := Options{Samples: 5, Seed: 282}
 	x, err := Build(context.Background(), g, opts, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package infmax
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 
 	"soi/internal/graph"
@@ -28,51 +28,29 @@ func DegreeDiscount(g *graph.Graph, k int, p float64) (Selection, error) {
 		return Selection{}, fmt.Errorf("infmax: DegreeDiscount needs p in (0,1], got %v", p)
 	}
 	n := g.NumNodes()
-	if k > n {
-		k = n
-	}
 	deg := make([]float64, n)
 	tsel := make([]float64, n) // selected in-neighbors
 	for v := 0; v < n; v++ {
 		deg[v] = float64(g.OutDegree(graph.NodeID(v)))
 	}
-	dd := func(v int) float64 {
-		return deg[v] - 2*tsel[v] - (deg[v]-tsel[v])*tsel[v]*p
+	// dd only decreases as seeds are added, so the lazy CELF loop applies
+	// unchanged: a node's cached score is an upper bound on its current one.
+	dd := func(v graph.NodeID) (float64, error) {
+		return deg[v] - 2*tsel[v] - (deg[v]-tsel[v])*tsel[v]*p, nil
 	}
-
-	q := make(celfQueue, 0, n)
-	for v := 0; v < n; v++ {
-		q = append(q, celfItem{node: graph.NodeID(v), gain: dd(v), round: 0})
-	}
-	heap.Init(&q)
-
 	chosen := make([]bool, n)
-	sel := Selection{Seeds: make([]graph.NodeID, 0, k), Gains: make([]float64, 0, k)}
-	for round := 1; round <= k && len(q) > 0; {
-		top := heap.Pop(&q).(celfItem)
-		if chosen[top.node] {
-			continue
-		}
-		if cur := dd(int(top.node)); cur < top.gain-1e-12 {
-			// Stale score: re-queue with the discounted value (lazy update,
-			// exactly like CELF — dd only decreases as seeds are added).
-			top.gain = cur
-			heap.Push(&q, top)
-			sel.LazyEvaluations++
-			continue
-		}
-		chosen[top.node] = true
-		sel.Seeds = append(sel.Seeds, top.node)
-		sel.Gains = append(sel.Gains, top.gain)
-		round++
+	commit := func(v graph.NodeID) (float64, error) {
+		realized, _ := dd(v)
+		chosen[v] = true
 		// Discount the out-neighbors' scores via their in-edge from the
 		// new seed (on undirected/mutual graphs this is the classical rule).
-		nbrs, _ := g.Neighbors(top.node)
+		nbrs, _ := g.Neighbors(v)
 		for _, w := range nbrs {
 			if !chosen[w] {
 				tsel[w]++
 			}
 		}
+		return realized, nil
 	}
-	return sel, nil
+	return celfGreedy(context.Background(), n, k, dd, commit, greedyMetrics{})
 }

@@ -97,12 +97,12 @@ func TestConformanceSampledMedianTheorem2(t *testing.T) {
 
 	// The prefix heuristic transfers through its measured empirical gap:
 	// rho(prefix) <= rho(C*) + gap + 2*eps_union.
-	pfx := PrefixRefined(sets)
+	pfx := Prefix(sets)
 	gap := pfx.Cost - med.Cost
 	if gap < 0 {
-		t.Fatalf("refined prefix empirical cost %v beats the exhaustive optimum %v", pfx.Cost, med.Cost)
+		t.Fatalf("prefix empirical cost %v beats the exhaustive optimum %v", pfx.Cost, med.Cost)
 	}
-	statcheck.AtMost(t, "sampled refined prefix median", dist.Rho(pfx.Set), bestCost+gap, erm)
+	statcheck.AtMost(t, "sampled prefix median", dist.Rho(pfx.Set), bestCost+gap, erm)
 }
 
 // bruteWeightedMedian is the weighted analog of bruteMedian.

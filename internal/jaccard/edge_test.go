@@ -2,12 +2,13 @@ package jaccard
 
 import "testing"
 
-// Edge cases for Refine: degenerate collections where the optimum is known
-// in closed form.
+// Edge cases for WeightedRefine's 1-swap local search under unit weights
+// (nil weight): degenerate collections where the optimum is known in
+// closed form.
 
 func TestRefineSingleSample(t *testing.T) {
 	sets := []Set{{3, 7, 9}}
-	med := Refine(sets, Set{}, 0)
+	med := WeightedRefine(sets, nil, Set{}, 0)
 	if med.Cost != 0 {
 		t.Fatalf("single-sample refinement from empty has cost %v, want 0", med.Cost)
 	}
@@ -18,13 +19,13 @@ func TestRefineSingleSample(t *testing.T) {
 
 func TestRefineAllIdenticalCascades(t *testing.T) {
 	sets := []Set{{1, 4}, {1, 4}, {1, 4}, {1, 4}}
-	// From the identical set: already optimal, no improvement possible.
-	med := Refine(sets, Set{1, 4}, 0)
-	if med.Cost != 0 || med.Delta != 0 {
-		t.Fatalf("identical cascades from optimum: cost %v delta %v", med.Cost, med.Delta)
+	// From the identical set: already optimal, no toggle applies.
+	med := WeightedRefine(sets, nil, Set{1, 4}, 0)
+	if med.Cost != 0 || len(med.Set) != 2 || med.Set[0] != 1 || med.Set[1] != 4 {
+		t.Fatalf("identical cascades from optimum: %+v", med)
 	}
 	// From empty: local search must walk all the way to the shared set.
-	med = Refine(sets, Set{}, 0)
+	med = WeightedRefine(sets, nil, Set{}, 0)
 	if med.Cost != 0 {
 		t.Fatalf("identical cascades from empty: cost %v, want 0", med.Cost)
 	}
@@ -34,7 +35,7 @@ func TestRefineSweepBudgetRespected(t *testing.T) {
 	sets := []Set{{1, 2, 3}, {1, 2, 3}}
 	// One sweep applies at most one toggle, so from empty the best single
 	// toggle adds one element and cost stays positive.
-	med := Refine(sets, Set{}, 1)
+	med := WeightedRefine(sets, nil, Set{}, 1)
 	if len(med.Set) > 1 {
 		t.Fatalf("maxSweeps=1 applied %d toggles", len(med.Set))
 	}

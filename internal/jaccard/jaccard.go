@@ -127,14 +127,10 @@ type Median struct {
 	Cost float64
 	// Evals counts the candidate medians whose cost the algorithm evaluated
 	// (for Prefix the empty prefix plus the prefixes scanned before its
-	// early exit, subsets for Exact, toggles for Refine). PrefixRefined
-	// adds Prefix's count to Refine's, so it too reflects the early exit.
-	// Callers aggregate it into telemetry; the algorithms themselves stay
+	// early exit, subsets for Exact, toggles for WeightedRefine). Callers
+	// aggregate it into telemetry; the algorithms themselves stay
 	// dependency-free.
 	Evals int
-	// Delta is the cost improvement local refinement achieved over its
-	// starting candidate; 0 for one-shot algorithms.
-	Delta float64
 }
 
 // Prefix computes the frequency-prefix Jaccard median of sets.

@@ -8,12 +8,22 @@ import (
 	"soi/internal/rng"
 )
 
+// The 1-swap local search lives in WeightedRefine; under unit weights (nil
+// weight) it is the unweighted refinement, so these properties are checked
+// on the plain Jaccard cost.
+
+// refineFromPrefix polishes the prefix median with unit-weight 1-swap
+// local search.
+func refineFromPrefix(sets []Set) Median {
+	return WeightedRefine(sets, nil, Prefix(sets).Set, 0)
+}
+
 func TestRefineNeverWorsens(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 100; trial++ {
 		sets := randomSets(r, 8, 25, 10)
 		start := Prefix(sets)
-		refined := Refine(sets, start.Set, 0)
+		refined := WeightedRefine(sets, nil, start.Set, 0)
 		if refined.Cost > start.Cost+1e-12 {
 			t.Fatalf("trial %d: refine worsened %v -> %v", trial, start.Cost, refined.Cost)
 		}
@@ -34,7 +44,7 @@ func TestRefineReachesOptimumMoreOften(t *testing.T) {
 		sets := randomSets(r, 6, 9, 6)
 		opt := Exact(sets)
 		p := Prefix(sets)
-		pr := PrefixRefined(sets)
+		pr := refineFromPrefix(sets)
 		if pr.Cost < opt.Cost-1e-9 {
 			t.Fatalf("refined beat the optimum: %v < %v", pr.Cost, opt.Cost)
 		}
@@ -59,7 +69,7 @@ func TestRefineIdempotentAtOptimum(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		sets := randomSets(r, 5, 8, 5)
 		opt := Exact(sets)
-		again := Refine(sets, opt.Set, 0)
+		again := WeightedRefine(sets, nil, opt.Set, 0)
 		if math.Abs(again.Cost-opt.Cost) > 1e-12 {
 			t.Fatalf("trial %d: refining the optimum changed cost %v -> %v",
 				trial, opt.Cost, again.Cost)
@@ -69,12 +79,12 @@ func TestRefineIdempotentAtOptimum(t *testing.T) {
 
 func TestRefineFromEmptyAndFull(t *testing.T) {
 	sets := []Set{{1, 2, 3}, {1, 2, 3}, {1, 2}}
-	fromEmpty := Refine(sets, Set{}, 0)
+	fromEmpty := WeightedRefine(sets, nil, Set{}, 0)
 	if fromEmpty.Cost > Prefix(sets).Cost+1e-12 {
 		t.Fatalf("refine from empty stuck at %v", fromEmpty.Cost)
 	}
 	full := Set{1, 2, 3}
-	fromFull := Refine(sets, full, 0)
+	fromFull := WeightedRefine(sets, nil, full, 0)
 	if fromFull.Cost > MeanDistance(full, sets)+1e-12 {
 		t.Fatal("refine from full worsened")
 	}
@@ -83,7 +93,7 @@ func TestRefineFromEmptyAndFull(t *testing.T) {
 func TestRefineRemovesForeignElements(t *testing.T) {
 	// Start contains an element no input set has: it must be dropped.
 	sets := []Set{{1}, {1}, {1}}
-	refined := Refine(sets, Set{1, 99}, 0)
+	refined := WeightedRefine(sets, nil, Set{1, 99}, 0)
 	if Contains(refined.Set, 99) {
 		t.Fatalf("foreign element survived: %v", refined.Set)
 	}
@@ -93,9 +103,9 @@ func TestRefineRemovesForeignElements(t *testing.T) {
 }
 
 func TestRefineEmptyCollection(t *testing.T) {
-	m := Refine(nil, Set{1, 2}, 0)
+	m := WeightedRefine(nil, nil, Set{1, 2}, 0)
 	if m.Cost != 0 || len(m.Set) != 2 {
-		t.Fatalf("Refine(nil) = %+v", m)
+		t.Fatalf("WeightedRefine(nil) = %+v", m)
 	}
 }
 
@@ -104,19 +114,10 @@ func TestQuickRefinedNeverWorseThanPrefix(t *testing.T) {
 		r := rng.New(seed)
 		sets := randomSets(r, 7, 20, 8)
 		p := Prefix(sets)
-		pr := PrefixRefined(sets)
+		pr := refineFromPrefix(sets)
 		return pr.Cost <= p.Cost+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkPrefixRefined(b *testing.B) {
-	r := rng.New(4)
-	sets := randomSets(r, 200, 300, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = PrefixRefined(sets)
 	}
 }

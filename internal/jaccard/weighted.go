@@ -166,9 +166,11 @@ func WeightedPrefix(sets []Set, weight []float64) Median {
 	return Median{Set: med, Cost: bestCost, Evals: len(elems) + 1}
 }
 
-// WeightedRefine polishes a weighted median with 1-swap steepest descent,
-// exactly like Refine but under the weighted cost. maxSweeps <= 0 selects
-// 64.
+// WeightedRefine polishes a weighted median with 1-swap steepest descent
+// under the weighted cost: each sweep evaluates the exact cost change of
+// toggling every element of the universe and applies the best improving
+// toggle, until a local optimum or maxSweeps sweeps. maxSweeps <= 0 selects
+// 64. The returned median's Cost is exact for the returned set.
 func WeightedRefine(sets []Set, weight []float64, start Set, maxSweeps int) Median {
 	k := len(sets)
 	if k == 0 {
@@ -245,7 +247,6 @@ func WeightedRefine(sets []Set, weight []float64, start Set, maxSweeps int) Medi
 		return total / float64(k)
 	}
 	cur := cost(wC, wInter)
-	startCost := cur
 	evals := 0
 	scratch := make([]float64, k)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -299,5 +300,5 @@ func WeightedRefine(sets []Set, weight []float64, start Set, maxSweeps int) Medi
 		}
 	}
 	final := cost(wC, wInter)
-	return Median{Set: out, Cost: final, Evals: evals, Delta: startCost - final}
+	return Median{Set: out, Cost: final, Evals: evals}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"soi/internal/graph"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 // lineGraph builds 0 -> 1 -> 2 -> ... -> n-1.
@@ -376,5 +378,43 @@ func BenchmarkTarjanSparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Tarjan(g)
+	}
+}
+
+// TestReduceShrinksSampledCondensations checks the reduction on what the
+// index feeds it: condensations of sampled worlds of a random graph just
+// above its percolation threshold (mean live out-degree 1.2), whose
+// redundant edges it must remove without changing reachability.
+func TestReduceShrinksSampledCondensations(t *testing.T) {
+	const n = 200
+	r := rng.New(8)
+	b := graph.NewBuilder(n)
+	for i := 0; i < 800; i++ {
+		u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+		if u != v {
+			b.AddEdge(u, v, 0.3)
+		}
+	}
+	g := b.MustBuild()
+	edges := func(dag SliceGraph) int {
+		m := 0
+		for _, succs := range dag {
+			m += len(succs)
+		}
+		return m
+	}
+	plain, reduced := 0, 0
+	for i, w := range worlds.SampleMany(g, 9, 10) {
+		dag := Condense(w, Tarjan(w))
+		red := Reduce(dag, DefaultMaxExactReduction)
+		if !sameReachability(dag, red) {
+			t.Fatalf("world %d: reduction changed reachability", i)
+		}
+		plain += edges(dag)
+		reduced += edges(red)
+	}
+	t.Logf("condensation edges %d -> %d", plain, reduced)
+	if reduced >= plain {
+		t.Fatalf("reduction did not shrink the condensations: %d -> %d edges", plain, reduced)
 	}
 }

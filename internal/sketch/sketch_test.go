@@ -30,7 +30,7 @@ func randomGraph(t testing.TB, n int, density float64, seed int64) *graph.Graph 
 
 func buildIndex(t testing.TB, g *graph.Graph, ell int, seed uint64) *index.Index {
 	t.Helper()
-	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: seed, TransitiveReduction: true}, checkpoint.Config{})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: ell, Seed: seed}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

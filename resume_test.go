@@ -116,7 +116,7 @@ func interruptResume(t *testing.T, path string, run func(cfg ResumeConfig) ([]by
 
 func TestBuildIndexInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
-	opts := IndexOptions{Samples: 40, Seed: 11, TransitiveReduction: true}
+	opts := IndexOptions{Samples: 40, Seed: 11}
 	interruptResume(t, filepath.Join(t.TempDir(), "idx.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
 		x, err := BuildIndex(context.Background(), g, opts, cfg)
 		if err != nil {

@@ -187,10 +187,9 @@ type Sphere = core.Result
 
 // Median-algorithm selectors for TypicalOptions.Algorithm.
 const (
-	MedianPrefix        = core.MedianPrefix
-	MedianMajority      = core.MedianMajority
-	MedianExact         = core.MedianExact
-	MedianPrefixRefined = core.MedianPrefixRefined
+	MedianPrefix   = core.MedianPrefix
+	MedianMajority = core.MedianMajority
+	MedianExact    = core.MedianExact
 )
 
 // TypicalCascade computes the sphere of influence of node v.
@@ -312,10 +311,6 @@ func SpheresOf(results []Sphere) Spheres {
 func SelectSeedsStd(ctx context.Context, x *Index, k int) (Selection, error) {
 	return infmax.Std(ctx, x, k)
 }
-
-// SelectSeedsStdCELFpp is SelectSeedsStd with the CELF++ optimization
-// (Goyal et al., WWW 2011): identical seeds, fewer gain evaluations.
-func SelectSeedsStdCELFpp(x *Index, k int) (Selection, error) { return infmax.StdCELFpp(x, k) }
 
 // MCOptions configures the Monte-Carlo greedy.
 type MCOptions = infmax.MCOptions
