@@ -25,9 +25,10 @@ examples:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Machine-readable benchmark record: run the root, server, index, graph,
-# jaccard, trace, sketch, infmax and checkpoint benchmark suites and convert
-# the combined output to JSON (schema soi.bench/v1) keyed by benchmark name.
+# Machine-readable benchmark record: run the root, server, router, index,
+# graph, jaccard, trace, sketch, infmax and checkpoint benchmark suites and
+# convert the combined output to JSON (schema soi.bench/v1) keyed by
+# benchmark name.
 # The defaults are a one-iteration smoke run written to the untracked
 # bench.json; to record a baseline, pass a real BENCHTIME (for example 1s)
 # and a new BENCH_OUT, so a bare `make bench-json` never overwrites a
@@ -38,6 +39,7 @@ BENCH_OUT ?= bench.json
 bench-json:
 	{ $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) . ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/server ; \
+	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/router ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/index ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/graph ; \
 	  $(GO) test -run=^$$ -bench=. -benchtime=$(BENCHTIME) ./internal/jaccard ; \

@@ -1,0 +1,266 @@
+package daemon
+
+import (
+	"container/list"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/url"
+	"sort"
+	"strings"
+	"sync"
+
+	"soi/internal/api"
+	"soi/internal/telemetry"
+	"soi/internal/trace"
+)
+
+// Answer is one encoded /v1 response: everything needed to replay it to a
+// later client without recomputing or re-encoding. Partial mirrors the
+// body's annotation for the request log and trace events, so neither
+// re-parses the bytes. Answers are immutable once built, so a cache hit
+// hands Body to the response writer without copying.
+type Answer struct {
+	Status  int
+	Body    []byte
+	Partial api.Partial
+}
+
+// Encode marshals body v once into its Answer. The status follows v's
+// partial flag (206 degraded, 200 otherwise). A body that cannot be encoded
+// is a 500 internal error, never a truncated 2xx.
+func Encode(v any) (*Answer, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Msg: err.Error()}
+	}
+	p := api.AnnotationOf(v)
+	return &Answer{Status: api.StatusOf(p.Degraded), Body: append(body, '\n'), Partial: p}, nil
+}
+
+// Write sends the answer, marking it X-Cache: hit or miss.
+func (a *Answer) Write(w http.ResponseWriter, hit bool) {
+	if hit {
+		w.Header().Set("X-Cache", "hit")
+	} else {
+		w.Header().Set("X-Cache", "miss")
+	}
+	api.WriteBody(w, a.Status, a.Body)
+}
+
+// Record is the request-log record of a request answered with a; cache is
+// its cache state ("hit", "miss", "shared", or "" when it bypassed the
+// cache).
+func (a *Answer) Record(cache string) trace.RequestRecord {
+	p := a.Partial
+	rec := trace.RequestRecord{Status: a.Status, Cache: cache,
+		Partial: p.Degraded, Achieved: p.Achieved, Requested: p.Requested, ErrorBound: p.ErrorBound}
+	if sc := p.Scatter; sc != nil {
+		rec.ShardsOK, rec.ShardsTotal, rec.FailedShards = sc.ShardsOK, sc.ShardsTotal, sc.FailedShards
+	}
+	return rec
+}
+
+// Cache is the response half of the /v1 pipeline that soid and soigw share:
+//
+//	canonical key → LRU lookup → singleflight → compute → encode once → cache a 200
+//
+// The LRU is bounded in entries; only a complete 200 is cached, because a
+// 206 reflects one request's budget or one moment's shard health, and an
+// error is not an answer. A disabled cache hands out empty keys, and an
+// empty key bypasses the lookup and the singleflight alike. Metrics go to
+// "<prefix>.cache.{hits,misses,entries}" and "<prefix>.singleflight.shared".
+type Cache struct {
+	max int
+
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used; values are *entry
+	items map[string]*list.Element
+
+	fmu     sync.Mutex
+	flights map[string]*flight
+
+	hits    *telemetry.Counter
+	misses  *telemetry.Counter
+	entries *telemetry.Gauge
+	shared  *telemetry.Counter
+}
+
+type entry struct {
+	key string
+	ans *Answer
+}
+
+// flight is one in-progress compute that identical requests wait on.
+type flight struct {
+	done chan struct{}
+	ans  *Answer
+	err  error
+}
+
+// DefaultCacheSize is the entry bound a zero size selects.
+const DefaultCacheSize = 4096
+
+// NewCache returns a cache of at most size entries, with the daemons'
+// Config semantics: 0 selects DefaultCacheSize, negative disables caching.
+func NewCache(size int, tel *telemetry.Registry, prefix string) *Cache {
+	if size == 0 {
+		size = DefaultCacheSize
+	}
+	return &Cache{
+		max:     size,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flight),
+		hits:    tel.Counter(prefix + ".cache.hits"),
+		misses:  tel.Counter(prefix + ".cache.misses"),
+		entries: tel.Gauge(prefix + ".cache.entries"),
+		shared:  tel.Counter(prefix + ".singleflight.shared"),
+	}
+}
+
+// Key canonicalizes a request into a cache key: endpoint name, path (which
+// carries {node}), the query parameters sorted by name and value, and
+// suffix, which names the artifacts the answer was computed from so that
+// entries computed from other artifacts are never replayed. It returns ""
+// when the cache is disabled.
+func (c *Cache) Key(name, path string, q url.Values, suffix string) string {
+	if c.max <= 0 {
+		return ""
+	}
+	keys := make([]string, 0, len(q))
+	for k := range q {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte(' ')
+	b.WriteString(path)
+	b.WriteByte('?')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte('&')
+		}
+		vs := q[k]
+		if len(vs) > 1 {
+			vs = append([]string(nil), vs...)
+			sort.Strings(vs)
+		}
+		for j, v := range vs {
+			if j > 0 {
+				b.WriteByte('&')
+			}
+			b.WriteString(k)
+			b.WriteByte('=')
+			b.WriteString(v)
+		}
+	}
+	b.WriteByte('#')
+	b.WriteString(suffix)
+	return b.String()
+}
+
+// Get looks key up under a "cache.lookup" span. An empty key misses
+// without a span or a count.
+func (c *Cache) Get(ctx context.Context, key string) (*Answer, bool) {
+	if key == "" {
+		return nil, false
+	}
+	span := trace.Child(ctx, "cache.lookup")
+	ans, hit := c.get(key)
+	span.SetAttrs(trace.Bool("hit", hit))
+	span.End()
+	return ans, hit
+}
+
+func (c *Cache) get(key string) (*Answer, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		c.misses.Inc()
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.hits.Inc()
+	return el.Value.(*entry).ans, true
+}
+
+// Do computes key's answer once among concurrent callers, under a
+// "singleflight.do" span, and caches it when it is a complete 200. Followers
+// wait for the leader's answer but give up when their own ctx expires: a
+// follower with a tight budget is not held hostage by a slow leader. state
+// is the request-log cache state: "miss" for the leader, "shared" for a
+// follower, and "" for an empty key, which just runs compute.
+// (Hand-rolled because the module is dependency-free; the contract matches
+// golang.org/x/sync/singleflight.Do.)
+func (c *Cache) Do(ctx context.Context, key string, compute func() (*Answer, error)) (ans *Answer, state string, err error) {
+	if key == "" {
+		ans, err = compute()
+		return ans, "", err
+	}
+	span := trace.Child(ctx, "singleflight.do")
+	defer func() {
+		span.SetAttrs(trace.Bool("shared", state == "shared"))
+		span.End()
+	}()
+	c.fmu.Lock()
+	if f, ok := c.flights[key]; ok {
+		c.fmu.Unlock()
+		c.shared.Inc()
+		select {
+		case <-f.done:
+			return f.ans, "shared", f.err
+		case <-ctx.Done():
+			return nil, "shared", ctx.Err()
+		}
+	}
+	f := &flight{done: make(chan struct{})}
+	c.flights[key] = f
+	c.fmu.Unlock()
+
+	f.ans, f.err = compute()
+	if f.err == nil && f.ans.Status == http.StatusOK {
+		c.put(key, f.ans)
+	}
+
+	c.fmu.Lock()
+	delete(c.flights, key)
+	c.fmu.Unlock()
+	close(f.done)
+	return f.ans, "miss", f.err
+}
+
+func (c *Cache) put(key string, ans *Answer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*entry).ans = ans
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.items[key] = c.ll.PushFront(&entry{key: key, ans: ans})
+	for c.ll.Len() > c.max {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*entry).key)
+	}
+	c.entries.Set(int64(c.ll.Len()))
+}
+
+// Len returns the number of cached answers.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// Clear empties the cache (benchmarks measuring the cold path).
+func (c *Cache) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	c.items = make(map[string]*list.Element)
+	c.entries.Set(0)
+}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"soi/internal/api"
 )
 
 // latWindow tracks a sliding window of recent request latencies per replica;
@@ -69,6 +71,9 @@ type replica struct {
 	// lastProbeErr is the most recent probe failure, for /v1/topology.
 	mu           sync.Mutex
 	lastProbeErr string
+	// indexFP is the index fingerprint of the last successful probe, part
+	// of the gateway's cache keys; guarded by Router.fpMu.
+	indexFP string
 }
 
 func (rep *replica) setProbeErr(msg string) {
@@ -86,31 +91,28 @@ func (rep *replica) probeErr() string {
 // probe checks /readyz once: the replica must answer 200 ready=true, and —
 // when the topology manifest declares a shard graph fingerprint — report
 // that same fingerprint, so a replica serving the wrong shard is quarantined
-// instead of silently merged.
-func (rep *replica) probe(ctx context.Context, client *http.Client, wantFP string) error {
+// instead of silently merged. It returns the index fingerprint the replica
+// reported.
+func (rep *replica) probe(ctx context.Context, client *http.Client, wantFP string) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.baseURL+"/readyz", nil)
 	if err != nil {
-		return err
+		return "", err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer resp.Body.Close()
-	var ready struct {
-		Ready            bool   `json:"ready"`
-		Reason           string `json:"reason"`
-		GraphFingerprint string `json:"graph_fingerprint"`
-	}
+	var ready api.Ready
 	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
-		return fmt.Errorf("bad /readyz body: %v", err)
+		return "", fmt.Errorf("bad /readyz body: %v", err)
 	}
 	if !ready.Ready {
-		return fmt.Errorf("not ready: %s", ready.Reason)
+		return "", fmt.Errorf("not ready: %s", ready.Reason)
 	}
 	if wantFP != "" && ready.GraphFingerprint != "" && ready.GraphFingerprint != wantFP {
-		return fmt.Errorf("fingerprint mismatch: replica serves graph %s, topology wants %s",
+		return "", fmt.Errorf("fingerprint mismatch: replica serves graph %s, topology wants %s",
 			ready.GraphFingerprint, wantFP)
 	}
-	return nil
+	return ready.IndexFingerprint, nil
 }

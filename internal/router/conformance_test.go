@@ -155,7 +155,7 @@ func newShardServer(t testing.TB, fx *routerFixture, s int) *server.Server {
 
 // startGateway stands up one httptest-backed soid per shard and a router
 // over them, all torn down with the test.
-func startGateway(t *testing.T, mutate func(*Config)) *Router {
+func startGateway(t testing.TB, mutate func(*Config)) *Router {
 	t.Helper()
 	fx := routerFix(t)
 	groups := make([][]string, fx.part.K)

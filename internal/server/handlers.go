@@ -502,7 +502,7 @@ func (s *Server) handleInfo(*http.Request) (any, error) {
 		IndexFingerprint:  strconv.FormatUint(s.indexFP, 16),
 		SpheresLoaded:     s.spheres != nil,
 		SketchLoaded:      s.sketch != nil,
-		CacheEntries:      s.cache.len(),
+		CacheEntries:      s.cache.Len(),
 		UptimeSeconds:     int64(time.Since(s.started).Seconds()),
 	}, nil
 }

@@ -24,15 +24,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,16 +105,6 @@ type Config struct {
 	Seed uint64
 }
 
-func (c Config) cacheSize() int {
-	if c.CacheSize == 0 {
-		return 4096
-	}
-	if c.CacheSize < 0 {
-		return 0
-	}
-	return c.CacheSize
-}
-
 func (c Config) maxInflight() int {
 	if c.MaxInflight > 0 {
 		return c.MaxInflight
@@ -182,8 +168,7 @@ type Server struct {
 	indexFP uint64
 	fpHex   string // cache-key suffix binding entries to the loaded index
 
-	cache   *lruCache
-	flights *flightGroup
+	cache   *daemon.Cache
 	adm     *admission
 	scratch sync.Pool // *index.Scratch
 
@@ -252,8 +237,7 @@ func New(cfg Config) (*Server, error) {
 		origIDs: cfg.OrigIDs,
 		graphFP: graphFP,
 		indexFP: cfg.Index.Fingerprint(),
-		cache:   newLRUCache(cfg.cacheSize(), tel),
-		flights: newFlightGroup(tel),
+		cache:   daemon.NewCache(cfg.CacheSize, tel, "server"),
 		adm:     newAdmission(cfg.maxInflight(), cfg.maxQueue(), tel),
 		started: time.Now(),
 
@@ -352,28 +336,23 @@ func (s *Server) Drain() { s.draining.Store(true) }
 const budgetGrace = 5 * time.Second
 
 // endpoint puts fn under the daemon envelope with soid's own half of the
-// pipeline: per-endpoint metrics, cache, singleflight, admission, and the
-// mapping of a budget-truncated answer onto 206.
+// pipeline: per-endpoint metrics, the shared response cache (keyed on the
+// loaded index), admission, and the mapping of a budget-truncated answer
+// onto 206.
 func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (any, error)) http.Handler {
-	return s.env.Wrap(name, func(w http.ResponseWriter, req *http.Request, c daemon.Call) (rec trace.RequestRecord, err error) {
+	return s.env.Wrap(name, func(w http.ResponseWriter, req *http.Request, c daemon.Call) (trace.RequestRecord, error) {
 		s.mByName[name].Inc()
 		defer func() {
 			s.mLatency[name].ObserveExemplar(time.Since(c.Start).Nanoseconds(), c.Span.RequestID())
 		}()
 
 		key := ""
-		useCache := cacheable && s.cfg.cacheSize() > 0
-		if useCache {
-			key = s.cacheKey(name, req.URL.Path, c.Query)
-			lspan := trace.Child(req.Context(), "cache.lookup")
-			ent, hit := s.cache.get(key)
-			lspan.SetAttrs(trace.Bool("hit", hit))
-			lspan.End()
-			if hit {
-				writeCached(w, ent, true)
-				return ent.record("hit"), nil
-			}
-			rec.Cache = "miss"
+		if cacheable {
+			key = s.cache.Key(name, req.URL.Path, c.Query, s.fpHex)
+		}
+		if ans, hit := s.cache.Get(req.Context(), key); hit {
+			ans.Write(w, true)
+			return ans.Record("hit"), nil
 		}
 
 		deadline := c.Start.Add(c.Budget)
@@ -381,7 +360,7 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (a
 		defer cancel()
 		req = req.WithContext(withBudgetDeadline(ctx, deadline))
 
-		compute := func() (*cached, error) {
+		ans, state, err := s.cache.Do(ctx, key, func() (*daemon.Answer, error) {
 			wspan := trace.Child(req.Context(), "admission.wait")
 			err := s.adm.acquire(req.Context())
 			wspan.End()
@@ -399,38 +378,18 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (a
 				cspan.End()
 				return nil, err
 			}
-			pi := api.AnnotationOf(v)
-			status := api.StatusOf(pi.Degraded)
-			cspan.SetHTTPStatus(status)
+			cspan.SetHTTPStatus(api.StatusOf(api.AnnotationOf(v).Degraded))
 			cspan.End()
-			body, err := json.Marshal(v)
-			if err != nil {
-				return nil, err
-			}
-			return &cached{key: key, status: status, body: append(body, '\n'), partial: pi}, nil
-		}
-
-		var ent *cached
-		if useCache {
-			var shared bool
-			fspan := trace.Child(req.Context(), "singleflight.do")
-			ent, shared, err = s.flights.do(ctx, key, compute)
-			fspan.SetAttrs(trace.Bool("shared", shared))
-			fspan.End()
-			if shared {
-				rec.Cache = "shared"
-			}
-		} else {
-			ent, err = compute()
-		}
+			return daemon.Encode(v)
+		})
 		if err != nil {
-			return rec, err
+			return trace.RequestRecord{Cache: state}, err
 		}
-		if ent.status == http.StatusPartialContent {
+		if ans.Status == http.StatusPartialContent {
 			s.mPartials.Inc()
 			// The degradation event ties the 206 to its cause: how much
 			// sampling the budget bought and how many worlds quarantine took.
-			pi := ent.partial
+			pi := ans.Partial
 			c.Span.Event("degraded",
 				trace.Int("achieved", int64(pi.Achieved)),
 				trace.Int("requested", int64(pi.Requested)),
@@ -438,31 +397,9 @@ func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (a
 				trace.Int("worlds_used", int64(pi.WorldsUsed)),
 				trace.Int("worlds_quarantined", int64(pi.WorldsQuarantined)))
 		}
-		// Only complete (200) results are cached: a 206 reflects this
-		// request's budget, and replaying degraded data to a patient client
-		// would be wrong.
-		if useCache && ent.status == http.StatusOK {
-			s.cache.put(ent)
-		}
-		writeCached(w, ent, false)
-		return ent.record(rec.Cache), nil
+		ans.Write(w, false)
+		return ans.Record(state), nil
 	})
-}
-
-// record is the request-log record of a request answered with ent.
-func (ent *cached) record(cache string) trace.RequestRecord {
-	pi := ent.partial
-	return trace.RequestRecord{Status: ent.status, Cache: cache,
-		Partial: pi.Degraded, Achieved: pi.Achieved, Requested: pi.Requested, ErrorBound: pi.ErrorBound}
-}
-
-func writeCached(w http.ResponseWriter, ent *cached, hit bool) {
-	if hit {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	api.WriteBody(w, ent.status, ent.body)
 }
 
 // mapError maps err onto the /v1 error envelope the daemon envelope writes,
@@ -488,40 +425,6 @@ func (s *Server) mapError(err error) *api.Error {
 		s.mErrors.Inc()
 	}
 	return ae
-}
-
-// cacheKey canonicalizes the request into a cache key: endpoint, path (which
-// carries {node}), sorted query parameters, and the index fingerprint, so a
-// daemon restarted over different artifacts never replays stale entries.
-func (s *Server) cacheKey(name, path string, q url.Values) string {
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(path)
-	b.WriteByte('?')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('&')
-		}
-		vs := q[k]
-		sort.Strings(vs)
-		for j, v := range vs {
-			if j > 0 {
-				b.WriteByte('&')
-			}
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(v)
-		}
-	}
-	b.WriteByte('#')
-	b.WriteString(s.fpHex)
-	return b.String()
 }
 
 // budgetKey carries the sampling deadline (as opposed to the hard context
