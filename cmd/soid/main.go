@@ -13,12 +13,14 @@
 //	curl 'localhost:7199/v1/seeds?k=10'
 //	curl 'localhost:7199/v1/spread?seeds=3,7&method=mc&budget=100ms'
 //
-// Responses are JSON. A request whose budget truncates sampling returns HTTP
-// 206 with the achieved sample count and an error bound; an overloaded
-// server sheds requests with 429 + Retry-After. /metrics, /debug/vars and
-// /debug/pprof/ are served on the same address. SIGINT/SIGTERM drain
-// gracefully: in-flight requests finish (bounded by -drain-timeout), new
-// ones get 503.
+// Responses are JSON. A request's budget parameter defaults to 2s and is
+// capped at 30s; a request whose budget truncates sampling returns HTTP 206
+// with the achieved sample count and an error bound. Complete answers are
+// kept in a 4096-entry cache keyed on the query but its budget. An
+// overloaded server sheds requests with 429 + Retry-After. /metrics,
+// /debug/vars and /debug/pprof/ are served on the same address.
+// SIGINT/SIGTERM drain gracefully: in-flight requests finish (bounded by
+// -drain-timeout), new ones get 503.
 //
 // With -mmap (or SOI_INDEX_MMAP=1) the index file is memory-mapped and world
 // blocks fault in on demand instead of being loaded eagerly: startup is
@@ -38,129 +40,125 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"time"
 
 	"soi"
 	"soi/internal/checkpoint"
-	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/daemon"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/server"
 	"soi/internal/sketch"
-	"soi/internal/telemetry"
 )
 
+// options are soid's own flags; daemon.Lifecycle holds the ones it shares
+// with soigw.
+type options struct {
+	graph, index, spheres, sketch string
+	samples                       int
+	lt, mmap                      bool
+	expectFP                      string
+	maxInflight, maxQueue         int
+	costSamples, trials           int
+	seed                          uint64
+}
+
+// flags registers every soid flag on fs.
+func flags(fs *flag.FlagSet) (*options, *daemon.Lifecycle) {
+	o := &options{}
+	fs.StringVar(&o.graph, "graph", "", "edge-list TSV file (required)")
+	fs.StringVar(&o.index, "index", "", "prebuilt index file (sphere -build-index); empty builds one in memory")
+	fs.BoolVar(&o.mmap, "mmap", os.Getenv("SOI_INDEX_MMAP") == "1",
+		"memory-map the -index file and fault world blocks in on demand; corrupt blocks are quarantined, not fatal (default from SOI_INDEX_MMAP=1)")
+	fs.StringVar(&o.spheres, "spheres", "", "sphere store file (sphere -all -store); enables /v1/seeds")
+	fs.StringVar(&o.sketch, "sketch", "", "combined bottom-k sketch file (sphere -sketch-out); enables estimator=sketch on /v1/{spread,sphere,seeds}")
+	fs.IntVar(&o.samples, "samples", 1000, "worlds ℓ when building the index in memory (no -index)")
+	fs.BoolVar(&o.lt, "lt", false, "Linear Threshold model (must match how the index was built)")
+	fs.StringVar(&o.expectFP, "expect-fp", "", "refuse to start unless the graph fingerprint (soi.Fingerprint, hex) matches")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently computing requests; 0 means GOMAXPROCS")
+	fs.IntVar(&o.maxQueue, "max-queue", 0, "max requests queued for a compute slot; 0 means 4x max-inflight, -1 disables queueing")
+	fs.IntVar(&o.costSamples, "cost-samples", 200, "default held-out samples for stability estimates")
+	fs.IntVar(&o.trials, "trials", 1000, "default Monte-Carlo trials for /v1/spread method=mc")
+	fs.Uint64Var(&o.seed, "seed", 1, "server sampling seed (fixed so identical queries are cacheable)")
+	life := &daemon.Lifecycle{Tool: "soid"}
+	life.Register(fs, "localhost:7199")
+	return o, life
+}
+
 func main() {
-	var (
-		graphPath = flag.String("graph", "", "edge-list TSV file (required)")
-		indexPath = flag.String("index", "", "prebuilt index file (sphere -build-index); empty builds one in memory")
-		mmapIdx   = flag.Bool("mmap", os.Getenv("SOI_INDEX_MMAP") == "1",
-			"memory-map the -index file and fault world blocks in on demand; corrupt blocks are quarantined, not fatal (default from SOI_INDEX_MMAP=1)")
-		spherePath  = flag.String("spheres", "", "sphere store file (sphere -all -store); enables /v1/seeds")
-		sketchPath  = flag.String("sketch", "", "combined bottom-k sketch file (sphere -sketch-out); enables estimator=sketch on /v1/{spread,sphere,seeds}")
-		samples     = flag.Int("samples", 1000, "worlds ℓ when building the index in memory (no -index)")
-		ltModel     = flag.Bool("lt", false, "Linear Threshold model (must match how the index was built)")
-		addr        = flag.String("addr", "localhost:7199", "listen address; :0 picks an ephemeral port")
-		addrFile    = flag.String("addr-file", "", "write the resolved listen address to this file (scripts waiting on :0)")
-		expectFP    = flag.String("expect-fp", "", "refuse to start unless the graph fingerprint (soi.Fingerprint, hex) matches")
-		cacheSize   = flag.Int("cache", 4096, "result cache entries; 0 disables caching")
-		maxInflight = flag.Int("max-inflight", 0, "max concurrently computing requests; 0 means GOMAXPROCS")
-		maxQueue    = flag.Int("max-queue", 0, "max requests queued for a compute slot; 0 means 4x max-inflight, -1 disables queueing")
-		defBudget   = flag.Duration("default-budget", 2*time.Second, "per-request budget when the request has no budget parameter")
-		maxBudget   = flag.Duration("max-budget", 30*time.Second, "cap on the per-request budget parameter")
-		costSamples = flag.Int("cost-samples", 200, "default held-out samples for stability estimates")
-		trials      = flag.Int("trials", 1000, "default Monte-Carlo trials for /v1/spread method=mc")
-		seed        = flag.Uint64("seed", 1, "server sampling seed (fixed so identical queries are cacheable)")
-		drain       = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-		statsJSON   = flag.String("stats-json", "", "write the machine-readable run report to this file on exit")
-		tflags      cliutil.TraceFlags
-	)
-	tflags.Register(flag.CommandLine)
+	o, life := flags(flag.CommandLine)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("soid: ")
-	if err := run(*graphPath, *indexPath, *spherePath, *sketchPath, *samples, *ltModel, *mmapIdx,
-		*addr, *addrFile, *expectFP, *cacheSize, *maxInflight, *maxQueue,
-		*defBudget, *maxBudget, *costSamples, *trials, *seed, *drain, *statsJSON, tflags); err != nil {
+	if err := run(o, life); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, mmapIdx bool,
-	addr, addrFile, expectFP string, cacheSize, maxInflight, maxQueue int,
-	defBudget, maxBudget time.Duration, costSamples, trials int, seed uint64,
-	drain time.Duration, statsJSON string, tflags cliutil.TraceFlags) error {
-	if graphPath == "" {
+func run(o *options, life *daemon.Lifecycle) error {
+	if o.graph == "" {
 		return fmt.Errorf("-graph is required")
 	}
-	if mmapIdx && indexPath == "" {
+	if o.mmap && o.index == "" {
 		return fmt.Errorf("-mmap requires -index (there is no file to map)")
-	}
-	if cacheSize == 0 {
-		cacheSize = -1 // flag semantics: 0 disables; Config uses negative for that
 	}
 
 	// Bind the address before loading anything: /healthz answers 200 and
 	// /readyz 503 "loading" from the first instant, so routers and scripts
 	// can tell "starting up" from "dead" while the artifacts load.
-	life := daemon.Lifecycle{Tool: "soid", Addr: addr, AddrFile: addrFile, DrainTimeout: drain, StatsJSON: statsJSON}
 	resolved, err := life.Bind()
 	if err != nil {
 		return err
 	}
 	log.Printf("listening on http://%s (loading artifacts)", resolved)
 
-	g, orig, err := graph.LoadFile(graphPath)
+	g, orig, err := graph.LoadFile(o.graph)
 	if err != nil {
 		return err
 	}
 	graphFP := soi.Fingerprint(g)
-	if expectFP != "" {
-		want, err := strconv.ParseUint(expectFP, 16, 64)
+	if o.expectFP != "" {
+		want, err := strconv.ParseUint(o.expectFP, 16, 64)
 		if err != nil {
-			return fmt.Errorf("bad -expect-fp %q: %v", expectFP, err)
+			return fmt.Errorf("bad -expect-fp %q: %v", o.expectFP, err)
 		}
 		if graphFP != want {
 			return fmt.Errorf("graph fingerprint mismatch: %s has %016x, -expect-fp wants %016x — wrong dataset?",
-				graphPath, graphFP, want)
+				o.graph, graphFP, want)
 		}
 	}
 
 	model := index.IC
-	if lt {
+	if o.lt {
 		model = index.LT
 	}
-	tel := telemetry.New()
-	tel.SetTool("soid")
-	tel.SetSeed(seed)
+	tel := life.Telemetry
+	tel.SetSeed(o.seed)
 	tel.SetGraphHash(graphFP)
-	telemetry.PublishExpvar("soi", tel)
 
 	var x *index.Index
-	if mmapIdx {
-		x, err = index.OpenMmap(indexPath, g, index.MmapOptions{
+	if o.mmap {
+		x, err = index.OpenMmap(o.index, g, index.MmapOptions{
 			Telemetry: tel,
 			OnQuarantine: func(world int, qerr error) {
 				log.Printf("QUARANTINE world %d: %v (answers degrade to 206; repair %s with soifsck)",
-					world, qerr, indexPath)
+					world, qerr, o.index)
 			},
 		})
 		if err != nil {
-			return fmt.Errorf("mapping index %s: %w", indexPath, err)
+			return fmt.Errorf("mapping index %s: %w", o.index, err)
 		}
 		defer x.Close()
-	} else if indexPath != "" {
-		x, err = index.LoadFile(indexPath, g)
+	} else if o.index != "" {
+		x, err = index.LoadFile(o.index, g)
 		if err != nil {
-			return fmt.Errorf("loading index %s (does it belong to %s?): %w", indexPath, graphPath, err)
+			return fmt.Errorf("loading index %s (does it belong to %s?): %w", o.index, o.graph, err)
 		}
 		x.SetTelemetry(tel)
 	} else {
-		log.Printf("no -index given; building %d worlds in memory", samples)
+		log.Printf("no -index given; building %d worlds in memory", o.samples)
 		x, err = index.Build(context.Background(), g, index.Options{
-			Samples: samples, Seed: seed,
+			Samples: o.samples, Seed: o.seed,
 			Model: model, Telemetry: tel,
 		}, checkpoint.Config{})
 		if err != nil {
@@ -169,46 +167,37 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 	}
 
 	var spheres []core.Result
-	if spherePath != "" {
-		spheres, err = core.LoadSpheresFile(spherePath)
+	if o.spheres != "" {
+		spheres, err = core.LoadSpheresFile(o.spheres)
 		if err != nil {
-			return fmt.Errorf("loading sphere store %s: %w", spherePath, err)
+			return fmt.Errorf("loading sphere store %s: %w", o.spheres, err)
 		}
 	}
 
 	var sk *sketch.Sketch
-	if sketchPath != "" {
-		sk, err = sketch.LoadFile(sketchPath)
+	if o.sketch != "" {
+		sk, err = sketch.LoadFile(o.sketch)
 		if err != nil {
-			return fmt.Errorf("loading sketch %s: %w", sketchPath, err)
+			return fmt.Errorf("loading sketch %s: %w", o.sketch, err)
 		}
 		sk.SetTelemetry(tel)
 	}
 
-	reqLog, err := tflags.OpenRequestLog()
-	if err != nil {
-		return fmt.Errorf("opening request log: %w", err)
-	}
-	defer reqLog.Close()
-
 	srv, err := server.New(server.Config{
-		Graph:         g,
-		OrigIDs:       orig,
-		Index:         x,
-		Spheres:       spheres,
-		Sketch:        sk,
-		Model:         model,
-		Telemetry:     tel,
-		Tracer:        tflags.Tracer("soid", tel),
-		RequestLog:    reqLog,
-		CacheSize:     cacheSize,
-		MaxInflight:   maxInflight,
-		MaxQueue:      maxQueue,
-		DefaultBudget: defBudget,
-		MaxBudget:     maxBudget,
-		CostSamples:   costSamples,
-		Trials:        trials,
-		Seed:          seed,
+		Graph:       g,
+		OrigIDs:     orig,
+		Index:       x,
+		Spheres:     spheres,
+		Sketch:      sk,
+		Model:       model,
+		Telemetry:   tel,
+		Tracer:      life.Tracer,
+		RequestLog:  life.RequestLog,
+		MaxInflight: o.maxInflight,
+		MaxQueue:    o.maxQueue,
+		CostSamples: o.costSamples,
+		Trials:      o.trials,
+		Seed:        o.seed,
 	})
 	if err != nil {
 		return err
@@ -216,5 +205,5 @@ func run(graphPath, indexPath, spherePath, sketchPath string, samples int, lt, m
 
 	log.Printf("serving on http://%s  graph=%016x index=%016x nodes=%d worlds=%d spheres=%v sketch=%v mmap=%v",
 		resolved, graphFP, srv.IndexFingerprint(), g.NumNodes(), x.NumWorlds(), spheres != nil, sk != nil, x.Lazy())
-	return life.Serve(srv.Handler(), srv.Drain, tel)
+	return life.Serve(srv.Handler(), srv.Drain)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"soi/internal/cliutil"
+	"soi/internal/daemon"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -27,9 +28,19 @@ func writeTestGraph(t *testing.T) string {
 	return path
 }
 
+// parse builds soid's settings from command-line args, as main does.
+func parse(t *testing.T, args ...string) (*options, *daemon.Lifecycle) {
+	t.Helper()
+	fs := flag.NewFlagSet("soid", flag.ContinueOnError)
+	o, life := flags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o, life
+}
+
 func TestRunRequiresGraph(t *testing.T) {
-	err := run("", "", "", "", 10, false, false, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+	err := run(parse(t, "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "-graph") {
 		t.Fatalf("err %v, want -graph requirement", err)
 	}
@@ -37,8 +48,7 @@ func TestRunRequiresGraph(t *testing.T) {
 
 func TestRunMmapRequiresIndex(t *testing.T) {
 	g := writeTestGraph(t)
-	err := run(g, "", "", "", 10, false, true, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+	err := run(parse(t, "-graph", g, "-mmap", "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "-index") {
 		t.Fatalf("err %v, want -mmap/-index requirement", err)
 	}
@@ -46,13 +56,11 @@ func TestRunMmapRequiresIndex(t *testing.T) {
 
 func TestRunRejectsBadFingerprint(t *testing.T) {
 	g := writeTestGraph(t)
-	err := run(g, "", "", "", 10, false, false, ":0", "", "zzz", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+	err := run(parse(t, "-graph", g, "-addr", ":0", "-expect-fp", "zzz"))
 	if err == nil || !strings.Contains(err.Error(), "expect-fp") {
 		t.Fatalf("err %v, want bad -expect-fp", err)
 	}
-	err = run(g, "", "", "", 10, false, false, ":0", "", "deadbeef", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+	err = run(parse(t, "-graph", g, "-addr", ":0", "-expect-fp", "deadbeef"))
 	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("err %v, want fingerprint mismatch", err)
 	}
@@ -60,13 +68,11 @@ func TestRunRejectsBadFingerprint(t *testing.T) {
 
 func TestRunRejectsMissingArtifacts(t *testing.T) {
 	g := writeTestGraph(t)
-	err := run(g, filepath.Join(t.TempDir(), "nope.idx"), "", "", 10, false, false, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+	err := run(parse(t, "-graph", g, "-index", filepath.Join(t.TempDir(), "nope.idx"), "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "loading index") {
 		t.Fatalf("err %v, want index load failure", err)
 	}
-	err = run(g, "", filepath.Join(t.TempDir(), "nope.tsv"), "", 10, false, false, ":0", "", "", 0, 0, 0,
-		time.Second, time.Second, 10, 10, 1, time.Second, "", cliutil.TraceFlags{})
+	err = run(parse(t, "-graph", g, "-spheres", filepath.Join(t.TempDir(), "nope.tsv"), "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "sphere store") {
 		t.Fatalf("err %v, want sphere store load failure", err)
 	}
@@ -80,8 +86,8 @@ func TestRunServesAndDrains(t *testing.T) {
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	done := make(chan error, 1)
 	go func() {
-		done <- run(g, "", "", "", 30, false, false, "127.0.0.1:0", addrFile, "", 0, 0, 0,
-			time.Second, time.Second, 10, 10, 1, 5*time.Second, "", cliutil.TraceFlags{})
+		done <- run(parse(t, "-graph", g, "-samples", "30", "-addr", "127.0.0.1:0", "-addr-file", addrFile,
+			"-cost-samples", "10", "-trials", "10", "-drain-timeout", "5s"))
 	}()
 
 	var addr string
@@ -131,5 +137,36 @@ func TestRunServesAndDrains(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/flags.txt from the current flag set")
+
+// TestFlagSurface pins soid's flag names and defaults in testdata/flags.txt:
+// a dropped knob shows in that file's diff, and a new one needs an edit
+// there. Regenerate with
+//
+//	go test ./cmd/soid -run TestFlagSurface -update
+func TestFlagSurface(t *testing.T) {
+	t.Setenv("SOI_INDEX_MMAP", "") // -mmap's default comes from the environment
+	fs := flag.NewFlagSet("soid", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&b, "-%s=%s\n", f.Name, f.DefValue) })
+	path := filepath.Join("testdata", "flags.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update): %v", path, err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("flag surface changed; if intended, regenerate with -update\n--- %s\n%s--- current\n%s", path, want, b.String())
 	}
 }

@@ -21,11 +21,16 @@
 // shards_ok/shards_total and an error bound widened to cover everything the
 // dead shard could have contributed, instead of failing the query.
 //
+// Every /v1 request runs the pipeline soid runs (internal/daemon): the
+// budget parameter (2s when absent, capped at 30s), the response cache,
+// singleflight, and the degraded accounting. Each shard leg gets the
+// client's budget less 300ms for the merge, and at least half of it.
+//
 // Caching: while probing runs, complete (200) answers are kept in an LRU
-// as in soid, keyed on the query and the index fingerprints the replicas
-// last reported on /readyz, so a repeated query makes no shard leg. With
-// -probe-interval negative nothing could retire an entry computed from
-// replaced artifacts, so nothing is cached.
+// as in soid, keyed on the query but its budget and on the index
+// fingerprints the replicas last reported on /readyz, so a repeated query
+// makes no shard leg. With -probe-interval negative nothing could retire
+// an entry computed from replaced artifacts, so nothing is cached.
 //
 // Exit codes: 0 clean shutdown, 1 startup or serving errors.
 package main
@@ -37,38 +42,42 @@ import (
 	"strings"
 	"time"
 
-	"soi/internal/cliutil"
 	"soi/internal/daemon"
 	"soi/internal/router"
-	"soi/internal/telemetry"
 )
 
+// options are soigw's own flags; daemon.Lifecycle holds the ones it shares
+// with soid.
+type options struct {
+	topology, replicas string
+	retries            int
+	retryBase, hedge   time.Duration
+	brkFails           int
+	brkCool, probe     time.Duration
+}
+
+// flags registers every soigw flag on fs.
+func flags(fs *flag.FlagSet) (*options, *daemon.Lifecycle) {
+	o := &options{}
+	fs.StringVar(&o.topology, "topology", "", "soi.topology/v1 manifest written by sphere -shards (required)")
+	fs.StringVar(&o.replicas, "replicas", "", "replica URLs per shard: groups separated by ';' in shard order, replicas within a group by ',' (required)")
+	fs.IntVar(&o.retries, "retries", 2, "max re-sends per shard leg after the first attempt; negative disables")
+	fs.DurationVar(&o.retryBase, "retry-base", 25*time.Millisecond, "exponential-backoff base (full jitter)")
+	fs.DurationVar(&o.hedge, "hedge-delay", 30*time.Millisecond, "hedging delay floor; negative disables hedging")
+	fs.IntVar(&o.brkFails, "breaker-failures", 5, "consecutive failures that open a replica's circuit breaker")
+	fs.DurationVar(&o.brkCool, "breaker-cooldown", time.Second, "how long an open breaker refuses traffic before probing")
+	fs.DurationVar(&o.probe, "probe-interval", time.Second, "/readyz health-probe period; negative disables probing")
+	life := &daemon.Lifecycle{Tool: "soigw"}
+	life.Register(fs, "localhost:7200")
+	return o, life
+}
+
 func main() {
-	var (
-		topoPath  = flag.String("topology", "", "soi.topology/v1 manifest written by sphere -shards (required)")
-		replicas  = flag.String("replicas", "", "replica URLs per shard: groups separated by ';' in shard order, replicas within a group by ',' (required)")
-		addr      = flag.String("addr", "localhost:7200", "listen address; :0 picks an ephemeral port")
-		addrFile  = flag.String("addr-file", "", "write the resolved listen address to this file")
-		retries   = flag.Int("retries", 2, "max re-sends per shard leg after the first attempt; negative disables")
-		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "exponential-backoff base (full jitter)")
-		hedge     = flag.Duration("hedge-delay", 30*time.Millisecond, "hedging delay floor; negative disables hedging")
-		brkFails  = flag.Int("breaker-failures", 5, "consecutive failures that open a replica's circuit breaker")
-		brkCool   = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker refuses traffic before probing")
-		probe     = flag.Duration("probe-interval", time.Second, "/readyz health-probe period; negative disables probing")
-		grace     = flag.Duration("merge-grace", 300*time.Millisecond, "budget slice reserved for gather+merge (shards get budget minus this)")
-		defBudget = flag.Duration("default-budget", 2*time.Second, "per-request budget when the request has no budget parameter")
-		maxBudget = flag.Duration("max-budget", 30*time.Second, "cap on the per-request budget parameter")
-		drain     = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-		statsJSON = flag.String("stats-json", "", "write the machine-readable run report to this file on exit")
-		tflags    cliutil.TraceFlags
-	)
-	tflags.Register(flag.CommandLine)
+	o, life := flags(flag.CommandLine)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("soigw: ")
-	if err := run(*topoPath, *replicas, *addr, *addrFile, *retries, *retryBase,
-		*hedge, *brkFails, *brkCool, *probe, *grace, *defBudget, *maxBudget,
-		*drain, *statsJSON, tflags); err != nil {
+	if err := run(o, life); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -100,54 +109,39 @@ func parseReplicas(spec string) ([][]string, error) {
 	return out, nil
 }
 
-func run(topoPath, replicaSpec, addr, addrFile string, retries int,
-	retryBase, hedge time.Duration, brkFails int, brkCool, probe, grace,
-	defBudget, maxBudget, drain time.Duration, statsJSON string,
-	tflags cliutil.TraceFlags) error {
-	if topoPath == "" {
+func run(o *options, life *daemon.Lifecycle) error {
+	if o.topology == "" {
 		return fmt.Errorf("-topology is required")
 	}
-	groups, err := parseReplicas(replicaSpec)
+	groups, err := parseReplicas(o.replicas)
 	if err != nil {
 		return err
 	}
-	life := daemon.Lifecycle{Tool: "soigw", Addr: addr, AddrFile: addrFile, DrainTimeout: drain, StatsJSON: statsJSON}
 	resolved, err := life.Bind()
 	if err != nil {
 		return err
 	}
-	topo, err := router.LoadTopology(topoPath)
+	topo, err := router.LoadTopology(o.topology)
 	if err != nil {
 		return err
 	}
 
-	tel := telemetry.New()
-	tel.SetTool("soigw")
-	telemetry.PublishExpvar("soi", tel)
-
+	retries := o.retries
 	if retries == 0 {
 		retries = -1 // Config semantics: 0 selects the default, negative disables
 	}
-	reqLog, err := tflags.OpenRequestLog()
-	if err != nil {
-		return fmt.Errorf("opening request log: %w", err)
-	}
-	defer reqLog.Close()
 	rt, err := router.New(router.Config{
 		Topology:        topo,
 		Replicas:        groups,
 		MaxRetries:      retries,
-		RetryBase:       retryBase,
-		HedgeDelay:      hedge,
-		BreakerFailures: brkFails,
-		BreakerCooldown: brkCool,
-		ProbeInterval:   probe,
-		MergeGrace:      grace,
-		DefaultBudget:   defBudget,
-		MaxBudget:       maxBudget,
-		Telemetry:       tel,
-		Tracer:          tflags.Tracer("soigw", tel),
-		RequestLog:      reqLog,
+		RetryBase:       o.retryBase,
+		HedgeDelay:      o.hedge,
+		BreakerFailures: o.brkFails,
+		BreakerCooldown: o.brkCool,
+		ProbeInterval:   o.probe,
+		Telemetry:       life.Telemetry,
+		Tracer:          life.Tracer,
+		RequestLog:      life.RequestLog,
 	})
 	if err != nil {
 		return err
@@ -155,5 +149,5 @@ func run(topoPath, replicaSpec, addr, addrFile string, retries int,
 	rt.StartProbing()
 	log.Printf("serving on http://%s  shards=%d nodes=%d cut_edges=%d graph=%s",
 		resolved, len(topo.Shards), topo.NumNodes, topo.CutEdges, topo.GraphFingerprint)
-	return life.Serve(rt.Handler(), rt.Drain, tel)
+	return life.Serve(rt.Handler(), rt.Drain)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,13 +16,24 @@ import (
 	"time"
 
 	"soi/internal/checkpoint"
-	"soi/internal/cliutil"
+	"soi/internal/daemon"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/router"
 	"soi/internal/server"
 	"soi/internal/telemetry"
 )
+
+// parse builds soigw's settings from command-line args, as main does.
+func parse(t *testing.T, args ...string) (*options, *daemon.Lifecycle) {
+	t.Helper()
+	fs := flag.NewFlagSet("soigw", flag.ContinueOnError)
+	o, life := flags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o, life
+}
 
 func TestParseReplicas(t *testing.T) {
 	for _, tc := range []struct {
@@ -90,9 +102,9 @@ func TestRunServesAndDrains(t *testing.T) {
 	statsPath := filepath.Join(dir, "stats.json")
 	done := make(chan error, 1)
 	go func() {
-		done <- run(topoPath, url0+";"+url1, "127.0.0.1:0", addrFile, 1, time.Millisecond,
-			-1, 5, time.Second, 50*time.Millisecond, 100*time.Millisecond, 2*time.Second, 5*time.Second,
-			5*time.Second, statsPath, cliutil.TraceFlags{})
+		done <- run(parse(t, "-topology", topoPath, "-replicas", url0+";"+url1,
+			"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-retries", "1", "-retry-base", "1ms",
+			"-hedge-delay", "-1ns", "-probe-interval", "50ms", "-drain-timeout", "5s", "-stats-json", statsPath))
 	}()
 
 	var addr string
@@ -156,5 +168,35 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	if rep.RunInfo.Tool != "soigw" || rep.Counters["router.requests"] != 1 {
 		t.Fatalf("report tool %q, router.requests %d; want soigw and 1", rep.RunInfo.Tool, rep.Counters["router.requests"])
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/flags.txt from the current flag set")
+
+// TestFlagSurface pins soigw's flag names and defaults in testdata/flags.txt:
+// a dropped knob shows in that file's diff, and a new one needs an edit
+// there. Regenerate with
+//
+//	go test ./cmd/soigw -run TestFlagSurface -update
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("soigw", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&b, "-%s=%s\n", f.Name, f.DefValue) })
+	path := filepath.Join("testdata", "flags.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update): %v", path, err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("flag surface changed; if intended, regenerate with -update\n--- %s\n%s--- current\n%s", path, want, b.String())
 	}
 }

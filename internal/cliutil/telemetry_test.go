@@ -3,6 +3,7 @@ package cliutil
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -131,4 +132,49 @@ func TestStartTelemetryDebugServer(t *testing.T) {
 		t.Fatal("debug-addr alone should enable telemetry")
 	}
 	rt.Flush() // closes the server
+}
+
+// TestDebugTracesShowRunningRun: a batch run's -debug-addr lists its root
+// span while the run computes, not only once Flush ends it, and serves the
+// open trace by id.
+func TestDebugTracesShowRunningRun(t *testing.T) {
+	ctx, rt, err := StartTelemetry(context.Background(), "tool", "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Flush()
+	_, phase := trace.StartChild(ctx, "phase")
+	defer phase.End()
+
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get("http://" + rt.DebugAddr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var list struct {
+		Traces []struct {
+			TraceID  string `json:"trace_id"`
+			Retained string `json:"retained"`
+			Root     string `json:"root"`
+		} `json:"traces"`
+	}
+	get("/debug/traces", &list)
+	if len(list.Traces) != 1 || list.Traces[0].Root != "tool" || list.Traces[0].Retained != "running" {
+		t.Fatalf("/debug/traces mid-run = %+v, want the running root span \"tool\"", list.Traces)
+	}
+	var tj trace.TraceJSON
+	get("/debug/traces/"+list.Traces[0].TraceID, &tj)
+	if tj.Retained != "running" || len(tj.Spans) != 1 || len(tj.Spans[0].Children) != 1 ||
+		tj.Spans[0].Children[0].Name != "phase" || !tj.Spans[0].Running {
+		t.Fatalf("running trace = %+v, want the open root with its phase", tj)
+	}
 }

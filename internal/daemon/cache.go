@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"soi/internal/api"
 	"soi/internal/telemetry"
@@ -61,14 +62,17 @@ func (a *Answer) Record(cache string) trace.RequestRecord {
 	return rec
 }
 
-// Cache is the response half of the /v1 pipeline that soid and soigw share:
+// Cache is the response half of the /v1 pipeline (Envelope):
 //
 //	canonical key → LRU lookup → singleflight → compute → encode once → cache a 200
 //
 // The LRU is bounded in entries; only a complete 200 is cached, because a
 // 206 reflects one request's budget or one moment's shard health, and an
-// error is not an answer. A disabled cache hands out empty keys, and an
-// empty key bypasses the lookup and the singleflight alike. Metrics go to
+// error is not an answer. A complete 200 does not depend on the budget, so
+// the LRU key leaves the budget out; the singleflight key keeps it, so that
+// a request never inherits a 206 truncated by another request's budget. A
+// disabled cache hands out empty keys, and an empty key bypasses the lookup
+// and the singleflight alike. Metrics go to
 // "<prefix>.cache.{hits,misses,entries}" and "<prefix>.singleflight.shared".
 type Cache struct {
 	max int
@@ -78,7 +82,7 @@ type Cache struct {
 	items map[string]*list.Element
 
 	fmu     sync.Mutex
-	flights map[string]*flight
+	flights map[flightKey]*flight
 
 	hits    *telemetry.Counter
 	misses  *telemetry.Counter
@@ -91,6 +95,12 @@ type entry struct {
 	ans *Answer
 }
 
+// flightKey names one in-progress compute: the LRU key and the budget.
+type flightKey struct {
+	key    string
+	budget time.Duration
+}
+
 // flight is one in-progress compute that identical requests wait on.
 type flight struct {
 	done chan struct{}
@@ -98,20 +108,17 @@ type flight struct {
 	err  error
 }
 
-// DefaultCacheSize is the entry bound a zero size selects.
+// DefaultCacheSize is the entry bound of both daemons' response caches.
 const DefaultCacheSize = 4096
 
-// NewCache returns a cache of at most size entries, with the daemons'
-// Config semantics: 0 selects DefaultCacheSize, negative disables caching.
+// NewCache returns a cache of at most size entries; a size below 1
+// disables caching.
 func NewCache(size int, tel *telemetry.Registry, prefix string) *Cache {
-	if size == 0 {
-		size = DefaultCacheSize
-	}
 	return &Cache{
 		max:     size,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
-		flights: make(map[string]*flight),
+		flights: make(map[flightKey]*flight),
 		hits:    tel.Counter(prefix + ".cache.hits"),
 		misses:  tel.Counter(prefix + ".cache.misses"),
 		entries: tel.Gauge(prefix + ".cache.entries"),
@@ -120,17 +127,19 @@ func NewCache(size int, tel *telemetry.Registry, prefix string) *Cache {
 }
 
 // Key canonicalizes a request into a cache key: endpoint name, path (which
-// carries {node}), the query parameters sorted by name and value, and
-// suffix, which names the artifacts the answer was computed from so that
-// entries computed from other artifacts are never replayed. It returns ""
-// when the cache is disabled.
+// carries {node}), the query parameters other than budget sorted by name
+// and value, and suffix, which names the artifacts the answer was computed from
+// so that entries computed from other artifacts are never replayed. It
+// returns "" when the cache is disabled.
 func (c *Cache) Key(name, path string, q url.Values, suffix string) string {
 	if c.max <= 0 {
 		return ""
 	}
 	keys := make([]string, 0, len(q))
 	for k := range q {
-		keys = append(keys, k)
+		if k != "budget" {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	var b strings.Builder
@@ -161,9 +170,9 @@ func (c *Cache) Key(name, path string, q url.Values, suffix string) string {
 	return b.String()
 }
 
-// Get looks key up under a "cache.lookup" span. An empty key misses
+// lookup looks key up under a "cache.lookup" span. An empty key misses
 // without a span or a count.
-func (c *Cache) Get(ctx context.Context, key string) (*Answer, bool) {
+func (c *Cache) lookup(ctx context.Context, key string) (*Answer, bool) {
 	if key == "" {
 		return nil, false
 	}
@@ -187,15 +196,15 @@ func (c *Cache) get(key string) (*Answer, bool) {
 	return el.Value.(*entry).ans, true
 }
 
-// Do computes key's answer once among concurrent callers, under a
-// "singleflight.do" span, and caches it when it is a complete 200. Followers
-// wait for the leader's answer but give up when their own ctx expires: a
-// follower with a tight budget is not held hostage by a slow leader. state
-// is the request-log cache state: "miss" for the leader, "shared" for a
-// follower, and "" for an empty key, which just runs compute.
+// do computes key's answer once among concurrent callers under the same
+// budget, under a "singleflight.do" span, and caches it when it is a
+// complete 200. Followers wait for the leader's answer but give up when
+// their own ctx expires. state is the request-log cache state: "miss" for
+// the leader, "shared" for a follower, and "" for an empty key, which just
+// runs compute.
 // (Hand-rolled because the module is dependency-free; the contract matches
 // golang.org/x/sync/singleflight.Do.)
-func (c *Cache) Do(ctx context.Context, key string, compute func() (*Answer, error)) (ans *Answer, state string, err error) {
+func (c *Cache) do(ctx context.Context, key string, budget time.Duration, compute func() (*Answer, error)) (ans *Answer, state string, err error) {
 	if key == "" {
 		ans, err = compute()
 		return ans, "", err
@@ -205,8 +214,9 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*Answer, err
 		span.SetAttrs(trace.Bool("shared", state == "shared"))
 		span.End()
 	}()
+	fk := flightKey{key, budget}
 	c.fmu.Lock()
-	if f, ok := c.flights[key]; ok {
+	if f, ok := c.flights[fk]; ok {
 		c.fmu.Unlock()
 		c.shared.Inc()
 		select {
@@ -217,7 +227,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*Answer, err
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
+	c.flights[fk] = f
 	c.fmu.Unlock()
 
 	f.ans, f.err = compute()
@@ -226,7 +236,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*Answer, err
 	}
 
 	c.fmu.Lock()
-	delete(c.flights, key)
+	delete(c.flights, fk)
 	c.fmu.Unlock()
 	close(f.done)
 	return f.ans, "miss", f.err

@@ -59,32 +59,32 @@ func TestCacheLRUAndOnly200(t *testing.T) {
 	c := NewCache(2, tel, "t")
 	ctx := context.Background()
 	for _, k := range []string{"a", "b"} {
-		if _, _, err := c.Do(ctx, k, ok(k)); err != nil {
+		if _, _, err := c.do(ctx, k, 0, ok(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, hit := c.Get(ctx, "a"); !hit { // a becomes most recent
+	if _, hit := c.lookup(ctx, "a"); !hit { // a becomes most recent
 		t.Fatal("a missed")
 	}
-	c.Do(ctx, "c", ok("c")) // evicts b
-	if _, hit := c.Get(ctx, "b"); hit {
+	c.do(ctx, "c", 0, ok("c")) // evicts b
+	if _, hit := c.lookup(ctx, "b"); hit {
 		t.Fatal("b survived eviction")
 	}
-	if ans, hit := c.Get(ctx, "a"); !hit || string(ans.Body) != "a" {
+	if ans, hit := c.lookup(ctx, "a"); !hit || string(ans.Body) != "a" {
 		t.Fatal("a was evicted or replayed wrong")
 	}
 	if c.Len() != 2 || tel.Gauge("t.cache.entries").Value() != 2 {
 		t.Fatalf("len %d, entries gauge %d; want 2", c.Len(), tel.Gauge("t.cache.entries").Value())
 	}
 
-	c.Do(ctx, "p", func() (*Answer, error) { return &Answer{Status: http.StatusPartialContent}, nil })
-	c.Do(ctx, "e", func() (*Answer, error) { return nil, errors.New("boom") })
+	c.do(ctx, "p", 0, func() (*Answer, error) { return &Answer{Status: http.StatusPartialContent}, nil })
+	c.do(ctx, "e", 0, func() (*Answer, error) { return nil, errors.New("boom") })
 	for _, k := range []string{"p", "e"} {
-		if _, hit := c.Get(ctx, k); hit {
+		if _, hit := c.lookup(ctx, k); hit {
 			t.Fatalf("%s was cached", k)
 		}
 	}
-	if _, hit := c.Get(ctx, ""); hit {
+	if _, hit := c.lookup(ctx, ""); hit {
 		t.Fatal("the empty key hit")
 	}
 	if hits, misses := tel.Counter("t.cache.hits").Value(), tel.Counter("t.cache.misses").Value(); hits != 2 || misses != 3 {
@@ -115,7 +115,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ans, state, err := c.Do(context.Background(), "k", slow)
+			ans, state, err := c.do(context.Background(), "k", 0, slow)
 			if err != nil || string(ans.Body) != "x" {
 				t.Errorf("caller got %v, %v", ans, err)
 			}
@@ -127,7 +127,7 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, state, err := c.Do(ctx, "k", slow); state != "shared" || !errors.Is(err, context.DeadlineExceeded) {
+	if _, state, err := c.do(ctx, "k", 0, slow); state != "shared" || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("impatient follower: state %q err %v, want shared and deadline exceeded", state, err)
 	}
 	close(release)
@@ -140,7 +140,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if computes.Load() != 1 || count["miss"] != 1 || count["shared"] != callers-1 {
 		t.Fatalf("%d computes, states %v; want 1 compute, 1 miss and %d shared", computes.Load(), count, callers-1)
 	}
-	if _, hit := c.Get(context.Background(), "k"); !hit {
+	if _, hit := c.lookup(context.Background(), "k"); !hit {
 		t.Fatal("the leader's 200 was not cached")
 	}
 }
@@ -171,4 +171,39 @@ func TestEncodeAndRecord(t *testing.T) {
 	} else if ae := (*api.Error)(nil); !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError {
 		t.Fatalf("Encode error %v, want a 500 envelope", err)
 	}
+}
+
+// TestCacheFlightPerBudget: the LRU key leaves the budget out, since a
+// complete 200 does not depend on it, but a request never joins a flight
+// under another budget, whose 206 that budget would have truncated.
+func TestCacheFlightPerBudget(t *testing.T) {
+	c := NewCache(8, telemetry.New(), "t")
+	key := func(raw string) string {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Key("spread", "/v1/spread", q, "fp")
+	}
+	k := key("seeds=1&budget=1s")
+	if k != key("seeds=1") || k != key("budget=5ms&seeds=1") {
+		t.Fatalf("the budget changed the key %q", k)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.do(context.Background(), k, time.Millisecond, func() (*Answer, error) {
+			close(started)
+			<-release
+			return &Answer{Status: http.StatusPartialContent, Body: []byte("truncated")}, nil
+		})
+	}()
+	<-started
+	ans, state, err := c.do(context.Background(), k, time.Second, ok("complete"))
+	if err != nil || state != "miss" || string(ans.Body) != "complete" {
+		t.Fatalf("request under another budget got %q (state %q, err %v), want its own complete answer", ans.Body, state, err)
+	}
+	close(release)
+	<-done
 }

@@ -1,14 +1,16 @@
 // Package daemon is the serving skeleton shared by soid, soigw and the
 // batch CLIs' -debug-addr listener: the one listener (a Gate that binds
 // before anything loads), the one debug surface, the one /v1 request
-// envelope, and the bind → load → serve → drain → report lifecycle. It knows
-// nothing about what a daemon computes; the estimators stay behind
+// pipeline (Envelope, with its response Cache), and the bind → load →
+// serve → drain → report lifecycle with the flags both daemons take. It
+// knows nothing about what a daemon computes; the estimators stay behind
 // internal/server and the scatter-gather behind internal/router.
 package daemon
 
 import (
 	"context"
 	"expvar"
+	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -130,19 +132,50 @@ func (g *Gate) Shutdown(ctx context.Context) error {
 
 // Lifecycle is the sequence soid and soigw share: Bind, load the artifacts,
 // then Serve until SIGINT/SIGTERM, drain, and write the run report. Its
-// fields are the two daemons' common flags.
+// exported settings are the flags both daemons take (Register); Bind builds
+// the telemetry both serve with.
 type Lifecycle struct {
-	Tool         string        // daemon name, for stderr notices
+	Tool         string        // daemon name: stderr notices, run report, trace service
 	Addr         string        // -addr
 	AddrFile     string        // -addr-file
 	DrainTimeout time.Duration // -drain-timeout
 	StatsJSON    string        // -stats-json
 
+	TraceRing      int           // -trace-ring; 0 disables tracing
+	TraceSample    float64       // -trace-sample
+	TraceSlow      time.Duration // -trace-slow
+	RequestLogPath string        // -request-log
+
+	// Telemetry, Tracer (nil with -trace-ring 0) and RequestLog (nil
+	// without -request-log) are built by Bind.
+	Telemetry  *telemetry.Registry
+	Tracer     *trace.Tracer
+	RequestLog *trace.RequestLog
+
 	gate *Gate
 }
 
-// Bind starts the Gate on Addr before anything loads and writes the
-// resolved address to AddrFile (when set). It returns the resolved address.
+// Register installs the flags both daemons take on fs; addr is -addr's
+// default.
+func (l *Lifecycle) Register(fs *flag.FlagSet, addr string) {
+	fs.StringVar(&l.Addr, "addr", addr, "listen address; :0 picks an ephemeral port")
+	fs.StringVar(&l.AddrFile, "addr-file", "", "write the resolved listen address to this file (scripts waiting on :0)")
+	fs.DurationVar(&l.DrainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
+	fs.StringVar(&l.StatsJSON, "stats-json", "", "write the machine-readable run report to this file on exit")
+	fs.IntVar(&l.TraceRing, "trace-ring", 512,
+		"retained-trace ring size (/debug/traces); 0 disables tracing entirely")
+	fs.Float64Var(&l.TraceSample, "trace-sample", 0.01,
+		"probability an unremarkable trace is retained (errors/206s/slow are always kept); negative keeps only remarkable traces")
+	fs.DurationVar(&l.TraceSlow, "trace-slow", 500*time.Millisecond,
+		"requests at least this slow are always retained")
+	fs.StringVar(&l.RequestLogPath, "request-log", "",
+		"append one JSON line per request to this file")
+}
+
+// Bind starts the Gate on Addr before anything loads, writes the resolved
+// address to AddrFile (when set), and builds the telemetry registry (also
+// published on /debug/vars), the tracer and the request log. It returns
+// the resolved address.
 func (l *Lifecycle) Bind() (string, error) {
 	l.gate = NewGate()
 	resolved, err := l.gate.Start(l.Addr)
@@ -157,15 +190,32 @@ func (l *Lifecycle) Bind() (string, error) {
 			return "", err
 		}
 	}
+	l.Telemetry = telemetry.New()
+	l.Telemetry.SetTool(l.Tool)
+	telemetry.PublishExpvar("soi", l.Telemetry)
+	if l.TraceRing > 0 {
+		l.Tracer = trace.New(trace.Options{
+			Service:       l.Tool,
+			RingSize:      l.TraceRing,
+			SampleRate:    l.TraceSample,
+			SlowThreshold: l.TraceSlow,
+			Telemetry:     l.Telemetry,
+		})
+	}
+	if l.RequestLogPath != "" {
+		if l.RequestLog, err = trace.OpenRequestLog(l.RequestLogPath); err != nil {
+			return "", fmt.Errorf("opening request log: %w", err)
+		}
+	}
 	return resolved, nil
 }
 
 // Serve swaps h in and serves until SIGINT/SIGTERM, then drains: drain flips
 // the daemon's drain flag (new requests get 503 "draining", /readyz goes
 // not-ready), and the listener waits for the admitted requests, bounded by
-// DrainTimeout. The run report of tel goes to StatsJSON either way. Call
-// Bind first.
-func (l *Lifecycle) Serve(h http.Handler, drain func(), tel *telemetry.Registry) error {
+// DrainTimeout. The run report goes to StatsJSON and the request log is
+// closed either way. Call Bind first.
+func (l *Lifecycle) Serve(h http.Handler, drain func()) error {
 	// Catch the signals before the first query can be answered, so a signal
 	// sent to a ready daemon always drains it.
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -177,7 +227,8 @@ func (l *Lifecycle) Serve(h http.Handler, drain func(), tel *telemetry.Registry)
 	defer cancel()
 	drain()
 	err := l.gate.Shutdown(ctx)
-	WriteReport(l.Tool, l.StatsJSON, tel.Report())
+	WriteReport(l.Tool, l.StatsJSON, l.Telemetry.Report())
+	l.RequestLog.Close()
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"soi/internal/api"
 	"soi/internal/daemon"
-	"soi/internal/trace"
 )
 
 // Handler returns the gateway mux.
@@ -24,14 +23,14 @@ func (r *Router) buildMux() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", daemon.Healthz)
 	mux.HandleFunc("GET /readyz", r.handleReadyz)
-	mux.Handle("GET /v1/info", r.endpoint("info", false, r.handleInfo))
+	mux.Handle("GET /v1/info", r.env.Endpoint("info", false, r.handleInfo))
 	mux.HandleFunc("GET /v1/topology", r.handleTopology)
-	mux.Handle("GET /v1/sphere/{node}", r.endpoint("sphere", true, r.handleSphere))
-	mux.Handle("GET /v1/modes/{node}", r.endpoint("modes", true, r.handleModes))
-	mux.Handle("GET /v1/stability", r.endpoint("stability", true, r.handleStability))
-	mux.Handle("GET /v1/seeds", r.endpoint("seeds", true, r.handleSeeds))
-	mux.Handle("GET /v1/spread", r.endpoint("spread", true, r.handleSpread))
-	mux.Handle("GET /v1/reliability", r.endpoint("reliability", true, r.handleReliability))
+	mux.Handle("GET /v1/sphere/{node}", r.env.Endpoint("sphere", true, r.handleSphere))
+	mux.Handle("GET /v1/modes/{node}", r.env.Endpoint("modes", true, r.handleModes))
+	mux.Handle("GET /v1/stability", r.env.Endpoint("stability", true, r.handleStability))
+	mux.Handle("GET /v1/seeds", r.env.Endpoint("seeds", true, r.handleSeeds))
+	mux.Handle("GET /v1/spread", r.env.Endpoint("spread", true, r.handleSpread))
+	mux.Handle("GET /v1/reliability", r.env.Endpoint("reliability", true, r.handleReliability))
 	daemon.Debug(mux, r.cfg.Telemetry, r.cfg.Tracer)
 	r.mux = mux
 }
@@ -73,51 +72,6 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	api.WriteJSON(w, status, resp)
 }
 
-// endpoint puts a gateway handler under the daemon envelope with soigw's
-// own half of the pipeline: the shared response cache (keyed on the index
-// fingerprints the replicas last reported), the budget context, degradation
-// metrics, and the scatter counts of the request-log line.
-func (r *Router) endpoint(name string, cacheable bool, fn func(*http.Request) (*daemon.Answer, error)) http.Handler {
-	return r.env.Wrap(name, func(w http.ResponseWriter, req *http.Request, c daemon.Call) (trace.RequestRecord, error) {
-		key := ""
-		if cacheable {
-			key = r.cache.Key(name, req.URL.Path, c.Query, *r.keySuffix.Load())
-		}
-		if ans, hit := r.cache.Get(req.Context(), key); hit {
-			ans.Write(w, true)
-			return ans.Record("hit"), nil
-		}
-
-		// A cached key's scatter is shared with every follower that joins its
-		// flight, so the leader's client hanging up must not cut its legs
-		// short and hand the followers a degraded answer: it runs detached
-		// from that client, bounded by the budget alone.
-		base := req.Context()
-		if key != "" {
-			base = context.WithoutCancel(base)
-		}
-		ctx, cancel := context.WithDeadline(base, r.now().Add(c.Budget))
-		defer cancel()
-		req = req.WithContext(withBudget(ctx, c.Budget))
-		ans, state, err := r.cache.Do(ctx, key, func() (*daemon.Answer, error) { return fn(req) })
-		if err != nil {
-			return trace.RequestRecord{Cache: state}, err
-		}
-		rec := ans.Record(state)
-		if rec.Partial {
-			r.mDegraded.Inc()
-			// The merge widened the answer: record how far and why on the root
-			// span, so a 206's trace explains itself.
-			c.Span.Event("degraded",
-				trace.Int("shards_ok", int64(rec.ShardsOK)),
-				trace.Int("shards_total", int64(rec.ShardsTotal)),
-				trace.Float("error_bound", rec.ErrorBound))
-		}
-		ans.Write(w, false)
-		return rec, nil
-	})
-}
-
 // failEnvelope maps err onto the error envelope; an error the gateway did
 // not raise as an *api.Error (a shard body it could not decode) is a 502.
 func failEnvelope(err error) *api.Error {
@@ -128,20 +82,16 @@ func failEnvelope(err error) *api.Error {
 	return ae
 }
 
-type gwBudgetKey struct{}
-
-func withBudget(ctx context.Context, b time.Duration) context.Context {
-	return context.WithValue(ctx, gwBudgetKey{}, b)
-}
-
-func budgetOf(ctx context.Context) time.Duration {
-	b, _ := ctx.Value(gwBudgetKey{}).(time.Duration)
-	return b
-}
+// mergeGrace is reserved out of the client budget for gathering and merging
+// the legs.
+const mergeGrace = 300 * time.Millisecond
 
 // subQuery rewrites the client query for one shard leg: per-shard node
 // parameters override the client's, and the budget is shrunk by the merge
 // grace so the gateway has time to gather and merge before its own deadline.
+// The leg budget is a function of the client's budget, not of the time
+// left: repeats of a query send the same leg queries, which the shards can
+// then answer from their caches.
 func (r *Router) subQuery(req *http.Request, overrides map[string]string) string {
 	q := url.Values{}
 	for k, vs := range req.URL.Query() {
@@ -150,8 +100,8 @@ func (r *Router) subQuery(req *http.Request, overrides map[string]string) string
 	for k, v := range overrides {
 		q.Set(k, v)
 	}
-	budget := budgetOf(req.Context())
-	sub := budget - r.cfg.mergeGrace()
+	budget := daemon.BudgetOf(req.Context()).Duration
+	sub := budget - mergeGrace
 	if sub < budget/2 {
 		sub = budget / 2
 	}

@@ -134,7 +134,7 @@ func TestGatewayCacheOnlyComplete200(t *testing.T) {
 					t.Fatalf("request %d: shard saw %d requests, want %d", i, got, i)
 				}
 			}
-			if n := r.cache.Len(); n != 0 {
+			if n := r.env.Cache.Len(); n != 0 {
 				t.Fatalf("cache holds %d entries, want 0", n)
 			}
 		})
@@ -189,7 +189,7 @@ func TestGatewayCacheOffWithoutProbing(t *testing.T) {
 	if got := s0.calls.Load(); got != 3 {
 		t.Fatalf("shard saw %d requests, want 3", got)
 	}
-	if n := r.cache.Len(); n != 0 {
+	if n := r.env.Cache.Len(); n != 0 {
 		t.Fatalf("disabled cache holds %d entries", n)
 	}
 }
@@ -282,11 +282,34 @@ func TestGatewayCacheLeaderCancel(t *testing.T) {
 		}
 	}
 	<-leaderDone
-	if n := r.mDegraded.Value(); n != 0 {
+	if n := r.cfg.Telemetry.Counter("router.degraded").Value(); n != 0 {
 		t.Fatalf("router.degraded = %d, want 0", n)
 	}
 	if a, b := s0.calls.Load(), s1.calls.Load(); a != 1 || b != 1 {
 		t.Fatalf("shards saw %d and %d legs, want one scatter", a, b)
+	}
+}
+
+// TestGatewayCacheKeyIgnoresBudget: a complete 200 does not depend on the
+// budget, so a repeat under another budget is a gateway hit with identical
+// bytes and no shard leg.
+func TestGatewayCacheKeyIgnoresBudget(t *testing.T) {
+	s0 := newCountingShard(t, `{"spread":1.5}`)
+	s1 := newCountingShard(t, `{"spread":2.5}`)
+	r := newTestRouter(t, cachedNoCut, []string{s0.URL}, []string{s1.URL})
+	first := gwGet(r, "/v1/spread?seeds=0,10&budget=20s")
+	second := gwGet(r, "/v1/spread?seeds=0,10&budget=19s")
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first answer %d X-Cache %q, want 200 miss", first.Code, first.Header().Get("X-Cache"))
+	}
+	if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("repeat under another budget %d X-Cache %q, want 200 hit", second.Code, second.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		t.Fatalf("hit replayed %q, first answer was %q", second.Body, first.Body)
+	}
+	if legs := s0.calls.Load() + s1.calls.Load(); legs != 2 {
+		t.Fatalf("%d legs for one scatter and a hit, want 2", legs)
 	}
 }
 
@@ -333,8 +356,8 @@ func TestGatewayRelayKeepsAnnotation(t *testing.T) {
 	if !got.Partial || got.Status != http.StatusPartialContent || got.ErrorBound != 0.2 || got.Achieved != 3 || got.Requested != 10 {
 		t.Fatalf("relayed 206 logged %+v, want partial, error_bound 0.2, achieved 3, requested 10", got)
 	}
-	if r.mDegraded.Value() != 1 {
-		t.Fatalf("router.degraded = %d, want 1", r.mDegraded.Value())
+	if r.cfg.Telemetry.Counter("router.degraded").Value() != 1 {
+		t.Fatalf("router.degraded = %d, want 1", r.cfg.Telemetry.Counter("router.degraded").Value())
 	}
 }
 
@@ -375,7 +398,7 @@ func benchGateway(b *testing.B, clear bool) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if clear {
-					rt.cache.Clear()
+					rt.env.Cache.Clear()
 				}
 				if rec := gwGet(rt, url); rec.Code != http.StatusOK {
 					b.Fatalf("%s: %d", url, rec.Code)

@@ -448,8 +448,8 @@ func TestConformanceRouterShardPartial206(t *testing.T) {
 	if got := bodyFloat(t, body, "spread"); math.Abs(got-exact) > bound+slack {
 		t.Errorf("truncated spread %v outside exact %v ± (bound %v + slack %v)", got, exact, bound, slack)
 	}
-	if rt.mDegraded.Value() != 1 {
-		t.Errorf("degraded counter = %d, want 1", rt.mDegraded.Value())
+	if rt.cfg.Telemetry.Counter("router.degraded").Value() != 1 {
+		t.Errorf("degraded counter = %d, want 1", rt.cfg.Telemetry.Counter("router.degraded").Value())
 	}
 }
 

@@ -54,13 +54,6 @@ type Config struct {
 	// last reported; with probing off nothing could retire an entry
 	// computed from replaced artifacts, so nothing is cached.
 	ProbeInterval time.Duration
-	// MergeGrace is reserved out of the client budget for the gather+merge
-	// step: shards get budget-MergeGrace. 0 selects 300ms.
-	MergeGrace time.Duration
-	// DefaultBudget / MaxBudget mirror the soid budget parameters; zeros
-	// select 2s / 30s.
-	DefaultBudget time.Duration
-	MaxBudget     time.Duration
 
 	// Telemetry receives router metrics; nil disables instrumentation.
 	Telemetry *telemetry.Registry
@@ -111,27 +104,6 @@ func (c Config) cacheSize() int {
 	return daemon.DefaultCacheSize
 }
 
-func (c Config) mergeGrace() time.Duration {
-	if c.MergeGrace <= 0 {
-		return 300 * time.Millisecond
-	}
-	return c.MergeGrace
-}
-
-func (c Config) defaultBudget() time.Duration {
-	if c.DefaultBudget <= 0 {
-		return 2 * time.Second
-	}
-	return c.DefaultBudget
-}
-
-func (c Config) maxBudget() time.Duration {
-	if c.MaxBudget <= 0 {
-		return 30 * time.Second
-	}
-	return c.MaxBudget
-}
-
 // Router fans /v1 queries out to shard replicas and merges the answers.
 // Create with New, then StartProbing to begin health probing; Close stops it.
 type Router struct {
@@ -155,11 +127,10 @@ type Router struct {
 	env      *daemon.Envelope
 	draining atomic.Bool
 
-	// cache holds complete answers under keys ending in keySuffix: every
+	// The response cache (env.Cache) keys answers with keySuffix: every
 	// replica's last-reported index fingerprint, rebuilt under fpMu when a
 	// probe reports a new one, so answers computed from replaced artifacts
 	// stop matching within one probe interval.
-	cache     *daemon.Cache
 	fpMu      sync.Mutex
 	keySuffix atomic.Pointer[string]
 
@@ -167,7 +138,6 @@ type Router struct {
 	mHedges    *telemetry.Counter
 	mHedgeWins *telemetry.Counter
 	mShardErrs *telemetry.Counter
-	mDegraded  *telemetry.Counter
 	mProbeFail *telemetry.Counter
 	mShardLat  *telemetry.Histogram
 	mHealthy   []*telemetry.Gauge
@@ -206,13 +176,11 @@ func New(cfg Config) (*Router, error) {
 		rng:       rand.New(rand.NewSource(int64(seed))),
 		probeStop: make(chan struct{}),
 		started:   now(),
-		cache:     daemon.NewCache(cfg.cacheSize(), tel, "router"),
 
 		mRetries:   tel.Counter("router.retries"),
 		mHedges:    tel.Counter("router.hedges"),
 		mHedgeWins: tel.Counter("router.hedge_wins"),
 		mShardErrs: tel.Counter("router.shard_errors"),
-		mDegraded:  tel.Counter("router.degraded"),
 		mProbeFail: tel.Counter("router.probe_failures"),
 		mShardLat:  tel.Histogram("router.shard_latency_ns"),
 	}
@@ -237,16 +205,16 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.keySuffix.Store(new(string))
 	r.env = &daemon.Envelope{
-		Service:       "soigw",
-		Metrics:       tel,
-		Prefix:        "router",
-		Tracer:        cfg.Tracer,
-		RequestLog:    cfg.RequestLog,
-		Draining:      &r.draining,
-		DrainMsg:      "gateway is draining",
-		DefaultBudget: cfg.defaultBudget(),
-		MaxBudget:     cfg.maxBudget(),
-		Fail:          failEnvelope,
+		Service:    "soigw",
+		Metrics:    tel,
+		Prefix:     "router",
+		Tracer:     cfg.Tracer,
+		RequestLog: cfg.RequestLog,
+		Draining:   &r.draining,
+		DrainMsg:   "gateway is draining",
+		Fail:       failEnvelope,
+		Cache:      daemon.NewCache(cfg.cacheSize(), tel, "router"),
+		KeySuffix:  func() string { return *r.keySuffix.Load() },
 	}
 	r.buildMux()
 	return r, nil

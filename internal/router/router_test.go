@@ -194,8 +194,7 @@ func TestSubQueryShrinksBudget(t *testing.T) {
 		fmt.Fprint(w, `{"spread":1,"method":"index"}`)
 	}))
 	defer ts.Close()
-	r := newTestRouter(t, func(c *Config) { c.MergeGrace = 300 * time.Millisecond },
-		[]string{ts.URL}, []string{ts.URL})
+	r := newTestRouter(t, nil, []string{ts.URL}, []string{ts.URL})
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/spread?seeds=0&budget=1s", nil))
@@ -207,7 +206,7 @@ func TestSubQueryShrinksBudget(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/spread?seeds=0&budget=400ms", nil))
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/spread?seeds=1,10&budget=400ms", nil))
 	if got := captured.Load(); got != "200ms" {
 		t.Fatalf("shard saw budget %v, want 200ms (floored at budget/2)", got)
 	}
@@ -285,8 +284,8 @@ func TestGatewayRelaysShardClientErrors(t *testing.T) {
 			}
 		}
 	}
-	if n := rt.mShardErrs.Value(); n != 0 || rt.mDegraded.Value() != 0 {
-		t.Errorf("shard errors %d, degraded %d; want 0 and 0", n, rt.mDegraded.Value())
+	if n := rt.mShardErrs.Value(); n != 0 || rt.cfg.Telemetry.Counter("router.degraded").Value() != 0 {
+		t.Errorf("shard errors %d, degraded %d; want 0 and 0", n, rt.cfg.Telemetry.Counter("router.degraded").Value())
 	}
 }
 
@@ -552,10 +551,15 @@ func TestParseReplicaWiringValidation(t *testing.T) {
 // queries (sorted parameters), keeping shard-side caches effective.
 func TestSubQueryIsDeterministic(t *testing.T) {
 	r := newTestRouter(t, nil, []string{"http://unused"}, []string{"http://unused"})
-	req := httptest.NewRequest("GET", "/v1/spread?seeds=0&method=mc&trials=50", nil)
-	req = req.WithContext(withBudget(req.Context(), time.Second))
-	q1 := r.subQuery(req, map[string]string{"seeds": "0"})
-	q2 := r.subQuery(req, map[string]string{"seeds": "0"})
+	// Run subQuery under the pipeline, which puts the request budget on the
+	// context.
+	var q1, q2 string
+	probe := r.env.Endpoint("probe", false, func(req *http.Request) (*daemon.Answer, error) {
+		q1 = r.subQuery(req, map[string]string{"seeds": "0"})
+		q2 = r.subQuery(req, map[string]string{"seeds": "0"})
+		return daemon.Encode(struct{}{})
+	})
+	probe.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/spread?seeds=0&method=mc&trials=50&budget=1s", nil))
 	if q1 != q2 {
 		t.Fatalf("subQuery not deterministic: %q vs %q", q1, q2)
 	}

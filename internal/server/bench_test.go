@@ -28,7 +28,7 @@ func BenchmarkServerSphereQuery(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.cache.Clear()
+			s.env.Cache.Clear()
 			if code := query(); code != 200 {
 				b.Fatalf("status %d", code)
 			}
@@ -66,7 +66,7 @@ func BenchmarkServerSphereQueryTraced(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.cache.Clear()
+			s.env.Cache.Clear()
 			if code := query(); code != 200 {
 				b.Fatalf("status %d", code)
 			}
@@ -98,7 +98,7 @@ func BenchmarkServerSeedsQuery(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.cache.Clear()
+			s.env.Cache.Clear()
 			if code := query(); code != 200 {
 				b.Fatalf("status %d", code)
 			}

@@ -10,6 +10,7 @@ import (
 	"soi/internal/cascade"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
+	"soi/internal/daemon"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/infmax"
@@ -216,7 +217,7 @@ func (s *Server) handleSphere(req *http.Request) (any, error) {
 			trace.Int("samples", int64(samples)))
 		stab, achieved, err := core.EstimateCost(ectx, s.g,
 			[]graph.NodeID{v}, r.Set, samples, s.querySeed(v), s.cfg.Model,
-			samplingBudget(ectx), nil)
+			checkpoint.Budget{Deadline: daemon.BudgetOf(ectx).Deadline}, nil)
 		esp.SetAttrs(trace.Int("achieved", int64(achieved)))
 		esp.End()
 		pe, err := splitPartial(err)
@@ -259,7 +260,7 @@ func (s *Server) handleStability(req *http.Request) (any, error) {
 		trace.Int("samples", int64(samples)))
 	stab, achieved, err := core.EstimateCost(ectx, s.g,
 		seeds, r.Set, samples, s.querySeed(seeds...), s.cfg.Model,
-		samplingBudget(ectx), nil)
+		checkpoint.Budget{Deadline: daemon.BudgetOf(ectx).Deadline}, nil)
 	esp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	esp.End()
 	pe, err := splitPartial(err)
@@ -390,7 +391,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 		// requests; a single query must not monopolize the process.
 		spread, err := cascade.ExpectedSpread(req.Context(), s.g, seeds,
 			trials, s.querySeed(seeds...), 1,
-			checkpoint.Config{Budget: samplingBudget(req.Context()), Telemetry: s.cfg.Telemetry})
+			checkpoint.Config{Budget: checkpoint.Budget{Deadline: daemon.BudgetOf(req.Context()).Deadline}, Telemetry: s.cfg.Telemetry})
 		pe, err := splitPartial(err)
 		if err != nil {
 			return nil, err
@@ -432,7 +433,7 @@ func (s *Server) handleReliability(req *http.Request) (any, error) {
 	rctx, rsp := trace.StartChild(req.Context(), "reliability.search",
 		trace.Int("samples", int64(samples)))
 	nodes, achieved, err := reliability.Search(rctx, s.g, sources,
-		threshold, samples, s.querySeed(sources...), samplingBudget(rctx))
+		threshold, samples, s.querySeed(sources...), checkpoint.Budget{Deadline: daemon.BudgetOf(rctx).Deadline})
 	rsp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	rsp.End()
 	pe, err := splitPartial(err)
@@ -502,7 +503,7 @@ func (s *Server) handleInfo(*http.Request) (any, error) {
 		IndexFingerprint:  strconv.FormatUint(s.indexFP, 16),
 		SpheresLoaded:     s.spheres != nil,
 		SketchLoaded:      s.sketch != nil,
-		CacheEntries:      s.cache.Len(),
+		CacheEntries:      s.env.Cache.Len(),
 		UptimeSeconds:     int64(time.Since(s.started).Seconds()),
 	}, nil
 }

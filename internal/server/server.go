@@ -3,16 +3,17 @@
 // optional sphere store once, then answers concurrent sphere / stability /
 // seed-selection / spread / reliability / mode queries from memory.
 //
-// The serving pipeline per request is:
+// Each /v1 request runs the pipeline soid shares with soigw (daemon.Envelope):
 //
-//	mux → drain check → cache lookup → singleflight → admission → compute
+//	mux → drain check → budget → cache lookup → singleflight → admission → compute
 //
-// with an LRU result cache keyed on (endpoint, canonicalized params, index
-// fingerprint), deduplication of identical in-flight queries, a bounded
-// admission queue that sheds load with 429 + Retry-After, and per-request
-// wall-clock budgets mapped onto the checkpoint Budget machinery — a budget
-// that truncates sampling yields HTTP 206 with the achieved sample count and
-// a Theorem-2-style error bound instead of an error.
+// with an LRU result cache keyed on (endpoint, canonicalized params but the
+// budget, index fingerprint), deduplication of identical in-flight queries,
+// a bounded admission queue that sheds load with 429 + Retry-After, and
+// per-request wall-clock budgets mapped onto the checkpoint Budget
+// machinery — a budget that truncates sampling yields HTTP 206 with the
+// achieved sample count and a Theorem-2-style error bound instead of an
+// error. Only admission and compute are soid's own.
 //
 // Degraded indexes get the same treatment: when a memory-mapped index has
 // quarantined corrupt world blocks, estimates cover only the surviving
@@ -79,9 +80,6 @@ type Config struct {
 	// disables request logging.
 	RequestLog *trace.RequestLog
 
-	// CacheSize bounds the LRU result cache in entries; 0 selects 4096,
-	// negative disables caching.
-	CacheSize int
 	// MaxInflight bounds concurrently computing requests; 0 selects
 	// GOMAXPROCS.
 	MaxInflight int
@@ -89,11 +87,6 @@ type Config struct {
 	// MaxInflight; 0 selects 4*MaxInflight, negative disables queueing
 	// (immediate 429 when all slots are busy).
 	MaxQueue int
-	// DefaultBudget is the per-request wall-clock budget when the request
-	// carries no budget parameter; 0 selects 2s.
-	DefaultBudget time.Duration
-	// MaxBudget caps the per-request budget parameter; 0 selects 30s.
-	MaxBudget time.Duration
 	// CostSamples is the default held-out sample count for stability
 	// estimates; 0 selects 200.
 	CostSamples int
@@ -120,20 +113,6 @@ func (c Config) maxQueue() int {
 		return 0
 	}
 	return c.MaxQueue
-}
-
-func (c Config) defaultBudget() time.Duration {
-	if c.DefaultBudget <= 0 {
-		return 2 * time.Second
-	}
-	return c.DefaultBudget
-}
-
-func (c Config) maxBudget() time.Duration {
-	if c.MaxBudget <= 0 {
-		return 30 * time.Second
-	}
-	return c.MaxBudget
 }
 
 func (c Config) costSamples() int {
@@ -168,7 +147,6 @@ type Server struct {
 	indexFP uint64
 	fpHex   string // cache-key suffix binding entries to the loaded index
 
-	cache   *daemon.Cache
 	adm     *admission
 	scratch sync.Pool // *index.Scratch
 
@@ -177,16 +155,10 @@ type Server struct {
 	draining atomic.Bool
 	started  time.Time
 
-	mPartials *telemetry.Counter
 	mRejected *telemetry.Counter
 	mErrors   *telemetry.Counter
 	mSketch   *telemetry.Counter
-	mLatency  map[string]*telemetry.Histogram
-	mByName   map[string]*telemetry.Counter
 }
-
-// endpointNames are the serving endpoints with per-endpoint metrics.
-var endpointNames = []string{"sphere", "stability", "seeds", "spread", "reliability", "modes", "info"}
 
 // New validates that the configured graph / index / sphere-store triple
 // belongs together and assembles the serving pipeline. Mismatches are
@@ -237,22 +209,14 @@ func New(cfg Config) (*Server, error) {
 		origIDs: cfg.OrigIDs,
 		graphFP: graphFP,
 		indexFP: cfg.Index.Fingerprint(),
-		cache:   daemon.NewCache(cfg.CacheSize, tel, "server"),
 		adm:     newAdmission(cfg.maxInflight(), cfg.maxQueue(), tel),
 		started: time.Now(),
 
-		mPartials: tel.Counter("server.partials"),
 		mRejected: tel.Counter("server.rejected_overload"),
 		mErrors:   tel.Counter("server.errors"),
 		mSketch:   tel.Counter("server.sketch_estimates"),
-		mLatency:  make(map[string]*telemetry.Histogram, len(endpointNames)),
-		mByName:   make(map[string]*telemetry.Counter, len(endpointNames)),
 	}
 	s.fpHex = fmt.Sprintf("%016x", s.indexFP)
-	for _, name := range endpointNames {
-		s.mLatency[name] = tel.Histogram("server.latency_ns." + name)
-		s.mByName[name] = tel.Counter("server.req." + name)
-	}
 	if cfg.OrigIDs != nil {
 		s.denseOf = make(map[int64]graph.NodeID, len(cfg.OrigIDs))
 		for v, id := range cfg.OrigIDs {
@@ -267,16 +231,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.scratch.New = func() any { return s.x.NewScratch() }
 	s.env = &daemon.Envelope{
-		Service:       "soid",
-		Metrics:       tel,
-		Prefix:        "server",
-		Tracer:        cfg.Tracer,
-		RequestLog:    cfg.RequestLog,
-		Draining:      &s.draining,
-		DrainMsg:      "server is draining",
-		DefaultBudget: cfg.defaultBudget(),
-		MaxBudget:     cfg.maxBudget(),
-		Fail:          s.mapError,
+		Service:    "soid",
+		Metrics:    tel,
+		Prefix:     "server",
+		Tracer:     cfg.Tracer,
+		RequestLog: cfg.RequestLog,
+		Draining:   &s.draining,
+		DrainMsg:   "server is draining",
+		Fail:       s.mapError,
+		Cache:      daemon.NewCache(daemon.DefaultCacheSize, tel, "server"),
+		KeySuffix:  func() string { return s.fpHex },
+		Overrun:    budgetGrace,
 	}
 	s.buildMux()
 	return s, nil
@@ -328,77 +293,38 @@ func (s *Server) buildMux() {
 // (daemon.Gate.Shutdown).
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// budgetGrace is added to the request budget to form the hard context
-// deadline: the Budget machinery degrades sampling gracefully at the budget
-// instant, while the context kills runaway non-sampling work (greedy rounds,
-// marshaling) only well past it. Without the gap, a tiny budget would hit
-// ctx.Err() before the first sample and turn every 206 into a 503.
+// budgetGrace puts the hard context deadline past the request budget: the
+// Budget machinery degrades sampling gracefully at the budget instant, while
+// the context kills runaway non-sampling work (greedy rounds, marshaling)
+// only well past it. Without the gap, a tiny budget would hit ctx.Err()
+// before the first sample and turn every 206 into a 503.
 const budgetGrace = 5 * time.Second
 
-// endpoint puts fn under the daemon envelope with soid's own half of the
-// pipeline: per-endpoint metrics, the shared response cache (keyed on the
-// loaded index), admission, and the mapping of a budget-truncated answer
-// onto 206.
+// endpoint puts a handler under the shared pipeline with soid's compute:
+// admission, the compute failpoint, the "compute" span, the handler, and
+// encoding its answer once.
 func (s *Server) endpoint(name string, cacheable bool, fn func(*http.Request) (any, error)) http.Handler {
-	return s.env.Wrap(name, func(w http.ResponseWriter, req *http.Request, c daemon.Call) (trace.RequestRecord, error) {
-		s.mByName[name].Inc()
-		defer func() {
-			s.mLatency[name].ObserveExemplar(time.Since(c.Start).Nanoseconds(), c.Span.RequestID())
-		}()
-
-		key := ""
-		if cacheable {
-			key = s.cache.Key(name, req.URL.Path, c.Query, s.fpHex)
-		}
-		if ans, hit := s.cache.Get(req.Context(), key); hit {
-			ans.Write(w, true)
-			return ans.Record("hit"), nil
-		}
-
-		deadline := c.Start.Add(c.Budget)
-		ctx, cancel := context.WithDeadline(req.Context(), deadline.Add(budgetGrace))
-		defer cancel()
-		req = req.WithContext(withBudgetDeadline(ctx, deadline))
-
-		ans, state, err := s.cache.Do(ctx, key, func() (*daemon.Answer, error) {
-			wspan := trace.Child(req.Context(), "admission.wait")
-			err := s.adm.acquire(req.Context())
-			wspan.End()
-			if err != nil {
-				return nil, err
-			}
-			defer s.adm.release()
-			if err := fault.Hit(fault.ServerCompute); err != nil {
-				return nil, err
-			}
-			cctx, cspan := trace.StartChild(req.Context(), "compute")
-			v, err := fn(req.WithContext(cctx))
-			if err != nil {
-				cspan.SetError(err.Error())
-				cspan.End()
-				return nil, err
-			}
-			cspan.SetHTTPStatus(api.StatusOf(api.AnnotationOf(v).Degraded))
-			cspan.End()
-			return daemon.Encode(v)
-		})
+	return s.env.Endpoint(name, cacheable, func(req *http.Request) (*daemon.Answer, error) {
+		wspan := trace.Child(req.Context(), "admission.wait")
+		err := s.adm.acquire(req.Context())
+		wspan.End()
 		if err != nil {
-			return trace.RequestRecord{Cache: state}, err
+			return nil, err
 		}
-		if ans.Status == http.StatusPartialContent {
-			s.mPartials.Inc()
-			// The degradation event ties the 206 to its cause: how much
-			// sampling the budget bought and how many worlds quarantine took.
-			pi := ans.Partial
-			c.Span.Event("degraded",
-				trace.Int("achieved", int64(pi.Achieved)),
-				trace.Int("requested", int64(pi.Requested)),
-				trace.Float("error_bound", pi.ErrorBound),
-				trace.Int("worlds_used", int64(pi.WorldsUsed)),
-				trace.Int("worlds_quarantined", int64(pi.WorldsQuarantined)))
+		defer s.adm.release()
+		if err := fault.Hit(fault.ServerCompute); err != nil {
+			return nil, err
 		}
-		ans.Write(w, false)
-		return ans.Record(state), nil
+		cctx, cspan := trace.StartChild(req.Context(), "compute")
+		v, err := fn(req.WithContext(cctx))
+		if err != nil {
+			cspan.SetError(err.Error())
+			cspan.End()
+			return nil, err
+		}
+		cspan.SetHTTPStatus(api.StatusOf(api.AnnotationOf(v).Degraded))
+		cspan.End()
+		return daemon.Encode(v)
 	})
 }
 
@@ -425,23 +351,6 @@ func (s *Server) mapError(err error) *api.Error {
 		s.mErrors.Inc()
 	}
 	return ae
-}
-
-// budgetKey carries the sampling deadline (as opposed to the hard context
-// deadline, which includes budgetGrace) to the handlers.
-type budgetKey struct{}
-
-func withBudgetDeadline(ctx context.Context, deadline time.Time) context.Context {
-	return context.WithValue(ctx, budgetKey{}, deadline)
-}
-
-// samplingBudget returns the checkpoint Budget for the request's sampling
-// deadline.
-func samplingBudget(ctx context.Context) checkpoint.Budget {
-	if dl, ok := ctx.Value(budgetKey{}).(time.Time); ok {
-		return checkpoint.Budget{Deadline: dl}
-	}
-	return checkpoint.Budget{}
 }
 
 // --- id translation -------------------------------------------------------

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -399,8 +400,8 @@ func TestOverload429(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.MaxInflight = 1
 		c.MaxQueue = -1 // no queue: second concurrent request is shed
-		c.CacheSize = -1
 	})
+	s.env.Cache = daemon.NewCache(-1, nil, "server")
 	fault.SetActive(true)
 	defer fault.SetActive(false)
 	if err := fault.Enable(fault.ServerCompute, fault.Failpoint{
@@ -689,20 +690,6 @@ func TestNewRejectsMismatchedArtifacts(t *testing.T) {
 	}
 }
 
-func TestBudgetCap(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.MaxBudget = 50 * time.Millisecond })
-	// A huge requested budget is capped, so this still degrades to 206
-	// rather than sampling for an hour. The trial count is large enough
-	// that the capped 50ms budget always truncates, but small enough that
-	// the sampler's uninterruptible per-trial RNG setup stays well inside
-	// the budget grace even under -race with the full suite in parallel —
-	// past that, the hard deadline turns the 206 into a 503.
-	rec, _ := do(t, s, "/v1/spread?seeds=0&method=mc&trials=1000000&budget=1h")
-	if rec.Code != http.StatusPartialContent {
-		t.Fatalf("status %d, want 206 under capped budget: %s", rec.Code, rec.Body.String())
-	}
-}
-
 // TestTelemetryReportBounded: the process-lifetime registry must not grow
 // with the number of requests served. /debug/vars renders its whole report
 // on every scrape, so a per-request entry there (seed selection and
@@ -716,8 +703,8 @@ func TestTelemetryReportBounded(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.Telemetry = tel
 		c.Sketch = sk
-		c.CacheSize = -1
 	})
+	s.env.Cache = daemon.NewCache(-1, nil, "server")
 	served := 0
 	reportAfter := func(n int) (telemetry.Report, int) {
 		for ; served < n; served++ {
@@ -744,4 +731,66 @@ func TestTelemetryReportBounded(t *testing.T) {
 	if largeSize > smallSize+1024 {
 		t.Fatalf("report grew from %d to %d bytes with 10x the requests", smallSize, largeSize)
 	}
+}
+
+// TestCacheKeyIgnoresBudget: a complete 200 does not depend on the budget,
+// so a repeat under another budget is a cache hit with identical bytes.
+func TestCacheKeyIgnoresBudget(t *testing.T) {
+	s := newTestServer(t, nil)
+	first, _ := do(t, s, "/v1/stability?seeds=0&samples=40&budget=20s")
+	second, _ := do(t, s, "/v1/stability?seeds=0&samples=40&budget=19s")
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first answer %d X-Cache %q, want 200 miss", first.Code, first.Header().Get("X-Cache"))
+	}
+	if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("repeat under another budget %d X-Cache %q, want 200 hit", second.Code, second.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		t.Fatalf("hit replayed %q, first answer was %q", second.Body, first.Body)
+	}
+}
+
+// TestCacheLeaderCancel: a cached key's flight leader computes detached from
+// its client, so when that client hangs up mid-compute, a follower sharing
+// the flight still gets the complete 200 rather than a 503 "canceled".
+func TestCacheLeaderCancel(t *testing.T) {
+	s := newTestServer(t, nil)
+	tel := s.cfg.Telemetry
+	fault.SetActive(true)
+	defer fault.SetActive(false)
+	if err := fault.Enable(fault.ServerCompute, fault.Failpoint{
+		Kind: fault.KindDelay, Delay: 300 * time.Millisecond, Times: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const url = "/v1/stability?seeds=0&samples=40"
+	serve := func(ctx context.Context, out chan<- *httptest.ResponseRecorder) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil).WithContext(ctx))
+		out <- rec
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leader, follower := make(chan *httptest.ResponseRecorder, 1), make(chan *httptest.ResponseRecorder, 1)
+	go serve(ctx, leader)
+	waitFor("the leader to hold a compute slot", func() bool { return tel.Gauge("server.inflight").Value() == 1 })
+	go serve(context.Background(), follower)
+	waitFor("the follower to join the flight", func() bool { return tel.Counter("server.singleflight.shared").Value() == 1 })
+	hangUp()
+
+	rec := <-follower
+	var body api.Stability
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusOK || err != nil || body.Degraded {
+		t.Fatalf("follower got %d %s, want the complete 200", rec.Code, rec.Body)
+	}
+	<-leader
 }

@@ -250,7 +250,7 @@ func TestExemplarOnLatencyHistogram(t *testing.T) {
 	s, _ := tracedServer(t, nil)
 	rec, _ := do(t, s, "/v1/sphere/3?source=compute&samples=5")
 	id := rec.Header().Get(trace.RequestIDHeader)
-	snap := s.mLatency["sphere"].Snapshot()
+	snap := s.cfg.Telemetry.Histogram("server.latency_ns.sphere").Snapshot()
 	if snap.ExemplarLast == nil || snap.ExemplarLast.TraceID != id {
 		t.Fatalf("latency exemplar = %+v, want trace %s", snap.ExemplarLast, id)
 	}

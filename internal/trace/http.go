@@ -16,7 +16,7 @@ type TraceJSON struct {
 	Schema     string     `json:"schema"`
 	TraceID    string     `json:"trace_id"`
 	Service    string     `json:"service"`
-	Retained   string     `json:"retained"` // error | partial | slow | sampled
+	Retained   string     `json:"retained"` // error | partial | slow | sampled | running
 	StartTime  time.Time  `json:"start_time"`
 	DurationMS float64    `json:"duration_ms"`
 	Spans      []SpanJSON `json:"spans"`
@@ -114,11 +114,7 @@ func snapshotSpan(s *Span) SpanJSON {
 // span tree from parent links. Spans whose parent is not local become roots
 // flagged remote_parent (their parent span lives across the wire).
 func (tr *Trace) Snapshot(service string) TraceJSON {
-	tr.mu.Lock()
-	spans := make([]*Span, len(tr.spans))
-	copy(spans, tr.spans)
-	reason := tr.retainReason
-	tr.mu.Unlock()
+	spans, reason := tr.state()
 
 	// Freeze every span, then assemble the tree from parent links. A span
 	// whose parent id is not local (it lives in another process) becomes a
@@ -167,18 +163,35 @@ func (tr *Trace) Snapshot(service string) TraceJSON {
 		Spans:     roots,
 	}
 	if len(spans) > 0 {
-		root := spans[0]
-		if root.ended.Load() {
-			out.DurationMS = float64(root.durNS.Load()) / float64(time.Millisecond)
-		} else {
-			out.DurationMS = float64(time.Since(root.start)) / float64(time.Millisecond)
-		}
+		out.DurationMS = rootDurationMS(spans[0])
 	}
 	return out
 }
 
-func (tr *Trace) summary(spansLocked func() ([]*Span, string)) summaryJSON {
-	spans, reason := spansLocked()
+// state copies the trace's spans and its retention reason, which is
+// "running" while the local root is still open.
+func (tr *Trace) state() ([]*Span, string) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	spans := make([]*Span, len(tr.spans))
+	copy(spans, tr.spans)
+	reason := tr.retainReason
+	if reason == "" && len(spans) > 0 && !spans[0].ended.Load() {
+		reason = "running"
+	}
+	return spans, reason
+}
+
+// rootDurationMS is the root's duration, or its elapsed time while it runs.
+func rootDurationMS(root *Span) float64 {
+	if root.ended.Load() {
+		return float64(root.durNS.Load()) / float64(time.Millisecond)
+	}
+	return float64(time.Since(root.start)) / float64(time.Millisecond)
+}
+
+func (tr *Trace) summary() summaryJSON {
+	spans, reason := tr.state()
 	sum := summaryJSON{
 		TraceID:   tr.id.String(),
 		Retained:  reason,
@@ -188,9 +201,7 @@ func (tr *Trace) summary(spansLocked func() ([]*Span, string)) summaryJSON {
 	if len(spans) > 0 {
 		root := spans[0]
 		sum.Root = root.name
-		if root.ended.Load() {
-			sum.DurationMS = float64(root.durNS.Load()) / float64(time.Millisecond)
-		}
+		sum.DurationMS = rootDurationMS(root)
 		sum.HTTPStatus = int(root.httpStatus.Load())
 		if msg := root.errMsg.Load(); msg != nil {
 			sum.Error = *msg
@@ -207,11 +218,12 @@ func (t *Tracer) Get(id TraceID) *Trace {
 	return t.ring.get(id)
 }
 
-// Handler serves the retained-trace ring:
+// Handler serves the traces still running and the retained-trace ring:
 //
-//	GET {prefix}        → newest-first list of trace summaries
+//	GET {prefix}        → newest-first list of trace summaries, running first
 //	GET {prefix}/{id}   → full soi.trace/v1 span tree
 //
+// A running trace is marked retained "running", with its elapsed duration.
 // On a nil tracer every request answers 404 "tracing disabled".
 func (t *Tracer) Handler(prefix string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -222,21 +234,14 @@ func (t *Tracer) Handler(prefix string) http.Handler {
 		rest := strings.Trim(strings.TrimPrefix(r.URL.Path, prefix), "/")
 		w.Header().Set("Content-Type", "application/json")
 		if rest == "" {
-			traces := t.ring.recent()
+			traces := append(t.running(), t.ring.recent()...)
 			out := struct {
 				Schema  string        `json:"schema"`
 				Service string        `json:"service"`
 				Traces  []summaryJSON `json:"traces"`
 			}{Schema: Schema, Service: t.opts.Service, Traces: make([]summaryJSON, 0, len(traces))}
 			for _, tr := range traces {
-				tr := tr
-				out.Traces = append(out.Traces, tr.summary(func() ([]*Span, string) {
-					tr.mu.Lock()
-					defer tr.mu.Unlock()
-					spans := make([]*Span, len(tr.spans))
-					copy(spans, tr.spans)
-					return spans, tr.retainReason
-				}))
+				out.Traces = append(out.Traces, tr.summary())
 			}
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
@@ -249,6 +254,9 @@ func (t *Tracer) Handler(prefix string) http.Handler {
 			return
 		}
 		tr := t.ring.get(id)
+		if tr == nil {
+			tr = t.activeTrace(id)
+		}
 		if tr == nil {
 			http.Error(w, "trace not found", http.StatusNotFound)
 			return

@@ -15,9 +15,9 @@
 //
 // Completed traces are retained tail-based in a fixed-size ring buffer (see
 // ring.go): errors, partial (206) answers, and slow requests are always
-// kept; the unremarkable rest is sampled probabilistically. The ring is
-// served as JSON (schema soi.trace/v1) on /debug/traces and
-// /debug/traces/{id} (see http.go).
+// kept; the unremarkable rest is sampled probabilistically. The ring, and
+// the traces still running, are served as JSON (schema soi.trace/v1) on
+// /debug/traces and /debug/traces/{id} (see http.go).
 package trace
 
 import (
@@ -25,6 +25,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,6 +219,25 @@ func (t *Tracer) adopt(id TraceID, sampled bool) *Trace {
 		return tr
 	}
 	return t.newTrace(id, sampled)
+}
+
+// activeTrace returns the running trace with the given id, or nil.
+func (t *Tracer) activeTrace(id TraceID) *Trace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.active[id]
+}
+
+// running returns the traces whose local root is still open, newest first.
+func (t *Tracer) running() []*Trace {
+	t.mu.Lock()
+	out := make([]*Trace, 0, len(t.active))
+	for _, tr := range t.active {
+		out = append(out, tr)
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].start.After(out[j].start) })
+	return out
 }
 
 // commit retires a trace whose local root ended: the tail-based retention

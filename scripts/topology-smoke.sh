@@ -122,7 +122,8 @@ grep -q '"shards_ok":2' "$work/body" || fail "healthy spread body lacks shards_o
 echo "topology-smoke: healthy scatter answered 200 from both shards"
 
 # --- gateway cache: the same healthy query is replayed without a leg ------
-# Every later step changes the budget, so each is a fresh cache key and
+# The cache key leaves the budget out, so every later step adds a seed of
+# its own to the set spanning both shards: each is a fresh cache key and
 # still reaches the shards after its fault.
 cp "$work/body" "$work/first"
 code="$(curl -s -D "$work/hdrs" -o "$work/body" -w '%{http_code}' "http://$gw/v1/spread?seeds=0,20")"
@@ -135,7 +136,7 @@ echo "topology-smoke: repeated query answered from the gateway cache with identi
 
 # --- replica failover: kill shard 0's primary, answers stay full-quality --
 kill -9 "$a_pid"
-code="$(get_code '/v1/spread?seeds=0,20&budget=3s')"
+code="$(get_code '/v1/spread?seeds=0,20,1&budget=3s')"
 [ "$code" = 200 ] || { cat "$work/body" >&2; fail "spread after replica kill got $code, want 200"; }
 grep -q '"shards_ok":2' "$work/body" || fail "failover spread body lacks shards_ok=2"
 echo "topology-smoke: replica A killed, retries failed over to replica B"
@@ -146,7 +147,7 @@ echo "topology-smoke: replica A killed, retries failed over to replica B"
 curl -fsS -X POST "http://$c_addr/debug/failpoints?spec=server/compute=delay:delay=2s" \
   > /dev/null || fail "could not arm the compute failpoint on shard 1"
 curl -s -o "$work/degraded" -w '%{http_code}' \
-  "http://$gw/v1/spread?seeds=0,20&budget=5s" > "$work/degraded.code" &
+  "http://$gw/v1/spread?seeds=0,20,2&budget=5s" > "$work/degraded.code" &
 query_pid=$!
 sleep 0.5
 kill -9 "$c_pid"
@@ -160,7 +161,7 @@ grep -q '"error_bound":0,' "$work/degraded" && fail "206 error bound was not wid
 echo "topology-smoke: mid-query kill degraded to 206 naming shard 1, bound widened"
 
 # --- breaker opens on the dead replica ------------------------------------
-code="$(get_code '/v1/spread?seeds=0,20&budget=4s')" # second consecutive failure
+code="$(get_code '/v1/spread?seeds=0,20,3&budget=4s')" # second consecutive failure
 [ "$code" = 206 ] || { cat "$work/body" >&2; fail "spread with shard 1 down got $code, want 206"; }
 curl -s "http://$gw/v1/topology" > "$work/topo"
 grep -q '"breaker":"open"' "$work/topo" || { cat "$work/topo" >&2; fail "dead replica's breaker did not open"; }
@@ -170,7 +171,7 @@ echo "topology-smoke: shard 1 breaker open, gateway keeps serving degraded answe
 restart_soid c 1
 sleep 0.7 # breaker cooldown (500ms) + probe interval
 for _ in $(seq 1 50); do
-  code="$(get_code '/v1/spread?seeds=0,20&budget=6s')"
+  code="$(get_code '/v1/spread?seeds=0,20,4&budget=6s')"
   [ "$code" = 200 ] && break
   sleep 0.2
 done

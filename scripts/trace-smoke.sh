@@ -133,8 +133,8 @@ grep -Eq '"remote_parent": ?true' "$work/shard-trace.json" || \
 echo "trace-smoke: trace $rid links gateway and shard fragments via traceparent"
 
 # --- cache hit: the repeated query is answered by the gateway, no leg -----
-# The fault step below uses its own budget, so its key is fresh and its
-# scatter still reaches the shards.
+# The fault step below adds a seed of its own (the cache key leaves the
+# budget out), so its key is fresh and its scatter still reaches the shards.
 cp "$work/body" "$work/first"
 code="$(curl -s -D "$work/hit.hdrs" -o "$work/body" -w '%{http_code}' \
   "http://$gw/v1/spread?seeds=0,20")"
@@ -156,7 +156,7 @@ echo "trace-smoke: repeated query $hrid answered from the gateway cache, no leg"
 curl -fsS -X POST "http://$c_addr/debug/failpoints?spec=server/compute=delay:delay=2s" \
   > /dev/null || fail "could not arm the compute failpoint on shard 1"
 curl -s -D "$work/deg.hdrs" -o "$work/degraded" -w '%{http_code}' \
-  "http://$gw/v1/spread?seeds=0,20&budget=5s" > "$work/degraded.code" &
+  "http://$gw/v1/spread?seeds=0,20,1&budget=5s" > "$work/degraded.code" &
 query_pid=$!
 sleep 0.5
 kill -9 "$c_pid"
