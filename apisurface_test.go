@@ -8,7 +8,9 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -39,6 +41,87 @@ func TestAPISurface(t *testing.T) {
 			"\tgo test -run TestAPISurface -update .\n\n--- api.txt\n+++ current\n%s",
 			surfaceDiff(want, got))
 	}
+}
+
+// registryOwners are the exported structs that may hold a
+// *telemetry.Registry: the daemons, the gateway, the tracer and the command
+// lifecycles that create or serve a registry. Every other computation reads
+// its registry from its ctx (telemetry.FromContext) or, when it takes no
+// ctx, from the index or sketch it queries.
+var registryOwners = map[string]bool{
+	"server.Config":        true,
+	"router.Config":        true,
+	"trace.Options":        true,
+	"daemon.Envelope":      true,
+	"daemon.Lifecycle":     true,
+	"cliutil.RunTelemetry": true,
+}
+
+// TestRegistryOwners fails when an exported struct under internal/ outside
+// registryOwners gains an exported *telemetry.Registry field: a registry
+// option field would be a second route, beside the context, by which
+// metrics reach a computation. (Index and Sketch keep theirs unexported,
+// behind SetTelemetry.)
+func TestRegistryOwners(t *testing.T) {
+	fset := token.NewFileSet()
+	var found []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				name := f.Name.Name + "." + ts.Name.Name
+				for _, field := range st.Fields.List {
+					exported := len(field.Names) == 0 // embedded: named Registry
+					for _, n := range field.Names {
+						exported = exported || n.IsExported()
+					}
+					if exported && isRegistryPtr(field.Type, f.Name.Name) && !registryOwners[name] {
+						found = append(found, fmt.Sprintf("%s (%s)", name, fset.Position(field.Pos())))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) > 0 {
+		t.Fatalf("exported structs outside the registry owners hold a *telemetry.Registry; "+
+			"read it from the ctx (telemetry.FromContext) instead:\n\t%s", strings.Join(found, "\n\t"))
+	}
+}
+
+// isRegistryPtr reports whether expr is *telemetry.Registry (*Registry inside
+// package telemetry itself).
+func isRegistryPtr(expr ast.Expr, pkg string) bool {
+	star, ok := expr.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	switch x := star.X.(type) {
+	case *ast.SelectorExpr:
+		id, ok := x.X.(*ast.Ident)
+		return ok && id.Name == "telemetry" && x.Sel.Name == "Registry"
+	case *ast.Ident:
+		return pkg == "telemetry" && x.Name == "Registry"
+	}
+	return false
 }
 
 // renderAPISurface parses the non-test files of package soi and renders

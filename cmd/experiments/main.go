@@ -75,7 +75,6 @@ func main() {
 		Err:           os.Stderr,
 		Ctx:           ctx,
 		CheckpointDir: *ckptDir,
-		Telemetry:     rt.Registry,
 	}
 	if *deadline > 0 {
 		cfg.Budget = checkpoint.Budget{Deadline: time.Now().Add(*deadline)}

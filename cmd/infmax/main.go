@@ -85,13 +85,13 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 	// partial (deadline-degraded) results are kept and reported on stderr.
 	resume := func(phase string) cliutil.Config {
 		if ckptPath == "" {
-			return rt.ResumeConfig("", deadline)
+			return cliutil.ResumeConfig("infmax", "", deadline)
 		}
-		return rt.ResumeConfig(ckptPath+phase, deadline)
+		return cliutil.ResumeConfig("infmax", ckptPath+phase, deadline)
 	}
 	idxCfg := resume(".idx")
 	x, err := cliutil.RetryStale("infmax", idxCfg.Path, func() (*index.Index, error) {
-		return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed, Telemetry: tel}, idxCfg)
+		return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed}, idxCfg)
 	})
 	if !cliutil.Partial("infmax", err) && err != nil {
 		return err
@@ -135,13 +135,13 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 			if err != nil {
 				return infmax.Selection{}, err
 			}
-			return infmax.TC(ctx, g, sp, k, infmax.TCOptions{Telemetry: tel})
+			return infmax.TC(ctx, g, sp, k, infmax.TCOptions{})
 		case "std":
 			return infmax.Std(ctx, x, k)
 		case "rr":
 			cfg := resume(".rr")
 			sel, err := cliutil.RetryStale("infmax", cfg.Path, func() (infmax.Selection, error) {
-				return infmax.RR(ctx, g, k, infmax.RROptions{Sets: 20 * samples, Seed: seed, Telemetry: tel}, cfg)
+				return infmax.RR(ctx, g, k, infmax.RROptions{Sets: 20 * samples, Seed: seed}, cfg)
 			})
 			if cliutil.Partial("infmax", err) {
 				err = nil
@@ -187,7 +187,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 
 	evalCfg := resume(".eval")
 	eval, err := cliutil.RetryStale("infmax", evalCfg.Path, func() (*index.Index, error) {
-		return index.Build(ctx, g, index.Options{Samples: evalSamples, Seed: seed ^ 0xE7A1, Telemetry: tel}, evalCfg)
+		return index.Build(ctx, g, index.Options{Samples: evalSamples, Seed: seed ^ 0xE7A1}, evalCfg)
 	})
 	if !cliutil.Partial("infmax", err) && err != nil {
 		return err

@@ -49,6 +49,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/server"
 	"soi/internal/sketch"
+	"soi/internal/telemetry"
 )
 
 // options are soid's own flags; daemon.Lifecycle holds the ones it shares
@@ -139,7 +140,6 @@ func run(o *options, life *daemon.Lifecycle) error {
 	var x *index.Index
 	if o.mmap {
 		x, err = index.OpenMmap(o.index, g, index.MmapOptions{
-			Telemetry: tel,
 			OnQuarantine: func(world int, qerr error) {
 				log.Printf("QUARANTINE world %d: %v (answers degrade to 206; repair %s with soifsck)",
 					world, qerr, o.index)
@@ -154,17 +154,16 @@ func run(o *options, life *daemon.Lifecycle) error {
 		if err != nil {
 			return fmt.Errorf("loading index %s (does it belong to %s?): %w", o.index, o.graph, err)
 		}
-		x.SetTelemetry(tel)
 	} else {
 		log.Printf("no -index given; building %d worlds in memory", o.samples)
-		x, err = index.Build(context.Background(), g, index.Options{
-			Samples: o.samples, Seed: o.seed,
-			Model: model, Telemetry: tel,
+		x, err = index.Build(telemetry.NewContext(context.Background(), tel), g, index.Options{
+			Samples: o.samples, Seed: o.seed, Model: model,
 		}, checkpoint.Config{})
 		if err != nil {
 			return err
 		}
 	}
+	x.SetTelemetry(tel)
 
 	var spheres []core.Result
 	if o.spheres != "" {

@@ -36,7 +36,6 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/sketch"
-	"soi/internal/telemetry"
 )
 
 func main() {
@@ -93,7 +92,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	}
 	rt.GraphHash(g)
 	if shards > 0 {
-		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, lt, rt)
+		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, lt)
 	}
 	tel := rt.Registry
 	tel.SetSeed(seed)
@@ -124,14 +123,9 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		if lt {
 			model = index.LT
 		}
-		cfg := rt.ResumeConfig(suffix(ckptPath, ".idx"), deadline)
+		cfg := cliutil.ResumeConfig("sphere", suffix(ckptPath, ".idx"), deadline)
 		x, err = cliutil.RetryStale("sphere", cfg.Path, func() (*index.Index, error) {
-			return index.Build(ctx, g, index.Options{
-				Samples:   samples,
-				Seed:      seed,
-				Model:     model,
-				Telemetry: tel,
-			}, cfg)
+			return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed, Model: model}, cfg)
 		})
 		if cliutil.Partial("sphere", err) {
 			err = nil // keep the partial index; later phases degrade further
@@ -151,7 +145,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		if indexPath == "" && buildIndexPath == "" {
 			return fmt.Errorf("-sketch-out requires -index or -build-index: the sketch is fingerprint-keyed to an index file")
 		}
-		return saveSketch(ctx, x, sketchOut, sketchK, seed, tel)
+		return saveSketch(ctx, x, sketchOut, sketchK, seed)
 	}
 	if buildIndexPath != "" {
 		return nil
@@ -187,7 +181,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 
 	switch {
 	case all:
-		cfg := rt.ResumeConfig(suffix(ckptPath, ".all"), deadline)
+		cfg := cliutil.ResumeConfig("sphere", suffix(ckptPath, ".all"), deadline)
 		results, err := cliutil.RetryStale("sphere", cfg.Path, func() ([]core.Result, error) {
 			return core.ComputeAll(ctx, x, opts, cfg)
 		})
@@ -258,8 +252,8 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 // saveSketch builds the combined bottom-k sketch over x's worlds and writes
 // it as a SOISKC01 file, fingerprint-keyed to x — the fingerprint of x's
 // index file, so soid -sketch accepts it alongside soid -index of that file.
-func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed uint64, tel *telemetry.Registry) error {
-	sk, err := sketch.Build(ctx, x, sketch.Options{K: k, Seed: seed, Telemetry: tel})
+func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed uint64) error {
+	sk, err := sketch.Build(ctx, x, sketch.Options{K: k, Seed: seed})
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"soi"
 	"soi/internal/atomicfile"
 	"soi/internal/checkpoint"
-	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -24,8 +23,7 @@ import (
 // consumes. Artifacts land at <prefix>-shard<N>.{tsv,idx,spheres} with the
 // manifest at <prefix>-topology.json.
 func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
-	prefix string, samples, costSamples int, seed uint64, lt bool,
-	rt *cliutil.RunTelemetry) error {
+	prefix string, samples, costSamples int, seed uint64, lt bool) error {
 	if prefix == "" {
 		return fmt.Errorf("-shards requires -shard-out PREFIX")
 	}
@@ -86,10 +84,9 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 		}
 
 		x, err := index.Build(ctx, gs, index.Options{
-			Samples:   samples,
-			Seed:      seed + uint64(s), // deterministic, decorrelated across shards
-			Model:     model,
-			Telemetry: rt.Registry,
+			Samples: samples,
+			Seed:    seed + uint64(s), // deterministic, decorrelated across shards
+			Model:   model,
 		}, checkpoint.Config{})
 		if err != nil {
 			return fmt.Errorf("shard %d index: %w", s, err)
@@ -103,7 +100,6 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 			CostSamples: costSamples,
 			CostSeed:    seed ^ 0xC057,
 			Model:       model,
-			Telemetry:   rt.Registry,
 		}, checkpoint.Config{})
 		if err != nil {
 			return fmt.Errorf("shard %d spheres: %w", s, err)

@@ -46,7 +46,7 @@ func ExampleSelectSeedsTC() {
 	if err != nil {
 		panic(err)
 	}
-	sel, err := soi.SelectSeedsTC(context.Background(), g, soi.SpheresOf(all), 2, soi.TCOptions{})
+	sel, err := soi.SelectSeedsTC(context.Background(), g, soi.SpheresOf(all), 2)
 	if err != nil {
 		panic(err)
 	}

@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	spheres := soi.SpheresOf(stored)
-	c1, err := soi.SelectSeedsTC(ctx, g, spheres, 50, soi.TCOptions{})
+	c1, err := soi.SelectSeedsTC(ctx, g, spheres, 50)
 	if err != nil {
 		log.Fatal(err)
 	}

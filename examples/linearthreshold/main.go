@@ -79,11 +79,11 @@ func main() {
 	// Seed selection under each model, cross-scored under the other: how
 	// much does assuming the wrong propagation model cost?
 	const k = 25
-	selIC, err := soi.SelectSeedsTC(ctx, g, spheresIC, k, soi.TCOptions{})
+	selIC, err := soi.SelectSeedsTC(ctx, g, spheresIC, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	selLT, err := soi.SelectSeedsTC(ctx, g, spheresLT, k, soi.TCOptions{})
+	selLT, err := soi.SelectSeedsTC(ctx, g, spheresLT, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func main() {
 		fmt.Printf("node %d sphere: %v\n", v, s)
 	}
 
-	tc, err := soi.SelectSeedsTC(ctx, g, spheres, 2, soi.TCOptions{})
+	tc, err := soi.SelectSeedsTC(ctx, g, spheres, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

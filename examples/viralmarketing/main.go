@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tc, err := soi.SelectSeedsTC(ctx, g, spheres, k, soi.TCOptions{})
+	tc, err := soi.SelectSeedsTC(ctx, g, spheres, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/pool"
 	"soi/internal/rng"
+	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
 
@@ -68,10 +69,11 @@ func Simulate(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool
 // GOMAXPROCS). The result is deterministic for a fixed seed regardless of
 // worker count. Workers check ctx between simulations, so a canceled
 // context returns ctx.Err() promptly; worker panics are recovered into a
-// *pool.PanicError. cfg.Telemetry (nil allowed) receives per-trial cascade
-// sizes (cascade.size), a trial counter (cascade.trials) and pool
-// utilization; a "cascade.expected_spread" trace span, with the trial count
-// as its attribute, opens under the span ctx carries.
+// *pool.PanicError. The registry ctx carries (telemetry.FromContext)
+// receives per-trial cascade sizes (cascade.size), a trial counter
+// (cascade.trials) and pool utilization; a "cascade.expected_spread" trace
+// span, with the trial count as its attribute, opens under the span ctx
+// carries.
 //
 // cfg puts the estimate under the crash-safe execution layer; its zero
 // value is the plain run. With cfg.Path set, the per-trial cascade sizes are
@@ -103,7 +105,7 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 		}
 		return total
 	}
-	r, st, err := checkpoint.Start(cfg, func() uint64 { return spreadKey(g, seeds, trials, seed) }, trials,
+	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return spreadKey(g, seeds, trials, seed) }, trials,
 		func(done *checkpoint.Bitmap) ([]byte, error) {
 			return binary.LittleEndian.AppendUint64(nil, uint64(sum(done))), nil
 		})
@@ -128,11 +130,11 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 	}
 	w := pool.Workers(workers, trials)
 	visiteds := make([][]bool, w)
-	tel := cfg.Telemetry
+	tel := telemetry.FromContext(ctx)
 	mTrials := tel.Counter("cascade.trials")
 	mSize := tel.Histogram("cascade.size")
 	sp := trace.Child(ctx, "cascade.expected_spread", trace.Int("trials", int64(trials)))
-	runErr := pool.Run(ctx, trials, pool.Options{Workers: w, Telemetry: tel}, func(worker, i int) error {
+	runErr := pool.Run(ctx, trials, pool.Options{Workers: w}, func(worker, i int) error {
 		if resumed.Get(i) {
 			return nil
 		}

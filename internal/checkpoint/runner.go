@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -106,11 +107,6 @@ type Config struct {
 	// OnResume, if non-nil, is called once after a checkpoint is loaded,
 	// with the number of already-completed units and the total.
 	OnResume func(done, total int)
-	// Telemetry, if non-nil, receives flush metrics (checkpoint.flushes,
-	// flush_errors, flushed_bytes, flush_ns) and is forwarded to the compute
-	// path the Config drives — every algorithm adopts it when its own options
-	// carry no registry.
-	Telemetry *telemetry.Registry
 }
 
 func (c Config) flushInterval() time.Duration {
@@ -146,6 +142,7 @@ func (c Config) flushEvery(units int) int {
 // it — safe because units marked done are immutable from then on.
 type Runner struct {
 	cfg    Config
+	tel    *telemetry.Registry // flush metrics; nil disables
 	key    uint64
 	units  int
 	encode func(done *Bitmap) ([]byte, error)
@@ -171,9 +168,11 @@ type Runner struct {
 // marked in the given bitmap; it is called from the flusher goroutine with a
 // private snapshot. The returned State is nil when no checkpoint existed;
 // ErrStale / ErrCorrupt / IO failures abort the run before any compute
-// happens.
-func Start(cfg Config, key func() uint64, units int, encode func(done *Bitmap) ([]byte, error)) (*Runner, *State, error) {
-	r := &Runner{cfg: cfg, units: units, encode: encode}
+// happens. The registry ctx carries (telemetry.FromContext) receives the
+// flush metrics: checkpoint.flushes, flush_errors, flushed_bytes and
+// flush_ns.
+func Start(ctx context.Context, cfg Config, key func() uint64, units int, encode func(done *Bitmap) ([]byte, error)) (*Runner, *State, error) {
+	r := &Runner{cfg: cfg, tel: telemetry.FromContext(ctx), units: units, encode: encode}
 	if cfg.Path == "" && !cfg.Budget.bounded() {
 		return r, nil, nil
 	}
@@ -361,12 +360,12 @@ func (r *Runner) flushOnce() {
 		err = Save(r.cfg.Path, r.key, snap, payload)
 	}
 	if err == nil {
-		r.cfg.Telemetry.Counter("checkpoint.flushes").Inc()
-		r.cfg.Telemetry.Counter("checkpoint.flushed_bytes").Add(int64(len(payload)))
+		r.tel.Counter("checkpoint.flushes").Inc()
+		r.tel.Counter("checkpoint.flushed_bytes").Add(int64(len(payload)))
 	} else {
-		r.cfg.Telemetry.Counter("checkpoint.flush_errors").Inc()
+		r.tel.Counter("checkpoint.flush_errors").Inc()
 	}
-	r.cfg.Telemetry.Histogram("checkpoint.flush_ns").Observe(time.Since(start).Nanoseconds())
+	r.tel.Histogram("checkpoint.flush_ns").Observe(time.Since(start).Nanoseconds())
 
 	r.errMu.Lock()
 	if err != nil && r.flushErr == nil {

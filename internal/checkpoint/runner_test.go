@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"path/filepath"
@@ -30,7 +31,7 @@ func TestStartKeyIsLazy(t *testing.T) {
 	calls := 0
 	key := func() uint64 { calls++; return 7 }
 	for _, cfg := range []Config{{}, {Budget: Budget{Deadline: time.Now().Add(time.Hour)}}} {
-		r, st, err := Start(cfg, key, 10, encodeDone)
+		r, st, err := Start(context.Background(), cfg, key, 10, encodeDone)
 		if err != nil || st != nil {
 			t.Fatalf("Start(%+v) = %v, %v", cfg, st, err)
 		}
@@ -42,7 +43,7 @@ func TestStartKeyIsLazy(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("key computed %d times without a checkpoint path, want 0", calls)
 	}
-	r, _, err := Start(Config{Path: filepath.Join(t.TempDir(), "run.ckpt")}, key, 10, encodeDone)
+	r, _, err := Start(context.Background(), Config{Path: filepath.Join(t.TempDir(), "run.ckpt")}, key, 10, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestStartKeyIsLazy(t *testing.T) {
 func TestRunnerFlushOnCountTrigger(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := Config{Path: path, FlushEvery: 2, FlushInterval: time.Hour}
-	r, st, err := Start(cfg, keyOf(1), 10, encodeDone)
+	r, st, err := Start(context.Background(), cfg, keyOf(1), 10, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestRunnerFlushOnCountTrigger(t *testing.T) {
 
 func TestRunnerFinishCompleteDeletes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	r, _, err := Start(Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}, keyOf(1), 2, encodeDone)
+	r, _, err := Start(context.Background(), Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}, keyOf(1), 2, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestRunnerFinishCompleteDeletes(t *testing.T) {
 func TestRunnerResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := Config{Path: path, FlushEvery: 1, FlushInterval: time.Hour}
-	r, _, err := Start(cfg, keyOf(1), 5, encodeDone)
+	r, _, err := Start(context.Background(), cfg, keyOf(1), 5, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestRunnerResume(t *testing.T) {
 
 	var resumedDone, resumedTotal int
 	cfg.OnResume = func(done, total int) { resumedDone, resumedTotal = done, total }
-	r2, st, err := Start(cfg, keyOf(1), 5, encodeDone)
+	r2, st, err := Start(context.Background(), cfg, keyOf(1), 5, encodeDone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +140,14 @@ func TestRunnerResume(t *testing.T) {
 		t.Fatalf("Snapshot count = %d, want 2 (preloaded)", snap.Count())
 	}
 	// A stale checkpoint (different fingerprint) aborts before compute.
-	if _, _, err := Start(Config{Path: path}, keyOf(99), 5, encodeDone); !errors.Is(err, ErrStale) {
+	if _, _, err := Start(context.Background(), Config{Path: path}, keyOf(99), 5, encodeDone); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale resume: %v, want ErrStale", err)
 	}
 	r2.Abort()
 }
 
 func TestGateDeadline(t *testing.T) {
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second)}}, keyOf(1), 10, nil)
+	r, _, err := Start(context.Background(), Config{Budget: Budget{Deadline: time.Now().Add(-time.Second)}}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestGateDeadline(t *testing.T) {
 		t.Fatalf("Gate past deadline = %v, want ErrDeadline", err)
 	}
 	// Unbounded budget never gates.
-	r2, _, err := Start(Config{}, keyOf(1), 10, nil)
+	r2, _, err := Start(context.Background(), Config{}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestGateDeadline(t *testing.T) {
 func TestGateThroughputMargin(t *testing.T) {
 	// With one unit done and almost no time left, the throughput check must
 	// stop the run even though the deadline has not strictly passed.
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(2 * time.Millisecond)}}, keyOf(1), 10, nil)
+	r, _, err := Start(context.Background(), Config{Budget: Budget{Deadline: time.Now().Add(2 * time.Millisecond)}}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestGateThroughputMargin(t *testing.T) {
 }
 
 func TestPartialOutcome(t *testing.T) {
-	r, _, err := Start(Config{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 3}}, keyOf(1), 10, nil)
+	r, _, err := Start(context.Background(), Config{Budget: Budget{Deadline: time.Now().Add(-time.Second), MinWorlds: 3}}, keyOf(1), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 type RunTelemetry struct {
 	// Tool is the command name, used in stderr notices.
 	Tool string
-	// Registry is the metrics registry handed to the compute layers; nil
-	// when telemetry is disabled.
+	// Registry is the run's metrics registry, also carried by the context
+	// StartTelemetry returns; nil when telemetry is disabled.
 	Registry *telemetry.Registry
 	// DebugAddr is the debug listener's resolved address; empty without
 	// -debug-addr.
@@ -37,10 +37,11 @@ type RunTelemetry struct {
 }
 
 // StartTelemetry builds the telemetry lifecycle from the -debug-addr and
-// -stats-json flags and returns ctx carrying the run's root trace span, under
-// which the compute phases open theirs. With both flags empty it returns ctx
-// unchanged and a disabled lifecycle whose Registry is nil, so the per-event
-// overhead everywhere downstream is a single nil check. The debug listener
+// -stats-json flags and returns ctx carrying the run's registry and root
+// trace span: the compute phases meter into the one and open their spans
+// under the other. With both flags empty it returns ctx unchanged and a
+// disabled lifecycle whose Registry is nil, so the per-event overhead
+// everywhere downstream is a single nil check. The debug listener
 // (the daemons' debug surface: /metrics, /debug/vars, /debug/traces, pprof)
 // starts immediately; its resolved address is announced on stderr.
 func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (context.Context, *RunTelemetry, error) {
@@ -66,7 +67,7 @@ func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (con
 		t.DebugAddr = addr
 		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics, /debug/vars, /debug/traces, /debug/pprof/)\n", tool, addr)
 	}
-	ctx, t.root = tracer.StartSpan(ctx, tool)
+	ctx, t.root = tracer.StartSpan(telemetry.NewContext(ctx, t.Registry), tool)
 	return ctx, t, nil
 }
 
@@ -120,15 +121,6 @@ func spanSnapshots(spans []trace.SpanJSON) []telemetry.SpanSnapshot {
 func (t *RunTelemetry) Finish(err error) {
 	t.Flush()
 	Fail(t.Tool, err)
-}
-
-// ResumeConfig is the package-level ResumeConfig with the lifecycle's
-// registry attached, so resumable compute paths driven by the returned
-// config feed the same metrics as direct calls.
-func (t *RunTelemetry) ResumeConfig(path string, deadline time.Duration) checkpoint.Config {
-	cfg := ResumeConfig(t.Tool, path, deadline)
-	cfg.Telemetry = t.Registry
-	return cfg
 }
 
 // GraphHash records the loaded graph's content hash in the run report, so a

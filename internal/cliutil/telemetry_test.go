@@ -24,11 +24,11 @@ func TestStartTelemetryDisabled(t *testing.T) {
 	if trace.FromContext(ctx) != nil {
 		t.Fatal("disabled lifecycle put a span in the run's context")
 	}
+	if telemetry.FromContext(ctx) != nil {
+		t.Fatal("disabled lifecycle put a registry in the run's context")
+	}
 	rt.Flush() // must be a safe no-op
 	rt.GraphHash(nil)
-	if cfg := rt.ResumeConfig("", 0); cfg.Telemetry != nil {
-		t.Fatal("disabled lifecycle leaked a registry into the config")
-	}
 }
 
 func TestFlushWritesReport(t *testing.T) {
@@ -107,19 +107,18 @@ func TestFlushReportsSpanTree(t *testing.T) {
 	}
 }
 
-func TestResumeConfigCarriesRegistry(t *testing.T) {
+func TestStartTelemetryContextCarriesRegistry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stats.json")
-	_, rt, err := StartTelemetry(context.Background(), "tool", "", path)
+	ctx, rt, err := StartTelemetry(context.Background(), "tool", "", path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Flush()
-	cfg := rt.ResumeConfig("run.ckpt", time.Minute)
-	if cfg.Telemetry != rt.Registry {
-		t.Fatal("config does not carry the run registry")
+	if telemetry.FromContext(ctx) != rt.Registry {
+		t.Fatal("the run's context does not carry the run registry")
 	}
-	if cfg.Path != "run.ckpt" || cfg.Budget.Deadline.IsZero() {
-		t.Fatalf("base config not assembled: %+v", cfg)
+	if trace.FromContext(ctx) == nil {
+		t.Fatal("the run's context lost the root span")
 	}
 }
 

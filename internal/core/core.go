@@ -37,15 +37,6 @@ import (
 	"soi/internal/worlds"
 )
 
-// telemetryFor resolves the registry for a computation: explicit options
-// win, then whatever the index carries. May return nil (disabled).
-func telemetryFor(x *index.Index, opts Options) *telemetry.Registry {
-	if opts.Telemetry != nil {
-		return opts.Telemetry
-	}
-	return x.Telemetry()
-}
-
 // metricsSet holds the per-sphere instrumentation handles, resolved once
 // per computation so the per-node path never touches the registry maps. A
 // nil *metricsSet disables everything.
@@ -134,19 +125,10 @@ type Options struct {
 	// Workers bounds parallelism in ComputeAll; zero and negative values
 	// both mean GOMAXPROCS (the library-wide Workers convention).
 	Workers int
-	// Progress, if non-nil, is called by ComputeAll after each node's sphere
-	// is computed with (done, total). Calls are serialized.
-	Progress func(done, total int)
 	// Model selects the propagation model for the held-out cost estimate.
 	// It must match the model the index was built with; the zero value is
 	// IC.
 	Model index.Model
-	// Telemetry, if non-nil, receives sphere metrics (spheres computed,
-	// sphere sizes, median candidate evaluations, refinement deltas, median
-	// and cost-estimate timings). When nil, the registry attached to the
-	// index (if any) is used instead. ComputeAll's "core.compute_all" phase
-	// span is a trace span, opened under the span its ctx carries.
-	Telemetry *telemetry.Registry
 }
 
 // Result is the typical cascade (sphere of influence) of a source.
@@ -198,9 +180,10 @@ func ComputeFromSet(x *index.Index, seeds []graph.NodeID, opts Options) Result {
 }
 
 // computeUncanceled is computeWithScratch for the context-free entry points:
-// under context.Background() it cannot fail.
+// under context.Background() it cannot fail. Having no ctx, they meter into
+// the registry attached to the index (index.Index.SetTelemetry).
 func computeUncanceled(x *index.Index, seeds []graph.NodeID, opts Options, s *index.Scratch) Result {
-	res, _ := computeWithScratch(context.Background(), x, seeds, opts, s, newMetricsSet(telemetryFor(x, opts)))
+	res, _ := computeWithScratch(context.Background(), x, seeds, opts, s, newMetricsSet(x.Telemetry()))
 	return res
 }
 
@@ -288,7 +271,7 @@ func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 		return -1, 0, nil
 	}
 	// A Runner without a checkpoint path is just the budget gate.
-	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, nil, samples, nil)
+	r, _, err := checkpoint.Start(ctx, checkpoint.Config{Budget: budget}, nil, samples, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -344,10 +327,15 @@ func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 // still indexed by node id, and nodes that were not reached have a nil Seeds
 // field (callers report or skip them); the checkpoint is kept so a later run
 // finishes the rest.
+//
+// The registry ctx carries (telemetry.FromContext) receives the sphere
+// metrics (spheres computed, sphere sizes, median candidate evaluations,
+// median and cost-estimate timings) and pool utilization; the
+// "core.compute_all" span opens under the span ctx carries.
 func ComputeAll(ctx context.Context, x *index.Index, opts Options, cfg checkpoint.Config) ([]Result, error) {
 	n := x.Graph().NumNodes()
 	out := make([]Result, n)
-	r, st, err := checkpoint.Start(cfg, func() uint64 { return sweepFingerprint(x, opts) }, n,
+	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return sweepFingerprint(x, opts) }, n,
 		func(done *checkpoint.Bitmap) ([]byte, error) { return encodeSweepPayload(out, done) })
 	if err != nil {
 		return nil, err
@@ -363,13 +351,9 @@ func ComputeAll(ctx context.Context, x *index.Index, opts Options, cfg checkpoin
 
 	workers := pool.Workers(opts.Workers, n)
 	scratches := make([]*index.Scratch, workers)
-	if opts.Telemetry == nil {
-		opts.Telemetry = cfg.Telemetry
-	}
-	tel := telemetryFor(x, opts)
-	m := newMetricsSet(tel)
+	m := newMetricsSet(telemetry.FromContext(ctx))
 	sp := trace.Child(ctx, "core.compute_all")
-	runErr := pool.Run(ctx, n, pool.Options{Workers: workers, Progress: opts.Progress, Telemetry: tel},
+	runErr := pool.Run(ctx, n, pool.Options{Workers: workers},
 		func(worker, task int) error {
 			if resumed.Get(task) {
 				return nil

@@ -38,8 +38,9 @@ type Envelope struct {
 	// Service names the daemon ("soid", "soigw"): root spans are
 	// "<Service>.<endpoint>" and request-log lines carry it.
 	Service string
-	// Metrics receives the pipeline's counters and histograms; nil disables
-	// them.
+	// Metrics receives the pipeline's counters and histograms, and rides on
+	// the compute context, so the ctx-first estimators a Compute calls meter
+	// into it too; nil disables them.
 	Metrics *telemetry.Registry
 	Prefix  string
 	// Tracer roots or continues a trace per request; nil disables tracing.
@@ -66,10 +67,10 @@ type Envelope struct {
 }
 
 // Compute is what a daemon computes for one /v1 request. The context of
-// req carries the request's Budget (BudgetOf) and ends at its hard
-// deadline; for a cacheable endpoint it is detached from the client, since
-// every request that joins the flight shares the answer. An error is
-// mapped through Fail.
+// req carries the request's Budget (BudgetOf) and the Envelope's Metrics
+// (telemetry.FromContext), and ends at its hard deadline; for a cacheable
+// endpoint it is detached from the client, since every request that joins
+// the flight shares the answer. An error is mapped through Fail.
 type Compute func(req *http.Request) (*Answer, error)
 
 // Budget is one request's wall-clock budget.
@@ -190,7 +191,8 @@ func (ep *endpoint) serve(w http.ResponseWriter, req *http.Request, start time.T
 		base = context.WithoutCancel(base)
 	}
 	b := Budget{Duration: d, Deadline: start.Add(d)}
-	ctx, cancel := context.WithDeadline(context.WithValue(base, budgetKey{}, b), b.Deadline.Add(e.Overrun))
+	base = telemetry.NewContext(context.WithValue(base, budgetKey{}, b), e.Metrics)
+	ctx, cancel := context.WithDeadline(base, b.Deadline.Add(e.Overrun))
 	defer cancel()
 	req = req.WithContext(ctx)
 	ans, state, err := e.Cache.do(ctx, key, d, func() (*Answer, error) { return ep.compute(req) })

@@ -29,7 +29,6 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/infmax"
-	"soi/internal/telemetry"
 )
 
 // Config controls experiment scale. The zero value selects a fast
@@ -57,7 +56,8 @@ type Config struct {
 	// sphere sweeps and every seed selection, the Figure 7 saturation
 	// greedies included): cmd/experiments passes the signal-bound context
 	// so Ctrl-C aborts a run promptly instead of finishing the experiment.
-	// The phases open their trace spans under the span Ctx carries.
+	// The phases open their trace spans under the span Ctx carries and meter
+	// into the registry it carries (telemetry.NewContext).
 	Ctx context.Context
 	// CheckpointDir, if non-empty, makes the heavy index builds crash-safe:
 	// each build periodically saves its progress to a fingerprint-keyed file
@@ -71,10 +71,6 @@ type Config struct {
 	// Err receives resume and partial-result notices (they never go to Out,
 	// which carries the tables); nil discards them.
 	Err io.Writer
-	// Telemetry, if non-nil, receives metrics from every compute phase the
-	// experiments drive (world sampling, index builds, greedy selections,
-	// Monte-Carlo evaluation).
-	Telemetry *telemetry.Registry
 }
 
 func (c *Config) defaults() {
@@ -145,8 +141,7 @@ func (c *Config) errw() io.Writer {
 // (dataset, world-tag, ℓ) builds of one experiment run never collide and a
 // changed configuration starts fresh instead of resuming stale state.
 func (c *Config) buildResumable(g *graph.Graph, opts index.Options) (*index.Index, error) {
-	opts.Telemetry = c.Telemetry
-	cfg := checkpoint.Config{Budget: c.Budget, Telemetry: c.Telemetry}
+	cfg := checkpoint.Config{Budget: c.Budget}
 	if c.CheckpointDir != "" {
 		cfg.Path = filepath.Join(c.CheckpointDir, fmt.Sprintf("idx-%016x.ckpt", index.BuildFingerprint(g, opts)))
 		cfg.OnResume = func(done, total int) {
@@ -172,7 +167,7 @@ const (
 // mcOptions configures the paper-faithful Monte-Carlo greedy: the same
 // number of samples as the index, fresh at every marginal-gain evaluation.
 func (c *Config) mcOptions() infmax.MCOptions {
-	return infmax.MCOptions{Trials: c.Samples, Seed: c.Seed ^ 0x57D0_57D0, Telemetry: c.Telemetry}
+	return infmax.MCOptions{Trials: c.Samples, Seed: c.Seed ^ 0x57D0_57D0}
 }
 
 // stdMC runs the paper's InfMax_std (Monte-Carlo CELF greedy).

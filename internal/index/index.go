@@ -59,17 +59,8 @@ type Options struct {
 	// GOMAXPROCS (the convention shared by every Workers knob in this
 	// library).
 	Workers int
-	// Progress, if non-nil, is called after each world is indexed with
-	// (done, total). Calls are serialized.
-	Progress func(done, total int)
 	// Model selects IC (default) or LT live-edge sampling.
 	Model Model
-	// Telemetry, if non-nil, receives build metrics (worlds sampled, SCC
-	// condensation sizes, per-world build timings, pool utilization). The
-	// registry is retained on the built Index so query-time consumers
-	// (greedy selection) meter against it too. The "index.build" phase span
-	// is a trace span, opened under the span Build's ctx carries.
-	Telemetry *telemetry.Registry
 }
 
 // worldEntry is the per-world part of the index: the node -> component map
@@ -119,8 +110,16 @@ func (x *Index) world(i int) *worldEntry {
 }
 
 // SetTelemetry attaches a registry to an index (typically one loaded from
-// disk, which has none) so greedy selection over it can be metered.
-func (x *Index) SetTelemetry(reg *telemetry.Registry) { x.tel = reg }
+// disk, which has none): the context-free queries over it (core.Compute and
+// its kin) meter into it, and a mapped index counts index.block_faults and
+// index.worlds_quarantined there. Call it before the index serves queries.
+func (x *Index) SetTelemetry(reg *telemetry.Registry) {
+	x.tel = reg
+	if x.lazy != nil {
+		x.lazy.faults = reg.Counter("index.block_faults")
+		x.lazy.quarCtr = reg.Counter("index.worlds_quarantined")
+	}
+}
 
 // Telemetry returns the registry attached at build or SetTelemetry time;
 // nil means unmetered.
@@ -144,6 +143,11 @@ func (x *Index) Telemetry() *telemetry.Registry { return x.tel }
 // With cfg.Budget.Deadline set, the build stops sampling when the deadline
 // nears and returns a partial index over the completed worlds together with
 // a *checkpoint.PartialError (errors.Is(err, checkpoint.ErrPartial)).
+//
+// The registry ctx carries (telemetry.FromContext) receives the build
+// metrics (worlds sampled, condensation sizes, per-world build timings,
+// pool utilization) and is attached to the built index, as by SetTelemetry.
+// The "index.build" span opens under the span ctx carries.
 func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Config) (*Index, error) {
 	if opts.Samples < 1 {
 		return nil, fmt.Errorf("index: Samples must be >= 1, got %d", opts.Samples)
@@ -156,14 +160,9 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 		// without synchronization.
 		g.Reverse()
 	}
-	// The registry can arrive on either options struct; the checkpoint Config
-	// is how cliutil threads it in.
-	if opts.Telemetry == nil {
-		opts.Telemetry = cfg.Telemetry
-	}
-
-	idx := &Index{g: g, entries: make([]worldEntry, opts.Samples), tel: opts.Telemetry}
-	r, st, err := checkpoint.Start(cfg, func() uint64 { return BuildFingerprint(g, opts) },
+	tel := telemetry.FromContext(ctx)
+	idx := &Index{g: g, entries: make([]worldEntry, opts.Samples), tel: tel}
+	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return BuildFingerprint(g, opts) },
 		opts.Samples, idx.encodeWorlds)
 	if err != nil {
 		return nil, err
@@ -184,10 +183,9 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 	for i := range gens {
 		gens[i] = master.Split(uint64(i))
 	}
-	bm := newBuildMetrics(opts.Telemetry)
+	bm := newBuildMetrics(tel)
 	sp := trace.Child(ctx, "index.build")
-	runErr := pool.Run(ctx, opts.Samples,
-		pool.Options{Workers: opts.Workers, Progress: opts.Progress, Telemetry: opts.Telemetry},
+	runErr := pool.Run(ctx, opts.Samples, pool.Options{Workers: opts.Workers},
 		func(_, i int) error {
 			if resumed.Get(i) {
 				return nil

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"soi/internal/blockfile"
@@ -245,13 +244,6 @@ func dirFingerprint(g *graph.Graph, dir []blockfile.BlockInfo) uint64 {
 
 // MmapOptions configures OpenMmap.
 type MmapOptions struct {
-	// MaxResident bounds how many decoded world blocks are kept in memory at
-	// once; faulting in past the bound evicts the oldest (FIFO). 0 means
-	// unbounded — every block faulted in stays resident.
-	MaxResident int
-	// Telemetry, if non-nil, receives index.block_faults and
-	// index.worlds_quarantined counters (and is attached to the index).
-	Telemetry *telemetry.Registry
 	// OnQuarantine, if non-nil, is called once per quarantined world with
 	// the world id and the corruption error, from whichever query goroutine
 	// first faulted the bad block in.
@@ -261,8 +253,7 @@ type MmapOptions struct {
 // lazyWorlds is the page-on-demand backing of an mmap-opened index: the
 // verified directory plus a per-world cache of decoded blocks. Fault-in is
 // lock-free (atomic pointer CAS; concurrent faulters race benignly and the
-// losers' decodes are discarded); only the optional eviction FIFO takes a
-// lock, off the cache-hit path.
+// losers' decodes are discarded). A faulted-in block stays resident.
 type lazyWorlds struct {
 	win    *blockfile.Window
 	nodes  uint32
@@ -272,12 +263,8 @@ type lazyWorlds struct {
 	quar    []atomic.Bool
 	nQuar   atomic.Int64
 	onQuar  func(world int, err error)
-	faults  *telemetry.Counter // index.block_faults
-	quarCtr *telemetry.Counter // index.worlds_quarantined
-
-	maxResident int
-	mu          sync.Mutex
-	resident    []int // FIFO of faulted-in world ids (maxResident > 0 only)
+	faults  *telemetry.Counter // index.block_faults; bound by SetTelemetry
+	quarCtr *telemetry.Counter // index.worlds_quarantined; bound by SetTelemetry
 }
 
 // OpenMmap opens an index file for page-on-demand serving: only the header
@@ -286,7 +273,8 @@ type lazyWorlds struct {
 // checksum or decode is quarantined — counted, reported through
 // OnQuarantine, and never retried — and queries degrade to the surviving
 // worlds instead of failing. Truncated or torn files are rejected here,
-// from the directory, before any block is trusted.
+// from the directory, before any block is trusted. The index counts block
+// faults and quarantines once a registry is attached with SetTelemetry.
 func OpenMmap(path string, g *graph.Graph, opts MmapOptions) (*Index, error) {
 	if err := fault.Hit(fault.IndexDirLoad); err != nil {
 		return nil, fmt.Errorf("index: directory load: %w", err)
@@ -304,17 +292,14 @@ func OpenMmap(path string, g *graph.Graph, opts MmapOptions) (*Index, error) {
 		return nil, err
 	}
 	lz := &lazyWorlds{
-		win:         win,
-		nodes:       hdr.nodes,
-		dir:         hdr.dir,
-		loaded:      make([]atomic.Pointer[worldEntry], hdr.worlds),
-		quar:        make([]atomic.Bool, hdr.worlds),
-		onQuar:      opts.OnQuarantine,
-		faults:      opts.Telemetry.Counter("index.block_faults"),
-		quarCtr:     opts.Telemetry.Counter("index.worlds_quarantined"),
-		maxResident: opts.MaxResident,
+		win:    win,
+		nodes:  hdr.nodes,
+		dir:    hdr.dir,
+		loaded: make([]atomic.Pointer[worldEntry], hdr.worlds),
+		quar:   make([]atomic.Bool, hdr.worlds),
+		onQuar: opts.OnQuarantine,
 	}
-	x := &Index{g: g, lazy: lz, tel: opts.Telemetry}
+	x := &Index{g: g, lazy: lz}
 	x.setFingerprint(hdr.dir)
 	return x, nil
 }
@@ -343,14 +328,8 @@ func (lz *lazyWorlds) world(i int) *worldEntry {
 	lz.faults.Inc()
 	ep := &e
 	if !lz.loaded[i].CompareAndSwap(nil, ep) {
-		// A concurrent faulter won; use its copy (unless eviction already
-		// cleared it again, in which case ours is as good as any).
-		if cur := lz.loaded[i].Load(); cur != nil {
-			return cur
-		}
-		lz.loaded[i].Store(ep)
+		return lz.loaded[i].Load() // a concurrent faulter won; use its copy
 	}
-	lz.noteResident(i)
 	return ep
 }
 
@@ -367,25 +346,6 @@ func (lz *lazyWorlds) quarantine(i int, err error) *worldEntry {
 		}
 	}
 	return nil
-}
-
-// noteResident does the FIFO-eviction bookkeeping after a successful
-// fault-in. Evicted pointers are Store(nil)-ed; readers already holding the
-// pointer keep a valid entry (the GC, not the cache, owns lifetime).
-func (lz *lazyWorlds) noteResident(i int) {
-	if lz.maxResident <= 0 {
-		return
-	}
-	lz.mu.Lock()
-	lz.resident = append(lz.resident, i)
-	for len(lz.resident) > lz.maxResident {
-		old := lz.resident[0]
-		lz.resident = lz.resident[1:]
-		if old != i {
-			lz.loaded[old].Store(nil)
-		}
-	}
-	lz.mu.Unlock()
 }
 
 // LiveWorlds returns the number of worlds still answering queries:

@@ -200,13 +200,13 @@ func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 	var quarWorld int
 	quarCalls := 0
 	lz, err := OpenMmap(p, g, MmapOptions{
-		Telemetry:    tel,
 		OnQuarantine: func(w int, err error) { quarWorld, quarCalls = w, quarCalls+1 },
 	})
 	if err != nil {
 		t.Fatalf("open of a block-corrupt file must succeed (degrade, not fail): %v", err)
 	}
 	defer lz.Close()
+	lz.SetTelemetry(tel)
 
 	s := lz.NewScratch()
 	var liveCascades int
@@ -417,31 +417,5 @@ func TestOpenMmapFailpoints(t *testing.T) {
 	}
 	if lz.LiveWorlds() != lz.NumWorlds()-1 {
 		t.Fatalf("LiveWorlds = %d, want %d", lz.LiveWorlds(), lz.NumWorlds()-1)
-	}
-}
-
-func TestOpenMmapMaxResident(t *testing.T) {
-	g, x, p, _ := v3Fixture(t, 271, 8)
-	lz, err := OpenMmap(p, g, MmapOptions{MaxResident: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lz.Close()
-	s := lz.NewScratch()
-	sx := x.NewScratch()
-	// Sweep all worlds twice: eviction must never change answers, and the
-	// resident set must respect the bound after every touch.
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < lz.NumWorlds(); i++ {
-			if !equal(lz.Cascade(0, i, s, nil), x.Cascade(0, i, sx, nil)) {
-				t.Fatalf("pass %d world %d: cascade differs after eviction churn", pass, i)
-			}
-			if r := lz.ResidentWorlds(); r > 3 {
-				t.Fatalf("resident worlds %d exceeds MaxResident 3", r)
-			}
-		}
-	}
-	if q := lz.QuarantinedWorlds(); q != 0 {
-		t.Fatalf("eviction churn quarantined %d worlds", q)
 	}
 }

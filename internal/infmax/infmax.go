@@ -20,6 +20,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/rng"
+	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
 
@@ -282,6 +283,7 @@ func sharedIndexGain(x *index.Index) (gain, commit gainFunc) {
 // Std runs the standard greedy influence maximization (InfMax_std): greedy
 // on the expected spread estimated over the ℓ worlds of the shared cascade
 // index, with CELF lazy evaluation. Gains are in expected-spread units. The
+// registry ctx carries receives the greedy metrics and the
 // "infmax.std.greedy" trace span opens under the span ctx carries; ctx is
 // checked before every gain evaluation, and a canceled context aborts the
 // selection with ctx.Err().
@@ -292,7 +294,7 @@ func Std(ctx context.Context, x *index.Index, k int) (Selection, error) {
 	sp := trace.Child(ctx, "infmax.std.greedy", trace.Int("k", int64(k)))
 	defer sp.End()
 	gain, commit := sharedIndexGain(x)
-	return celfGreedy(ctx, x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(x.Telemetry()))
+	return celfGreedy(ctx, x.Graph().NumNodes(), k, gain, commit, newGreedyMetrics(telemetry.FromContext(ctx)))
 }
 
 // StdNaive is Std without CELF (every candidate re-evaluated each round).

@@ -30,11 +30,6 @@ type RROptions struct {
 	Sets int
 	// Seed drives the sampling.
 	Seed uint64
-	// Telemetry, when non-nil, receives RR-sampling metrics (infmax.rr_sets,
-	// infmax.rr_set_size) and greedy metrics. The sibling "infmax.rr.sample"
-	// and "infmax.rr.greedy" phases are trace spans under the span ctx
-	// carries.
-	Telemetry *telemetry.Registry
 }
 
 // RR selects k seeds by greedy max-cover over opts.Sets sampled
@@ -60,6 +55,10 @@ type RROptions struct {
 // estimate degrades gracefully as it shrinks). The result carries a
 // *checkpoint.PartialError; gains are scaled by n/achieved, keeping them in
 // expected-spread units.
+//
+// The registry ctx carries receives the RR-sampling metrics (infmax.rr_sets,
+// infmax.rr_set_size) and the greedy metrics; the sibling "infmax.rr.sample"
+// and "infmax.rr.greedy" spans open under the span ctx carries.
 func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoint.Config) (Selection, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, err
@@ -72,7 +71,7 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 	if cfg.Path != "" {
 		a.byID = make([][]graph.NodeID, opts.Sets)
 	}
-	r, st, err := checkpoint.Start(cfg, func() uint64 { return rrKey(g, opts) }, opts.Sets, a.encode)
+	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return rrKey(g, opts) }, opts.Sets, a.encode)
 	if err != nil {
 		return Selection{}, err
 	}
@@ -88,10 +87,7 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 	rev := g.Reverse()
 	master := rng.New(opts.Seed)
 	visited := make([]bool, n)
-	tel := opts.Telemetry
-	if tel == nil {
-		tel = cfg.Telemetry
-	}
+	tel := telemetry.FromContext(ctx)
 	mSets := tel.Counter("infmax.rr_sets")
 	mSetSize := tel.Histogram("infmax.rr_set_size")
 	spSample := trace.Child(ctx, "infmax.rr.sample")

@@ -8,7 +8,6 @@ import (
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
-	"soi/internal/telemetry"
 )
 
 // Automatic RR-set budgeting after TIM (Tang, Xiao & Shi, SIGMOD 2014).
@@ -32,8 +31,6 @@ type RRAutoOptions struct {
 	MaxSets int
 	// Seed drives the sampling.
 	Seed uint64
-	// Telemetry is forwarded to the θ-sized RR sampling phase.
-	Telemetry *telemetry.Registry
 }
 
 // RRAuto selects k seeds with the RR sketch, choosing the number of RR sets
@@ -56,7 +53,7 @@ func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Sel
 	m := g.NumEdges()
 	if m == 0 {
 		// Edgeless graph: any k nodes, one RR set per node suffices.
-		sel, err := RR(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed, Telemetry: opts.Telemetry}, checkpoint.Config{})
+		sel, err := RR(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed}, checkpoint.Config{})
 		return sel, n, err
 	}
 
@@ -74,7 +71,7 @@ func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Sel
 	if theta > maxSets {
 		theta = maxSets
 	}
-	sel, err := RR(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133, Telemetry: opts.Telemetry}, checkpoint.Config{})
+	sel, err := RR(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133}, checkpoint.Config{})
 	return sel, theta, err
 }
 

@@ -25,11 +25,6 @@ type MCOptions struct {
 	Seed uint64
 	// Workers bounds simulation parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Telemetry, when non-nil, receives greedy and cascade metrics
-	// (infmax.gain_evals, cascade.trials, ...). The "infmax.stdmc.greedy"
-	// trace span, parent of every evaluation's "cascade.expected_spread",
-	// opens under the span ctx carries.
-	Telemetry *telemetry.Registry
 }
 
 func (o *MCOptions) validate() error {
@@ -54,7 +49,7 @@ type mcState struct {
 func (m *mcState) estimate(v graph.NodeID) (float64, error) {
 	m.evalCtr++
 	return cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{Telemetry: m.opts.Telemetry})
+		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{})
 }
 
 func (m *mcState) gain(v graph.NodeID) (float64, error) {
@@ -81,7 +76,11 @@ func (m *mcState) commit(v graph.NodeID) (float64, error) {
 // greedy's choices become effectively random among the top candidates — the
 // saturation the paper's Figure 7 measures. ctx is checked before every
 // marginal-gain evaluation and inside the Monte-Carlo simulation workers,
-// so a canceled context aborts the greedy promptly with ctx.Err().
+// so a canceled context aborts the greedy promptly with ctx.Err(). The
+// registry ctx carries receives the greedy and cascade metrics
+// (infmax.gain_evals, cascade.trials, ...), and the "infmax.stdmc.greedy"
+// span, parent of every evaluation's "cascade.expected_spread", opens under
+// the span ctx carries.
 func StdMC(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selection, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, err
@@ -92,7 +91,7 @@ func StdMC(ctx context.Context, g *graph.Graph, k int, opts MCOptions) (Selectio
 	ctx, sp := trace.StartChild(ctx, "infmax.stdmc.greedy")
 	defer sp.End()
 	m := &mcState{ctx: ctx, g: g, opts: opts}
-	return celfGreedy(ctx, g.NumNodes(), k, m.gain, m.commit, newGreedyMetrics(opts.Telemetry))
+	return celfGreedy(ctx, g.NumNodes(), k, m.gain, m.commit, newGreedyMetrics(telemetry.FromContext(ctx)))
 }
 
 // StdMCNaive is StdMC without CELF: every candidate is re-evaluated each

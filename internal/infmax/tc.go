@@ -41,30 +41,24 @@ func (c *nodeCoverage) commit(v graph.NodeID) (float64, error) {
 	return float64(g), nil
 }
 
-// TCOptions configures InfMax_TC. The zero value is ready to use: no
-// telemetry, default greedy. It mirrors MCOptions/RROptions so every
-// SelectSeeds* entry point takes an options struct instead of growing
-// …Tel/…Ctx twins.
-type TCOptions struct {
-	// Telemetry (nil disables) receives gain-evaluation and round counters
-	// and a realized-gain histogram. The "infmax.tc.greedy" trace span, with
-	// k as its attribute, opens under the span ctx carries.
-	Telemetry *telemetry.Registry
-}
+// TCOptions configures InfMax_TC. It has no fields: InfMax_TC has no knobs.
+type TCOptions struct{}
 
 // TC runs the paper's InfMax_TC (Algorithm 3): greedy maximum coverage over
 // the spheres of influence, with CELF lazy evaluation (coverage is monotone
 // submodular, so the selection equals naive greedy's). Gains are in covered-
 // node units. ctx is checked before every gain evaluation; a canceled
-// context aborts the selection with ctx.Err().
-func TC(ctx context.Context, g *graph.Graph, spheres Spheres, k int, opts TCOptions) (Selection, error) {
+// context aborts the selection with ctx.Err(). The registry ctx carries
+// receives the greedy metrics, and the "infmax.tc.greedy" span, with k as
+// its attribute, opens under the span ctx carries.
+func TC(ctx context.Context, g *graph.Graph, spheres Spheres, k int, _ TCOptions) (Selection, error) {
 	if err := validateTC(g, spheres, k); err != nil {
 		return Selection{}, err
 	}
 	cov := &nodeCoverage{covered: make([]bool, g.NumNodes()), spheres: spheres}
 	sp := trace.Child(ctx, "infmax.tc.greedy", trace.Int("k", int64(k)))
 	defer sp.End()
-	return celfGreedy(ctx, g.NumNodes(), k, cov.gain, cov.commit, newGreedyMetrics(opts.Telemetry))
+	return celfGreedy(ctx, g.NumNodes(), k, cov.gain, cov.commit, newGreedyMetrics(telemetry.FromContext(ctx)))
 }
 
 // TCNaive is TC without CELF; onRound receives each round's descending

@@ -48,14 +48,6 @@ type Options struct {
 	// Workers bounds parallelism. Zero and negative values both select
 	// GOMAXPROCS — the library-wide convention for every Workers knob.
 	Workers int
-	// Progress, if non-nil, is called after each completed task with the
-	// number of tasks done so far and the total. Calls are serialized (the
-	// callback needs no locking) but may be invoked from any worker.
-	Progress func(done, total int)
-	// Telemetry, if non-nil, receives pool utilization metrics
-	// (pool.tasks_queued/done/active, pool.workers, pool.panics). A nil
-	// registry costs one nil check per task.
-	Telemetry *telemetry.Registry
 }
 
 // Workers normalizes a requested worker count against a task count: values
@@ -80,7 +72,9 @@ func Workers(requested, tasks int) int {
 // context is canceled first, or the first task error (including recovered
 // panics as *PanicError). After the first error or cancellation no new
 // tasks are started; in-flight tasks finish before Run returns, so fn is
-// never running when Run has returned and no goroutines are leaked.
+// never running when Run has returned and no goroutines are leaked. The
+// registry ctx carries (telemetry.FromContext) receives pool utilization
+// metrics: pool.tasks_queued/done/active, pool.workers and pool.panics.
 func Run(ctx context.Context, total int, opts Options, fn func(worker, task int) error) error {
 	if total <= 0 {
 		return ctx.Err()
@@ -89,23 +83,22 @@ func Run(ctx context.Context, total int, opts Options, fn func(worker, task int)
 
 	// Handles resolve to nil on a nil registry; every update below is then a
 	// single nil check, so disabled telemetry is free on the task loop.
+	tel := telemetry.FromContext(ctx)
 	var (
-		mQueued  = opts.Telemetry.Counter("pool.tasks_queued")
-		mDone    = opts.Telemetry.Counter("pool.tasks_done")
-		mActive  = opts.Telemetry.Gauge("pool.tasks_active")
-		mWorkers = opts.Telemetry.Gauge("pool.workers")
-		mPanics  = opts.Telemetry.Counter("pool.panics")
+		mQueued  = tel.Counter("pool.tasks_queued")
+		mDone    = tel.Counter("pool.tasks_done")
+		mActive  = tel.Gauge("pool.tasks_active")
+		mWorkers = tel.Gauge("pool.workers")
+		mPanics  = tel.Counter("pool.panics")
 	)
 	mQueued.Add(int64(total))
 	mWorkers.Set(int64(workers))
 
 	var (
 		cursor atomic.Int64 // next task to hand out
-		done   atomic.Int64
 		stop   atomic.Bool
 		errMu  sync.Mutex
 		first  error
-		progMu sync.Mutex
 		wg     sync.WaitGroup
 	)
 	cursor.Store(-1)
@@ -152,12 +145,6 @@ func Run(ctx context.Context, total int, opts Options, fn func(worker, task int)
 					return
 				}
 				mDone.Inc()
-				d := int(done.Add(1))
-				if opts.Progress != nil {
-					progMu.Lock()
-					opts.Progress(d, total)
-					progMu.Unlock()
-				}
 			}
 		}(w)
 	}

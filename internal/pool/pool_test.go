@@ -122,29 +122,6 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestRunProgressMonotonicAndComplete(t *testing.T) {
-	var reports []int
-	err := Run(context.Background(), 64, Options{Workers: 8, Progress: func(done, total int) {
-		if total != 64 {
-			t.Errorf("total = %d", total)
-		}
-		reports = append(reports, done) // serialized by the pool
-	}}, func(_, _ int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 64 {
-		t.Fatalf("%d progress reports, want 64", len(reports))
-	}
-	seen := make(map[int]bool)
-	for _, d := range reports {
-		if d < 1 || d > 64 || seen[d] {
-			t.Fatalf("bad or duplicate done value %d", d)
-		}
-		seen[d] = true
-	}
-}
-
 func TestRunZeroTasks(t *testing.T) {
 	if err := Run(context.Background(), 0, Options{}, nil); err != nil {
 		t.Fatal(err)

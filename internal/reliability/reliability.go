@@ -50,7 +50,7 @@ func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, sam
 		return nil, 0, err
 	}
 	// A Runner without a checkpoint path is just the budget gate.
-	r, _, err := checkpoint.Start(checkpoint.Config{Budget: budget}, nil, samples, nil)
+	r, _, err := checkpoint.Start(ctx, checkpoint.Config{Budget: budget}, nil, samples, nil)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -197,7 +197,7 @@ func (s *Server) handleSphere(req *http.Request) (any, error) {
 
 	csp := trace.Child(req.Context(), "sphere.compute")
 	sc := s.scratch.Get().(*index.Scratch)
-	r := core.ComputeWithScratch(s.x, v, core.Options{Telemetry: s.cfg.Telemetry}, sc)
+	r := core.ComputeWithScratch(s.x, v, core.Options{}, sc)
 	s.scratch.Put(sc)
 	csp.End()
 	qp, err := s.quarantinePartial(1) // sample cost is a [0,1] Jaccard average
@@ -250,7 +250,7 @@ func (s *Server) handleStability(req *http.Request) (any, error) {
 	}
 
 	csp := trace.Child(req.Context(), "sphere.compute")
-	r := core.ComputeFromSet(s.x, seeds, core.Options{Telemetry: s.cfg.Telemetry})
+	r := core.ComputeFromSet(s.x, seeds, core.Options{})
 	csp.End()
 	qp, err := s.quarantinePartial(1)
 	if err != nil {
@@ -316,8 +316,7 @@ func (s *Server) handleSeeds(req *http.Request) (any, error) {
 	if s.tcSets == nil {
 		return nil, api.Conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
 	}
-	sel, err := infmax.TC(req.Context(), s.g, s.tcSets, k,
-		infmax.TCOptions{Telemetry: s.cfg.Telemetry})
+	sel, err := infmax.TC(req.Context(), s.g, s.tcSets, k, infmax.TCOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +390,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 		// requests; a single query must not monopolize the process.
 		spread, err := cascade.ExpectedSpread(req.Context(), s.g, seeds,
 			trials, s.querySeed(seeds...), 1,
-			checkpoint.Config{Budget: checkpoint.Budget{Deadline: daemon.BudgetOf(req.Context()).Deadline}, Telemetry: s.cfg.Telemetry})
+			checkpoint.Config{Budget: checkpoint.Budget{Deadline: daemon.BudgetOf(req.Context()).Deadline}})
 		pe, err := splitPartial(err)
 		if err != nil {
 			return nil, err

@@ -55,12 +55,12 @@ func quarantineFixture(t *testing.T, corrupt []int) (*Server, *index.Index) {
 	if _, err := clean.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mx, err := index.OpenMmap(writeCorrupted(t, buf.Bytes(), corrupt), g,
-		index.MmapOptions{Telemetry: telemetry.New()})
+	mx, err := index.OpenMmap(writeCorrupted(t, buf.Bytes(), corrupt), g, index.MmapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mx.Close() })
+	mx.SetTelemetry(telemetry.New())
 	s, err := New(Config{
 		Graph: g, Index: mx, Telemetry: telemetry.New(),
 		MaxInflight: 4, MaxQueue: 16, CostSamples: 20, Seed: 11,

@@ -70,7 +70,10 @@ type Config struct {
 	// format does not record it); server-side sampling must match it.
 	Model index.Model
 	// Telemetry receives request counters, per-endpoint latency histograms,
-	// cache and admission metrics; nil disables instrumentation.
+	// cache and admission metrics, and, through the request context, the
+	// metrics of the ctx-first estimators (Monte-Carlo spread, InfMax_TC);
+	// nil disables instrumentation. The context-free queries meter into
+	// the registry attached to Index and Sketch (their SetTelemetry).
 	Telemetry *telemetry.Registry
 	// Tracer records per-request span trees (root-or-continued via the
 	// incoming traceparent header) with tail-based retention, served on

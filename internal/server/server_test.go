@@ -696,7 +696,7 @@ func TestNewRejectsMismatchedArtifacts(t *testing.T) {
 // Monte-Carlo spread once left a span each) is a leak.
 func TestTelemetryReportBounded(t *testing.T) {
 	tel := telemetry.New()
-	sk, err := sketch.Build(context.Background(), sharedFixture(t).x, sketch.Options{K: 8, Seed: 1, Telemetry: tel})
+	sk, err := sketch.Build(telemetry.NewContext(context.Background(), tel), sharedFixture(t).x, sketch.Options{K: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,6 +730,19 @@ func TestTelemetryReportBounded(t *testing.T) {
 	// reads; a per-request entry would add tens of kilobytes.
 	if largeSize > smallSize+1024 {
 		t.Fatalf("report grew from %d to %d bytes with 10x the requests", smallSize, largeSize)
+	}
+}
+
+// TestMCSpreadMetersIntoServerRegistry: the request context carries the
+// server's registry, so the Monte-Carlo estimator behind /v1/spread counts
+// its trials there without being handed the registry.
+func TestMCSpreadMetersIntoServerRegistry(t *testing.T) {
+	s := newTestServer(t, nil)
+	if rec, _ := do(t, s, "/v1/spread?seeds=0&method=mc&trials=40"); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := s.cfg.Telemetry.Counter("cascade.trials").Value(); n != 40 {
+		t.Fatalf("cascade.trials = %d, want the request's 40 trials", n)
 	}
 }
 

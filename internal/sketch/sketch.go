@@ -59,13 +59,6 @@ type Options struct {
 	// Workers bounds build parallelism; zero and negative values both mean
 	// GOMAXPROCS (the library-wide convention).
 	Workers int
-	// Progress, if non-nil, is called after each world's rank pass with
-	// (done, total). Calls are serialized.
-	Progress func(done, total int)
-	// Telemetry, if non-nil, receives build counters and is retained on the
-	// Sketch so sketch-space greedy selection meters against it. The
-	// "sketch.build" trace span opens under the span Build's ctx carries.
-	Telemetry *telemetry.Registry
 }
 
 // Sketch holds the combined bottom-k reachability sketches of every node of
@@ -89,7 +82,10 @@ type Sketch struct {
 // Build constructs combined sketches over every live world of x. The result
 // is deterministic given (index contents, K, Seed), independent of Workers.
 // The parallel phases check ctx between tasks, and a canceled context
-// returns ctx.Err().
+// returns ctx.Err(). The registry ctx carries (telemetry.FromContext)
+// receives the build counters and the rank passes' pool utilization, and is
+// attached to the sketch, as by SetTelemetry. The "sketch.build" span opens
+// under the span ctx carries.
 func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 	k := opts.K
 	if k == 0 {
@@ -102,7 +98,9 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 	defer sp.End()
 	n := x.Graph().NumNodes()
 	worlds := x.NumWorlds()
-	tel := opts.Telemetry
+	tel := telemetry.FromContext(ctx)
+	// The merge and freeze phases are bookkeeping, not pool work to meter.
+	unmetered := telemetry.NewContext(ctx, nil)
 
 	// Per-node bottom-k accumulators: heap[v*k : v*k+cnt[v]] is a max-heap
 	// of the k smallest ranks seen for v so far.
@@ -118,20 +116,13 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 	batch := workers
 	passes := make([]pass, batch)
 	live := 0
-	done := 0
-	progress := func() {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, worlds)
-		}
-	}
 	for base := 0; base < worlds; base += batch {
 		m := batch
 		if base+m > worlds {
 			m = worlds - base
 		}
 		// Phase 1: independent per-world rank passes, in parallel.
-		err := pool.Run(ctx, m, pool.Options{Workers: workers, Telemetry: tel},
+		err := pool.Run(ctx, m, pool.Options{Workers: workers},
 			func(_, j int) error {
 				i := base + j
 				wseed := rng.Mix64(opts.Seed ^ uint64(i)<<20)
@@ -147,7 +138,7 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 		// Phase 2: merge the batch into the per-node accumulators, each
 		// worker owning a disjoint node range (no locks, and each node sees
 		// the worlds in a fixed order, so the result is worker-independent).
-		err = pool.Run(ctx, workers, pool.Options{Workers: workers},
+		err = pool.Run(unmetered, workers, pool.Options{Workers: workers},
 			func(_, r int) error {
 				lo, hi := n*r/workers, n*(r+1)/workers
 				for j := 0; j < m; j++ {
@@ -171,7 +162,6 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 			// Keep the scratch arenas: slot j serves one world per batch, so
 			// after the first batch every pass is allocation-free.
 			passes[j].comp, passes[j].ok = nil, false
-			progress()
 		}
 	}
 
@@ -197,7 +187,7 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 	for v := 0; v < n; v++ {
 		s.off[v+1] = s.off[v] + cnt[v]
 	}
-	err := pool.Run(ctx, workers, pool.Options{Workers: workers},
+	err := pool.Run(unmetered, workers, pool.Options{Workers: workers},
 		func(_, r int) error {
 			for v := n * r / workers; v < n*(r+1)/workers; v++ {
 				row := s.ranks[s.off[v]:s.off[v+1]]
@@ -284,7 +274,8 @@ func (s *Sketch) Seed() uint64 { return s.seed }
 func (s *Sketch) IndexFingerprint() uint64 { return s.fp }
 
 // SetTelemetry attaches a registry (typically to a sketch loaded from disk,
-// which has none) so selection over it can be metered.
+// which has none) so the context-free selection over it
+// (infmax.SelectSeedsSketch) can be metered.
 func (s *Sketch) SetTelemetry(reg *telemetry.Registry) { s.tel = reg }
 
 // Telemetry returns the attached registry (possibly nil).

@@ -4,6 +4,11 @@
 // timing lives in internal/trace; the batch CLIs copy their trace into the
 // report's span tree (see cliutil). It depends only on the standard library.
 //
+// A registry reaches a computation the way a trace span does: through the
+// context.Context of a ctx-first call (NewContext, FromContext). Calls that
+// take no context read the registry of the artifact they query instead (an
+// index or a sketch, see their SetTelemetry).
+//
 // The design is built around one invariant: a disabled registry must cost
 // (almost) nothing on the hot path. Every handle type (*Counter, *Gauge,
 // *Histogram) is nil-safe — calling any method on a nil handle is a
@@ -19,6 +24,7 @@
 package telemetry
 
 import (
+	"context"
 	"math/bits"
 	"sort"
 	"sync"
@@ -383,6 +389,20 @@ func (r *Registry) SetParam(key, value string) {
 	}
 	r.info.params[key] = value
 	r.mu.Unlock()
+}
+
+type ctxKey struct{}
+
+// NewContext returns ctx carrying r; a nil r hides any registry ctx carried,
+// so the calls under it record nothing.
+func NewContext(ctx context.Context, r *Registry) context.Context {
+	return context.WithValue(ctx, ctxKey{}, r)
+}
+
+// FromContext returns the registry carried by ctx, or nil (disabled).
+func FromContext(ctx context.Context) *Registry {
+	r, _ := ctx.Value(ctxKey{}).(*Registry)
+	return r
 }
 
 // sortedNames returns m's keys in ascending order.

@@ -44,7 +44,7 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	requireCanceled("SelectSeedsStd", err)
 	_, err = SelectSeedsStdMC(ctx, g, 2, MCOptions{Trials: 50, Seed: 11})
 	requireCanceled("SelectSeedsStdMC", err)
-	_, err = SelectSeedsTC(ctx, g, make(Spheres, g.NumNodes()), 2, TCOptions{})
+	_, err = SelectSeedsTC(ctx, g, make(Spheres, g.NumNodes()), 2)
 	requireCanceled("SelectSeedsTC", err)
 	_, err = SelectSeedsRR(ctx, g, 2, RROptions{Sets: 100, Seed: 12}, ResumeConfig{})
 	requireCanceled("SelectSeedsRR", err)

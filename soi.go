@@ -19,7 +19,7 @@
 //	idx, err := soi.BuildIndex(ctx, g, soi.IndexOptions{Samples: 1000, Seed: 1}, soi.ResumeConfig{})
 //	sphere := soi.TypicalCascade(idx, v, soi.TypicalOptions{CostSamples: 1000})
 //	spheres, err := soi.AllTypicalCascades(ctx, idx, soi.TypicalOptions{}, soi.ResumeConfig{})
-//	seeds, err := soi.SelectSeedsTC(ctx, g, soi.SpheresOf(spheres), 200, soi.TCOptions{})
+//	seeds, err := soi.SelectSeedsTC(ctx, g, soi.SpheresOf(spheres), 200)
 //
 // Every algorithm has one entry point, and it is context-first: each
 // long-running API takes a context.Context as its first argument for
@@ -54,17 +54,26 @@ import (
 )
 
 // Telemetry is a race-safe, zero-dependency metrics registry: counters,
-// gauges and log-scale histograms. Attach one via the Telemetry field on
-// IndexOptions, TypicalOptions, MCOptions, RROptions or ResumeConfig and
-// every compute phase reports into it; a nil registry disables all
-// instrumentation at the cost of one nil check per event. Expose it with
-// TelemetryHandler (Prometheus) or read a structured TelemetryReport when
-// the run ends. Phase timing is not kept here: the CLIs and soid time the
-// compute phases as trace spans.
+// gauges and log-scale histograms. A registry reaches a computation the
+// way cancellation does: put it on the context with WithTelemetry and every
+// context-first call under that context reports into it. The calls that
+// take no context (TypicalCascade, SeedSetTypicalCascade) report into the
+// registry attached to their Index with Index.SetTelemetry; BuildIndex
+// attaches its context's registry to the index it builds. Without a
+// registry all instrumentation costs one nil check per event. Expose it
+// with TelemetryHandler (Prometheus) or read a structured TelemetryReport
+// when the run ends. Phase timing is not kept here: the CLIs and soid time
+// the compute phases as trace spans.
 type Telemetry = telemetry.Registry
 
 // NewTelemetry creates an empty metrics registry.
 func NewTelemetry() *Telemetry { return telemetry.New() }
+
+// WithTelemetry returns ctx carrying r: the context-first calls made with
+// the returned context report their metrics into r.
+func WithTelemetry(ctx context.Context, r *Telemetry) context.Context {
+	return telemetry.NewContext(ctx, r)
+}
 
 // TelemetryReport is the machine-readable run report (schema
 // telemetry.ReportSchema): run info, counters, gauges and histogram
@@ -325,16 +334,11 @@ func SelectSeedsStdMC(ctx context.Context, g *Graph, k int, opts MCOptions) (Sel
 	return infmax.StdMC(ctx, g, k, opts)
 }
 
-// TCOptions configures SelectSeedsTC; the zero value is ready to use. Its
-// Telemetry field (nil disables) receives greedy metrics, replacing the
-// removed SelectSeedsTCTel.
-type TCOptions = infmax.TCOptions
-
 // SelectSeedsTC runs the paper's InfMax_TC (Algorithm 3): greedy maximum
 // coverage over the spheres of influence. ctx is checked before every gain
 // evaluation.
-func SelectSeedsTC(ctx context.Context, g *Graph, spheres Spheres, k int, opts TCOptions) (Selection, error) {
-	return infmax.TC(ctx, g, spheres, k, opts)
+func SelectSeedsTC(ctx context.Context, g *Graph, spheres Spheres, k int) (Selection, error) {
+	return infmax.TC(ctx, g, spheres, k, infmax.TCOptions{})
 }
 
 // RROptions configures the reverse-reachable-sketch method.

@@ -38,7 +38,7 @@ func TestEndToEndViralMarketing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := SelectSeedsTC(context.Background(), g, spheres, k, TCOptions{})
+	tc, err := SelectSeedsTC(context.Background(), g, spheres, k)
 	if err != nil {
 		t.Fatal(err)
 	}
