@@ -52,8 +52,8 @@ bench-json:
 # Short fuzz runs over every binary-format decoder (graph TSV, index
 # SOIIDX03 through the eager reader alone and through both the eager and
 # the mmap reader, the index build's checkpoint payload, sphere store
-# SOISPH02, checkpoint SOICKP01 and the all-nodes sweep's checkpoint
-# payload, sketch SOISKC01), plus the typical-cascade prefix kernel checked
+# SOISPH03, checkpoint SOICKP01 and the all-nodes sweep's checkpoint
+# payload, sketch SOISKC02), plus the typical-cascade prefix kernel checked
 # against its reference implementation. Each gets its own
 # `go test` invocation because -fuzz accepts a single target per run.
 # FUZZTIME is per decoder.
@@ -98,7 +98,7 @@ fsck-smoke:
 trace-smoke:
 	./scripts/trace-smoke.sh
 
-# Sketch-estimation smoke: build an index and a SOISKC01 sketch with sphere,
+# Sketch-estimation smoke: build an index and a SOISKC02 sketch with sphere,
 # serve both with soid, query /v1/{spread,sphere,seeds} with estimator=sketch,
 # and assert every sketch answer lands within its own reported error_bound of
 # the dense index answer.

@@ -76,7 +76,7 @@ func TestRunWithSphereStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SaveSpheresFile(store, spheres); err != nil {
+	if err := core.SaveSpheresFile(store, x.Fingerprint(), spheres); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), gp, 3, "tc", false, 30, 30, 1, store, "", 0, noTel()); err != nil {

@@ -30,6 +30,10 @@
 // repaired with soifsck. Eager and mapped loads read the same SOIIDX03 file
 // and report the same index fingerprint.
 //
+// The sphere store and the sketch load eagerly and strictly: a corrupt block,
+// or a store or sketch computed from any index but the loaded one, refuses
+// startup with the sphere command that rebuilds it.
+//
 // Exit codes: 0 clean shutdown, 1 startup or serving errors.
 package main
 
@@ -167,7 +171,7 @@ func run(o *options, life *daemon.Lifecycle) error {
 
 	var spheres []core.Result
 	if o.spheres != "" {
-		spheres, err = core.LoadSpheresFile(o.spheres)
+		spheres, err = core.LoadSpheresFor(o.spheres, x)
 		if err != nil {
 			return fmt.Errorf("loading sphere store %s: %w", o.spheres, err)
 		}

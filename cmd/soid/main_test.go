@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -11,7 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/checkpoint"
+	"soi/internal/core"
 	"soi/internal/daemon"
+	"soi/internal/graph"
+	"soi/internal/index"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -75,6 +80,47 @@ func TestRunRejectsMissingArtifacts(t *testing.T) {
 	err = run(parse(t, "-graph", g, "-spheres", filepath.Join(t.TempDir(), "nope.tsv"), "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "sphere store") {
 		t.Fatalf("err %v, want sphere store load failure", err)
+	}
+}
+
+// TestRunRefusesForeignStore swaps the sphere stores of two equal-sized
+// shards: shard 0's store next to shard 1's graph and index passes the
+// node-count check, so only the index fingerprint the store carries can
+// keep soid from serving spheres of other worlds.
+func TestRunRefusesForeignStore(t *testing.T) {
+	dir := t.TempDir()
+	var idx, store [2]string
+	for s := range idx {
+		b := graph.NewBuilder(10)
+		for i := 0; i < 10; i++ {
+			b.AddEdge(graph.NodeID(i), graph.NodeID((i+1+s)%10), 0.6)
+		}
+		g := b.MustBuild()
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 20, Seed: uint64(s)}, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spheres, err := core.ComputeAll(context.Background(), x, core.Options{}, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx[s], store[s] = filepath.Join(dir, fmt.Sprintf("shard%d.idx", s)), filepath.Join(dir, fmt.Sprintf("shard%d.spheres", s))
+		if err := x.SaveFile(idx[s]); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.SaveSpheresFile(store[s], x.Fingerprint(), spheres); err != nil {
+			t.Fatal(err)
+		}
+		if s == 1 {
+			gp := filepath.Join(dir, "shard1.tsv")
+			if err := graph.SaveFile(gp, g, nil); err != nil {
+				t.Fatal(err)
+			}
+			err := run(parse(t, "-graph", gp, "-index", idx[1], "-spheres", store[0], "-addr", ":0"))
+			if err == nil || !strings.Contains(err.Error(), "sphere store") || !strings.Contains(err.Error(), core.StoreKind.Rebuild) {
+				t.Fatalf("err %v, want a refused sphere store naming %q", err, core.StoreKind.Rebuild)
+			}
+		}
 	}
 }
 

@@ -1,43 +1,51 @@
 // Command soifsck verifies and repairs soi on-disk artifacts: cascade index
-// files (SOIIDX03, from sphere -build-index) and sphere stores (SOISPH02,
-// from sphere -all -store). The format is detected from the file's magic;
-// a file in any other format, retired versions included, is rejected with
-// the command that rebuilds it.
+// files (SOIIDX03, from sphere -build-index), sphere stores (SOISPH03, from
+// sphere -all -store) and sketches (SOISKC02, from sphere -sketch-out). All
+// three are written in the one blockfile container and checked by one loop;
+// the kind is detected from the file's magic. A file in any other format,
+// retired versions included, is rejected with the command that rebuilds it.
 //
-// Verification is exhaustive: every world block of an index is checked
-// independently (directory geometry, per-block CRC32-C, structural decode,
-// whole-file footer), so one pass lists every bad block rather than stopping
-// at the first. Repair keeps what verifies and rewrites a clean index file:
+// Verification is exhaustive: every block is checked independently
+// (directory geometry, per-block CRC32-C, structural decode, whole-file
+// footer), so one pass lists every bad block rather than stopping at the
+// first. An index block is one world; a store or sketch block is a range of
+// nodes. Repair keeps what verifies and rewrites a clean file:
 //
 //	soifsck idx.bin                  # verify, summarize
-//	soifsck -v idx.bin               # ... with one line per world block
+//	soifsck -v idx.bin               # ... with one line per block
 //	soifsck -repair fixed.bin idx.bin
 //
 // A repaired index has fewer worlds than the original (the corrupt blocks
 // are dropped); estimates over it carry correspondingly wider error bounds.
-// For sphere stores, repair recovers payloads whose single trailing checksum
-// is bad (flipped footer, trailing garbage); payload corruption requires a
-// rebuild.
+// A node-range block cannot be dropped, so a store or sketch with a bad
+// block is refused and must be rebuilt; footer damage and trailing bytes
+// are rewritten clean for every kind.
 //
 // Exit codes: 0 every file verified clean, 1 corruption was found (repair
 // may still have succeeded), 2 a file could not be checked or repaired at
-// all (I/O error, unrecognized format, bad usage).
+// all (I/O error, unrecognized format, unrepairable damage, bad usage).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
+	"soi/internal/blockfile"
 	"soi/internal/core"
 	"soi/internal/index"
+	"soi/internal/sketch"
 )
+
+// kinds are the formats soifsck recognizes.
+var kinds = []*blockfile.Kind{index.FileKind, core.StoreKind, sketch.FileKind}
 
 func main() {
 	var (
 		repair  = flag.String("repair", "", "write a repaired copy of FILE to this path (exactly one FILE)")
-		verbose = flag.Bool("v", false, "print one line per world block, not just the bad ones")
+		verbose = flag.Bool("v", false, "print one line per block, not just the bad ones")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: soifsck [-v] FILE...\n       soifsck -repair OUT FILE\n")
@@ -64,90 +72,56 @@ func main() {
 // checkFile verifies (and optionally repairs) one file, returning its exit
 // code contribution.
 func checkFile(path, repair string, verbose bool) int {
-	var magic [8]byte
-	f, err := os.Open(path)
-	if err == nil {
-		_, err = f.Read(magic[:])
-		f.Close()
-	}
-	if err != nil {
-		log.Printf("%s: %v", path, err)
-		return 2
-	}
-	switch string(magic[:6]) {
-	case "SOIIDX":
-		return checkIndex(path, repair, verbose)
-	case "SOISPH":
-		return checkSpheres(path, repair)
-	default:
-		log.Printf("%s: unrecognized magic %q (not an index or sphere store)", path, magic[:])
-		return 2
-	}
-}
-
-func checkIndex(path, repair string, verbose bool) int {
-	var rep *index.FsckReport
+	var rep *blockfile.Report
 	var kept int
 	var err error
 	if repair != "" {
-		rep, kept, err = index.RepairFile(path, repair)
+		rep, kept, err = blockfile.Repair(path, repair, kinds...)
 	} else {
-		rep, err = index.Fsck(path)
+		rep, err = blockfile.Fsck(path, kinds...)
 	}
 	if rep == nil {
 		log.Printf("%s: %v", path, err)
 		return 2
 	}
-	log.Printf("%s: %s nodes=%d worlds=%d size=%d", path, rep.Format, rep.Nodes, rep.Worlds, rep.FileSize)
 	if rep.Fatal != nil {
 		log.Printf("%s: FATAL: %v", path, rep.Fatal)
+		if errors.Is(rep.Fatal, blockfile.ErrMagic) || repair != "" {
+			return 2
+		}
+		return 1
 	}
-	for _, b := range rep.Blocks {
+	unit := "worlds"
+	if rep.Kind.NodeRange {
+		unit = "blocks"
+	}
+	log.Printf("%s: %s nodes=%d %s=%d size=%d", path, rep.Kind.Magic[:], rep.Nodes, unit, len(rep.Dir), rep.FileSize)
+	for i, berr := range rep.Errs {
+		b := rep.Dir[i]
 		switch {
-		case b.Err != nil:
-			log.Printf("%s: world %d: off=%d len=%d CORRUPT: %v", path, b.World, b.Off, b.Len, b.Err)
+		case berr != nil:
+			log.Printf("%s: %s: off=%d len=%d CORRUPT: %v", path, rep.Label(i), b.Off, b.Len, berr)
 		case verbose:
-			log.Printf("%s: world %d: off=%d len=%d ok", path, b.World, b.Off, b.Len)
+			log.Printf("%s: %s: off=%d len=%d ok", path, rep.Label(i), b.Off, b.Len)
 		}
 	}
 	if !rep.FooterOK {
 		log.Printf("%s: whole-file checksum footer CORRUPT", path)
+	}
+	if rep.Trailing > 0 {
+		log.Printf("%s: %d trailing bytes after the footer CORRUPT", path, rep.Trailing)
 	}
 	if err != nil { // repair failed
 		log.Printf("%s: repair: %v", path, err)
 		return 2
 	}
 	if repair != "" {
-		log.Printf("%s: repaired to %s: kept %d of %d worlds", path, repair, kept, rep.Worlds)
+		log.Printf("%s: repaired to %s: kept %d of %d %s", path, repair, kept, len(rep.Dir), unit)
 	}
 	if rep.Clean() {
-		log.Printf("%s: clean (%d worlds)", path, rep.Worlds)
+		log.Printf("%s: clean (%d %s)", path, len(rep.Dir), unit)
 		return 0
 	}
-	log.Printf("%s: %d of %d worlds corrupt", path, rep.BadWorlds(), rep.Worlds)
+	log.Printf("%s: %d of %d %s corrupt", path, rep.Bad(), len(rep.Dir), unit)
 	return 1
-}
-
-func checkSpheres(path, repair string) int {
-	if repair != "" {
-		n, err := core.RepairSpheresFile(path, repair)
-		if err != nil {
-			log.Printf("%s: repair: %v", path, err)
-			return 2
-		}
-		log.Printf("%s: repaired to %s: %d spheres", path, repair, n)
-		// Report whether the original was actually corrupt.
-		if _, err := core.LoadSpheresFile(path); err != nil {
-			log.Printf("%s: original was corrupt: %v", path, err)
-			return 1
-		}
-		return 0
-	}
-	rs, err := core.LoadSpheresFile(path)
-	if err != nil {
-		log.Printf("%s: CORRUPT: %v", path, err)
-		return 1
-	}
-	log.Printf("%s: clean (%d spheres)", path, len(rs))
-	return 0
 }

@@ -6,10 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
+	"soi/internal/sketch"
 )
 
 // fsckGraph is a small ring with shortcuts — enough worlds and nodes that
@@ -41,16 +43,16 @@ func writeIndexFile(t *testing.T) string {
 // through the fsck report's directory geometry.
 func corruptWorld(t *testing.T, path string, world int) {
 	t.Helper()
-	rep, err := index.Fsck(path)
+	rep, err := blockfile.Fsck(path, index.FileKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := rep.Blocks[world]
+	b := rep.Dir[world]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[b.Off+b.Len/2] ^= 0xFF
+	data[b.Off+int64(b.Len)/2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +74,8 @@ func TestCheckFileIndex(t *testing.T) {
 	if code := checkFile(out, "", false); code != 0 {
 		t.Fatalf("repaired index: exit %d, want 0", code)
 	}
-	rep, err := index.Fsck(out)
-	if err != nil || !rep.Clean() || rep.Worlds != 7 {
+	rep, err := blockfile.Fsck(out, index.FileKind)
+	if err != nil || !rep.Clean() || len(rep.Dir) != 7 {
 		t.Fatalf("repaired report %+v (err %v), want clean with 7 worlds", rep, err)
 	}
 }
@@ -100,7 +102,7 @@ func TestCheckFileSpheres(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := filepath.Join(t.TempDir(), "g.spheres")
-	if err := core.SaveSpheresFile(p, spheres); err != nil {
+	if err := core.SaveSpheresFile(p, x.Fingerprint(), spheres); err != nil {
 		t.Fatal(err)
 	}
 	if code := checkFile(p, "", false); code != 0 {
@@ -130,13 +132,49 @@ func TestCheckFileSpheres(t *testing.T) {
 		t.Fatalf("repair of a clean store: exit %d, want 0", code)
 	}
 
-	// Payload corruption is unrecoverable.
-	data[8] ^= 0xFF
+	// Payload corruption is unrecoverable: a node-range block cannot be
+	// dropped.
+	data[core.StoreKind.BlocksStart(1)+2] ^= 0xFF
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if code := checkFile(p, "", false); code != 1 {
+		t.Fatalf("block-corrupt store: exit %d, want 1", code)
+	}
 	if code := checkFile(p, out, false); code != 2 {
 		t.Fatalf("repair of payload-corrupt store: exit %d, want 2", code)
+	}
+}
+
+func TestCheckFileSketch(t *testing.T) {
+	x, err := index.Build(context.Background(), fsckGraph(t), index.Options{Samples: 8, Seed: 5}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := sketch.Build(context.Background(), x, sketch.Options{K: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "g.skc")
+	if err := sk.SaveFile(p); err != nil {
+		t.Fatal(err)
+	}
+	if code := checkFile(p, "", true); code != 0 {
+		t.Fatalf("clean sketch: exit %d, want 0", code)
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-6] ^= 0xFF // a rank of the last node
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := checkFile(p, "", false); code != 1 {
+		t.Fatalf("block-corrupt sketch: exit %d, want 1", code)
+	}
+	if code := checkFile(p, filepath.Join(t.TempDir(), "fixed.skc"), false); code != 2 {
+		t.Fatalf("repair of block-corrupt sketch: exit %d, want 2", code)
 	}
 }
 

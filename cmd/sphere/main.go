@@ -196,7 +196,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 			report(res)
 		}
 		if storePath != "" && !partial {
-			if err := core.SaveSpheresFile(storePath, results); err != nil {
+			if err := core.SaveSpheresFile(storePath, x.Fingerprint(), results); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "spheres persisted to %s\n", storePath)
@@ -250,7 +250,7 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 }
 
 // saveSketch builds the combined bottom-k sketch over x's worlds and writes
-// it as a SOISKC01 file, fingerprint-keyed to x — the fingerprint of x's
+// it as a SOISKC02 file, fingerprint-keyed to x — the fingerprint of x's
 // index file, so soid -sketch accepts it alongside soid -index of that file.
 func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed uint64) error {
 	sk, err := sketch.Build(ctx, x, sketch.Options{K: k, Seed: seed})

@@ -105,7 +105,7 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 			return fmt.Errorf("shard %d spheres: %w", s, err)
 		}
 		spherePath := fmt.Sprintf("%s-shard%d.spheres", prefix, s)
-		if err := core.SaveSpheresFile(spherePath, spheres); err != nil {
+		if err := core.SaveSpheresFile(spherePath, x.Fingerprint(), spheres); err != nil {
 			return err
 		}
 

@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := soi.SaveSpheres(spherePath, results); err != nil {
+	if err := soi.SaveSpheres(spherePath, idx, results); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(spherePath)

@@ -7,16 +7,17 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"soi/internal/core"
 	"soi/internal/index"
 	"soi/internal/sketch"
 )
 
-// TestArtifactGoldenBytes pins the exact bytes of the index and sketch
-// artifacts and the fingerprints derived from them for one fixed seeded
-// graph, as written at build and as re-written after a load. The
-// index, sketch and fingerprint encoders may be rewritten for speed, but
-// the files they produce and the identities keyed on them (resume files,
-// the sketch's index key, the topology manifest) must not move by a bit.
+// TestArtifactGoldenBytes pins the exact bytes of the index, sketch and
+// sphere-store artifacts and the fingerprints derived from them for one
+// fixed seeded graph, as written at build and as re-written after a load.
+// The encoders may be rewritten for speed, but the files they produce and
+// the identities keyed on them (resume files, the sketch's and the store's
+// index key, the topology manifest) must not move by a bit.
 func TestArtifactGoldenBytes(t *testing.T) {
 	topo, err := Generate(GenConfig{Model: "ba", N: 400, M: 4, Recip: 0.3, Clustering: 0.3, Seed: 16})
 	if err != nil {
@@ -35,7 +36,8 @@ func TestArtifactGoldenBytes(t *testing.T) {
 	const (
 		indexFP  = uint64(0x88f50381f24727db)
 		indexSHA = "45283e0af84e344024ef81b44e8d5ca34b7f6c1676e8cb99557f29f881b4da50"
-		skcSHA   = "76b65ad357f23f0b003f231ec3b2d7f6df6daa2ee568ee797e0d16264b822c04"
+		skcSHA   = "aa8562e7741aab566645ce55ec521e80ad4097424211b72f73eabafe330790ab"
+		sphSHA   = "f61646aa3447512b296b0707315b82f0a81aa879febf0a2ad82e1cfd533e31a4"
 	)
 	x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 24, Seed: 17}, ResumeConfig{})
 	if err != nil {
@@ -85,5 +87,28 @@ func TestArtifactGoldenBytes(t *testing.T) {
 	}
 	if got := sum(skc2.Bytes()); got != skcSHA {
 		t.Errorf("re-encoded sketch sha256 %s, want %s", got, skcSHA)
+	}
+
+	spheres, err := AllTypicalCascades(context.Background(), x, TypicalOptions{}, ResumeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sph bytes.Buffer
+	if err := core.SaveSpheres(&sph, x.Fingerprint(), spheres); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(sph.Bytes()); got != sphSHA {
+		t.Errorf("sphere store sha256 %s, want %s", got, sphSHA)
+	}
+	loaded, fp, err := core.LoadSpheres(bytes.NewReader(sph.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sph2 bytes.Buffer
+	if err := core.SaveSpheres(&sph2, fp, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(sph2.Bytes()); got != sphSHA {
+		t.Errorf("re-encoded sphere store sha256 %s, want %s", got, sphSHA)
 	}
 }

@@ -1,6 +1,8 @@
 // Package blockfile is the shared substrate for block-structured, memory-
-// mapped artifact files: a bounds-checked read-only window over a file plus a
-// fixed-width block directory with per-block CRC32-C checksums.
+// mapped artifact files: one container format (header, fixed-width block
+// directory with per-block CRC32-C checksums, blocks, footer), its
+// streaming writer and readers, offline verification and repair, and a
+// bounds-checked read-only window over a file.
 //
 // The design target is "huge artifact, query touches a sliver": a reader
 // maps the file once, verifies only the (small) directory up front, and
@@ -20,8 +22,9 @@
 //     a SIGBUS-killed process.
 //   - Blocks are only ever used after their CRC32-C matches the directory.
 //
-// The index (SOIIDX03) is the first format on this substrate; the sphere
-// store is designed to follow.
+// The index (SOIIDX03), the sphere store (SOISPH03) and the sketch
+// (SOISKC02) are the three kinds on the container; only this package writes
+// or parses their framing, and fsck.go verifies and repairs all three.
 package blockfile
 
 import (

@@ -1,7 +1,9 @@
 package blockfile
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -132,5 +134,76 @@ func TestValidateLayout(t *testing.T) {
 	gap := []BlockInfo{{Off: 24, Len: 10}, {Off: 36, Len: 6}}
 	if err := ValidateLayout(gap, 24, 4, 46); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("gap between blocks: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// toyKind holds one byte per node in node-range blocks, with a two-byte meta.
+var toyKind = &Kind{
+	Name:       "toy",
+	Magic:      [8]byte{'S', 'O', 'I', 'T', 'O', 'Y', '0', '2'},
+	Meta:       2,
+	NodeRange:  true,
+	Rebuild:    "toy rebuild",
+	CheckEntry: func(h *Header, i int) error { return nil },
+	Decode:     func(h *Header, i int, block []byte) error { return nil },
+}
+
+func writeToy(t *testing.T, nodes int) (string, []byte) {
+	t.Helper()
+	enc := func(buf []byte, i int) ([]byte, uint32) {
+		lo, hi := Range(i, nodes)
+		for v := lo; v < hi; v++ {
+			buf = append(buf, byte(v))
+		}
+		return buf, uint32(hi - lo)
+	}
+	var b bytes.Buffer
+	n, err := toyKind.Write(&b, uint32(nodes), []byte{7, 8}, toyKind.Directory(RangeBlocks(nodes), enc), enc)
+	if err != nil || n != int64(b.Len()) {
+		t.Fatalf("Write: %d bytes reported, %d written, err %v", n, b.Len(), err)
+	}
+	return writeTemp(t, b.Bytes()), b.Bytes()
+}
+
+// TestContainerRoundTrip: Read hands every block back in order, and Fsck
+// picks the kind by its magic's family prefix among several.
+func TestContainerRoundTrip(t *testing.T) {
+	nodes := 2*RangeNodes + 3
+	p, data := writeToy(t, nodes)
+	var got []byte
+	h, err := toyKind.Read(bytes.NewReader(data), nodes, func(h *Header, i int, block []byte) error {
+		got = append(got, block...)
+		return nil
+	})
+	if err != nil || len(got) != nodes || len(h.Dir) != 3 || !bytes.Equal(h.Meta, []byte{7, 8}) {
+		t.Fatalf("Read: %d bytes, header %+v, err %v", len(got), h, err)
+	}
+	other := &Kind{Name: "other", Magic: [8]byte{'O', 'T', 'H', 'E', 'R', '!', '0', '1'}}
+	rep, err := Fsck(p, other, toyKind)
+	if err != nil || rep.Kind != toyKind || !rep.Clean() || rep.Label(2) != fmt.Sprintf("nodes %d-%d", 2*RangeNodes, nodes-1) {
+		t.Fatalf("Fsck: %+v, err %v", rep, err)
+	}
+	if err := os.WriteFile(p, []byte("NOTAFILE-at-all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Fsck(p, other, toyKind); err != nil || !errors.Is(rep.Fatal, ErrMagic) {
+		t.Fatalf("unrecognized magic: %+v, err %v", rep, err)
+	}
+}
+
+// TestRepairTrailingBytes: bytes after the footer are reported, not fatal,
+// and repair rewrites the file byte for byte as it was written.
+func TestRepairTrailingBytes(t *testing.T) {
+	p, data := writeToy(t, 10)
+	if err := os.WriteFile(p, append(data[:len(data):len(data)], 1, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "fixed")
+	rep, n, err := Repair(p, out, toyKind)
+	if err != nil || n != 1 || rep.Trailing != 2 || rep.Clean() {
+		t.Fatalf("Repair: %+v, %d blocks, err %v", rep, n, err)
+	}
+	if fixed, err := os.ReadFile(out); err != nil || !bytes.Equal(fixed, data) {
+		t.Fatalf("repaired file differs from the original (err %v)", err)
 	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"soi/internal/checkpoint"
@@ -25,58 +23,54 @@ func sweepFingerprint(x *index.Index, opts Options) uint64 {
 }
 
 // encodeSweepPayload is ComputeAll's checkpoint payload: for every node
-// marked in done, its id, its sphere record (the store's writeSphereRecord),
-// and the two timing fields — so a resumed sweep reports the original
-// computation's timings, not zeros.
+// marked in done, its id, its sphere record (the store's
+// appendSphereRecord), and the two timing fields — so a resumed sweep
+// reports the original computation's timings, not zeros.
 func encodeSweepPayload(out []Result, done *checkpoint.Bitmap) ([]byte, error) {
-	var buf bytes.Buffer
+	le := binary.LittleEndian
+	var buf []byte
 	for v := range out {
 		if !done.Get(v) {
 			continue
 		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(v)); err != nil {
-			return nil, err
-		}
-		if err := writeSphereRecord(&buf, &out[v]); err != nil {
-			return nil, err
-		}
-		timings := []int64{int64(out[v].MedianTime), int64(out[v].CostTime)}
-		if err := binary.Write(&buf, binary.LittleEndian, timings); err != nil {
-			return nil, err
-		}
+		buf = le.AppendUint32(buf, uint32(v))
+		buf = appendSphereRecord(buf, &out[v])
+		buf = le.AppendUint64(buf, uint64(out[v].MedianTime))
+		buf = le.AppendUint64(buf, uint64(out[v].CostTime))
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // decodeSweepPayload restores completed spheres from a checkpoint payload.
-// Each record passes the sphere store's validation (readSphereRecord), so a
-// resumed sweep returns only spheres the store would accept; any failure is
-// checkpoint.ErrCorrupt.
+// Each record passes the sphere store's validation (decodeSphereRecord), so
+// a resumed sweep returns only spheres the store would accept; any failure
+// is checkpoint.ErrCorrupt.
 func decodeSweepPayload(st *checkpoint.State, n int, out []Result) error {
-	br := bytes.NewReader(st.Payload)
+	le := binary.LittleEndian
+	data := st.Payload
 	seen := 0
-	for {
-		var id uint32
-		if err := binary.Read(br, binary.LittleEndian, &id); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("%w: sweep payload: %v", checkpoint.ErrCorrupt, err)
+	for len(data) > 0 {
+		if len(data) < 4 {
+			return fmt.Errorf("%w: sweep payload: truncated node id", checkpoint.ErrCorrupt)
 		}
+		id := le.Uint32(data)
 		if int(id) >= n || !st.Done.Get(int(id)) {
 			return fmt.Errorf("%w: sweep payload names node %d outside the done bitmap", checkpoint.ErrCorrupt, id)
 		}
-		res, err := readSphereRecord(br, id, uint32(n))
+		res, size, err := decodeSphereRecord(data[4:], id, uint32(n))
 		if err != nil {
 			return fmt.Errorf("%w: sweep payload: %v", checkpoint.ErrCorrupt, err)
 		}
-		timings := make([]int64, 2)
-		if err := binary.Read(br, binary.LittleEndian, timings); err != nil {
-			return fmt.Errorf("%w: sweep payload node %d timings: %v", checkpoint.ErrCorrupt, id, err)
+		data = data[4+size:]
+		if len(data) < 16 {
+			return fmt.Errorf("%w: sweep payload node %d timings truncated", checkpoint.ErrCorrupt, id)
 		}
-		if timings[0] < 0 || timings[1] < 0 {
+		median, cost := int64(le.Uint64(data)), int64(le.Uint64(data[8:]))
+		if median < 0 || cost < 0 {
 			return fmt.Errorf("%w: sweep payload node %d has negative timings", checkpoint.ErrCorrupt, id)
 		}
-		res.MedianTime, res.CostTime = time.Duration(timings[0]), time.Duration(timings[1])
+		data = data[16:]
+		res.MedianTime, res.CostTime = time.Duration(median), time.Duration(cost)
 		out[id] = res
 		seen++
 	}

@@ -93,10 +93,10 @@ func FuzzSweepPayload(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := SaveSpheres(&buf, out); err != nil {
+		if err := SaveSpheres(&buf, 0, out); err != nil {
 			t.Fatalf("accepted payload does not save: %v", err)
 		}
-		if _, err := LoadSpheres(&buf); err != nil {
+		if _, _, err := LoadSpheres(&buf); err != nil {
 			t.Fatalf("accepted payload does not load back: %v", err)
 		}
 	})

@@ -26,7 +26,7 @@ func fsckFixture(t *testing.T) (string, []byte, []blockfile.BlockInfo, *graph.Gr
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	dir, err := blockfile.ParseDirectory(data[v3HeaderLen:v3HeaderLen+6*blockfile.EntrySize], 6)
+	dir, err := blockfile.ParseDirectory(data[FileKind.HeaderLen():FileKind.BlocksStart(6)-4], 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +39,18 @@ func fsckFixture(t *testing.T) (string, []byte, []blockfile.BlockInfo, *graph.Gr
 
 func TestFsckCleanFile(t *testing.T) {
 	p, _, _, _ := fsckFixture(t)
-	rep, err := Fsck(p)
+	rep, err := blockfile.Fsck(p, FileKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || rep.BadWorlds() != 0 || !rep.FooterOK {
+	if !rep.Clean() || rep.Bad() != 0 || !rep.FooterOK {
 		t.Fatalf("clean file reported dirty: %+v", rep)
 	}
-	if rep.Format != "SOIIDX03" || rep.Nodes != 25 || rep.Worlds != 6 {
+	if rep.Kind != FileKind || rep.Nodes != 25 || len(rep.Dir) != 6 {
 		t.Fatalf("report header: %+v", rep)
 	}
-	if len(rep.Blocks) != 6 {
-		t.Fatalf("got %d block reports, want 6", len(rep.Blocks))
+	if len(rep.Errs) != 6 {
+		t.Fatalf("got %d block reports, want 6", len(rep.Errs))
 	}
 }
 
@@ -62,18 +62,18 @@ func TestFsckReportsEveryBadBlock(t *testing.T) {
 	if err := os.WriteFile(p, d, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Fsck(p)
+	rep, err := blockfile.Fsck(p, FileKind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Clean() {
 		t.Fatal("corrupt file reported clean")
 	}
-	if rep.BadWorlds() != 2 {
-		t.Fatalf("BadWorlds %d, want 2 (one pass must find both)", rep.BadWorlds())
+	if rep.Bad() != 2 {
+		t.Fatalf("Bad %d, want 2 (one pass must find both)", rep.Bad())
 	}
 	for _, w := range []int{1, 4} {
-		if rep.Blocks[w].Err == nil {
+		if rep.Errs[w] == nil {
 			t.Fatalf("world %d not flagged", w)
 		}
 	}
@@ -90,19 +90,19 @@ func TestRepairFileDropsBadWorlds(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "repaired.idx")
-	rep, kept, err := RepairFile(p, out)
+	rep, kept, err := blockfile.Repair(p, out, FileKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != 5 || rep.BadWorlds() != 1 {
-		t.Fatalf("kept %d (bad %d), want 5 kept 1 bad", kept, rep.BadWorlds())
+	if kept != 5 || rep.Bad() != 1 {
+		t.Fatalf("kept %d (bad %d), want 5 kept 1 bad", kept, rep.Bad())
 	}
 	// The repaired file is clean by both fsck and the strict eager reader.
-	rep2, err := Fsck(out)
+	rep2, err := blockfile.Fsck(out, FileKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.Clean() || rep2.Worlds != 5 {
+	if !rep2.Clean() || len(rep2.Dir) != 5 {
 		t.Fatalf("repaired file not clean: %+v", rep2)
 	}
 	x, err := LoadFile(out, g)
@@ -123,7 +123,7 @@ func TestRepairFileRefusesTotalLoss(t *testing.T) {
 	if err := os.WriteFile(p, d, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RepairFile(p, filepath.Join(t.TempDir(), "out.idx")); err == nil {
+	if _, _, err := blockfile.Repair(p, filepath.Join(t.TempDir(), "out.idx"), FileKind); err == nil {
 		t.Fatal("repairing a fully corrupt index must fail, not write an empty file")
 	}
 }
@@ -138,7 +138,7 @@ func TestFsckFatalShapes(t *testing.T) {
 		if err := os.WriteFile(p, f(append([]byte(nil), data...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Fsck(p)
+		rep, err := blockfile.Fsck(p, FileKind)
 		if err != nil {
 			t.Fatalf("%s: I/O error %v", name, err)
 		}
@@ -153,11 +153,11 @@ func TestFsckFatalShapes(t *testing.T) {
 	mangle("unrecognized magic", func(d []byte) []byte { copy(d, "SOIIDX99"); return d })
 	mangle("zero node count", func(d []byte) []byte { copy(d[8:12], []byte{0, 0, 0, 0}); return d })
 	mangle("implausible world count", func(d []byte) []byte { copy(d[12:16], []byte{255, 255, 255, 255}); return d })
-	mangle("ends inside the directory", func(d []byte) []byte { return d[:v3HeaderLen+blockfile.EntrySize] })
-	mangle("directory checksum flip", func(d []byte) []byte { d[v3HeaderLen] ^= 0xFF; return d })
+	mangle("ends inside the directory", func(d []byte) []byte { return d[:FileKind.HeaderLen()+blockfile.EntrySize] })
+	mangle("directory checksum flip", func(d []byte) []byte { d[FileKind.HeaderLen()] ^= 0xFF; return d })
 
 	// A missing file is an I/O error, not a report.
-	if rep, err := Fsck(filepath.Join(t.TempDir(), "nope.idx")); err == nil || rep != nil {
+	if rep, err := blockfile.Fsck(filepath.Join(t.TempDir(), "nope.idx"), FileKind); err == nil || rep != nil {
 		t.Fatalf("missing file: rep %+v err %v, want nil report + error", rep, err)
 	}
 }

@@ -13,9 +13,10 @@ import (
 	"soi/internal/graph"
 )
 
-// FuzzRead fuzzes the eager deserializer on its own, from one clean file:
-// Read must never panic or allocate unboundedly, and anything it accepts
-// must answer queries, write back out, and read back to the same cascades.
+// FuzzRead fuzzes the eager deserializer on its own, from one clean file
+// and mutations of its header, directory and a world block: Read must
+// never panic or allocate unboundedly, and anything it accepts must answer
+// queries, write back out, and read back to the same cascades.
 func FuzzRead(f *testing.F) {
 	g := randomGraph(f, 141, 12, 40)
 	x, err := Build(context.Background(), g, Options{Samples: 2, Seed: 142}, checkpoint.Config{})
@@ -26,7 +27,18 @@ func FuzzRead(f *testing.F) {
 	if _, err := x.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	clean := buf.Bytes()
+	f.Add(clean)
+	mutate := func(pos int64, val byte) {
+		d := append([]byte(nil), clean...)
+		d[pos] ^= val
+		f.Add(d)
+	}
+	mutate(12, 0x01)                                // block count
+	mutate(FileKind.HeaderLen()+8, 0x01)            // directory: world 0's length
+	mutate(FileKind.HeaderLen()+16, 0x01)           // directory: world 0's comps
+	mutate(FileKind.BlocksStart(2)+4, 0x01)         // world 0's first comp id
+	f.Add(append([]byte("SOIIDX02"), clean[8:]...)) // retired magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := Read(bytes.NewReader(data), g)
 		if err != nil {
@@ -82,21 +94,22 @@ func FuzzReadV03(f *testing.F) {
 	}
 	// One seed per directory field of world 1 (offset, length, CRC, comps),
 	// plus the directory CRC, a block byte, and the footer.
-	dirBase := v3HeaderLen + blockfile.EntrySize
+	dirBase := int(FileKind.HeaderLen()) + blockfile.EntrySize
 	mutate(dirBase+0, 0x01)                         // off
 	mutate(dirBase+8, 0x01)                         // len
 	mutate(dirBase+12, 0x01)                        // crc
 	mutate(dirBase+16, 0x01)                        // comps
-	mutate(v3HeaderLen+3*blockfile.EntrySize, 0xFF) // directory CRC word
-	mutate(int(v3BlocksStart(3))+5, 0xFF)           // first block's bytes
+	mutate(int(FileKind.BlocksStart(3))-4, 0xFF)    // directory CRC word
+	mutate(int(FileKind.BlocksStart(3))+5, 0xFF)    // first block's bytes
 	mutate(len(clean)-1, 0xFF)                      // whole-file footer
-	f.Add(clean[:v3HeaderLen])                      // truncated at directory
-	f.Add(clean[:int(v3BlocksStart(3))+1])          // truncated mid-block
+	f.Add(clean[:FileKind.HeaderLen()])             // truncated at directory
+	f.Add(clean[:int(FileKind.BlocksStart(3))+1])   // truncated mid-block
 	f.Add(append(append([]byte(nil), clean...), 0)) // trailing byte
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Add(magicV3[:])         // magic only
-	f.Add([]byte("SOISPH02")) // another artifact's magic
+	f.Add(FileKind.Magic[:])                        // magic only
+	f.Add(append([]byte("SOIIDX02"), clean[8:]...)) // retired magic
+	f.Add([]byte("SOISPH02"))                       // another artifact's magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if idx, err := Read(bytes.NewReader(data), g); err == nil {
 			s := idx.NewScratch()

@@ -257,7 +257,7 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 // NumWorlds returns ℓ, quarantined worlds included (see LiveWorlds).
 func (x *Index) NumWorlds() int {
 	if x.lazy != nil {
-		return len(x.lazy.dir)
+		return len(x.lazy.Dir)
 	}
 	return len(x.entries)
 }
@@ -269,7 +269,7 @@ func (x *Index) Graph() *graph.Graph { return x.g }
 // is answered from the block directory without faulting the block in.
 func (x *Index) NumComponents(i int) int {
 	if x.lazy != nil {
-		return int(x.lazy.dir[i].Aux)
+		return int(x.lazy.Dir[i].Aux)
 	}
 	return x.entries[i].numComps()
 }
@@ -486,7 +486,7 @@ func (x *Index) MemoryFootprint() int64 {
 				footprint(e)
 			}
 		}
-		total += int64(len(x.lazy.dir)) * (blockfile.EntrySize + 16)
+		total += int64(len(x.lazy.Dir)) * (blockfile.EntrySize + 16)
 		return total
 	}
 	for i := range x.entries {

@@ -1,11 +1,8 @@
 package index
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -38,21 +35,6 @@ import (
 // checkpoints its completed worlds in exactly the on-disk format, and every
 // reader — eager Read, OpenMmap fault-in, Fsck and the checkpoint resume —
 // goes through the one decoder.
-
-// castagnoli is the CRC32-C table shared by the index and sphere stores.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// countingWriter tracks bytes written for WriteTo's return value.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
 
 // appendEntry appends the serialization of one world record to dst: comps,
 // comp[], then per component its degree and successor ids.
@@ -153,9 +135,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 			return 0, fmt.Errorf("index: world %d is quarantined or unreadable; repair the source file with soifsck before rewriting it", i)
 		}
 	}
-	dir := v3Directory(ents)
+	enc := worldBlocks(ents)
+	dir := FileKind.Directory(len(ents), enc)
 	x.setFingerprint(dir)
-	return writeV3(w, uint32(x.g.NumNodes()), ents, dir)
+	return FileKind.Write(w, uint32(x.g.NumNodes()), nil, dir, enc)
 }
 
 // Read deserializes an index previously written with WriteTo. Eager reads
@@ -166,38 +149,16 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // deeper mismatches surface as wrong query results, so callers should keep
 // graph and index files paired).
 func Read(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := bufio.NewReader(r)
-	h := crc32.New(castagnoli)
-	tee := io.TeeReader(br, h)
-	hdr, err := readV3Header(tee, g.NumNodes(), -1)
+	x := &Index{g: g}
+	h, err := FileKind.Read(r, g.NumNodes(), func(h *blockfile.Header, i int, block []byte) error {
+		e, err := verifyBlock(block, h.Dir[i], h.Nodes, i)
+		x.entries = append(x.entries, e)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{g: g, entries: make([]worldEntry, 0, len(hdr.dir))}
-	var blk bytes.Buffer
-	for i, b := range hdr.dir {
-		blk.Reset()
-		if _, err := io.CopyN(&blk, tee, int64(b.Len)); err != nil {
-			return nil, fmt.Errorf("%w: world %d block: %v", blockfile.ErrTruncated, i, err)
-		}
-		e, err := verifyBlock(blk.Bytes(), b, hdr.nodes, i)
-		if err != nil {
-			return nil, err
-		}
-		x.entries = append(x.entries, e)
-	}
-	fileSum := h.Sum32() // the footer's coverage: everything read so far
-	var fb [v3FooterLen]byte
-	if _, err := io.ReadFull(br, fb[:]); err != nil {
-		return nil, fmt.Errorf("%w: index footer: %v", blockfile.ErrTruncated, err)
-	}
-	if footer := binary.LittleEndian.Uint32(fb[:]); footer != fileSum {
-		return nil, fmt.Errorf("%w: checksum mismatch: file carries %08x, payload hashes to %08x", blockfile.ErrCorrupt, footer, fileSum)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after checksum footer", blockfile.ErrCorrupt)
-	}
-	x.setFingerprint(hdr.dir)
+	x.setFingerprint(h.Dir)
 	return x, nil
 }
 

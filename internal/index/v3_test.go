@@ -118,7 +118,7 @@ func TestOpenMmapMatchesEagerRead(t *testing.T) {
 // TestOneFingerprintPerIndex: an index has one identity however it is held.
 // A built index reports the fingerprint of the file it saves — whether
 // asked before the save or after it — and the eager load and the mmap open
-// of that file report it too. A file rewritten by RepairFile likewise gets
+// of that file report it too. A file rewritten by blockfile.Repair likewise gets
 // one fingerprint through both loaders.
 func TestOneFingerprintPerIndex(t *testing.T) {
 	g := randomGraph(t, 281, 25, 90)
@@ -165,13 +165,13 @@ func TestOneFingerprintPerIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[v3BlocksStart(x.NumWorlds())+3] ^= 0xFF
+	raw[FileKind.BlocksStart(x.NumWorlds())+3] ^= 0xFF
 	if err := os.WriteFile(p, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fixed := filepath.Join(dir, "fixed")
-	if _, kept, err := RepairFile(p, fixed); err != nil || kept != x.NumWorlds()-1 {
-		t.Fatalf("RepairFile kept %d worlds, err %v", kept, err)
+	if _, kept, err := blockfile.Repair(p, fixed, FileKind); err != nil || kept != x.NumWorlds()-1 {
+		t.Fatalf("Repair kept %d worlds, err %v", kept, err)
 	}
 	eager, mmap = loadBoth(fixed)
 	if eager != mmap {
@@ -186,7 +186,7 @@ func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 	g, x, p, raw := v3Fixture(t, 221, 6)
 	// Flip one byte in world 2's block.
 	worlds := x.NumWorlds()
-	dir, err := blockfile.ParseDirectory(raw[v3HeaderLen:v3HeaderLen+worlds*blockfile.EntrySize], worlds)
+	dir, err := blockfile.ParseDirectory(raw[FileKind.HeaderLen():FileKind.BlocksStart(worlds)-4], worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +261,8 @@ func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 func TestOpenMmapEveryBitFlip(t *testing.T) {
 	g, x, _, raw := v3Fixture(t, 231, 2)
 	worlds := x.NumWorlds()
-	blocksStart := v3BlocksStart(worlds)
-	dir, err := blockfile.ParseDirectory(raw[v3HeaderLen:v3HeaderLen+worlds*blockfile.EntrySize], worlds)
+	blocksStart := FileKind.BlocksStart(worlds)
+	dir, err := blockfile.ParseDirectory(raw[FileKind.HeaderLen():FileKind.BlocksStart(worlds)-4], worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestOpenMmapEveryBitFlip(t *testing.T) {
 func TestV3TruncationEveryBoundary(t *testing.T) {
 	g, x, _, raw := v3Fixture(t, 241, 4)
 	worlds := x.NumWorlds()
-	dir, err := blockfile.ParseDirectory(raw[v3HeaderLen:v3HeaderLen+worlds*blockfile.EntrySize], worlds)
+	dir, err := blockfile.ParseDirectory(raw[FileKind.HeaderLen():FileKind.BlocksStart(worlds)-4], worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundaries := []int64{0, 8, 12, v3HeaderLen, v3BlocksStart(worlds) - 4}
+	boundaries := []int64{0, 8, 12, FileKind.HeaderLen(), FileKind.BlocksStart(worlds) - 4}
 	for _, b := range dir {
 		boundaries = append(boundaries, b.Off, b.Off+int64(b.Len))
 	}
@@ -358,7 +358,7 @@ func TestV3TruncationEveryBoundary(t *testing.T) {
 
 // TestRejectsUnknownMagic: SOIIDX03 is the only index format. Every reader
 // rejects any other magic — a retired index version or another artifact —
-// with ErrVersion, naming the magic found and the rebuild command.
+// with blockfile.ErrMagic, naming the magic found and the rebuild command.
 func TestRejectsUnknownMagic(t *testing.T) {
 	g, _, _, raw := v3Fixture(t, 251, 2)
 	p := filepath.Join(t.TempDir(), "old.idx")
@@ -369,13 +369,13 @@ func TestRejectsUnknownMagic(t *testing.T) {
 		}
 		_, errRead := Read(bytes.NewReader(data), g)
 		_, errMmap := OpenMmap(p, g, MmapOptions{})
-		rep, err := Fsck(p)
+		rep, err := blockfile.Fsck(p, FileKind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, err := range map[string]error{"Read": errRead, "OpenMmap": errMmap, "Fsck": rep.Fatal} {
-			if !errors.Is(err, ErrVersion) {
-				t.Fatalf("%s of %s: err = %v, want ErrVersion", name, magic, err)
+			if !errors.Is(err, blockfile.ErrMagic) {
+				t.Fatalf("%s of %s: err = %v, want ErrMagic", name, magic, err)
 			}
 			if msg := err.Error(); !strings.Contains(msg, magic) || !strings.Contains(msg, "sphere -graph g.tsv -build-index") {
 				t.Fatalf("%s of %s: error %q does not name the magic and the rebuild command", name, magic, msg)

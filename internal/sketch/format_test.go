@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
 )
@@ -89,10 +92,10 @@ func TestSaveFileFaultInjection(t *testing.T) {
 	}
 }
 
-// TestReadDetectsEveryBitFlip mirrors the index v03 guarantee for SOISKC01:
+// TestReadDetectsEveryBitFlip mirrors the index v03 guarantee for SOISKC02:
 // a sketch is an estimator, so undetected corruption would silently
 // mis-estimate rather than crash. Every single-bit corruption of a valid
-// file must therefore be rejected at open — the CRC32-C footer catches the
+// file must therefore be rejected at open — the CRC32-C checksums catch the
 // flips the structural validators cannot.
 func TestReadDetectsEveryBitFlip(t *testing.T) {
 	var buf bytes.Buffer
@@ -147,26 +150,34 @@ func TestReadRejectsBadMagic(t *testing.T) {
 
 // TestReadTrustsNoCount pins "never trust the header": a sketch whose
 // counts claim far more than its body holds is rejected after allocating on
-// the order of the bytes present, not of the counts claimed.
+// the order of the bytes present, not of the counts claimed. The forged
+// directories carry valid checksums, as a forged file would.
 func TestReadTrustsNoCount(t *testing.T) {
 	le := binary.LittleEndian
-	header := func(nodes, k uint32) []byte {
-		b := append([]byte(nil), sketchMagic[:]...)
-		for _, u := range []uint32{nodes, 1, 1, k} {
+	forge := func(nodes, k uint32, dir []blockfile.BlockInfo, body []byte) []byte {
+		b := le.AppendUint32(append([]byte(nil), FileKind.Magic[:]...), nodes)
+		b = le.AppendUint32(b, uint32(blockfile.RangeBlocks(int(nodes))))
+		for _, u := range []uint32{1, 1, k} { // worlds, live, k
 			b = le.AppendUint32(b, u)
 		}
-		return le.AppendUint64(le.AppendUint64(b, 1), 2) // seed, indexFP
+		b = le.AppendUint64(le.AppendUint64(b, 1), 2) // seed, indexFP
+		for _, e := range dir {
+			b = blockfile.AppendEntry(b, e)
+		}
+		return append(le.AppendUint32(b, blockfile.Checksum(b)), body...)
 	}
-	// 100 nodes whose offsets each claim 1<<20 ranks, and no ranks.
-	ranks := header(100, 1<<20)
-	for v := uint32(0); v <= 100; v++ {
-		ranks = le.AppendUint32(ranks, v<<20)
+	// 100 nodes whose counts each claim 1<<20 ranks, and no ranks.
+	var counts []byte
+	for v := 0; v < 100; v++ {
+		counts = le.AppendUint32(counts, 1<<20)
 	}
+	const claimed = 100 << 20
+	ranks := forge(100, 1<<20, []blockfile.BlockInfo{{Off: FileKind.BlocksStart(1), Len: 400 + 8*claimed, Aux: claimed}}, counts)
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"nodes", append(header(1<<27, 2), make([]byte, 64-sketchHeaderLen)...)},
+		{"nodes", forge(1<<27, 2, nil, make([]byte, 64))},
 		{"ranks", ranks},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,5 +193,39 @@ func TestReadTrustsNoCount(t *testing.T) {
 				t.Fatalf("rejecting %d bytes allocated %d bytes (limit %d)", len(tc.data), alloc, limit)
 			}
 		})
+	}
+}
+
+// TestFormatBlocks round-trips a sketch of several node-range blocks, the
+// last one partial, and checks fsck verifies each block on its own.
+func TestFormatBlocks(t *testing.T) {
+	g := randomGraph(t, 2*blockfile.RangeNodes+17, 0.004, 31)
+	s, err := Build(context.Background(), buildIndex(t, g, 3, 32), Options{K: 4, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "blocks.skc")
+	if err := s.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.off, s.off) || !reflect.DeepEqual(got.ranks, s.ranks) {
+		t.Fatal("payload mismatch after round trip")
+	}
+	rep, err := blockfile.Fsck(path, FileKind)
+	if err != nil || !rep.Clean() || len(rep.Dir) != 3 {
+		t.Fatalf("fsck: %+v, err %v; want clean with 3 blocks", rep, err)
+	}
+}
+
+// TestReadRejectsRetiredMagic: a SOISKC01 sketch is rejected, naming its
+// magic and the rebuild command.
+func TestReadRejectsRetiredMagic(t *testing.T) {
+	_, err := Read(bytes.NewReader([]byte("SOISKC01\x1e\x00\x00\x00")))
+	if !errors.Is(err, blockfile.ErrMagic) || !strings.Contains(err.Error(), "SOISKC01") || !strings.Contains(err.Error(), FileKind.Rebuild) {
+		t.Fatalf("err = %v, want ErrMagic naming SOISKC01 and the rebuild command", err)
 	}
 }

@@ -171,7 +171,7 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 		total += int(cnt[v])
 	}
 	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("sketch: %d ranks overflow the SOISKC01 offset space; lower k", total)
+		return nil, fmt.Errorf("sketch: %d ranks overflow the int32 offset space; lower k", total)
 	}
 	s := &Sketch{
 		nodes:  n,

@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Corruption-repair smoke test for the SOIIDX03 pipeline: build an index on
-# disk, flip a byte inside one world block with dd, assert soifsck pinpoints
-# exactly that block, serve the corrupt file with soid -mmap and observe
-# degraded 206 answers (worlds_quarantined + widened error_bound), repair
-# the file with soifsck -repair, and assert the repaired file serves 200.
+# Corruption-repair smoke test for every blockfile kind. Index (SOIIDX03):
+# build one on disk, flip a byte inside one world block with dd, assert
+# soifsck pinpoints exactly that block, serve the corrupt file with soid
+# -mmap and observe degraded 206 answers (worlds_quarantined + widened
+# error_bound), repair the file with soifsck -repair, and assert the
+# repaired file serves 200. Sphere store (SOISPH03) and sketch (SOISKC02):
+# flip a byte inside a node-range block, assert soifsck names that block,
+# -repair refuses with the rebuild command (a node-range block cannot be
+# dropped) and soid refuses to start on the file; then flip the store's
+# footer and assert the repaired store verifies clean.
 #
 # Run via `make fsck-smoke`. Requires only the go toolchain and curl.
 set -euo pipefail
@@ -134,4 +139,58 @@ code="$(get_code '/v1/info')"
 grep -q '"worlds_quarantined":0' "$work/body" || { cat "$work/body" >&2; fail "repaired index still reports quarantines"; }
 grep -q '"worlds":199' "$work/body" || { cat "$work/body" >&2; fail "repaired index world count wrong"; }
 stop_soid
+echo "fsck-smoke: repaired index serves 200"
+
+# --- sphere store and sketch: node-range blocks ---------------------------
+flip_byte() { # $1: file, $2: offset
+  local b
+  b=$(dd if="$1" bs=1 skip="$2" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+  printf "$(printf '\\%03o' $((b ^ 255)))" | dd of="$1" bs=1 seek="$2" count=1 conv=notrunc 2>/dev/null
+}
+
+echo "fsck-smoke: building a sphere store and a sketch over the repaired index"
+"$work/sphere" -graph "$work/g.tsv" -index "$work/fixed.idx" -all \
+  -store "$work/g.spheres" -out /dev/null
+"$work/sphere" -graph "$work/g.tsv" -index "$work/fixed.idx" -sketch-out "$work/g.skc" > /dev/null
+cp "$work/g.spheres" "$work/clean.spheres"
+
+for kind in spheres:-spheres skc:-sketch; do
+  ext="${kind%%:*}"; flag="${kind#*:}"; f="$work/g.$ext"
+  "$work/soifsck" "$f" 2> "$work/$ext-0.log" \
+    || { cat "$work/$ext-0.log" >&2; fail "soifsck rejected a fresh .$ext file"; }
+  grep -q "clean (1 blocks)" "$work/$ext-0.log" || { cat "$work/$ext-0.log" >&2; fail "no clean verdict for the fresh .$ext file"; }
+  # The 30-node graph fits one node-range block, "nodes 0-29".
+  read -r off len < <("$work/soifsck" -v "$f" 2>&1 \
+    | awk 'match($0, /nodes 0-29: off=([0-9]+) len=([0-9]+)/) {
+        s = substr($0, RSTART, RLENGTH);
+        split(s, a, /[= ]/); print a[4], a[6] }')
+  [ -n "$off" ] && [ -n "$len" ] || fail "could not locate nodes 0-29 in soifsck -v output for .$ext"
+  flip_byte "$f" $((off + len / 2))
+  code=0; "$work/soifsck" "$f" 2> "$work/$ext-1.log" || code=$?
+  [ "$code" = 1 ] || { cat "$work/$ext-1.log" >&2; fail "soifsck exited $code on a corrupt .$ext file, want 1"; }
+  grep -q "nodes 0-29: .*CORRUPT" "$work/$ext-1.log" || { cat "$work/$ext-1.log" >&2; fail "corrupt .$ext block not named"; }
+  code=0; "$work/soifsck" -repair "$work/fixed.$ext" "$f" 2> "$work/$ext-2.log" || code=$?
+  [ "$code" = 2 ] || { cat "$work/$ext-2.log" >&2; fail "repair of a block-corrupt .$ext file exited $code, want 2"; }
+  grep -q 'rebuild the file with `sphere ' "$work/$ext-2.log" || { cat "$work/$ext-2.log" >&2; fail "refused .$ext repair does not name the rebuild command"; }
+  code=0
+  timeout 30 "$work/soid" -graph "$work/g.tsv" -index "$work/fixed.idx" "$flag" "$f" \
+    -addr 127.0.0.1:0 2> "$work/$ext-soid.log" || code=$?
+  [ "$code" = 1 ] || { cat "$work/$ext-soid.log" >&2; fail "soid on a corrupt .$ext file exited $code, want a startup refusal (1)"; }
+  grep -q "corrupt" "$work/$ext-soid.log" || { cat "$work/$ext-soid.log" >&2; fail "soid's refusal does not report the corruption"; }
+  echo "fsck-smoke: corrupt .$ext block named, repair refused, soid refused to start"
+done
+
+# --- a store's footer is rewritten clean ----------------------------------
+cp "$work/clean.spheres" "$work/g.spheres"
+flip_byte "$work/g.spheres" $(($(wc -c < "$work/g.spheres") - 1))
+code=0; "$work/soifsck" "$work/g.spheres" 2> "$work/foot1.log" || code=$?
+[ "$code" = 1 ] || { cat "$work/foot1.log" >&2; fail "soifsck exited $code on a store with a bad footer, want 1"; }
+grep -q "footer CORRUPT" "$work/foot1.log" || { cat "$work/foot1.log" >&2; fail "bad footer not reported"; }
+code=0; "$work/soifsck" -repair "$work/fixed.spheres" "$work/g.spheres" 2> "$work/foot2.log" || code=$?
+[ "$code" = 1 ] || { cat "$work/foot2.log" >&2; fail "footer repair exited $code, want 1 (corruption was found)"; }
+"$work/soifsck" "$work/fixed.spheres" 2> "$work/foot3.log" \
+  || { cat "$work/foot3.log" >&2; fail "repaired store does not verify clean"; }
+grep -q "clean (1 blocks)" "$work/foot3.log" || fail "no clean verdict for the repaired store"
+cmp -s "$work/fixed.spheres" "$work/clean.spheres" || fail "repaired store differs from the original"
+echo "fsck-smoke: store footer repaired clean"
 echo "fsck-smoke: PASS"

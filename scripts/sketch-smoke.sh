@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for sketch-based estimation: build an index and a
-# combined bottom-k sketch (SOISKC01) with sphere -sketch-out, serve both
+# combined bottom-k sketch (SOISKC02) with sphere -sketch-out, serve both
 # with soid -sketch, query /v1/{spread,sphere,seeds} with estimator=sketch,
 # and assert every sketch answer lands within its own reported error_bound
 # of the dense index answer over the same sampled worlds. Also asserts a

@@ -228,9 +228,11 @@ func AllTypicalCascades(ctx context.Context, x *Index, opts TypicalOptions, cfg 
 
 // SaveSpheres / LoadSpheres persist the results of AllTypicalCascades, the
 // paper's §8 deployment story: compute the spheres once, reuse them for
-// every subsequent campaign (plain, weighted or budgeted max-cover).
-func SaveSpheres(path string, results []Sphere) error {
-	return core.SaveSpheresFile(path, results)
+// every subsequent campaign (plain, weighted or budgeted max-cover). The
+// store records the fingerprint of x, the index the spheres were computed
+// from, so a server refuses it next to any other index.
+func SaveSpheres(path string, x *Index, results []Sphere) error {
+	return core.SaveSpheresFile(path, x.Fingerprint(), results)
 }
 
 // LoadSpheres reads a sphere store written by SaveSpheres.
