@@ -50,8 +50,9 @@ bench-json:
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Short fuzz runs over every binary-format decoder (graph TSV, index
-# SOIIDX03 through the eager reader alone and through both the eager and
-# the mmap reader, the index build's checkpoint payload, sphere store
+# SOIIDX03 through the strict reader alone and through both the strict
+# reader and soid's quarantining load, the index build's checkpoint
+# payload, sphere store
 # SOISPH03, checkpoint SOICKP01 and the all-nodes sweep's checkpoint
 # payload, sketch SOISKC02), plus the typical-cascade prefix kernel checked
 # against its reference implementation. Each gets its own
@@ -85,8 +86,9 @@ topology-smoke:
 
 # Corruption-repair smoke: build an index on disk, flip bytes in one world
 # block, verify soifsck reports exactly that block, serve the corrupt file
-# with soid -mmap (degraded 206 answers with a widened bound), repair it
-# with soifsck -repair, and assert the repaired file serves 200 again.
+# with soid (its load quarantines the bad world: degraded 206 answers with a
+# widened bound), repair it with soifsck -repair, and assert the repaired
+# file serves 200 again.
 fsck-smoke:
 	./scripts/fsck-smoke.sh
 
@@ -109,12 +111,10 @@ sketch-smoke:
 # brute-force possible-world oracle within statcheck-derived bounds.
 # -count=2 runs everything twice to flush out any order or cache
 # dependence — the suite is deterministic by construction, so both runs
-# must agree. The second invocation re-runs the server suite against the
-# memory-mapped lazy index loader: serialize → mmap → page-on-demand must
-# be statistically indistinguishable from the in-memory index.
+# must agree. The server suite serves its index through soid's save →
+# load round trip.
 conformance:
 	$(GO) test -run 'Conformance|Oracle' -count=2 ./...
-	SOI_INDEX_MMAP=1 $(GO) test -run 'Conformance' -count=1 ./internal/server
 
 # Coverage gate: full-suite statement coverage must stay at or above the
 # floor pinned in scripts/coverage-gate.sh (override with COVER_MIN=NN.N).

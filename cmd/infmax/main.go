@@ -102,7 +102,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 		var results []core.Result
 		if spherePath != "" {
 			var err error
-			results, err = core.LoadSpheresFile(spherePath)
+			results, err = core.LoadSpheresFor(spherePath, x)
 			if err != nil || len(results) != g.NumNodes() {
 				fmt.Fprintf(os.Stderr, "infmax: sphere store unusable (%v); recomputing\n", err)
 				results = nil

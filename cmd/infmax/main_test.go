@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"soi/internal/checkpoint"
@@ -60,30 +61,6 @@ func TestRunCompare(t *testing.T) {
 	dir := t.TempDir()
 	gp, _ := writeTestGraph(t, dir)
 	if err := run(context.Background(), gp, 3, "tc", true, 30, 30, 1, "", "", 0, noTel()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunWithSphereStore(t *testing.T) {
-	dir := t.TempDir()
-	gp, g := writeTestGraph(t, dir)
-	x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: 3}, checkpoint.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := filepath.Join(dir, "spheres.bin")
-	spheres, err := core.ComputeAll(context.Background(), x, core.Options{}, checkpoint.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.SaveSpheresFile(store, x.Fingerprint(), spheres); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), gp, 3, "tc", false, 30, 30, 1, store, "", 0, noTel()); err != nil {
-		t.Fatal(err)
-	}
-	// A broken store path falls back to recomputation rather than failing.
-	if err := run(context.Background(), gp, 3, "tc", false, 30, 30, 1, filepath.Join(dir, "missing.bin"), "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,5 +124,80 @@ func TestRunStatsJSON(t *testing.T) {
 				t.Fatalf("top-level span %q missing or zero: %+v", span, rep.Spans)
 			}
 		})
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a file and returns what
+// f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = old }()
+	f()
+	b, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRunWithSphereStore passes -spheres three stores. One computed from
+// the index infmax builds (-samples 30 -seed 1) is used. One computed from
+// the index of another, equal-sized graph passes the node-count check, so
+// only the index fingerprint it carries keeps it from driving TC seed
+// selection: infmax must call it unusable and recompute, as it does for a
+// missing file.
+func TestRunWithSphereStore(t *testing.T) {
+	dir := t.TempDir()
+	gp, _ := writeTestGraph(t, dir)
+	g, _, err := graph.LoadFile(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := gen.Generate(gen.Config{Model: "er", N: g.NumNodes(), M: 120, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := probs.Fixed(topo, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := func(name string, g *graph.Graph) string {
+		x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: 1}, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spheres, err := core.ComputeAll(context.Background(), x, core.Options{}, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := core.SaveSpheresFile(p, x.Fingerprint(), spheres); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		store  string
+		notice bool
+	}{
+		{store("own.spheres", g), false},
+		{store("foreign.spheres", other), true},
+		{filepath.Join(dir, "missing.bin"), true},
+	} {
+		stderr := captureStderr(t, func() {
+			if err := run(context.Background(), gp, 3, "tc", false, 30, 30, 1, c.store, "", 0, noTel()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := strings.Contains(stderr, "sphere store unusable") && strings.Contains(stderr, "recomputing"); got != c.notice {
+			t.Fatalf("%s: recompute notice %v, want %v; stderr:\n%s", c.store, got, c.notice, stderr)
+		}
 	}
 }

@@ -22,13 +22,13 @@
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish (bounded by
 // -drain-timeout), new ones get 503.
 //
-// With -mmap (or SOI_INDEX_MMAP=1) the index file is memory-mapped and world
-// blocks fault in on demand instead of being loaded eagerly: startup is
-// near-instant and resident memory tracks the touched worlds. Corrupt blocks
-// are quarantined rather than fatal — queries keep answering over the
-// surviving worlds with HTTP 206 and a widened error bound until the file is
-// repaired with soifsck. Eager and mapped loads read the same SOIIDX03 file
-// and report the same index fingerprint.
+// The index loads eagerly, and a corrupt world block is quarantined rather
+// than fatal: the load logs "QUARANTINE world N", counts it in
+// index.worlds_quarantined, and queries answer over the surviving worlds
+// with HTTP 206 and a widened error bound (503 "degraded" once every world
+// is lost) until the file is repaired with soifsck. Damage to the file's
+// header or block directory, or truncation, refuses startup. Quarantine is
+// settled before /readyz turns ready.
 //
 // The sphere store and the sketch load eagerly and strictly: a corrupt block,
 // or a store or sketch computed from any index but the loaded one, refuses
@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strconv"
 
 	"soi"
@@ -61,7 +60,7 @@ import (
 type options struct {
 	graph, index, spheres, sketch string
 	samples                       int
-	lt, mmap                      bool
+	lt                            bool
 	expectFP                      string
 	maxInflight, maxQueue         int
 	costSamples, trials           int
@@ -73,8 +72,6 @@ func flags(fs *flag.FlagSet) (*options, *daemon.Lifecycle) {
 	o := &options{}
 	fs.StringVar(&o.graph, "graph", "", "edge-list TSV file (required)")
 	fs.StringVar(&o.index, "index", "", "prebuilt index file (sphere -build-index); empty builds one in memory")
-	fs.BoolVar(&o.mmap, "mmap", os.Getenv("SOI_INDEX_MMAP") == "1",
-		"memory-map the -index file and fault world blocks in on demand; corrupt blocks are quarantined, not fatal (default from SOI_INDEX_MMAP=1)")
 	fs.StringVar(&o.spheres, "spheres", "", "sphere store file (sphere -all -store); enables /v1/seeds")
 	fs.StringVar(&o.sketch, "sketch", "", "combined bottom-k sketch file (sphere -sketch-out); enables estimator=sketch on /v1/{spread,sphere,seeds}")
 	fs.IntVar(&o.samples, "samples", 1000, "worlds ℓ when building the index in memory (no -index)")
@@ -103,9 +100,6 @@ func main() {
 func run(o *options, life *daemon.Lifecycle) error {
 	if o.graph == "" {
 		return fmt.Errorf("-graph is required")
-	}
-	if o.mmap && o.index == "" {
-		return fmt.Errorf("-mmap requires -index (there is no file to map)")
 	}
 
 	// Bind the address before loading anything: /healthz answers 200 and
@@ -140,34 +134,26 @@ func run(o *options, life *daemon.Lifecycle) error {
 	tel := life.Telemetry
 	tel.SetSeed(o.seed)
 	tel.SetGraphHash(graphFP)
+	ctx := telemetry.NewContext(context.Background(), tel)
 
 	var x *index.Index
-	if o.mmap {
-		x, err = index.OpenMmap(o.index, g, index.MmapOptions{
-			OnQuarantine: func(world int, qerr error) {
-				log.Printf("QUARANTINE world %d: %v (answers degrade to 206; repair %s with soifsck)",
-					world, qerr, o.index)
-			},
+	if o.index != "" {
+		x, err = index.LoadServing(ctx, o.index, g, func(world int, qerr error) {
+			log.Printf("QUARANTINE world %d: %v (answers degrade to 206; repair %s with soifsck)",
+				world, qerr, o.index)
 		})
-		if err != nil {
-			return fmt.Errorf("mapping index %s: %w", o.index, err)
-		}
-		defer x.Close()
-	} else if o.index != "" {
-		x, err = index.LoadFile(o.index, g)
 		if err != nil {
 			return fmt.Errorf("loading index %s (does it belong to %s?): %w", o.index, o.graph, err)
 		}
 	} else {
 		log.Printf("no -index given; building %d worlds in memory", o.samples)
-		x, err = index.Build(telemetry.NewContext(context.Background(), tel), g, index.Options{
+		x, err = index.Build(ctx, g, index.Options{
 			Samples: o.samples, Seed: o.seed, Model: model,
 		}, checkpoint.Config{})
 		if err != nil {
 			return err
 		}
 	}
-	x.SetTelemetry(tel)
 
 	var spheres []core.Result
 	if o.spheres != "" {
@@ -206,7 +192,7 @@ func run(o *options, life *daemon.Lifecycle) error {
 		return err
 	}
 
-	log.Printf("serving on http://%s  graph=%016x index=%016x nodes=%d worlds=%d spheres=%v sketch=%v mmap=%v",
-		resolved, graphFP, srv.IndexFingerprint(), g.NumNodes(), x.NumWorlds(), spheres != nil, sk != nil, x.Lazy())
+	log.Printf("serving on http://%s  graph=%016x index=%016x nodes=%d worlds=%d quarantined=%d spheres=%v sketch=%v",
+		resolved, graphFP, srv.IndexFingerprint(), g.NumNodes(), x.NumWorlds(), x.QuarantinedWorlds(), spheres != nil, sk != nil)
 	return life.Serve(srv.Handler(), srv.Drain)
 }

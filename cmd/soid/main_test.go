@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/daemon"
@@ -48,14 +53,6 @@ func TestRunRequiresGraph(t *testing.T) {
 	err := run(parse(t, "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "-graph") {
 		t.Fatalf("err %v, want -graph requirement", err)
-	}
-}
-
-func TestRunMmapRequiresIndex(t *testing.T) {
-	g := writeTestGraph(t)
-	err := run(parse(t, "-graph", g, "-mmap", "-addr", ":0"))
-	if err == nil || !strings.Contains(err.Error(), "-index") {
-		t.Fatalf("err %v, want -mmap/-index requirement", err)
 	}
 }
 
@@ -124,19 +121,15 @@ func TestRunRefusesForeignStore(t *testing.T) {
 	}
 }
 
-// TestRunServesAndDrains exercises the daemon end to end in-process: start
-// on an ephemeral port, wait for the address file, query it, then SIGTERM
-// ourselves and check that run returns cleanly.
-func TestRunServesAndDrains(t *testing.T) {
-	g := writeTestGraph(t)
+// startRun starts run with args plus an ephemeral address in the
+// background and waits until /readyz answers 200. stopRun ends it.
+func startRun(t *testing.T, args ...string) (addr string, done chan error) {
+	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
-	done := make(chan error, 1)
+	done = make(chan error, 1)
 	go func() {
-		done <- run(parse(t, "-graph", g, "-samples", "30", "-addr", "127.0.0.1:0", "-addr-file", addrFile,
-			"-cost-samples", "10", "-trials", "10", "-drain-timeout", "5s"))
+		done <- run(parse(t, append(args, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-drain-timeout", "5s")...))
 	}()
-
-	var addr string
 	deadline := time.Now().Add(10 * time.Second)
 	for addr == "" {
 		if time.Now().After(deadline) {
@@ -154,25 +147,25 @@ func TestRunServesAndDrains(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for /readyz")
 		}
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before /readyz turned ready: %v", err)
+		default:
+		}
 		resp, err := http.Get("http://" + addr + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				break
+				return addr, done
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
 
-	resp, err := http.Get("http://" + addr + "/v1/sphere/0")
-	if err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-
+// stopRun SIGTERMs the process and checks that run drains cleanly.
+func stopRun(t *testing.T, done chan error) {
+	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +179,106 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
+// getJSON fetches a path and decodes its JSON body.
+func getJSON(t *testing.T, addr, path string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestRunServesAndDrains exercises the daemon end to end in-process: start
+// on an ephemeral port, wait for the address file, query it, then SIGTERM
+// ourselves and check that run returns cleanly.
+func TestRunServesAndDrains(t *testing.T) {
+	g := writeTestGraph(t)
+	addr, done := startRun(t, "-graph", g, "-samples", "30", "-cost-samples", "10", "-trials", "10")
+	if code, _ := getJSON(t, addr, "/v1/sphere/0"); code != 200 {
+		t.Fatalf("status %d, want 200", code)
+	}
+	stopRun(t, done)
+}
+
+// syncBuffer is a bytes.Buffer safe to write from run's goroutine while
+// the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunQuarantinesCorruptWorld serves an index file with one byte of one
+// world block flipped: soid still turns ready, logs the quarantine, reports
+// it in /v1/info, and answers spread over the surviving worlds with a 206
+// and a widened error bound.
+func TestRunQuarantinesCorruptWorld(t *testing.T) {
+	gp := writeTestGraph(t)
+	g, _, err := graph.LoadFile(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const worlds = 20
+	x, err := index.Build(context.Background(), g, index.Options{Samples: worlds, Seed: 5}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "g.idx")
+	if err := x.SaveFile(p); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := blockfile.Fsck(p, index.FileKind)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("fresh index: %+v, err %v", rep, err)
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := rep.Dir[3]
+	data[b.Off+int64(b.Len)/2] ^= 0xFF
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	addr, done := startRun(t, "-graph", gp, "-index", p)
+	defer stopRun(t, done)
+
+	if !strings.Contains(logs.String(), "QUARANTINE world 3") {
+		t.Fatalf("log lacks the quarantine line:\n%s", logs.String())
+	}
+	if code, info := getJSON(t, addr, "/v1/info"); code != 200 || info["worlds_quarantined"] != 1.0 || info["worlds"] != float64(worlds) {
+		t.Fatalf("info: status %d, worlds_quarantined %v, worlds %v; want 200, 1, %d", code, info["worlds_quarantined"], info["worlds"], worlds)
+	}
+	code, body := getJSON(t, addr, "/v1/spread?seeds=0")
+	if code != http.StatusPartialContent || body["worlds_used"] != float64(worlds-1) {
+		t.Fatalf("spread: status %d, worlds_used %v; want 206, %d", code, body["worlds_used"], worlds-1)
+	}
+	if eb, _ := body["error_bound"].(float64); eb <= 0 {
+		t.Fatalf("spread: error_bound %v, want > 0", body["error_bound"])
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/flags.txt from the current flag set")
 
 // TestFlagSurface pins soid's flag names and defaults in testdata/flags.txt:
@@ -194,7 +287,6 @@ var update = flag.Bool("update", false, "rewrite testdata/flags.txt from the cur
 //
 //	go test ./cmd/soid -run TestFlagSurface -update
 func TestFlagSurface(t *testing.T) {
-	t.Setenv("SOI_INDEX_MMAP", "") // -mmap's default comes from the environment
 	fs := flag.NewFlagSet("soid", flag.ContinueOnError)
 	flags(fs)
 	var b strings.Builder

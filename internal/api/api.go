@@ -32,8 +32,8 @@ type Partial struct {
 	// compose by summing (a conservative union bound).
 	ErrorBound float64 `json:"error_bound,omitempty"`
 	// WorldsUsed / WorldsQuarantined report index degradation: corrupt world
-	// blocks quarantined by the memory-mapped loader drop out of every
-	// estimate, which then covers only WorldsUsed of the index's worlds.
+	// blocks quarantined by soid's index load drop out of every estimate,
+	// which then covers only WorldsUsed of the index's worlds.
 	WorldsUsed        int `json:"worlds_used,omitempty"`
 	WorldsQuarantined int `json:"worlds_quarantined,omitempty"`
 	// Scatter is the gateway's fan-out health for a merged answer; soid
@@ -190,8 +190,8 @@ type Info struct {
 	// (always present, normally 0 — a non-zero value means the index file
 	// needs soifsck and answers are 206-degraded).
 	WorldsQuarantined int `json:"worlds_quarantined"`
-	// Mmap is true when the index serves page-on-demand from a mapped file
-	// rather than an eager in-memory load.
+	// Mmap is always false: every index is decoded at load. The field stays
+	// so the wire schema does not change.
 	Mmap bool `json:"mmap"`
 	// GraphFingerprint and IndexFingerprint identify the loaded artifacts
 	// (soi.Fingerprint / Index.Fingerprint, hex); clients validate that they

@@ -18,81 +18,6 @@ func writeTemp(t *testing.T, data []byte) string {
 	return p
 }
 
-func TestWindowRangeBounds(t *testing.T) {
-	w, err := OpenWindow(writeTemp(t, []byte("hello world")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if w.Size() != 11 {
-		t.Fatalf("Size = %d, want 11", w.Size())
-	}
-	b, err := w.Range(6, 5)
-	if err != nil || string(b) != "world" {
-		t.Fatalf("Range(6,5) = %q, %v", b, err)
-	}
-	for _, c := range []struct{ off, n int64 }{
-		{-1, 2}, {0, 12}, {11, 1}, {5, -1}, {1 << 62, 1 << 62},
-	} {
-		if _, err := w.Range(c.off, c.n); !errors.Is(err, ErrTruncated) {
-			t.Errorf("Range(%d,%d): err = %v, want ErrTruncated", c.off, c.n, err)
-		}
-	}
-}
-
-func TestWindowCopy(t *testing.T) {
-	payload := []byte("some block payload")
-	w, err := OpenWindow(writeTemp(t, payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.Copy(5, uint32(len(payload)-5))
-	if err != nil || string(got) != string(payload[5:]) {
-		t.Fatalf("Copy = %q, %v", got, err)
-	}
-	if _, err := w.Copy(5, uint32(len(payload))); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("out of range: err = %v, want ErrTruncated", err)
-	}
-	// The copy is heap-owned: it outlives the window.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload[5:]) {
-		t.Fatalf("copy changed after Close: %q", got)
-	}
-}
-
-// A file shrunk after mapping must surface as ErrTruncated, not SIGBUS.
-// Bounds checks can't see the shrink (the Window captured the old size), so
-// this exercises the SetPanicOnFault recovery path. Only meaningful where
-// the window is a real mapping.
-func TestWindowShrunkFileFaults(t *testing.T) {
-	data := make([]byte, 64*1024) // span pages so truncation unmaps the tail
-	for i := range data {
-		data[i] = byte(i)
-	}
-	p := writeTemp(t, data)
-	w, err := OpenWindow(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if !w.Mapped() {
-		t.Skip("heap-backed window: shrink cannot fault")
-	}
-	if err := os.Truncate(p, 4096); err != nil {
-		t.Fatal(err)
-	}
-	_, err = w.Copy(60*1024, 1024)
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("read past truncation: err = %v, want ErrTruncated", err)
-	}
-	// The in-bounds prefix must still read fine.
-	if got, err := w.Copy(0, 1024); err != nil || Checksum(got) != Checksum(data[:1024]) {
-		t.Fatalf("read of surviving prefix: %v", err)
-	}
-}
-
 func TestDirectoryRoundTrip(t *testing.T) {
 	dir := []BlockInfo{
 		{Off: 100, Len: 40, CRC: 0xdeadbeef, Aux: 3},
@@ -166,17 +91,35 @@ func writeToy(t *testing.T, nodes int) (string, []byte) {
 }
 
 // TestContainerRoundTrip: Read hands every block back in order, and Fsck
-// picks the kind by its magic's family prefix among several.
+// picks the kind by its magic's family prefix among several. A bad block
+// rejects a strict read; with a quarantine callback it is reported and the
+// read goes on past it and the footer it breaks.
 func TestContainerRoundTrip(t *testing.T) {
 	nodes := 2*RangeNodes + 3
 	p, data := writeToy(t, nodes)
 	var got []byte
-	h, err := toyKind.Read(bytes.NewReader(data), nodes, func(h *Header, i int, block []byte) error {
+	keep := func(h *Header, i int, block []byte) error {
 		got = append(got, block...)
 		return nil
-	})
+	}
+	h, err := toyKind.Read(bytes.NewReader(data), nodes, keep, nil)
 	if err != nil || len(got) != nodes || len(h.Dir) != 3 || !bytes.Equal(h.Meta, []byte{7, 8}) {
 		t.Fatalf("Read: %d bytes, header %+v, err %v", len(got), h, err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[h.Dir[1].Off] ^= 1
+	if _, err := toyKind.Read(bytes.NewReader(bad), nodes, keep, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("strict read of a bad block: err = %v, want ErrCorrupt", err)
+	}
+	got = nil
+	var quarantined []int
+	_, err = toyKind.Read(bytes.NewReader(bad), nodes, keep, func(i int, err error) {
+		if errors.Is(err, ErrCorrupt) {
+			quarantined = append(quarantined, i)
+		}
+	})
+	if err != nil || len(quarantined) != 1 || quarantined[0] != 1 || len(got) != nodes-RangeNodes {
+		t.Fatalf("quarantining read: quarantined %v, %d bytes kept, err %v", quarantined, len(got), err)
 	}
 	other := &Kind{Name: "other", Magic: [8]byte{'O', 'T', 'H', 'E', 'R', '!', '0', '1'}}
 	rep, err := Fsck(p, other, toyKind)

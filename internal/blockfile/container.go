@@ -251,11 +251,17 @@ func (k *Kind) Write(w io.Writer, nodes uint32, meta []byte, dir []BlockInfo, en
 // Read streams a file of kind k from r: the header, then every block,
 // checked against its directory checksum and handed to use, then the
 // whole-file footer; trailing bytes are corruption. The block slice is
-// reused between calls, so use must copy what it keeps. Reads are strict:
-// any corruption rejects the file. The file is never held whole. When r is
-// a regular file, its length is checked against the directory up front,
-// and the header is Backed.
-func (k *Kind) Read(r io.Reader, wantNodes int, use func(h *Header, i int, block []byte) error) (*Header, error) {
+// reused between calls, so use must copy what it keeps. The file is never
+// held whole. When r is a regular file, its length is checked against the
+// directory up front, and the header is Backed.
+//
+// The caller chooses the policy for a bad block. With quarantine nil the
+// read is strict: a block that fails its checksum or use, or a footer that
+// does not match, rejects the file. Otherwise such a block is handed to
+// quarantine and the read goes on, and the footer, which any bad block
+// breaks, is read but not compared. Damage to the header, the directory or
+// its geometry, and truncation, reject the file under both policies.
+func (k *Kind) Read(r io.Reader, wantNodes int, use func(h *Header, i int, block []byte) error, quarantine func(i int, err error)) (*Header, error) {
 	size := int64(-1)
 	if f, ok := r.(*os.File); ok {
 		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
@@ -277,11 +283,17 @@ func (k *Kind) Read(r io.Reader, wantNodes int, use func(h *Header, i int, block
 		if _, err := io.CopyN(&blk, tee, int64(e.Len)); err != nil {
 			return nil, fmt.Errorf("%s: %w: %s block: %v", k.Name, ErrTruncated, h.Label(i), err)
 		}
-		if err := h.Verify(i, blk.Bytes()); err != nil {
-			return nil, fmt.Errorf("%s: %w", k.Name, err)
+		err := h.Verify(i, blk.Bytes())
+		if err != nil {
+			err = fmt.Errorf("%s: %w", k.Name, err)
+		} else {
+			err = use(h, i, blk.Bytes())
 		}
-		if err := use(h, i, blk.Bytes()); err != nil {
-			return nil, err
+		if err != nil {
+			if quarantine == nil {
+				return nil, err
+			}
+			quarantine(i, err)
 		}
 	}
 	fileSum := sum.Sum32() // the footer's coverage: everything read so far
@@ -289,7 +301,7 @@ func (k *Kind) Read(r io.Reader, wantNodes int, use func(h *Header, i int, block
 	if _, err := io.ReadFull(br, fb[:]); err != nil {
 		return nil, fmt.Errorf("%s: %w: footer: %v", k.Name, ErrTruncated, err)
 	}
-	if footer := binary.LittleEndian.Uint32(fb[:]); footer != fileSum {
+	if footer := binary.LittleEndian.Uint32(fb[:]); footer != fileSum && quarantine == nil {
 		return nil, fmt.Errorf("%s: %w: checksum mismatch: file carries %08x, payload hashes to %08x", k.Name, ErrCorrupt, footer, fileSum)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {

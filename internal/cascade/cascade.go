@@ -218,8 +218,7 @@ func SpreadFromIndex(x *index.Index, seeds []graph.NodeID, s *index.Scratch) flo
 		total += x.CascadeSizeFromSet(seeds, i, s)
 	}
 	// Quarantined worlds contribute 0 to the sum, so averaging over the
-	// live count — taken after the loop, when any fault-in quarantines have
-	// happened — keeps the estimate unbiased over the surviving sample.
+	// live count keeps the estimate unbiased over the surviving sample.
 	live := x.LiveWorlds()
 	if live == 0 {
 		return 0

@@ -150,9 +150,9 @@ type Result struct {
 	// right).
 	CostTime time.Duration
 	// Worlds is the number of index worlds the median was actually computed
-	// over. It equals the index's NumWorlds unless worlds were quarantined
-	// (a corruption-degraded mmap index), in which case the caller should
-	// widen its reported error bound to the surviving sample size.
+	// over. It equals the index's NumWorlds unless the serving load
+	// quarantined corrupt worlds, in which case the caller should widen its
+	// reported error bound to the surviving sample size.
 	Worlds int
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"os"
@@ -16,7 +17,7 @@ import (
 )
 
 // quarantinedCopy serializes x, flips a byte inside world w's block and
-// reopens the file memory-mapped, so world w is quarantined on first touch.
+// reloads the file with index.LoadServing, which quarantines world w.
 func quarantinedCopy(t *testing.T, x *index.Index, w int) *index.Index {
 	t.Helper()
 	var buf bytes.Buffer
@@ -34,11 +35,10 @@ func quarantinedCopy(t *testing.T, x *index.Index, w int) *index.Index {
 	if err := os.WriteFile(p, d, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mx, err := index.OpenMmap(p, x.Graph(), index.MmapOptions{})
+	mx, err := index.LoadServing(context.Background(), p, x.Graph(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mx.Close() })
 	return mx
 }
 

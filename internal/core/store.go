@@ -85,7 +85,7 @@ func LoadSpheres(r io.Reader) ([]Result, uint64, error) {
 	h, err := StoreKind.Read(r, -1, func(h *blockfile.Header, i int, block []byte) (err error) {
 		out, err = decodeSphereBlock(out, h, i, block)
 		return err
-	})
+	}, nil)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -55,13 +55,14 @@ const (
 	CheckpointLoad = "checkpoint/load"
 	// IndexSave fires at the start of Index.SaveFile.
 	IndexSave = "index/save"
-	// IndexDirLoad fires in index.OpenMmap after the window is mapped and
-	// before the block directory is parsed/verified: an error here simulates
-	// an unreadable or torn directory.
+	// IndexDirLoad fires in index.LoadServing before the header and block
+	// directory are read: an error here simulates an unreadable or torn
+	// directory and fails the load.
 	IndexDirLoad = "index/dirload"
-	// IndexBlockFault fires on every lazy world-block fault-in, before the
-	// block is read from the mapping: an injected error is treated exactly
-	// like block corruption and quarantines that world.
+	// IndexBlockFault fires before every index world block is decoded at
+	// load: an injected error is treated exactly like block corruption, so
+	// the serving load quarantines that world and a strict read rejects the
+	// file.
 	IndexBlockFault = "index/blockfault"
 	// StoreSave fires at the start of core.SaveSpheresFile.
 	StoreSave = "core/save-spheres"

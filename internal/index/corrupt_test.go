@@ -61,8 +61,8 @@ func TestReadSurvivesRandomCorruption(t *testing.T) {
 // the property the CRC32-C checksums buy: the structural validators alone
 // cannot catch a flip that leaves every count and id in range (a successor
 // id changed to another valid id, say), but the checksums catch all of
-// them. Eager reads are strict everywhere — quarantine-and-degrade is the
-// OpenMmap behavior, tested separately.
+// them. Read is strict everywhere — quarantine-and-degrade is the
+// LoadServing behavior, tested separately.
 func TestReadDetectsEveryBitFlip(t *testing.T) {
 	g := randomGraph(t, 116, 12, 40)
 	x, err := Build(context.Background(), g, Options{Samples: 2, Seed: 117}, checkpoint.Config{})

@@ -23,9 +23,8 @@ type Coverage struct {
 	total   int64    // covered node-slots across all worlds
 }
 
-// NewCoverage returns an empty coverage for the index. Sizing uses
-// NumComponents (the block directory for a lazy index), so no blocks are
-// faulted in here; quarantined worlds contribute no gain in every query.
+// NewCoverage returns an empty coverage for the index. Quarantined worlds
+// have no components and contribute no gain in every query.
 func (x *Index) NewCoverage() *Coverage {
 	n := x.NumWorlds()
 	c := &Coverage{x: x, covered: make([][]bool, n)}

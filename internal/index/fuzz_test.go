@@ -67,12 +67,12 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadV03 feeds arbitrary bytes to both index readers, the strict
-// eager Read and the lazy OpenMmap loader: the seed corpus mutates the
-// directory (offsets, lengths, CRCs, comps), not just the payload. Neither
-// may panic or allocate unboundedly; anything Read accepts must answer
-// queries, and whatever OpenMmap accepts must answer queries with every
-// world either served or quarantined.
+// FuzzReadV03 feeds arbitrary bytes to both index loads, the strict Read
+// and the quarantining LoadServing: the seed corpus mutates the directory
+// (offsets, lengths, CRCs, comps), not just the payload. Neither may panic
+// or allocate unboundedly; anything Read accepts must answer queries, and
+// whatever LoadServing accepts must answer queries with every world either
+// decoded or quarantined.
 func FuzzReadV03(f *testing.F) {
 	g := randomGraph(f, 151, 12, 40)
 	x, err := Build(context.Background(), g, Options{Samples: 3, Seed: 152}, checkpoint.Config{})
@@ -122,11 +122,10 @@ func FuzzReadV03(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		idx, err := OpenMmap(p, g, MmapOptions{})
+		idx, err := LoadServing(context.Background(), p, g, nil)
 		if err != nil {
 			return
 		}
-		defer idx.Close()
 		s := idx.NewScratch()
 		for i := 0; i < idx.NumWorlds(); i++ {
 			_ = idx.Cascade(0, i, s, nil)

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/jaccard"
@@ -81,45 +80,37 @@ func (e *worldEntry) numComps() int { return len(e.succOff) - 1 }
 // succs returns the condensation successors of component c.
 func (e *worldEntry) succs(c int32) []int32 { return e.succ[e.succOff[c]:e.succOff[c+1]] }
 
-// Index is the cascade index. It is immutable after Build and safe for
-// concurrent queries, provided each goroutine uses its own Scratch.
+// Index is the cascade index. It is immutable after Build or load and safe
+// for concurrent queries, provided each goroutine uses its own Scratch.
 //
-// An index is backed either by eagerly decoded entries (Build, Read) or by
-// a lazy block window (OpenMmap), which faults worlds in on first touch and
-// may quarantine corrupt ones. Query methods treat a quarantined world as
-// contributing nothing — estimator denominators use LiveWorlds, and sample
-// collections skip it — so corruption shrinks the sample instead of
-// skewing it.
+// A serving load (LoadServing) may quarantine corrupt worlds. Query methods
+// treat a quarantined world as contributing nothing — estimator
+// denominators use LiveWorlds, and sample collections skip it — so
+// corruption shrinks the sample instead of skewing it.
 type Index struct {
-	g       *graph.Graph
-	entries []worldEntry // eager backing (empty when lazy != nil)
-	lazy    *lazyWorlds  // page-on-demand backing (OpenMmap)
-	tel     *telemetry.Registry
+	g           *graph.Graph
+	entries     []worldEntry // a quarantined world's entry is empty
+	quarantined int
+	tel         *telemetry.Registry
 
 	fpOnce sync.Once
 	fp     uint64
 }
 
-// world returns world i's entry, faulting it in for a lazy index; nil means
-// the world is quarantined and must contribute nothing.
+// world returns world i's entry; nil means the world is quarantined and
+// must contribute nothing. Every decoded or built world has a successor
+// offset array, so an empty one marks quarantine.
 func (x *Index) world(i int) *worldEntry {
-	if x.lazy != nil {
-		return x.lazy.world(i)
+	if e := &x.entries[i]; e.succOff != nil {
+		return e
 	}
-	return &x.entries[i]
+	return nil
 }
 
-// SetTelemetry attaches a registry to an index (typically one loaded from
-// disk, which has none): the context-free queries over it (core.Compute and
-// its kin) meter into it, and a mapped index counts index.block_faults and
-// index.worlds_quarantined there. Call it before the index serves queries.
-func (x *Index) SetTelemetry(reg *telemetry.Registry) {
-	x.tel = reg
-	if x.lazy != nil {
-		x.lazy.faults = reg.Counter("index.block_faults")
-		x.lazy.quarCtr = reg.Counter("index.worlds_quarantined")
-	}
-}
+// SetTelemetry attaches a registry to an index (typically one loaded by
+// LoadFile, which has none): the context-free queries over it (core.Compute
+// and its kin) meter into it. Call it before the index serves queries.
+func (x *Index) SetTelemetry(reg *telemetry.Registry) { x.tel = reg }
 
 // Telemetry returns the registry attached at build or SetTelemetry time;
 // nil means unmetered.
@@ -255,23 +246,27 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 }
 
 // NumWorlds returns ℓ, quarantined worlds included (see LiveWorlds).
-func (x *Index) NumWorlds() int {
-	if x.lazy != nil {
-		return len(x.lazy.Dir)
-	}
-	return len(x.entries)
-}
+func (x *Index) NumWorlds() int { return len(x.entries) }
+
+// LiveWorlds returns the number of worlds answering queries: NumWorlds
+// minus quarantined. Estimators divide by this, so quarantine shrinks the
+// sample instead of biasing it with empty cascades.
+func (x *Index) LiveWorlds() int { return len(x.entries) - x.quarantined }
+
+// QuarantinedWorlds returns how many worlds the load quarantined (always 0
+// but for LoadServing, the one load that quarantines).
+func (x *Index) QuarantinedWorlds() int { return x.quarantined }
 
 // Graph returns the indexed probabilistic graph.
 func (x *Index) Graph() *graph.Graph { return x.g }
 
-// NumComponents returns the number of SCCs in world i. For a lazy index it
-// is answered from the block directory without faulting the block in.
+// NumComponents returns the number of SCCs in world i; 0 for a quarantined
+// world.
 func (x *Index) NumComponents(i int) int {
-	if x.lazy != nil {
-		return int(x.lazy.Dir[i].Aux)
+	if e := x.world(i); e != nil {
+		return e.numComps()
 	}
-	return x.entries[i].numComps()
+	return 0
 }
 
 // CondensationEdges returns the number of condensation edges stored for
@@ -308,8 +303,7 @@ type Scratch struct {
 // typical-cascade median over CascadesFlat reuses them from query to query.
 func (s *Scratch) Prefix() *jaccard.PrefixScratch { return &s.prefix }
 
-// NewScratch returns a Scratch sized for this index. Sizing uses
-// NumComponents, so for a lazy index no blocks are faulted in.
+// NewScratch returns a Scratch sized for this index.
 func (x *Index) NewScratch() *Scratch {
 	maxComps := 0
 	for i := 0; i < x.NumWorlds(); i++ {
@@ -473,24 +467,12 @@ func (x *Index) CascadesFlat(seeds []graph.NodeID, s *Scratch) (flat []graph.Nod
 }
 
 // MemoryFootprint returns an estimate of the index's resident bytes, used
-// by the space-ablation benchmarks. For a lazy index only the currently
-// resident (faulted-in) worlds count — that is the point of the format.
+// by the space-ablation benchmarks.
 func (x *Index) MemoryFootprint() int64 {
 	var total int64
-	footprint := func(e *worldEntry) {
-		total += 4 * int64(len(e.comp)+len(e.memberOff)+len(e.members)+len(e.succOff)+len(e.succ))
-	}
-	if x.lazy != nil {
-		for i := range x.lazy.loaded {
-			if e := x.lazy.loaded[i].Load(); e != nil {
-				footprint(e)
-			}
-		}
-		total += int64(len(x.lazy.Dir)) * (blockfile.EntrySize + 16)
-		return total
-	}
 	for i := range x.entries {
-		footprint(&x.entries[i])
+		e := &x.entries[i]
+		total += 4 * int64(len(e.comp)+len(e.memberOff)+len(e.members)+len(e.succOff)+len(e.succ))
 	}
 	return total
 }

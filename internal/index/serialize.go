@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,13 +13,14 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/fault"
 	"soi/internal/graph"
+	"soi/internal/telemetry"
 )
 
 // Binary serialization of the cascade index. The paper's deployment story
 // is "precompute the spheres of influence and store them in an index"; the
 // SOIIDX03 file format (see v3.go) lets the index be built once and
-// reloaded — eagerly by Read, or page-on-demand by OpenMmap — by query
-// tools.
+// reloaded by query tools: strictly by Read and LoadFile, or by soid's
+// LoadServing, which quarantines corrupt worlds.
 //
 // This file holds the per-world record every SOIIDX03 block carries
 // (little endian):
@@ -33,8 +35,8 @@ import (
 // block format is unchanged. The record (appendEntry/decodeEntry) is shared
 // with the checkpoint payload of Build, so a partially built index
 // checkpoints its completed worlds in exactly the on-disk format, and every
-// reader — eager Read, OpenMmap fault-in, Fsck and the checkpoint resume —
-// goes through the one decoder.
+// reader — Read, LoadServing, Fsck and the checkpoint resume — goes through
+// the one decoder.
 
 // appendEntry appends the serialization of one world record to dst: comps,
 // comp[], then per component its degree and successor ids.
@@ -125,9 +127,9 @@ func decodeEntry(data []byte, nodes uint32, world int) (worldEntry, int, error) 
 
 // WriteTo serializes the index in the SOIIDX03 block-directory format and
 // installs the fingerprint of the directory it wrote, so a built index and
-// every later load of its file share one identity. A lazily opened index
-// must have every world readable: rewriting an artifact with quarantined
-// worlds would silently drop data, so that is soifsck's job, not WriteTo's.
+// every later load of its file share one identity. An index with
+// quarantined worlds is refused: rewriting it would silently drop data, so
+// that is soifsck's job, not WriteTo's.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	ents := make([]*worldEntry, x.NumWorlds())
 	for i := range ents {
@@ -141,20 +143,38 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return FileKind.Write(w, uint32(x.g.NumNodes()), nil, dir, enc)
 }
 
-// Read deserializes an index previously written with WriteTo. Eager reads
-// are strict: the header and directory, every block and the whole-file
-// footer are verified, and any corruption rejects the file (quarantine is
-// OpenMmap's behavior). The file is streamed, never held whole. The graph g
-// must be the same graph the index was built from (node count is checked;
-// deeper mismatches surface as wrong query results, so callers should keep
-// graph and index files paired).
-func Read(r io.Reader, g *graph.Graph) (*Index, error) {
+// Read deserializes an index previously written with WriteTo. Reads are
+// strict: the header and directory, every block and the whole-file footer
+// are verified, and any corruption rejects the file (quarantine is
+// LoadServing's policy). The file is streamed, never held whole. The graph
+// g must be the same graph the index was built from (node count is
+// checked; deeper mismatches surface as wrong query results, so callers
+// should keep graph and index files paired).
+func Read(r io.Reader, g *graph.Graph) (*Index, error) { return read(r, g, nil) }
+
+// read is the one index reader behind Read and LoadServing. With quarantine
+// nil it is strict; otherwise a bad world is handed to quarantine and held
+// empty, so world(i) is nil for it.
+func read(r io.Reader, g *graph.Graph, quarantine func(world int, err error)) (*Index, error) {
 	x := &Index{g: g}
+	var bad func(int, error)
+	if quarantine != nil {
+		bad = func(i int, err error) {
+			x.entries = append(x.entries, worldEntry{})
+			x.quarantined++
+			quarantine(i, err)
+		}
+	}
 	h, err := FileKind.Read(r, g.NumNodes(), func(h *blockfile.Header, i int, block []byte) error {
+		if err := fault.Hit(fault.IndexBlockFault); err != nil {
+			return fmt.Errorf("index: world %d load: %w", i, err)
+		}
 		e, err := verifyBlock(block, h.Dir[i], h.Nodes, i)
-		x.entries = append(x.entries, e)
+		if err == nil {
+			x.entries = append(x.entries, e)
+		}
 		return err
-	})
+	}, bad)
 	if err != nil {
 		return nil, err
 	}
@@ -206,3 +226,52 @@ func LoadFile(path string, g *graph.Graph) (*Index, error) {
 	defer f.Close()
 	return Read(f, g)
 }
+
+// LoadServing reads an index for graph g from path the way soid serves it:
+// with Read's verification, except that a world block failing its checksum
+// or decode is quarantined instead of rejecting the file — counted in
+// index.worlds_quarantined on the registry ctx carries, reported once to
+// onQuarantine if it is non-nil, and left out of every answer (see
+// LiveWorlds) — and a damaged whole-file footer alone is accepted. Damage
+// to the header, the directory or its geometry, and truncation, still
+// reject the file. An index that lost every world loads with LiveWorlds 0.
+// The registry is attached to the index, as Build attaches it.
+func LoadServing(ctx context.Context, path string, g *graph.Graph, onQuarantine func(world int, err error)) (*Index, error) {
+	if err := fault.Hit(fault.IndexDirLoad); err != nil {
+		return nil, fmt.Errorf("index: directory load: %w", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tel := telemetry.FromContext(ctx)
+	quar := tel.Counter("index.worlds_quarantined")
+	x, err := read(f, g, func(world int, err error) {
+		quar.Inc()
+		if onQuarantine != nil {
+			onQuarantine(world, err)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	x.tel = tel
+	return x, nil
+}
+
+// MmapOptions configures OpenMmap.
+//
+// Deprecated: pass the callback to LoadServing.
+type MmapOptions struct{ OnQuarantine func(world int, err error) }
+
+// Deprecated: OpenMmap is LoadServing without a registry; no index is memory-mapped.
+func OpenMmap(path string, g *graph.Graph, opts MmapOptions) (*Index, error) {
+	return LoadServing(context.Background(), path, g, opts.OnQuarantine)
+}
+
+// Deprecated: Lazy is always false; every index is decoded at load.
+func (x *Index) Lazy() bool { return false }
+
+// Deprecated: Close has nothing to release.
+func (x *Index) Close() error { return nil }

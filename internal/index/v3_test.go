@@ -72,54 +72,46 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenMmapMatchesEagerRead: the serving load (LoadServing, the load
+// behind the deprecated OpenMmap) of a clean file answers exactly as the
+// strict Read, quarantines nothing, and reports the same fingerprint.
 func TestOpenMmapMatchesEagerRead(t *testing.T) {
 	g, x, p, _ := v3Fixture(t, 211, 5)
-	lz, err := OpenMmap(p, g, MmapOptions{})
+	sv, err := LoadServing(context.Background(), p, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lz.Close()
-	if !lz.Lazy() {
-		t.Fatal("OpenMmap index does not report Lazy")
-	}
-	if !lz.Mapped() {
-		t.Fatal("OpenMmap index does not report Mapped on this platform")
-	}
-	if x.Lazy() || x.Mapped() {
-		t.Fatal("eager index reports Lazy/Mapped")
-	}
-	if lz.ResidentWorlds() != 0 {
-		t.Fatalf("freshly opened index has %d resident worlds, want 0", lz.ResidentWorlds())
-	}
-	sameCascades(t, g, x, lz)
-	if q := lz.QuarantinedWorlds(); q != 0 {
+	sameCascades(t, g, x, sv)
+	if q := sv.QuarantinedWorlds(); q != 0 {
 		t.Fatalf("clean file quarantined %d worlds", q)
 	}
-	if lz.LiveWorlds() != lz.NumWorlds() {
-		t.Fatalf("LiveWorlds %d != NumWorlds %d on a clean file", lz.LiveWorlds(), lz.NumWorlds())
+	if sv.LiveWorlds() != sv.NumWorlds() {
+		t.Fatalf("LiveWorlds %d != NumWorlds %d on a clean file", sv.LiveWorlds(), sv.NumWorlds())
 	}
-	// NumComponents comes from the directory and must agree with the entry.
 	for i := 0; i < x.NumWorlds(); i++ {
-		if lz.NumComponents(i) != x.NumComponents(i) {
-			t.Fatalf("world %d: NumComponents %d (mmap) vs %d (eager)", i, lz.NumComponents(i), x.NumComponents(i))
+		if sv.NumComponents(i) != x.NumComponents(i) {
+			t.Fatalf("world %d: NumComponents %d (serving) vs %d (eager)", i, sv.NumComponents(i), x.NumComponents(i))
 		}
 	}
-	// Fingerprints of the same file agree across load modes, without the
-	// mmap load having to fault anything extra in.
 	eager, err := LoadFile(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eager.Fingerprint() != lz.Fingerprint() {
-		t.Fatal("eager and mmap fingerprints of the same v03 file differ")
+	if eager.Fingerprint() != sv.Fingerprint() {
+		t.Fatal("strict and serving fingerprints of the same v03 file differ")
+	}
+	// The deprecated shims keep their callers working over the serving load.
+	old, err := OpenMmap(p, g, MmapOptions{})
+	if err != nil || old.Lazy() || old.Close() != nil || old.Fingerprint() != sv.Fingerprint() {
+		t.Fatalf("OpenMmap shim: err %v", err)
 	}
 }
 
 // TestOneFingerprintPerIndex: an index has one identity however it is held.
 // A built index reports the fingerprint of the file it saves — whether
-// asked before the save or after it — and the eager load and the mmap open
-// of that file report it too. A file rewritten by blockfile.Repair likewise gets
-// one fingerprint through both loaders.
+// asked before the save or after it — and the strict load and the serving
+// load of that file report it too. A file rewritten by blockfile.Repair
+// likewise gets one fingerprint through both loaders.
 func TestOneFingerprintPerIndex(t *testing.T) {
 	g := randomGraph(t, 281, 25, 90)
 	opts := Options{Samples: 5, Seed: 282}
@@ -140,23 +132,22 @@ func TestOneFingerprintPerIndex(t *testing.T) {
 	if err := y.SaveFile(filepath.Join(dir, "idx2")); err != nil {
 		t.Fatal(err)
 	}
-	loadBoth := func(path string) (eager, mmap uint64) {
+	loadBoth := func(path string) (eager, serving uint64) {
 		t.Helper()
 		e, err := LoadFile(path, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lz, err := OpenMmap(path, g, MmapOptions{})
+		sv, err := LoadServing(context.Background(), path, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer lz.Close()
-		return e.Fingerprint(), lz.Fingerprint()
+		return e.Fingerprint(), sv.Fingerprint()
 	}
-	eager, mmap := loadBoth(p)
-	if built != eager || built != mmap || y.Fingerprint() != built {
-		t.Fatalf("fingerprints differ: built %016x, saved-then-asked %016x, LoadFile %016x, OpenMmap %016x",
-			built, y.Fingerprint(), eager, mmap)
+	eager, serving := loadBoth(p)
+	if built != eager || built != serving || y.Fingerprint() != built {
+		t.Fatalf("fingerprints differ: built %016x, saved-then-asked %016x, LoadFile %016x, LoadServing %016x",
+			built, y.Fingerprint(), eager, serving)
 	}
 
 	// Corrupt one block and repair: the rewritten file has fewer worlds, so
@@ -173,15 +164,18 @@ func TestOneFingerprintPerIndex(t *testing.T) {
 	if _, kept, err := blockfile.Repair(p, fixed, FileKind); err != nil || kept != x.NumWorlds()-1 {
 		t.Fatalf("Repair kept %d worlds, err %v", kept, err)
 	}
-	eager, mmap = loadBoth(fixed)
-	if eager != mmap {
-		t.Fatalf("repaired file: LoadFile %016x != OpenMmap %016x", eager, mmap)
+	eager, serving = loadBoth(fixed)
+	if eager != serving {
+		t.Fatalf("repaired file: LoadFile %016x != LoadServing %016x", eager, serving)
 	}
 	if eager == built {
 		t.Fatal("repaired file with a dropped world kept the original fingerprint")
 	}
 }
 
+// TestOpenMmapQuarantinesCorruptBlock: the serving load of a file with one
+// corrupt world block succeeds, quarantines exactly that world (callback,
+// counter, LiveWorlds), and answers from the others as the clean index does.
 func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 	g, x, p, raw := v3Fixture(t, 221, 6)
 	// Flip one byte in world 2's block.
@@ -199,65 +193,62 @@ func TestOpenMmapQuarantinesCorruptBlock(t *testing.T) {
 	tel := telemetry.New()
 	var quarWorld int
 	quarCalls := 0
-	lz, err := OpenMmap(p, g, MmapOptions{
-		OnQuarantine: func(w int, err error) { quarWorld, quarCalls = w, quarCalls+1 },
-	})
+	sv, err := LoadServing(telemetry.NewContext(context.Background(), tel), p, g,
+		func(w int, err error) { quarWorld, quarCalls = w, quarCalls+1 })
 	if err != nil {
-		t.Fatalf("open of a block-corrupt file must succeed (degrade, not fail): %v", err)
-	}
-	defer lz.Close()
-	lz.SetTelemetry(tel)
-
-	s := lz.NewScratch()
-	var liveCascades int
-	for i := 0; i < lz.NumWorlds(); i++ {
-		if c := lz.Cascade(0, i, s, nil); len(c) > 0 {
-			liveCascades++
-		}
+		t.Fatalf("load of a block-corrupt file must succeed (degrade, not fail): %v", err)
 	}
 	if quarCalls != 1 || quarWorld != 2 {
 		t.Fatalf("quarantine callback: %d calls, world %d; want 1 call for world 2", quarCalls, quarWorld)
 	}
-	if lz.QuarantinedWorlds() != 1 || lz.LiveWorlds() != worlds-1 {
-		t.Fatalf("quarantined=%d live=%d, want 1 and %d", lz.QuarantinedWorlds(), lz.LiveWorlds(), worlds-1)
+	if sv.QuarantinedWorlds() != 1 || sv.LiveWorlds() != worlds-1 {
+		t.Fatalf("quarantined=%d live=%d, want 1 and %d", sv.QuarantinedWorlds(), sv.LiveWorlds(), worlds-1)
 	}
 	if got := tel.Counter("index.worlds_quarantined").Value(); got != 1 {
 		t.Fatalf("index.worlds_quarantined = %d, want 1", got)
 	}
-	// Surviving worlds answer identically to the eager index.
-	sx := x.NewScratch()
+	if sv.Telemetry() != tel {
+		t.Fatal("the serving load did not attach the registry ctx carries")
+	}
+	// The quarantined world answers nothing; the survivors answer
+	// identically to the clean index.
+	s, sx := sv.NewScratch(), x.NewScratch()
+	if c := sv.Cascade(0, 2, s, nil); len(c) != 0 || sv.NumComponents(2) != 0 || sv.Component(0, 2) != -1 {
+		t.Fatalf("quarantined world answers: cascade %v", c)
+	}
 	for i := 0; i < worlds; i++ {
 		if i == 2 {
 			continue
 		}
 		for v := 0; v < g.NumNodes(); v++ {
-			if !equal(lz.Cascade(graph.NodeID(v), i, s, nil), x.Cascade(graph.NodeID(v), i, sx, nil)) {
+			if !equal(sv.Cascade(graph.NodeID(v), i, s, nil), x.Cascade(graph.NodeID(v), i, sx, nil)) {
 				t.Fatalf("world %d node %d: surviving cascade differs from eager", i, v)
 			}
 		}
 	}
 	// Sample collections skip the quarantined world rather than padding it.
-	if cs := lz.Cascades(0, s); len(cs) != worlds-1 {
+	if cs := sv.Cascades(0, s); len(cs) != worlds-1 {
 		t.Fatalf("Cascades returned %d samples, want %d", len(cs), worlds-1)
 	}
-	// Quarantine is sticky: repeated touches never re-fire the callback.
-	_ = lz.Cascade(0, 2, s, nil)
-	if quarCalls != 1 {
-		t.Fatalf("quarantine re-fired: %d calls", quarCalls)
+	if _, off := sv.CascadesFlat([]graph.NodeID{0}, s); len(off)-1 != worlds-1 {
+		t.Fatalf("CascadesFlat returned %d samples, want %d", len(off)-1, worlds-1)
 	}
 	// An index with quarantined worlds refuses to re-serialize.
-	if _, err := lz.WriteTo(&bytes.Buffer{}); err == nil {
+	if _, err := sv.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteTo of a quarantined index succeeded; it would silently drop worlds")
 	}
-	_ = liveCascades
+	// The strict reader rejects the same file.
+	if _, err := LoadFile(p, g); !errors.Is(err, blockfile.ErrCorrupt) {
+		t.Fatalf("LoadFile of a block-corrupt file: err = %v, want ErrCorrupt", err)
+	}
 }
 
 // TestOpenMmapEveryBitFlip flips every bit of a small v03 file and asserts
-// the trichotomy the format promises for the lazy loader: a flip before the
-// blocks (header/directory) fails the open with a typed error, a flip
-// inside a block quarantines exactly that world (queries keep working), and
-// a flip in the whole-file footer — which the lazy path deliberately does
-// not read — changes nothing. Never a panic, never a wrong cascade.
+// the trichotomy the serving load promises: a flip before the blocks
+// (header/directory) fails the load with a typed error, a flip inside a
+// block quarantines exactly that world (queries keep working), and a flip
+// in the whole-file footer, which the serving load does not compare,
+// changes nothing. Never a panic, never a wrong cascade.
 func TestOpenMmapEveryBitFlip(t *testing.T) {
 	g, x, _, raw := v3Fixture(t, 231, 2)
 	worlds := x.NumWorlds()
@@ -284,33 +275,29 @@ func TestOpenMmapEveryBitFlip(t *testing.T) {
 			if err := os.WriteFile(p, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			lz, err := OpenMmap(p, g, MmapOptions{})
+			sv, err := LoadServing(context.Background(), p, g, nil)
 			switch {
 			case int64(pos) < blocksStart:
 				if err == nil {
-					lz.Close()
 					t.Fatalf("flip in header/directory (byte %d bit %d) was accepted", pos, bit)
 				}
 				continue
 			case err != nil:
-				t.Fatalf("flip at byte %d bit %d failed the open: %v", pos, bit, err)
+				t.Fatalf("flip at byte %d bit %d failed the load: %v", pos, bit, err)
 			}
 			for i := 0; i < worlds; i++ {
-				_ = lz.Cascade(0, i, s, nil)
+				_ = sv.Cascade(0, i, s, nil)
 			}
 			want := 0
 			if w := worldAt(int64(pos)); w >= 0 {
 				want = 1
-				if q := lz.QuarantinedWorlds(); q != 1 {
-					lz.Close()
-					t.Fatalf("flip in block %d (byte %d bit %d): quarantined %d worlds, want 1", w, pos, bit, q)
+				if sv.Component(0, w) != -1 {
+					t.Fatalf("flip in block %d (byte %d bit %d): another world was quarantined", w, pos, bit)
 				}
 			}
-			if q := lz.QuarantinedWorlds(); q != want {
-				lz.Close()
+			if q := sv.QuarantinedWorlds(); q != want {
 				t.Fatalf("flip at byte %d bit %d: quarantined %d worlds, want %d", pos, bit, q, want)
 			}
-			lz.Close()
 		}
 	}
 }
@@ -344,10 +331,9 @@ func TestV3TruncationEveryBoundary(t *testing.T) {
 			if err := os.WriteFile(p, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			lz, err := OpenMmap(p, g, MmapOptions{})
+			_, err := LoadServing(context.Background(), p, g, nil)
 			if err == nil {
-				lz.Close()
-				t.Fatalf("OpenMmap accepted a file truncated at byte %d", cut)
+				t.Fatalf("LoadServing accepted a file truncated at byte %d", cut)
 			}
 			if !errors.Is(err, blockfile.ErrTruncated) && !errors.Is(err, blockfile.ErrCorrupt) {
 				t.Fatalf("truncation at byte %d: untyped error %v", cut, err)
@@ -368,12 +354,12 @@ func TestRejectsUnknownMagic(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, errRead := Read(bytes.NewReader(data), g)
-		_, errMmap := OpenMmap(p, g, MmapOptions{})
+		_, errServing := LoadServing(context.Background(), p, g, nil)
 		rep, err := blockfile.Fsck(p, FileKind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, err := range map[string]error{"Read": errRead, "OpenMmap": errMmap, "Fsck": rep.Fatal} {
+		for name, err := range map[string]error{"Read": errRead, "LoadServing": errServing, "Fsck": rep.Fatal} {
 			if !errors.Is(err, blockfile.ErrMagic) {
 				t.Fatalf("%s of %s: err = %v, want ErrMagic", name, magic, err)
 			}
@@ -384,38 +370,35 @@ func TestRejectsUnknownMagic(t *testing.T) {
 	}
 }
 
+// TestOpenMmapFailpoints drives the serving load's two failpoints.
 func TestOpenMmapFailpoints(t *testing.T) {
 	g, _, p, _ := v3Fixture(t, 261, 3)
 	fault.SetActive(true)
 	defer fault.SetActive(false)
 
-	// A directory-load failure fails the open outright.
+	// A directory-load failure fails the load outright.
 	if err := fault.Enable(fault.IndexDirLoad, fault.Failpoint{Kind: fault.KindError}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMmap(p, g, MmapOptions{}); !errors.Is(err, fault.ErrInjected) {
+	if _, err := LoadServing(context.Background(), p, g, nil); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("armed dirload: err = %v, want injected", err)
 	}
 	fault.Disable(fault.IndexDirLoad)
 
-	// A block fault-in failure quarantines exactly the world whose fault-in
-	// hit it, like real corruption.
+	// A block-load failure quarantines exactly the world whose load hit it,
+	// like real corruption.
 	if err := fault.Enable(fault.IndexBlockFault, fault.Failpoint{Kind: fault.KindError, Times: 1}); err != nil {
 		t.Fatal(err)
 	}
-	lz, err := OpenMmap(p, g, MmapOptions{})
+	var quarErr error
+	sv, err := LoadServing(context.Background(), p, g, func(_ int, err error) { quarErr = err })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lz.Close()
-	s := lz.NewScratch()
-	for i := 0; i < lz.NumWorlds(); i++ {
-		_ = lz.Cascade(0, i, s, nil)
+	if sv.QuarantinedWorlds() != 1 || !errors.Is(quarErr, fault.ErrInjected) {
+		t.Fatalf("quarantined %d worlds (err %v), want exactly the one whose load was failed", sv.QuarantinedWorlds(), quarErr)
 	}
-	if lz.QuarantinedWorlds() != 1 {
-		t.Fatalf("quarantined %d worlds, want exactly the one whose fault-in was failed", lz.QuarantinedWorlds())
-	}
-	if lz.LiveWorlds() != lz.NumWorlds()-1 {
-		t.Fatalf("LiveWorlds = %d, want %d", lz.LiveWorlds(), lz.NumWorlds()-1)
+	if sv.LiveWorlds() != sv.NumWorlds()-1 {
+		t.Fatalf("LiveWorlds = %d, want %d", sv.LiveWorlds(), sv.NumWorlds()-1)
 	}
 }

@@ -58,35 +58,29 @@ func conformanceServer(t testing.TB) (*Server, *graph.Graph, []core.Result) {
 			confErr = err
 			return
 		}
-		// SOI_INDEX_MMAP=1 runs the whole conformance suite against the lazy
-		// memory-mapped loader instead of the in-memory index: a serialize →
-		// mmap → page-on-demand round trip must be statistically
-		// indistinguishable from the index it serializes.
-		if os.Getenv("SOI_INDEX_MMAP") == "1" {
-			f, err := os.CreateTemp("", "soi-conf-*.idx")
-			if err != nil {
-				confErr = err
-				return
-			}
-			f.Close()
-			if confErr = x.SaveFile(f.Name()); confErr != nil {
-				return
-			}
-			mx, err := index.OpenMmap(f.Name(), g, index.MmapOptions{})
-			os.Remove(f.Name()) // the mapping outlives the directory entry
-			if err != nil {
-				confErr = err
-				return
-			}
-			x = mx
+		// The suite serves the index through the save → serving-load round
+		// trip soid uses, which must be indistinguishable from the index it
+		// serializes.
+		f, err := os.CreateTemp("", "soi-conf-*.idx")
+		if err != nil {
+			confErr = err
+			return
+		}
+		f.Close()
+		defer os.Remove(f.Name())
+		if confErr = x.SaveFile(f.Name()); confErr != nil {
+			return
+		}
+		if x, confErr = index.LoadServing(context.Background(), f.Name(), g, nil); confErr != nil {
+			return
 		}
 		spheres, err := core.ComputeAll(context.Background(), x, core.Options{CostSamples: 200, CostSeed: 91}, checkpoint.Config{})
 		if err != nil {
 			confErr = err
 			return
 		}
-		// The sketch is built from the same index instance the server loads
-		// (after any mmap swap), so its stored fingerprint matches the one
+		// The sketch is built from the same index instance the server loads,
+		// so its stored fingerprint matches the one
 		// Config validation checks — exactly the sphere -sketch-out contract.
 		sk, err := sketch.Build(context.Background(), x, sketch.Options{K: confSketchK, Seed: 93})
 		if err != nil {

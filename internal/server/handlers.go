@@ -59,20 +59,16 @@ func mergePartial(budget, quarantine api.Partial) api.Partial {
 	return out
 }
 
-// quarantinePartial annotates answers computed over a degraded index. The
-// memory-mapped loader quarantines corrupt world blocks at fault-in time, so
-// this must run after the compute it annotates: by then every world the query
-// touched is either loaded or quarantined. With q of ℓ worlds quarantined the
-// estimate is an average over the ℓ-q survivors, so the Hoeffding bound is
-// re-derived at the live count (checkpoint.ErrorBound) and scaled to the
-// estimate's units — exactly how budget truncation is surfaced, and the two
-// compose by summing bounds (mergePartial). An index that has lost every
-// world cannot answer at all: that is a retryable 503 (CodeDegraded) so the
-// gateway fails over to a replica with a healthy copy.
+// quarantinePartial annotates answers computed over a degraded index, one
+// whose load quarantined corrupt world blocks. With q of ℓ worlds
+// quarantined the estimate is an average over the ℓ-q survivors, so the
+// Hoeffding bound is re-derived at the live count (checkpoint.ErrorBound)
+// and scaled to the estimate's units — exactly how budget truncation is
+// surfaced, and the two compose by summing bounds (mergePartial). An index
+// that has lost every world cannot answer at all: that is a retryable 503
+// (CodeDegraded) so the gateway fails over to a replica with a healthy copy.
 //
-// Note the cache interaction: 206 responses are never cached, so degraded
-// answers always recompute; entries cached before a block went bad replay
-// answers computed over strictly healthier data, which stays correct.
+// 206 responses are never cached, so degraded answers always recompute.
 func (s *Server) quarantinePartial(scale float64) (api.Partial, error) {
 	quar := s.x.QuarantinedWorlds()
 	if quar == 0 {
@@ -497,7 +493,6 @@ func (s *Server) handleInfo(*http.Request) (any, error) {
 		Edges:             s.g.NumEdges(),
 		Worlds:            s.x.NumWorlds(),
 		WorldsQuarantined: s.x.QuarantinedWorlds(),
-		Mmap:              s.x.Lazy(),
 		GraphFingerprint:  strconv.FormatUint(s.graphFP, 16),
 		IndexFingerprint:  strconv.FormatUint(s.indexFP, 16),
 		SpheresLoaded:     s.spheres != nil,

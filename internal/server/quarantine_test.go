@@ -20,8 +20,7 @@ import (
 
 // writeCorrupted writes the serialized v03 index to a temp file with one byte
 // flipped in the middle of each listed world's block: the directory stays
-// intact, so OpenMmap succeeds and the corruption surfaces as per-world
-// quarantine at fault-in time.
+// intact, so index.LoadServing succeeds and quarantines each listed world.
 func writeCorrupted(t *testing.T, data []byte, worlds []int) string {
 	t.Helper()
 	d := append([]byte(nil), data...)
@@ -42,8 +41,8 @@ func writeCorrupted(t *testing.T, data []byte, worlds []int) string {
 }
 
 // quarantineFixture builds a clean index, serializes it, corrupts the listed
-// worlds on disk, and returns a server over the memory-mapped file plus the
-// clean in-memory index as the exact oracle.
+// worlds on disk, and returns a server over soid's serving load of the file
+// plus the clean in-memory index as the exact oracle.
 func quarantineFixture(t *testing.T, corrupt []int) (*Server, *index.Index) {
 	t.Helper()
 	g := testGraph(t)
@@ -55,12 +54,14 @@ func quarantineFixture(t *testing.T, corrupt []int) (*Server, *index.Index) {
 	if _, err := clean.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mx, err := index.OpenMmap(writeCorrupted(t, buf.Bytes(), corrupt), g, index.MmapOptions{})
+	tel := telemetry.New()
+	mx, err := index.LoadServing(telemetry.NewContext(context.Background(), tel), writeCorrupted(t, buf.Bytes(), corrupt), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mx.Close() })
-	mx.SetTelemetry(telemetry.New())
+	if got := tel.Counter("index.worlds_quarantined").Value(); got != int64(len(corrupt)) {
+		t.Fatalf("index.worlds_quarantined = %d, want %d", got, len(corrupt))
+	}
 	s, err := New(Config{
 		Graph: g, Index: mx, Telemetry: telemetry.New(),
 		MaxInflight: 4, MaxQueue: 16, CostSamples: 20, Seed: 11,
@@ -72,7 +73,7 @@ func quarantineFixture(t *testing.T, corrupt []int) (*Server, *index.Index) {
 }
 
 // TestQuarantineDegradesTo206 is the end-to-end corruption story: a soid
-// serving a memory-mapped index with one corrupt world block answers 206 with
+// serving an index file with one corrupt world block answers 206 with
 // worlds_quarantined reported and an error_bound wide enough to bracket the
 // exact answer computed over the uncorrupted index.
 func TestQuarantineDegradesTo206(t *testing.T) {
@@ -123,9 +124,9 @@ func TestQuarantineDegradesTo206(t *testing.T) {
 		t.Fatalf("stability: status %d, want 206", rec.Code)
 	}
 
-	// /v1/info surfaces the quarantine count and the serving mode.
-	if _, info := do(t, s, "/v1/info"); info["worlds_quarantined"].(float64) < 1 || info["mmap"] != true {
-		t.Fatalf("info: worlds_quarantined %v mmap %v, want >=1 true", info["worlds_quarantined"], info["mmap"])
+	// /v1/info surfaces the quarantine count; mmap is always false.
+	if _, info := do(t, s, "/v1/info"); info["worlds_quarantined"].(float64) < 1 || info["mmap"] != false {
+		t.Fatalf("info: worlds_quarantined %v mmap %v, want >=1 false", info["worlds_quarantined"], info["mmap"])
 	}
 }
 

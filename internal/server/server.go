@@ -15,7 +15,7 @@
 // achieved sample count and a Theorem-2-style error bound instead of an
 // error. Only admission and compute are soid's own.
 //
-// Degraded indexes get the same treatment: when a memory-mapped index has
+// Degraded indexes get the same treatment: when the index load has
 // quarantined corrupt world blocks, estimates cover only the surviving
 // worlds, so index-backed endpoints answer 206 with worlds_used /
 // worlds_quarantined and a Hoeffding bound re-derived at the live world

@@ -148,7 +148,7 @@ func Read(r io.Reader) (*Sketch, error) {
 	_, err := FileKind.Read(r, -1, func(h *blockfile.Header, i int, block []byte) (err error) {
 		s, err = decodeBlock(s, h, i, block)
 		return err
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Corruption-repair smoke test for every blockfile kind. Index (SOIIDX03):
 # build one on disk, flip a byte inside one world block with dd, assert
-# soifsck pinpoints exactly that block, serve the corrupt file with soid
-# -mmap and observe degraded 206 answers (worlds_quarantined + widened
-# error_bound), repair the file with soifsck -repair, and assert the
+# soifsck pinpoints exactly that block, serve the corrupt file with soid,
+# whose load quarantines the bad world, and observe degraded 206 answers
+# (worlds_quarantined + widened error_bound), repair the file with
+# soifsck -repair, and assert the
 # repaired file serves 200. Sphere store (SOISPH03) and sketch (SOISKC02):
 # flip a byte inside a node-range block, assert soifsck names that block,
 # -repair refuses with the rebuild command (a node-range block cannot be
@@ -79,9 +80,9 @@ grep -q "world 7: .*CORRUPT" "$work/fsck1.log" || { cat "$work/fsck1.log" >&2; f
 grep -q "1 of 200 worlds corrupt" "$work/fsck1.log" || { cat "$work/fsck1.log" >&2; fail "wrong corruption summary"; }
 echo "fsck-smoke: soifsck pinpointed the corrupt block"
 
-start_soid() { # $1: index file, $2: extra env ("" for none)
+start_soid() { # $1: index file
   : > "$work/addr"
-  env ${2:+"$2"} "$work/soid" -graph "$work/g.tsv" -index "$1" ${3:-} \
+  "$work/soid" -graph "$work/g.tsv" -index "$1" \
     -addr 127.0.0.1:0 -addr-file "$work/addr" -drain-timeout 10s 2> "$work/soid.log" &
   soid_pid=$!
   for _ in $(seq 1 100); do
@@ -92,7 +93,7 @@ start_soid() { # $1: index file, $2: extra env ("" for none)
   [ -s "$work/addr" ] || fail "timed out waiting for the address file"
   addr="$(cat "$work/addr")"
   for _ in $(seq 1 50); do
-    curl -fsS "http://$addr/healthz" > /dev/null 2>&1 && break
+    curl -fsS "http://$addr/readyz" > /dev/null 2>&1 && break
     sleep 0.1
   done
 }
@@ -105,9 +106,9 @@ stop_soid() {
 
 get_code() { curl -s -o "$work/body" -w '%{http_code}' "http://$addr$1"; }
 
-# --- soid -mmap serves the corrupt file degraded: 206 + widened bound -----
-echo "fsck-smoke: serving the corrupt index with soid -mmap"
-start_soid "$work/g.idx" "" "-mmap"
+# --- soid serves the corrupt file degraded: 206 + widened bound -----------
+echo "fsck-smoke: serving the corrupt index with soid"
+start_soid "$work/g.idx"
 code="$(get_code '/v1/spread?seeds=1,2')"
 [ "$code" = 206 ] || { cat "$work/body" >&2; fail "spread over corrupt index got $code, want 206"; }
 grep -q '"partial":true' "$work/body" || fail "206 body lacks partial flag"
@@ -116,7 +117,6 @@ grep -q '"error_bound"' "$work/body" || fail "206 body lacks the widened error b
 code="$(get_code '/v1/info')"
 [ "$code" = 200 ] || fail "info got $code"
 grep -q '"worlds_quarantined":1' "$work/body" || { cat "$work/body" >&2; fail "info does not report the quarantine"; }
-grep -q '"mmap":true' "$work/body" || fail "info does not report mmap serving"
 grep -q "QUARANTINE world 7" "$work/soid.log" || { cat "$work/soid.log" >&2; fail "no quarantine log line"; }
 stop_soid
 echo "fsck-smoke: corrupt index served 206 with worlds_quarantined=1"
@@ -130,9 +130,9 @@ grep -q "kept 199 of 200 worlds" "$work/fsck2.log" || { cat "$work/fsck2.log" >&
 grep -q "clean (199 worlds)" "$work/fsck3.log" || fail "no clean verdict for the repaired index"
 echo "fsck-smoke: repair kept 199 of 200 worlds and verifies clean"
 
-# --- the repaired file serves 200 again (mmap via SOI_INDEX_MMAP=1) -------
+# --- the repaired file serves 200 again ------------------------------------
 echo "fsck-smoke: serving the repaired index"
-start_soid "$work/fixed.idx" "SOI_INDEX_MMAP=1"
+start_soid "$work/fixed.idx"
 code="$(get_code '/v1/spread?seeds=1,2')"
 [ "$code" = 200 ] || { cat "$work/body" >&2; fail "spread over repaired index got $code, want 200"; }
 code="$(get_code '/v1/info')"
