@@ -44,7 +44,7 @@ func main() {
 		out       = flag.String("out", ".", "output directory")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file: completed datasets are recorded there and a rerun skips them")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget; generation stops between datasets when it is reached (notice on stderr)")
-		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, expvar and pprof on this address while running (e.g. localhost:6060)")
+		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, /debug/traces and pprof on this address while running (e.g. localhost:6060)")
 		statsJSON = flag.String("stats-json", "", "write the machine-readable run report (metrics, spans, run info) to this file on exit")
 	)
 	flag.Parse()

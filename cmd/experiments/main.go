@@ -44,7 +44,7 @@ func main() {
 		replicas  = flag.Int("replicas", 0, "with -exp fig6: run this many dataset replicas and report mean±sd")
 		ckptDir   = flag.String("checkpoint", "", "checkpoint directory: index builds save progress there and a rerun resumes them")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget shared by the whole run; past it, index builds degrade to partial indexes (notice on stderr)")
-		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, expvar and pprof on this address while running (e.g. localhost:6060)")
+		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, /debug/traces and pprof on this address while running (e.g. localhost:6060)")
 		statsJSON = flag.String("stats-json", "", "write the machine-readable run report (metrics, spans, run info) to this file on exit")
 	)
 	flag.Parse()

@@ -45,7 +45,7 @@ func main() {
 		spherePth = flag.String("spheres", "", "load precomputed spheres (cmd/sphere -all -store) instead of recomputing")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file prefix: sampling phases periodically save progress there and a rerun resumes it")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget; when it nears, sampling stops and a best-effort partial result is returned (notice on stderr)")
-		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, expvar and pprof on this address while running (e.g. localhost:6060)")
+		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, /debug/traces and pprof on this address while running (e.g. localhost:6060)")
 		statsJSON = flag.String("stats-json", "", "write the machine-readable run report (metrics, spans, run info) to this file on exit")
 	)
 	flag.Parse()

@@ -18,17 +18,18 @@
 // with the achieved sample count and an error bound. Complete answers are
 // kept in a 4096-entry cache keyed on the query but its budget. An
 // overloaded server sheds requests with 429 + Retry-After. /metrics,
-// /debug/vars and /debug/pprof/ are served on the same address.
+// /debug/traces and /debug/pprof/ are served on the same address.
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish (bounded by
 // -drain-timeout), new ones get 503.
 //
-// The index loads eagerly, and a corrupt world block is quarantined rather
-// than fatal: the load logs "QUARANTINE world N", counts it in
-// index.worlds_quarantined, and queries answer over the surviving worlds
-// with HTTP 206 and a widened error bound (503 "degraded" once every world
-// is lost) until the file is repaired with soifsck. Damage to the file's
-// header or block directory, or truncation, refuses startup. Quarantine is
-// settled before /readyz turns ready.
+// soid serves only a saved index: without -index it exits 1 naming the
+// sphere command that builds one. The index loads eagerly, and a corrupt
+// world block is quarantined rather than fatal: the load logs "QUARANTINE
+// world N", counts it in index.worlds_quarantined, and queries answer over
+// the surviving worlds with HTTP 206 and a widened error bound (503
+// "degraded" once every world is lost) until the file is repaired with
+// soifsck. Damage to the file's header or block directory, or truncation,
+// refuses startup. Quarantine is settled before /readyz turns ready.
 //
 // The sphere store and the sketch load eagerly and strictly: a corrupt block,
 // or a store or sketch computed from any index but the loaded one, refuses
@@ -42,10 +43,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"path/filepath"
 	"strconv"
+	"strings"
 
 	"soi"
-	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/daemon"
 	"soi/internal/graph"
@@ -59,7 +61,6 @@ import (
 // with soigw.
 type options struct {
 	graph, index, spheres, sketch string
-	samples                       int
 	lt                            bool
 	expectFP                      string
 	maxInflight, maxQueue         int
@@ -71,10 +72,9 @@ type options struct {
 func flags(fs *flag.FlagSet) (*options, *daemon.Lifecycle) {
 	o := &options{}
 	fs.StringVar(&o.graph, "graph", "", "edge-list TSV file (required)")
-	fs.StringVar(&o.index, "index", "", "prebuilt index file (sphere -build-index); empty builds one in memory")
+	fs.StringVar(&o.index, "index", "", "prebuilt index file from sphere -build-index (required)")
 	fs.StringVar(&o.spheres, "spheres", "", "sphere store file (sphere -all -store); enables /v1/seeds")
 	fs.StringVar(&o.sketch, "sketch", "", "combined bottom-k sketch file (sphere -sketch-out); enables estimator=sketch on /v1/{spread,sphere,seeds}")
-	fs.IntVar(&o.samples, "samples", 1000, "worlds ℓ when building the index in memory (no -index)")
 	fs.BoolVar(&o.lt, "lt", false, "Linear Threshold model (must match how the index was built)")
 	fs.StringVar(&o.expectFP, "expect-fp", "", "refuse to start unless the graph fingerprint (soi.Fingerprint, hex) matches")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently computing requests; 0 means GOMAXPROCS")
@@ -136,23 +136,16 @@ func run(o *options, life *daemon.Lifecycle) error {
 	tel.SetGraphHash(graphFP)
 	ctx := telemetry.NewContext(context.Background(), tel)
 
-	var x *index.Index
-	if o.index != "" {
-		x, err = index.LoadServing(ctx, o.index, g, func(world int, qerr error) {
-			log.Printf("QUARANTINE world %d: %v (answers degrade to 206; repair %s with soifsck)",
-				world, qerr, o.index)
-		})
-		if err != nil {
-			return fmt.Errorf("loading index %s (does it belong to %s?): %w", o.index, o.graph, err)
-		}
-	} else {
-		log.Printf("no -index given; building %d worlds in memory", o.samples)
-		x, err = index.Build(ctx, g, index.Options{
-			Samples: o.samples, Seed: o.seed, Model: model,
-		}, checkpoint.Config{})
-		if err != nil {
-			return err
-		}
+	if o.index == "" {
+		return fmt.Errorf("-index is required: build one with sphere -graph %s -build-index %s.idx",
+			o.graph, strings.TrimSuffix(o.graph, filepath.Ext(o.graph)))
+	}
+	x, err := index.LoadServing(ctx, o.index, g, func(world int, qerr error) {
+		log.Printf("QUARANTINE world %d: %v (answers degrade to 206; repair %s with soifsck)",
+			world, qerr, o.index)
+	})
+	if err != nil {
+		return fmt.Errorf("loading index %s (does it belong to %s?): %w", o.index, o.graph, err)
 	}
 
 	var spheres []core.Result

@@ -38,6 +38,25 @@ func writeTestGraph(t *testing.T) string {
 	return path
 }
 
+// writeTestIndex builds a small index over the graph at gp and saves it
+// next to the graph.
+func writeTestIndex(t *testing.T, gp string) string {
+	t.Helper()
+	g, _, err := graph.LoadFile(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: 1}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(filepath.Dir(gp), "g.idx")
+	if err := x.SaveFile(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // parse builds soid's settings from command-line args, as main does.
 func parse(t *testing.T, args ...string) (*options, *daemon.Lifecycle) {
 	t.Helper()
@@ -53,6 +72,17 @@ func TestRunRequiresGraph(t *testing.T) {
 	err := run(parse(t, "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "-graph") {
 		t.Fatalf("err %v, want -graph requirement", err)
+	}
+}
+
+// TestRunRequiresIndex: soid serves only a saved index, and without one it
+// names the command that builds it.
+func TestRunRequiresIndex(t *testing.T) {
+	g := writeTestGraph(t)
+	err := run(parse(t, "-graph", g, "-addr", ":0"))
+	if err == nil || !strings.Contains(err.Error(), "-index is required") ||
+		!strings.Contains(err.Error(), "sphere -graph "+g+" -build-index ") {
+		t.Fatalf("err %v, want -index requirement naming the rebuild command", err)
 	}
 }
 
@@ -74,7 +104,7 @@ func TestRunRejectsMissingArtifacts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "loading index") {
 		t.Fatalf("err %v, want index load failure", err)
 	}
-	err = run(parse(t, "-graph", g, "-spheres", filepath.Join(t.TempDir(), "nope.tsv"), "-addr", ":0"))
+	err = run(parse(t, "-graph", g, "-index", writeTestIndex(t, g), "-spheres", filepath.Join(t.TempDir(), "nope.tsv"), "-addr", ":0"))
 	if err == nil || !strings.Contains(err.Error(), "sphere store") {
 		t.Fatalf("err %v, want sphere store load failure", err)
 	}
@@ -199,7 +229,7 @@ func getJSON(t *testing.T, addr, path string) (int, map[string]any) {
 // ourselves and check that run returns cleanly.
 func TestRunServesAndDrains(t *testing.T) {
 	g := writeTestGraph(t)
-	addr, done := startRun(t, "-graph", g, "-samples", "30", "-cost-samples", "10", "-trials", "10")
+	addr, done := startRun(t, "-graph", g, "-index", writeTestIndex(t, g), "-cost-samples", "10", "-trials", "10")
 	if code, _ := getJSON(t, addr, "/v1/sphere/0"); code != 200 {
 		t.Fatalf("status %d, want 200", code)
 	}

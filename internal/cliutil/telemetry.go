@@ -42,7 +42,7 @@ type RunTelemetry struct {
 // under the other. With both flags empty it returns ctx unchanged and a
 // disabled lifecycle whose Registry is nil, so the per-event overhead
 // everywhere downstream is a single nil check. The debug listener
-// (the daemons' debug surface: /metrics, /debug/vars, /debug/traces, pprof)
+// (the daemons' debug surface: /metrics, /debug/traces, pprof)
 // starts immediately; its resolved address is announced on stderr.
 func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (context.Context, *RunTelemetry, error) {
 	t := &RunTelemetry{Tool: tool, statsPath: statsPath}
@@ -51,7 +51,6 @@ func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (con
 	}
 	t.Registry = telemetry.New()
 	t.Registry.SetTool(tool)
-	telemetry.PublishExpvar("soi", t.Registry)
 	// Flush reads the trace from its root, never from the tracer's ring of
 	// retained traces, so one ring slot is enough.
 	tracer := trace.New(trace.Options{Service: tool, RingSize: 1})
@@ -65,7 +64,7 @@ func StartTelemetry(ctx context.Context, tool, debugAddr, statsPath string) (con
 			return ctx, nil, fmt.Errorf("%s: debug server: %w", tool, err)
 		}
 		t.DebugAddr = addr
-		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics, /debug/vars, /debug/traces, /debug/pprof/)\n", tool, addr)
+		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics, /debug/traces, /debug/pprof/)\n", tool, addr)
 	}
 	ctx, t.root = tracer.StartSpan(telemetry.NewContext(ctx, t.Registry), tool)
 	return ctx, t, nil

@@ -122,9 +122,6 @@ type Options struct {
 	CostSamples int
 	// CostSeed seeds the held-out sampling.
 	CostSeed uint64
-	// Workers bounds parallelism in ComputeAll; zero and negative values
-	// both mean GOMAXPROCS (the library-wide Workers convention).
-	Workers int
 	// Model selects the propagation model for the held-out cost estimate.
 	// It must match the model the index was built with; the zero value is
 	// IC.
@@ -308,7 +305,7 @@ func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 }
 
 // ComputeAll computes the typical cascade of every node (Algorithm 2),
-// parallelized across Options.Workers. Results are indexed by node id.
+// parallelized across GOMAXPROCS workers. Results are indexed by node id.
 // Workers check ctx between nodes and between the held-out cost cascades,
 // so a canceled context returns ctx.Err() promptly with a nil result.
 // Worker panics are recovered into a *pool.PanicError.
@@ -349,7 +346,7 @@ func ComputeAll(ctx context.Context, x *index.Index, opts Options, cfg checkpoin
 		resumed = st.Done
 	}
 
-	workers := pool.Workers(opts.Workers, n)
+	workers := pool.Workers(0, n)
 	scratches := make([]*index.Scratch, workers)
 	m := newMetricsSet(telemetry.FromContext(ctx))
 	sp := trace.Child(ctx, "core.compute_all")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -175,7 +176,8 @@ func TestComputeFromSetSupersetEffect(t *testing.T) {
 func TestComputeAllMatchesSingle(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 150, 16)
-	all := computeAll(t, x, Options{Workers: 3})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	all := computeAll(t, x, Options{})
 	if len(all) != g.NumNodes() {
 		t.Fatalf("got %d results", len(all))
 	}
@@ -193,8 +195,10 @@ func TestComputeAllMatchesSingle(t *testing.T) {
 func TestComputeAllWorkerCountInvariant(t *testing.T) {
 	g := paperGraph(t)
 	x := buildIndex(t, g, 100, 17)
-	a := computeAll(t, x, Options{Workers: 1, CostSamples: 50, CostSeed: 3})
-	b := computeAll(t, x, Options{Workers: 4, CostSamples: 50, CostSeed: 3})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := computeAll(t, x, Options{CostSamples: 50, CostSeed: 3})
+	runtime.GOMAXPROCS(4)
+	b := computeAll(t, x, Options{CostSamples: 50, CostSeed: 3})
 	for v := range a {
 		if !equal(a[v].Set, b[v].Set) || a[v].ExpectedCost != b[v].ExpectedCost {
 			t.Fatalf("node %d: parallel results differ", v)

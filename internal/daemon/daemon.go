@@ -9,7 +9,6 @@ package daemon
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -25,7 +24,6 @@ import (
 
 	"soi/internal/api"
 	"soi/internal/atomicfile"
-	"soi/internal/fault"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
@@ -42,15 +40,12 @@ func Healthz(w http.ResponseWriter, _ *http.Request) {
 // Debug mounts the debug surface every soi listener serves:
 //
 //	/metrics             Prometheus text exposition of tel
-//	/debug/vars          expvar JSON (includes tel once published)
 //	/debug/traces[/{id}] retained traces; 404 "tracing disabled" when tr is nil
 //	/debug/pprof/...     the net/http/pprof suite
-//	/debug/failpoints    remote fault injection, only behind SOI_FAILPOINTS_HTTP
 //
 // A nil registry serves an empty (valid) /metrics page.
 func Debug(mux *http.ServeMux, tel *telemetry.Registry, tr *trace.Tracer) {
 	mux.Handle("GET /metrics", tel.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.Handle("GET /debug/traces", tr.Handler("/debug/traces"))
 	mux.Handle("GET /debug/traces/", tr.Handler("/debug/traces"))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -58,11 +53,6 @@ func Debug(mux *http.ServeMux, tel *telemetry.Registry, tr *trace.Tracer) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Remote fault injection for cross-process chaos harnesses: a production
-	// daemon must never expose this by accident, hence the env gate.
-	if fault.HTTPEnabled() {
-		mux.Handle("/debug/failpoints", fault.Handler())
-	}
 }
 
 // Gate is the one listener. It binds the listen address before the daemon
@@ -173,9 +163,8 @@ func (l *Lifecycle) Register(fs *flag.FlagSet, addr string) {
 }
 
 // Bind starts the Gate on Addr before anything loads, writes the resolved
-// address to AddrFile (when set), and builds the telemetry registry (also
-// published on /debug/vars), the tracer and the request log. It returns
-// the resolved address.
+// address to AddrFile (when set), and builds the telemetry registry, the
+// tracer and the request log. It returns the resolved address.
 func (l *Lifecycle) Bind() (string, error) {
 	l.gate = NewGate()
 	resolved, err := l.gate.Start(l.Addr)
@@ -192,7 +181,6 @@ func (l *Lifecycle) Bind() (string, error) {
 	}
 	l.Telemetry = telemetry.New()
 	l.Telemetry.SetTool(l.Tool)
-	telemetry.PublishExpvar("soi", l.Telemetry)
 	if l.TraceRing > 0 {
 		l.Tracer = trace.New(trace.Options{
 			Service:       l.Tool,

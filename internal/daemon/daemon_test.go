@@ -12,12 +12,10 @@ import (
 )
 
 // TestDebugListener boots the debug surface on the one listener at an
-// ephemeral port and checks that /metrics, /debug/vars, and /debug/pprof
-// respond — the surface a user reaches with curl during a -debug-addr run.
+// ephemeral port and checks that /metrics and /debug/pprof respond — the surface a user reaches with curl during a -debug-addr run.
 func TestDebugListener(t *testing.T) {
 	r := telemetry.New()
 	r.Counter("worlds.sampled").Add(5)
-	telemetry.PublishExpvar("soi-test-serve", r)
 	mux := http.NewServeMux()
 	Debug(mux, r, nil)
 	g := NewGate()
@@ -50,11 +48,6 @@ func TestDebugListener(t *testing.T) {
 	}
 	if !strings.HasPrefix(ctype, "text/plain; version=0.0.4") {
 		t.Errorf("/metrics content-type = %q", ctype)
-	}
-
-	code, body, _ = get("/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, "soi-test-serve") {
-		t.Errorf("/debug/vars: code=%d", code)
 	}
 
 	code, body, _ = get("/debug/pprof/cmdline")

@@ -10,7 +10,6 @@ import (
 
 	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
-	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/router"
@@ -24,7 +23,6 @@ import (
 // unmounted route 404.
 var debugRoutes = []string{
 	"/metrics",
-	"/debug/vars",
 	"/debug/traces",
 	"/debug/traces/not-a-trace-id",
 	"/debug/pprof/",
@@ -32,16 +30,18 @@ var debugRoutes = []string{
 	"/debug/pprof/profile?seconds=1",
 	"/debug/pprof/symbol",
 	"/debug/pprof/trace?seconds=0.05",
-	"/debug/failpoints",
 }
 
-// TestDebugRoutesEverywhere walks the debug route list against soid's
-// handler, soigw's handler (with and without telemetry) and a batch CLI's
-// -debug-addr listener: each route must answer something other than 404,
-// except the documented 404 "tracing disabled" of a daemon without a tracer.
-func TestDebugRoutesEverywhere(t *testing.T) {
-	t.Setenv(fault.HTTPEnvVar, "1") // the failpoint route is mounted at build time
+// debugTarget is one soi listener: soid's handler, soigw's handler (with
+// and without telemetry) or a batch CLI's -debug-addr listener.
+type debugTarget struct {
+	name  string
+	serve func(method, path string) (int, string)
+}
 
+// debugTargets builds the four listeners every debug route must agree on.
+func debugTargets(t *testing.T) []debugTarget {
+	t.Helper()
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1, 0.5)
 	b.AddEdge(1, 2, 0.5)
@@ -74,42 +74,67 @@ func TestDebugRoutesEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Flush()
+	t.Cleanup(cli.Flush)
 
 	// A handler's requests carry a canceled context, so the timed pprof
 	// routes return at once; the listener's wait out their short window.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	viaHandler := func(h http.Handler) func(string) (int, string) {
-		return func(path string) (int, string) {
+	viaHandler := func(h http.Handler) func(string, string) (int, string) {
+		return func(method, path string) (int, string) {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil).WithContext(canceled))
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, nil).WithContext(canceled))
 			return rec.Code, rec.Body.String()
 		}
 	}
-	viaListener := func(path string) (int, string) {
-		resp, err := http.Get("http://" + cli.DebugAddr + path)
+	viaListener := func(method, path string) (int, string) {
+		req, err := http.NewRequest(method, "http://"+cli.DebugAddr+path, nil)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
 		}
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-
-	for _, target := range []struct {
-		name string
-		get  func(string) (int, string)
-	}{
+	return []debugTarget{
 		{"soid", viaHandler(soid.Handler())},
 		{"soigw", viaHandler(gateway(telemetry.New(), trace.New(trace.Options{Service: "soigw"})))},
 		{"soigw without telemetry", viaHandler(gateway(nil, nil))},
 		{"cli -debug-addr", viaListener},
-	} {
+	}
+}
+
+// TestDebugRoutesEverywhere walks the debug route list against every
+// listener: each route must answer something other than 404, except the
+// documented 404 "tracing disabled" of a daemon without a tracer.
+func TestDebugRoutesEverywhere(t *testing.T) {
+	for _, target := range debugTargets(t) {
 		for _, route := range debugRoutes {
-			code, body := target.get(route)
+			code, body := target.serve("GET", route)
 			if code == http.StatusNotFound && !strings.Contains(body, "tracing disabled") {
 				t.Errorf("%s: GET %s = 404 %q", target.name, route, body)
+			}
+		}
+	}
+}
+
+// TestNoSideDoorRoutes: the debug surface is /metrics, /debug/traces and
+// pprof, nothing more. The expvar mirror and the remote failpoint control
+// answer 404 on every listener, even with the environment variable that
+// once mounted the latter; failpoints arm only in process or from
+// SOI_FAILPOINTS at start.
+func TestNoSideDoorRoutes(t *testing.T) {
+	t.Setenv("SOI_FAILPOINTS_HTTP", "1")
+	for _, target := range debugTargets(t) {
+		for _, route := range []string{"/debug/vars", "/debug/failpoints"} {
+			for _, method := range []string{"GET", "POST"} {
+				if code, _ := target.serve(method, route+"?spec=server/compute=error"); code != http.StatusNotFound {
+					t.Errorf("%s: %s %s = %d, want 404", target.name, method, route, code)
+				}
 			}
 		}
 	}

@@ -224,21 +224,6 @@ func (d *Dataset) learn(b *base, cfg Config, suffix string) error {
 	return err
 }
 
-// LoadAll materializes every configuration (expensive: builds logs and runs
-// the learners for the six learnt configurations).
-func LoadAll(cfg Config) ([]*Dataset, error) {
-	names := Names()
-	out := make([]*Dataset, 0, len(names))
-	for _, n := range names {
-		d, err := Load(n, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("datasets: loading %s: %w", n, err)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 // EdgeProbabilities returns the sorted multiset of edge probabilities of the
 // final graph — the series behind the paper's Figure 3 CDFs.
 func (d *Dataset) EdgeProbabilities() []float64 {

@@ -17,6 +17,9 @@
 //
 //     SOI_FAILPOINTS="atomicfile/rename=kill;checkpoint/flush=error:after=2"
 //
+//     A running process cannot be re-armed from outside: a cross-process
+//     harness restarts the binary with the spec it needs.
+//
 // Without either, Enable returns an error and every site stays disarmed.
 //
 // Triggers are deterministic: a failpoint fires on its After+1-th hit and at

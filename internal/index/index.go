@@ -54,10 +54,6 @@ type Options struct {
 	Samples int
 	// Seed drives the deterministic sampling of worlds.
 	Seed uint64
-	// Workers bounds build parallelism; zero and negative values both mean
-	// GOMAXPROCS (the convention shared by every Workers knob in this
-	// library).
-	Workers int
 	// Model selects IC (default) or LT live-edge sampling.
 	Model Model
 }
@@ -176,7 +172,7 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 	}
 	bm := newBuildMetrics(tel)
 	sp := trace.Child(ctx, "index.build")
-	runErr := pool.Run(ctx, opts.Samples, pool.Options{Workers: opts.Workers},
+	runErr := pool.Run(ctx, opts.Samples, pool.Options{},
 		func(_, i int) error {
 			if resumed.Get(i) {
 				return nil
@@ -267,16 +263,6 @@ func (x *Index) NumComponents(i int) int {
 		return e.numComps()
 	}
 	return 0
-}
-
-// CondensationEdges returns the number of condensation edges stored for
-// world i (after reduction, if enabled); 0 for a quarantined world.
-func (x *Index) CondensationEdges(i int) int {
-	e := x.world(i)
-	if e == nil {
-		return 0
-	}
-	return len(e.succ)
 }
 
 // Component returns the component identifier of node v in world i (the
@@ -394,38 +380,6 @@ func (x *Index) CascadeSizeFromSet(seeds []graph.NodeID, i int, s *Scratch) int 
 		s.mark[c] = false
 	}
 	return total
-}
-
-// VisitCascadeComps calls f(c, size) for every component in the cascade of
-// seeds in world i. It is the allocation-free primitive the influence-
-// maximization greedy uses for marginal-gain computations. A quarantined
-// world visits nothing.
-func (x *Index) VisitCascadeComps(seeds []graph.NodeID, i int, s *Scratch, f func(c int32, size int32)) {
-	e := x.world(i)
-	if e == nil {
-		return
-	}
-	s.comps = s.comps[:0]
-	for _, v := range seeds {
-		c := e.comp[v]
-		if !s.mark[c] {
-			s.mark[c] = true
-			s.comps = append(s.comps, c)
-		}
-	}
-	for head := 0; head < len(s.comps); head++ {
-		c := s.comps[head]
-		for _, d := range e.succs(c) {
-			if !s.mark[d] {
-				s.mark[d] = true
-				s.comps = append(s.comps, d)
-			}
-		}
-	}
-	for _, c := range s.comps {
-		s.mark[c] = false
-		f(c, e.memberOff[c+1]-e.memberOff[c])
-	}
 }
 
 // Cascades returns the cascades of v in every live world, each sorted. This

@@ -23,8 +23,6 @@ type MCOptions struct {
 	// saturation analysis, and the reason the typical-cascade method
 	// overtakes this one at large k.
 	Seed uint64
-	// Workers bounds simulation parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 func (o *MCOptions) validate() error {
@@ -49,7 +47,7 @@ type mcState struct {
 func (m *mcState) estimate(v graph.NodeID) (float64, error) {
 	m.evalCtr++
 	return cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), m.opts.Workers, checkpoint.Config{})
+		rng.Mix64(m.opts.Seed^m.evalCtr), 0, checkpoint.Config{})
 }
 
 func (m *mcState) gain(v graph.NodeID) (float64, error) {

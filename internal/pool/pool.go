@@ -46,7 +46,7 @@ func (e *PanicError) Error() string {
 // Options configures a Run.
 type Options struct {
 	// Workers bounds parallelism. Zero and negative values both select
-	// GOMAXPROCS — the library-wide convention for every Workers knob.
+	// GOMAXPROCS, which is what the library's builds and sweeps use.
 	Workers int
 }
 

@@ -691,7 +691,7 @@ func TestNewRejectsMismatchedArtifacts(t *testing.T) {
 }
 
 // TestTelemetryReportBounded: the process-lifetime registry must not grow
-// with the number of requests served. /debug/vars renders its whole report
+// with the number of requests served. /metrics renders the whole registry
 // on every scrape, so a per-request entry there (seed selection and
 // Monte-Carlo spread once left a span each) is a leak.
 func TestTelemetryReportBounded(t *testing.T) {

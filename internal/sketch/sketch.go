@@ -56,9 +56,6 @@ type Options struct {
 	// Seed drives the rank hashes. Two sketches of the same index with the
 	// same K and Seed are identical.
 	Seed uint64
-	// Workers bounds build parallelism; zero and negative values both mean
-	// GOMAXPROCS (the library-wide convention).
-	Workers int
 }
 
 // Sketch holds the combined bottom-k reachability sketches of every node of
@@ -80,8 +77,8 @@ type Sketch struct {
 }
 
 // Build constructs combined sketches over every live world of x. The result
-// is deterministic given (index contents, K, Seed), independent of Workers.
-// The parallel phases check ctx between tasks, and a canceled context
+// is deterministic given (index contents, K, Seed), independent of the
+// worker count (GOMAXPROCS). The parallel phases check ctx between tasks, and a canceled context
 // returns ctx.Err(). The registry ctx carries (telemetry.FromContext)
 // receives the build counters and the rank passes' pool utilization, and is
 // attached to the sketch, as by SetTelemetry. The "sketch.build" span opens
@@ -112,7 +109,7 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 		comp    []int32
 		ok      bool
 	}
-	workers := pool.Workers(opts.Workers, worlds)
+	workers := pool.Workers(0, worlds)
 	batch := workers
 	passes := make([]pass, batch)
 	live := 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -87,9 +88,11 @@ func TestBuildInvariants(t *testing.T) {
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	g := randomGraph(t, 60, 0.08, 2)
 	x := buildIndex(t, g, 13, 11)
-	want := serialize(t, mustBuild(t, x, Options{K: 6, Seed: 5, Workers: 1}))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := serialize(t, mustBuild(t, x, Options{K: 6, Seed: 5}))
 	for _, w := range []int{2, 3, 8} {
-		got := serialize(t, mustBuild(t, x, Options{K: 6, Seed: 5, Workers: w}))
+		runtime.GOMAXPROCS(w)
+		got := serialize(t, mustBuild(t, x, Options{K: 6, Seed: 5}))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d produced different sketch bytes", w)
 		}

@@ -1,12 +1,10 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 )
 
 // promName maps a dotted metric name to a Prometheus-safe identifier:
@@ -78,42 +76,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
-}
-
-var expvarMu sync.Mutex
-
-// PublishExpvar publishes the registry's report under the given expvar
-// name. expvar.Publish panics on duplicate names, so re-publishing (tests,
-// repeated runs in one process) silently rebinds instead: the most recently
-// published registry wins.
-func PublishExpvar(name string, r *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if f, ok := v.(*expvarFunc); ok {
-			f.mu.Lock()
-			f.reg = r
-			f.mu.Unlock()
-			return
-		}
-		return // name taken by something else; leave it alone
-	}
-	f := &expvarFunc{reg: r}
-	expvar.Publish(name, f)
-}
-
-type expvarFunc struct {
-	mu  sync.Mutex
-	reg *Registry
-}
-
-func (f *expvarFunc) String() string {
-	f.mu.Lock()
-	reg := f.reg
-	f.mu.Unlock()
-	b, err := reg.Report().JSON()
-	if err != nil {
-		return "{}"
-	}
-	return strings.TrimSuffix(string(b), "\n")
 }

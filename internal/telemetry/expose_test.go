@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
 	"strings"
 	"testing"
 )
@@ -59,27 +57,5 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestPublishExpvarRebind: publishing twice must not panic, and the second
-// registry must win.
-func TestPublishExpvarRebind(t *testing.T) {
-	r1 := New()
-	r1.Counter("x.count").Add(1)
-	r2 := New()
-	r2.Counter("x.count").Add(2)
-	PublishExpvar("soi-test-rebind", r1)
-	PublishExpvar("soi-test-rebind", r2)
-	v := expvar.Get("soi-test-rebind")
-	if v == nil {
-		t.Fatal("expvar missing")
-	}
-	var rep Report
-	if err := json.Unmarshal([]byte(v.String()), &rep); err != nil {
-		t.Fatalf("expvar output is not report JSON: %v", err)
-	}
-	if rep.Counters["x.count"] != 2 {
-		t.Errorf("expvar bound to stale registry: %+v", rep.Counters)
 	}
 }

@@ -56,7 +56,7 @@ grep -q '"cut_edges": 0' "$work/net-topology.json" || \
 # --- shard processes: shard 0 gets two replicas (A, B), shard 1 one (C) ---
 start_soid() { # name shard
   local name=$1 shard=$2
-  SOI_FAILPOINTS_HTTP=1 "$work/soid" \
+  "$work/soid" \
     -graph "$work/net-shard$shard.tsv" -index "$work/net-shard$shard.idx" \
     -spheres "$work/net-shard$shard.spheres" \
     -addr 127.0.0.1:0 -addr-file "$work/$name.addr" 2> "$work/$name.log" &
@@ -68,18 +68,27 @@ wait_file() {
   for _ in $(seq 1 100); do [ -s "$1" ] && return 0; sleep 0.1; done
   fail "timed out waiting for $1"
 }
-restart_soid() { # name shard  (rebind the address recorded at first start)
-  local name=$1 shard=$2 addr
+wait_ready() { # addr
+  for _ in $(seq 1 100); do
+    [ "$(curl -s -o /dev/null -w '%{http_code}' "http://$1/readyz")" = 200 ] && return 0
+    sleep 0.1
+  done
+  return 1
+}
+# restart_soid rebinds the address recorded at first start, with the
+# failpoint spec (if any) armed from SOI_FAILPOINTS at process start.
+restart_soid() { # name shard [failpoint spec]
+  local name=$1 shard=$2 spec=${3:-} addr
   addr="$(cat "$work/$name.addr")"
   for _ in $(seq 1 50); do # the killed process's port may linger briefly
-    SOI_FAILPOINTS_HTTP=1 "$work/soid" \
+    SOI_FAILPOINTS="$spec" "$work/soid" \
       -graph "$work/net-shard$shard.tsv" -index "$work/net-shard$shard.idx" \
       -spheres "$work/net-shard$shard.spheres" \
       -addr "$addr" 2>> "$work/$name.log" &
     local p=$!
     disown
     sleep 0.2
-    if kill -0 "$p" 2>/dev/null; then pids+=("$p"); return 0; fi
+    if kill -0 "$p" 2>/dev/null; then pids+=("$p"); eval "${name}_pid=$p"; return 0; fi
     sleep 0.2
   done
   fail "could not rebind $name on $addr"
@@ -142,10 +151,13 @@ grep -q '"shards_ok":2' "$work/body" || fail "failover spread body lacks shards_
 echo "topology-smoke: replica A killed, retries failed over to replica B"
 
 # --- mid-query shard kill: degraded 206 with a widened error bound --------
-# Pin shard 1's compute with a 2s failpoint delay, fire a scatter, and kill
-# the only shard-1 replica while its leg is inside the delay.
-curl -fsS -X POST "http://$c_addr/debug/failpoints?spec=server/compute=delay:delay=2s" \
-  > /dev/null || fail "could not arm the compute failpoint on shard 1"
+# Restart shard 1 with its compute pinned by a 2s failpoint delay, fire a
+# scatter, and kill the only shard-1 replica while its leg is inside the
+# delay.
+kill -9 "$c_pid"
+restart_soid c 1 "server/compute=delay:delay=2s"
+wait_ready "$c_addr" || fail "shard 1 never became ready after its restart"
+wait_ready "$gw" || fail "gateway did not see shard 1 ready again"
 curl -s -o "$work/degraded" -w '%{http_code}' \
   "http://$gw/v1/spread?seeds=0,20,2&budget=5s" > "$work/degraded.code" &
 query_pid=$!

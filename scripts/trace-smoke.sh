@@ -53,7 +53,7 @@ echo "trace-smoke: partitioning into 2 shards"
 
 start_soid() { # name shard
   local name=$1 shard=$2
-  SOI_FAILPOINTS_HTTP=1 "$work/soid" \
+  "$work/soid" \
     -graph "$work/net-shard$shard.tsv" -index "$work/net-shard$shard.idx" \
     -spheres "$work/net-shard$shard.spheres" \
     -trace-sample 1 -request-log "$work/$name.requests.jsonl" \
@@ -66,6 +66,32 @@ wait_file() {
   for _ in $(seq 1 100); do [ -s "$1" ] && return 0; sleep 0.1; done
   fail "timed out waiting for $1"
 }
+wait_ready() { # addr
+  for _ in $(seq 1 100); do
+    [ "$(curl -s -o /dev/null -w '%{http_code}' "http://$1/readyz")" = 200 ] && return 0
+    sleep 0.1
+  done
+  return 1
+}
+# restart_soid rebinds the address recorded at first start, with the
+# failpoint spec (if any) armed from SOI_FAILPOINTS at process start.
+restart_soid() { # name shard [failpoint spec]
+  local name=$1 shard=$2 spec=${3:-} addr
+  addr="$(cat "$work/$name.addr")"
+  for _ in $(seq 1 50); do # the killed process's port may linger briefly
+    SOI_FAILPOINTS="$spec" "$work/soid" \
+      -graph "$work/net-shard$shard.tsv" -index "$work/net-shard$shard.idx" \
+      -spheres "$work/net-shard$shard.spheres" \
+      -trace-sample 1 -request-log "$work/$name.requests.jsonl" \
+      -addr "$addr" 2>> "$work/$name.log" &
+    local p=$!
+    disown
+    sleep 0.2
+    if kill -0 "$p" 2>/dev/null; then pids+=("$p"); eval "${name}_pid=$p"; return 0; fi
+    sleep 0.2
+  done
+  fail "could not rebind $name on $addr"
+}
 
 echo "trace-smoke: starting shard daemons with tracing on"
 start_soid a 0
@@ -74,12 +100,7 @@ wait_file "$work/a.addr"; wait_file "$work/c.addr"
 a_addr="$(cat "$work/a.addr")"; c_addr="$(cat "$work/c.addr")"
 
 for shard in "$a_addr" "$c_addr"; do
-  for _ in $(seq 1 100); do
-    code="$(curl -s -o /dev/null -w '%{http_code}' "http://$shard/readyz")" || true
-    [ "$code" = 200 ] && break
-    sleep 0.1
-  done
-  [ "$code" = 200 ] || fail "shard $shard never became ready"
+  wait_ready "$shard" || fail "shard $shard never became ready"
 done
 
 # Hedging stays off, and the gateway probes its (ready) shards once at
@@ -150,11 +171,13 @@ grep "\"trace_id\":\"$hrid\"" "$work/gw.requests.jsonl" | grep -q '"cache":"hit"
 echo "trace-smoke: repeated query $hrid answered from the gateway cache, no leg"
 
 # --- mid-query shard kill: the 206's trace shows the dead leg + breaker ---
-# Pin shard 1's compute with a 2s failpoint delay, fire a scatter, and kill
-# the only shard-1 replica while its leg is inside the delay. The leg errors,
-# both retries hit a dead port, and the second failure opens the breaker.
-curl -fsS -X POST "http://$c_addr/debug/failpoints?spec=server/compute=delay:delay=2s" \
-  > /dev/null || fail "could not arm the compute failpoint on shard 1"
+# Restart shard 1 with its compute pinned by a 2s failpoint delay, fire a
+# scatter, and kill the only shard-1 replica while its leg is inside the
+# delay. The leg errors, both retries hit a dead port, and the second
+# failure opens the breaker.
+kill -9 "$c_pid"
+restart_soid c 1 "server/compute=delay:delay=2s"
+wait_ready "$c_addr" || fail "shard 1 never became ready after its restart"
 curl -s -D "$work/deg.hdrs" -o "$work/degraded" -w '%{http_code}' \
   "http://$gw/v1/spread?seeds=0,20,1&budget=5s" > "$work/degraded.code" &
 query_pid=$!
