@@ -50,7 +50,7 @@ bench-json:
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Short fuzz runs over every binary-format decoder (graph TSV, index
-# SOIIDX03 through the strict reader alone and through both the strict
+# SOIIDX04 through the strict reader alone and through both the strict
 # reader and soid's quarantining load, the index build's checkpoint
 # payload, sphere store
 # SOISPH03, checkpoint SOICKP01 and the all-nodes sweep's checkpoint

@@ -22,12 +22,13 @@
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish (bounded by
 // -drain-timeout), new ones get 503.
 //
-// soid serves only a saved index: without -index it exits 1 naming the
-// sphere command that builds one. The index loads eagerly, and a corrupt
-// world block is quarantined rather than fatal: the load logs "QUARANTINE
-// world N", counts it in index.worlds_quarantined, and queries answer over
-// the surviving worlds with HTTP 206 and a widened error bound (503
-// "degraded" once every world is lost) until the file is repaired with
+// soid serves only a saved index, sampled from -graph: without -index it
+// exits 1 naming the sphere command that builds one. Samples follow the
+// index's model (logged as model=IC|LT). The index loads eagerly, and a
+// corrupt world block is quarantined rather than fatal: the load logs
+// "QUARANTINE world N", counts it in index.worlds_quarantined, and queries
+// answer over the surviving worlds with HTTP 206 and a widened error bound
+// (503 "degraded" once every world is lost) until the file is repaired with
 // soifsck. Damage to the file's header or block directory, or truncation,
 // refuses startup. Quarantine is settled before /readyz turns ready.
 //
@@ -61,7 +62,6 @@ import (
 // with soigw.
 type options struct {
 	graph, index, spheres, sketch string
-	lt                            bool
 	expectFP                      string
 	maxInflight, maxQueue         int
 	costSamples, trials           int
@@ -75,7 +75,6 @@ func flags(fs *flag.FlagSet) (*options, *daemon.Lifecycle) {
 	fs.StringVar(&o.index, "index", "", "prebuilt index file from sphere -build-index (required)")
 	fs.StringVar(&o.spheres, "spheres", "", "sphere store file (sphere -all -store); enables /v1/seeds")
 	fs.StringVar(&o.sketch, "sketch", "", "combined bottom-k sketch file (sphere -sketch-out); enables estimator=sketch on /v1/{spread,sphere,seeds}")
-	fs.BoolVar(&o.lt, "lt", false, "Linear Threshold model (must match how the index was built)")
 	fs.StringVar(&o.expectFP, "expect-fp", "", "refuse to start unless the graph fingerprint (soi.Fingerprint, hex) matches")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently computing requests; 0 means GOMAXPROCS")
 	fs.IntVar(&o.maxQueue, "max-queue", 0, "max requests queued for a compute slot; 0 means 4x max-inflight, -1 disables queueing")
@@ -127,10 +126,6 @@ func run(o *options, life *daemon.Lifecycle) error {
 		}
 	}
 
-	model := index.IC
-	if o.lt {
-		model = index.LT
-	}
 	tel := life.Telemetry
 	tel.SetSeed(o.seed)
 	tel.SetGraphHash(graphFP)
@@ -166,12 +161,10 @@ func run(o *options, life *daemon.Lifecycle) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Graph:       g,
 		OrigIDs:     orig,
 		Index:       x,
 		Spheres:     spheres,
 		Sketch:      sk,
-		Model:       model,
 		Telemetry:   tel,
 		Tracer:      life.Tracer,
 		RequestLog:  life.RequestLog,
@@ -185,7 +178,7 @@ func run(o *options, life *daemon.Lifecycle) error {
 		return err
 	}
 
-	log.Printf("serving on http://%s  graph=%016x index=%016x nodes=%d worlds=%d quarantined=%d spheres=%v sketch=%v",
-		resolved, graphFP, srv.IndexFingerprint(), g.NumNodes(), x.NumWorlds(), x.QuarantinedWorlds(), spheres != nil, sk != nil)
+	log.Printf("serving on http://%s  graph=%016x index=%016x model=%s nodes=%d worlds=%d quarantined=%d spheres=%v sketch=%v",
+		resolved, graphFP, x.Fingerprint(), x.Model(), g.NumNodes(), x.NumWorlds(), x.QuarantinedWorlds(), spheres != nil, sk != nil)
 	return life.Serve(srv.Handler(), srv.Drain)
 }

@@ -122,7 +122,15 @@ func TestRunRefusesForeignStore(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			b.AddEdge(graph.NodeID(i), graph.NodeID((i+1+s)%10), 0.6)
 		}
-		g := b.MustBuild()
+		// Index the graph as soid will load it: the file's dense order.
+		gp := filepath.Join(dir, fmt.Sprintf("shard%d.tsv", s))
+		if err := graph.SaveFile(gp, b.MustBuild(), nil); err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := graph.LoadFile(gp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		x, err := index.Build(context.Background(), g, index.Options{Samples: 20, Seed: uint64(s)}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -139,10 +147,6 @@ func TestRunRefusesForeignStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s == 1 {
-			gp := filepath.Join(dir, "shard1.tsv")
-			if err := graph.SaveFile(gp, g, nil); err != nil {
-				t.Fatal(err)
-			}
 			err := run(parse(t, "-graph", gp, "-index", idx[1], "-spheres", store[0], "-addr", ":0"))
 			if err == nil || !strings.Contains(err.Error(), "sphere store") || !strings.Contains(err.Error(), core.StoreKind.Rebuild) {
 				t.Fatalf("err %v, want a refused sphere store naming %q", err, core.StoreKind.Rebuild)

@@ -1,5 +1,5 @@
 // Command soifsck verifies and repairs soi on-disk artifacts: cascade index
-// files (SOIIDX03, from sphere -build-index), sphere stores (SOISPH03, from
+// files (SOIIDX04, from sphere -build-index), sphere stores (SOISPH03, from
 // sphere -all -store) and sketches (SOISKC02, from sphere -sketch-out). All
 // three are written in the one blockfile container and checked by one loop;
 // the kind is detected from the file's magic. A file in any other format,
@@ -15,8 +15,9 @@
 //	soifsck -v idx.bin               # ... with one line per block
 //	soifsck -repair fixed.bin idx.bin
 //
-// A repaired index has fewer worlds than the original (the corrupt blocks
-// are dropped); estimates over it carry correspondingly wider error bounds.
+// An index's summary names its model and graph fingerprint. A repaired
+// index has fewer worlds than the original (the corrupt blocks are
+// dropped); estimates over it carry correspondingly wider error bounds.
 // A node-range block cannot be dropped, so a store or sketch with a bad
 // block is refused and must be rebuilt; footer damage and trailing bytes
 // are rewritten clean for every kind.
@@ -95,7 +96,12 @@ func checkFile(path, repair string, verbose bool) int {
 	if rep.Kind.NodeRange {
 		unit = "blocks"
 	}
-	log.Printf("%s: %s nodes=%d %s=%d size=%d", path, rep.Kind.Magic[:], rep.Nodes, unit, len(rep.Dir), rep.FileSize)
+	inputs := ""
+	if rep.Kind == index.FileKind {
+		fp, model := index.ParseMeta(rep.Meta)
+		inputs = fmt.Sprintf(" model=%s graph=%016x", model, fp)
+	}
+	log.Printf("%s: %s nodes=%d %s=%d%s size=%d", path, rep.Kind.Magic[:], rep.Nodes, unit, len(rep.Dir), inputs, rep.FileSize)
 	for i, berr := range rep.Errs {
 		b := rep.Dir[i]
 		switch {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"soi/internal/blockfile"
@@ -188,5 +192,50 @@ func TestCheckFileUnusable(t *testing.T) {
 	}
 	if code := checkFile(p, "", false); code != 2 {
 		t.Fatalf("unrecognized magic: exit %d, want 2", code)
+	}
+}
+
+// captureLog returns what fn logs.
+func captureLog(t *testing.T, fn func()) string {
+	t.Helper()
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+	fn()
+	return buf.String()
+}
+
+// TestCheckFileIndexInputs: an index's summary names the model and graph
+// fingerprint its worlds were sampled from.
+func TestCheckFileIndexInputs(t *testing.T) {
+	b := graph.NewBuilder(8)
+	for i := 0; i < 8; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%8), 0.6) // in-weights <= 1: a valid LT input
+	}
+	x, err := index.Build(context.Background(), b.MustBuild(), index.Options{Samples: 3, Seed: 5, Model: index.LT}, checkpoint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "lt.idx")
+	if err := x.SaveFile(p); err != nil {
+		t.Fatal(err)
+	}
+	code := 0
+	out := captureLog(t, func() { code = checkFile(p, "", false) })
+	if want := fmt.Sprintf(" model=LT graph=%016x ", x.GraphFingerprint()); code != 0 || !strings.Contains(out, want) {
+		t.Fatalf("exit %d, log:\n%s\nwant a summary naming%q", code, out, want)
+	}
+}
+
+// TestCheckFileSOIIDX03: an index in the retired format is unusable (exit
+// 2), verified or repaired, and the refusal names the rebuild command.
+func TestCheckFileSOIIDX03(t *testing.T) {
+	p := filepath.Join("..", "..", "internal", "index", "testdata", "soiidx03.idx")
+	for _, repair := range []string{"", filepath.Join(t.TempDir(), "fixed.idx")} {
+		code := 0
+		out := captureLog(t, func() { code = checkFile(p, repair, false) })
+		if code != 2 || !strings.Contains(out, "SOIIDX03") || !strings.Contains(out, "sphere -graph g.tsv -build-index new.idx") {
+			t.Fatalf("repair %q: exit %d, log:\n%s\nwant exit 2 naming the retired magic and the rebuild command", repair, code, out)
+		}
 	}
 }

@@ -75,14 +75,14 @@ func startShard(t *testing.T, id int, ids []int64) (router.ShardManifest, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Graph: g, OrigIDs: ids, Index: x})
+	srv, err := server.New(server.Config{OrigIDs: ids, Index: x})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return router.ShardManifest{ID: id, NumNodes: len(ids), Nodes: ids,
-		GraphFingerprint: fmt.Sprintf("%016x", srv.GraphFingerprint())}, ts.URL
+		GraphFingerprint: fmt.Sprintf("%016x", x.GraphFingerprint())}, ts.URL
 }
 
 // TestRunServesAndDrains exercises the gateway end to end in-process over two

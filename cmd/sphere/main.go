@@ -51,7 +51,7 @@ func main() {
 		buildIndex  = flag.String("build-index", "", "build the index, save it to this path, and exit")
 		sketchOut   = flag.String("sketch-out", "", "build a combined bottom-k reachability sketch over the index worlds, save it to this path, and exit (requires -index or -build-index; serve with soid -sketch)")
 		sketchK     = flag.Int("sketch-k", sketch.DefaultK, "bottom-k sketch size: larger k tightens the Cohen bound (ε ≈ sqrt(6·ln(2/δ)/(k-1))) at k×8 bytes per node")
-		ltModel     = flag.Bool("lt", false, "use the Linear Threshold model (edge weights must satisfy Σ_in <= 1)")
+		ltModel     = flag.Bool("lt", false, "sample the index this run builds under the Linear Threshold model (edge weights must satisfy Σ_in <= 1); an -index file records its own model")
 		outPath     = flag.String("out", "", "write results here instead of stdout")
 		storePath   = flag.String("store", "", "with -all: also persist the spheres to this file (see cmd/infmax -spheres)")
 		modes       = flag.Int("modes", 0, "with -node: also report up to this many cascade modes (die-out vs take-off)")
@@ -91,8 +91,12 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 		return err
 	}
 	rt.GraphHash(g)
+	model := index.IC
+	if lt {
+		model = index.LT
+	}
 	if shards > 0 {
-		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, lt)
+		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, model)
 	}
 	tel := rt.Registry
 	tel.SetSeed(seed)
@@ -115,14 +119,13 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	var x *index.Index
 	if indexPath != "" {
 		x, err = index.LoadFile(indexPath, g)
+		if err == nil && lt && x.Model() != model {
+			err = fmt.Errorf("-lt contradicts %s, which was sampled under %s; drop -lt or rebuild the index with it", indexPath, x.Model())
+		}
 		if err == nil {
 			x.SetTelemetry(tel)
 		}
 	} else {
-		model := index.IC
-		if lt {
-			model = index.LT
-		}
 		cfg := cliutil.ResumeConfig("sphere", suffix(ckptPath, ".idx"), deadline)
 		x, err = cliutil.RetryStale("sphere", cfg.Path, func() (*index.Index, error) {
 			return index.Build(ctx, g, index.Options{Samples: samples, Seed: seed, Model: model}, cfg)
@@ -158,9 +161,6 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	w := bufio.NewWriter(&buf)
 
 	opts := core.Options{Algorithm: alg, CostSamples: costSamples, CostSeed: seed ^ 0xC057}
-	if lt {
-		opts.Model = index.LT
-	}
 	name := func(v graph.NodeID) int64 {
 		if orig != nil {
 			return orig[v]

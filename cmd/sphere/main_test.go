@@ -255,5 +255,8 @@ func TestRunShardsManifestFingerprints(t *testing.T) {
 		if got := fmt.Sprintf("%016x", x.Fingerprint()); got != sh.IndexFingerprint {
 			t.Fatalf("shard %d: manifest index_fingerprint %s, loaded file fingerprints to %s", sh.ID, sh.IndexFingerprint, got)
 		}
+		if got := fmt.Sprintf("%016x", x.GraphFingerprint()); got != sh.GraphFingerprint {
+			t.Fatalf("shard %d: manifest graph_fingerprint %s, index file records %s", sh.ID, sh.GraphFingerprint, got)
+		}
 	}
 }

@@ -23,13 +23,9 @@ import (
 // consumes. Artifacts land at <prefix>-shard<N>.{tsv,idx,spheres} with the
 // manifest at <prefix>-topology.json.
 func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
-	prefix string, samples, costSamples int, seed uint64, lt bool) error {
+	prefix string, samples, costSamples int, seed uint64, model index.Model) error {
 	if prefix == "" {
 		return fmt.Errorf("-shards requires -shard-out PREFIX")
-	}
-	model := index.IC
-	if lt {
-		model = index.LT
 	}
 
 	p, err := scc.Partition(g, k)
@@ -99,7 +95,6 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 		spheres, err := core.ComputeAll(ctx, x, core.Options{
 			CostSamples: costSamples,
 			CostSeed:    seed ^ 0xC057,
-			Model:       model,
 		}, checkpoint.Config{})
 		if err != nil {
 			return fmt.Errorf("shard %d spheres: %w", s, err)
@@ -114,7 +109,7 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 			GraphFile:        filepath.Base(graphPath),
 			IndexFile:        filepath.Base(indexPath),
 			SphereFile:       filepath.Base(spherePath),
-			GraphFingerprint: fmt.Sprintf("%016x", soi.Fingerprint(gs)),
+			GraphFingerprint: fmt.Sprintf("%016x", x.GraphFingerprint()),
 			IndexFingerprint: fmt.Sprintf("%016x", x.Fingerprint()),
 			NumNodes:         gs.NumNodes(),
 			NumEdges:         gs.NumEdges(),

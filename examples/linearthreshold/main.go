@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	allLT, err := soi.AllTypicalCascades(ctx, idxLT, soi.TypicalOptions{Model: soi.ModelLT}, soi.ResumeConfig{})
+	allLT, err := soi.AllTypicalCascades(ctx, idxLT, soi.TypicalOptions{}, soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

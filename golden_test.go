@@ -34,10 +34,10 @@ func TestArtifactGoldenBytes(t *testing.T) {
 	// The zero-value options build the transitively reduced index, the same
 	// one every CLI builder writes.
 	const (
-		indexFP  = uint64(0x88f50381f24727db)
-		indexSHA = "45283e0af84e344024ef81b44e8d5ca34b7f6c1676e8cb99557f29f881b4da50"
-		skcSHA   = "aa8562e7741aab566645ce55ec521e80ad4097424211b72f73eabafe330790ab"
-		sphSHA   = "f61646aa3447512b296b0707315b82f0a81aa879febf0a2ad82e1cfd533e31a4"
+		indexFP  = uint64(0xa38d5f75f04db86f)
+		indexSHA = "a345153d9755ef57da8123ae742461f72fccba5b1a6d5b97e182493eec797241"
+		skcSHA   = "727e17fc12008d722fa0334d64b99cd0b8803c9453c33bae6c23420b60a77add"
+		sphSHA   = "6f799824b9380eba604e235fde11b4a2e73107a548aca46b58c577e539170a78"
 	)
 	x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 24, Seed: 17}, ResumeConfig{})
 	if err != nil {

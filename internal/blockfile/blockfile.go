@@ -24,7 +24,7 @@
 //   - No header count is trusted for an allocation before the bytes it
 //     describes are known to be present.
 //
-// The index (SOIIDX03), the sphere store (SOISPH03) and the sketch
+// The index (SOIIDX04), the sphere store (SOISPH03) and the sketch
 // (SOISKC02) are the three kinds on the container; only this package writes
 // or parses their framing, and fsck.go verifies and repairs all three.
 package blockfile
@@ -62,7 +62,7 @@ type BlockInfo struct {
 	Off int64  // absolute file offset of the block's first byte
 	Len uint32 // block length in bytes
 	CRC uint32 // CRC32-C of the block bytes
-	Aux uint32 // format-specific (SOIIDX03: component count)
+	Aux uint32 // format-specific (the index: component count)
 }
 
 // EntrySize is the serialized size of one directory entry.

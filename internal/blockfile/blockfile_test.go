@@ -102,18 +102,18 @@ func TestContainerRoundTrip(t *testing.T) {
 		got = append(got, block...)
 		return nil
 	}
-	h, err := toyKind.Read(bytes.NewReader(data), nodes, keep, nil)
+	h, err := toyKind.Read(bytes.NewReader(data), nil, keep, nil)
 	if err != nil || len(got) != nodes || len(h.Dir) != 3 || !bytes.Equal(h.Meta, []byte{7, 8}) {
 		t.Fatalf("Read: %d bytes, header %+v, err %v", len(got), h, err)
 	}
 	bad := append([]byte(nil), data...)
 	bad[h.Dir[1].Off] ^= 1
-	if _, err := toyKind.Read(bytes.NewReader(bad), nodes, keep, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := toyKind.Read(bytes.NewReader(bad), nil, keep, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("strict read of a bad block: err = %v, want ErrCorrupt", err)
 	}
 	got = nil
 	var quarantined []int
-	_, err = toyKind.Read(bytes.NewReader(bad), nodes, keep, func(i int, err error) {
+	_, err = toyKind.Read(bytes.NewReader(bad), nil, keep, func(i int, err error) {
 		if errors.Is(err, ErrCorrupt) {
 			quarantined = append(quarantined, i)
 		}

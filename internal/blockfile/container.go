@@ -16,16 +16,16 @@ import (
 //	magic   [8]byte          the kind's magic
 //	nodes   uint32           node count of the graph the file describes
 //	blocks  uint32           block count
-//	meta    [Kind.Meta]byte  the kind's fixed header (empty for the index)
+//	meta    [Kind.Meta]byte  the kind's fixed header
 //	dir     blocks × {off u64, len u32, crc u32, aux u32}
 //	dirCRC  uint32           CRC32-C of every byte above (magic included)
 //	blocks  contiguous, block i at dir[i].off
 //	footer  uint32           CRC32-C of every preceding byte
 //
-// A kind supplies only its magic, its meta length, its block codec and its
-// per-entry directory check; the framing above is written by Write, read by
-// ReadHeader and Read, and checked and repaired by Fsck and Repair, for
-// every kind alike.
+// A kind supplies only its magic, its meta length and check, its block
+// codec and its per-entry directory check; the framing above is written by
+// Write, read by ReadHeader and Read, and checked and repaired by Fsck and
+// Repair, for every kind alike.
 
 // RangeNodes is the number of nodes in each block of a NodeRange kind (the
 // last block holds the remainder).
@@ -59,6 +59,8 @@ type Kind struct {
 	// Rebuild is the command that rebuilds a file of this kind; every
 	// rejected magic and refused repair names it.
 	Rebuild string
+	// CheckMeta, if set, vets the kind's meta; an error is corruption.
+	CheckMeta func(meta []byte) error
 	// CheckEntry vets directory entry i against the header before any block
 	// is trusted.
 	CheckEntry func(h *Header, i int) error
@@ -117,10 +119,10 @@ func (h *Header) Verify(i int, block []byte) error {
 // ReadHeader reads and verifies everything before the first block from r:
 // the magic, the counts, the meta, the directory checksum, and the
 // directory's geometry and per-entry sanity. It is the one header check
-// behind every reader and Fsck. wantNodes < 0 accepts any plausible node
-// count; fileSize < 0 skips the end-of-file geometry check (a stream does
-// not know its length). On error the header holds what was parsed so far.
-func (k *Kind) ReadHeader(r io.Reader, wantNodes int, fileSize int64) (*Header, error) {
+// behind every reader and Fsck. fileSize < 0 skips the end-of-file geometry
+// check (a stream does not know its length). On error the header holds
+// what was parsed so far.
+func (k *Kind) ReadHeader(r io.Reader, fileSize int64) (*Header, error) {
 	h := &Header{Kind: k}
 	// The header is read through a growing buffer rather than a trusted
 	// up-front allocation, so a forged block count fails at EOF instead of
@@ -137,9 +139,6 @@ func (k *Kind) ReadHeader(r io.Reader, wantNodes int, fileSize int64) (*Header, 
 	}
 	h.Nodes = binary.LittleEndian.Uint32(buf.Bytes()[8:])
 	blocks := binary.LittleEndian.Uint32(buf.Bytes()[12:])
-	if wantNodes >= 0 && int(h.Nodes) != wantNodes {
-		return h, fmt.Errorf("%s: built for %d nodes, graph has %d", k.Name, h.Nodes, wantNodes)
-	}
 	if h.Nodes == 0 || h.Nodes > maxNodes {
 		return h, fmt.Errorf("%s: %w: implausible node count %d", k.Name, ErrCorrupt, h.Nodes)
 	}
@@ -166,6 +165,11 @@ func (k *Kind) ReadHeader(r io.Reader, wantNodes int, fileSize int64) (*Header, 
 		return h, fmt.Errorf("%s: %w", k.Name, err)
 	}
 	h.Meta = b[countsLen:k.HeaderLen()]
+	if k.CheckMeta != nil {
+		if err := k.CheckMeta(h.Meta); err != nil {
+			return h, fmt.Errorf("%s: %w: %v", k.Name, ErrCorrupt, err)
+		}
+	}
 	h.Dir, h.Backed = dir, fileSize >= 0
 	for i := range dir {
 		if err := k.CheckEntry(h, i); err != nil {
@@ -248,12 +252,13 @@ func (k *Kind) Write(w io.Writer, nodes uint32, meta []byte, dir []BlockInfo, en
 	return n, bw.Flush()
 }
 
-// Read streams a file of kind k from r: the header, then every block,
-// checked against its directory checksum and handed to use, then the
-// whole-file footer; trailing bytes are corruption. The block slice is
-// reused between calls, so use must copy what it keeps. The file is never
-// held whole. When r is a regular file, its length is checked against the
-// directory up front, and the header is Backed.
+// Read streams a file of kind k from r: the header, which check may refuse
+// (nil accepts any), then every block, checked against its directory
+// checksum and handed to use, then the whole-file footer; trailing bytes are
+// corruption. The block slice is reused between calls, so use must copy
+// what it keeps. The file is never held whole. When r is a regular file, its
+// length is checked against the directory up front, and the header is
+// Backed.
 //
 // The caller chooses the policy for a bad block. With quarantine nil the
 // read is strict: a block that fails its checksum or use, or a footer that
@@ -261,7 +266,7 @@ func (k *Kind) Write(w io.Writer, nodes uint32, meta []byte, dir []BlockInfo, en
 // quarantine and the read goes on, and the footer, which any bad block
 // breaks, is read but not compared. Damage to the header, the directory or
 // its geometry, and truncation, reject the file under both policies.
-func (k *Kind) Read(r io.Reader, wantNodes int, use func(h *Header, i int, block []byte) error, quarantine func(i int, err error)) (*Header, error) {
+func (k *Kind) Read(r io.Reader, check func(h *Header) error, use func(h *Header, i int, block []byte) error, quarantine func(i int, err error)) (*Header, error) {
 	size := int64(-1)
 	if f, ok := r.(*os.File); ok {
 		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
@@ -273,7 +278,10 @@ func (k *Kind) Read(r io.Reader, wantNodes int, use func(h *Header, i int, block
 	br := bufio.NewReader(r)
 	sum := crc32.New(castagnoli)
 	tee := io.TeeReader(br, sum)
-	h, err := k.ReadHeader(tee, wantNodes, size)
+	h, err := k.ReadHeader(tee, size)
+	if err == nil && check != nil {
+		err = check(h)
+	}
 	if err != nil {
 		return nil, err
 	}

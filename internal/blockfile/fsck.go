@@ -119,7 +119,7 @@ func fsck(path string, kinds []*Kind) (*Report, [][]byte, error) {
 		rep.Fatal = fmt.Errorf("%w: unrecognized magic %q", ErrMagic, data[:min(len(data), 8)])
 		return rep, nil, nil
 	}
-	rep.Header, rep.Fatal = k.ReadHeader(bytes.NewReader(data), -1, -1)
+	rep.Header, rep.Fatal = k.ReadHeader(bytes.NewReader(data), -1)
 	if rep.Fatal != nil {
 		return rep, nil, nil
 	}

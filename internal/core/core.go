@@ -120,12 +120,8 @@ type Options struct {
 	// the expected cost ρ of the computed set. 0 disables the estimate
 	// (ExpectedCost is then NaN-free but reported as -1).
 	CostSamples int
-	// CostSeed seeds the held-out sampling.
+	// CostSeed seeds the held-out sampling, under the index's Model.
 	CostSeed uint64
-	// Model selects the propagation model for the held-out cost estimate.
-	// It must match the model the index was built with; the zero value is
-	// IC.
-	Model index.Model
 }
 
 // Result is the typical cascade (sphere of influence) of a source.
@@ -211,7 +207,7 @@ func computeWithScratch(ctx context.Context, x *index.Index, seeds []graph.NodeI
 	if opts.CostSamples > 0 {
 		cs := time.Now()
 		cost, _, err := EstimateCost(ctx, x.Graph(), seeds, med.Set, opts.CostSamples, opts.CostSeed,
-			opts.Model, checkpoint.Budget{}, m.worldMetrics())
+			x.Model(), checkpoint.Budget{}, m.worldMetrics())
 		if err != nil {
 			return Result{}, err
 		}
@@ -264,6 +260,13 @@ func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median
 // error is hard. A zero budget is the plain run. samples <= 0 returns -1.
 func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64,
 	model index.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
+	return estimate(ctx, g, seeds, samples, seed, model, budget, wm,
+		func(c []graph.NodeID) float64 { return jaccard.Distance(set, c) })
+}
+
+// estimate is EstimateCost for any distance of a sampled cascade.
+func estimate(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, samples int, seed uint64,
+	model index.Model, budget checkpoint.Budget, wm *worlds.Metrics, dist func([]graph.NodeID) float64) (float64, int, error) {
 	if samples <= 0 {
 		return -1, 0, nil
 	}
@@ -292,7 +295,7 @@ func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID
 		} else {
 			buf = worlds.SampleCascadeFromSet(g, seeds, rs, visited, buf[:0], wm)
 		}
-		total += jaccard.Distance(set, buf)
+		total += dist(buf)
 		r.MarkDone(achieved)
 	}
 	if err := r.Settle(runErr); err != nil {

@@ -26,7 +26,7 @@ func quarantinedCopy(t *testing.T, x *index.Index, w int) *index.Index {
 	}
 	d := buf.Bytes()
 	n := int(binary.LittleEndian.Uint32(d[12:16]))
-	dir, err := blockfile.ParseDirectory(d[16:16+blockfile.EntrySize*n], n)
+	dir, err := blockfile.ParseDirectory(d[index.FileKind.HeaderLen():index.FileKind.BlocksStart(n)-4], n)
 	if err != nil {
 		t.Fatal(err)
 	}

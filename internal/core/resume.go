@@ -9,8 +9,9 @@ import (
 	"soi/internal/index"
 )
 
-// sweepFingerprint keys ComputeAll checkpoints on the index
-// contents and every option that affects the computed spheres.
+// sweepFingerprint keys ComputeAll checkpoints on the index (whose
+// fingerprint covers its graph and model) and every option that affects the
+// computed spheres.
 func sweepFingerprint(x *index.Index, opts Options) uint64 {
 	return checkpoint.NewHasher().
 		String("core.ComputeAll").
@@ -18,7 +19,6 @@ func sweepFingerprint(x *index.Index, opts Options) uint64 {
 		Int(int(opts.Algorithm)).
 		Int(opts.CostSamples).
 		Uint64(opts.CostSeed).
-		Int(int(opts.Model)).
 		Sum()
 }
 

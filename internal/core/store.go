@@ -82,7 +82,7 @@ func SaveSpheres(w io.Writer, indexFP uint64, results []Result) error {
 // original computation, not the load).
 func LoadSpheres(r io.Reader) ([]Result, uint64, error) {
 	var out []Result
-	h, err := StoreKind.Read(r, -1, func(h *blockfile.Header, i int, block []byte) (err error) {
+	h, err := StoreKind.Read(r, nil, func(h *blockfile.Header, i int, block []byte) (err error) {
 		out, err = decodeSphereBlock(out, h, i, block)
 		return err
 	}, nil)

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"time"
 
+	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/jaccard"
-	"soi/internal/rng"
-	"soi/internal/worlds"
 )
 
 // Weighted typical cascades — the §8 scenario where nodes (market segments)
@@ -35,7 +35,7 @@ func ComputeWeighted(x *index.Index, seeds []graph.NodeID, weight []float64, opt
 	if opts.CostSamples > 0 {
 		cs := time.Now()
 		res.ExpectedCost = EstimateCostWeighted(x.Graph(), seeds, med.Set, weight,
-			opts.CostSamples, opts.CostSeed, opts.Model)
+			opts.CostSamples, opts.CostSeed, x.Model())
 		res.CostTime = time.Since(cs)
 	}
 	return res
@@ -45,22 +45,7 @@ func ComputeWeighted(x *index.Index, seeds []graph.NodeID, weight []float64, opt
 // between set and a fresh random cascade from seeds.
 func EstimateCostWeighted(g *graph.Graph, seeds, set []graph.NodeID, weight []float64,
 	samples int, seed uint64, model index.Model) float64 {
-	if samples <= 0 {
-		return -1
-	}
-	master := rng.New(seed)
-	visited := make([]bool, g.NumNodes())
-	var buf []graph.NodeID
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		r := master.Split(uint64(i))
-		if model == index.LT {
-			w := worlds.SampleLT(g, r, nil)
-			buf = w.ReachableFromSet(seeds, visited, buf[:0])
-		} else {
-			buf = worlds.SampleCascadeFromSet(g, seeds, r, visited, buf[:0], nil)
-		}
-		total += jaccard.WeightedDistance(set, buf, weight)
-	}
-	return total / float64(samples)
+	cost, _, _ := estimate(context.Background(), g, seeds, samples, seed, model, checkpoint.Budget{}, nil,
+		func(c []graph.NodeID) float64 { return jaccard.WeightedDistance(set, c, weight) })
+	return cost
 }

@@ -33,7 +33,7 @@ func TestBudgetCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := server.New(server.Config{Graph: g, Index: x})
+	s, err := server.New(server.Config{Index: x})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func debugTargets(t *testing.T) []debugTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soid, err := server.New(server.Config{Graph: g, Index: x, Telemetry: telemetry.New(),
+	soid, err := server.New(server.Config{Index: x, Telemetry: telemetry.New(),
 		Tracer: trace.New(trace.Options{Service: "soid"})})
 	if err != nil {
 		t.Fatal(err)

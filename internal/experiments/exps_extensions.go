@@ -59,7 +59,6 @@ func ExtLT(cfg Config) ([]ExtLTRow, error) {
 			results, err := core.ComputeAll(cfg.ctx(), x, core.Options{
 				CostSamples: cfg.EvalSamples,
 				CostSeed:    cfg.Seed,
-				Model:       model,
 			}, checkpoint.Config{})
 			if err != nil {
 				return nil, err

@@ -35,10 +35,12 @@ func FuzzRead(f *testing.F) {
 		f.Add(d)
 	}
 	mutate(12, 0x01)                                // block count
+	mutate(16, 0x01)                                // meta: graph fingerprint
+	mutate(16+8, 0x02)                              // meta: model
 	mutate(FileKind.HeaderLen()+8, 0x01)            // directory: world 0's length
 	mutate(FileKind.HeaderLen()+16, 0x01)           // directory: world 0's comps
 	mutate(FileKind.BlocksStart(2)+4, 0x01)         // world 0's first comp id
-	f.Add(append([]byte("SOIIDX02"), clean[8:]...)) // retired magic
+	f.Add(append([]byte("SOIIDX03"), clean[8:]...)) // retired magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := Read(bytes.NewReader(data), g)
 		if err != nil {
@@ -102,13 +104,15 @@ func FuzzReadV03(f *testing.F) {
 	mutate(int(FileKind.BlocksStart(3))-4, 0xFF)    // directory CRC word
 	mutate(int(FileKind.BlocksStart(3))+5, 0xFF)    // first block's bytes
 	mutate(len(clean)-1, 0xFF)                      // whole-file footer
+	mutate(16, 0x01)                                // meta: graph fingerprint
+	mutate(16+8, 0x02)                              // meta: model
 	f.Add(clean[:FileKind.HeaderLen()])             // truncated at directory
 	f.Add(clean[:int(FileKind.BlocksStart(3))+1])   // truncated mid-block
 	f.Add(append(append([]byte(nil), clean...), 0)) // trailing byte
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Add(FileKind.Magic[:])                        // magic only
-	f.Add(append([]byte("SOIIDX02"), clean[8:]...)) // retired magic
+	f.Add(append([]byte("SOIIDX03"), clean[8:]...)) // retired magic
 	f.Add([]byte("SOISPH02"))                       // another artifact's magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if idx, err := Read(bytes.NewReader(data), g); err == nil {

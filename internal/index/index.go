@@ -46,6 +46,9 @@ const (
 	LT
 )
 
+// String returns "IC" or "LT", and "" for a value that names no model.
+func (m Model) String() string { return map[Model]string{IC: "IC", LT: "LT"}[m] }
+
 // Options configures index construction.
 type Options struct {
 	// Samples is ℓ, the number of possible worlds to index. The paper's
@@ -54,7 +57,7 @@ type Options struct {
 	Samples int
 	// Seed drives the deterministic sampling of worlds.
 	Seed uint64
-	// Model selects IC (default) or LT live-edge sampling.
+	// Model selects IC (default) or LT live-edge sampling (Index.Model).
 	Model Model
 }
 
@@ -85,6 +88,8 @@ func (e *worldEntry) succs(c int32) []int32 { return e.succ[e.succOff[c]:e.succO
 // corruption shrinks the sample instead of skewing it.
 type Index struct {
 	g           *graph.Graph
+	graphFP     uint64 // fingerprint of g
+	model       Model
 	entries     []worldEntry // a quarantined world's entry is empty
 	quarantined int
 	tel         *telemetry.Registry
@@ -139,6 +144,9 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 	if opts.Samples < 1 {
 		return nil, fmt.Errorf("index: Samples must be >= 1, got %d", opts.Samples)
 	}
+	if opts.Model != IC && opts.Model != LT {
+		return nil, fmt.Errorf("index: unknown Model %d", opts.Model)
+	}
 	if opts.Model == LT {
 		if err := worlds.ValidateLTWeights(g); err != nil {
 			return nil, err
@@ -148,7 +156,7 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 		g.Reverse()
 	}
 	tel := telemetry.FromContext(ctx)
-	idx := &Index{g: g, entries: make([]worldEntry, opts.Samples), tel: tel}
+	idx := &Index{g: g, graphFP: graphFingerprint(g), model: opts.Model, entries: make([]worldEntry, opts.Samples), tel: tel}
 	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return BuildFingerprint(g, opts) },
 		opts.Samples, idx.encodeWorlds)
 	if err != nil {
@@ -255,6 +263,12 @@ func (x *Index) QuarantinedWorlds() int { return x.quarantined }
 
 // Graph returns the indexed probabilistic graph.
 func (x *Index) Graph() *graph.Graph { return x.g }
+
+// GraphFingerprint returns soi.Fingerprint of the graph sampled (and checked at load).
+func (x *Index) GraphFingerprint() uint64 { return x.graphFP }
+
+// Model returns the model the worlds were sampled under.
+func (x *Index) Model() Model { return x.model }
 
 // NumComponents returns the number of SCCs in world i; 0 for a quarantined
 // world.

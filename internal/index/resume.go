@@ -25,7 +25,7 @@ func (x *Index) encodeWorlds(done *checkpoint.Bitmap) ([]byte, error) {
 // compact returns an index over only the worlds marked done, in ascending
 // world order — the partial result of a deadline-bounded build.
 func (x *Index) compact(done *checkpoint.Bitmap) *Index {
-	out := &Index{g: x.g, entries: make([]worldEntry, 0, done.Count()), tel: x.tel}
+	out := &Index{g: x.g, graphFP: x.graphFP, model: x.model, entries: make([]worldEntry, 0, done.Count()), tel: x.tel}
 	for i := 0; i < done.Len(); i++ {
 		if done.Get(i) {
 			out.entries = append(out.entries, x.entries[i])

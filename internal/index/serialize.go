@@ -18,11 +18,11 @@ import (
 
 // Binary serialization of the cascade index. The paper's deployment story
 // is "precompute the spheres of influence and store them in an index"; the
-// SOIIDX03 file format (see v3.go) lets the index be built once and
+// SOIIDX04 file format (see v3.go) lets the index be built once and
 // reloaded by query tools: strictly by Read and LoadFile, or by soid's
 // LoadServing, which quarantines corrupt worlds.
 //
-// This file holds the per-world record every SOIIDX03 block carries
+// This file holds the per-world record every SOIIDX04 block carries
 // (little endian):
 //
 //	comps   uint32
@@ -125,7 +125,7 @@ func decodeEntry(data []byte, nodes uint32, world int) (worldEntry, int, error) 
 	return worldEntry{comp: comp, memberOff: memberOff, members: members, succOff: succOff, succ: succ}, q, nil
 }
 
-// WriteTo serializes the index in the SOIIDX03 block-directory format and
+// WriteTo serializes the index in the SOIIDX04 block-directory format and
 // installs the fingerprint of the directory it wrote, so a built index and
 // every later load of its file share one identity. An index with
 // quarantined worlds is refused: rewriting it would silently drop data, so
@@ -140,16 +140,16 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	enc := worldBlocks(ents)
 	dir := FileKind.Directory(len(ents), enc)
 	x.setFingerprint(dir)
-	return FileKind.Write(w, uint32(x.g.NumNodes()), nil, dir, enc)
+	meta := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, x.graphFP), uint32(x.model))
+	return FileKind.Write(w, uint32(x.g.NumNodes()), meta, dir, enc)
 }
 
 // Read deserializes an index previously written with WriteTo. Reads are
 // strict: the header and directory, every block and the whole-file footer
 // are verified, and any corruption rejects the file (quarantine is
 // LoadServing's policy). The file is streamed, never held whole. The graph
-// g must be the same graph the index was built from (node count is
-// checked; deeper mismatches surface as wrong query results, so callers
-// should keep graph and index files paired).
+// g must be the graph the index was sampled from: a file recording another
+// graph fingerprint is refused, naming both, before any world is decoded.
 func Read(r io.Reader, g *graph.Graph) (*Index, error) { return read(r, g, nil) }
 
 // read is the one index reader behind Read and LoadServing. With quarantine
@@ -165,7 +165,16 @@ func read(r io.Reader, g *graph.Graph, quarantine func(world int, err error)) (*
 			quarantine(i, err)
 		}
 	}
-	h, err := FileKind.Read(r, g.NumNodes(), func(h *blockfile.Header, i int, block []byte) error {
+	h, err := FileKind.Read(r, func(h *blockfile.Header) error {
+		if int(h.Nodes) != g.NumNodes() {
+			return fmt.Errorf("index: built for %d nodes, graph has %d", h.Nodes, g.NumNodes())
+		}
+		if x.graphFP, x.model = ParseMeta(h.Meta); x.graphFP != graphFingerprint(g) {
+			return fmt.Errorf("index: sampled from graph %016x, loaded graph is %016x; load the graph it was built from, or rebuild it with `%s`",
+				x.graphFP, graphFingerprint(g), FileKind.Rebuild)
+		}
+		return nil
+	}, func(h *blockfile.Header, i int, block []byte) error {
 		if err := fault.Hit(fault.IndexBlockFault); err != nil {
 			return fmt.Errorf("index: world %d load: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"soi/internal/blockfile"
@@ -8,9 +9,11 @@ import (
 	"soi/internal/graph"
 )
 
-// SOIIDX03, the index file format, is the blockfile container (see
-// internal/blockfile) with no meta and one block per world: block i is the
-// appendEntry serialization of world i, its aux word the component count.
+// SOIIDX04, the index file format, is the blockfile container (see
+// internal/blockfile) with one block per world: block i is the appendEntry
+// serialization of world i, its aux word the component count. The 12-byte
+// meta names what the worlds were sampled from: the graph fingerprint
+// (soi.Fingerprint, u64) and the model (u32).
 //
 // The per-block CRC turns corruption from a fatal whole-file property into a
 // per-world one: after the header and directory verify, every world block is
@@ -18,7 +21,8 @@ import (
 // can cost just that world while the other ℓ-1 keep answering.
 //
 // Every reader verifies the file the same way: blockfile's Kind.Read checks
-// everything before the first block (as FileKind.ReadHeader), and
+// everything before the first block (as FileKind.ReadHeader, which refuses
+// an unknown model), read refuses any graph but the recorded one, and
 // verifyBlock decodes each CRC-checked block through decodeEntry, the one
 // world decoder that Build's checkpoint resume uses too. Read (and LoadFile)
 // is strict: any corruption rejects the file. LoadServing, soid's load,
@@ -26,14 +30,21 @@ import (
 // damage is its whole-file footer. Offline, blockfile.Fsck reports every
 // bad block and the footer.
 //
-// SOIIDX03 is the only index format; a file with any other magic is
+// SOIIDX04 is the only index format; a file with any other magic is
 // rejected with blockfile.ErrMagic and must be rebuilt.
 
 // FileKind is the index's blockfile kind.
 var FileKind = &blockfile.Kind{
 	Name:    "index",
-	Magic:   [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '3'},
+	Magic:   [8]byte{'S', 'O', 'I', 'I', 'D', 'X', '0', '4'},
+	Meta:    8 + 4, // graph fingerprint, model
 	Rebuild: "sphere -graph g.tsv -build-index new.idx",
+	CheckMeta: func(meta []byte) error {
+		if _, m := ParseMeta(meta); m != IC && m != LT {
+			return fmt.Errorf("unknown propagation model %d", m)
+		}
+		return nil
+	},
 	CheckEntry: func(h *blockfile.Header, i int) error {
 		e := h.Dir[i]
 		if e.Aux == 0 || e.Aux > h.Nodes {
@@ -77,12 +88,19 @@ func verifyBlock(data []byte, b blockfile.BlockInfo, nodes uint32, world int) (w
 	return e, nil
 }
 
-// Fingerprint returns the index's identity: a hash of the graph plus the
-// SOIIDX03 block directory (offset, length, CRC, comps per world) of its
-// worlds. The per-block CRCs make this exactly as content-sensitive as
-// hashing the worlds, and a built index and every load of its file agree,
-// a serving load with quarantined worlds included. Downstream checkpointed sweeps (the all-nodes
-// typical-cascade pass), the sketch file and the topology manifest key on
+// ParseMeta returns the graph fingerprint and model an SOIIDX04 meta holds.
+func ParseMeta(meta []byte) (graphFP uint64, model Model) {
+	return binary.LittleEndian.Uint64(meta), Model(binary.LittleEndian.Uint32(meta[8:]))
+}
+
+func graphFingerprint(g *graph.Graph) uint64 { return checkpoint.NewHasher().Graph(g).Sum() }
+
+// Fingerprint returns the index's identity: a hash of the graph fingerprint,
+// the model and the SOIIDX04 block directory (offset, length, CRC, comps per
+// world). The per-block CRCs make this exactly as content-sensitive as
+// hashing the worlds, and a built index and every load of its file agree, a
+// serving load with quarantined worlds included. The all-nodes sweep's
+// checkpoints, the sphere store, the sketch and the topology manifest key on
 // it. Loaded indexes and WriteTo install it from the directory they read or
 // wrote; a built index measures its directory on first call.
 func (x *Index) Fingerprint() uint64 {
@@ -91,7 +109,7 @@ func (x *Index) Fingerprint() uint64 {
 		for i := range x.entries {
 			ents[i] = &x.entries[i]
 		}
-		x.fp = dirFingerprint(x.g, FileKind.Directory(len(ents), worldBlocks(ents)))
+		x.fp = x.dirFingerprint(FileKind.Directory(len(ents), worldBlocks(ents)))
 	})
 	return x.fp
 }
@@ -99,11 +117,11 @@ func (x *Index) Fingerprint() uint64 {
 // setFingerprint installs the fingerprint of dir, unless one is already
 // cached.
 func (x *Index) setFingerprint(dir []blockfile.BlockInfo) {
-	x.fpOnce.Do(func() { x.fp = dirFingerprint(x.g, dir) })
+	x.fpOnce.Do(func() { x.fp = x.dirFingerprint(dir) })
 }
 
-func dirFingerprint(g *graph.Graph, dir []blockfile.BlockInfo) uint64 {
-	h := checkpoint.NewHasher().String("index.DirV3").Graph(g).Int(len(dir))
+func (x *Index) dirFingerprint(dir []blockfile.BlockInfo) uint64 {
+	h := checkpoint.NewHasher().String("index.DirV4").Uint64(x.graphFP).Int(int(x.model)).Int(len(dir))
 	for _, b := range dir {
 		h.Uint64(uint64(b.Off)).
 			Uint64(uint64(b.Len)<<32 | uint64(b.CRC)).

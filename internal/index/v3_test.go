@@ -342,28 +342,41 @@ func TestV3TruncationEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestRejectsUnknownMagic: SOIIDX03 is the only index format. Every reader
+// TestRejectsUnknownMagic: SOIIDX04 is the only index format. Every reader
 // rejects any other magic — a retired index version or another artifact —
 // with blockfile.ErrMagic, naming the magic found and the rebuild command.
+// testdata/soiidx03.idx is a real SOIIDX03 file, written by the previous
+// format's writer for testdata/soiidx03.tsv, which recorded neither graph
+// nor model.
 func TestRejectsUnknownMagic(t *testing.T) {
 	g, _, _, raw := v3Fixture(t, 251, 2)
 	p := filepath.Join(t.TempDir(), "old.idx")
-	for _, magic := range []string{"SOIIDX02", "SOISPH02"} {
-		data := append([]byte(magic), raw[len(magic):]...)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+	for _, magic := range []string{"SOIIDX03", "SOIIDX02", "SOISPH02"} {
+		path, data, gg := p, append([]byte(magic), raw[len(magic):]...), g
+		if magic == "SOIIDX03" {
+			path = filepath.Join("testdata", "soiidx03.idx")
+			var err error
+			if data, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if gg, _, err = graph.LoadFile(filepath.Join("testdata", "soiidx03.tsv")); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, errRead := Read(bytes.NewReader(data), g)
-		_, errServing := LoadServing(context.Background(), p, g, nil)
-		rep, err := blockfile.Fsck(p, FileKind)
+		_, errRead := Read(bytes.NewReader(data), gg)
+		_, errFile := LoadFile(path, gg)
+		_, errServing := LoadServing(context.Background(), path, gg, nil)
+		rep, err := blockfile.Fsck(path, FileKind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, err := range map[string]error{"Read": errRead, "LoadServing": errServing, "Fsck": rep.Fatal} {
+		for name, err := range map[string]error{"Read": errRead, "LoadFile": errFile, "LoadServing": errServing, "Fsck": rep.Fatal} {
 			if !errors.Is(err, blockfile.ErrMagic) {
 				t.Fatalf("%s of %s: err = %v, want ErrMagic", name, magic, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, magic) || !strings.Contains(msg, "sphere -graph g.tsv -build-index") {
+			if msg := err.Error(); !strings.Contains(msg, magic) || !strings.Contains(msg, "sphere -graph g.tsv -build-index new.idx") {
 				t.Fatalf("%s of %s: error %q does not name the magic and the rebuild command", name, magic, msg)
 			}
 		}

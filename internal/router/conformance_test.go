@@ -137,7 +137,6 @@ func newShardServer(t testing.TB, fx *routerFixture, s int) *server.Server {
 		origIDs[i] = int64(v)
 	}
 	srv, err := server.New(server.Config{
-		Graph:       fx.subs[s],
 		OrigIDs:     origIDs,
 		Index:       fx.idx[s],
 		Spheres:     fx.sph[s],

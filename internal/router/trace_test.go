@@ -27,7 +27,6 @@ func newTracedShardServer(t *testing.T, fx *routerFixture, s int, tr *trace.Trac
 		origIDs[i] = int64(v)
 	}
 	srv, err := server.New(server.Config{
-		Graph:       fx.subs[s],
 		OrigIDs:     origIDs,
 		Index:       fx.idx[s],
 		Spheres:     fx.sph[s],

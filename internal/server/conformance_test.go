@@ -88,7 +88,6 @@ func conformanceServer(t testing.TB) (*Server, *graph.Graph, []core.Result) {
 			return
 		}
 		confSrv, confErr = New(Config{
-			Graph:       g,
 			Index:       x,
 			Spheres:     spheres,
 			Sketch:      sk,

@@ -103,7 +103,7 @@ func (s *Server) queryEstimator(req *http.Request) (string, error) {
 	case "", "dense":
 		return "", nil
 	case "sketch":
-		if s.sketch == nil {
+		if s.cfg.Sketch == nil {
 			return "", api.Conflict("no sketch loaded; estimator=sketch requires soid -sketch")
 		}
 		return "sketch", nil
@@ -137,7 +137,7 @@ func (s *Server) handleSphere(req *http.Request) (any, error) {
 	}
 	if est == "sketch" {
 		ssp := trace.Child(req.Context(), "sphere.sketch")
-		size := s.sketch.EstimateSphereSize(v)
+		size := s.cfg.Sketch.EstimateSphereSize(v)
 		ssp.End()
 		s.mSketch.Inc()
 		resp := api.Sphere{
@@ -147,19 +147,19 @@ func (s *Server) handleSphere(req *http.Request) (any, error) {
 			Estimator:     "sketch",
 			EstimatedSize: size,
 		}
-		resp.ErrorBound = s.sketch.ErrorBound(size)
+		resp.ErrorBound = s.cfg.Sketch.ErrorBound(size)
 		return resp, nil
 	}
 	source := req.URL.Query().Get("source")
 	switch source {
 	case "", "auto":
-		if s.spheres != nil {
+		if s.cfg.Spheres != nil {
 			source = "store"
 		} else {
 			source = "compute"
 		}
 	case "store":
-		if s.spheres == nil {
+		if s.cfg.Spheres == nil {
 			return nil, api.Conflict("no sphere store loaded; start soid with -spheres or use source=compute")
 		}
 	case "compute":
@@ -168,7 +168,7 @@ func (s *Server) handleSphere(req *http.Request) (any, error) {
 	}
 
 	if source == "store" {
-		r := &s.spheres[v]
+		r := &s.cfg.Spheres[v]
 		resp := api.Sphere{
 			Node:       s.orig(v),
 			Sphere:     s.origSlice(r.Set),
@@ -211,8 +211,8 @@ func (s *Server) handleSphere(req *http.Request) (any, error) {
 	if samples > 0 {
 		ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 			trace.Int("samples", int64(samples)))
-		stab, achieved, err := core.EstimateCost(ectx, s.g,
-			[]graph.NodeID{v}, r.Set, samples, s.querySeed(v), s.cfg.Model,
+		stab, achieved, err := core.EstimateCost(ectx, s.x.Graph(),
+			[]graph.NodeID{v}, r.Set, samples, s.querySeed(v), s.x.Model(),
 			checkpoint.Budget{Deadline: daemon.BudgetOf(ectx).Deadline}, nil)
 		esp.SetAttrs(trace.Int("achieved", int64(achieved)))
 		esp.End()
@@ -254,8 +254,8 @@ func (s *Server) handleStability(req *http.Request) (any, error) {
 	}
 	ectx, esp := trace.StartChild(req.Context(), "stability.estimate",
 		trace.Int("samples", int64(samples)))
-	stab, achieved, err := core.EstimateCost(ectx, s.g,
-		seeds, r.Set, samples, s.querySeed(seeds...), s.cfg.Model,
+	stab, achieved, err := core.EstimateCost(ectx, s.x.Graph(),
+		seeds, r.Set, samples, s.querySeed(seeds...), s.x.Model(),
 		checkpoint.Budget{Deadline: daemon.BudgetOf(ectx).Deadline}, nil)
 	esp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	esp.End()
@@ -286,12 +286,12 @@ func (s *Server) handleSeeds(req *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if k < 1 || k > s.g.NumNodes() {
-		return nil, api.BadRequest("k must be in [1, %d], got %d", s.g.NumNodes(), k)
+	if k < 1 || k > s.x.Graph().NumNodes() {
+		return nil, api.BadRequest("k must be in [1, %d], got %d", s.x.Graph().NumNodes(), k)
 	}
 	if est == "sketch" {
 		gsp := trace.Child(req.Context(), "seeds.sketch_greedy", trace.Int("k", int64(k)))
-		sel, err := infmax.SelectSeedsSketch(s.sketch, k)
+		sel, err := infmax.SelectSeedsSketch(s.cfg.Sketch, k)
 		gsp.End()
 		if err != nil {
 			return nil, err
@@ -303,16 +303,16 @@ func (s *Server) handleSeeds(req *http.Request) (any, error) {
 			Seeds:           s.origSlice(sel.Seeds),
 			Gains:           sel.Gains,
 			Objective:       obj, // expected-spread units, unlike the TC cover
-			Coverage:        obj / float64(s.g.NumNodes()),
+			Coverage:        obj / float64(s.x.Graph().NumNodes()),
 			LazyEvaluations: sel.LazyEvaluations,
 			Estimator:       "sketch",
-			Partial:         api.Partial{ErrorBound: s.sketch.ErrorBound(obj)},
+			Partial:         api.Partial{ErrorBound: s.cfg.Sketch.ErrorBound(obj)},
 		}, nil
 	}
 	if s.tcSets == nil {
 		return nil, api.Conflict("no sphere store loaded; /v1/seeds requires soid -spheres")
 	}
-	sel, err := infmax.TC(req.Context(), s.g, s.tcSets, k, infmax.TCOptions{})
+	sel, err := infmax.TC(req.Context(), s.x.Graph(), s.tcSets, k, infmax.TCOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -321,14 +321,14 @@ func (s *Server) handleSeeds(req *http.Request) (any, error) {
 		Seeds:           s.origSlice(sel.Seeds),
 		Gains:           sel.Gains,
 		Objective:       sel.Objective(),
-		Coverage:        sel.Objective() / float64(s.g.NumNodes()),
+		Coverage:        sel.Objective() / float64(s.x.Graph().NumNodes()),
 		LazyEvaluations: sel.LazyEvaluations,
 	}, nil
 }
 
 // handleSpread serves GET /v1/spread?seeds=...: expected spread either over
 // the loaded index's worlds (method=index, deterministic and fast) or by
-// fresh Monte-Carlo simulation under the request budget (method=mc).
+// fresh IC Monte-Carlo simulation under the request budget (method=mc).
 func (s *Server) handleSpread(req *http.Request) (any, error) {
 	seeds, err := s.queryNodes(req, "seeds")
 	if err != nil {
@@ -344,7 +344,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 			return nil, api.BadRequest("estimator=sketch answers over the index's worlds; method %q is not compatible", method)
 		}
 		ssp := trace.Child(req.Context(), "spread.sketch")
-		spread := s.sketch.EstimateSpread(seeds)
+		spread := s.cfg.Sketch.EstimateSpread(seeds)
 		ssp.End()
 		s.mSketch.Inc()
 		resp := api.Spread{
@@ -353,7 +353,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 			Method:    "index",
 			Estimator: "sketch",
 		}
-		resp.ErrorBound = s.sketch.ErrorBound(spread)
+		resp.ErrorBound = s.cfg.Sketch.ErrorBound(spread)
 		return resp, nil
 	}
 	switch method {
@@ -364,7 +364,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 		s.scratch.Put(sc)
 		isp.End()
 		// Spread is in node units, so the [0,1] Hoeffding bound scales by n.
-		qp, err := s.quarantinePartial(float64(s.g.NumNodes()))
+		qp, err := s.quarantinePartial(float64(s.x.Graph().NumNodes()))
 		if err != nil {
 			return nil, err
 		}
@@ -375,6 +375,9 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 			Partial: qp,
 		}, nil
 	case "mc":
+		if m := s.x.Model(); m != index.IC { // the simulation is IC's
+			return nil, api.Conflict("method=mc simulates IC only and this index was sampled under %s; use method=index", m)
+		}
 		trials, err := queryInt(req, "trials", s.cfg.trials())
 		if err != nil {
 			return nil, err
@@ -384,7 +387,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 		}
 		// One worker per request: admission control arbitrates cores across
 		// requests; a single query must not monopolize the process.
-		spread, err := cascade.ExpectedSpread(req.Context(), s.g, seeds,
+		spread, err := cascade.ExpectedSpread(req.Context(), s.x.Graph(), seeds,
 			trials, s.querySeed(seeds...), 1,
 			checkpoint.Config{Budget: checkpoint.Budget{Deadline: daemon.BudgetOf(req.Context()).Deadline}})
 		pe, err := splitPartial(err)
@@ -398,7 +401,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 			Trials: trials,
 			// The estimator's bound is normalized to [0,1]; spread is in
 			// node units, so scale by n.
-			Partial: partialOf(pe, float64(s.g.NumNodes())),
+			Partial: partialOf(pe, float64(s.x.Graph().NumNodes())),
 		}, nil
 	default:
 		return nil, api.BadRequest("bad method %q: want index or mc", method)
@@ -407,8 +410,11 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 
 // handleReliability serves GET /v1/reliability?sources=...&threshold=...:
 // the nodes reachable from the sources with probability at least threshold,
-// estimated by sampling under the request budget.
+// estimated by IC sampling under the request budget.
 func (s *Server) handleReliability(req *http.Request) (any, error) {
+	if m := s.x.Model(); m != index.IC { // the search samples IC worlds
+		return nil, api.Conflict("/v1/reliability simulates IC only and this index was sampled under %s", m)
+	}
 	sources, err := s.queryNodes(req, "sources")
 	if err != nil {
 		return nil, err
@@ -427,7 +433,7 @@ func (s *Server) handleReliability(req *http.Request) (any, error) {
 
 	rctx, rsp := trace.StartChild(req.Context(), "reliability.search",
 		trace.Int("samples", int64(samples)))
-	nodes, achieved, err := reliability.Search(rctx, s.g, sources,
+	nodes, achieved, err := reliability.Search(rctx, s.x.Graph(), sources,
 		threshold, samples, s.querySeed(sources...), checkpoint.Budget{Deadline: daemon.BudgetOf(rctx).Deadline})
 	rsp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	rsp.End()
@@ -489,14 +495,14 @@ func (s *Server) handleModes(req *http.Request) (any, error) {
 // expect.
 func (s *Server) handleInfo(*http.Request) (any, error) {
 	return api.Info{
-		Nodes:             s.g.NumNodes(),
-		Edges:             s.g.NumEdges(),
+		Nodes:             s.x.Graph().NumNodes(),
+		Edges:             s.x.Graph().NumEdges(),
 		Worlds:            s.x.NumWorlds(),
 		WorldsQuarantined: s.x.QuarantinedWorlds(),
-		GraphFingerprint:  strconv.FormatUint(s.graphFP, 16),
-		IndexFingerprint:  strconv.FormatUint(s.indexFP, 16),
-		SpheresLoaded:     s.spheres != nil,
-		SketchLoaded:      s.sketch != nil,
+		GraphFingerprint:  strconv.FormatUint(s.x.GraphFingerprint(), 16),
+		IndexFingerprint:  strconv.FormatUint(s.x.Fingerprint(), 16),
+		SpheresLoaded:     s.cfg.Spheres != nil,
+		SketchLoaded:      s.cfg.Sketch != nil,
 		CacheEntries:      s.env.Cache.Len(),
 		UptimeSeconds:     int64(time.Since(s.started).Seconds()),
 	}, nil

@@ -25,7 +25,7 @@ func writeCorrupted(t *testing.T, data []byte, worlds []int) string {
 	t.Helper()
 	d := append([]byte(nil), data...)
 	n := int(binary.LittleEndian.Uint32(d[12:16]))
-	dir, err := blockfile.ParseDirectory(d[16:16+blockfile.EntrySize*n], n)
+	dir, err := blockfile.ParseDirectory(d[index.FileKind.HeaderLen():index.FileKind.BlocksStart(n)-4], n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func quarantineFixture(t *testing.T, corrupt []int) (*Server, *index.Index) {
 		t.Fatalf("index.worlds_quarantined = %d, want %d", got, len(corrupt))
 	}
 	s, err := New(Config{
-		Graph: g, Index: mx, Telemetry: telemetry.New(),
+		Index: mx, Telemetry: telemetry.New(),
 		MaxInflight: 4, MaxQueue: 16, CostSamples: 20, Seed: 11,
 	})
 	if err != nil {

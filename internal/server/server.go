@@ -21,6 +21,9 @@
 // worlds_quarantined and a Hoeffding bound re-derived at the live world
 // count. An index that has lost every world answers 503 with a retryable
 // code so the gateway fails over to a healthy replica.
+//
+// The index carries its graph and model: every sample is drawn under
+// Index.Model, and the IC-only estimators answer 409 over an LT index.
 package server
 
 import (
@@ -47,16 +50,14 @@ import (
 	"soi/internal/trace"
 )
 
-// Config assembles a Server. Graph and Index are required; everything else
-// has serving-sensible defaults.
+// Config assembles a Server. Index is required; everything else has
+// serving-sensible defaults.
 type Config struct {
-	// Graph is the loaded probabilistic graph (required).
-	Graph *graph.Graph
 	// OrigIDs maps dense node ids to the original ids of the graph file;
 	// nil means the two id spaces coincide. Requests and responses use
 	// original ids.
 	OrigIDs []int64
-	// Index is the prebuilt cascade index over Graph (required).
+	// Index is the prebuilt cascade index (required), with its graph.
 	Index *index.Index
 	// Spheres is the optional precomputed sphere store (LoadSpheres output);
 	// it enables /v1/seeds and the /v1/sphere store fast path. Must have one
@@ -66,9 +67,6 @@ type Config struct {
 	// over Index; it enables estimator=sketch on /v1/{spread,sphere,seeds}.
 	// Must be fingerprint-keyed to Index.
 	Sketch *sketch.Sketch
-	// Model is the propagation model the index was built with (the index
-	// format does not record it); server-side sampling must match it.
-	Model index.Model
 	// Telemetry receives request counters, per-endpoint latency histograms,
 	// cache and admission metrics, and, through the request context, the
 	// metrics of the ctx-first estimators (Monte-Carlo spread, InfMax_TC);
@@ -137,18 +135,11 @@ func (c Config) trials() int {
 // safe for concurrent use.
 type Server struct {
 	cfg     Config
-	g       *graph.Graph
 	x       *index.Index
-	spheres []core.Result
-	sketch  *sketch.Sketch // combined bottom-k sketch for estimator=sketch
-	tcSets  infmax.Spheres // extracted sphere sets for /v1/seeds
-
-	origIDs []int64                // dense -> original; nil = identity
+	tcSets  infmax.Spheres         // extracted sphere sets for /v1/seeds
 	denseOf map[int64]graph.NodeID // original -> dense; nil = identity
 
-	graphFP uint64
-	indexFP uint64
-	fpHex   string // cache-key suffix binding entries to the loaded index
+	fpHex string // cache-key suffix binding entries to the loaded index
 
 	adm     *admission
 	scratch sync.Pool // *index.Scratch
@@ -163,31 +154,20 @@ type Server struct {
 	mSketch   *telemetry.Counter
 }
 
-// New validates that the configured graph / index / sphere-store triple
+// New validates that the configured index / sphere-store / sketch triple
 // belongs together and assembles the serving pipeline. Mismatches are
 // startup errors, not per-request surprises.
 func New(cfg Config) (*Server, error) {
-	if cfg.Graph == nil {
-		return nil, errors.New("server: Config.Graph is required")
-	}
 	if cfg.Index == nil {
 		return nil, errors.New("server: Config.Index is required")
 	}
-	graphFP := checkpoint.NewHasher().Graph(cfg.Graph).Sum()
-	if cfg.Index.Graph() != cfg.Graph {
-		// The index was loaded against some other graph value; accept it only
-		// if that graph hashes identically (same file loaded twice is fine).
-		if ixFP := checkpoint.NewHasher().Graph(cfg.Index.Graph()).Sum(); ixFP != graphFP {
-			return nil, fmt.Errorf("server: index was built for a different graph (graph fingerprint %016x, index graph fingerprint %016x)",
-				graphFP, ixFP)
-		}
-	}
-	if cfg.Spheres != nil && len(cfg.Spheres) != cfg.Graph.NumNodes() {
+	g := cfg.Index.Graph()
+	if cfg.Spheres != nil && len(cfg.Spheres) != g.NumNodes() {
 		return nil, fmt.Errorf("server: sphere store has %d spheres for a graph of %d nodes (graph fingerprint %016x) — was it computed for a different graph?",
-			len(cfg.Spheres), cfg.Graph.NumNodes(), graphFP)
+			len(cfg.Spheres), g.NumNodes(), cfg.Index.GraphFingerprint())
 	}
-	if cfg.OrigIDs != nil && len(cfg.OrigIDs) != cfg.Graph.NumNodes() {
-		return nil, fmt.Errorf("server: %d original ids for %d nodes", len(cfg.OrigIDs), cfg.Graph.NumNodes())
+	if cfg.OrigIDs != nil && len(cfg.OrigIDs) != g.NumNodes() {
+		return nil, fmt.Errorf("server: %d original ids for %d nodes", len(cfg.OrigIDs), g.NumNodes())
 	}
 	if cfg.Sketch != nil {
 		// A sketch is meaningless against any index but the one it was built
@@ -197,21 +177,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: sketch was built from a different index (sketch carries index fingerprint %016x, loaded index is %016x) — rebuild with sphere -sketch-out",
 				got, want)
 		}
-		if cfg.Sketch.Nodes() != cfg.Graph.NumNodes() {
-			return nil, fmt.Errorf("server: sketch covers %d nodes for a graph of %d", cfg.Sketch.Nodes(), cfg.Graph.NumNodes())
+		if cfg.Sketch.Nodes() != g.NumNodes() {
+			return nil, fmt.Errorf("server: sketch covers %d nodes for a graph of %d", cfg.Sketch.Nodes(), g.NumNodes())
 		}
 	}
 
 	tel := cfg.Telemetry
 	s := &Server{
 		cfg:     cfg,
-		g:       cfg.Graph,
 		x:       cfg.Index,
-		spheres: cfg.Spheres,
-		sketch:  cfg.Sketch,
-		origIDs: cfg.OrigIDs,
-		graphFP: graphFP,
-		indexFP: cfg.Index.Fingerprint(),
 		adm:     newAdmission(cfg.maxInflight(), cfg.maxQueue(), tel),
 		started: time.Now(),
 
@@ -219,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 		mErrors:   tel.Counter("server.errors"),
 		mSketch:   tel.Counter("server.sketch_estimates"),
 	}
-	s.fpHex = fmt.Sprintf("%016x", s.indexFP)
+	s.fpHex = fmt.Sprintf("%016x", cfg.Index.Fingerprint())
 	if cfg.OrigIDs != nil {
 		s.denseOf = make(map[int64]graph.NodeID, len(cfg.OrigIDs))
 		for v, id := range cfg.OrigIDs {
@@ -250,12 +224,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// GraphFingerprint returns the FNV-1a fingerprint of the loaded graph.
-func (s *Server) GraphFingerprint() uint64 { return s.graphFP }
-
-// IndexFingerprint returns the content fingerprint of the loaded index.
-func (s *Server) IndexFingerprint() uint64 { return s.indexFP }
-
 // Handler returns the serving mux: the /v1 API, /healthz, /readyz and the
 // debug surface (daemon.Debug) on the same mux.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -266,10 +234,10 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		resp := api.Ready{
 			Ready:            true,
-			GraphFingerprint: fmt.Sprintf("%016x", s.graphFP),
+			GraphFingerprint: fmt.Sprintf("%016x", s.x.GraphFingerprint()),
 			IndexFingerprint: s.fpHex,
-			SpheresLoaded:    s.spheres != nil,
-			SketchLoaded:     s.sketch != nil,
+			SpheresLoaded:    s.cfg.Spheres != nil,
+			SketchLoaded:     s.cfg.Sketch != nil,
 		}
 		status := http.StatusOK
 		if s.draining.Load() {
@@ -359,10 +327,10 @@ func (s *Server) mapError(err error) *api.Error {
 // --- id translation -------------------------------------------------------
 
 func (s *Server) orig(v graph.NodeID) int64 {
-	if s.origIDs == nil {
+	if s.cfg.OrigIDs == nil {
 		return int64(v)
 	}
-	return s.origIDs[v]
+	return s.cfg.OrigIDs[v]
 }
 
 func (s *Server) origSlice(vs []graph.NodeID) []int64 {
@@ -378,7 +346,7 @@ func (s *Server) dense(id int64) (graph.NodeID, bool) {
 		v, ok := s.denseOf[id]
 		return v, ok
 	}
-	if id < 0 || id >= int64(s.g.NumNodes()) {
+	if id < 0 || id >= int64(s.x.Graph().NumNodes()) {
 		return 0, false
 	}
 	return graph.NodeID(id), true

@@ -76,7 +76,6 @@ func newTestServer(t testing.TB, mutate func(*Config)) *Server {
 	t.Helper()
 	f := sharedFixture(t)
 	cfg := Config{
-		Graph:       f.g,
 		Index:       f.x,
 		Spheres:     f.spheres,
 		Telemetry:   telemetry.New(),
@@ -316,7 +315,7 @@ func TestInfoEndpoint(t *testing.T) {
 	if body["worlds"] != float64(120) {
 		t.Fatalf("worlds %v, want 120", body["worlds"])
 	}
-	wantFP := fmt.Sprintf("%x", s.IndexFingerprint())
+	wantFP := fmt.Sprintf("%x", s.x.Fingerprint())
 	if body["index_fingerprint"] != wantFP {
 		t.Fatalf("index fingerprint %v, want %s", body["index_fingerprint"], wantFP)
 	}
@@ -595,11 +594,11 @@ func TestReadyzSurfacesFingerprints(t *testing.T) {
 	if body["ready"] != true {
 		t.Fatalf("ready %v, want true", body["ready"])
 	}
-	if body["index_fingerprint"] != fmt.Sprintf("%016x", s.IndexFingerprint()) {
-		t.Fatalf("index fingerprint %v, want %016x", body["index_fingerprint"], s.IndexFingerprint())
+	if body["index_fingerprint"] != fmt.Sprintf("%016x", s.x.Fingerprint()) {
+		t.Fatalf("index fingerprint %v, want %016x", body["index_fingerprint"], s.x.Fingerprint())
 	}
-	if body["graph_fingerprint"] != fmt.Sprintf("%016x", s.GraphFingerprint()) {
-		t.Fatalf("graph fingerprint %v, want %016x", body["graph_fingerprint"], s.GraphFingerprint())
+	if body["graph_fingerprint"] != fmt.Sprintf("%016x", s.x.GraphFingerprint()) {
+		t.Fatalf("graph fingerprint %v, want %016x", body["graph_fingerprint"], s.x.GraphFingerprint())
 	}
 }
 
@@ -665,27 +664,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 func TestNewRejectsMismatchedArtifacts(t *testing.T) {
 	f := sharedFixture(t)
 	// Sphere store of the wrong cardinality.
-	_, err := New(Config{Graph: f.g, Index: f.x, Spheres: f.spheres[:5]})
+	_, err := New(Config{Index: f.x, Spheres: f.spheres[:5]})
 	if err == nil || !strings.Contains(err.Error(), "sphere store") {
 		t.Fatalf("err %v, want sphere store mismatch", err)
 	}
-	// Index built for a different graph.
-	other := graph.NewBuilder(3)
-	other.AddEdge(0, 1, 0.5)
-	og := other.MustBuild()
-	ox, berr := index.Build(context.Background(), og, index.Options{Samples: 10, Seed: 1}, checkpoint.Config{})
-	if berr != nil {
-		t.Fatal(berr)
-	}
-	_, err = New(Config{Graph: f.g, Index: ox})
-	if err == nil || !strings.Contains(err.Error(), "different graph") {
-		t.Fatalf("err %v, want graph/index mismatch", err)
-	}
-	// Missing requireds.
-	if _, err := New(Config{Index: f.x}); err == nil {
-		t.Fatal("New without Graph succeeded")
-	}
-	if _, err := New(Config{Graph: f.g}); err == nil {
+	// The index is the one required artifact; it carries its graph, whose
+	// pairing the index load checks (index.TestReadRefusesOtherGraph).
+	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without Index succeeded")
 	}
 }

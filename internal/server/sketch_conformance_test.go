@@ -165,7 +165,6 @@ func TestNewRejectsForeignSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = New(Config{
-		Graph:     f.g,
 		Index:     f.x,
 		Sketch:    foreign,
 		Telemetry: telemetry.New(),

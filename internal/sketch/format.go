@@ -145,7 +145,7 @@ func decodeBlock(s *Sketch, h *blockfile.Header, i int, block []byte) (*Sketch, 
 // The loaded sketch carries no telemetry; attach one with SetTelemetry.
 func Read(r io.Reader) (*Sketch, error) {
 	var s *Sketch
-	_, err := FileKind.Read(r, -1, func(h *blockfile.Header, i int, block []byte) (err error) {
+	_, err := FileKind.Read(r, nil, func(h *blockfile.Header, i int, block []byte) (err error) {
 		s, err = decodeBlock(s, h, i, block)
 		return err
 	}, nil)

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Corruption-repair smoke test for every blockfile kind. Index (SOIIDX03):
-# build one on disk, flip a byte inside one world block with dd, assert
+# Corruption-repair smoke test for every blockfile kind. Index (SOIIDX04):
+# build one on disk, assert soifsck's summary names the model and graph
+# fingerprint it records (the one soid logs), flip a byte inside one world
+# block with dd, assert
 # soifsck pinpoints exactly that block, serve the corrupt file with soid,
 # whose load quarantines the bad world, and observe degraded 206 answers
 # (worlds_quarantined + widened error_bound), repair the file with
@@ -57,7 +59,9 @@ echo "fsck-smoke: building index"
 "$work/soifsck" "$work/g.idx" 2> "$work/fsck0.log" \
   || { cat "$work/fsck0.log" >&2; fail "soifsck rejected a freshly built index"; }
 grep -q "clean (200 worlds)" "$work/fsck0.log" || fail "no clean verdict for the fresh index"
-echo "fsck-smoke: fresh index verifies clean"
+idx_graph="$(sed -n 's/.*: SOIIDX04 nodes=30 worlds=200 model=IC graph=\([0-9a-f]\{16\}\) .*/\1/p' "$work/fsck0.log")"
+[ -n "$idx_graph" ] || { cat "$work/fsck0.log" >&2; fail "soifsck summary does not name SOIIDX04, model=IC and the graph fingerprint"; }
+echo "fsck-smoke: fresh SOIIDX04 index verifies clean (model=IC graph=$idx_graph)"
 
 # --- corrupt one block with dd --------------------------------------------
 # soifsck -v prints one "world N: off=X len=Y" line per block; target the
@@ -118,6 +122,8 @@ code="$(get_code '/v1/info')"
 [ "$code" = 200 ] || fail "info got $code"
 grep -q '"worlds_quarantined":1' "$work/body" || { cat "$work/body" >&2; fail "info does not report the quarantine"; }
 grep -q "QUARANTINE world 7" "$work/soid.log" || { cat "$work/soid.log" >&2; fail "no quarantine log line"; }
+grep -q "serving on .* graph=$idx_graph .* model=IC " "$work/soid.log" \
+  || { cat "$work/soid.log" >&2; fail "soid's serving line does not pair the graph soifsck names with model=IC"; }
 stop_soid
 echo "fsck-smoke: corrupt index served 206 with worlds_quarantined=1"
 
@@ -128,6 +134,8 @@ grep -q "kept 199 of 200 worlds" "$work/fsck2.log" || { cat "$work/fsck2.log" >&
 "$work/soifsck" "$work/fixed.idx" 2> "$work/fsck3.log" \
   || { cat "$work/fsck3.log" >&2; fail "repaired index does not verify clean"; }
 grep -q "clean (199 worlds)" "$work/fsck3.log" || fail "no clean verdict for the repaired index"
+grep -q ": SOIIDX04 nodes=30 worlds=199 model=IC graph=$idx_graph " "$work/fsck3.log" \
+  || { cat "$work/fsck3.log" >&2; fail "the repaired index lost its model or graph fingerprint"; }
 echo "fsck-smoke: repair kept 199 of 200 worlds and verifies clean"
 
 # --- the repaired file serves 200 again ------------------------------------

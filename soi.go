@@ -137,11 +137,9 @@ func SaveGraph(path string, g *Graph, origIDs []int64) error {
 	return graph.SaveFile(path, g, origIDs)
 }
 
-// Fingerprint returns the FNV-1a content fingerprint of g — the same hash
-// the checkpoint layer keys resume files on. Servers and clients use it to
-// validate that a graph / index / sphere-store triple belongs together: the
-// soid daemon logs it at startup, rejects an -expect-fingerprint mismatch,
-// and reports it from /v1/info.
+// Fingerprint returns the FNV-1a content fingerprint of g: the graph an index
+// file records and its loaders check, and what soid logs, pins with
+// -expect-fp and reports from /v1/info.
 func Fingerprint(g *Graph) uint64 {
 	return checkpoint.NewHasher().Graph(g).Sum()
 }

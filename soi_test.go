@@ -2,7 +2,9 @@ package soi
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -258,8 +260,54 @@ func TestFacadeLTModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sphere := TypicalCascade(idx, 0, TypicalOptions{CostSamples: 100, CostSeed: 27, Model: ModelLT})
+	if idx.Model() != ModelLT {
+		t.Fatalf("index model %v, want LT", idx.Model())
+	}
+	sphere := TypicalCascade(idx, 0, TypicalOptions{CostSamples: 100, CostSeed: 27})
 	if len(sphere.Set) == 0 || sphere.ExpectedCost < 0 || sphere.ExpectedCost > 1 {
 		t.Fatalf("LT sphere = %+v", sphere)
+	}
+}
+
+// TestLoadIndexChecksItsInputs: LoadIndex restores the model the index was
+// built under, refuses a graph other than the one it was sampled from
+// (naming both fingerprints) and refuses a retired SOIIDX03 file with the
+// rebuild command.
+func TestLoadIndexChecksItsInputs(t *testing.T) {
+	b := NewGraphBuilder(6)
+	for i := 0; i < 6; i++ {
+		b.AddEdge(NodeID(i), NodeID((i+1)%6), 0.7)
+	}
+	g := b.MustBuild()
+	idx, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 5, Seed: 1, Model: ModelLT}, ResumeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "g.idx")
+	if err := idx.SaveFile(p); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := LoadIndex(p, g); err != nil || back.Model() != ModelLT || back.GraphFingerprint() != Fingerprint(g) {
+		t.Fatalf("LoadIndex of its own graph: err %v", err)
+	}
+	ob := NewGraphBuilder(6)
+	for i := 0; i < 6; i++ {
+		ob.AddEdge(NodeID(i), NodeID((i+2)%6), 0.7)
+	}
+	other := ob.MustBuild()
+	_, err = LoadIndex(p, other)
+	for _, fp := range []uint64{Fingerprint(g), Fingerprint(other)} {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%016x", fp)) {
+			t.Fatalf("LoadIndex over another graph: err %v, want both fingerprints", err)
+		}
+	}
+	dir := filepath.Join("internal", "index", "testdata")
+	old, _, err := LoadGraph(filepath.Join(dir, "soiidx03.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(filepath.Join(dir, "soiidx03.idx"), old); err == nil || !strings.Contains(err.Error(), "SOIIDX03") ||
+		!strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
+		t.Fatalf("LoadIndex of a SOIIDX03 file: err %v, want the retired magic and the rebuild command", err)
 	}
 }
