@@ -50,9 +50,9 @@ bench-json:
 	  | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Short fuzz runs over every binary-format decoder (graph TSV, index
-# SOIIDX04 through the strict reader alone and through both the strict
+# SOIIDX05 through the strict reader alone and through both the strict
 # reader and soid's quarantining load, the index build's checkpoint
-# payload, sphere store
+# payload — each seeded with forged world records — sphere store
 # SOISPH03, checkpoint SOICKP01 and the all-nodes sweep's checkpoint
 # payload, sketch SOISKC02), plus the typical-cascade prefix kernel checked
 # against its reference implementation. Each gets its own

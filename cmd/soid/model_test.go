@@ -131,12 +131,15 @@ func TestRunRefusesOtherGraph(t *testing.T) {
 	}
 }
 
-// TestRunRefusesSOIIDX03: an index in the retired format, which recorded
-// neither graph nor model, refuses startup naming the rebuild command.
+// TestRunRefusesSOIIDX03: an index in a retired format — SOIIDX03, which
+// recorded neither graph nor model, or SOIIDX04, whose worlds were
+// fixed-width words — refuses startup naming the rebuild command.
 func TestRunRefusesSOIIDX03(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "index", "testdata")
-	err := startupErr(t, "-graph", filepath.Join(dir, "soiidx03.tsv"), "-index", filepath.Join(dir, "soiidx03.idx"))
-	if !errors.Is(err, blockfile.ErrMagic) || !strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
-		t.Fatalf("err %v, want ErrMagic naming the rebuild command", err)
+	for _, file := range []string{"soiidx03.idx", "soiidx04.idx"} {
+		err := startupErr(t, "-graph", filepath.Join(dir, "soiidx03.tsv"), "-index", filepath.Join(dir, file))
+		if !errors.Is(err, blockfile.ErrMagic) || !strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
+			t.Fatalf("%s: err %v, want ErrMagic naming the rebuild command", file, err)
+		}
 	}
 }

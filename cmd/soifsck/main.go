@@ -1,5 +1,5 @@
 // Command soifsck verifies and repairs soi on-disk artifacts: cascade index
-// files (SOIIDX04, from sphere -build-index), sphere stores (SOISPH03, from
+// files (SOIIDX05, from sphere -build-index), sphere stores (SOISPH03, from
 // sphere -all -store) and sketches (SOISKC02, from sphere -sketch-out). All
 // three are written in the one blockfile container and checked by one loop;
 // the kind is detected from the file's magic. A file in any other format,

@@ -227,15 +227,18 @@ func TestCheckFileIndexInputs(t *testing.T) {
 	}
 }
 
-// TestCheckFileSOIIDX03: an index in the retired format is unusable (exit
-// 2), verified or repaired, and the refusal names the rebuild command.
+// TestCheckFileSOIIDX03: an index in a retired format (SOIIDX03 or
+// SOIIDX04, real files of each) is unusable (exit 2), verified or
+// repaired, and the refusal names the rebuild command.
 func TestCheckFileSOIIDX03(t *testing.T) {
-	p := filepath.Join("..", "..", "internal", "index", "testdata", "soiidx03.idx")
-	for _, repair := range []string{"", filepath.Join(t.TempDir(), "fixed.idx")} {
-		code := 0
-		out := captureLog(t, func() { code = checkFile(p, repair, false) })
-		if code != 2 || !strings.Contains(out, "SOIIDX03") || !strings.Contains(out, "sphere -graph g.tsv -build-index new.idx") {
-			t.Fatalf("repair %q: exit %d, log:\n%s\nwant exit 2 naming the retired magic and the rebuild command", repair, code, out)
+	for _, magic := range []string{"SOIIDX03", "SOIIDX04"} {
+		p := filepath.Join("..", "..", "internal", "index", "testdata", strings.ToLower(magic)+".idx")
+		for _, repair := range []string{"", filepath.Join(t.TempDir(), "fixed.idx")} {
+			code := 0
+			out := captureLog(t, func() { code = checkFile(p, repair, false) })
+			if code != 2 || !strings.Contains(out, magic) || !strings.Contains(out, "sphere -graph g.tsv -build-index new.idx") {
+				t.Fatalf("%s, repair %q: exit %d, log:\n%s\nwant exit 2 naming the retired magic and the rebuild command", magic, repair, code, out)
+			}
 		}
 	}
 }

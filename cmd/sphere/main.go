@@ -90,12 +90,12 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	if err != nil {
 		return err
 	}
-	rt.GraphHash(g)
 	model := index.IC
 	if lt {
 		model = index.LT
 	}
 	if shards > 0 {
+		rt.GraphHash(g)
 		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, model)
 	}
 	tel := rt.Registry
@@ -137,6 +137,9 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	if err != nil {
 		return err
 	}
+	// The index holds the graph's fingerprint: a load checked it against g
+	// and a build computed it, so the run report need not hash g again.
+	tel.SetGraphHash(x.GraphFingerprint())
 	tel.SetSamplesAchieved(int64(x.NumWorlds()))
 	if buildIndexPath != "" {
 		if err := x.SaveFile(buildIndexPath); err != nil {

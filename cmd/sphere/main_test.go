@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
 	"soi/internal/gen"
 	"soi/internal/graph"
@@ -145,6 +146,14 @@ func TestRunStatsJSON(t *testing.T) {
 	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
 		t.Fatal(err)
 	}
+	// The report's graph hash is the graph's fingerprint, whether the run
+	// built its index, loaded it (taking the fingerprint the load checked)
+	// or partitioned the graph.
+	g, _, err := graph.LoadFile(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphHash := fmt.Sprintf("%016x", checkpoint.NewHasher().Graph(g).Sum())
 	cases := []struct {
 		name  string
 		run   func(ctx context.Context, rt *cliutil.RunTelemetry) error
@@ -182,8 +191,8 @@ func TestRunStatsJSON(t *testing.T) {
 			if rep.Schema != telemetry.ReportSchema {
 				t.Fatalf("schema = %q", rep.Schema)
 			}
-			if rep.RunInfo.Tool != "sphere" || rep.RunInfo.GraphHash == "" {
-				t.Fatalf("run info incomplete: %+v", rep.RunInfo)
+			if rep.RunInfo.Tool != "sphere" || rep.RunInfo.GraphHash != graphHash {
+				t.Fatalf("run info incomplete or graph hash not %s: %+v", graphHash, rep.RunInfo)
 			}
 			if tc.name == "sweep" {
 				if rep.RunInfo.SamplesAchieved != 30 {

@@ -100,13 +100,15 @@ func TestRunIndexRefusesOtherGraph(t *testing.T) {
 	}
 }
 
-// TestRunIndexRefusesSOIIDX03: an index in the retired format is refused
-// with the command that rebuilds it.
+// TestRunIndexRefusesSOIIDX03: an index in a retired format (SOIIDX03 or
+// SOIIDX04) is refused with the command that rebuilds it.
 func TestRunIndexRefusesSOIIDX03(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "index", "testdata")
-	err := run(context.Background(), filepath.Join(dir, "soiidx03.tsv"), 2, false, 0, 0, 1, "prefix",
-		filepath.Join(dir, "soiidx03.idx"), "", "", 0, false, "", "", 0, 0, "", "", 0, noTel())
-	if !errors.Is(err, blockfile.ErrMagic) || !strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
-		t.Fatalf("err %v, want ErrMagic naming the rebuild command", err)
+	for _, file := range []string{"soiidx03.idx", "soiidx04.idx"} {
+		err := run(context.Background(), filepath.Join(dir, "soiidx03.tsv"), 2, false, 0, 0, 1, "prefix",
+			filepath.Join(dir, file), "", "", 0, false, "", "", 0, 0, "", "", 0, noTel())
+		if !errors.Is(err, blockfile.ErrMagic) || !strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
+			t.Fatalf("%s: err %v, want ErrMagic naming the rebuild command", file, err)
+		}
 	}
 }

@@ -34,10 +34,10 @@ func TestArtifactGoldenBytes(t *testing.T) {
 	// The zero-value options build the transitively reduced index, the same
 	// one every CLI builder writes.
 	const (
-		indexFP  = uint64(0xa38d5f75f04db86f)
-		indexSHA = "a345153d9755ef57da8123ae742461f72fccba5b1a6d5b97e182493eec797241"
-		skcSHA   = "727e17fc12008d722fa0334d64b99cd0b8803c9453c33bae6c23420b60a77add"
-		sphSHA   = "6f799824b9380eba604e235fde11b4a2e73107a548aca46b58c577e539170a78"
+		indexFP  = uint64(0x3fb43d51c671dc8f)
+		indexSHA = "9ce8d51b5220f330b3896c91b450f6b90c4bc8f4cdc0e07ac981677429d2c877"
+		skcSHA   = "a762197dff6fcf28d54798446f49731b18cdd82356e4de1fb5a33f0a82a7911c"
+		sphSHA   = "906f05a143ee4669cdc92732eef03b669770bd463d72e0bb944bf37e213a11ad"
 	)
 	x, err := BuildIndex(context.Background(), g, IndexOptions{Samples: 24, Seed: 17}, ResumeConfig{})
 	if err != nil {

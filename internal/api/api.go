@@ -190,9 +190,6 @@ type Info struct {
 	// (always present, normally 0 — a non-zero value means the index file
 	// needs soifsck and answers are 206-degraded).
 	WorldsQuarantined int `json:"worlds_quarantined"`
-	// Mmap is always false: every index is decoded at load. The field stays
-	// so the wire schema does not change.
-	Mmap bool `json:"mmap"`
 	// GraphFingerprint and IndexFingerprint identify the loaded artifacts
 	// (soi.Fingerprint / Index.Fingerprint, hex); clients validate that they
 	// are talking to the dataset they think they are.

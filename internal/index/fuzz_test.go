@@ -39,8 +39,14 @@ func FuzzRead(f *testing.F) {
 	mutate(16+8, 0x02)                              // meta: model
 	mutate(FileKind.HeaderLen()+8, 0x01)            // directory: world 0's length
 	mutate(FileKind.HeaderLen()+16, 0x01)           // directory: world 0's comps
-	mutate(FileKind.BlocksStart(2)+4, 0x01)         // world 0's first comp id
-	f.Add(append([]byte("SOIIDX03"), clean[8:]...)) // retired magic
+	mutate(FileKind.BlocksStart(2)+2, 0x01)         // world 0's first packed comp id
+	f.Add(append([]byte("SOIIDX04"), clean[8:]...)) // retired magic
+	// Records only the decoder can refuse, under a consistent directory and
+	// checksums.
+	w := forgeable(f, x)
+	for _, rec := range forgedRecords(f, &x.entries[w]) {
+		f.Add(forgeFile(f, x, w, rec))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := Read(bytes.NewReader(data), g)
 		if err != nil {
@@ -112,8 +118,12 @@ func FuzzReadV03(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Add(FileKind.Magic[:])                        // magic only
-	f.Add(append([]byte("SOIIDX03"), clean[8:]...)) // retired magic
+	f.Add(append([]byte("SOIIDX04"), clean[8:]...)) // retired magic
 	f.Add([]byte("SOISPH02"))                       // another artifact's magic
+	w := forgeable(f, x)
+	for _, rec := range forgedRecords(f, &x.entries[w]) {
+		f.Add(forgeFile(f, x, w, rec))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if idx, err := Read(bytes.NewReader(data), g); err == nil {
 			s := idx.NewScratch()
@@ -159,23 +169,6 @@ func FuzzBuildPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// World 0's record starts after its 4-byte id; its first degree word
-	// follows the comps word and the comp array.
-	e0 := &x.entries[0]
-	firstDeg := 4 + 4 + 4*nodes
-	c := 0
-	for c < e0.numComps() && e0.succOff[c+1] == e0.succOff[c] {
-		c++
-	}
-	if c == e0.numComps() {
-		f.Fatal("fixture world 0 has no condensation edge to corrupt")
-	}
-	succPos := firstDeg + 4*(c+int(e0.succOff[c])) + 4 // component c's first successor
-	with := func(pos int, v uint32) []byte {
-		d := append([]byte(nil), clean...)
-		binary.LittleEndian.PutUint32(d[pos:], v)
-		return d
-	}
 	decode := func(data []byte) ([]worldEntry, error) {
 		entries := make([]worldEntry, 4)
 		return entries, decodeBuildPayload(&checkpoint.State{Done: done, Payload: data}, uint32(nodes), entries)
@@ -187,14 +180,17 @@ func FuzzBuildPayload(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	comps := uint32(e0.numComps())
+	le := binary.LittleEndian
+	rec0 := appendEntry(nil, &x.entries[0])
+	world2 := clean[4+len(rec0):] // world 2's id and record
 	f.Add(clean)
 	bad("truncated id", append(append([]byte(nil), clean...), 1, 0))
-	bad("id outside the done bitmap", with(0, 1))
-	bad("truncated entry", clean[:firstDeg+2])
-	bad("degree > comps", with(firstDeg, comps+1))
-	bad("successor out of range", with(succPos, comps))
+	bad("id outside the done bitmap", append(le.AppendUint32(nil, 1), clean[4:]...))
+	bad("truncated entry", clean[:4+len(rec0)/2])
 	bad("empty payload for two done worlds", []byte{})
+	for why, rec := range forgedRecords(f, &x.entries[0]) {
+		bad(why, append(append(le.AppendUint32(nil, 0), rec...), world2...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := decode(data)
 		if err != nil {

@@ -342,19 +342,20 @@ func TestV3TruncationEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestRejectsUnknownMagic: SOIIDX04 is the only index format. Every reader
+// TestRejectsUnknownMagic: SOIIDX05 is the only index format. Every reader
 // rejects any other magic — a retired index version or another artifact —
 // with blockfile.ErrMagic, naming the magic found and the rebuild command.
-// testdata/soiidx03.idx is a real SOIIDX03 file, written by the previous
-// format's writer for testdata/soiidx03.tsv, which recorded neither graph
-// nor model.
+// testdata/soiidx03.idx and testdata/soiidx04.idx are real files, written
+// by the retired formats' writers for testdata/soiidx03.tsv: SOIIDX03
+// recorded neither graph nor model, SOIIDX04 held its worlds as fixed-width
+// words.
 func TestRejectsUnknownMagic(t *testing.T) {
 	g, _, _, raw := v3Fixture(t, 251, 2)
 	p := filepath.Join(t.TempDir(), "old.idx")
-	for _, magic := range []string{"SOIIDX03", "SOIIDX02", "SOISPH02"} {
+	for _, magic := range []string{"SOIIDX04", "SOIIDX03", "SOIIDX02", "SOISPH02"} {
 		path, data, gg := p, append([]byte(magic), raw[len(magic):]...), g
-		if magic == "SOIIDX03" {
-			path = filepath.Join("testdata", "soiidx03.idx")
+		if magic == "SOIIDX04" || magic == "SOIIDX03" {
+			path = filepath.Join("testdata", strings.ToLower(magic)+".idx")
 			var err error
 			if data, err = os.ReadFile(path); err != nil {
 				t.Fatal(err)

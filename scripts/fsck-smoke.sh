@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Corruption-repair smoke test for every blockfile kind. Index (SOIIDX04):
+# Corruption-repair smoke test for every blockfile kind. Index (SOIIDX05):
 # build one on disk, assert soifsck's summary names the model and graph
 # fingerprint it records (the one soid logs), flip a byte inside one world
 # block with dd, assert
@@ -59,9 +59,9 @@ echo "fsck-smoke: building index"
 "$work/soifsck" "$work/g.idx" 2> "$work/fsck0.log" \
   || { cat "$work/fsck0.log" >&2; fail "soifsck rejected a freshly built index"; }
 grep -q "clean (200 worlds)" "$work/fsck0.log" || fail "no clean verdict for the fresh index"
-idx_graph="$(sed -n 's/.*: SOIIDX04 nodes=30 worlds=200 model=IC graph=\([0-9a-f]\{16\}\) .*/\1/p' "$work/fsck0.log")"
-[ -n "$idx_graph" ] || { cat "$work/fsck0.log" >&2; fail "soifsck summary does not name SOIIDX04, model=IC and the graph fingerprint"; }
-echo "fsck-smoke: fresh SOIIDX04 index verifies clean (model=IC graph=$idx_graph)"
+idx_graph="$(sed -n 's/.*: SOIIDX05 nodes=30 worlds=200 model=IC graph=\([0-9a-f]\{16\}\) .*/\1/p' "$work/fsck0.log")"
+[ -n "$idx_graph" ] || { cat "$work/fsck0.log" >&2; fail "soifsck summary does not name SOIIDX05, model=IC and the graph fingerprint"; }
+echo "fsck-smoke: fresh SOIIDX05 index verifies clean (model=IC graph=$idx_graph)"
 
 # --- corrupt one block with dd --------------------------------------------
 # soifsck -v prints one "world N: off=X len=Y" line per block; target the
@@ -134,7 +134,7 @@ grep -q "kept 199 of 200 worlds" "$work/fsck2.log" || { cat "$work/fsck2.log" >&
 "$work/soifsck" "$work/fixed.idx" 2> "$work/fsck3.log" \
   || { cat "$work/fsck3.log" >&2; fail "repaired index does not verify clean"; }
 grep -q "clean (199 worlds)" "$work/fsck3.log" || fail "no clean verdict for the repaired index"
-grep -q ": SOIIDX04 nodes=30 worlds=199 model=IC graph=$idx_graph " "$work/fsck3.log" \
+grep -q ": SOIIDX05 nodes=30 worlds=199 model=IC graph=$idx_graph " "$work/fsck3.log" \
   || { cat "$work/fsck3.log" >&2; fail "the repaired index lost its model or graph fingerprint"; }
 echo "fsck-smoke: repair kept 199 of 200 worlds and verifies clean"
 

@@ -271,8 +271,8 @@ func TestFacadeLTModel(t *testing.T) {
 
 // TestLoadIndexChecksItsInputs: LoadIndex restores the model the index was
 // built under, refuses a graph other than the one it was sampled from
-// (naming both fingerprints) and refuses a retired SOIIDX03 file with the
-// rebuild command.
+// (naming both fingerprints) and refuses a retired SOIIDX03 or SOIIDX04
+// file with the rebuild command.
 func TestLoadIndexChecksItsInputs(t *testing.T) {
 	b := NewGraphBuilder(6)
 	for i := 0; i < 6; i++ {
@@ -306,8 +306,10 @@ func TestLoadIndexChecksItsInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndex(filepath.Join(dir, "soiidx03.idx"), old); err == nil || !strings.Contains(err.Error(), "SOIIDX03") ||
-		!strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
-		t.Fatalf("LoadIndex of a SOIIDX03 file: err %v, want the retired magic and the rebuild command", err)
+	for _, magic := range []string{"SOIIDX03", "SOIIDX04"} {
+		if _, err := LoadIndex(filepath.Join(dir, strings.ToLower(magic)+".idx"), old); err == nil || !strings.Contains(err.Error(), magic) ||
+			!strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
+			t.Fatalf("LoadIndex of a %s file: err %v, want the retired magic and the rebuild command", magic, err)
+		}
 	}
 }
