@@ -74,7 +74,6 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 	if evalSamples == 0 {
 		evalSamples = samples
 	}
-	rt.GraphHash(g)
 	tel := rt.Registry
 	tel.SetSeed(seed)
 	tel.SetParam("k", fmt.Sprint(k))
@@ -96,6 +95,8 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 	if !cliutil.Partial("infmax", err) && err != nil {
 		return err
 	}
+	// The built index holds the graph's fingerprint: the run report's hash.
+	tel.SetGraphHash(x.GraphFingerprint())
 	tel.SetSamplesAchieved(int64(x.NumWorlds()))
 
 	spheres := func() (infmax.Spheres, error) {

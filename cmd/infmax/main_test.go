@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +96,13 @@ func TestRunTelemetryCounters(t *testing.T) {
 func TestRunStatsJSON(t *testing.T) {
 	dir := t.TempDir()
 	gp, _ := writeTestGraph(t, dir)
+	// The report's graph hash is the graph's fingerprint, taken from the
+	// index the run builds.
+	g, _, err := graph.LoadFile(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphHash := fmt.Sprintf("%016x", checkpoint.NewHasher().Graph(g).Sum())
 	for method, span := range map[string]string{"std": "infmax.std.greedy", "tc": "infmax.tc.greedy"} {
 		t.Run(method, func(t *testing.T) {
 			stats := filepath.Join(dir, method+"-stats.json")
@@ -113,6 +121,9 @@ func TestRunStatsJSON(t *testing.T) {
 			var rep telemetry.Report
 			if err := json.Unmarshal(b, &rep); err != nil {
 				t.Fatalf("stats file is not valid JSON: %v", err)
+			}
+			if rep.RunInfo.Tool != "infmax" || rep.RunInfo.GraphHash != graphHash {
+				t.Fatalf("run info incomplete or graph hash not %s: %+v", graphHash, rep.RunInfo)
 			}
 			seconds := 0.0
 			for _, sp := range rep.Spans {

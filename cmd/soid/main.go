@@ -154,6 +154,9 @@ func run(o *options, life *daemon.Lifecycle) error {
 	var sk *sketch.Sketch
 	if o.sketch != "" {
 		sk, err = sketch.LoadFile(o.sketch)
+		if err == nil {
+			err = sketch.CheckServable(sk.K())
+		}
 		if err != nil {
 			return fmt.Errorf("loading sketch %s: %w", o.sketch, err)
 		}

@@ -17,11 +17,13 @@ import (
 	"time"
 
 	"soi/internal/blockfile"
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/daemon"
 	"soi/internal/graph"
 	"soi/internal/index"
+	"soi/internal/sketch"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -152,6 +154,42 @@ func TestRunRefusesForeignStore(t *testing.T) {
 				t.Fatalf("err %v, want a refused sphere store naming %q", err, core.StoreKind.Rebuild)
 			}
 		}
+	}
+}
+
+// TestRunRefusesUnservableSketch: a sketch whose k is below
+// bound.MinBottomK would serve bottom-k bounds outside their derivation, so
+// soid refuses to load it and names the smallest k it accepts.
+func TestRunRefusesUnservableSketch(t *testing.T) {
+	gp := writeTestGraph(t)
+	ip := writeTestIndex(t, gp)
+	g, _, err := graph.LoadFile(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := index.LoadFile(ip, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := sketch.Build(context.Background(), x, sketch.Options{K: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := filepath.Join(t.TempDir(), "g.skc")
+	if err := sk.SaveFile(sp); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(parse(t, "-graph", gp, "-index", ip, "-sketch", sp, "-addr", "127.0.0.1:0")) }()
+	select {
+	case err := <-done:
+		want := fmt.Sprintf("k >= %d", bound.MinBottomK(bound.ServingDelta))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err %v, want a refused sketch naming %q", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		stopRun(t, done)
+		t.Fatal("soid served a k=8 sketch")
 	}
 }
 

@@ -21,6 +21,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -31,6 +32,7 @@ import (
 	"time"
 
 	"soi/internal/atomicfile"
+	"soi/internal/bound"
 	"soi/internal/cliutil"
 	"soi/internal/core"
 	"soi/internal/graph"
@@ -86,6 +88,11 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
+	if sketchOut != "" {
+		if err := sketch.CheckServable(cmp.Or(sketchK, sketch.DefaultK)); err != nil {
+			return fmt.Errorf("-sketch-k: %w", err)
+		}
+	}
 	g, orig, err := graph.LoadFile(graphPath)
 	if err != nil {
 		return err
@@ -94,11 +101,10 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	if lt {
 		model = index.LT
 	}
-	if shards > 0 {
-		rt.GraphHash(g)
-		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, model)
-	}
 	tel := rt.Registry
+	if shards > 0 {
+		return partitionShards(ctx, g, orig, shards, shardOut, samples, costSamples, seed, model, tel)
+	}
 	tel.SetSeed(seed)
 	tel.SetParam("samples", fmt.Sprint(samples))
 	tel.SetParam("algorithm", algorithm)
@@ -264,7 +270,7 @@ func saveSketch(ctx context.Context, x *index.Index, path string, k int, seed ui
 		return err
 	}
 	fmt.Printf("sketch k=%d over %d worlds (%d live), ±%.1f%% at 95%%, %.1f KiB saved to %s\n",
-		sk.K(), sk.Worlds(), sk.LiveWorlds(), 100*sketch.RelativeError(sk.K(), sketch.ServingDelta),
+		sk.K(), sk.Worlds(), sk.LiveWorlds(), 100*bound.BottomK(sk.K(), bound.ServingDelta).Eps,
 		float64(sk.MemoryFootprint())/1024, path)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/cliutil"
 	"soi/internal/gen"
@@ -232,6 +233,28 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), gp, -1, false, 10, 0, 1, "prefix", "", "", "", 0, false, "", "", 0, 0, "", "", 0, noTel()); err == nil {
 		t.Error("accepted neither -node nor -all")
+	}
+}
+
+// TestRunRefusesUnservableSketchK: below bound.MinBottomK the bottom-k
+// bound soid would serve lies outside its derivation, so -sketch-k refuses
+// such a k before any work and names the smallest k it accepts.
+func TestRunRefusesUnservableSketchK(t *testing.T) {
+	dir := t.TempDir()
+	gp := writeTestGraph(t, dir)
+	idx, skc := filepath.Join(dir, "g.idx"), filepath.Join(dir, "g.skc")
+	kmin := bound.MinBottomK(bound.ServingDelta)
+	for _, k := range []int{8, kmin - 1} {
+		err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, skc, k, false, "", "", 0, 0, "", "", 0, noTel())
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("k >= %d", kmin)) {
+			t.Fatalf("-sketch-k %d: err %v, want a refusal naming k >= %d", k, err, kmin)
+		}
+		if _, err := os.Stat(skc); err == nil {
+			t.Fatalf("-sketch-k %d wrote a sketch", k)
+		}
+	}
+	if err := run(context.Background(), gp, -1, false, 30, 0, 1, "prefix", "", idx, skc, kmin, false, "", "", 0, 0, "", "", 0, noTel()); err != nil {
+		t.Fatalf("-sketch-k %d: %v", kmin, err)
 	}
 }
 

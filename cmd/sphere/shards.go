@@ -15,6 +15,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/router"
 	"soi/internal/scc"
+	"soi/internal/telemetry"
 )
 
 // partitionShards is the -shards mode: split the graph into k SCC-respecting
@@ -23,7 +24,7 @@ import (
 // consumes. Artifacts land at <prefix>-shard<N>.{tsv,idx,spheres} with the
 // manifest at <prefix>-topology.json.
 func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
-	prefix string, samples, costSamples int, seed uint64, model index.Model) error {
+	prefix string, samples, costSamples int, seed uint64, model index.Model, tel *telemetry.Registry) error {
 	if prefix == "" {
 		return fmt.Errorf("-shards requires -shard-out PREFIX")
 	}
@@ -32,9 +33,12 @@ func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
 	if err != nil {
 		return err
 	}
+	// The manifest's graph fingerprint is the run report's graph hash.
+	fp := soi.Fingerprint(g)
+	tel.SetGraphHash(fp)
 	topo := &router.Topology{
 		Format:           router.TopologyFormat,
-		GraphFingerprint: fmt.Sprintf("%016x", soi.Fingerprint(g)),
+		GraphFingerprint: fmt.Sprintf("%016x", fp),
 		NumNodes:         g.NumNodes(),
 		CutEdges:         len(p.CutEdges),
 		CutBound:         p.CutBound,

@@ -29,7 +29,13 @@ type Partial struct {
 	// ErrorBound bounds the answer's additive error, in the units of the
 	// estimate it annotates (nodes for spread and seeds, probability or
 	// Jaccard distance for reliability, stability and sphere cost). Causes
-	// compose by summing (a conservative union bound).
+	// compose by summing (a conservative union bound), and so do their
+	// failure probabilities: each soid source (budget truncation,
+	// quarantine, a sketch's Cohen bound) holds at δ = bound.ServingDelta
+	// (0.05), soid sums the budget and quarantine bounds, and soigw sums
+	// the shards' bounds, so a merged bound holds with probability at least
+	// 1 − Σδ over the summed sources. The gateway's dead-shard and cut-edge
+	// widenings are added on top and are deterministic: they cost no δ.
 	ErrorBound float64 `json:"error_bound,omitempty"`
 	// WorldsUsed / WorldsQuarantined report index degradation: corrupt world
 	// blocks quarantined by soid's index load drop out of every estimate,

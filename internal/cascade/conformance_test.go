@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -33,7 +34,7 @@ func TestConformanceExpectedSpread(t *testing.T) {
 	n := float64(g.NumNodes())
 	seedSets := [][]graph.NodeID{{4}, {0}, {1, 3}, {0, 1, 2, 3, 4}}
 	const trials = 20000
-	b := statcheck.Hoeffding(trials).Union(len(seedSets)).Scale(n)
+	b := bound.Hoeffding(trials, statcheck.DefaultDelta).Union(len(seedSets)).Scale(n)
 	for i, seeds := range seedSets {
 		exact, err := oracle.ExpectedSpread(g, seeds)
 		if err != nil {
@@ -56,7 +57,7 @@ func TestConformanceSpreadFromIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedSets := [][]graph.NodeID{{4}, {1, 3}}
-	b := statcheck.Hoeffding(ell).Union(len(seedSets)).Scale(n)
+	b := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(len(seedSets)).Scale(n)
 	s := x.NewScratch()
 	for _, seeds := range seedSets {
 		exact, err := oracle.ExpectedSpread(g, seeds)

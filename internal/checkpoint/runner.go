@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"soi/internal/bound"
 	"soi/internal/fault"
 	"soi/internal/telemetry"
 )
@@ -59,7 +60,8 @@ type PartialError struct {
 	// Requested is the number of units the caller asked for.
 	Requested int
 	// Bound is the Theorem-2-style additive error bound at the achieved
-	// sample count (see ErrorBound).
+	// sample count: bound.Hoeffding(Achieved, bound.ServingDelta) for a
+	// [0,1]-valued mean, which callers scale to the estimate's range.
 	Bound float64
 }
 
@@ -70,21 +72,6 @@ func (e *PartialError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrPartial) true.
 func (e *PartialError) Unwrap() error { return ErrPartial }
-
-// ErrorBound returns the Theorem-2-style additive error bound for an
-// estimate built from ell samples: by Hoeffding's inequality a [0,1]-valued
-// empirical mean over ell independent samples is within
-// sqrt(ln(2/δ)/(2ℓ)) of its expectation with probability 1-δ (δ = 0.05
-// here, matching the paper's constant-sample-count regime). Estimates over a
-// wider range (e.g. cascade sizes in [0, n]) scale the bound by the range.
-func ErrorBound(ell int) float64 {
-	if ell < 1 {
-		return 1
-	}
-	// For a [0,1] quantity a bound above 1 is vacuous; clamp so tiny ℓ
-	// reports "no guarantee" rather than a nonsensical ±1.36.
-	return math.Min(1, math.Sqrt(math.Log(2/0.05)/(2*float64(ell))))
-}
 
 // Config configures a checkpointed, deadline-bounded run. Every sampling
 // algorithm takes one as its last parameter. The zero value disables both
@@ -287,7 +274,8 @@ func (r *Runner) Partial(requested int) error {
 		return fmt.Errorf("deadline reached after %d/%d units, below the budget minimum of %d: %w",
 			achieved, requested, r.cfg.Budget.minUnits(), ErrDeadline)
 	}
-	return &PartialError{Achieved: achieved, Requested: requested, Bound: ErrorBound(achieved)}
+	return &PartialError{Achieved: achieved, Requested: requested,
+		Bound: bound.Hoeffding(achieved, bound.ServingDelta).Eps}
 }
 
 // Settle ends a run whose work loop returned runErr, and settles the

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"soi/internal/bound"
 )
 
 // encodeDone serializes the done-unit indexes — enough payload structure to
@@ -205,25 +207,7 @@ func TestPartialOutcome(t *testing.T) {
 	if !errors.As(err, &pe) || !errors.Is(err, ErrPartial) {
 		t.Fatalf("Partial = %v, want *PartialError wrapping ErrPartial", err)
 	}
-	if pe.Achieved != 3 || pe.Requested != 10 || pe.Bound != ErrorBound(3) {
+	if pe.Achieved != 3 || pe.Requested != 10 || pe.Bound != bound.Hoeffding(3, bound.ServingDelta).Eps {
 		t.Fatalf("PartialError = %+v", pe)
-	}
-}
-
-func TestErrorBound(t *testing.T) {
-	if ErrorBound(0) != 1 {
-		t.Fatal("ErrorBound(0) != 1")
-	}
-	prev := 2.0
-	for _, ell := range []int{1, 10, 100, 1000, 100000} {
-		b := ErrorBound(ell)
-		if b <= 0 || b >= prev {
-			t.Fatalf("ErrorBound(%d) = %v, want positive and strictly decreasing", ell, b)
-		}
-		prev = b
-	}
-	// ln(2/0.05)/(2*1000) ≈ 0.0430 at ℓ=1000.
-	if b := ErrorBound(1000); b < 0.042 || b > 0.044 {
-		t.Fatalf("ErrorBound(1000) = %v", b)
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"soi/internal/checkpoint"
 	"soi/internal/daemon"
-	"soi/internal/graph"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
 )
@@ -120,14 +118,4 @@ func spanSnapshots(spans []trace.SpanJSON) []telemetry.SpanSnapshot {
 func (t *RunTelemetry) Finish(err error) {
 	t.Flush()
 	Fail(t.Tool, err)
-}
-
-// GraphHash records the loaded graph's content hash in the run report, so a
-// report can be matched to its exact input. No-op when telemetry is
-// disabled.
-func (t *RunTelemetry) GraphHash(g *graph.Graph) {
-	if t.Registry == nil || g == nil {
-		return
-	}
-	t.Registry.SetGraphHash(checkpoint.NewHasher().Graph(g).Sum())
 }

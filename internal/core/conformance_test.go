@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -23,7 +24,7 @@ func TestConformanceEstimateStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	b := statcheck.Hoeffding(ell)
+	b := bound.Hoeffding(ell, statcheck.DefaultDelta)
 	for _, cand := range [][]graph.NodeID{{4}, {0, 4}, {0, 1, 4}, {0, 1, 2, 3, 4}} {
 		est := estimateCost(t, g, []graph.NodeID{4}, cand, ell, 77)
 		statcheck.Close(t, "EstimateCost vs oracle rho", est, dist.Rho(cand), b)
@@ -42,7 +43,7 @@ func TestConformanceEstimateStabilitySeedSet(t *testing.T) {
 	const ell = 20000
 	cand := []graph.NodeID{0, 1, 3}
 	est := estimateCost(t, g, seeds, cand, ell, 78)
-	statcheck.Close(t, "seed-set EstimateCost vs oracle rho", est, dist.Rho(cand), statcheck.Hoeffding(ell))
+	statcheck.Close(t, "seed-set EstimateCost vs oracle rho", est, dist.Rho(cand), bound.Hoeffding(ell, statcheck.DefaultDelta))
 }
 
 // TestConformanceEstimateCostBudget: with a budget whose deadline never
@@ -68,7 +69,7 @@ func TestConformanceEstimateCostBudget(t *testing.T) {
 	if got != plain {
 		t.Fatalf("budgeted estimate %v != plain estimate %v (same seed, same stream)", got, plain)
 	}
-	statcheck.Close(t, "budgeted EstimateCost vs oracle rho", got, dist.Rho(cand), statcheck.Hoeffding(ell))
+	statcheck.Close(t, "budgeted EstimateCost vs oracle rho", got, dist.Rho(cand), bound.Hoeffding(ell, statcheck.DefaultDelta))
 }
 
 // TestConformanceComputeFromSet: the typical cascade of a seed set, computed
@@ -89,7 +90,7 @@ func TestConformanceComputeFromSet(t *testing.T) {
 	x := buildIndex(t, g, ell, 52)
 	res := ComputeFromSet(x, seeds, Options{Algorithm: MedianExact})
 	statcheck.AtMost(t, "seed-set sampled median", dist.Rho(res.Set), bestCost,
-		statcheck.ERM(ell, 1<<5))
+		bound.ERM(ell, 1<<5, statcheck.DefaultDelta))
 }
 
 // TestConformanceRhoRelabelInvariance is the metamorphic companion at the
@@ -116,5 +117,5 @@ func TestConformanceRhoRelabelInvariance(t *testing.T) {
 	// Each estimate is within eps of the same exact value, so they are
 	// within 2*eps of each other.
 	statcheck.Close(t, "rho invariance under relabeling", est, pest,
-		statcheck.Hoeffding(ell).Scale(2))
+		bound.Hoeffding(ell, statcheck.DefaultDelta).Scale(2))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/graph"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
@@ -49,7 +50,7 @@ func TestConformanceTypicalCascadeFigure1(t *testing.T) {
 	const ell = 4000
 	x := buildIndex(t, g, ell, 51)
 	res := Compute(x, src, Options{Algorithm: MedianExact})
-	erm := statcheck.ERM(ell, 1<<5)
+	erm := bound.ERM(ell, 1<<5, statcheck.DefaultDelta)
 	statcheck.AtMost(t, "exact-search sampled median", dist.Rho(res.Set), bestCost, erm)
 
 	// The default prefix algorithm is not an empirical minimizer, but its

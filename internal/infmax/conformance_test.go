@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/oracle"
@@ -61,7 +62,7 @@ func TestConformanceStdSeedQuality(t *testing.T) {
 	n := g.NumNodes()
 	const ell = 20000
 	x := buildIndex(t, g, ell, 61)
-	uniform := statcheck.Hoeffding(ell).Union(1 << n).Scale(2 * float64(n))
+	uniform := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(1 << n).Scale(2 * float64(n))
 	for k := 1; k <= 3; k++ {
 		_, opt, err := o.OptimalSeedSet(k)
 		if err != nil {
@@ -99,7 +100,7 @@ func TestConformanceStdMCSeedQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perEval := statcheck.Hoeffding(trials).Union(n * k).Scale(float64(n))
+	perEval := bound.Hoeffding(trials, statcheck.DefaultDelta).Union(n * k).Scale(float64(n))
 	statcheck.AtLeast(t, "StdMC seed quality", trueSpread(t, o, sel.Seeds),
 		oneMinusInvE*opt, perEval.Scale(2*k))
 }
@@ -115,7 +116,7 @@ func TestConformanceRRSeedQuality(t *testing.T) {
 	}
 	n := g.NumNodes()
 	const sets = 20000
-	uniform := statcheck.Hoeffding(sets).Union(1 << n).Scale(2 * float64(n))
+	uniform := bound.Hoeffding(sets, statcheck.DefaultDelta).Union(1 << n).Scale(2 * float64(n))
 	for k := 1; k <= 3; k++ {
 		_, opt, err := o.OptimalSeedSet(k)
 		if err != nil {

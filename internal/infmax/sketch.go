@@ -18,7 +18,7 @@ import (
 // or grow an exhaustive sketch), so gains are nonnegative; Gains are in
 // expected-spread units, matching Std. The selection inherits the sketch's
 // (ε, δ) guarantee: the conformance suite holds it to
-// (1-1/e)·opt − slack with slack derived via statcheck.BottomK.
+// (1-1/e)·opt − slack with slack derived via bound.BottomK.
 func SelectSeedsSketch(sk *sketch.Sketch, k int) (Selection, error) {
 	n := sk.Nodes()
 	if err := validateK(k, n); err != nil {

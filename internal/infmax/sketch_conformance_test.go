@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/oracle"
 	"soi/internal/sketch"
 	"soi/internal/statcheck"
@@ -33,7 +34,7 @@ func TestConformanceSketchSeedQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform := statcheck.Hoeffding(ell).Union(1 << n).Scale(2 * float64(n))
+	uniform := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(1 << n).Scale(2 * float64(n))
 	for k := 1; k <= 3; k++ {
 		_, opt, err := o.OptimalSeedSet(k)
 		if err != nil {
@@ -43,7 +44,7 @@ func TestConformanceSketchSeedQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compress := statcheck.BottomKDelta(sketchK, statcheck.DefaultDelta/float64(uint(1)<<n)).
+		compress := bound.BottomK(sketchK, statcheck.DefaultDelta).Union(1 << n).
 			Scale(opt).Scale(2 * float64(k))
 		statcheck.AtLeast(t, "sketch seed quality", trueSpread(t, o, sel.Seeds),
 			oneMinusInvE*opt, uniform.Plus(compress))

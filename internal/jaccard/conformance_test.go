@@ -3,6 +3,7 @@ package jaccard
 import (
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/graph"
 	"soi/internal/oracle"
 	"soi/internal/rng"
@@ -92,7 +93,7 @@ func TestConformanceSampledMedianTheorem2(t *testing.T) {
 	}
 
 	med := Exact(sets)
-	erm := statcheck.ERM(ell, 1<<5)
+	erm := bound.ERM(ell, 1<<5, statcheck.DefaultDelta)
 	statcheck.AtMost(t, "sampled exhaustive median", dist.Rho(med.Set), bestCost, erm)
 
 	// The prefix heuristic transfers through its measured empirical gap:

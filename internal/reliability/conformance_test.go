@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/oracle"
@@ -40,7 +41,7 @@ func TestConformanceFromSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := statcheck.Hoeffding(ell).Union(g.NumNodes())
+	b := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(g.NumNodes())
 	for v := range got {
 		statcheck.Close(t, "FromSource vs oracle", got[v], exact[v], b)
 	}
@@ -60,7 +61,7 @@ func TestConformanceST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	statcheck.Close(t, "ST vs oracle", got, exact, statcheck.Hoeffding(ell))
+	statcheck.Close(t, "ST vs oracle", got, exact, bound.Hoeffding(ell, statcheck.DefaultDelta))
 }
 
 // TestConformanceSearch compares the sampled reliability search against the
@@ -76,7 +77,7 @@ func TestConformanceSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	b := statcheck.Hoeffding(ell).Union(g.NumNodes())
+	b := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(g.NumNodes())
 	for _, threshold := range []float64{0.05, 0.3, 0.5, 0.9} {
 		got, _, err := Search(context.Background(), g, sources, threshold, ell, 73, checkpoint.Budget{})
 		if err != nil {
@@ -127,7 +128,7 @@ func TestConformanceFromSourceBudget(t *testing.T) {
 	if achieved != ell {
 		t.Fatalf("achieved %d of %d samples with no deadline", achieved, ell)
 	}
-	b := statcheck.Hoeffding(ell).Union(g.NumNodes())
+	b := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(g.NumNodes())
 	for v := range got {
 		if got[v] != plain[v] {
 			t.Fatalf("node %d: budgeted %v != plain %v (same seed, same stream)", v, got[v], plain[v])

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"soi/internal/api"
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/fault"
@@ -236,7 +237,7 @@ func TestConformanceRouterSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := statcheck.Hoeffding(rcEll).Scale(float64(fx.g.NumNodes()))
+	b := bound.Hoeffding(rcEll, statcheck.DefaultDelta).Scale(float64(fx.g.NumNodes()))
 
 	for _, method := range []string{"index", "mc"} {
 		code, body := gwDo(t, rt, "/v1/spread?seeds=4,9&method="+method+"&trials="+fmt.Sprint(rcEll))
@@ -267,7 +268,7 @@ func TestConformanceRouterSphere(t *testing.T) {
 	}
 	sphere := bodyNodes(t, body, "sphere")
 	statcheck.Close(t, "routed sphere stability", bodyFloat(t, body, "stability"),
-		dist.Rho(sphere), statcheck.Hoeffding(rcEll))
+		dist.Rho(sphere), bound.Hoeffding(rcEll, statcheck.DefaultDelta))
 }
 
 // TestConformanceRouterReliability: threshold membership of the merged
@@ -281,7 +282,7 @@ func TestConformanceRouterReliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	const threshold = 0.3
-	b := statcheck.Hoeffding(rcEll).Union(fx.g.NumNodes())
+	b := bound.Hoeffding(rcEll, statcheck.DefaultDelta).Union(fx.g.NumNodes())
 	code, body := gwDo(t, rt, fmt.Sprintf("/v1/reliability?sources=4,9&threshold=0.3&samples=%d", rcEll))
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, body)
@@ -327,7 +328,7 @@ func TestConformanceRouterStability(t *testing.T) {
 		set := bodyNodes(t, body, "set")
 		stab := bodyFloat(t, body, "stability")
 		statcheck.Close(t, fmt.Sprintf("routed stability of seed %d", seed),
-			stab, dist.Rho(set), statcheck.Hoeffding(rcEll))
+			stab, dist.Rho(set), bound.Hoeffding(rcEll, statcheck.DefaultDelta))
 		parts = append(parts, shardAns{set: set, size: float64(len(set)), stab: stab})
 	}
 
@@ -437,15 +438,15 @@ func TestConformanceRouterShardPartial206(t *testing.T) {
 	if int(bodyFloat(t, body, "shards_ok")) != 2 {
 		t.Errorf("shards_ok %v, want 2 (degraded, not dead)", body["shards_ok"])
 	}
-	bound := bodyFloat(t, body, "error_bound")
-	if bound <= 0 {
-		t.Fatalf("error bound %v, want > 0 on a truncated answer", bound)
+	served := bodyFloat(t, body, "error_bound")
+	if served <= 0 {
+		t.Fatalf("error bound %v, want > 0 on a truncated answer", served)
 	}
 	// The reported bound already covers the truncation; add conservative
 	// statistical slack for the (at least ~1k) achieved trials.
-	slack := statcheck.Hoeffding(1000).Scale(float64(fx.g.NumNodes())).Eps
-	if got := bodyFloat(t, body, "spread"); math.Abs(got-exact) > bound+slack {
-		t.Errorf("truncated spread %v outside exact %v ± (bound %v + slack %v)", got, exact, bound, slack)
+	slack := bound.Hoeffding(1000, statcheck.DefaultDelta).Scale(float64(fx.g.NumNodes())).Eps
+	if got := bodyFloat(t, body, "spread"); math.Abs(got-exact) > served+slack {
+		t.Errorf("truncated spread %v outside exact %v ± (bound %v + slack %v)", got, exact, served, slack)
 	}
 	if rt.cfg.Telemetry.Counter("router.degraded").Value() != 1 {
 		t.Errorf("degraded counter = %d, want 1", rt.cfg.Telemetry.Counter("router.degraded").Value())

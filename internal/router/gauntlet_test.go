@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"soi/internal/api"
+	"soi/internal/bound"
 	"soi/internal/fault"
 	"soi/internal/graph"
 	"soi/internal/oracle"
@@ -131,10 +132,10 @@ func TestChaosGauntletKillRestartRecover(t *testing.T) {
 	}
 	// The bound must bracket the exact answer: the live shard's estimate
 	// carries sampling error, the dead shard anything up to its node count.
-	bound := bodyFloat(t, ans.body, "error_bound")
-	slack := statcheck.Hoeffding(rcEll).Scale(5).Eps
-	if got := bodyFloat(t, ans.body, "spread"); math.Abs(got-exact) > bound+slack {
-		t.Errorf("degraded spread %v outside exact %v ± (bound %v + slack %v)", got, exact, bound, slack)
+	served := bodyFloat(t, ans.body, "error_bound")
+	slack := bound.Hoeffding(rcEll, statcheck.DefaultDelta).Scale(5).Eps
+	if got := bodyFloat(t, ans.body, "spread"); math.Abs(got-exact) > served+slack {
+		t.Errorf("degraded spread %v outside exact %v ± (bound %v + slack %v)", got, exact, served, slack)
 	}
 
 	// The kill plus the in-request retry are 2 consecutive failures: the
@@ -169,7 +170,7 @@ func TestChaosGauntletKillRestartRecover(t *testing.T) {
 		t.Fatalf("spread after recovery: status %d: %v", code, body)
 	}
 	statcheck.Close(t, "recovered spread", bodyFloat(t, body, "spread"), exact,
-		statcheck.Hoeffding(rcEll).Scale(float64(fx.g.NumNodes())))
+		bound.Hoeffding(rcEll, statcheck.DefaultDelta).Scale(float64(fx.g.NumNodes())))
 
 	// Teardown everything and verify nothing leaked.
 	for _, k := range shards {

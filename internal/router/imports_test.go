@@ -3,6 +3,7 @@ package router
 import (
 	"go/build"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,15 @@ func soiImports(t *testing.T, pkg string) map[string]string {
 	return seen
 }
 
+// importChain renders how the walk reached pkg: root → ... → pkg.
+func importChain(deps map[string]string, pkg string) string {
+	chain := pkg
+	for p := deps[pkg]; p != ""; p = deps[p] {
+		chain = p + " → " + chain
+	}
+	return chain
+}
+
 // TestGatewayImportBoundary: soigw routes and merges /v1 answers; it never
 // computes one. It shares the wire contract (internal/api) with soid and
 // must link none of the daemon or estimator packages.
@@ -48,11 +58,7 @@ func TestGatewayImportBoundary(t *testing.T) {
 		if _, ok := deps[pkg]; !ok {
 			continue
 		}
-		chain := pkg
-		for p := deps[pkg]; p != ""; p = deps[p] {
-			chain = p + " → " + chain
-		}
-		t.Errorf("soigw links %s: %s", pkg, chain)
+		t.Errorf("soigw links %s: %s", pkg, importChain(deps, pkg))
 	}
 }
 
@@ -69,24 +75,41 @@ func TestDaemonImportBoundary(t *testing.T) {
 		if _, ok := deps[pkg]; !ok {
 			continue
 		}
-		chain := pkg
-		for p := deps[pkg]; p != ""; p = deps[p] {
-			chain = p + " → " + chain
-		}
-		t.Errorf("internal/daemon links %s: %s", pkg, chain)
+		t.Errorf("internal/daemon links %s: %s", pkg, importChain(deps, pkg))
 	}
 }
 
-// TestAPIImportsOnlyStdlib: the wire contract is shared by both tiers, so
-// it must not pull any module or third-party package into either.
+// TestAPIImportsOnlyStdlib: the wire contract and the bound derivations
+// are shared by both tiers and the tests, so neither may pull any module or
+// third-party package into them.
 func TestAPIImportsOnlyStdlib(t *testing.T) {
-	bp, err := build.ImportDir(filepath.Join("..", "api"), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"api", "bound"} {
+		bp, err := build.ImportDir(filepath.Join("..", name), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range bp.Imports {
+			if strings.HasPrefix(imp, "soi/") || strings.Contains(strings.Split(imp, "/")[0], ".") {
+				t.Errorf("internal/%s imports %s; want the standard library only", name, imp)
+			}
+		}
 	}
-	for _, imp := range bp.Imports {
-		if strings.HasPrefix(imp, "soi/") || strings.Contains(strings.Split(imp, "/")[0], ".") {
-			t.Errorf("internal/api imports %s; want the standard library only", imp)
+}
+
+// TestDaemonsLinkNoTesting: soid serves bounds from internal/bound, not
+// from the test-only statcheck, so no module package either daemon reaches
+// imports testing.
+func TestDaemonsLinkNoTesting(t *testing.T) {
+	for _, cmd := range []string{"soi/cmd/soid", "soi/cmd/soigw"} {
+		deps := soiImports(t, cmd)
+		for pkg := range deps {
+			bp, err := build.ImportDir(filepath.Join("..", "..", strings.TrimPrefix(pkg, "soi/")), 0)
+			if err != nil {
+				t.Fatalf("%s: %v", pkg, err)
+			}
+			if slices.Contains(bp.Imports, "testing") {
+				t.Errorf("%s links testing: %s → testing", cmd, importChain(deps, pkg))
+			}
 		}
 	}
 }

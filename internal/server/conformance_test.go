@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
@@ -146,7 +147,7 @@ func TestConformanceServerSphere(t *testing.T) {
 	}
 	sphere := bodyNodes(t, body, "sphere")
 	statcheck.Close(t, "served sphere stability", bodyFloat(t, body, "stability"),
-		dist.Rho(sphere), statcheck.Hoeffding(confEll))
+		dist.Rho(sphere), bound.Hoeffding(confEll, statcheck.DefaultDelta))
 }
 
 // TestConformanceServerStability: seed-set stability through the HTTP layer.
@@ -162,7 +163,7 @@ func TestConformanceServerStability(t *testing.T) {
 	}
 	set := bodyNodes(t, body, "set")
 	statcheck.Close(t, "served seed-set stability", bodyFloat(t, body, "stability"),
-		dist.Rho(set), statcheck.Hoeffding(confEll))
+		dist.Rho(set), bound.Hoeffding(confEll, statcheck.DefaultDelta))
 }
 
 // TestConformanceServerSpread checks both spread methods against the exact
@@ -173,7 +174,7 @@ func TestConformanceServerSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := statcheck.Hoeffding(confEll).Scale(float64(g.NumNodes()))
+	b := bound.Hoeffding(confEll, statcheck.DefaultDelta).Scale(float64(g.NumNodes()))
 
 	rec, body := do(t, s, "/v1/spread?seeds=4&method=mc&trials=20000")
 	if rec.Code != 200 {
@@ -198,7 +199,7 @@ func TestConformanceServerReliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	const threshold = 0.3
-	b := statcheck.Hoeffding(confEll).Union(g.NumNodes())
+	b := bound.Hoeffding(confEll, statcheck.DefaultDelta).Union(g.NumNodes())
 	rec, body := do(t, s, "/v1/reliability?sources=4&threshold=0.3&samples=20000")
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"soi/internal/api"
+	"soi/internal/bound"
 	"soi/internal/cascade"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
@@ -62,9 +63,10 @@ func mergePartial(budget, quarantine api.Partial) api.Partial {
 // quarantinePartial annotates answers computed over a degraded index, one
 // whose load quarantined corrupt world blocks. With q of ℓ worlds
 // quarantined the estimate is an average over the ℓ-q survivors, so the
-// Hoeffding bound is re-derived at the live count (checkpoint.ErrorBound)
-// and scaled to the estimate's units — exactly how budget truncation is
-// surfaced, and the two compose by summing bounds (mergePartial). An index
+// Hoeffding bound is re-derived at the live count (bound.Hoeffding at
+// bound.ServingDelta) and scaled to the estimate's units — exactly how
+// budget truncation is surfaced, and the two compose by summing bounds
+// (mergePartial). An index
 // that has lost every world cannot answer at all: that is a retryable 503
 // (CodeDegraded) so the gateway fails over to a replica with a healthy copy.
 //
@@ -89,7 +91,7 @@ func (s *Server) quarantinePartial(scale float64) (api.Partial, error) {
 		Degraded:          true,
 		WorldsUsed:        live,
 		WorldsQuarantined: quar,
-		ErrorBound:        checkpoint.ErrorBound(live) * scale,
+		ErrorBound:        bound.Hoeffding(live, bound.ServingDelta).Eps * scale,
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -19,9 +20,9 @@ import (
 // quantity with exact value `exact`: Cohen bottom-k relative error at the
 // fixture's k (delta split across m sibling assertions, scaled additive)
 // plus Hoeffding world sampling on a [0, n]-valued mean.
-func sketchConfBound(exact float64, m, n int) statcheck.Bound {
-	sk := statcheck.BottomKDelta(confSketchK, statcheck.DefaultDelta/float64(m)).Scale(exact)
-	return sk.Plus(statcheck.Hoeffding(confEll).Union(m).Scale(float64(n)))
+func sketchConfBound(exact float64, m, n int) bound.Bound {
+	sk := bound.BottomK(confSketchK, statcheck.DefaultDelta).Union(m).Scale(exact)
+	return sk.Plus(bound.Hoeffding(confEll, statcheck.DefaultDelta).Union(m).Scale(float64(n)))
 }
 
 // TestConformanceSketchServerSpread: /v1/spread?estimator=sketch end to
@@ -57,7 +58,7 @@ func TestConformanceSketchServerSpread(t *testing.T) {
 		if served <= 0 {
 			t.Errorf("seeds=%s: served error_bound %v, want > 0", qs, served)
 		}
-		worldSlack := statcheck.Hoeffding(confEll).Union(len(seedSets)).Scale(float64(n)).Eps
+		worldSlack := bound.Hoeffding(confEll, statcheck.DefaultDelta).Union(len(seedSets)).Scale(float64(n)).Eps
 		if diff := math.Abs(got - exact); diff > served+worldSlack {
 			t.Errorf("seeds=%s: |%.4f-%.4f| = %.4f outside served bound %.4f (+world %.4f)",
 				qs, got, exact, diff, served, worldSlack)
@@ -122,8 +123,8 @@ func TestConformanceSketchServerSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		world := statcheck.Hoeffding(confEll).Union(1 << n).Scale(2 * float64(n))
-		compress := statcheck.BottomKDelta(confSketchK, statcheck.DefaultDelta/float64(uint(1)<<n)).
+		world := bound.Hoeffding(confEll, statcheck.DefaultDelta).Union(1 << n).Scale(2 * float64(n))
+		compress := bound.BottomK(confSketchK, statcheck.DefaultDelta).Union(1 << n).
 			Scale(opt).Scale(2 * float64(k))
 		statcheck.AtLeast(t, fmt.Sprintf("served sketch seed quality k=%d", k),
 			trueSpread, (1-1/math.E)*opt, world.Plus(compress))

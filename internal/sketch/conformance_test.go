@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/graph"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
@@ -43,9 +44,9 @@ const (
 // the Cohen bottom-k relative bound (delta split across the m assertions,
 // scaled to additive by the exact value) plus the Hoeffding world-sampling
 // bound on a [0, n]-valued mean over ell worlds.
-func confBound(exact float64, m, n int) statcheck.Bound {
-	sk := statcheck.BottomKDelta(confK, statcheck.DefaultDelta/float64(m)).Scale(exact)
-	world := statcheck.Hoeffding(confEll).Union(m).Scale(float64(n))
+func confBound(exact float64, m, n int) bound.Bound {
+	sk := bound.BottomK(confK, statcheck.DefaultDelta).Union(m).Scale(exact)
+	world := bound.Hoeffding(confEll, statcheck.DefaultDelta).Union(m).Scale(float64(n))
 	return sk.Plus(world)
 }
 
@@ -115,7 +116,7 @@ func TestConformanceSketchServingBound(t *testing.T) {
 	s := mustBuild(t, x, Options{K: confK, Seed: 7})
 
 	n := g.NumNodes()
-	world := statcheck.Hoeffding(confEll).Union(n).Scale(float64(n))
+	world := bound.Hoeffding(confEll, statcheck.DefaultDelta).Union(n).Scale(float64(n))
 	for v := 0; v < n; v++ {
 		exact, err := o.Spread([]graph.NodeID{graph.NodeID(v)})
 		if err != nil {

@@ -20,8 +20,8 @@
 //
 // Estimates carry Cohen-style (ε, δ) relative-error bounds: the k-th order
 // statistic of uniform ranks concentrates, giving |est − exact| ≤ ε·exact
-// with probability 1−δ for ε = sqrt(6·ln(2/δ)/(k−1)) (see
-// statcheck.BottomK for the derivation used by the conformance suite).
+// with probability 1−δ for ε = sqrt(6·ln(2/δ)/(k−1)) (bound.BottomK, the
+// one derivation served answers and the conformance suite share).
 package sketch
 
 import (
@@ -30,6 +30,7 @@ import (
 	"math"
 	"slices"
 
+	"soi/internal/bound"
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/pool"
@@ -42,11 +43,6 @@ import (
 // that the relative error sqrt(6·ln(2/δ)/(k−1)) at δ=0.05 is ≈ 0.59, small
 // enough that sketches stay tiny next to the index.
 const DefaultK = 64
-
-// ServingDelta is the confidence level of the error bounds reported with
-// sketch estimates in query responses, matching the 95% convention of the
-// budget-truncation bounds (checkpoint.ErrorBound).
-const ServingDelta = 0.05
 
 // Options configures Build.
 type Options struct {
@@ -363,20 +359,23 @@ func (s *Sketch) EstimateSphereSize(v graph.NodeID) float64 {
 	return s.SpreadFromRanks(s.NodeRanks(v))
 }
 
-// RelativeError is the Cohen bottom-k relative error at confidence 1−δ:
-// ε = sqrt(6·ln(2/δ)/(k−1)), capped at 1. With probability at least 1−δ,
-// |estimate − exact| ≤ ε · exact (see statcheck.BottomK for the
-// concentration argument).
-func RelativeError(k int, delta float64) float64 {
-	if k < 2 {
-		return 1
-	}
-	return math.Min(1, math.Sqrt(6*math.Log(2/delta)/float64(k-1)))
+// ErrorBound returns the additive error bound reported alongside a sketch
+// estimate in query responses: the bottom-k relative error at
+// bound.ServingDelta scaled by the estimate itself. The min(1, ·) reaches
+// only k below bound.MinBottomK, where the derivation does not hold: the
+// daemons refuse such a sketch (CheckServable), but the library still
+// builds one, and the wire golden pins a k = 8 sketch's answers.
+func (s *Sketch) ErrorBound(estimate float64) float64 {
+	return min(1, bound.BottomK(s.k, bound.ServingDelta).Eps) * estimate
 }
 
-// ErrorBound returns the additive error bound reported alongside a sketch
-// estimate in query responses: the relative error at ServingDelta scaled by
-// the estimate itself.
-func (s *Sketch) ErrorBound(estimate float64) float64 {
-	return RelativeError(s.k, ServingDelta) * estimate
+// CheckServable refuses a sketch size k whose bottom-k bound at
+// bound.ServingDelta lies outside the derivation (ε > 1): there a served
+// min(1, ε)·estimate misses the truth more often than δ allows.
+func CheckServable(k int) error {
+	if kmin := bound.MinBottomK(bound.ServingDelta); k < kmin {
+		return fmt.Errorf("sketch k=%d is too small to serve: its bottom-k error bound at delta=%g needs k >= %d",
+			k, bound.ServingDelta, kmin)
+	}
+	return nil
 }

@@ -293,20 +293,3 @@ func TestRelabelInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestRelativeErrorShrinksWithK(t *testing.T) {
-	if RelativeError(1, 0.05) != 1 {
-		t.Fatal("k<2 must saturate at 1")
-	}
-	prev := RelativeError(2, 0.05)
-	for _, k := range []int{4, 16, 64, 256, 4096} {
-		e := RelativeError(k, 0.05)
-		if e >= prev && prev < 1 {
-			t.Fatalf("RelativeError not decreasing at k=%d: %v >= %v", k, e, prev)
-		}
-		prev = e
-	}
-	if e := RelativeError(1<<20, 0.05); e > 0.01 {
-		t.Fatalf("huge k should be near-exact, got eps=%v", e)
-	}
-}

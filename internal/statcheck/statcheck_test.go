@@ -1,55 +1,11 @@
 package statcheck
 
 import (
-	"math"
 	"strings"
 	"testing"
+
+	"soi/internal/bound"
 )
-
-func TestHoeffdingFormula(t *testing.T) {
-	b := HoeffdingDelta(1000, 0.05)
-	want := math.Sqrt(math.Log(2/0.05) / 2000)
-	if math.Abs(b.Eps-want) > 1e-15 {
-		t.Fatalf("eps = %v, want %v", b.Eps, want)
-	}
-	if b.Ell != 1000 || b.Delta != 0.05 || b.Candidates != 1 {
-		t.Fatalf("bound metadata %+v wrong", b)
-	}
-	// More samples tighten the bound; smaller delta widens it.
-	if !(Hoeffding(4000).Eps < Hoeffding(1000).Eps) {
-		t.Error("eps must shrink with ell")
-	}
-	if !(HoeffdingDelta(1000, 1e-9).Eps > HoeffdingDelta(1000, 1e-3).Eps) {
-		t.Error("eps must grow as delta shrinks")
-	}
-}
-
-func TestUnionAndScale(t *testing.T) {
-	b := Hoeffding(500)
-	u := b.Union(32)
-	want := math.Sqrt(math.Log(2*32/DefaultDelta) / 1000)
-	if math.Abs(u.Eps-want) > 1e-15 {
-		t.Fatalf("union eps = %v, want %v", u.Eps, want)
-	}
-	if u.Candidates != 32 {
-		t.Fatalf("candidates = %d, want 32", u.Candidates)
-	}
-	s := b.Scale(7)
-	if math.Abs(s.Eps-7*b.Eps) > 1e-15 {
-		t.Fatalf("scaled eps = %v, want %v", s.Eps, 7*b.Eps)
-	}
-	if !strings.Contains(s.Derivation, "scaled") {
-		t.Error("derivation must record the scaling step")
-	}
-}
-
-func TestERMIsTwiceUnion(t *testing.T) {
-	e := ERM(2000, 64)
-	u := Hoeffding(2000).Union(64)
-	if math.Abs(e.Eps-2*u.Eps) > 1e-15 {
-		t.Fatalf("ERM eps = %v, want 2*union = %v", e.Eps, 2*u.Eps)
-	}
-}
 
 // fakeT captures failures so the assertion helpers can be tested both ways.
 type fakeT struct {
@@ -66,7 +22,7 @@ func (f *fakeT) Errorf(format string, args ...any) {
 
 func TestCloseWithinBoundPasses(t *testing.T) {
 	f := &fakeT{TB: t}
-	b := Hoeffding(100)
+	b := bound.Hoeffding(100, DefaultDelta)
 	Close(f, "x", 0.5, 0.5+b.Eps/2, b)
 	if f.failed {
 		t.Fatal("in-bound estimate failed")
@@ -81,7 +37,7 @@ func TestCloseWithinBoundPasses(t *testing.T) {
 }
 
 func TestOneSidedAssertions(t *testing.T) {
-	b := Hoeffding(100)
+	b := bound.Hoeffding(100, DefaultDelta)
 	f := &fakeT{TB: t}
 	AtMost(f, "x", 1.0, 1.0-b.Eps/2, b) // within slack
 	if f.failed {
@@ -103,7 +59,7 @@ func TestOneSidedAssertions(t *testing.T) {
 }
 
 func TestInMargin(t *testing.T) {
-	b := Hoeffding(400)
+	b := bound.Hoeffding(400, DefaultDelta)
 	if !InMargin(0.5+b.Eps/2, 0.5, b) {
 		t.Error("value inside eps of threshold must be in margin")
 	}
@@ -121,24 +77,5 @@ func TestNumeric(t *testing.T) {
 	Numeric(f, "sum", 1.0, 1.0+1e-9, 4)
 	if !f.failed {
 		t.Fatal("1e-9 disagreement must fail a 4-op tolerance")
-	}
-}
-
-func TestPanicsOnBadParameters(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"ell=0":    func() { Hoeffding(0) },
-		"delta=0":  func() { HoeffdingDelta(10, 0) },
-		"delta=1":  func() { HoeffdingDelta(10, 1) },
-		"union(0)": func() { Hoeffding(10).Union(0) },
-		"scale(0)": func() { Hoeffding(10).Scale(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }

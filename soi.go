@@ -265,8 +265,9 @@ func AnalyzeModes(x *Index, v NodeID, k int) []Mode { return core.AnalyzeModes(x
 func TakeoffProbability(modes []Mode) float64 { return core.TakeoffProbability(modes) }
 
 // EstimateStability estimates ρ_{g,seeds}(set): the expected Jaccard
-// distance between set and a fresh random cascade from seeds. Lower is more
-// stable. ctx is checked between cascade samples. It returns the estimate
+// distance between set and a fresh random cascade from seeds, sampled under
+// the independent cascade model whatever model g's other analyses use.
+// Lower is more stable. ctx is checked between cascade samples. It returns the estimate
 // and the achieved sample count. A zero budget draws all samples; under a
 // wall-clock budget (the query-serving form) sampling stops when the
 // deadline is too near to fit another cascade, and — when that truncated
