@@ -86,7 +86,7 @@ func ExampleEstimateStability() {
 	b := soi.NewGraphBuilder(2)
 	b.AddEdge(0, 1, 0.3)
 	g := b.MustBuild()
-	cost, _, err := soi.EstimateStability(context.Background(), g, []soi.NodeID{0}, []soi.NodeID{0}, 400000, 2, soi.Budget{})
+	cost, _, err := soi.EstimateStability(context.Background(), g, []soi.NodeID{0}, []soi.NodeID{0}, 400000, 2, soi.ModelIC, soi.Budget{})
 	if err != nil {
 		panic(err)
 	}

@@ -199,7 +199,7 @@ func TestDecodeTrustsNoCount(t *testing.T) {
 			comps, _ := binary.Uvarint(tc.block)
 			b := blockfile.BlockInfo{Len: uint32(len(tc.block)), CRC: blockfile.Checksum(tc.block), Aux: uint32(comps)}
 			var err error
-			alloc := allocDuring(func() { err = verifyBlock(tc.block, b, tc.nodes, 0, new(worldEntry)) })
+			alloc := allocDuring(func() { err = verifyBlock(tc.block, b, tc.nodes, 0, new(worldEntry), new([]int32)) })
 			if err == nil || !strings.Contains(err.Error(), tc.why) {
 				t.Fatalf("a block that cannot hold what it claims: err = %v, want %q", err, tc.why)
 			}

@@ -61,7 +61,7 @@ func (c *Coverage) gainInWorld(v graph.NodeID, i int, s *Scratch) int {
 		return 0
 	}
 	cov := c.covered[i]
-	root := e.comp[v]
+	root := e.compOf(v)
 	if cov[root] {
 		return 0
 	}
@@ -71,9 +71,11 @@ func (c *Coverage) gainInWorld(v graph.NodeID, i int, s *Scratch) int {
 	gain := 0
 	for head := 0; head < len(s.comps); head++ {
 		cc := s.comps[head]
-		gain += int(e.memberOff[cc+1] - e.memberOff[cc])
-		for _, d := range e.succs(cc) {
-			if !s.mark[d] && !cov[d] {
+		lo, hi := e.memberOff.pair(int(cc))
+		gain += hi - lo
+		lo, hi = e.succOff.pair(int(cc))
+		for j := lo; j < hi; j++ {
+			if d := e.succ.get(j); !s.mark[d] && !cov[d] {
 				s.mark[d] = true
 				s.comps = append(s.comps, d)
 			}
@@ -95,7 +97,7 @@ func (c *Coverage) Add(v graph.NodeID, s *Scratch) int64 {
 			continue
 		}
 		cov := c.covered[i]
-		root := e.comp[v]
+		root := e.compOf(v)
 		if cov[root] {
 			continue
 		}
@@ -104,9 +106,11 @@ func (c *Coverage) Add(v graph.NodeID, s *Scratch) int64 {
 		cov[root] = true
 		for head := 0; head < len(s.comps); head++ {
 			cc := s.comps[head]
-			gain += int64(e.memberOff[cc+1] - e.memberOff[cc])
-			for _, d := range e.succs(cc) {
-				if !cov[d] {
+			lo, hi := e.memberOff.pair(int(cc))
+			gain += int64(hi - lo)
+			lo, hi = e.succOff.pair(int(cc))
+			for j := lo; j < hi; j++ {
+				if d := e.succ.get(j); !cov[d] {
 					cov[d] = true
 					s.comps = append(s.comps, d)
 				}

@@ -14,11 +14,15 @@ package index
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
@@ -62,22 +66,142 @@ type Options struct {
 }
 
 // worldEntry is the per-world part of the index: the node -> component map
-// and the (reduced) condensation, both held as flat CSR arrays so a world is
-// five allocations whatever its component count. Component ids are
+// and the (reduced) condensation as five CSR arrays, bit-packed at fixed
+// widths into one buffer, so a world is one allocation whatever its
+// component count:
+//
+//	comp      [nodes]    node -> component id        ⌈log₂ comps⌉ bits
+//	memberOff [comps+1]  members of component c are   bits(nodes)
+//	                     members[memberOff[c]:memberOff[c+1]]
+//	members   [nodes]    nodes grouped by component   ⌈log₂ nodes⌉ bits
+//	succOff   [comps+1]  successors of component c are bits(total)
+//	                     succ[succOff[c]:succOff[c+1]]
+//	succ      [total]    successor component ids      ⌈log₂ comps⌉ bits
+//
+// Each array starts on a byte, and comp, first, is packed exactly as the
+// SOIIDX05 record packs it, so comp's view (see packed) is the whole
+// buffer; a quarantined world has none. Component ids are
 // reverse-topological (every successor id is below its source's).
 type worldEntry struct {
-	comp      []int32 // node -> component id
-	memberOff []int32 // members of component c: members[memberOff[c]:memberOff[c+1]]
-	members   []int32
-	succOff   []int32 // successors of component c: succ[succOff[c]:succOff[c+1]]
-	succ      []int32
+	comp, memberOff, members, succOff, succ packed
+	nodes, ncomps                           uint32
+}
+
+// packed is one fixed-width array in a world's buffer: element i is the
+// width-bit field at bit i·width of b, low bits first. b runs from the
+// array's first byte to the end of the buffer, so it holds the arrays after
+// this one and the tail padding too.
+type packed struct {
+	b     []byte
+	width uint32 // 0..32
+	mask  uint32 // 1<<width - 1
+}
+
+// tailPad is the zero padding after a world's arrays: the 8 bytes a 64-bit
+// load at the last element's first byte may reach, and the byte after them
+// that pair reads.
+const tailPad = 9
+
+// window returns the tailPad bytes of b from byte k on, without a bounds
+// check: the query kernels read several packed values per component
+// visited, and checked reads made the spread kernel 9% slower.
+// It stays inside the buffer for every element a reader asks for, because
+// the tail padding covers the last element's window and every index a
+// reader passes is a caller's node checked against the node count (compOf)
+// or an id or offset that decodeEntry checked or a build wrote.
+func window(b []byte, k uint64) *[tailPad]byte {
+	return (*[tailPad]byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), k))
+}
+
+// get returns element i, i < the array's length. One unaligned 64-bit load
+// holds it (width <= 32, bit offset < 8).
+func (p *packed) get(i int) int32 {
+	bit := uint64(i) * uint64(p.width)
+	return int32(binary.LittleEndian.Uint64(window(p.b, bit>>3)[:8]) >> (bit & 7) & uint64(p.mask))
+}
+
+// pair returns elements i and i+1, i+1 < the array's length: the bounds an
+// offset array gives entry i. One 64-bit load holds element i and all but
+// at most 7 bits of element i+1, which the next byte supplies.
+func (p *packed) pair(i int) (lo, hi int) {
+	bit := uint64(i) * uint64(p.width)
+	b := window(p.b, bit>>3)
+	w, sh, mask := binary.LittleEndian.Uint64(b[:8]), bit&7+uint64(p.width), uint64(p.mask)
+	return int(w >> (bit & 7) & mask), int((w>>sh | uint64(b[8])<<(64-sh&63)) & mask)
+}
+
+// set stores v, which must fit in width bits, as element i; the element
+// must still be zero, as a new world's buffer is.
+func (p *packed) set(i int, v uint32) {
+	bit := uint64(i) * uint64(p.width)
+	w := p.b[bit>>3:]
+	binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)|uint64(v)<<(bit&7))
+}
+
+// newWorldEntry returns a zeroed world of nodes nodes, comps components and
+// total successors, its arrays laid out at their widths.
+func newWorldEntry(nodes, comps, total uint32) worldEntry {
+	e := worldEntry{nodes: nodes, ncomps: comps}
+	arrays := []struct {
+		p     *packed
+		count uint32
+		width int
+	}{
+		{&e.comp, nodes, int(compBits(comps))},
+		{&e.memberOff, comps + 1, bits.Len32(nodes)},
+		{&e.members, nodes, bits.Len32(nodes - 1)},
+		{&e.succOff, comps + 1, bits.Len32(total)},
+		{&e.succ, total, int(compBits(comps))},
+	}
+	nbytes := func(count uint32, width int) int { return int((uint64(count)*uint64(width) + 7) / 8) }
+	size := tailPad
+	for _, a := range arrays {
+		size += nbytes(a.count, a.width)
+	}
+	buf := make([]byte, size)
+	for _, a := range arrays {
+		*a.p = packed{b: buf, width: uint32(a.width), mask: 1<<a.width - 1}
+		buf = buf[nbytes(a.count, a.width):]
+	}
+	return e
+}
+
+// fillMembers writes the members CSR from the comp array: memberOff from
+// the per-component counts, then each node at its component's cursor, so
+// a component lists its nodes in ascending order. *cur is the cursor
+// scratch, reused from world to world.
+func (e *worldEntry) fillMembers(cur *[]int32) {
+	n, nc := int(e.nodes), int(e.ncomps)
+	off := slices.Grow((*cur)[:0], nc+1)[:nc+1]
+	clear(off)
+	for v := range n {
+		off[e.comp.get(v)+1]++
+	}
+	for c := 1; c <= nc; c++ {
+		off[c] += off[c-1]
+	}
+	for c, o := range off {
+		e.memberOff.set(c, uint32(o))
+	}
+	for v := range n {
+		c := e.comp.get(v)
+		e.members.set(int(off[c]), uint32(v))
+		off[c]++
+	}
+	*cur = off
 }
 
 // numComps returns the world's component count.
-func (e *worldEntry) numComps() int { return len(e.succOff) - 1 }
+func (e *worldEntry) numComps() int { return int(e.ncomps) }
 
-// succs returns the condensation successors of component c.
-func (e *worldEntry) succs(c int32) []int32 { return e.succ[e.succOff[c]:e.succOff[c+1]] }
+// compOf returns node v's component id. v comes from the caller, so it is
+// checked against the node count, as a slice index would be.
+func (e *worldEntry) compOf(v graph.NodeID) int32 {
+	if uint32(v) >= e.nodes {
+		panic(fmt.Sprintf("index: node %d out of range [0, %d)", v, e.nodes))
+	}
+	return e.comp.get(int(v))
+}
 
 // Index is the cascade index. It is immutable after Build or load and safe
 // for concurrent queries, provided each goroutine uses its own Scratch.
@@ -99,10 +223,10 @@ type Index struct {
 }
 
 // world returns world i's entry; nil means the world is quarantined and
-// must contribute nothing. Every decoded or built world has a successor
-// offset array, so an empty one marks quarantine.
+// must contribute nothing. Every decoded or built world has a buffer, so
+// an empty one marks quarantine.
 func (x *Index) world(i int) *worldEntry {
-	if e := &x.entries[i]; e.succOff != nil {
+	if e := &x.entries[i]; e.comp.b != nil {
 		return e
 	}
 	return nil
@@ -233,20 +357,29 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 	// Every condensation is transitively reduced (Algorithm 1's space
 	// optimization); reachability, and so every cascade, is unchanged.
 	dag := scc.Reduce(scc.Condense(world, dec), scc.DefaultMaxExactReduction)
-	memberOff, members := membersCSR(dec.Comp, dec.NumComps)
-	succOff := make([]int32, dec.NumComps+1)
-	for c, succs := range dag {
-		succOff[c+1] = succOff[c] + int32(len(succs))
-	}
-	succ := make([]int32, 0, succOff[dec.NumComps])
+	total := 0
 	for _, succs := range dag {
-		succ = append(succ, succs...)
+		total += len(succs)
 	}
+	e := newWorldEntry(uint32(len(dec.Comp)), uint32(dec.NumComps), uint32(total))
+	for v, c := range dec.Comp {
+		e.comp.set(v, uint32(c))
+	}
+	j := 0
+	for c, succs := range dag {
+		for _, d := range succs {
+			e.succ.set(j, uint32(d))
+			j++
+		}
+		e.succOff.set(c+1, uint32(j))
+	}
+	var cur []int32
+	e.fillMembers(&cur)
 	bm.comps.Observe(int64(dec.NumComps))
 	if bm.nanos != nil {
 		bm.nanos.Observe(time.Since(start).Nanoseconds())
 	}
-	return worldEntry{comp: dec.Comp, memberOff: memberOff, members: members, succOff: succOff, succ: succ}
+	return e
 }
 
 // NumWorlds returns ℓ, quarantined worlds included (see LiveWorlds).
@@ -286,7 +419,7 @@ func (x *Index) Component(v graph.NodeID, i int) int32 {
 	if e == nil {
 		return -1
 	}
-	return e.comp[v]
+	return e.compOf(v)
 }
 
 // Scratch holds reusable per-goroutine buffers for queries.
@@ -336,27 +469,41 @@ func (x *Index) CascadeFromSet(seeds []graph.NodeID, i int, s *Scratch, out []gr
 // appendCascade appends the cascade of seeds in this world to out, in
 // traversal order.
 func (e *worldEntry) appendCascade(seeds []graph.NodeID, s *Scratch, out []graph.NodeID) []graph.NodeID {
-	s.comps = s.comps[:0]
-	for _, v := range seeds {
-		c := e.comp[v]
-		if !s.mark[c] {
-			s.mark[c] = true
-			s.comps = append(s.comps, c)
+	memberOff, members := e.memberOff, e.members
+	for _, c := range e.reach(seeds, s) {
+		lo, hi := memberOff.pair(int(c))
+		for j := lo; j < hi; j++ {
+			out = append(out, members.get(j))
 		}
 	}
-	for head := 0; head < len(s.comps); head++ {
-		for _, d := range e.succs(s.comps[head]) {
-			if !s.mark[d] {
-				s.mark[d] = true
-				s.comps = append(s.comps, d)
+	return out
+}
+
+// reach returns the components reachable from seeds, in traversal order,
+// in s.comps; s.mark is clear again on return.
+func (e *worldEntry) reach(seeds []graph.NodeID, s *Scratch) []int32 {
+	succOff, succ := e.succOff, e.succ
+	mark, comps := s.mark, s.comps[:0]
+	for _, v := range seeds {
+		if c := e.compOf(v); !mark[c] {
+			mark[c] = true
+			comps = append(comps, c)
+		}
+	}
+	for head := 0; head < len(comps); head++ {
+		lo, hi := succOff.pair(int(comps[head]))
+		for j := lo; j < hi; j++ {
+			if d := succ.get(j); !mark[d] {
+				mark[d] = true
+				comps = append(comps, d)
 			}
 		}
 	}
-	for _, c := range s.comps {
-		s.mark[c] = false
-		out = append(out, e.members[e.memberOff[c]:e.memberOff[c+1]]...)
+	for _, c := range comps {
+		mark[c] = false
 	}
-	return out
+	s.comps = comps
+	return comps
 }
 
 // CascadeSize returns |cascade of v in world i| without materializing it.
@@ -371,27 +518,10 @@ func (x *Index) CascadeSizeFromSet(seeds []graph.NodeID, i int, s *Scratch) int 
 	if e == nil {
 		return 0
 	}
-	s.comps = s.comps[:0]
-	for _, v := range seeds {
-		c := e.comp[v]
-		if !s.mark[c] {
-			s.mark[c] = true
-			s.comps = append(s.comps, c)
-		}
-	}
 	total := 0
-	for head := 0; head < len(s.comps); head++ {
-		c := s.comps[head]
-		total += int(e.memberOff[c+1] - e.memberOff[c])
-		for _, d := range e.succs(c) {
-			if !s.mark[d] {
-				s.mark[d] = true
-				s.comps = append(s.comps, d)
-			}
-		}
-	}
-	for _, c := range s.comps {
-		s.mark[c] = false
+	for _, c := range e.reach(seeds, s) {
+		lo, hi := e.memberOff.pair(int(c))
+		total += hi - lo
 	}
 	return total
 }
@@ -434,13 +564,14 @@ func (x *Index) CascadesFlat(seeds []graph.NodeID, s *Scratch) (flat []graph.Nod
 	return flat, off
 }
 
-// MemoryFootprint returns an estimate of the index's resident bytes, used
-// by the space-ablation benchmarks.
+// MemoryFootprint returns the index's resident world bytes: every world's
+// bit-packed buffer, tail padding included (the per-world headers and the
+// graph are not counted). The space-ablation benchmarks and the traced
+// index.memory_mb report it.
 func (x *Index) MemoryFootprint() int64 {
 	var total int64
 	for i := range x.entries {
-		e := &x.entries[i]
-		total += 4 * int64(len(e.comp)+len(e.memberOff)+len(e.members)+len(e.succOff)+len(e.succ))
+		total += int64(len(x.entries[i].comp.b))
 	}
 	return total
 }

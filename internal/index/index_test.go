@@ -287,3 +287,52 @@ func BenchmarkCascadeExtraction(b *testing.B) {
 		buf = x.Cascade(graph.NodeID(i%2000), i%64, s, buf[:0])
 	}
 }
+
+// TestPackedWidths round-trips a packed array at every width from 0 to 32
+// bits: values at the width's extremes and in between, read one by one and
+// as offset pairs, starting past other bytes of the buffer and ending on a
+// buffer sized as newWorldEntry sizes one, so the last element and the last
+// pair are read with their loads reaching into the tail padding. The
+// neighbouring bytes keep their values.
+func TestPackedWidths(t *testing.T) {
+	r := rng.New(191)
+	for width := 0; width <= 32; width++ {
+		for _, count := range []int{1, 2, 37, 64} {
+			const at = 3
+			size := at + (count*width+7)/8
+			buf := make([]byte, size+tailPad)
+			for k := range buf[:at] {
+				buf[k] = 0xA5
+			}
+			p := packed{b: buf[at:], width: uint32(width), mask: 1<<width - 1}
+			want := make([]int, count)
+			for i := range want {
+				switch i % 3 {
+				case 0:
+					want[i] = int(p.mask)
+				case 1:
+					want[i] = int(r.Uint64() & uint64(p.mask))
+				}
+				p.set(i, uint32(want[i]))
+			}
+			for i, v := range want {
+				if got := int(uint32(p.get(i))); got != v {
+					t.Fatalf("width %d, count %d: element %d = %d, want %d", width, count, i, got, v)
+				}
+				if i+1 < count {
+					if lo, hi := p.pair(i); uint32(lo) != uint32(v) || uint32(hi) != uint32(want[i+1]) {
+						t.Fatalf("width %d, count %d: pair %d = (%d, %d), want (%d, %d)", width, count, i, lo, hi, v, want[i+1])
+					}
+				}
+			}
+			for k, b := range buf[:at] {
+				if b != 0xA5 {
+					t.Fatalf("width %d: byte %d before the array changed to %#x", width, k, b)
+				}
+			}
+			if !bytes.Equal(buf[size:], make([]byte, tailPad)) {
+				t.Fatalf("width %d, count %d: tail padding written: % x", width, count, buf[size:])
+			}
+		}
+	}
+}

@@ -13,6 +13,7 @@ type RankScratch struct {
 	offs   []int32
 	data   []uint64
 	merged []uint64
+	comp   []int32 // the pass's world's node -> component map, unpacked
 }
 
 // List returns component c's ascending bottom-k rank list from the last
@@ -33,9 +34,10 @@ func (s *RankScratch) List(c int32) []uint64 {
 // rank maps a node id to its random rank for this world; the caller owns
 // the rank space, so ranks from different worlds can be kept distinct when
 // many worlds are merged into one combined sketch. Results are read through
-// scratch.List(comp[v]); comp maps nodes to component ids. ok is false when
-// world i is quarantined (lazy indexes only); a quarantined world must
-// contribute nothing to any estimate.
+// scratch.List(comp[v]); comp maps nodes to component ids, unpacked into
+// the scratch, so it too is valid until the scratch's next pass. ok is
+// false when world i is quarantined; a quarantined world must contribute
+// nothing to any estimate.
 func (x *Index) WorldReachRanks(i, k int, rank func(v int32) uint64, scratch *RankScratch) (comp []int32, ok bool) {
 	e := x.world(i)
 	if e == nil {
@@ -51,10 +53,13 @@ func (x *Index) WorldReachRanks(i, k int, rank func(v int32) uint64, scratch *Ra
 	merged := scratch.merged[:0]
 	for c := 0; c < nc; c++ {
 		merged = merged[:0]
-		for _, v := range e.members[e.memberOff[c]:e.memberOff[c+1]] {
-			merged = append(merged, rank(v))
+		lo, hi := e.memberOff.pair(c)
+		for j := lo; j < hi; j++ {
+			merged = append(merged, rank(e.members.get(j)))
 		}
-		for _, d := range e.succs(int32(c)) {
+		lo, hi = e.succOff.pair(c)
+		for j := lo; j < hi; j++ {
+			d := e.succ.get(j)
 			merged = append(merged, data[offs[d]:offs[d+1]]...)
 		}
 		slices.Sort(merged)
@@ -73,6 +78,10 @@ func (x *Index) WorldReachRanks(i, k int, rank func(v int32) uint64, scratch *Ra
 		data = append(data, out...)
 		offs[c+1] = int32(len(data))
 	}
-	scratch.offs, scratch.data, scratch.merged = offs, data, merged
-	return e.comp, true
+	comp = slices.Grow(scratch.comp[:0], int(e.nodes))[:e.nodes]
+	for v := range comp {
+		comp[v] = e.comp.get(v)
+	}
+	scratch.offs, scratch.data, scratch.merged, scratch.comp = offs, data, merged, comp
+	return comp, true
 }

@@ -35,7 +35,8 @@ func cycleAndPath(t testing.TB, n, comps int) *graph.Graph {
 }
 
 // TestRecordRoundTrip: a world record decodes to exactly the worldEntry it
-// was encoded from, every CSR array included, under IC and LT, at the
+// was encoded from, every packed CSR array included, and equals the
+// reference encoding of its unpacked arrays, under IC and LT, at the
 // packing widths' edges: one component (zero-bit ids), 2^k components (ids
 // fill k bits) and 2^k+1 (one bit more), and over random graphs whose
 // worlds mix condensation edges of every direction.
@@ -65,11 +66,14 @@ func TestRecordRoundTrip(t *testing.T) {
 						t.Fatalf("world %d has %d components, fixture wants %d", i, e.numComps(), fx.comps)
 					}
 					rec := appendEntry([]byte{0xAA}, e)[1:] // appends, keeping dst
-					if want := minRecord(uint32(len(e.comp)), uint32(e.numComps())); uint64(len(rec)) < want {
+					if want := minRecord(e.nodes, uint32(e.numComps())); uint64(len(rec)) < want {
 						t.Fatalf("world %d: %d-byte record under CheckEntry's minimum %d", i, len(rec), want)
 					}
+					if ref := unpack(e).appendRecord(nil); !bytes.Equal(rec, ref) {
+						t.Fatalf("world %d: record differs from the reference encoding of its arrays", i)
+					}
 					var got worldEntry
-					n, err := decodeEntry(append(rec, 0xFF), uint32(g.NumNodes()), i, &got)
+					n, err := decodeEntry(append(rec, 0xFF), uint32(g.NumNodes()), i, &got, new([]int32))
 					if err != nil {
 						t.Fatalf("world %d: %v", i, err)
 					}
@@ -85,40 +89,96 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// rawWorld is a world's arrays unpacked to int32, the form forged records
+// are edited in: comps components, node -> component map comp, and the
+// successor CSR succOff/succ.
+type rawWorld struct {
+	comps         uint32
+	comp          []int32
+	succOff, succ []int32
+}
+
+// unpack reads e's packed arrays into a rawWorld.
+func unpack(e *worldEntry) rawWorld {
+	w := rawWorld{comps: e.ncomps, comp: make([]int32, e.nodes), succOff: make([]int32, e.ncomps+1)}
+	for v := range w.comp {
+		w.comp[v] = e.comp.get(v)
+	}
+	for c := range w.succOff {
+		w.succOff[c] = e.succOff.get(c)
+	}
+	w.succ = make([]int32, w.succOff[e.ncomps])
+	for j := range w.succ {
+		w.succ[j] = e.succ.get(j)
+	}
+	return w
+}
+
+// succs returns component c's successors.
+func (w rawWorld) succs(c int32) []int32 { return w.succ[w.succOff[c]:w.succOff[c+1]] }
+
+// appendRecord is the reference SOIIDX05 record encoder over unpacked
+// arrays, written from the format's description: it encodes whatever the
+// arrays hold, so an edited rawWorld becomes a forged record.
+func (w rawWorld) appendRecord(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(w.comps))
+	dst = binary.AppendUvarint(dst, uint64(len(w.succ)))
+	width := compBits(w.comps)
+	packed := make([]byte, packedLen(uint32(len(w.comp)), w.comps))
+	for v, c := range w.comp {
+		for b := uint(0); b < width; b++ {
+			if bit := uint(v)*width + b; uint32(c)>>b&1 != 0 {
+				packed[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	dst = append(dst, packed...)
+	for c := int32(0); c < int32(w.comps); c++ {
+		dst = binary.AppendUvarint(dst, uint64(len(w.succs(c))))
+		prev := c
+		for _, d := range w.succs(c) {
+			dst = binary.AppendUvarint(dst, zigzag(int64(d)-int64(prev)))
+			prev = d
+		}
+	}
+	return dst
+}
+
 // forgedRecords returns world records derived from e that only the record
 // decoder can refuse, each named for what it forges. e needs a condensation
 // edge and a component count that is not a power of two.
 func forgedRecords(t testing.TB, e *worldEntry) map[string][]byte {
 	t.Helper()
-	comps := uint32(e.numComps())
-	if comps&(comps-1) == 0 || len(e.succ) == 0 {
-		t.Fatalf("fixture world has %d components and %d successors: need a non-power-of-two count and an edge", comps, len(e.succ))
+	raw := unpack(e)
+	comps := raw.comps
+	if comps&(comps-1) == 0 || len(raw.succ) == 0 {
+		t.Fatalf("fixture world has %d components and %d successors: need a non-power-of-two count and an edge", comps, len(raw.succ))
 	}
 	clean := appendEntry(nil, e)
 	_, countsLen := binary.Uvarint(clean)
 	_, n := binary.Uvarint(clean[countsLen:])
 	countsLen += n
-	// with re-encodes a copy of e changed by edit.
-	with := func(edit func(c *worldEntry)) []byte {
-		c := worldEntry{comp: slices.Clone(e.comp), succOff: e.succOff, succ: slices.Clone(e.succ)}
+	// with encodes a copy of e's arrays changed by edit.
+	with := func(edit func(c *rawWorld)) []byte {
+		c := rawWorld{comps: comps, comp: slices.Clone(raw.comp), succOff: raw.succOff, succ: slices.Clone(raw.succ)}
 		edit(&c)
-		return appendEntry(nil, &c)
+		return c.appendRecord(nil)
 	}
 	counts := func(comps, total uint64) []byte {
 		return append(binary.AppendUvarint(binary.AppendUvarint(nil, comps), total), clean[countsLen:]...)
 	}
 	forged := map[string][]byte{
-		"successor total one more":  counts(uint64(comps), uint64(len(e.succ))+1),
-		"successor total one less":  counts(uint64(comps), uint64(len(e.succ))-1),
+		"successor total one more":  counts(uint64(comps), uint64(len(raw.succ))+1),
+		"successor total one less":  counts(uint64(comps), uint64(len(raw.succ))-1),
 		"successor total forged":    counts(uint64(comps), 1<<31-1),
 		"overlong component count":  overlong(comps, clean[varintLen(comps):]),
-		"packed comp >= comps":      with(func(c *worldEntry) { c.comp[len(c.comp)-1] = int32(comps) }),
-		"successor delta below 0":   with(func(c *worldEntry) { c.succ[0] = -1 }),
-		"successor delta >= comps":  with(func(c *worldEntry) { c.succ[0] = int32(comps) }),
+		"packed comp >= comps":      with(func(c *rawWorld) { c.comp[len(c.comp)-1] = int32(comps) }),
+		"successor delta below 0":   with(func(c *rawWorld) { c.succ[0] = -1 }),
+		"successor delta >= comps":  with(func(c *rawWorld) { c.succ[0] = int32(comps) }),
 		"degree overruns the total": counts(uint64(comps), 0),
 		// Component 0 claims comps+1 successors, all in range (itself),
 		// under a total that covers them.
-		"degree > comps": with(func(c *worldEntry) {
+		"degree > comps": with(func(c *rawWorld) {
 			d0 := c.succOff[1]
 			c.succ = append(make([]int32, comps+1), c.succ[d0:]...)
 			c.succOff = slices.Clone(c.succOff)
@@ -128,7 +188,7 @@ func forgedRecords(t testing.TB, e *worldEntry) map[string][]byte {
 		}),
 	}
 	// The packed ids' last byte has padding bits unless they fill it.
-	if nodes := uint32(len(e.comp)); uint64(nodes)*uint64(compBits(comps))%8 != 0 {
+	if nodes := uint32(len(raw.comp)); uint64(nodes)*uint64(compBits(comps))%8 != 0 {
 		d := append([]byte(nil), clean...)
 		d[countsLen+int(packedLen(nodes, comps))-1] |= 0x80
 		forged["nonzero padding"] = d
@@ -140,7 +200,8 @@ func forgedRecords(t testing.TB, e *worldEntry) map[string][]byte {
 func forgeable(t testing.TB, x *Index) int {
 	t.Helper()
 	for i := range x.entries {
-		if c := x.entries[i].numComps(); c&(c-1) != 0 && len(x.entries[i].succ) > 0 {
+		e := &x.entries[i]
+		if c := e.numComps(); c&(c-1) != 0 && e.succOff.get(c) > 0 {
 			return i
 		}
 	}
@@ -171,7 +232,7 @@ func TestForgedRecordsRejected(t *testing.T) {
 			t.Fatal("13-node fixture has no padding bits to forge")
 		}
 		for why, rec := range forged {
-			if k, err := decodeEntry(rec, uint32(n), 0, new(worldEntry)); err == nil && k == len(rec) {
+			if k, err := decodeEntry(rec, uint32(n), 0, new(worldEntry), new([]int32)); err == nil && k == len(rec) {
 				t.Errorf("%d nodes, %s: decoded", n, why)
 			}
 			if _, err := Read(bytes.NewReader(forgeFile(t, x, 0, rec)), g); !errors.Is(err, blockfile.ErrCorrupt) {
@@ -202,13 +263,14 @@ func forgeFile(t testing.TB, x *Index, world int, rec []byte) []byte {
 // appendEntryV4 is the SOIIDX04 world record: fixed-width words.
 func appendEntryV4(dst []byte, e *worldEntry) []byte {
 	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(e.numComps()))
-	for _, c := range e.comp {
+	w := unpack(e)
+	dst = le.AppendUint32(dst, w.comps)
+	for _, c := range w.comp {
 		dst = le.AppendUint32(dst, uint32(c))
 	}
-	for c := int32(0); int(c) < e.numComps(); c++ {
-		dst = le.AppendUint32(dst, uint32(len(e.succs(c))))
-		for _, d := range e.succs(c) {
+	for c := int32(0); c < int32(w.comps); c++ {
+		dst = le.AppendUint32(dst, uint32(len(w.succs(c))))
+		for _, d := range w.succs(c) {
 			dst = le.AppendUint32(dst, uint32(d))
 		}
 	}

@@ -55,6 +55,7 @@ func BuildFingerprint(g *graph.Graph, opts Options) uint64 {
 func decodeBuildPayload(st *checkpoint.State, nodes uint32, entries []worldEntry) error {
 	data := st.Payload
 	seen, next := 0, uint32(0) // encodeWorlds writes ids in ascending order
+	var cur []int32
 	for len(data) > 0 {
 		if len(data) < 4 {
 			return fmt.Errorf("%w: index payload: %d stray bytes where a world id should be", checkpoint.ErrCorrupt, len(data))
@@ -66,7 +67,7 @@ func decodeBuildPayload(st *checkpoint.State, nodes uint32, entries []worldEntry
 		if id < next {
 			return fmt.Errorf("%w: index payload names world %d out of order", checkpoint.ErrCorrupt, id)
 		}
-		n, err := decodeEntry(data[4:], nodes, int(id), &entries[id])
+		n, err := decodeEntry(data[4:], nodes, int(id), &entries[id], &cur)
 		if err != nil {
 			return fmt.Errorf("%w: index payload world %d: %v", checkpoint.ErrCorrupt, id, err)
 		}

@@ -39,14 +39,16 @@ import (
 // successors sit close to their component (ids are reverse-topological), so
 // a record is about a third of the n + comps + edges words it decodes to.
 //
-// In memory a world keeps both the members and the successors of its
-// components as CSR arrays (see worldEntry); decodeEntry fills the comp
-// array and the successor CSR in one pass and builds the members CSR from
-// comp. The record (appendEntry/decodeEntry) is shared with the checkpoint
-// payload of Build, so a partially built index checkpoints its completed
-// worlds in exactly the on-disk format, and every reader — Read,
-// LoadServing, Fsck and the checkpoint resume — goes through the one
-// decoder.
+// In memory a world keeps the comp array and the members and successors
+// of its components as CSR arrays, bit-packed at fixed widths in one
+// buffer (see worldEntry). The record's packed ids are the buffer's comp
+// array byte for byte, so decodeEntry copies them, fills the successor CSR
+// in one pass, and builds the members CSR from comp; appendEntry copies
+// them back and re-encodes the successors from the packed CSR. The record
+// (appendEntry/decodeEntry) is shared with the checkpoint payload of
+// Build, so a partially built index checkpoints its completed worlds in
+// exactly the on-disk format, and every reader — Read, LoadServing, Fsck
+// and the checkpoint resume — goes through the one decoder.
 
 // compBits is the width of a packed component id: ⌈log₂ comps⌉, 0 for a
 // world with one component.
@@ -70,28 +72,20 @@ func zigzag(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
 
 // appendEntry appends the serialization of one world record to dst.
 func appendEntry(dst []byte, e *worldEntry) []byte {
-	comps := uint32(e.numComps())
-	width := compBits(comps)
-	dst = slices.Grow(dst, int(minRecord(uint32(len(e.comp)), comps))+2*len(e.succ))
+	comps := e.ncomps
+	total := int(e.succOff.get(int(comps)))
+	idBytes := packedLen(e.nodes, comps)
+	dst = slices.Grow(dst, int(minRecord(e.nodes, comps))+2*total)
 	dst = binary.AppendUvarint(dst, uint64(comps))
-	dst = binary.AppendUvarint(dst, uint64(len(e.succ)))
-	var acc uint64
-	var n uint
-	for _, c := range e.comp {
-		acc |= uint64(c) << n
-		for n += width; n >= 8; n -= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-		}
-	}
-	if n > 0 {
-		dst = append(dst, byte(acc))
-	}
+	dst = binary.AppendUvarint(dst, uint64(total))
+	// comp leads the buffer, packed as the record packs it.
+	dst = append(dst, e.comp.b[:idBytes]...)
 	for c := int32(0); c < int32(comps); c++ {
-		succs := e.succs(c)
-		dst = binary.AppendUvarint(dst, uint64(len(succs)))
+		lo, hi := e.succOff.pair(int(c))
+		dst = binary.AppendUvarint(dst, uint64(hi-lo))
 		prev := c
-		for _, d := range succs {
+		for j := lo; j < hi; j++ {
+			d := e.succ.get(j)
 			dst = binary.AppendUvarint(dst, zigzag(int64(d)-int64(prev)))
 			prev = d
 		}
@@ -128,11 +122,12 @@ func uvarint(data []byte, p int) (v uint32, next int, ok bool) {
 // record claims is allocated for before the bytes it needs (packed ids, a
 // byte per degree and per successor) are known to be present, so a forged
 // count fails on the length check instead of allocating; only the per-node
-// arrays are sized by nodes, the caller's count. With dst nil the record is
-// only checked and nothing is allocated per node, so a graph-free check
-// (Fsck) never sizes an array by a node count no graph vouches for. world is
-// only for error messages.
-func decodeEntry(data []byte, nodes uint32, world int, dst *worldEntry) (int, error) {
+// arrays are sized by nodes, the caller's count. *cur is the members
+// cursor scratch (see fillMembers), reused across calls. With dst nil the
+// record is only checked and nothing is allocated, so a graph-free check
+// (Fsck) never sizes an array by a node count no graph vouches for, and cur
+// may be nil. world is only for error messages.
+func decodeEntry(data []byte, nodes uint32, world int, dst *worldEntry, cur *[]int32) (int, error) {
 	comps, p, ok := uvarint(data, 0)
 	if !ok {
 		return 0, fmt.Errorf("index: world %d: malformed component count", world)
@@ -145,17 +140,18 @@ func decodeEntry(data []byte, nodes uint32, world int, dst *worldEntry) (int, er
 		return 0, fmt.Errorf("index: world %d: malformed successor total", world)
 	}
 	// The packed ids, then at least one byte per degree and per successor.
-	packed := packedLen(nodes, comps)
-	if uint64(len(data)-p) < packed+uint64(comps)+uint64(total) || total > math.MaxInt32 {
+	idBytes := packedLen(nodes, comps)
+	if uint64(len(data)-p) < idBytes+uint64(comps)+uint64(total) || total > math.MaxInt32 {
 		return 0, fmt.Errorf("index: world %d: record truncated: %d bytes cannot hold %d nodes, %d components and %d successors", world, len(data), nodes, comps, total)
 	}
-	var comp []int32
+	var e worldEntry
+	end := p + int(idBytes)
 	if dst != nil {
-		comp = make([]int32, nodes)
+		e = newWorldEntry(nodes, comps, total)
+		copy(e.comp.b, data[p:end])
 	}
 	width := compBits(comps)
 	mask := uint64(1)<<width - 1
-	end := p + int(packed)
 	if width > 0 {
 		le := binary.LittleEndian
 		for v := range nodes {
@@ -175,18 +171,13 @@ func decodeEntry(data []byte, nodes uint32, world int, dst *worldEntry) (int, er
 			if c >= uint64(comps) {
 				return 0, fmt.Errorf("index: world %d: node %d has component %d out of range", world, v, c)
 			}
-			if dst != nil {
-				comp[v] = int32(c)
-			}
 		}
 		if pad := uint64(nodes) * uint64(width) % 8; pad != 0 && data[end-1]>>pad != 0 {
 			return 0, fmt.Errorf("index: world %d: nonzero padding after the component ids", world)
 		}
 	}
 	p = end
-	// One pass fills the successor CSR, exactly sized by the total.
-	succOff := make([]int32, comps+1)
-	succ := make([]int32, total)
+	// One pass fills the successor CSR, sized by the total.
 	j := uint32(0)
 	for c := uint32(0); c < comps; c++ {
 		var deg uint32
@@ -210,17 +201,21 @@ func decodeEntry(data []byte, nodes uint32, world int, dst *worldEntry) (int, er
 			if s < 0 || s >= int64(comps) {
 				return 0, fmt.Errorf("index: world %d: successor %d out of range", world, s)
 			}
-			succ[j] = int32(s)
+			if dst != nil {
+				e.succ.set(int(j), uint32(s))
+			}
 			prev = s
 		}
-		succOff[c+1] = int32(j)
+		if dst != nil {
+			e.succOff.set(int(c)+1, j)
+		}
 	}
 	if j != total {
 		return 0, fmt.Errorf("index: world %d: degrees sum to %d, successor total says %d", world, j, total)
 	}
 	if dst != nil {
-		memberOff, members := membersCSR(comp, int(comps))
-		*dst = worldEntry{comp: comp, memberOff: memberOff, members: members, succOff: succOff, succ: succ}
+		e.fillMembers(cur)
+		*dst = e
 	}
 	return p, nil
 }
@@ -256,6 +251,7 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) { return read(r, g, nil) 
 // empty, so world(i) is nil for it.
 func read(r io.Reader, g *graph.Graph, quarantine func(world int, err error)) (*Index, error) {
 	x := &Index{g: g}
+	var cur []int32 // fillMembers' scratch, shared by every world
 	var bad func(int, error)
 	if quarantine != nil {
 		bad = func(i int, err error) {
@@ -278,7 +274,7 @@ func read(r io.Reader, g *graph.Graph, quarantine func(world int, err error)) (*
 			return fmt.Errorf("index: world %d load: %w", i, err)
 		}
 		var e worldEntry
-		err := verifyBlock(block, h.Dir[i], h.Nodes, i, &e)
+		err := verifyBlock(block, h.Dir[i], h.Nodes, i, &e, &cur)
 		if err == nil {
 			x.entries = append(x.entries, e)
 		}
@@ -289,28 +285,6 @@ func read(r io.Reader, g *graph.Graph, quarantine func(world int, err error)) (*
 	}
 	x.setFingerprint(h.Dir)
 	return x, nil
-}
-
-// membersCSR groups the nodes by component: the members of component c are
-// members[off[c]:off[c+1]], in ascending node order.
-func membersCSR(comp []int32, numComps int) (off, members []int32) {
-	off = make([]int32, numComps+1)
-	for _, c := range comp {
-		off[c+1]++
-	}
-	for c := 1; c <= numComps; c++ {
-		off[c] += off[c-1]
-	}
-	// Scatter with off[c] as component c's cursor; afterwards each cursor
-	// sits at the next component's start, so shifting by one restores off.
-	members = make([]int32, len(comp))
-	for v, c := range comp {
-		members[off[c]] = int32(v)
-		off[c]++
-	}
-	copy(off[1:], off[:numComps])
-	off[0] = 0
-	return off, members
 }
 
 // SaveFile writes the index to path atomically (temp file + rename +

@@ -60,7 +60,7 @@ var FileKind = &blockfile.Kind{
 	// Fsck has no graph to bound the header's node count by, so it checks
 	// a world without decoding it into per-node arrays.
 	Decode: func(h *blockfile.Header, i int, block []byte) error {
-		return verifyBlock(block, h.Dir[i], h.Nodes, i, nil)
+		return verifyBlock(block, h.Dir[i], h.Nodes, i, nil, nil)
 	},
 }
 
@@ -74,10 +74,10 @@ func worldBlocks(entries []*worldEntry) blockfile.Encoder {
 
 // verifyBlock is the structural check of one CRC-verified world block
 // behind Read, LoadServing and Fsck: the decode into dst (nil only checks;
-// see decodeEntry), which must consume the block exactly, then the
-// record's component count against the directory's.
-func verifyBlock(data []byte, b blockfile.BlockInfo, nodes uint32, world int, dst *worldEntry) error {
-	n, err := decodeEntry(data, nodes, world, dst)
+// see decodeEntry, and for cur), which must consume the block exactly,
+// then the record's component count against the directory's.
+func verifyBlock(data []byte, b blockfile.BlockInfo, nodes uint32, world int, dst *worldEntry, cur *[]int32) error {
+	n, err := decodeEntry(data, nodes, world, dst, cur)
 	if err != nil {
 		return fmt.Errorf("%w: %v", blockfile.ErrCorrupt, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"soi/internal/api"
-	"soi/internal/bound"
 	"soi/internal/cascade"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
@@ -64,9 +63,9 @@ func mergePartial(budget, quarantine api.Partial) api.Partial {
 // whose load quarantined corrupt world blocks. With q of ℓ worlds
 // quarantined the estimate is an average over the ℓ-q survivors, so the
 // Hoeffding bound is re-derived at the live count (bound.Hoeffding at
-// bound.ServingDelta) and scaled to the estimate's units — exactly how
-// budget truncation is surfaced, and the two compose by summing bounds
-// (mergePartial). An index
+// bound.ServingDelta, once, in New) and scaled to the estimate's units —
+// exactly how budget truncation is surfaced, and the two compose by
+// summing bounds (mergePartial). An index
 // that has lost every world cannot answer at all: that is a retryable 503
 // (CodeDegraded) so the gateway fails over to a replica with a healthy copy.
 //
@@ -91,7 +90,7 @@ func (s *Server) quarantinePartial(scale float64) (api.Partial, error) {
 		Degraded:          true,
 		WorldsUsed:        live,
 		WorldsQuarantined: quar,
-		ErrorBound:        bound.Hoeffding(live, bound.ServingDelta).Eps * scale,
+		ErrorBound:        s.quarEps * scale,
 	}, nil
 }
 

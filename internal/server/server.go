@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"soi/internal/api"
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/daemon"
@@ -140,6 +141,10 @@ type Server struct {
 	denseOf map[int64]graph.NodeID // original -> dense; nil = identity
 
 	fpHex string // cache-key suffix binding entries to the loaded index
+	// quarEps is the [0,1] Hoeffding ε at the live world count, derived
+	// once: quarantine happens at load, so the count is fixed (0 when no
+	// world is quarantined or none is live).
+	quarEps float64
 
 	adm     *admission
 	scratch sync.Pool // *index.Scratch
@@ -194,6 +199,9 @@ func New(cfg Config) (*Server, error) {
 		mSketch:   tel.Counter("server.sketch_estimates"),
 	}
 	s.fpHex = fmt.Sprintf("%016x", cfg.Index.Fingerprint())
+	if live := cfg.Index.LiveWorlds(); cfg.Index.QuarantinedWorlds() > 0 && live > 0 {
+		s.quarEps = bound.Hoeffding(live, bound.ServingDelta).Eps
+	}
 	if cfg.OrigIDs != nil {
 		s.denseOf = make(map[int64]graph.NodeID, len(cfg.OrigIDs))
 		for v, id := range cfg.OrigIDs {

@@ -89,6 +89,7 @@ func fromMeta(h *blockfile.Header) (*Sketch, error) {
 	if s.k < 2 {
 		return nil, fmt.Errorf("sketch: %w: k %d below minimum 2", blockfile.ErrCorrupt, s.k)
 	}
+	s.relErr = servedRelErr(s.k)
 	if h.Backed {
 		ranks := 0
 		for _, e := range h.Dir {

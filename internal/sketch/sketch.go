@@ -62,7 +62,8 @@ type Sketch struct {
 	live   int // worlds that contributed ranks
 	k      int
 	seed   uint64
-	fp     uint64 // Fingerprint of the source index
+	fp     uint64  // Fingerprint of the source index
+	relErr float64 // served relative error, derived once from k (see ErrorBound)
 
 	// CSR: node v's ascending rank list is ranks[off[v]:off[v+1]],
 	// strictly ascending, at most k long.
@@ -173,6 +174,7 @@ func Build(ctx context.Context, x *index.Index, opts Options) (*Sketch, error) {
 		k:      k,
 		seed:   opts.Seed,
 		fp:     x.Fingerprint(),
+		relErr: servedRelErr(k),
 		off:    make([]int32, n+1),
 		ranks:  make([]uint64, total),
 		tel:    tel,
@@ -361,13 +363,17 @@ func (s *Sketch) EstimateSphereSize(v graph.NodeID) float64 {
 
 // ErrorBound returns the additive error bound reported alongside a sketch
 // estimate in query responses: the bottom-k relative error at
-// bound.ServingDelta scaled by the estimate itself. The min(1, ·) reaches
-// only k below bound.MinBottomK, where the derivation does not hold: the
-// daemons refuse such a sketch (CheckServable), but the library still
-// builds one, and the wire golden pins a k = 8 sketch's answers.
-func (s *Sketch) ErrorBound(estimate float64) float64 {
-	return min(1, bound.BottomK(s.k, bound.ServingDelta).Eps) * estimate
-}
+// bound.ServingDelta scaled by the estimate itself. The relative error is
+// derived once, when Build or Read makes the sketch, so an answer only
+// multiplies.
+func (s *Sketch) ErrorBound(estimate float64) float64 { return s.relErr * estimate }
+
+// servedRelErr is the relative error ErrorBound serves for sketch size k:
+// min(1, bottom-k ε at bound.ServingDelta). The min(1, ·) reaches only k
+// below bound.MinBottomK, where the derivation does not hold: the daemons
+// refuse such a sketch (CheckServable), but the library still builds one,
+// and the wire golden pins a k = 8 sketch's answers.
+func servedRelErr(k int) float64 { return min(1, bound.BottomK(k, bound.ServingDelta).Eps) }
 
 // CheckServable refuses a sketch size k whose bottom-k bound at
 // bound.ServingDelta lies outside the derivation (ε > 1): there a served

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/index"
@@ -290,6 +291,30 @@ func TestRelabelInvariance(t *testing.T) {
 		a, b := s1.EstimateSphereSize(graph.NodeID(v)), s2.EstimateSphereSize(graph.NodeID(perm[v]))
 		if a != b {
 			t.Fatalf("node %d: estimate %v != relabeled %v", v, a, b)
+		}
+	}
+}
+
+// TestErrorBoundDerivedOnce: the served bound is min(1, bottom-k ε at the
+// serving δ) times the estimate, for a built sketch and for its read-back
+// copy alike, and serving it allocates nothing: the derivation (and its
+// formula string) is made once, with the sketch, not per answer.
+func TestErrorBoundDerivedOnce(t *testing.T) {
+	x := buildIndex(t, randomGraph(t, 30, 0.1, 7), 8, 8)
+	for _, k := range []int{8, DefaultK} {
+		s := mustBuild(t, x, Options{K: k, Seed: 9})
+		back, err := Read(bytes.NewReader(serialize(t, s)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := min(1, bound.BottomK(k, bound.ServingDelta).Eps) * 12.5
+		for name, sk := range map[string]*Sketch{"built": s, "read": back} {
+			if got := sk.ErrorBound(12.5); got != want {
+				t.Errorf("k=%d %s: ErrorBound(12.5) = %v, want %v", k, name, got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = sk.ErrorBound(12.5) }); allocs != 0 {
+				t.Errorf("k=%d %s: ErrorBound makes %v allocations per answer, want 0", k, name, allocs)
+			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	requireCanceled("AllTypicalCascades", err)
 	_, err = ExpectedSpread(ctx, g, []NodeID{0}, 100, 10, ResumeConfig{})
 	requireCanceled("ExpectedSpread", err)
-	_, _, err = EstimateStability(ctx, g, []NodeID{0}, []NodeID{0}, 100, 10, Budget{})
+	_, _, err = EstimateStability(ctx, g, []NodeID{0}, []NodeID{0}, 100, 10, ModelIC, Budget{})
 	requireCanceled("EstimateStability", err)
 	_, err = SelectSeedsStd(ctx, idx, 2)
 	requireCanceled("SelectSeedsStd", err)

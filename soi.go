@@ -162,6 +162,10 @@ type Index = index.Index
 // IndexScratch holds reusable per-goroutine query buffers.
 type IndexScratch = index.Scratch
 
+// Model is a propagation model: IndexOptions.Model, Index.Model and
+// EstimateStability take one.
+type Model = index.Model
+
 // Propagation-model selectors for IndexOptions.Model.
 const (
 	ModelIC = index.IC
@@ -266,15 +270,15 @@ func TakeoffProbability(modes []Mode) float64 { return core.TakeoffProbability(m
 
 // EstimateStability estimates ρ_{g,seeds}(set): the expected Jaccard
 // distance between set and a fresh random cascade from seeds, sampled under
-// the independent cascade model whatever model g's other analyses use.
-// Lower is more stable. ctx is checked between cascade samples. It returns the estimate
+// model — pass the Model of the index the set came from (Index.Model), so
+// an LT sphere is scored under LT. Lower is more stable. ctx is checked between cascade samples. It returns the estimate
 // and the achieved sample count. A zero budget draws all samples; under a
 // wall-clock budget (the query-serving form) sampling stops when the
 // deadline is too near to fit another cascade, and — when that truncated
 // sampling past the budget minimum — the error matches ErrPartial and its
 // *PartialError carries the error bound.
-func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64, budget Budget) (float64, int, error) {
-	return core.EstimateCost(ctx, g, seeds, set, samples, seed, ModelIC, budget, nil)
+func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64, model Model, budget Budget) (float64, int, error) {
+	return core.EstimateCost(ctx, g, seeds, set, samples, seed, model, budget, nil)
 }
 
 // JaccardDistance returns d_J(a, b) for sorted node sets.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"soi/internal/core"
 )
 
 // TestEndToEndViralMarketing drives the full public API the way the
@@ -95,7 +97,7 @@ func TestTypicalCascadeAndStability(t *testing.T) {
 		t.Fatalf("stability %v out of expected band", sphere.ExpectedCost)
 	}
 	// Direct stability estimate agrees.
-	direct, _, err := EstimateStability(context.Background(), g, []NodeID{0}, sphere.Set, 2000, 6, Budget{})
+	direct, _, err := EstimateStability(context.Background(), g, []NodeID{0}, sphere.Set, 2000, 6, ModelIC, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,5 +313,36 @@ func TestLoadIndexChecksItsInputs(t *testing.T) {
 			!strings.Contains(err.Error(), "sphere -graph g.tsv -build-index new.idx") {
 			t.Fatalf("LoadIndex of a %s file: err %v, want the retired magic and the rebuild command", magic, err)
 		}
+	}
+}
+
+// TestEstimateStabilityModel: the facade samples under the model it is
+// given. Under LT it returns exactly core.EstimateCost's LT estimate; on a
+// node whose two in-weights sum to 1 that is a certain cascade (ρ = 0),
+// where IC leaves the node out a quarter of the time.
+func TestEstimateStabilityModel(t *testing.T) {
+	b := NewGraphBuilder(3)
+	b.AddEdge(0, 2, 0.5)
+	b.AddEdge(1, 2, 0.5)
+	g := b.MustBuild()
+	ctx := context.Background()
+	seeds, set := []NodeID{0, 1}, []NodeID{0, 1, 2}
+	got, _, err := EstimateStability(ctx, g, seeds, set, 4000, 5, ModelLT, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := core.EstimateCost(ctx, g, seeds, set, 4000, 5, ModelLT, Budget{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got != 0 {
+		t.Fatalf("LT stability = %v, core.EstimateCost under LT = %v, want both 0", got, want)
+	}
+	ic, _, err := EstimateStability(ctx, g, seeds, set, 4000, 5, ModelIC, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ic-1.0/12) > 0.02 {
+		t.Fatalf("IC stability = %v, want about 1/12", ic)
 	}
 }
