@@ -397,13 +397,29 @@ func BenchmarkExpectedSpreadEstimators(b *testing.B) {
 
 var benchSink []NodeID
 
+// BenchmarkSampleCascade times one lazy IC cascade from each node in turn.
 func BenchmarkSampleCascade(b *testing.B) {
-	g := benchGraph(b)
+	benchForward(b, benchGraph(b), worlds.IC)
+}
+
+// BenchmarkSampleCascadeLT is BenchmarkSampleCascade under LT, over
+// weighted-cascade weights (which satisfy the LT budget).
+func BenchmarkSampleCascadeLT(b *testing.B) {
+	d, err := LoadDataset("nethept-W", DatasetConfig{Scale: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchForward(b, d.Graph, worlds.LT)
+}
+
+func benchForward(b *testing.B, g *Graph, model Model) {
+	smp := worlds.NewSampler(g, model)
 	r := rng.New(14)
-	visited := make([]bool, g.NumNodes())
+	seed := make([]NodeID, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = worlds.SampleCascade(g, NodeID(i%g.NumNodes()), r, visited, benchSink[:0])
+		seed[0] = NodeID(i % g.NumNodes())
+		benchSink, _ = smp.Forward(seed, r, benchSink[:0], nil, nil)
 	}
 }
 
@@ -415,7 +431,7 @@ func BenchmarkAblationRRSketch(b *testing.B) {
 	b.Run("rr", func(b *testing.B) {
 		var spread float64
 		for i := 0; i < b.N; i++ {
-			sel, err := infmax.RR(context.Background(), g, k, infmax.RROptions{Sets: 5000, Seed: 15}, checkpoint.Config{})
+			sel, err := infmax.RR(context.Background(), g, k, infmax.RROptions{Sets: 5000, Seed: 15}, worlds.IC, checkpoint.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -449,7 +465,7 @@ func BenchmarkLTIndexBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.Build(context.Background(), d.Graph, index.Options{Samples: 200, Seed: 19, Model: index.LT}, checkpoint.Config{}); err != nil {
+		if _, err := index.Build(context.Background(), d.Graph, index.Options{Samples: 200, Seed: 19, Model: worlds.LT}, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -458,7 +474,7 @@ func BenchmarkLTIndexBuild(b *testing.B) {
 // mcSpread is the held-out Monte-Carlo spread the ablations score with.
 func mcSpread(tb testing.TB, g *Graph, seeds []NodeID, trials int, seed uint64) float64 {
 	tb.Helper()
-	est, err := cascade.ExpectedSpread(context.Background(), g, seeds, trials, seed, 0, checkpoint.Config{})
+	est, err := cascade.ExpectedSpread(context.Background(), g, seeds, trials, seed, worlds.IC, 0, checkpoint.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

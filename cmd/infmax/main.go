@@ -142,7 +142,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 		case "rr":
 			cfg := resume(".rr")
 			sel, err := cliutil.RetryStale("infmax", cfg.Path, func() (infmax.Selection, error) {
-				return infmax.RR(ctx, g, k, infmax.RROptions{Sets: 20 * samples, Seed: seed}, cfg)
+				return infmax.RR(ctx, g, k, infmax.RROptions{Sets: 20 * samples, Seed: seed}, x.Model(), cfg)
 			})
 			if cliutil.Partial("infmax", err) {
 				err = nil
@@ -173,7 +173,7 @@ func run(ctx context.Context, graphPath string, k int, method string, compare bo
 		}
 		mcCfg := resume(".mc")
 		spread, err := cliutil.RetryStale("infmax", mcCfg.Path, func() (float64, error) {
-			return cascade.ExpectedSpread(ctx, g, sel.Seeds, evalSamples, seed^0xE7A1, 0, mcCfg)
+			return cascade.ExpectedSpread(ctx, g, sel.Seeds, evalSamples, seed^0xE7A1, x.Model(), 0, mcCfg)
 		})
 		if !cliutil.Partial("infmax", err) && err != nil {
 			return err

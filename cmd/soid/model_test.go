@@ -19,6 +19,7 @@ import (
 	"soi/internal/core"
 	"soi/internal/graph"
 	"soi/internal/index"
+	"soi/internal/worlds"
 )
 
 // startupErr runs soid with args and returns the error that ends its
@@ -57,12 +58,22 @@ func startupErr(t *testing.T, args ...string) error {
 // held-out estimate at the query's seed (and not the IC one), and the
 // "serving on" line names the model.
 func TestRunServesTheIndexModel(t *testing.T) {
-	gp := writeTestGraph(t)
+	// A ring with chords: every node has two in-edges weighing 0.9 in all,
+	// a valid LT weighting. With one in-edge per node the lazy LT choice
+	// and the IC coin would draw the same cascades.
+	gp := filepath.Join(t.TempDir(), "g.tsv")
+	var gb strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&gb, "%d\t%d\t0.6\n%d\t%d\t0.3\n", i, (i+1)%10, i, (i+3)%10)
+	}
+	if err := os.WriteFile(gp, []byte(gb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	g, _, err := graph.LoadFile(gp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: 1, Model: index.LT}, checkpoint.Config{})
+	x, err := index.Build(context.Background(), g, index.Options{Samples: 30, Seed: 1, Model: worlds.LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +96,14 @@ func TestRunServesTheIndexModel(t *testing.T) {
 	}
 	set := core.ComputeFromSet(x, seeds, core.Options{}).Set
 	seed := checkpoint.NewHasher().Uint64(1).Nodes(seeds).Sum() // the server's per-query seed at -seed 1
-	estimate := func(m index.Model) float64 {
+	estimate := func(m worlds.Model) float64 {
 		cost, _, err := core.EstimateCost(context.Background(), g, seeds, set, samples, seed, m, checkpoint.Budget{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cost
 	}
-	lt, ic := estimate(index.LT), estimate(index.IC)
+	lt, ic := estimate(worlds.LT), estimate(worlds.IC)
 	if lt == ic {
 		t.Fatalf("LT and IC estimates coincide (%v): the fixture cannot tell the models apart", lt)
 	}

@@ -16,6 +16,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/sketch"
+	"soi/internal/worlds"
 )
 
 // fsckGraph is a small ring with shortcuts — enough worlds and nodes that
@@ -212,7 +213,7 @@ func TestCheckFileIndexInputs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%8), 0.6) // in-weights <= 1: a valid LT input
 	}
-	x, err := index.Build(context.Background(), b.MustBuild(), index.Options{Samples: 3, Seed: 5, Model: index.LT}, checkpoint.Config{})
+	x, err := index.Build(context.Background(), b.MustBuild(), index.Options{Samples: 3, Seed: 5, Model: worlds.LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

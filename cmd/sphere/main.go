@@ -38,6 +38,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/sketch"
+	"soi/internal/worlds"
 )
 
 func main() {
@@ -97,9 +98,9 @@ func run(ctx context.Context, graphPath string, node int, all bool, samples, cos
 	if err != nil {
 		return err
 	}
-	model := index.IC
+	model := worlds.IC
 	if lt {
-		model = index.LT
+		model = worlds.LT
 	}
 	tel := rt.Registry
 	if shards > 0 {

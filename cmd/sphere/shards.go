@@ -16,6 +16,7 @@ import (
 	"soi/internal/router"
 	"soi/internal/scc"
 	"soi/internal/telemetry"
+	"soi/internal/worlds"
 )
 
 // partitionShards is the -shards mode: split the graph into k SCC-respecting
@@ -24,7 +25,7 @@ import (
 // consumes. Artifacts land at <prefix>-shard<N>.{tsv,idx,spheres} with the
 // manifest at <prefix>-topology.json.
 func partitionShards(ctx context.Context, g *graph.Graph, orig []int64, k int,
-	prefix string, samples, costSamples int, seed uint64, model index.Model, tel *telemetry.Registry) error {
+	prefix string, samples, costSamples int, seed uint64, model worlds.Model, tel *telemetry.Registry) error {
 	if prefix == "" {
 		return fmt.Errorf("-shards requires -shard-out PREFIX")
 	}

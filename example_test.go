@@ -71,7 +71,7 @@ func ExampleReliability() {
 	b.AddEdge(0, 1, 0.5)
 	b.AddEdge(1, 2, 0.5)
 	g := b.MustBuild()
-	rel, err := soi.Reliability(context.Background(), g, 0, 2, 400000, 1)
+	rel, err := soi.Reliability(context.Background(), g, 0, 2, 400000, 1, soi.ModelIC)
 	if err != nil {
 		panic(err)
 	}

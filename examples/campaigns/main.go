@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigma1, err := soi.ExpectedSpread(ctx, g, c1.Seeds, 2000, 73, soi.ResumeConfig{})
+	sigma1, err := soi.ExpectedSpread(ctx, g, c1.Seeds, 2000, 73, idx.Model(), soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

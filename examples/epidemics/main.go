@@ -71,7 +71,7 @@ func main() {
 	}
 
 	// Policy alternative: quarantine everyone with >= 25% infection risk.
-	atRisk, err := soi.ReliabilitySearch(ctx, g, []soi.NodeID{patientZero}, 0.25, 20000, 31)
+	atRisk, err := soi.ReliabilitySearch(ctx, g, []soi.NodeID{patientZero}, 0.25, 20000, 31, idx.Model())
 	if err != nil {
 		log.Fatal(err)
 	}

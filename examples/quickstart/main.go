@@ -62,11 +62,11 @@ func main() {
 	fmt.Printf("InfMax_std seeds: %v (expected spread %.2f)\n", std.Seeds, std.Objective())
 
 	// Score both seed sets with an independent Monte-Carlo estimate.
-	sigmaTC, err := soi.ExpectedSpread(ctx, g, tc.Seeds, 20000, 13, soi.ResumeConfig{})
+	sigmaTC, err := soi.ExpectedSpread(ctx, g, tc.Seeds, 20000, 13, idx.Model(), soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigmaStd, err := soi.ExpectedSpread(ctx, g, std.Seeds, 20000, 13, soi.ResumeConfig{})
+	sigmaStd, err := soi.ExpectedSpread(ctx, g, std.Seeds, 20000, 13, idx.Model(), soi.ResumeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

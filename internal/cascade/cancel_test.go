@@ -9,13 +9,14 @@ import (
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 func TestExpectedSpreadCtxPreCanceled(t *testing.T) {
 	g := paperGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExpectedSpread(ctx, g, []graph.NodeID{0}, 100, 1, 0, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
+	if _, err := ExpectedSpread(ctx, g, []graph.NodeID{0}, 100, 1, worlds.IC, 0, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -32,7 +33,7 @@ func TestExpectedSpreadCtxCancellationPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := ExpectedSpread(ctx, g, []graph.NodeID{0}, 1<<20, 2, 0, checkpoint.Config{})
+	_, err := ExpectedSpread(ctx, g, []graph.NodeID{0}, 1<<20, 2, worlds.IC, 0, checkpoint.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

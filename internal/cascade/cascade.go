@@ -1,15 +1,7 @@
-// Package cascade implements the Independent Cascade (IC) propagation model
-// of Kempe, Kleinberg & Tardos (KDD 2003) and estimators for the expected
-// spread σ(S).
-//
-// In the IC model time unfolds in discrete steps: when a node u first
-// becomes active at step t, it gets a single chance to activate each
-// currently inactive out-neighbor v, succeeding with probability p(u,v); a
-// success activates v at step t+1. The set of nodes eventually activated
-// from a seed set has exactly the distribution of live-edge reachability
-// (the possible-world cascades in internal/worlds); this package adds the
-// step structure — needed to synthesize propagation logs — and the σ(S)
-// estimators used by influence maximization.
+// Package cascade estimates the expected spread σ(S) of a seed set, the
+// objective of influence maximization (Kempe, Kleinberg & Tardos, KDD
+// 2003): by Monte Carlo over fresh cascades drawn by worlds.Sampler under
+// the IC or the LT model, or over the sampled worlds of a cascade index.
 package cascade
 
 import (
@@ -25,47 +17,11 @@ import (
 	"soi/internal/rng"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
+	"soi/internal/worlds"
 )
 
-// Activation records one node activation during a simulation.
-type Activation struct {
-	Node graph.NodeID
-	Step int32
-}
-
-// Simulate runs one IC cascade from seeds and returns the activations in
-// activation order (seeds first, at step 0). visited is caller scratch of
-// length NumNodes, all false on entry, reset on exit.
-func Simulate(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool) []Activation {
-	out := make([]Activation, 0, len(seeds)*4)
-	for _, s := range seeds {
-		if !visited[s] {
-			visited[s] = true
-			out = append(out, Activation{Node: s, Step: 0})
-		}
-	}
-	for head := 0; head < len(out); head++ {
-		u := out[head]
-		lo, hi := g.EdgeRange(u.Node)
-		for i := lo; i < hi; i++ {
-			v := g.EdgeTo(i)
-			if visited[v] {
-				continue
-			}
-			if r.Bernoulli(g.EdgeProb(i)) {
-				visited[v] = true
-				out = append(out, Activation{Node: v, Step: u.Step + 1})
-			}
-		}
-	}
-	for _, a := range out {
-		visited[a.Node] = false
-	}
-	return out
-}
-
 // ExpectedSpread estimates σ(seeds) by Monte Carlo over trials independent
-// IC simulations, parallelized across workers (zero or negative =
+// cascades under model, parallelized across workers (zero or negative =
 // GOMAXPROCS). The result is deterministic for a fixed seed regardless of
 // worker count. Workers check ctx between simulations, so a canceled
 // context returns ctx.Err() promptly; worker panics are recovered into a
@@ -86,7 +42,7 @@ func Simulate(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool
 // deadline nears and returns the mean over the completed trials together
 // with a *checkpoint.PartialError; the bound it carries is normalized to
 // [0,1] — multiply by n for spread units.
-func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int, cfg checkpoint.Config) (float64, error) {
+func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, model worlds.Model, workers int, cfg checkpoint.Config) (float64, error) {
 	if trials <= 0 {
 		return 0, ctx.Err()
 	}
@@ -105,7 +61,7 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 		}
 		return total
 	}
-	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return spreadKey(g, seeds, trials, seed) }, trials,
+	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return spreadKey(g, seeds, trials, seed, model) }, trials,
 		func(done *checkpoint.Bitmap) ([]byte, error) {
 			return binary.LittleEndian.AppendUint64(nil, uint64(sum(done))), nil
 		})
@@ -121,15 +77,13 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 		resumed = st.Done
 	}
 
+	// Split does not advance master, so each worker splits trial i's
+	// generator itself: trial i draws the same whichever worker runs it,
+	// and no two workers' generators share memory.
 	master := rng.New(seed)
-	// Pre-split generators so trial i is reproducible regardless of the
-	// worker that runs it.
-	gens := make([]*rng.PCG32, trials)
-	for i := range gens {
-		gens[i] = master.Split(uint64(i))
-	}
 	w := pool.Workers(workers, trials)
-	visiteds := make([][]bool, w)
+	samplers := make([]*worlds.Sampler, w)
+	bufs := make([][]graph.NodeID, w)
 	tel := telemetry.FromContext(ctx)
 	mTrials := tel.Counter("cascade.trials")
 	mSize := tel.Histogram("cascade.size")
@@ -141,12 +95,13 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 		if err := r.Gate(); err != nil {
 			return err
 		}
-		visited := visiteds[worker]
-		if visited == nil {
-			visited = make([]bool, g.NumNodes())
-			visiteds[worker] = visited
+		if samplers[worker] == nil {
+			// A cascade never outgrows n nodes, so buf is never reallocated.
+			samplers[worker] = worlds.NewSampler(g, model)
+			bufs[worker] = make([]graph.NodeID, 0, g.NumNodes())
 		}
-		size := int64(simulateSize(g, seeds, gens[i], visited))
+		cascade, _ := samplers[worker].Forward(seeds, master.Split(uint64(i)), bufs[worker], nil, nil)
+		size := int64(len(cascade))
 		sizes[i] = size
 		mTrials.Inc()
 		mSize.Observe(size)
@@ -169,43 +124,15 @@ func ExpectedSpread(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, t
 }
 
 // spreadKey keys ExpectedSpread checkpoints.
-func spreadKey(g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64) uint64 {
+func spreadKey(g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, model worlds.Model) uint64 {
 	return checkpoint.NewHasher().
 		String("cascade.ExpectedSpread").
 		Graph(g).
 		Nodes(seeds).
 		Int(trials).
 		Uint64(seed).
+		Int(int(model)).
 		Sum()
-}
-
-// simulateSize is Simulate without recording steps; returns the cascade size.
-func simulateSize(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32, visited []bool) int {
-	queue := make([]graph.NodeID, 0, len(seeds)*4)
-	for _, s := range seeds {
-		if !visited[s] {
-			visited[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		lo, hi := g.EdgeRange(u)
-		for i := lo; i < hi; i++ {
-			v := g.EdgeTo(i)
-			if visited[v] {
-				continue
-			}
-			if r.Bernoulli(g.EdgeProb(i)) {
-				visited[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	for _, v := range queue {
-		visited[v] = false
-	}
-	return len(queue)
 }
 
 // SpreadFromIndex estimates σ(seeds) as the average cascade size over the

@@ -10,6 +10,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 func paperGraph(t testing.TB) *graph.Graph {
@@ -34,52 +35,63 @@ func lineGraph(t testing.TB, n int, p float64) *graph.Graph {
 	return b.MustBuild()
 }
 
+// The Simulate tests check the cascades ExpectedSpread draws: one
+// worlds.Sampler.Forward per trial, with activation steps recorded.
+
 func TestSimulateSeedsAtStepZero(t *testing.T) {
 	g := paperGraph(t)
-	visited := make([]bool, g.NumNodes())
-	r := rng.New(1)
-	acts := Simulate(g, []graph.NodeID{4, 2}, r, visited)
-	if len(acts) < 2 {
-		t.Fatalf("activations: %v", acts)
+	nodes, steps := worlds.NewSampler(g, worlds.IC).Forward([]graph.NodeID{4, 2}, rng.New(1), nil, []int32{}, nil)
+	if len(nodes) < 2 || len(steps) != len(nodes) {
+		t.Fatalf("activations: %v at steps %v", nodes, steps)
 	}
-	if acts[0].Node != 4 || acts[0].Step != 0 || acts[1].Node != 2 || acts[1].Step != 0 {
-		t.Fatalf("seeds not at step 0: %v", acts[:2])
+	if nodes[0] != 4 || steps[0] != 0 || nodes[1] != 2 || steps[1] != 0 {
+		t.Fatalf("seeds not at step 0: %v at steps %v", nodes[:2], steps[:2])
 	}
 }
 
 func TestSimulateStepsAreParentPlusOne(t *testing.T) {
 	// On a deterministic line (p = 1) the step of node i must be i.
 	g := lineGraph(t, 8, 1)
-	visited := make([]bool, g.NumNodes())
-	acts := Simulate(g, []graph.NodeID{0}, rng.New(2), visited)
-	if len(acts) != 8 {
-		t.Fatalf("expected full line activation, got %v", acts)
-	}
-	for i, a := range acts {
-		if int(a.Node) != i || int(a.Step) != i {
-			t.Fatalf("activation %d = %+v", i, a)
+	for _, model := range []worlds.Model{worlds.IC, worlds.LT} {
+		nodes, steps := worlds.NewSampler(g, model).Forward([]graph.NodeID{0}, rng.New(2), nil, []int32{}, nil)
+		if len(nodes) != 8 || len(steps) != 8 {
+			t.Fatalf("%v: expected full line activation, got %v at steps %v", model, nodes, steps)
+		}
+		for i := range nodes {
+			if int(nodes[i]) != i || int(steps[i]) != i {
+				t.Fatalf("%v: activation %d = node %d at step %d", model, i, nodes[i], steps[i])
+			}
 		}
 	}
 }
 
 func TestSimulateScratchReset(t *testing.T) {
+	// A sampler reused after a cascade must draw what a fresh one draws
+	// from the same generator: a visited mark left behind would drop the
+	// seed or its successors from the second cascade.
 	g := paperGraph(t)
-	visited := make([]bool, g.NumNodes())
-	Simulate(g, []graph.NodeID{4}, rng.New(3), visited)
-	for i, v := range visited {
-		if v {
-			t.Fatalf("visited[%d] not reset", i)
+	s := worlds.NewSampler(g, worlds.IC)
+	for trial := uint64(0); trial < 50; trial++ {
+		s.Forward([]graph.NodeID{4}, rng.New(3+trial), nil, nil, nil)
+		got, _ := s.Forward([]graph.NodeID{4}, rng.New(100+trial), nil, nil, nil)
+		want, _ := worlds.NewSampler(g, worlds.IC).Forward([]graph.NodeID{4}, rng.New(100+trial), nil, nil, nil)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: reused sampler drew %v, fresh sampler %v", trial, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: reused sampler drew %v, fresh sampler %v", trial, got, want)
+			}
 		}
 	}
 }
 
 func TestSimulateDuplicateSeeds(t *testing.T) {
 	g := paperGraph(t)
-	visited := make([]bool, g.NumNodes())
-	acts := Simulate(g, []graph.NodeID{4, 4, 4}, rng.New(4), visited)
+	nodes, _ := worlds.NewSampler(g, worlds.IC).Forward([]graph.NodeID{4, 4, 4}, rng.New(4), nil, nil, nil)
 	count := 0
-	for _, a := range acts {
-		if a.Node == 4 {
+	for _, v := range nodes {
+		if v == 4 {
 			count++
 		}
 	}
@@ -187,23 +199,6 @@ func TestSpreadMonotoneSubmodular(t *testing.T) {
 	}
 }
 
-func BenchmarkSimulate(b *testing.B) {
-	r := rng.New(1)
-	bb := graph.NewBuilder(2000)
-	for i := 0; i < 10000; i++ {
-		u, v := graph.NodeID(r.Intn(2000)), graph.NodeID(r.Intn(2000))
-		if u != v {
-			bb.AddEdge(u, v, 0.1)
-		}
-	}
-	g := bb.MustBuild()
-	visited := make([]bool, g.NumNodes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Simulate(g, []graph.NodeID{graph.NodeID(i % 2000)}, r, visited)
-	}
-}
-
 func BenchmarkExpectedSpread(b *testing.B) {
 	r := rng.New(1)
 	bb := graph.NewBuilder(1000)
@@ -223,7 +218,7 @@ func BenchmarkExpectedSpread(b *testing.B) {
 // spread is the plain ExpectedSpread run.
 func spread(tb testing.TB, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64, workers int) float64 {
 	tb.Helper()
-	est, err := ExpectedSpread(context.Background(), g, seeds, trials, seed, workers, checkpoint.Config{})
+	est, err := ExpectedSpread(context.Background(), g, seeds, trials, seed, worlds.IC, workers, checkpoint.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
+	"soi/internal/worlds"
 )
 
 func conformanceGraph(t testing.TB) *graph.Graph {
@@ -65,5 +66,37 @@ func TestConformanceSpreadFromIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		statcheck.Close(t, "SpreadFromIndex vs oracle", SpreadFromIndex(x, seeds, s), exact, b)
+	}
+}
+
+// TestConformanceExpectedSpreadLT holds the Monte-Carlo spread under LT to
+// the exact LT oracle, over a graph whose incoming weights sum to at most
+// 1 per node, with the same scaled, unioned Hoeffding bound.
+func TestConformanceExpectedSpreadLT(t *testing.T) {
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(0, 2, 0.3)
+	b.AddEdge(1, 2, 0.4)
+	b.AddEdge(2, 3, 0.6)
+	b.AddEdge(1, 3, 0.3)
+	b.AddEdge(3, 1, 0.2)
+	b.AddEdge(3, 4, 0.5)
+	b.AddEdge(2, 4, 0.4)
+	b.AddEdge(4, 5, 0.7)
+	b.AddEdge(5, 0, 0.5)
+	g := b.MustBuild()
+	seedSets := [][]graph.NodeID{{0}, {3}, {1, 4}}
+	const trials = 20000
+	bd := bound.Hoeffding(trials, statcheck.DefaultDelta).Union(len(seedSets)).Scale(float64(g.NumNodes()))
+	for i, seeds := range seedSets {
+		d, err := oracle.LTCascadeDistribution(g, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExpectedSpread(context.Background(), g, seeds, trials, 90+uint64(i), worlds.LT, 2, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		statcheck.Close(t, "LT ExpectedSpread vs oracle", got, d.ExpectedSpread(), bd)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"soi/internal/bound"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
-	"soi/internal/index"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
+	"soi/internal/worlds"
 )
 
 // TestConformanceEstimateStability holds the held-out stability estimator to
@@ -59,7 +59,7 @@ func TestConformanceEstimateCostBudget(t *testing.T) {
 	cand := []graph.NodeID{0, 4}
 	plain := estimateCost(t, g, []graph.NodeID{4}, cand, ell, 79)
 	got, achieved, err := EstimateCost(context.Background(), g,
-		[]graph.NodeID{4}, cand, ell, 79, index.IC, checkpoint.Budget{Deadline: time.Now().Add(time.Hour)}, nil)
+		[]graph.NodeID{4}, cand, ell, 79, worlds.IC, checkpoint.Budget{Deadline: time.Now().Add(time.Hour)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

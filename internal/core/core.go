@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"soi/internal/checkpoint"
@@ -245,11 +246,10 @@ func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median
 // EstimateCost estimates ρ_{G,seeds}(set): the expected Jaccard distance
 // between set and a fresh random cascade from seeds under the given
 // propagation model. It draws `samples` cascades with generators split from
-// seed, so estimates are reproducible and independent of the index. IC
-// cascades are drawn lazily (without materializing worlds); LT cascades
-// materialize one live-edge world per sample (LT's one-in-edge coupling
-// cannot be sampled edge-by-edge during a forward traversal). wm (nil
-// allowed) meters the sampled cascades.
+// seed, so estimates are reproducible and independent of the index. The
+// cascades are drawn lazily by worlds.Sampler, without materializing
+// worlds: IC edges are flipped, and LT in-edge choices drawn, as the
+// traversal reaches them. wm (nil allowed) meters the sampled cascades.
 //
 // Sampling stops when ctx is canceled — checked between cascades — or when
 // the budget's deadline is too near to fit another cascade. It returns the
@@ -259,14 +259,14 @@ func computeMedian(samples [][]graph.NodeID, alg MedianAlgorithm) jaccard.Median
 // achieved count and the Theorem-2-style error bound; below the minimum the
 // error is hard. A zero budget is the plain run. samples <= 0 returns -1.
 func EstimateCost(ctx context.Context, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64,
-	model index.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
+	model worlds.Model, budget checkpoint.Budget, wm *worlds.Metrics) (float64, int, error) {
 	return estimate(ctx, g, seeds, samples, seed, model, budget, wm,
 		func(c []graph.NodeID) float64 { return jaccard.Distance(set, c) })
 }
 
 // estimate is EstimateCost for any distance of a sampled cascade.
 func estimate(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, samples int, seed uint64,
-	model index.Model, budget checkpoint.Budget, wm *worlds.Metrics, dist func([]graph.NodeID) float64) (float64, int, error) {
+	model worlds.Model, budget checkpoint.Budget, wm *worlds.Metrics, dist func([]graph.NodeID) float64) (float64, int, error) {
 	if samples <= 0 {
 		return -1, 0, nil
 	}
@@ -276,7 +276,7 @@ func estimate(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, samples
 		return 0, 0, err
 	}
 	master := rng.New(seed)
-	visited := make([]bool, g.NumNodes())
+	smp := worlds.NewSampler(g, model)
 	var buf []graph.NodeID
 	total := 0.0
 	achieved := 0
@@ -288,13 +288,8 @@ func estimate(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, samples
 		if runErr = r.Gate(); runErr != nil {
 			break
 		}
-		rs := master.Split(uint64(achieved))
-		if model == index.LT {
-			w := worlds.SampleLT(g, rs, wm)
-			buf = w.ReachableFromSet(seeds, visited, buf[:0])
-		} else {
-			buf = worlds.SampleCascadeFromSet(g, seeds, rs, visited, buf[:0], wm)
-		}
+		buf, _ = smp.Forward(seeds, master.Split(uint64(achieved)), buf[:0], nil, wm)
+		slices.Sort(buf)
 		total += dist(buf)
 		r.MarkDone(achieved)
 	}

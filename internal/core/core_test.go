@@ -12,6 +12,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/jaccard"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 func paperGraph(t testing.TB) *graph.Graph {
@@ -339,7 +340,7 @@ func computeAll(tb testing.TB, x *index.Index, opts Options) []Result {
 // estimateCost is the plain IC held-out cost estimate.
 func estimateCost(tb testing.TB, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64) float64 {
 	tb.Helper()
-	cost, _, err := EstimateCost(context.Background(), g, seeds, set, samples, seed, index.IC, checkpoint.Budget{}, nil)
+	cost, _, err := EstimateCost(context.Background(), g, seeds, set, samples, seed, worlds.IC, checkpoint.Budget{}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/jaccard"
+	"soi/internal/worlds"
 )
 
 // Weighted typical cascades — the §8 scenario where nodes (market segments)
@@ -44,7 +45,7 @@ func ComputeWeighted(x *index.Index, seeds []graph.NodeID, weight []float64, opt
 // EstimateCostWeighted estimates the expected weighted Jaccard distance
 // between set and a fresh random cascade from seeds.
 func EstimateCostWeighted(g *graph.Graph, seeds, set []graph.NodeID, weight []float64,
-	samples int, seed uint64, model index.Model) float64 {
+	samples int, seed uint64, model worlds.Model) float64 {
 	cost, _, _ := estimate(context.Background(), g, seeds, samples, seed, model, checkpoint.Budget{}, nil,
 		func(c []graph.NodeID) float64 { return jaccard.WeightedDistance(set, c, weight) })
 	return cost

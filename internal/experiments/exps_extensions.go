@@ -10,6 +10,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
+	"soi/internal/worlds"
 )
 
 // Extension experiments: beyond the paper's artifacts, the library supports
@@ -47,7 +48,7 @@ func ExtLT(cfg Config) ([]ExtLTRow, error) {
 			return nil, fmt.Errorf("experiments: ExtLT requires a -W configuration, got %s", name)
 		}
 		row := ExtLTRow{Dataset: d.Name}
-		for _, model := range []index.Model{index.IC, index.LT} {
+		for _, model := range []worlds.Model{worlds.IC, worlds.LT} {
 			x, err := index.Build(cfg.ctx(), d.Graph, index.Options{
 				Samples: cfg.Samples,
 				Seed:    cfg.Seed ^ methodWorldTag,
@@ -70,7 +71,7 @@ func ExtLT(cfg Config) ([]ExtLTRow, error) {
 			}
 			avg := sizeSum / float64(len(results))
 			cost := costSum / float64(len(results))
-			if model == index.IC {
+			if model == worlds.IC {
 				row.AvgIC, row.CostIC = avg, cost
 			} else {
 				row.AvgLT, row.CostLT = avg, cost
@@ -124,7 +125,7 @@ func ExtMethods(cfg Config) ([]ExtMethodsRow, error) {
 			case "std":
 				return infmax.Std(cfg.ctx(), x, cfg.K)
 			case "rr":
-				return infmax.RR(cfg.ctx(), d.Graph, cfg.K, infmax.RROptions{Sets: 20 * cfg.Samples, Seed: cfg.Seed}, checkpoint.Config{})
+				return infmax.RR(cfg.ctx(), d.Graph, cfg.K, infmax.RROptions{Sets: 20 * cfg.Samples, Seed: cfg.Seed}, worlds.IC, checkpoint.Config{})
 			case "degree":
 				return infmax.Degree(d.Graph, cfg.K)
 			default:

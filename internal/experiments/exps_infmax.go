@@ -9,6 +9,7 @@ import (
 	"soi/internal/index"
 	"soi/internal/infmax"
 	"soi/internal/stats"
+	"soi/internal/worlds"
 )
 
 // Fig6Point is σ(S) for both methods at one seed-set size (paper Figure 6).
@@ -284,7 +285,7 @@ func Fig8(cfg Config) ([]Fig8Result, error) {
 func seedSetStability(eval *index.Index, g *graph.Graph, seeds []graph.NodeID, cfg Config) (float64, error) {
 	res := core.ComputeFromSet(eval, seeds, core.Options{})
 	cost, _, err := core.EstimateCost(cfg.ctx(), g, seeds, res.Set, cfg.EvalSamples, cfg.Seed^0xF168,
-		index.IC, checkpoint.Budget{}, nil)
+		worlds.IC, checkpoint.Budget{}, nil)
 	return cost, err
 }
 

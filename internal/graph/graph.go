@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node. IDs are dense: a graph with N nodes uses IDs
@@ -41,8 +42,9 @@ type Graph struct {
 	adj     []NodeID
 	probs   []float64
 
-	// Reverse CSR, built lazily by Reverse(); nil until then.
-	rev *Graph
+	// Reverse CSR, built by the first Reverse() call under revOnce.
+	revOnce sync.Once
+	rev     *Graph
 }
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -226,12 +228,14 @@ func (g *Graph) InDegrees() []int {
 }
 
 // Reverse returns the transpose graph (same nodes, all edges flipped, same
-// probabilities). The result is memoized; concurrent use must call Reverse
-// once before sharing the graph, or synchronize externally.
+// probabilities). The first call builds it; every call, from any
+// goroutine, returns that one transpose.
 func (g *Graph) Reverse() *Graph {
-	if g.rev != nil {
-		return g.rev
-	}
+	g.revOnce.Do(func() { g.rev = g.transpose() })
+	return g.rev
+}
+
+func (g *Graph) transpose() *Graph {
 	r := &Graph{
 		n:       g.n,
 		offsets: make([]int32, g.n+1),
@@ -256,7 +260,6 @@ func (g *Graph) Reverse() *Graph {
 			r.probs[j] = g.probs[i]
 		}
 	}
-	g.rev = r
 	return r
 }
 

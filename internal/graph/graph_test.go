@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,36 @@ func TestReverse(t *testing.T) {
 	}
 	if r2 := g.Reverse(); r2 != r {
 		t.Fatal("Reverse not memoized")
+	}
+}
+
+// TestReverseConcurrentFirstCalls: goroutines that race on the first
+// Reverse of a fresh graph all get the one transpose. Run under -race,
+// where an unsynchronized memo reports a data race.
+func TestReverseConcurrentFirstCalls(t *testing.T) {
+	b := NewBuilder(50)
+	for u := 0; u < 50; u++ {
+		b.AddEdge(NodeID(u), NodeID((u+1)%50), 0.5)
+		b.AddEdge(NodeID(u), NodeID((u+7)%50), 0.25)
+	}
+	g := b.MustBuild()
+	got := make([]*Graph, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.Reverse()
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r != got[0] {
+			t.Fatalf("goroutine %d got a second transpose", i)
+		}
+	}
+	if r := got[0]; r.NumEdges() != g.NumEdges() || r.Prob(1, 0) != 0.5 || r.Prob(7, 0) != 0.25 {
+		t.Fatalf("transpose wrong: %d edges, p(1,0)=%v p(7,0)=%v", r.NumEdges(), r.Prob(1, 0), r.Prob(7, 0))
 	}
 }
 

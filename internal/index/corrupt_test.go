@@ -13,6 +13,7 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 // TestReadSurvivesRandomCorruption flips random bits/bytes in a serialized
@@ -226,7 +227,7 @@ func TestDecodeTrustsNoCount(t *testing.T) {
 		rec := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0) // comps, total
 		rec = append(rec, 0)                                         // component 0's degree
 		var file bytes.Buffer
-		meta := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 0), uint32(IC))
+		meta := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 0), uint32(worlds.IC))
 		if _, _, err := FileKind.Write(&file, 1<<27, meta, 1, func(buf []byte, i int) ([]byte, uint32) { return append(buf, rec...), 1 }); err != nil {
 			t.Fatal(err)
 		}

@@ -35,24 +35,6 @@ import (
 	"soi/internal/worlds"
 )
 
-// Model selects the propagation model whose live-edge distribution the
-// index samples.
-type Model int
-
-const (
-	// IC is the Independent Cascade model: every edge survives
-	// independently with its probability.
-	IC Model = iota
-	// LT is the Linear Threshold model: every node keeps at most one
-	// incoming edge, chosen with probability equal to its weight (the
-	// Kempe et al. live-edge equivalence). Edge weights must satisfy the
-	// per-node budget Σ_in <= 1; Build validates this.
-	LT
-)
-
-// String returns "IC" or "LT", and "" for a value that names no model.
-func (m Model) String() string { return map[Model]string{IC: "IC", LT: "LT"}[m] }
-
 // Options configures index construction.
 type Options struct {
 	// Samples is ℓ, the number of possible worlds to index. The paper's
@@ -62,7 +44,7 @@ type Options struct {
 	// Seed drives the deterministic sampling of worlds.
 	Seed uint64
 	// Model selects IC (default) or LT live-edge sampling (Index.Model).
-	Model Model
+	Model worlds.Model
 }
 
 // worldEntry is the per-world part of the index: the node -> component map
@@ -213,7 +195,7 @@ func (e *worldEntry) compOf(v graph.NodeID) int32 {
 type Index struct {
 	g           *graph.Graph
 	graphFP     uint64 // fingerprint of g
-	model       Model
+	model       worlds.Model
 	entries     []worldEntry // a quarantined world's entry is empty
 	quarantined int
 	tel         *telemetry.Registry
@@ -268,16 +250,8 @@ func Build(ctx context.Context, g *graph.Graph, opts Options, cfg checkpoint.Con
 	if opts.Samples < 1 {
 		return nil, fmt.Errorf("index: Samples must be >= 1, got %d", opts.Samples)
 	}
-	if opts.Model != IC && opts.Model != LT {
-		return nil, fmt.Errorf("index: unknown Model %d", opts.Model)
-	}
-	if opts.Model == LT {
-		if err := worlds.ValidateLTWeights(g); err != nil {
-			return nil, err
-		}
-		// Warm the transpose once; SampleLT uses it and Reverse memoizes
-		// without synchronization.
-		g.Reverse()
+	if err := worlds.ValidateModel(g, opts.Model); err != nil {
+		return nil, err
 	}
 	tel := telemetry.FromContext(ctx)
 	idx := &Index{g: g, graphFP: graphFingerprint(g), model: opts.Model, entries: make([]worldEntry, opts.Samples), tel: tel}
@@ -348,7 +322,7 @@ func buildEntry(g *graph.Graph, r *rng.PCG32, opts Options, bm buildMetrics) wor
 		start = time.Now()
 	}
 	var world *worlds.World
-	if opts.Model == LT {
+	if opts.Model == worlds.LT {
 		world = worlds.SampleLT(g, r, bm.wm)
 	} else {
 		world = worlds.Sample(g, r, bm.wm)
@@ -401,7 +375,7 @@ func (x *Index) Graph() *graph.Graph { return x.g }
 func (x *Index) GraphFingerprint() uint64 { return x.graphFP }
 
 // Model returns the model the worlds were sampled under.
-func (x *Index) Model() Model { return x.model }
+func (x *Index) Model() worlds.Model { return x.model }
 
 // NumComponents returns the number of SCCs in world i; 0 for a quarantined
 // world.

@@ -37,17 +37,18 @@ func wcGraph(t testing.TB, seed uint64, n, m int) *graph.Graph {
 func TestLTIndexMatchesLTWorlds(t *testing.T) {
 	g := wcGraph(t, 61, 50, 200)
 	const ell = 10
-	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 62, Model: LT}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: ell, Seed: 62, Model: worlds.LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := worlds.SampleManyLT(g, 62, ell)
+	master := rng.New(62)
 	s := x.NewScratch()
 	visited := make([]bool, g.NumNodes())
 	for i := 0; i < ell; i++ {
+		w := worlds.SampleLT(g, master.Split(uint64(i)), nil)
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			got := x.Cascade(v, i, s, nil)
-			want := ws[i].Reachable(v, visited, nil)
+			want := w.Reachable(v, visited, nil)
 			if len(got) != len(want) {
 				t.Fatalf("world %d node %d: %v vs %v", i, v, got, want)
 			}
@@ -65,7 +66,7 @@ func TestLTIndexRejectsOverweight(t *testing.T) {
 	b.AddEdge(0, 2, 0.8)
 	b.AddEdge(1, 2, 0.8)
 	g := b.MustBuild()
-	if _, err := Build(context.Background(), g, Options{Samples: 5, Seed: 1, Model: LT}, checkpoint.Config{}); err == nil {
+	if _, err := Build(context.Background(), g, Options{Samples: 5, Seed: 1, Model: worlds.LT}, checkpoint.Config{}); err == nil {
 		t.Fatal("accepted overweight LT graph")
 	}
 	// The same graph is fine under IC.
@@ -75,10 +76,11 @@ func TestLTIndexRejectsOverweight(t *testing.T) {
 }
 
 // TestLTSpreadMatchesDirectSimulation: the index-based spread under LT must
-// agree with direct threshold simulation.
+// agree with direct simulation by the lazy LT sampler, which draws each
+// node's choice as the cascade reaches it instead of over a whole world.
 func TestLTSpreadMatchesDirectSimulation(t *testing.T) {
 	g := wcGraph(t, 63, 40, 160)
-	x, err := Build(context.Background(), g, Options{Samples: 4000, Seed: 64, Model: LT}, checkpoint.Config{})
+	x, err := Build(context.Background(), g, Options{Samples: 4000, Seed: 64, Model: worlds.LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +94,12 @@ func TestLTSpreadMatchesDirectSimulation(t *testing.T) {
 
 	const trials = 50000
 	r := rng.New(65)
+	smp := worlds.NewSampler(g, worlds.LT)
+	var buf []graph.NodeID
 	sum := 0
 	for i := 0; i < trials; i++ {
-		sum += len(worlds.SimulateLT(g, seeds, r))
+		buf, _ = smp.Forward(seeds, r, buf[:0], nil, nil)
+		sum += len(buf)
 	}
 	directSpread := float64(sum) / trials
 	if math.Abs(indexSpread-directSpread) > 0.15+0.02*directSpread {

@@ -14,6 +14,7 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 // TestReadRefusesOtherGraph: an index sampled from graph A is refused next
@@ -67,11 +68,11 @@ func TestModelRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := Build(context.Background(), g, Options{Samples: 4, Seed: 72, Model: LT}, checkpoint.Config{})
+	lt, err := Build(context.Background(), g, Options{Samples: 4, Seed: 72, Model: worlds.LT}, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ic.Model() != IC || lt.Model() != LT || ic.Fingerprint() == lt.Fingerprint() {
+	if ic.Model() != worlds.IC || lt.Model() != worlds.LT || ic.Fingerprint() == lt.Fingerprint() {
 		t.Fatalf("models %v/%v, fingerprints %016x/%016x", ic.Model(), lt.Model(), ic.Fingerprint(), lt.Fingerprint())
 	}
 	var buf bytes.Buffer
@@ -82,13 +83,13 @@ func TestModelRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Model() != LT || back.GraphFingerprint() != lt.GraphFingerprint() || back.Fingerprint() != lt.Fingerprint() {
+	if back.Model() != worlds.LT || back.GraphFingerprint() != lt.GraphFingerprint() || back.Fingerprint() != lt.Fingerprint() {
 		t.Fatalf("read back model %v graph %016x index %016x, want LT %016x %016x",
 			back.Model(), back.GraphFingerprint(), back.Fingerprint(), lt.GraphFingerprint(), lt.Fingerprint())
 	}
 	done := checkpoint.NewBitmap(4)
 	done.Set(1)
-	if part := lt.compact(done); part.Model() != LT || part.GraphFingerprint() != lt.GraphFingerprint() {
+	if part := lt.compact(done); part.Model() != worlds.LT || part.GraphFingerprint() != lt.GraphFingerprint() {
 		t.Fatalf("partial build: model %v graph %016x", part.Model(), part.GraphFingerprint())
 	}
 }

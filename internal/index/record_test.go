@@ -14,6 +14,7 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 // cycleAndPath is a graph of n nodes whose every sampled world, under IC
@@ -53,7 +54,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	// Weighted-cascade probabilities are a valid LT weighting.
 	fixtures = append(fixtures, fixture{"random", wcGraph(t, 171, 60, 200), 0})
 	for _, fx := range fixtures {
-		for _, model := range []Model{IC, LT} {
+		for _, model := range []worlds.Model{worlds.IC, worlds.LT} {
 			t.Run(fx.name+"/"+model.String(), func(t *testing.T) {
 				g := fx.g
 				x, err := Build(context.Background(), g, Options{Samples: 4, Seed: 173, Model: model}, checkpoint.Config{})

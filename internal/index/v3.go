@@ -7,6 +7,7 @@ import (
 	"soi/internal/blockfile"
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 // SOIIDX05, the index file format, is the blockfile container (see
@@ -42,7 +43,7 @@ var FileKind = &blockfile.Kind{
 	Meta:    8 + 4, // graph fingerprint, model
 	Rebuild: "sphere -graph g.tsv -build-index new.idx",
 	CheckMeta: func(meta []byte) error {
-		if _, m := ParseMeta(meta); m != IC && m != LT {
+		if _, m := ParseMeta(meta); m != worlds.IC && m != worlds.LT {
 			return fmt.Errorf("unknown propagation model %d", m)
 		}
 		return nil
@@ -91,8 +92,8 @@ func verifyBlock(data []byte, b blockfile.BlockInfo, nodes uint32, world int, ds
 }
 
 // ParseMeta returns the graph fingerprint and model an SOIIDX05 meta holds.
-func ParseMeta(meta []byte) (graphFP uint64, model Model) {
-	return binary.LittleEndian.Uint64(meta), Model(binary.LittleEndian.Uint32(meta[8:]))
+func ParseMeta(meta []byte) (graphFP uint64, model worlds.Model) {
+	return binary.LittleEndian.Uint64(meta), worlds.Model(binary.LittleEndian.Uint32(meta[8:]))
 }
 
 func graphFingerprint(g *graph.Graph) uint64 { return checkpoint.NewHasher().Graph(g).Sum() }

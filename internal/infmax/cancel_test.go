@@ -9,6 +9,7 @@ import (
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 func preCanceled() context.Context {
@@ -26,14 +27,14 @@ func TestStdMCCtxPreCanceled(t *testing.T) {
 
 func TestRRCtxPreCanceled(t *testing.T) {
 	g := starChain(t)
-	if _, err := RR(preCanceled(), g, 2, RROptions{Sets: 500, Seed: 2}, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
+	if _, err := RR(preCanceled(), g, 2, RROptions{Sets: 500, Seed: 2}, worlds.IC, checkpoint.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRRAutoCtxPreCanceled(t *testing.T) {
 	g := starChain(t)
-	if _, _, err := RRAuto(preCanceled(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 3}); !errors.Is(err, context.Canceled) {
+	if _, _, err := RRAuto(preCanceled(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 3}, worlds.IC); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

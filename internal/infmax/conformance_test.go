@@ -10,6 +10,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
+	"soi/internal/worlds"
 )
 
 // conformanceGraph is a fixed 8-node network small enough for the spread
@@ -122,7 +123,7 @@ func TestConformanceRRSeedQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := RR(context.Background(), g, k, RROptions{Sets: sets, Seed: 63}, checkpoint.Config{})
+		sel, err := RR(context.Background(), g, k, RROptions{Sets: sets, Seed: 63}, worlds.IC, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/index"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 func randomGraph(t testing.TB, seed uint64, n, m int, p float64) *graph.Graph {
@@ -417,7 +418,7 @@ func BenchmarkTCCELF(b *testing.B) {
 // mcSpread is the plain Monte-Carlo spread the quality tests score with.
 func mcSpread(tb testing.TB, g *graph.Graph, seeds []graph.NodeID, trials int, seed uint64) float64 {
 	tb.Helper()
-	est, err := cascade.ExpectedSpread(context.Background(), g, seeds, trials, seed, 0, checkpoint.Config{})
+	est, err := cascade.ExpectedSpread(context.Background(), g, seeds, trials, seed, worlds.IC, 0, checkpoint.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,15 +8,17 @@ import (
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 // rrKey keys RR checkpoints; it excludes k (see RR).
-func rrKey(g *graph.Graph, opts RROptions) uint64 {
+func rrKey(g *graph.Graph, opts RROptions, model worlds.Model) uint64 {
 	return checkpoint.NewHasher().
 		String("infmax.RR").
 		Graph(g).
 		Int(opts.Sets).
 		Uint64(opts.Seed).
+		Int(int(model)).
 		Sum()
 }
 

@@ -10,6 +10,7 @@ import (
 	"soi/internal/rng"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
+	"soi/internal/worlds"
 )
 
 // Reverse-reachable (RR) sketch influence maximization, after Borgs,
@@ -32,8 +33,8 @@ type RROptions struct {
 	Seed uint64
 }
 
-// RR selects k seeds by greedy max-cover over opts.Sets sampled
-// reverse-reachable sets. Gains are in expected-spread units
+// RR selects k seeds by greedy max-cover over opts.Sets reverse-reachable
+// sets sampled under model. Gains are in expected-spread units
 // (n · covered/Sets). ctx is checked between RR-set samples and between
 // greedy rounds, so a canceled context returns ctx.Err() promptly — exactly
 // the "stoppable sampler" discipline RR-sketch methods presume.
@@ -42,7 +43,7 @@ type RROptions struct {
 // value is the plain run. With cfg.Path set, sampled RR sets are
 // periodically checkpointed, so a crash or cancellation mid-sampling loses
 // at most one flush interval of RR sets, and a rerun with the same graph,
-// Sets, and Seed selects seeds bit-identical to an uninterrupted run (RR set
+// Sets, Seed and model selects seeds bit-identical to an uninterrupted run (RR set
 // i depends only on its own split generator, and the greedy's outcome does
 // not depend on the order of the sets). The checkpoint key deliberately
 // excludes k: the stored RR sets are valid for any seed-set size, and the
@@ -59,7 +60,7 @@ type RROptions struct {
 // The registry ctx carries receives the RR-sampling metrics (infmax.rr_sets,
 // infmax.rr_set_size) and the greedy metrics; the sibling "infmax.rr.sample"
 // and "infmax.rr.greedy" spans open under the span ctx carries.
-func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoint.Config) (Selection, error) {
+func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, model worlds.Model, cfg checkpoint.Config) (Selection, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, err
 	}
@@ -71,7 +72,7 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 	if cfg.Path != "" {
 		a.byID = make([][]graph.NodeID, opts.Sets)
 	}
-	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return rrKey(g, opts) }, opts.Sets, a.encode)
+	r, st, err := checkpoint.Start(ctx, cfg, func() uint64 { return rrKey(g, opts, model) }, opts.Sets, a.encode)
 	if err != nil {
 		return Selection{}, err
 	}
@@ -84,9 +85,8 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 		resumed = st.Done
 	}
 
-	rev := g.Reverse()
+	smp := worlds.NewSampler(g, model)
 	master := rng.New(opts.Seed)
-	visited := make([]bool, n)
 	tel := telemetry.FromContext(ctx)
 	mSets := tel.Counter("infmax.rr_sets")
 	mSetSize := tel.Histogram("infmax.rr_set_size")
@@ -104,11 +104,8 @@ func RR(ctx context.Context, g *graph.Graph, k int, opts RROptions, cfg checkpoi
 		}
 		rnd := master.Split(uint64(i))
 		target := graph.NodeID(rnd.Intn(n))
-		// Reverse live-edge BFS: nodes that can reach target forward are
-		// nodes reachable from target in the transpose; lazy edge flips
-		// give the correct distribution exactly as forward sampling does.
 		start := len(a.nodes)
-		a.nodes = lazyReach(rev, target, rnd, visited, a.nodes)
+		a.nodes = smp.Reverse(target, rnd, a.nodes)
 		a.close(i, start)
 		mSets.Inc()
 		mSetSize.Observe(int64(len(a.nodes) - start))
@@ -185,31 +182,6 @@ func rrGreedy(ctx context.Context, g *graph.Graph, k, numSets int, setOff []int3
 		}
 	}
 	return sel, nil
-}
-
-// lazyReach performs a lazy live-edge BFS over the given (transpose) graph.
-func lazyReach(g *graph.Graph, src graph.NodeID, r *rng.PCG32, visited []bool, out []graph.NodeID) []graph.NodeID {
-	start := len(out)
-	out = append(out, src)
-	visited[src] = true
-	for head := start; head < len(out); head++ {
-		u := out[head]
-		lo, hi := g.EdgeRange(u)
-		for i := lo; i < hi; i++ {
-			v := g.EdgeTo(i)
-			if visited[v] {
-				continue
-			}
-			if r.Bernoulli(g.EdgeProb(i)) {
-				visited[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	for _, v := range out[start:] {
-		visited[v] = false
-	}
-	return out
 }
 
 // nodeSets is a CSR inverted index: the RR-set ids containing each node.

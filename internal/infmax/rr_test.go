@@ -7,11 +7,12 @@ import (
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 func TestRRPicksDominantSeed(t *testing.T) {
 	g := starChain(t)
-	sel, err := RR(context.Background(), g, 1, RROptions{Sets: 5000, Seed: 1}, checkpoint.Config{})
+	sel, err := RR(context.Background(), g, 1, RROptions{Sets: 5000, Seed: 1}, worlds.IC, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestRRSpreadEstimateUnbiased(t *testing.T) {
 	// Single-seed RR gain should match the MC spread estimate on a random
 	// graph for the chosen seed.
 	g := randomGraph(t, 41, 80, 320, 0.15)
-	sel, err := RR(context.Background(), g, 1, RROptions{Sets: 20000, Seed: 2}, checkpoint.Config{})
+	sel, err := RR(context.Background(), g, 1, RROptions{Sets: 20000, Seed: 2}, worlds.IC, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRRSeedQualityMatchesGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RR(context.Background(), g, 5, RROptions{Sets: 20000, Seed: 45}, checkpoint.Config{})
+	rr, err := RR(context.Background(), g, 5, RROptions{Sets: 20000, Seed: 45}, worlds.IC, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestRRSeedQualityMatchesGreedy(t *testing.T) {
 
 func TestRRDistinctSeedsAndDeterminism(t *testing.T) {
 	g := randomGraph(t, 47, 50, 200, 0.2)
-	a, err := RR(context.Background(), g, 8, RROptions{Sets: 2000, Seed: 9}, checkpoint.Config{})
+	a, err := RR(context.Background(), g, 8, RROptions{Sets: 2000, Seed: 9}, worlds.IC, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RR(context.Background(), g, 8, RROptions{Sets: 2000, Seed: 9}, checkpoint.Config{})
+	b, err := RR(context.Background(), g, 8, RROptions{Sets: 2000, Seed: 9}, worlds.IC, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +81,17 @@ func TestRRDistinctSeedsAndDeterminism(t *testing.T) {
 
 func TestRRValidation(t *testing.T) {
 	g := starChain(t)
-	if _, err := RR(context.Background(), g, 0, RROptions{Sets: 10}, checkpoint.Config{}); err == nil {
+	if _, err := RR(context.Background(), g, 0, RROptions{Sets: 10}, worlds.IC, checkpoint.Config{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := RR(context.Background(), g, 1, RROptions{Sets: 0}, checkpoint.Config{}); err == nil {
+	if _, err := RR(context.Background(), g, 1, RROptions{Sets: 0}, worlds.IC, checkpoint.Config{}); err == nil {
 		t.Error("accepted Sets=0")
 	}
 }
 
 func TestRRGainsNonIncreasing(t *testing.T) {
 	g := randomGraph(t, 49, 60, 240, 0.2)
-	sel, err := RR(context.Background(), g, 10, RROptions{Sets: 5000, Seed: 50}, checkpoint.Config{})
+	sel, err := RR(context.Background(), g, 10, RROptions{Sets: 5000, Seed: 50}, worlds.IC, checkpoint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func BenchmarkRRSketch(b *testing.B) {
 	g := randomGraph(b, 51, 1000, 5000, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RR(context.Background(), g, 20, RROptions{Sets: 10000, Seed: uint64(i)}, checkpoint.Config{}); err != nil {
+		if _, err := RR(context.Background(), g, 20, RROptions{Sets: 10000, Seed: uint64(i)}, worlds.IC, checkpoint.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 // Automatic RR-set budgeting after TIM (Tang, Xiao & Shi, SIGMOD 2014).
@@ -33,12 +34,12 @@ type RRAutoOptions struct {
 	Seed uint64
 }
 
-// RRAuto selects k seeds with the RR sketch, choosing the number of RR sets
+// RRAuto selects k seeds with the RR sketch under model, choosing the number of RR sets
 // automatically from the graph via TIM's KPT estimation. It returns the
 // selection and the θ it settled on. ctx is checked during both TIM phases
 // (KPT estimation and the θ-sized RR sampling), so a canceled context
 // returns ctx.Err() promptly.
-func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Selection, int, error) {
+func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions, model worlds.Model) (Selection, int, error) {
 	if err := validateK(k, g.NumNodes()); err != nil {
 		return Selection{}, 0, err
 	}
@@ -53,11 +54,11 @@ func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Sel
 	m := g.NumEdges()
 	if m == 0 {
 		// Edgeless graph: any k nodes, one RR set per node suffices.
-		sel, err := RR(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed}, checkpoint.Config{})
+		sel, err := RR(ctx, g, k, RROptions{Sets: n, Seed: opts.Seed}, model, checkpoint.Config{})
 		return sel, n, err
 	}
 
-	kpt, err := estimateKPT(ctx, g, k, opts.Seed)
+	kpt, err := estimateKPT(ctx, g, k, opts.Seed, model)
 	if err != nil {
 		return Selection{}, 0, err
 	}
@@ -71,7 +72,7 @@ func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Sel
 	if theta > maxSets {
 		theta = maxSets
 	}
-	sel, err := RR(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133}, checkpoint.Config{})
+	sel, err := RR(ctx, g, k, RROptions{Sets: theta, Seed: opts.Seed ^ 0x7133}, model, checkpoint.Config{})
 	return sel, theta, err
 }
 
@@ -80,12 +81,11 @@ func RRAuto(ctx context.Context, g *graph.Graph, k int, opts RRAutoOptions) (Sel
 // (w = total in-degree of the RR set) has mean ≥ KPT/n when KPT is large.
 // The first round whose mean statistic exceeds 2^(-i) yields the estimate.
 // ctx is checked between RR-set draws.
-func estimateKPT(ctx context.Context, g *graph.Graph, k int, seed uint64) (float64, error) {
+func estimateKPT(ctx context.Context, g *graph.Graph, k int, seed uint64, model worlds.Model) (float64, error) {
 	n := g.NumNodes()
 	m := float64(g.NumEdges())
-	rev := g.Reverse()
 	in := g.InDegrees()
-	visited := make([]bool, n)
+	smp := worlds.NewSampler(g, model)
 	master := rng.New(seed)
 	var buf []graph.NodeID
 
@@ -104,7 +104,7 @@ func estimateKPT(ctx context.Context, g *graph.Graph, k int, seed uint64) (float
 			drawn++
 			r := master.Split(drawn)
 			target := graph.NodeID(r.Intn(n))
-			buf = lazyReach(rev, target, r, visited, buf[:0])
+			buf = smp.Reverse(target, r, buf[:0])
 			width := 0
 			for _, v := range buf {
 				width += in[v]

@@ -5,24 +5,25 @@ import (
 	"testing"
 
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 func TestRRAutoValidation(t *testing.T) {
 	g := starChain(t)
-	if _, _, err := RRAuto(context.Background(), g, 0, RRAutoOptions{Epsilon: 0.3}); err == nil {
+	if _, _, err := RRAuto(context.Background(), g, 0, RRAutoOptions{Epsilon: 0.3}, worlds.IC); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := RRAuto(context.Background(), g, 1, RRAutoOptions{Epsilon: 0}); err == nil {
+	if _, _, err := RRAuto(context.Background(), g, 1, RRAutoOptions{Epsilon: 0}, worlds.IC); err == nil {
 		t.Error("accepted eps=0")
 	}
-	if _, _, err := RRAuto(context.Background(), g, 1, RRAutoOptions{Epsilon: 1}); err == nil {
+	if _, _, err := RRAuto(context.Background(), g, 1, RRAutoOptions{Epsilon: 1}, worlds.IC); err == nil {
 		t.Error("accepted eps=1")
 	}
 }
 
 func TestRRAutoEdgelessGraph(t *testing.T) {
 	g := graph.NewBuilder(5).MustBuild()
-	sel, theta, err := RRAuto(context.Background(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 1})
+	sel, theta, err := RRAuto(context.Background(), g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 1}, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestRRAutoEdgelessGraph(t *testing.T) {
 
 func TestRRAutoQuality(t *testing.T) {
 	g := randomGraph(t, 131, 120, 480, 0.15)
-	sel, theta, err := RRAuto(context.Background(), g, 5, RRAutoOptions{Epsilon: 0.3, Seed: 2, MaxSets: 100000})
+	sel, theta, err := RRAuto(context.Background(), g, 5, RRAutoOptions{Epsilon: 0.3, Seed: 2, MaxSets: 100000}, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRRAutoQuality(t *testing.T) {
 
 func TestRRAutoCapsTheta(t *testing.T) {
 	g := randomGraph(t, 133, 80, 320, 0.05)
-	_, theta, err := RRAuto(context.Background(), g, 3, RRAutoOptions{Epsilon: 0.1, Seed: 5, MaxSets: 500})
+	_, theta, err := RRAuto(context.Background(), g, 3, RRAutoOptions{Epsilon: 0.1, Seed: 5, MaxSets: 500}, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}

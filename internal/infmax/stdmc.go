@@ -10,6 +10,7 @@ import (
 	"soi/internal/rng"
 	"soi/internal/telemetry"
 	"soi/internal/trace"
+	"soi/internal/worlds"
 )
 
 // MCOptions configures the Monte-Carlo greedy (the paper-faithful
@@ -47,7 +48,7 @@ type mcState struct {
 func (m *mcState) estimate(v graph.NodeID) (float64, error) {
 	m.evalCtr++
 	return cascade.ExpectedSpread(m.ctx, m.g, append(m.seeds, v), m.opts.Trials,
-		rng.Mix64(m.opts.Seed^m.evalCtr), 0, checkpoint.Config{})
+		rng.Mix64(m.opts.Seed^m.evalCtr), worlds.IC, 0, checkpoint.Config{})
 }
 
 func (m *mcState) gain(v graph.NodeID) (float64, error) {

@@ -1,6 +1,7 @@
 package jaccard
 
 import (
+	"slices"
 	"testing"
 
 	"soi/internal/bound"
@@ -85,10 +86,11 @@ func TestConformanceSampledMedianTheorem2(t *testing.T) {
 
 	const ell = 4000
 	master := rng.New(91)
-	visited := make([]bool, g.NumNodes())
+	smp := worlds.NewSampler(g, worlds.IC)
 	sets := make([]Set, ell)
 	for i := 0; i < ell; i++ {
-		casc := worlds.SampleCascade(g, src, master.Split(uint64(i)), visited, nil)
+		casc, _ := smp.Forward([]graph.NodeID{src}, master.Split(uint64(i)), nil, nil, nil)
+		slices.Sort(casc)
 		sets[i] = Set(casc)
 	}
 

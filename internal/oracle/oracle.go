@@ -24,7 +24,9 @@
 //     fire, so its two states marginalize out of the cascade distribution.
 //
 // The oracle implements the Independent Cascade model — the model of the
-// paper's analysis and of every estimator conformance-tested against it.
+// paper's analysis — and, through LTCascadeDistribution, the Linear
+// Threshold model, whose worlds are each node's choice of at most one live
+// in-edge.
 package oracle
 
 import (
@@ -196,16 +198,114 @@ func CascadeDistribution(g *graph.Graph, seeds []graph.NodeID) (*Distribution, e
 	for w := uint64(0); w < uint64(we.numWorlds()); w++ {
 		dist[we.reach(seedMask, w, stack)] += we.worldProb(w)
 	}
+	return newDistribution(g.NumNodes(), seeds, dist), nil
+}
+
+func newDistribution(n int, seeds []graph.NodeID, dist map[uint64]float64) *Distribution {
 	outcomes := make([]Outcome, 0, len(dist))
 	for mask, p := range dist {
 		outcomes = append(outcomes, Outcome{Mask: mask, Prob: p})
 	}
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].Mask < outcomes[j].Mask })
 	return &Distribution{
-		n:        g.NumNodes(),
+		n:        n,
 		seeds:    append([]graph.NodeID(nil), seeds...),
 		outcomes: outcomes,
-	}, nil
+	}
+}
+
+// ltOption is one in-edge choice of a node under LT: keep the edge from
+// `from`, or no in-edge at all when from < 0.
+type ltOption struct {
+	from graph.NodeID
+	prob float64
+}
+
+// LTCascadeDistribution is CascadeDistribution under the Linear Threshold
+// model, in Kempe et al.'s live-edge form: every node keeps at most one
+// in-edge, each with probability equal to its weight, and none with the
+// residual probability. It enumerates every combination of those per-node
+// choices, Π(indeg + 1) worlds at most. Only the choices of non-seed nodes
+// the seeds can reach matter, and the world count must stay within
+// 2^MaxUncertainEdges. Incoming weights must sum to at most 1 per node.
+func LTCascadeDistribution(g *graph.Graph, seeds []graph.NodeID) (*Distribution, error) {
+	if err := validateSeeds(g, seeds); err != nil {
+		return nil, err
+	}
+	n := g.NumNodes()
+	if n > MaxNodes {
+		return nil, fmt.Errorf("oracle: graph has %d nodes, exact enumeration supports at most %d", n, MaxNodes)
+	}
+	seedMask := MaskOf(seeds)
+	rev := g.Reverse()
+	var nodes []graph.NodeID
+	var options [][]ltOption
+	worlds := 1
+	for _, v := range g.ReachableFromSet(seeds) {
+		if seedMask&(1<<uint(v)) != 0 {
+			continue
+		}
+		var opts []ltOption
+		total := 0.0
+		lo, hi := rev.EdgeRange(v)
+		for i := lo; i < hi; i++ {
+			p := rev.EdgeProb(i)
+			total += p
+			opts = append(opts, ltOption{from: rev.EdgeTo(i), prob: p})
+		}
+		if total > 1+1e-9 {
+			return nil, fmt.Errorf("oracle: node %d has incoming LT weight %v > 1", v, total)
+		}
+		if rest := 1 - total; rest > 1e-12 {
+			opts = append(opts, ltOption{from: -1, prob: rest})
+		}
+		worlds *= len(opts)
+		if worlds > 1<<MaxUncertainEdges {
+			return nil, fmt.Errorf("oracle: more than 2^%d LT worlds after pruning", MaxUncertainEdges)
+		}
+		nodes = append(nodes, v)
+		options = append(options, opts)
+	}
+	choice := make([]graph.NodeID, n)
+	digit := make([]int, len(nodes))
+	stack := make([]graph.NodeID, 0, n)
+	dist := make(map[uint64]float64)
+	for {
+		p := 1.0
+		for j, v := range nodes {
+			o := options[j][digit[j]]
+			choice[v] = o.from
+			p *= o.prob
+		}
+		// Edge (u,v) is live iff v chose u; seeds are active whatever they
+		// chose, and nodes outside the reach are never examined.
+		visited := seedMask
+		stack = append(stack[:0], seeds...)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			succ, _ := g.Neighbors(u)
+			for _, v := range succ {
+				if visited&(1<<uint(v)) == 0 && choice[v] == u {
+					visited |= 1 << uint(v)
+					stack = append(stack, v)
+				}
+			}
+		}
+		dist[visited] += p
+		// Advance the mixed-radix counter over the choices.
+		j := 0
+		for ; j < len(nodes); j++ {
+			if digit[j]++; digit[j] < len(options[j]) {
+				break
+			}
+			digit[j] = 0
+		}
+		if j == len(nodes) {
+			break
+		}
+	}
+	return newDistribution(n, seeds, dist), nil
 }
 
 // NumNodes returns the node count of the underlying graph.

@@ -352,3 +352,74 @@ func TestOracleMaskRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func mustLTDist(t testing.TB, g *graph.Graph, seeds ...graph.NodeID) *Distribution {
+	t.Helper()
+	d, err := LTCascadeDistribution(g, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestLTOracleDiamondHandComputed: under LT the diamond's sink keeps one of
+// its two in-edges (weights 0.5 + 0.5 = 1), and each middle node keeps its
+// edge from 0 with probability 0.5, so the sink is reached with
+// probability 0.5·0.5 + 0.5·0.5 = 0.5 and σ({0}) = 1 + 3·0.5.
+func TestLTOracleDiamondHandComputed(t *testing.T) {
+	d := mustLTDist(t, diamond(t), 0)
+	statcheck.Numeric(t, "total probability", d.TotalProb(), 1, 16)
+	want := []float64{1, 0.5, 0.5, 0.5}
+	for v, p := range d.ReachProbabilities() {
+		statcheck.Numeric(t, "reach probability", p, want[v], 16)
+	}
+	statcheck.Numeric(t, "spread", d.ExpectedSpread(), 2.5, 16)
+	// Both middle nodes live but the sink choosing one: {0,1,2,3} has
+	// probability 0.25 · 1; the sink is never reached without a middle node.
+	statcheck.Numeric(t, "P[{0,1,2,3}]", d.Prob([]graph.NodeID{0, 1, 2, 3}), 0.25, 16)
+	statcheck.Numeric(t, "P[{0,3}]", d.Prob([]graph.NodeID{0, 3}), 0, 16)
+}
+
+// TestLTOracleEqualsICOnInTrees: when every node has at most one in-edge,
+// keeping that edge with its weight is an independent coin per edge, so
+// the LT and IC distributions coincide.
+func TestLTOracleEqualsICOnInTrees(t *testing.T) {
+	b := graph.NewBuilder(7)
+	for v := 1; v < 7; v++ {
+		b.AddEdge(graph.NodeID((v-1)/2), graph.NodeID(v), 0.2+0.1*float64(v))
+	}
+	g := b.MustBuild()
+	for _, seeds := range [][]graph.NodeID{{0}, {1, 2}, {3}} {
+		ic, lt := mustDist(t, g, seeds...), mustLTDist(t, g, seeds...)
+		a, c := ic.Support(), lt.Support()
+		if len(a) != len(c) {
+			t.Fatalf("seeds %v: IC support %d, LT support %d", seeds, len(a), len(c))
+		}
+		for i := range a {
+			if a[i].Mask != c[i].Mask {
+				t.Fatalf("seeds %v: outcome %d: IC %b, LT %b", seeds, i, a[i].Mask, c[i].Mask)
+			}
+			statcheck.Numeric(t, "outcome probability", c[i].Prob, a[i].Prob, 64)
+		}
+	}
+}
+
+func TestLTOracleRejects(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 2, 0.7)
+	b.AddEdge(1, 2, 0.7)
+	if _, err := LTCascadeDistribution(b.MustBuild(), []graph.NodeID{0}); err == nil {
+		t.Fatal("overweight node accepted")
+	}
+	// 24 nodes on a path, each keeping its in-edge or not: 2^23 worlds.
+	p := graph.NewBuilder(24)
+	for v := 1; v < 24; v++ {
+		p.AddEdge(graph.NodeID(v-1), graph.NodeID(v), 0.5)
+	}
+	if _, err := LTCascadeDistribution(p.MustBuild(), []graph.NodeID{0}); err == nil {
+		t.Fatal("2^23 worlds accepted")
+	}
+	if _, err := LTCascadeDistribution(figure1(t), nil); err == nil {
+		t.Fatal("empty seed set accepted")
+	}
+}

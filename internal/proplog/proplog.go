@@ -20,9 +20,9 @@ import (
 	"strconv"
 	"strings"
 
-	"soi/internal/cascade"
 	"soi/internal/graph"
 	"soi/internal/rng"
+	"soi/internal/worlds"
 )
 
 // Event is one user action: user performed item's action at the given
@@ -138,7 +138,9 @@ func Generate(g *graph.Graph, cfg GenerateConfig) (*Log, error) {
 		return nil, fmt.Errorf("proplog: SeedsPerItem %d exceeds node count %d", cfg.SeedsPerItem, g.NumNodes())
 	}
 	master := rng.New(cfg.Seed)
-	visited := make([]bool, g.NumNodes())
+	smp := worlds.NewSampler(g, worlds.IC)
+	var nodes []graph.NodeID
+	steps := []int32{} // non-nil: Forward records steps
 	var events []Event
 	for item := 0; item < cfg.Items; item++ {
 		r := master.Split(uint64(item))
@@ -151,8 +153,9 @@ func Generate(g *graph.Graph, cfg GenerateConfig) (*Log, error) {
 				seeds = append(seeds, v)
 			}
 		}
-		for _, a := range cascade.Simulate(g, seeds, r, visited) {
-			events = append(events, Event{User: a.Node, Item: int32(item), Time: a.Step})
+		nodes, steps = smp.Forward(seeds, r, nodes[:0], steps[:0], nil)
+		for i, v := range nodes {
+			events = append(events, Event{User: v, Item: int32(item), Time: steps[i]})
 		}
 	}
 	return NewLog(g.NumNodes(), events)

@@ -7,6 +7,7 @@ import (
 
 	"soi/internal/checkpoint"
 	"soi/internal/graph"
+	"soi/internal/worlds"
 )
 
 func cancelTestGraph(t testing.TB) *graph.Graph {
@@ -22,7 +23,7 @@ func TestFromSourceCtxPreCanceled(t *testing.T) {
 	g := cancelTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := FromSource(ctx, g, []graph.NodeID{0}, 100, 1, checkpoint.Budget{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := FromSource(ctx, g, []graph.NodeID{0}, 100, 1, worlds.IC, checkpoint.Budget{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -31,7 +32,7 @@ func TestSearchCtxPreCanceled(t *testing.T) {
 	g := cancelTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Search(ctx, g, []graph.NodeID{0}, 0.5, 100, 2, checkpoint.Budget{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Search(ctx, g, []graph.NodeID{0}, 0.5, 100, 2, worlds.IC, checkpoint.Budget{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

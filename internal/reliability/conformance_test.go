@@ -10,6 +10,7 @@ import (
 	"soi/internal/graph"
 	"soi/internal/oracle"
 	"soi/internal/statcheck"
+	"soi/internal/worlds"
 )
 
 // paperGraph is the Figure-1 network; its exact reachability vector is
@@ -37,7 +38,7 @@ func TestConformanceFromSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	got, _, err := FromSource(context.Background(), g, sources, ell, 71, checkpoint.Budget{})
+	got, _, err := FromSource(context.Background(), g, sources, ell, 71, worlds.IC, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestConformanceST(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	got, err := ST(context.Background(), g, 4, 1, ell, 72)
+	got, err := ST(context.Background(), g, 4, 1, ell, 72, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestConformanceSearch(t *testing.T) {
 	const ell = 20000
 	b := bound.Hoeffding(ell, statcheck.DefaultDelta).Union(g.NumNodes())
 	for _, threshold := range []float64{0.05, 0.3, 0.5, 0.9} {
-		got, _, err := Search(context.Background(), g, sources, threshold, ell, 73, checkpoint.Budget{})
+		got, _, err := Search(context.Background(), g, sources, threshold, ell, 73, worlds.IC, checkpoint.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +118,11 @@ func TestConformanceFromSourceBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ell = 20000
-	plain, _, err := FromSource(context.Background(), g, sources, ell, 74, checkpoint.Budget{})
+	plain, _, err := FromSource(context.Background(), g, sources, ell, 74, worlds.IC, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, achieved, err := FromSource(context.Background(), g, sources, ell, 74, farBudget())
+	got, achieved, err := FromSource(context.Background(), g, sources, ell, 74, worlds.IC, farBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestConformanceSearchBudget(t *testing.T) {
 	sources := []graph.NodeID{4}
 	const ell = 20000
 	const threshold = 0.3
-	plain, _, err := Search(context.Background(), g, sources, threshold, ell, 75, checkpoint.Budget{})
+	plain, _, err := Search(context.Background(), g, sources, threshold, ell, 75, worlds.IC, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, achieved, err := Search(context.Background(), g, sources, threshold, ell, 75, farBudget())
+	got, achieved, err := Search(context.Background(), g, sources, threshold, ell, 75, worlds.IC, farBudget())
 	if err != nil {
 		t.Fatal(err)
 	}

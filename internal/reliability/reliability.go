@@ -20,13 +20,14 @@ import (
 	"soi/internal/worlds"
 )
 
-// ST estimates rel(g, s, t): the probability that t is reachable from s.
-// It samples `samples` lazy cascades from s; ctx is checked between them.
-func ST(ctx context.Context, g *graph.Graph, s, t graph.NodeID, samples int, seed uint64) (float64, error) {
+// ST estimates rel(g, s, t): the probability that t is reachable from s
+// under model. It samples `samples` lazy cascades from s; ctx is checked
+// between them.
+func ST(ctx context.Context, g *graph.Graph, s, t graph.NodeID, samples int, seed uint64, model worlds.Model) (float64, error) {
 	if t < 0 || int(t) >= g.NumNodes() {
 		return 0, outOfRange(t)
 	}
-	probs, _, err := FromSource(ctx, g, []graph.NodeID{s}, samples, seed, checkpoint.Budget{})
+	probs, _, err := FromSource(ctx, g, []graph.NodeID{s}, samples, seed, model, checkpoint.Budget{})
 	if err != nil {
 		return 0, err
 	}
@@ -34,7 +35,7 @@ func ST(ctx context.Context, g *graph.Graph, s, t graph.NodeID, samples int, see
 }
 
 // FromSource estimates, for every node v, the probability that v is
-// reachable from the source set, and returns how many cascade samples the
+// reachable from the source set under model, and returns how many cascade samples the
 // estimate rests on. The result is indexed by node id. ctx is checked
 // between cascade samples, so a canceled context returns ctx.Err()
 // promptly.
@@ -45,7 +46,7 @@ func ST(ctx context.Context, g *graph.Graph, s, t graph.NodeID, samples int, see
 // the deadline truncates sampling but the budget's minimum is met, the
 // probabilities are usable and err is a *checkpoint.PartialError (matching
 // checkpoint.ErrPartial); below the minimum the error is hard.
-func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, samples int, seed uint64, budget checkpoint.Budget) ([]float64, int, error) {
+func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, samples int, seed uint64, model worlds.Model, budget checkpoint.Budget) ([]float64, int, error) {
 	if err := validateFromSource(g, sources, samples); err != nil {
 		return nil, 0, err
 	}
@@ -55,7 +56,7 @@ func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, sam
 		return nil, 0, err
 	}
 	counts := make([]int, g.NumNodes())
-	visited := make([]bool, g.NumNodes())
+	smp := worlds.NewSampler(g, model)
 	master := rng.New(seed)
 	var buf []graph.NodeID
 	achieved := 0
@@ -67,7 +68,7 @@ func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, sam
 		if runErr = r.Gate(); runErr != nil {
 			break
 		}
-		buf = worlds.SampleCascadeFromSet(g, sources, master.Split(uint64(achieved)), visited, buf[:0], nil)
+		buf, _ = smp.Forward(sources, master.Split(uint64(achieved)), buf[:0], nil, nil)
 		for _, v := range buf {
 			counts[v]++
 		}
@@ -84,16 +85,16 @@ func FromSource(ctx context.Context, g *graph.Graph, sources []graph.NodeID, sam
 	return probs, achieved, outcome
 }
 
-// Search returns the nodes reachable from the source set with estimated
-// probability >= threshold, sorted by id (the reliability-search query),
+// Search returns the nodes reachable from the source set under model with
+// estimated probability >= threshold, sorted by id (the reliability-search query),
 // and the achieved sample count. ctx and budget act as in FromSource; the
 // node set is computed from the achieved samples even when err matches
 // checkpoint.ErrPartial.
-func Search(ctx context.Context, g *graph.Graph, sources []graph.NodeID, threshold float64, samples int, seed uint64, budget checkpoint.Budget) ([]graph.NodeID, int, error) {
+func Search(ctx context.Context, g *graph.Graph, sources []graph.NodeID, threshold float64, samples int, seed uint64, model worlds.Model, budget checkpoint.Budget) ([]graph.NodeID, int, error) {
 	if err := validateThreshold(threshold); err != nil {
 		return nil, 0, err
 	}
-	probs, achieved, err := FromSource(ctx, g, sources, samples, seed, budget)
+	probs, achieved, err := FromSource(ctx, g, sources, samples, seed, model, budget)
 	if probs == nil {
 		return nil, achieved, err
 	}

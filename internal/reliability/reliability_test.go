@@ -9,7 +9,6 @@ import (
 	"soi/internal/checkpoint"
 	"soi/internal/core"
 	"soi/internal/graph"
-	"soi/internal/index"
 	"soi/internal/rng"
 	"soi/internal/worlds"
 )
@@ -22,7 +21,7 @@ func TestSTSeriesParallel(t *testing.T) {
 	b.AddEdge(0, 2, 0.8)
 	b.AddEdge(2, 1, 0.5)
 	g := b.MustBuild()
-	got, err := ST(context.Background(), g, 0, 1, 200000, 1)
+	got, err := ST(context.Background(), g, 0, 1, 200000, 1, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestSTUnreachable(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1, 0.9)
 	g := b.MustBuild()
-	got, err := ST(context.Background(), g, 0, 2, 1000, 2)
+	got, err := ST(context.Background(), g, 0, 2, 1000, 2, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestSTSelf(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 0.1)
 	g := b.MustBuild()
-	got, err := ST(context.Background(), g, 0, 0, 100, 3)
+	got, err := ST(context.Background(), g, 0, 0, 100, 3, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +60,13 @@ func TestFromSourceValidation(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 0.5)
 	g := b.MustBuild()
-	if _, _, err := FromSource(context.Background(), g, nil, 10, 1, checkpoint.Budget{}); err == nil {
+	if _, _, err := FromSource(context.Background(), g, nil, 10, 1, worlds.IC, checkpoint.Budget{}); err == nil {
 		t.Error("accepted empty sources")
 	}
-	if _, _, err := FromSource(context.Background(), g, []graph.NodeID{5}, 10, 1, checkpoint.Budget{}); err == nil {
+	if _, _, err := FromSource(context.Background(), g, []graph.NodeID{5}, 10, 1, worlds.IC, checkpoint.Budget{}); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, _, err := FromSource(context.Background(), g, []graph.NodeID{0}, 0, 1, checkpoint.Budget{}); err == nil {
+	if _, _, err := FromSource(context.Background(), g, []graph.NodeID{0}, 0, 1, worlds.IC, checkpoint.Budget{}); err == nil {
 		t.Error("accepted zero samples")
 	}
 }
@@ -79,7 +78,7 @@ func TestSearchThreshold(t *testing.T) {
 	b.AddEdge(1, 2, 0.9)
 	b.AddEdge(2, 3, 0.05)
 	g := b.MustBuild()
-	got, _, err := Search(context.Background(), g, []graph.NodeID{0}, 0.5, 100000, 4, checkpoint.Budget{})
+	got, _, err := Search(context.Background(), g, []graph.NodeID{0}, 0.5, 100000, 4, worlds.IC, checkpoint.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestSearchThreshold(t *testing.T) {
 		}
 	}
 	for _, bad := range []float64{0, -1, 1.5, math.NaN(), math.Inf(1)} {
-		if _, _, err := Search(context.Background(), g, []graph.NodeID{0}, bad, 10, 1, checkpoint.Budget{}); err == nil {
+		if _, _, err := Search(context.Background(), g, []graph.NodeID{0}, bad, 10, 1, worlds.IC, checkpoint.Budget{}); err == nil {
 			t.Errorf("accepted threshold %v", bad)
 		}
 	}
@@ -113,7 +112,7 @@ func TestTheorem1Reduction(t *testing.T) {
 	g := b.MustBuild()
 	s, tt := graph.NodeID(0), graph.NodeID(2)
 
-	direct, err := ST(context.Background(), g, s, tt, 400000, 5)
+	direct, err := ST(context.Background(), g, s, tt, 400000, 5, worlds.IC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestQuickReliabilityMonotoneInSources(t *testing.T) {
 // estimateCost is the plain IC held-out cost estimate.
 func estimateCost(tb testing.TB, g *graph.Graph, seeds, set []graph.NodeID, samples int, seed uint64) float64 {
 	tb.Helper()
-	cost, _, err := core.EstimateCost(context.Background(), g, seeds, set, samples, seed, index.IC, checkpoint.Budget{}, nil)
+	cost, _, err := core.EstimateCost(context.Background(), g, seeds, set, samples, seed, worlds.IC, checkpoint.Budget{}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

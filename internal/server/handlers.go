@@ -329,7 +329,8 @@ func (s *Server) handleSeeds(req *http.Request) (any, error) {
 
 // handleSpread serves GET /v1/spread?seeds=...: expected spread either over
 // the loaded index's worlds (method=index, deterministic and fast) or by
-// fresh IC Monte-Carlo simulation under the request budget (method=mc).
+// fresh Monte-Carlo cascades under the index's model and the request
+// budget (method=mc).
 func (s *Server) handleSpread(req *http.Request) (any, error) {
 	seeds, err := s.queryNodes(req, "seeds")
 	if err != nil {
@@ -376,9 +377,6 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 			Partial: qp,
 		}, nil
 	case "mc":
-		if m := s.x.Model(); m != index.IC { // the simulation is IC's
-			return nil, api.Conflict("method=mc simulates IC only and this index was sampled under %s; use method=index", m)
-		}
 		trials, err := queryInt(req, "trials", s.cfg.trials())
 		if err != nil {
 			return nil, err
@@ -389,7 +387,7 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 		// One worker per request: admission control arbitrates cores across
 		// requests; a single query must not monopolize the process.
 		spread, err := cascade.ExpectedSpread(req.Context(), s.x.Graph(), seeds,
-			trials, s.querySeed(seeds...), 1,
+			trials, s.querySeed(seeds...), s.x.Model(), 1,
 			checkpoint.Config{Budget: checkpoint.Budget{Deadline: daemon.BudgetOf(req.Context()).Deadline}})
 		pe, err := splitPartial(err)
 		if err != nil {
@@ -411,11 +409,9 @@ func (s *Server) handleSpread(req *http.Request) (any, error) {
 
 // handleReliability serves GET /v1/reliability?sources=...&threshold=...:
 // the nodes reachable from the sources with probability at least threshold,
-// estimated by IC sampling under the request budget.
+// estimated from cascades sampled under the index's model and the request
+// budget.
 func (s *Server) handleReliability(req *http.Request) (any, error) {
-	if m := s.x.Model(); m != index.IC { // the search samples IC worlds
-		return nil, api.Conflict("/v1/reliability simulates IC only and this index was sampled under %s", m)
-	}
 	sources, err := s.queryNodes(req, "sources")
 	if err != nil {
 		return nil, err
@@ -435,7 +431,7 @@ func (s *Server) handleReliability(req *http.Request) (any, error) {
 	rctx, rsp := trace.StartChild(req.Context(), "reliability.search",
 		trace.Int("samples", int64(samples)))
 	nodes, achieved, err := reliability.Search(rctx, s.x.Graph(), sources,
-		threshold, samples, s.querySeed(sources...), checkpoint.Budget{Deadline: daemon.BudgetOf(rctx).Deadline})
+		threshold, samples, s.querySeed(sources...), s.x.Model(), checkpoint.Budget{Deadline: daemon.BudgetOf(rctx).Deadline})
 	rsp.SetAttrs(trace.Int("achieved", int64(achieved)))
 	rsp.End()
 	pe, err := splitPartial(err)

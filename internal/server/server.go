@@ -23,7 +23,7 @@
 // code so the gateway fails over to a healthy replica.
 //
 // The index carries its graph and model: every sample is drawn under
-// Index.Model, and the IC-only estimators answer 409 over an LT index.
+// Index.Model.
 package server
 
 import (

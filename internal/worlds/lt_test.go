@@ -2,6 +2,7 @@ package worlds
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"soi/internal/graph"
@@ -25,7 +26,7 @@ func ltGraph(t testing.TB) *graph.Graph {
 
 func TestValidateLTWeights(t *testing.T) {
 	g := ltGraph(t)
-	if err := ValidateLTWeights(g); err != nil {
+	if err := ValidateModel(g, LT); err != nil {
 		t.Fatalf("WC weights rejected: %v", err)
 	}
 	b := graph.NewBuilder(2)
@@ -33,14 +34,21 @@ func TestValidateLTWeights(t *testing.T) {
 	b.AddEdge(1, 0, 0.9)
 	over := b.MustBuild()
 	// Node weights are fine here (each node has one in-edge of 0.9).
-	if err := ValidateLTWeights(over); err != nil {
+	if err := ValidateModel(over, LT); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 	b2 := graph.NewBuilder(3)
 	b2.AddEdge(0, 2, 0.7)
 	b2.AddEdge(1, 2, 0.7)
-	if err := ValidateLTWeights(b2.MustBuild()); err == nil {
+	overweight := b2.MustBuild()
+	if err := ValidateModel(overweight, LT); err == nil {
 		t.Fatal("overweight node accepted")
+	}
+	if err := ValidateModel(overweight, IC); err != nil {
+		t.Fatalf("IC rejected a graph with in-weights above 1: %v", err)
+	}
+	if err := ValidateModel(g, Model(2)); err == nil {
+		t.Fatal("unknown model accepted")
 	}
 }
 
@@ -133,15 +141,58 @@ func TestLTLiveEdgeEquivalence(t *testing.T) {
 	}
 }
 
-func TestSampleManyLTDeterministic(t *testing.T) {
+func TestSampleLTDeterministic(t *testing.T) {
 	g := ltGraph(t)
-	a := SampleManyLT(g, 5, 10)
-	b := SampleManyLT(g, 5, 10)
-	for i := range a {
+	for i := uint64(0); i < 10; i++ {
+		a, b := SampleLT(g, rng.New(5).Split(i), nil), SampleLT(g, rng.New(5).Split(i), nil)
 		for e := int32(0); e < int32(g.NumEdges()); e++ {
-			if a[i].EdgeLive(e) != b[i].EdgeLive(e) {
+			if a.EdgeLive(e) != b.EdgeLive(e) {
 				t.Fatalf("world %d differs", i)
 			}
 		}
 	}
+}
+
+// SimulateLT runs one LT cascade directly (thresholds formulation): every
+// node draws a uniform threshold; an inactive node activates when the weight
+// of its active in-neighbors reaches the threshold. Returns the sorted final
+// active set. It shares no code with the live-edge samplers, so it is the
+// independent cross-check of the Kempe et al. equivalence.
+func SimulateLT(g *graph.Graph, seeds []graph.NodeID, r *rng.PCG32) []graph.NodeID {
+	n := g.NumNodes()
+	threshold := make([]float64, n)
+	for i := range threshold {
+		threshold[i] = r.Float64()
+	}
+	active := make([]bool, n)
+	pressure := make([]float64, n) // active incoming weight so far
+	var frontier []graph.NodeID
+	for _, s := range seeds {
+		if !active[s] {
+			active[s] = true
+			frontier = append(frontier, s)
+		}
+	}
+	out := append([]graph.NodeID(nil), frontier...)
+	for len(frontier) > 0 {
+		var next []graph.NodeID
+		for _, u := range frontier {
+			lo, hi := g.EdgeRange(u)
+			for i := lo; i < hi; i++ {
+				v := g.EdgeTo(i)
+				if active[v] {
+					continue
+				}
+				pressure[v] += g.EdgeProb(i)
+				if pressure[v] >= threshold[v] {
+					active[v] = true
+					next = append(next, v)
+					out = append(out, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	slices.Sort(out)
+	return out
 }

@@ -28,12 +28,12 @@ func BenchmarkSampleCascadeMetered(b *testing.B) {
 	}
 	run := func(b *testing.B, m *Metrics) {
 		r := rng.New(7)
-		visited := make([]bool, g.NumNodes())
+		smp := NewSampler(g, IC)
 		out := make([]graph.NodeID, 0, g.NumNodes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			src := graph.NodeID(i % g.NumNodes())
-			out = SampleCascadeFromSet(g, []graph.NodeID{src}, r, visited, out[:0], m)
+			out, _ = smp.Forward([]graph.NodeID{src}, r, out[:0], nil, m)
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil) })

@@ -2,6 +2,7 @@ package worlds
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -103,7 +104,7 @@ func bfsReference(w *World, src graph.NodeID) []graph.NodeID {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -119,11 +120,13 @@ func bfsReference(w *World, src graph.NodeID) []graph.NodeID {
 func TestPaperExample1(t *testing.T) {
 	g := paperGraph(t)
 	const trials = 400000
-	visited := make([]bool, g.NumNodes())
+	smp := NewSampler(g, IC)
 	r := rng.New(99)
 	countA, countB, countC := 0, 0, 0
+	var c []graph.NodeID
 	for i := 0; i < trials; i++ {
-		c := SampleCascade(g, 4, r, visited, nil)
+		c, _ = smp.Forward([]graph.NodeID{4}, r, c[:0], nil, nil)
+		slices.Sort(c)
 		switch {
 		case equal(c, []graph.NodeID{0, 4}):
 			countA++
@@ -156,9 +159,12 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 	visited := make([]bool, g.NumNodes())
 
 	lazyCount := make([]int, g.NumNodes())
+	smp := NewSampler(g, IC)
 	r := rng.New(5)
+	var c []graph.NodeID
 	for i := 0; i < trials; i++ {
-		for _, v := range SampleCascade(g, src, r, visited, nil) {
+		c, _ = smp.Forward([]graph.NodeID{src}, r, c[:0], nil, nil)
+		for _, v := range c {
 			lazyCount[v]++
 		}
 	}
@@ -179,33 +185,47 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 	}
 }
 
-func TestSampleCascadeFromSetUnionProperty(t *testing.T) {
-	g := paperGraph(t)
-	visited := make([]bool, g.NumNodes())
-	r := rng.New(8)
-	for i := 0; i < 200; i++ {
-		c := SampleCascadeFromSet(g, []graph.NodeID{2, 3}, r, visited, nil, nil)
-		// Seeds always present.
-		if !contains(c, 2) || !contains(c, 3) {
-			t.Fatalf("seed missing from cascade %v", c)
-		}
-		// Sorted, no duplicates.
-		for j := 1; j < len(c); j++ {
-			if c[j-1] >= c[j] {
-				t.Fatalf("cascade not strictly sorted: %v", c)
+// TestForwardSeedSet: under both models a seed set's cascade starts with
+// the distinct seeds in order and holds no node twice.
+func TestForwardSeedSet(t *testing.T) {
+	for _, model := range []Model{IC, LT} {
+		g := ltCheckGraph(t)
+		smp := NewSampler(g, model)
+		r := rng.New(8)
+		for i := 0; i < 200; i++ {
+			c, _ := smp.Forward([]graph.NodeID{2, 3, 2}, r, nil, nil, nil)
+			if len(c) < 2 || c[0] != 2 || c[1] != 3 {
+				t.Fatalf("%v: cascade %v does not start with the seeds 2, 3", model, c)
+			}
+			seen := map[graph.NodeID]bool{}
+			for _, v := range c {
+				if seen[v] {
+					t.Fatalf("%v: node %d twice in %v", model, v, c)
+				}
+				seen[v] = true
 			}
 		}
 	}
 }
 
 func TestScratchResetAfterSampling(t *testing.T) {
-	g := paperGraph(t)
-	visited := make([]bool, g.NumNodes())
-	r := rng.New(9)
-	_ = SampleCascade(g, 4, r, visited, nil)
-	for i, v := range visited {
-		if v {
-			t.Fatalf("visited[%d] not reset", i)
+	g := ltCheckGraph(t)
+	for _, model := range []Model{IC, LT} {
+		smp := NewSampler(g, model)
+		r := rng.New(9)
+		for i := 0; i < 20; i++ {
+			smp.Forward([]graph.NodeID{0}, r, nil, nil, nil)
+			smp.Reverse(graph.NodeID(i%g.NumNodes()), r, nil)
+		}
+		for i, v := range smp.visited {
+			if v {
+				t.Fatalf("%v: visited[%d] not reset", model, i)
+			}
+		}
+		for i, c := range smp.choice {
+			if c != 0 {
+				t.Fatalf("%v: choice[%d] = %d not reset", model, i, c)
+			}
 		}
 	}
 }
@@ -225,9 +245,8 @@ func TestQuickCascadeAlwaysContainsSource(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		visited := make([]bool, n)
 		src := graph.NodeID(r.Intn(n))
-		c := SampleCascade(g, src, r, visited, nil)
+		c, _ := NewSampler(g, IC).Forward([]graph.NodeID{src}, r, nil, nil, nil)
 		return contains(c, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -277,7 +296,7 @@ func TestSortIDsLarge(t *testing.T) {
 	for i := range s {
 		s[i] = graph.NodeID(r.Intn(1000))
 	}
-	sortIDs(s)
+	slices.Sort(s)
 	for i := 1; i < len(s); i++ {
 		if s[i-1] > s[i] {
 			t.Fatalf("not sorted at %d: %v > %v", i, s[i-1], s[i])
@@ -332,10 +351,11 @@ func BenchmarkSampleCascadeLazy(b *testing.B) {
 		}
 	}
 	g := bb.MustBuild()
-	visited := make([]bool, g.NumNodes())
+	smp := NewSampler(g, IC)
+	var out []graph.NodeID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SampleCascade(g, graph.NodeID(i%1000), r, visited, nil)
+		out, _ = smp.Forward([]graph.NodeID{graph.NodeID(i % 1000)}, r, out[:0], nil, nil)
 	}
 }
 
@@ -350,7 +370,7 @@ func TestSortIDsAllLengths(t *testing.T) {
 		}
 		want := append([]graph.NodeID(nil), s...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortIDs(s)
+		slices.Sort(s)
 		for i := range s {
 			if s[i] != want[i] {
 				t.Fatalf("length %d: position %d: got %v want %v", n, i, s, want)

@@ -13,6 +13,7 @@ import (
 	"soi/internal/pool"
 	"soi/internal/sketch"
 	"soi/internal/telemetry"
+	"soi/internal/worlds"
 )
 
 // TestRegistryRidesInContext drives every ctx-first entry point twice: with
@@ -53,7 +54,7 @@ func TestRegistryRidesInContext(t *testing.T) {
 			return err
 		}},
 		{"cascade.ExpectedSpread", "cascade.trials", func(ctx context.Context) error {
-			_, err := cascade.ExpectedSpread(ctx, g, seeds, 20, 34, 2, checkpoint.Config{})
+			_, err := cascade.ExpectedSpread(ctx, g, seeds, 20, 34, worlds.IC, 2, checkpoint.Config{})
 			return err
 		}},
 		{"infmax.Std", "infmax.rounds", func(ctx context.Context) error {
@@ -69,11 +70,11 @@ func TestRegistryRidesInContext(t *testing.T) {
 			return err
 		}},
 		{"infmax.RR", "infmax.rr_sets", func(ctx context.Context) error {
-			_, err := infmax.RR(ctx, g, 2, infmax.RROptions{Sets: 50, Seed: 36}, checkpoint.Config{})
+			_, err := infmax.RR(ctx, g, 2, infmax.RROptions{Sets: 50, Seed: 36}, worlds.IC, checkpoint.Config{})
 			return err
 		}},
 		{"infmax.RRAuto", "infmax.rr_sets", func(ctx context.Context) error {
-			_, _, err := infmax.RRAuto(ctx, g, 2, infmax.RRAutoOptions{Epsilon: 0.5, Seed: 37, MaxSets: 500})
+			_, _, err := infmax.RRAuto(ctx, g, 2, infmax.RRAutoOptions{Epsilon: 0.5, Seed: 37, MaxSets: 500}, worlds.IC)
 			return err
 		}},
 		{"sketch.Build", "sketch.build.worlds", func(ctx context.Context) error {

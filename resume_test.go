@@ -175,7 +175,7 @@ func TestExpectedSpreadInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
 	seeds := []NodeID{0, 3, 9}
 	interruptResume(t, filepath.Join(t.TempDir(), "mc.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
-		spread, err := ExpectedSpread(context.Background(), g, seeds, 200, 17, cfg)
+		spread, err := ExpectedSpread(context.Background(), g, seeds, 200, 17, ModelIC, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +188,7 @@ func TestExpectedSpreadInterruptResume(t *testing.T) {
 func TestSelectSeedsRRInterruptResume(t *testing.T) {
 	g := resumeGraph(t)
 	interruptResume(t, filepath.Join(t.TempDir(), "rr.ckpt"), func(cfg ResumeConfig) ([]byte, error) {
-		sel, err := SelectSeedsRR(context.Background(), g, 4, RROptions{Sets: 300, Seed: 23}, cfg)
+		sel, err := SelectSeedsRR(context.Background(), g, 4, RROptions{Sets: 300, Seed: 23}, ModelIC, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	requireCanceled("BuildIndex", err)
 	_, err = AllTypicalCascades(ctx, idx, TypicalOptions{}, ResumeConfig{})
 	requireCanceled("AllTypicalCascades", err)
-	_, err = ExpectedSpread(ctx, g, []NodeID{0}, 100, 10, ResumeConfig{})
+	_, err = ExpectedSpread(ctx, g, []NodeID{0}, 100, 10, ModelIC, ResumeConfig{})
 	requireCanceled("ExpectedSpread", err)
 	_, _, err = EstimateStability(ctx, g, []NodeID{0}, []NodeID{0}, 100, 10, ModelIC, Budget{})
 	requireCanceled("EstimateStability", err)
@@ -46,12 +46,12 @@ func TestCtxFacadeHonorsCancellation(t *testing.T) {
 	requireCanceled("SelectSeedsStdMC", err)
 	_, err = SelectSeedsTC(ctx, g, make(Spheres, g.NumNodes()), 2)
 	requireCanceled("SelectSeedsTC", err)
-	_, err = SelectSeedsRR(ctx, g, 2, RROptions{Sets: 100, Seed: 12}, ResumeConfig{})
+	_, err = SelectSeedsRR(ctx, g, 2, RROptions{Sets: 100, Seed: 12}, ModelIC, ResumeConfig{})
 	requireCanceled("SelectSeedsRR", err)
-	_, _, err = SelectSeedsRRAuto(ctx, g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 13})
+	_, _, err = SelectSeedsRRAuto(ctx, g, 2, RRAutoOptions{Epsilon: 0.3, Seed: 13}, ModelIC)
 	requireCanceled("SelectSeedsRRAuto", err)
-	_, err = Reliability(ctx, g, 0, 0, 100, 14)
+	_, err = Reliability(ctx, g, 0, 0, 100, 14, ModelIC)
 	requireCanceled("Reliability", err)
-	_, err = ReliabilitySearch(ctx, g, []NodeID{0}, 0.5, 100, 14)
+	_, err = ReliabilitySearch(ctx, g, []NodeID{0}, 0.5, 100, 14, ModelIC)
 	requireCanceled("ReliabilitySearch", err)
 }

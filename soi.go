@@ -51,6 +51,7 @@ import (
 	"soi/internal/proplog"
 	"soi/internal/reliability"
 	"soi/internal/telemetry"
+	"soi/internal/worlds"
 )
 
 // Telemetry is a race-safe, zero-dependency metrics registry: counters,
@@ -162,14 +163,17 @@ type Index = index.Index
 // IndexScratch holds reusable per-goroutine query buffers.
 type IndexScratch = index.Scratch
 
-// Model is a propagation model: IndexOptions.Model, Index.Model and
-// EstimateStability take one.
-type Model = index.Model
+// Model is a propagation model: IndexOptions.Model and Index.Model name
+// one, and every function that samples fresh cascades of a graph takes
+// one. Pass the Model of the index an answer is compared with, so an LT
+// sphere is scored under LT. Under LT, each of those functions checks
+// that no node's incoming weights sum above 1.
+type Model = worlds.Model
 
 // Propagation-model selectors for IndexOptions.Model.
 const (
-	ModelIC = index.IC
-	ModelLT = index.LT
+	ModelIC = worlds.IC
+	ModelLT = worlds.LT
 )
 
 // BuildIndex samples opts.Samples possible worlds of g and indexes them.
@@ -271,20 +275,24 @@ func TakeoffProbability(modes []Mode) float64 { return core.TakeoffProbability(m
 // EstimateStability estimates ρ_{g,seeds}(set): the expected Jaccard
 // distance between set and a fresh random cascade from seeds, sampled under
 // model — pass the Model of the index the set came from (Index.Model), so
-// an LT sphere is scored under LT. Lower is more stable. ctx is checked between cascade samples. It returns the estimate
+// an LT sphere is scored under LT. Lower is more stable. ctx is checked
+// between cascade samples. It returns the estimate
 // and the achieved sample count. A zero budget draws all samples; under a
 // wall-clock budget (the query-serving form) sampling stops when the
 // deadline is too near to fit another cascade, and — when that truncated
 // sampling past the budget minimum — the error matches ErrPartial and its
 // *PartialError carries the error bound.
 func EstimateStability(ctx context.Context, g *Graph, seeds, set []NodeID, samples int, seed uint64, model Model, budget Budget) (float64, int, error) {
+	if err := worlds.ValidateModel(g, model); err != nil {
+		return 0, 0, err
+	}
 	return core.EstimateCost(ctx, g, seeds, set, samples, seed, model, budget, nil)
 }
 
 // JaccardDistance returns d_J(a, b) for sorted node sets.
 func JaccardDistance(a, b []NodeID) float64 { return jaccard.Distance(a, b) }
 
-// ExpectedSpread estimates σ(seeds) under the IC model by Monte Carlo. The
+// ExpectedSpread estimates σ(seeds) under model by Monte Carlo. The
 // simulation workers check ctx between trials.
 //
 // cfg (zero for the plain run) adds the crash-safe execution layer: the
@@ -293,8 +301,11 @@ func JaccardDistance(a, b []NodeID) float64 { return jaccard.Distance(a, b) }
 // returns the mean over the completed trials plus an error matching
 // ErrPartial (the bound is normalized to [0,1]; multiply by NumNodes for
 // spread units).
-func ExpectedSpread(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64, cfg ResumeConfig) (float64, error) {
-	return cascade.ExpectedSpread(ctx, g, seeds, trials, seed, 0, cfg)
+func ExpectedSpread(ctx context.Context, g *Graph, seeds []NodeID, trials int, seed uint64, model Model, cfg ResumeConfig) (float64, error) {
+	if err := worlds.ValidateModel(g, model); err != nil {
+		return 0, err
+	}
+	return cascade.ExpectedSpread(ctx, g, seeds, trials, seed, model, 0, cfg)
 }
 
 // SpreadFromIndex estimates σ(seeds) over the worlds of a prebuilt index,
@@ -350,8 +361,8 @@ func SelectSeedsTC(ctx context.Context, g *Graph, spheres Spheres, k int) (Selec
 type RROptions = infmax.RROptions
 
 // SelectSeedsRR runs reverse-reachable-sketch influence maximization (Borgs
-// et al. / TIM style): greedy max-cover over sampled RR sets. ctx is checked
-// between RR-set samples and greedy rounds.
+// et al. / TIM style): greedy max-cover over RR sets sampled under model.
+// ctx is checked between RR-set samples and greedy rounds.
 //
 // cfg (zero for the plain run) adds the crash-safe execution layer: sampled
 // RR sets are periodically checkpointed and a rerun selects seeds
@@ -359,8 +370,11 @@ type RROptions = infmax.RROptions
 // checkpoint serves runs with different seed-set sizes. With a deadline
 // Budget the greedy runs over the RR sets sampled so far and the result
 // carries an error matching ErrPartial.
-func SelectSeedsRR(ctx context.Context, g *Graph, k int, opts RROptions, cfg ResumeConfig) (Selection, error) {
-	return infmax.RR(ctx, g, k, opts, cfg)
+func SelectSeedsRR(ctx context.Context, g *Graph, k int, opts RROptions, model Model, cfg ResumeConfig) (Selection, error) {
+	if err := worlds.ValidateModel(g, model); err != nil {
+		return Selection{}, err
+	}
+	return infmax.RR(ctx, g, k, opts, model, cfg)
 }
 
 // RRAutoOptions configures the self-budgeting RR method.
@@ -371,8 +385,11 @@ type RRAutoOptions = infmax.RRAutoOptions
 // estimation) to guarantee a (1-1/e-ε)-approximation. Returns the selection
 // and the θ chosen. ctx is checked during both TIM phases (KPT estimation
 // and RR sampling).
-func SelectSeedsRRAuto(ctx context.Context, g *Graph, k int, opts RRAutoOptions) (Selection, int, error) {
-	return infmax.RRAuto(ctx, g, k, opts)
+func SelectSeedsRRAuto(ctx context.Context, g *Graph, k int, opts RRAutoOptions, model Model) (Selection, int, error) {
+	if err := worlds.ValidateModel(g, model); err != nil {
+		return Selection{}, 0, err
+	}
+	return infmax.RRAuto(ctx, g, k, opts, model)
 }
 
 // SelectSeedsDegree and SelectSeedsRandom are the classical baselines.
@@ -451,17 +468,23 @@ func NewStreamingLearner(topology *Graph, cfg StreamingLearnerConfig) (*Streamin
 	return probs.NewStreamingGoyal(topology, cfg)
 }
 
-// Reliability estimates the probability that t is reachable from s. ctx is
-// checked between the underlying cascade samples.
-func Reliability(ctx context.Context, g *Graph, s, t NodeID, samples int, seed uint64) (float64, error) {
-	return reliability.ST(ctx, g, s, t, samples, seed)
+// Reliability estimates the probability that t is reachable from s under
+// model. ctx is checked between the underlying cascade samples.
+func Reliability(ctx context.Context, g *Graph, s, t NodeID, samples int, seed uint64, model Model) (float64, error) {
+	if err := worlds.ValidateModel(g, model); err != nil {
+		return 0, err
+	}
+	return reliability.ST(ctx, g, s, t, samples, seed, model)
 }
 
-// ReliabilitySearch returns the nodes reachable from the sources with
-// probability at least threshold. ctx is checked between the underlying
-// cascade samples.
-func ReliabilitySearch(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64) ([]NodeID, error) {
-	nodes, _, err := reliability.Search(ctx, g, sources, threshold, samples, seed, Budget{})
+// ReliabilitySearch returns the nodes reachable from the sources under
+// model with probability at least threshold. ctx is checked between the
+// underlying cascade samples.
+func ReliabilitySearch(ctx context.Context, g *Graph, sources []NodeID, threshold float64, samples int, seed uint64, model Model) ([]NodeID, error) {
+	if err := worlds.ValidateModel(g, model); err != nil {
+		return nil, err
+	}
+	nodes, _, err := reliability.Search(ctx, g, sources, threshold, samples, seed, model, Budget{})
 	return nodes, err
 }
 

@@ -136,14 +136,14 @@ func TestReliabilityFacade(t *testing.T) {
 	b.AddEdge(0, 1, 0.5)
 	b.AddEdge(1, 2, 0.5)
 	g := b.MustBuild()
-	rel, err := Reliability(context.Background(), g, 0, 2, 100000, 9)
+	rel, err := Reliability(context.Background(), g, 0, 2, 100000, 9, ModelIC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(rel-0.25) > 0.01 {
 		t.Fatalf("rel = %v, want ~0.25", rel)
 	}
-	nodes, err := ReliabilitySearch(context.Background(), g, []NodeID{0}, 0.4, 50000, 10)
+	nodes, err := ReliabilitySearch(context.Background(), g, []NodeID{0}, 0.4, 50000, 10, ModelIC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFacadeNewMethods(t *testing.T) {
 	if len(std.Seeds) != k {
 		t.Fatalf("std selected %d seeds", len(std.Seeds))
 	}
-	rr, err := SelectSeedsRR(context.Background(), g, k, RROptions{Sets: 4000, Seed: 23}, ResumeConfig{})
+	rr, err := SelectSeedsRR(context.Background(), g, k, RROptions{Sets: 4000, Seed: 23}, ModelIC, ResumeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +268,56 @@ func TestFacadeLTModel(t *testing.T) {
 	sphere := TypicalCascade(idx, 0, TypicalOptions{CostSamples: 100, CostSeed: 27})
 	if len(sphere.Set) == 0 || sphere.ExpectedCost < 0 || sphere.ExpectedCost > 1 {
 		t.Fatalf("LT sphere = %+v", sphere)
+	}
+}
+
+// TestFacadeLTValidatesWeights: every facade function that takes a graph
+// and a model refuses, under LT, a graph whose incoming weights exceed 1
+// at some node, with the validator's error; the same graph is fine under
+// IC.
+func TestFacadeLTValidatesWeights(t *testing.T) {
+	b := NewGraphBuilder(3)
+	b.AddEdge(0, 2, 0.8)
+	b.AddEdge(1, 2, 0.8)
+	g := b.MustBuild()
+	ctx := context.Background()
+	calls := map[string]func(Model) error{
+		"BuildIndex": func(m Model) error {
+			_, err := BuildIndex(ctx, g, IndexOptions{Samples: 5, Seed: 1, Model: m}, ResumeConfig{})
+			return err
+		},
+		"EstimateStability": func(m Model) error {
+			_, _, err := EstimateStability(ctx, g, []NodeID{0}, []NodeID{0}, 10, 1, m, Budget{})
+			return err
+		},
+		"ExpectedSpread": func(m Model) error {
+			_, err := ExpectedSpread(ctx, g, []NodeID{0}, 10, 1, m, ResumeConfig{})
+			return err
+		},
+		"SelectSeedsRR": func(m Model) error {
+			_, err := SelectSeedsRR(ctx, g, 1, RROptions{Sets: 10, Seed: 1}, m, ResumeConfig{})
+			return err
+		},
+		"SelectSeedsRRAuto": func(m Model) error {
+			_, _, err := SelectSeedsRRAuto(ctx, g, 1, RRAutoOptions{Epsilon: 0.5, Seed: 1, MaxSets: 50}, m)
+			return err
+		},
+		"Reliability": func(m Model) error {
+			_, err := Reliability(ctx, g, 0, 2, 10, 1, m)
+			return err
+		},
+		"ReliabilitySearch": func(m Model) error {
+			_, err := ReliabilitySearch(ctx, g, []NodeID{0}, 0.5, 10, 1, m)
+			return err
+		},
+	}
+	for name, call := range calls {
+		if err := call(ModelLT); err == nil || !strings.Contains(err.Error(), "node 2 has incoming LT weight") {
+			t.Errorf("%s under LT over an overweight graph: err = %v, want the LT weight error", name, err)
+		}
+		if err := call(ModelIC); err != nil {
+			t.Errorf("%s under IC: %v", name, err)
+		}
 	}
 }
 
